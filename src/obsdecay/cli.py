@@ -59,8 +59,6 @@ class Tolerances:
     envelope_points: int = 200
     sim_t_final: float = 10.0
     sim_points: int = 80
-    rtol: float = 1e-9
-    atol: float = 1e-12
     symmetry_tol: float = 1e-9
     dump_q: bool = False
 
@@ -157,14 +155,7 @@ class Pipeline:
 
     @cached_property
     def localizations(self) -> dict[int, charfn.LocalizationCertificate]:
-        certs = {}
-        for k in range(1, self.config.system.N + 1):
-            ctx = charfn.CharContext(self.config.system, k)
-            try:
-                certs[k] = charfn.localize(ctx, theta_frac=self.config.tolerances.theta_frac)
-            except charfn.LocalizationError:
-                continue
-        return certs
+        return {c.k: c for c in self.spectrum.localizations}
 
     @cached_property
     def spectrum(self) -> spectrum_mod.SpectrumReport:
@@ -268,13 +259,11 @@ class Pipeline:
         config = self.config
         eps0 = dynamics.domain_initial_state(config.system, config.seed)
         t_grid = np.concatenate([[0.0], np.geomspace(0.01, tol.sim_t_final, tol.sim_points)])
-        traj = dynamics.simulate_error(config.system, eps0, t_grid, basis=self.basis,
-                                       rtol=tol.rtol, atol=tol.atol, keep_states=True)
-        reports.write_trajectory_csv(traj, self._out("trajectory.csv"), per_mode=True)
+        traj = dynamics.simulate_error(config.system, eps0, t_grid, basis=self.basis)
+        reports.write_trajectory_csv(traj, self._out("trajectory.csv"))
         fit = dynamics.decay_fit_trajectory(
-            config.system, self.basis, eps0, t_grid,
-            alpha=self.alpha if self.alpha is not None else 1.0,
-            seed=config.seed, rtol=tol.rtol, atol=tol.atol,
+            config.system, self.basis, traj,
+            alpha=self.alpha if self.alpha is not None else 1.0, seed=config.seed,
         )
         doc = fit.to_json_dict()
         doc["monotone_decay"] = bool(np.all(np.diff(traj.norm) <= 1e-9 * traj.norm[0]))

@@ -1,12 +1,16 @@
-"""Error dynamics simulation and decay-rate fitting.
+"""Error dynamics: exact modal propagation, observer co-simulation, decay fits.
 
 The complex error state evolves by ``d(eps)/dt = A eps`` where A couples a
 skew diagonal (the mode oscillations) with a rank-one damping term fed by
-the scalar output mismatch.  The real form propagates displacement/velocity
-error pairs with the same spectrum.  Norms contract along every trajectory
-(the damping is negative semidefinite), and for well-spread mode families
-the decay of smooth initial data is polynomial, not exponential, over the
-window where the finite truncation is faithful.
+the scalar output mismatch.  A is diagonalized by the explicit eigenbasis,
+``A = Q G Q^{-1}``, so the error trajectory is evaluated in closed form as
+``Q exp(G t) Q^{-1} eps0`` and cross-checked against a matrix exponential
+that does not use the eigenbasis.  Only the plant/observer co-simulation,
+whose control ``u(t)`` is arbitrary, is integrated numerically.  Norms
+contract along every trajectory (the damping is negative semidefinite), and
+for well-spread mode families the decay of smooth initial data is
+polynomial, not exponential, over the window where the finite truncation is
+faithful.
 
 Norm convention: the complex norm equals sqrt(2) times the real-form norm
 (see state.py); all real/complex comparisons in this module honor that
@@ -20,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+import scipy.linalg
 from scipy.integrate import solve_ivp
 
 from .fitting import loglog_fit
@@ -36,7 +41,8 @@ FIT_T_LO_FLOOR = 1.0
 
 
 class IntegrationError(RuntimeError):
-    """Time integration failed (stiffness guard or accuracy breakdown)."""
+    """A simulation failed: the observer co-simulation stalled, or the modal
+    solution disagrees with the independent matrix exponential."""
 
 
 class FitError(ValueError):
@@ -89,11 +95,9 @@ class ErrorTrajectory:
 
     t: np.ndarray
     norm: np.ndarray
-    states: Optional[np.ndarray]  # (n_times, 2N) flat (q, p) rows, or None
+    states: np.ndarray  # (n_times, 2N) flat (q, p) rows
 
     def state_at(self, idx: int) -> StateVector:
-        if self.states is None:
-            raise ValueError("trajectory was recorded without states")
         return StateVector.from_array(self.states[idx])
 
 
@@ -109,47 +113,38 @@ def _check_t_grid(t_grid: np.ndarray) -> np.ndarray:
 
 
 def simulate_error(sys: SystemSpec, eps0: StateVector, t_grid,
-                   basis=None, rtol: float = RTOL_DEFAULT, atol: float = ATOL_DEFAULT,
-                   keep_states: bool = False) -> ErrorTrajectory:
-    """Integrate the complex error dynamics over a time grid.
+                   basis=None) -> ErrorTrajectory:
+    """Propagate the complex error exactly through the modal basis.
 
-    Uses an adaptive embedded 4(5) pair with a step clamp
-    ``omega_N * dt <= 0.5``.  When a modal basis is supplied, the final state
-    is cross-validated against the exact modal propagation
-    ``Q exp(G t) Q^{-1} eps0`` at 1e-6 relative (relative to the larger of
-    the modal state norm and the initial norm).
+    Every sampled state is ``Q exp(G t_i) Q^{-1} eps0``, evaluated for the
+    whole grid at once.  Without a basis, one is built from the full
+    spectrum (BasisError when the spectrum is incomplete).  The final state
+    is checked against ``expm(A t_final) eps0``, which does not use the
+    eigenbasis, at 1e-6 relative (to the larger of the reference norm and
+    the initial norm); a disagreement raises IntegrationError.
     """
     t = _check_t_grid(t_grid)
     if eps0.n_modes != sys.N:
         raise ValueError(f"state has {eps0.n_modes} modes, system has {sys.N}")
-    w = sys.omegas
-    # precomputed dense matvec: cheapest per-step form at desk scale
-    gen = dense_generator(sys)
+    if basis is None:
+        from .modal import build_basis  # modal imports this module
+        from .spectrum import full_spectrum
 
-    def rhs(_t, y):
-        return gen @ y
-
-    sol = solve_ivp(
-        rhs, (0.0, float(t[-1])), eps0.to_array(), method="RK45",
-        t_eval=t, rtol=rtol, atol=atol,
-        max_step=MAX_STEP_OMEGA_FRACTION / float(w[-1]),
-    )
-    if not sol.success:
-        reached = sol.t[-1] if sol.t.size else 0.0
-        raise IntegrationError(f"integration stalled at t = {reached}: {sol.message}")
-    states = sol.y.T
+        basis = build_basis(sys, full_spectrum(sys))
+    y0 = eps0.to_array()
+    coeffs = basis.solve(y0)
+    states = (np.exp(np.outer(t, basis.G)) * coeffs) @ basis.Q.T
     norms = np.linalg.norm(states, axis=1)
 
-    if basis is not None:
-        ref = basis.propagate(eps0, float(t[-1]))
-        err = np.linalg.norm(states[-1] - ref.to_array())
-        scale = max(ref.norm(), eps0.norm())
-        if err > MODAL_CROSSCHECK_RTOL * scale:
-            raise IntegrationError(
-                f"integrator disagrees with the modal solution at t = {t[-1]}: "
-                f"state error {err:.3e} vs allowance {MODAL_CROSSCHECK_RTOL * scale:.3e}"
-            )
-    return ErrorTrajectory(t=t, norm=norms, states=states if keep_states else None)
+    ref = scipy.linalg.expm(dense_generator(sys) * t[-1]) @ y0
+    err = np.linalg.norm(states[-1] - ref)
+    scale = max(float(np.linalg.norm(ref)), eps0.norm())
+    if err > MODAL_CROSSCHECK_RTOL * scale:
+        raise IntegrationError(
+            f"modal solution disagrees with the matrix exponential at t = {t[-1]}: "
+            f"state error {err:.3e} vs allowance {MODAL_CROSSCHECK_RTOL * scale:.3e}"
+        )
+    return ErrorTrajectory(t=t, norm=norms, states=states)
 
 
 @dataclass(frozen=True)
@@ -319,14 +314,14 @@ def decay_envelope(sys: SystemSpec, spectrum, t_grid) -> DecayFit:
     )
 
 
-def decay_fit_trajectory(sys: SystemSpec, basis, eps0: StateVector, t_grid,
-                         alpha: float = 1.0, seed: Optional[int] = None,
-                         rtol: float = RTOL_DEFAULT, atol: float = ATOL_DEFAULT) -> DecayFit:
+def decay_fit_trajectory(sys: SystemSpec, basis, traj: ErrorTrajectory,
+                         alpha: float = 1.0, seed: Optional[int] = None) -> DecayFit:
     """Fit the decay law of one simulated trajectory.
 
-    The trajectory norm is normalized by ``norm(A eps0)``; the log-log slope
-    is fitted on the truncation-valid window and the reported prefactor is
-    the smallest constant beta such that
+    The trajectory norm is normalized by ``norm(A eps0)`` with
+    ``eps0 = traj.state_at(0)``; the log-log slope is fitted on the
+    truncation-valid window and the reported prefactor is the smallest
+    constant beta such that
 
         norm(eps(t)) <= beta * (1+t)^(-1/alpha) * norm(A eps0)
 
@@ -334,10 +329,9 @@ def decay_fit_trajectory(sys: SystemSpec, basis, eps0: StateVector, t_grid,
     """
     if alpha <= 0.0:
         raise ValueError("alpha must be positive")
-    a_eps0 = apply_generator(sys, eps0).norm()
+    a_eps0 = apply_generator(sys, traj.state_at(0)).norm()
     if a_eps0 == 0.0:
         raise ValueError("initial state must be nonzero")
-    traj = simulate_error(sys, eps0, t_grid, basis=basis, rtol=rtol, atol=atol)
     t = traj.t
     ratio = traj.norm / a_eps0
 

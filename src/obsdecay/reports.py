@@ -7,12 +7,13 @@ timestamps, keys sorted, floats rendered with repr.  CSV layouts:
 * spectrum: k, half, re_lambda, im_lambda, residual, certified, winding
 * spectrum plot data: re, im (one row per eigenvalue)
 * axis scan: s, norm_bound
-* trajectory: t, norm [, |mode 1|, ..., |mode N| magnitudes]
+* trajectory: t, norm, |mode 1|, ..., |mode N| magnitudes
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import tempfile
@@ -47,14 +48,14 @@ def jsonable(obj):
     return obj
 
 
-def atomic_write_text(path: str, text: str) -> None:
+def atomic_write(path: str, data: bytes) -> None:
     """Write via a temp file in the same directory, then rename into place."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -63,23 +64,16 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def write_json(path: str, doc: dict) -> None:
-    atomic_write_text(path, json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n")
+    text = json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n"
+    atomic_write(path, text.encode())
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(header)
-            writer.writerows(rows)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    atomic_write(path, buf.getvalue().encode())
 
 
 def write_localization_csv(certs, path: str) -> None:
@@ -113,37 +107,20 @@ def write_axis_scan_csv(scan: AxisScan, path: str) -> None:
     _write_csv(path, ["s", "norm_bound"], [[s, v] for s, v in scan.samples])
 
 
-def write_trajectory_csv(traj: ErrorTrajectory, path: str,
-                         per_mode: bool = False) -> None:
-    if per_mode and traj.states is None:
-        raise ValueError("per-mode output requires a trajectory recorded with states")
-    if per_mode:
-        n = traj.states.shape[1] // 2
-        header = ["t", "norm"] + [f"mode_{j+1}" for j in range(n)]
-        rows = []
-        for i, (t, nv) in enumerate(zip(traj.t, traj.norm)):
-            row = traj.states[i]
-            mags = np.sqrt(np.abs(row[:n]) ** 2 + np.abs(row[n:]) ** 2)
-            rows.append([t, nv] + mags.tolist())
-    else:
-        header = ["t", "norm"]
-        rows = [[t, nv] for t, nv in zip(traj.t, traj.norm)]
+def write_trajectory_csv(traj: ErrorTrajectory, path: str) -> None:
+    n = traj.states.shape[1] // 2
+    header = ["t", "norm"] + [f"mode_{j+1}" for j in range(n)]
+    rows = []
+    for i, (t, nv) in enumerate(zip(traj.t, traj.norm)):
+        row = traj.states[i]
+        mags = np.sqrt(np.abs(row[:n]) ** 2 + np.abs(row[n:]) ** 2)
+        rows.append([t, nv] + mags.tolist())
     _write_csv(path, header, rows)
 
 
 def write_q_binary(basis: ModalBasis, path: str) -> None:
     """Dump Q row-major as little-endian float64 pairs (re, im interleaved)."""
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(np.ascontiguousarray(basis.Q).astype("<c16").tobytes(order="C"))
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, np.ascontiguousarray(basis.Q).astype("<c16").tobytes(order="C"))
 
 
 def read_q_binary(path: str, dim: Optional[int] = None) -> np.ndarray:

@@ -116,6 +116,21 @@ def _apply_resolvent_at_pole(sys: SystemSpec, k: int, sign: float,
     return StateVector(q=q, p=p)
 
 
+def _diag_bound(upper: np.ndarray, lower: np.ndarray, lams) -> np.ndarray:
+    """Diagonal-model resolvent bound ``sqrt(d_lo^-2 + d_up^-2)`` at each point.
+
+    ``d_up`` (``d_lo``) is the distance from the point to the nearest of the
+    ``upper`` (``lower``) eigenvalues.
+    """
+    pts = np.asarray(lams, dtype=complex)[:, None]
+    d_up = np.min(np.abs(upper[None, :] - pts), axis=1)
+    d_lo = np.min(np.abs(lower[None, :] - pts), axis=1)
+    hit = (d_up == 0.0) | (d_lo == 0.0)
+    if np.any(hit):
+        raise SpectrumProximityError(f"lam = {pts[hit, 0][0]} is an eigenvalue")
+    return np.sqrt(d_lo**-2.0 + d_up**-2.0)
+
+
 def resolvent_norm(sys: SystemSpec, lam: complex, mode: str = "diag",
                    spectrum: Optional[SpectrumReport] = None) -> float:
     """Resolvent norm at one point.
@@ -129,13 +144,8 @@ def resolvent_norm(sys: SystemSpec, lam: complex, mode: str = "diag",
     if mode == "diag":
         if spectrum is None:
             raise ValueError("diag mode requires a completed SpectrumReport")
-        upper = spectrum.eigenvalues("upper")
-        lower = spectrum.eigenvalues("lower")
-        d_up = np.min(np.abs(upper - lam))
-        d_lo = np.min(np.abs(lower - lam))
-        if d_up == 0.0 or d_lo == 0.0:
-            raise SpectrumProximityError(f"lam = {lam} is an eigenvalue")
-        return float(math.sqrt(d_lo**-2 + d_up**-2))
+        return float(_diag_bound(spectrum.eigenvalues("upper"),
+                                 spectrum.eigenvalues("lower"), [lam])[0])
     if mode == "exact":
         if sys.N > EXACT_NORM_MAX_N:
             raise ValueError(f"exact mode is capped at N = {EXACT_NORM_MAX_N}")
@@ -190,25 +200,18 @@ def axis_scan(sys: SystemSpec, spectrum: SpectrumReport, k_range: tuple[int, int
         raise ValueError("need at least 3 points per segment")
     upper = spectrum.eigenvalues("upper")
     lower = spectrum.eigenvalues("lower")
-
-    def bound(svals: np.ndarray) -> np.ndarray:
-        pts = 1j * svals[:, None]
-        d_up = np.min(np.abs(upper[None, :] - pts), axis=1)
-        d_lo = np.min(np.abs(lower[None, :] - pts), axis=1)
-        return np.sqrt(d_lo**-2.0 + d_up**-2.0)
-
     segments = []
     suprema = []
     all_samples = []
     w = sys.omegas
-    im_parts = np.array([lam.imag for lam in upper])
+    im_parts = upper.imag
     for k in range(k_min, k_max + 1):
         s_lo = 0.5 * (w[k - 2] + w[k - 1])
         s_hi = 0.5 * (w[k - 1] + w[k])
         grid = np.linspace(s_lo, s_hi, pts_per_segment)
         peaks = im_parts[(im_parts >= s_lo) & (im_parts <= s_hi)]
         svals = np.sort(np.concatenate([grid, peaks]))
-        vals = bound(svals)
+        vals = _diag_bound(upper, lower, 1j * svals)
         segments.append((k, float(s_lo), float(s_hi)))
         suprema.append((k, float(0.5 * (s_lo + s_hi)), float(np.max(vals))))
         all_samples.extend(zip(svals.tolist(), vals.tolist()))

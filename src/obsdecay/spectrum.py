@@ -192,6 +192,8 @@ class SpectrumReport:
     ``symmetry_defect`` is the largest gap between an upper root and the
     conjugate of its lower partner; ``enclosure_defect`` the largest
     violation of the global disk enclosure (0 when every root is inside).
+    ``localizations`` holds the per-mode certificates the search was seeded
+    from, in mode order, for every mode whose localization succeeded.
     """
 
     eigs: tuple[EigenCertificate, ...]
@@ -199,6 +201,7 @@ class SpectrumReport:
     enclosure_defect: float
     complete: bool
     failures: tuple[str, ...] = ()
+    localizations: tuple[LocalizationCertificate, ...] = ()
 
     def eigenvalues(self, half: Optional[str] = None) -> np.ndarray:
         vals = [e.lam for e in self.eigs if half is None or e.half == half]
@@ -290,6 +293,7 @@ def full_spectrum(sys: SystemSpec, theta_frac: float = 0.5,
     band = 0.5 * (sys.min_gap() if sys.N > 1 else float(sys.omegas[0]))
     eigs: list[EigenCertificate] = []
     failures: list[str] = []
+    locs: list[LocalizationCertificate] = []
     for k in range(1, sys.N + 1):
         ctx = CharContext(sys, k)
         lam_s = lambda_star(ctx)
@@ -297,6 +301,8 @@ def full_spectrum(sys: SystemSpec, theta_frac: float = 0.5,
             loc = localize(ctx, theta_frac=theta_frac)
         except LocalizationError:
             loc = None
+        else:
+            locs.append(loc)
         for half, seed in (("upper", lam_s), ("lower", lam_s.conjugate())):
             cert, err = _find_half(sys, k, half, loc, seed, band, newton_tol)
             if cert is None:
@@ -332,7 +338,7 @@ def full_spectrum(sys: SystemSpec, theta_frac: float = 0.5,
     complete = len(eigs) == 2 * sys.N and not failures
     return SpectrumReport(
         eigs=tuple(eigs), symmetry_defect=sym, enclosure_defect=enc,
-        complete=complete, failures=tuple(failures),
+        complete=complete, failures=tuple(failures), localizations=tuple(locs),
     )
 
 

@@ -10,12 +10,7 @@ import time
 
 import numpy as np
 
-from obsdecay.charfn import (
-    CharContext,
-    LocalizationError,
-    localize,
-    rouche_margin,
-)
+from obsdecay.charfn import CharContext, rouche_margin
 from obsdecay.dynamics import (
     apply_generator,
     decay_envelope,
@@ -86,21 +81,16 @@ def test_criterion_3_rouche_certification():
     by_key = {(e.k, e.half): e for e in rep.eigs}
     checked = 0
     margins = []
-    for k in range(1, 24):
-        ctx = CharContext(sys, k)
-        try:
-            cert = localize(ctx)
-        except LocalizationError:
-            continue
+    for cert in rep.localizations:
         if not (cert.omega_gt_1 and cert.cond_Mneq2):
             continue
         checked += 1
         for half in ("upper", "lower"):
-            eig = by_key[(k, half)]
-            assert eig.winding == 1, f"mode {k} ({half}): winding {eig.winding}"
+            eig = by_key[(cert.k, half)]
+            assert eig.winding == 1, f"mode {cert.k} ({half}): winding {eig.winding}"
             assert abs(eig.lam - eig.disk_center) < eig.disk_radius, \
-                f"mode {k} ({half}): root outside its disk"
-        margins.append(rouche_margin(ctx, cert, samples=64))
+                f"mode {cert.k} ({half}): root outside its disk"
+        margins.append(rouche_margin(CharContext(sys, cert.k), cert, samples=64))
     ok = checked > 0 and all(m > 0.0 for m in margins)
     report(3, ok,
            f"{checked} modes pass the axis-separation inequality; winding = 1 and "
@@ -147,12 +137,7 @@ def test_criterion_5_axis_scan_exponent():
     sys = beam_example(1.0, 1.0, 23)
     rep = full_spectrum(sys)
     scan = axis_scan(sys, rep, (3, 20))
-    certs = {}
-    for k in range(1, 24):
-        try:
-            certs[k] = localize(CharContext(sys, k))
-        except LocalizationError:
-            continue
+    certs = {c.k: c for c in rep.localizations}
     checks = segment_bound_checks(scan, certs)
     applicable = [c for c in checks if c.applicable]
     ok = (
@@ -178,7 +163,7 @@ def test_criterion_6_decay_exponent():
     t_grid = np.concatenate([[0.0], np.geomspace(0.01, 40.0, 140)])
     traj = simulate_error(sys, eps0, t_grid, basis=basis)
     monotone = bool(np.all(np.diff(traj.norm) <= 1e-9 * traj.norm[0]))
-    fit = decay_fit_trajectory(sys, basis, eps0, t_grid, alpha=1.0, seed=1234)
+    fit = decay_fit_trajectory(sys, basis, traj, alpha=1.0, seed=1234)
     scale = apply_generator(sys, eps0).norm()
     bound = fit.prefactor * (1.0 + t_grid) ** -1.0 * scale
     bound_ok = bool(np.all(traj.norm <= bound * (1 + 1e-9)))

@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from obsdecay.dynamics import (
     FitError,
+    IntegrationError,
     ObserverSetup,
     apply_generator,
     decay_envelope,
@@ -74,15 +77,23 @@ class TestInitialState:
 
 
 class TestSimulateError:
-    def test_single_mode_matrix_exponential_oracle(self, single_mode):
+    @pytest.mark.parametrize("case", ["single_mode", "beam23"])
+    def test_single_mode_matrix_exponential_oracle(self, case, request):
         rng = np.random.default_rng(32)
-        eps0 = random_state(1, rng)
-        t_grid = np.linspace(0.0, 8.0, 33)
-        traj = simulate_error(single_mode, eps0, t_grid, keep_states=True)
-        a = dense_generator(single_mode)
+        if case == "single_mode":
+            sys = request.getfixturevalue("single_mode")
+            eps0 = random_state(1, rng)
+            t_grid = np.linspace(0.0, 8.0, 33)
+        else:
+            # the reference report's system and default simulation grid
+            sys = request.getfixturevalue("beam23")
+            eps0 = random_state(23, rng)
+            t_grid = np.concatenate([[0.0], np.geomspace(0.01, 10.0, 80)])
+        traj = simulate_error(sys, eps0, t_grid)
+        a = dense_generator(sys)
         for i, t in enumerate(t_grid):
             ref = scipy.linalg.expm(a * t) @ eps0.to_array()
-            assert np.linalg.norm(traj.states[i] - ref) <= 1e-8
+            assert np.linalg.norm(traj.states[i] - ref) <= 1e-10
 
     def test_norm_never_increases(self, beam4):
         rng = np.random.default_rng(33)
@@ -103,6 +114,13 @@ class TestSimulateError:
         rng = np.random.default_rng(34)
         eps0 = random_state(4, rng)
         simulate_error(beam4, eps0, np.linspace(0.0, 3.0, 7), basis=beam4_basis)
+
+    def test_modal_cross_validation_rejects_wrong_basis(self, beam4, beam4_basis):
+        rng = np.random.default_rng(34)
+        eps0 = random_state(4, rng)
+        wrong = dataclasses.replace(beam4_basis, G=beam4_basis.G * (1 + 1e-3))
+        with pytest.raises(IntegrationError):
+            simulate_error(beam4, eps0, np.linspace(0.0, 3.0, 7), basis=wrong)
 
     def test_grid_validation(self, beam4):
         eps0 = StateVector.zero(4)
@@ -173,8 +191,7 @@ class TestObserverCoSimulation:
         t_grid = np.linspace(0.0, 6.0, 25)
         real_run = simulate_observer(ObserverSetup(sys=sys), z0, zt0, t_grid,
                                      rtol=1e-11, atol=1e-13)
-        complex_run = simulate_error(sys, e0.to_complex(), t_grid,
-                                     rtol=1e-11, atol=1e-13)
+        complex_run = simulate_error(sys, e0.to_complex(), t_grid)
         np.testing.assert_allclose(
             complex_run.norm, np.sqrt(2.0) * real_run.error_norm, atol=1e-9)
 
@@ -220,8 +237,8 @@ class TestDecayFitTrajectory:
     def test_mechanics_on_small_system(self, beam4, beam4_basis):
         eps0 = domain_initial_state(beam4, seed=9)
         t_grid = np.concatenate([[0.0], np.geomspace(0.05, 8.0, 50)])
-        fit = decay_fit_trajectory(beam4, beam4_basis, eps0, t_grid,
-                                   alpha=1.0, seed=9)
+        traj = simulate_error(beam4, eps0, t_grid, basis=beam4_basis)
+        fit = decay_fit_trajectory(beam4, beam4_basis, traj, alpha=1.0, seed=9)
         assert fit.mode == "trajectory"
         assert fit.seed == 9
         assert np.isfinite(fit.prefactor)
@@ -232,24 +249,27 @@ class TestDecayFitTrajectory:
     def test_pure_mode_is_non_polynomial(self, beam4, beam4_basis):
         col = StateVector.from_array(beam4_basis.Q[:, 7])
         t_grid = np.concatenate([[0.0], np.geomspace(0.05, 8.0, 40)])
-        fit = decay_fit_trajectory(beam4, beam4_basis, col, t_grid, alpha=1.0)
+        traj = simulate_error(beam4, col, t_grid, basis=beam4_basis)
+        fit = decay_fit_trajectory(beam4, beam4_basis, traj, alpha=1.0)
         assert not fit.polynomial
 
     def test_bound_holds_with_reported_prefactor(self, beam4, beam4_basis):
         eps0 = domain_initial_state(beam4, seed=10)
         t_grid = np.concatenate([[0.0], np.geomspace(0.05, 8.0, 50)])
-        fit = decay_fit_trajectory(beam4, beam4_basis, eps0, t_grid, alpha=1.0)
-        traj = simulate_error(beam4, eps0, t_grid)
+        traj = simulate_error(beam4, eps0, t_grid, basis=beam4_basis)
+        fit = decay_fit_trajectory(beam4, beam4_basis, traj, alpha=1.0)
         scale = apply_generator(beam4, eps0).norm()
         bound = fit.prefactor * (1.0 + t_grid) ** -1.0 * scale
         assert np.all(traj.norm <= bound * (1 + 1e-9))
 
     def test_degenerate_window_rejected(self, beam4, beam4_basis):
         eps0 = domain_initial_state(beam4, seed=11)
+        traj = simulate_error(beam4, eps0, [0.0, 0.5], basis=beam4_basis)
         with pytest.raises(FitError):
-            decay_fit_trajectory(beam4, beam4_basis, eps0, [0.0, 0.5], alpha=1.0)
+            decay_fit_trajectory(beam4, beam4_basis, traj, alpha=1.0)
 
     def test_alpha_validated(self, beam4, beam4_basis):
         eps0 = domain_initial_state(beam4, seed=12)
+        traj = simulate_error(beam4, eps0, [0.0, 1.0, 2.0], basis=beam4_basis)
         with pytest.raises(ValueError):
-            decay_fit_trajectory(beam4, beam4_basis, eps0, [0.0, 1.0, 2.0], alpha=0.0)
+            decay_fit_trajectory(beam4, beam4_basis, traj, alpha=0.0)

@@ -10,7 +10,7 @@ import pytest
 from obsdecay.charfn import CharContext, localize
 from obsdecay.dynamics import domain_initial_state, simulate_error
 from obsdecay.reports import (
-    atomic_write_text,
+    atomic_write,
     jsonable,
     read_q_binary,
     write_axis_scan_csv,
@@ -45,7 +45,7 @@ class TestJsonable:
 class TestAtomicWrite:
     def test_writes_and_leaves_no_temp(self, tmp_path):
         target = tmp_path / "sub" / "x.txt"
-        atomic_write_text(str(target), "payload")
+        atomic_write(str(target), b"payload")
         assert target.read_text() == "payload"
         assert [p.name for p in (tmp_path / "sub").iterdir()] == ["x.txt"]
 
@@ -94,21 +94,15 @@ class TestCsvWriters:
 
     def test_trajectory_with_mode_magnitudes(self, tmp_path, beam4):
         eps0 = domain_initial_state(beam4, seed=3)
-        traj = simulate_error(beam4, eps0, [0.0, 0.5, 1.0], keep_states=True)
+        traj = simulate_error(beam4, eps0, [0.0, 0.5, 1.0])
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(traj, str(path), per_mode=True)
+        write_trajectory_csv(traj, str(path))
         rows = read_rows(path)
         assert rows[0] == ["t", "norm", "mode_1", "mode_2", "mode_3", "mode_4"]
         first = [float(v) for v in rows[1]]
         assert first[1] == pytest.approx(eps0.norm())
         assert first[2] == pytest.approx(
             math.sqrt(abs(eps0.q[0]) ** 2 + abs(eps0.p[0]) ** 2))
-
-    def test_trajectory_per_mode_needs_states(self, tmp_path, beam4):
-        eps0 = domain_initial_state(beam4, seed=3)
-        traj = simulate_error(beam4, eps0, [0.0, 0.5], keep_states=False)
-        with pytest.raises(ValueError):
-            write_trajectory_csv(traj, str(tmp_path / "x.csv"), per_mode=True)
 
 
 class TestQBinaryDump:

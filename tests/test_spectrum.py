@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import SINGLE_MODE_ROOTS
-from obsdecay.charfn import CharContext, PoleError, lambda_star
+from obsdecay.charfn import CharContext, LocalizationError, PoleError, lambda_star, localize
 from obsdecay.model import beam_example
 from obsdecay.spectrum import (
     NewtonError,
@@ -46,8 +46,6 @@ class TestNewtonRoot:
 
 class TestWindingNumber:
     def test_certified_disk_encloses_one_root(self, beam23):
-        from obsdecay.charfn import localize
-
         cert = localize(CharContext(beam23, 5))
         assert winding_number(beam23, (cert.lambda_star, cert.Rk)) == 1
 
@@ -90,6 +88,16 @@ class TestFullSpectrum:
         keys = [(e.k, e.half) for e in beam23_spectrum.eigs]
         expected = [(k, h) for k in range(1, 24) for h in ("upper", "lower")]
         assert keys == expected
+
+    def test_carries_the_localizations_it_used(self, beam23, beam23_spectrum):
+        expected = []
+        for k in range(1, 24):
+            try:
+                expected.append(localize(CharContext(beam23, k)))
+            except LocalizationError:
+                continue
+        assert beam23_spectrum.localizations == tuple(expected)
+        assert 1 not in [c.k for c in expected]  # mode 1 does not localize
 
     def test_distinctness(self, beam23_spectrum):
         vals = beam23_spectrum.eigenvalues()
