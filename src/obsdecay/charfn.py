@@ -15,8 +15,11 @@ linearization at the center has the explicit root
 
 and a Rouche-type comparison of the linear part against the quadratic
 remainder certifies that f has exactly one zero inside an explicit disk
-around lam_k_star.  The certificate also records whether the disk stays a
-fixed fraction away from the imaginary axis.
+around lam_k_star.  The remainder is bounded in closed form on the disk
+``|lam - i omega_k| <= R1`` by ``M = sum_a |res_a| / (d_a (d_a - R1))`` over
+the poles ``a != i omega_k`` of f, ``d_a = |i omega_k - a|``, because every
+term of f is a simple pole (see :func:`estimate_M`).  The certificate also
+records whether the disk stays a fixed fraction away from the imaginary axis.
 """
 
 from __future__ import annotations
@@ -28,12 +31,9 @@ import numpy as np
 
 from .model import SystemSpec
 
-M_SAMPLES_DEFAULT = 256
-M_SAMPLES_CAP = 4096
-M_SAFETY_DEFAULT = 1.25
-M_REFINE_RTOL = 0.02
-R1_FRACTION_DEFAULT = 0.9
+R1_FRACTION = 0.9
 THETA_FRACTION_DEFAULT = 0.5
+ROUCHE_MARGIN_SAMPLES = 64
 
 
 class PoleError(ValueError):
@@ -74,8 +74,9 @@ class LocalizationCertificate:
 
     ``lambda_star`` is the predicted eigenvalue (root of the linearized
     characteristic function), ``(lambda_star, Rk)`` the enclosure disk.
-    ``M`` bounds the quadratic remainder on the sampling disk of radius
-    ``R1``; ``b`` and ``c_const`` define the admissible radius interval
+    ``M`` is the closed-form bound of :func:`estimate_M` on the quadratic
+    remainder over the disk ``|lam - i omega_k| <= R1``; ``b`` and
+    ``c_const`` define the admissible radius interval
     ``sqrt(Rk) in (b - sqrt(b^2 - c), b + sqrt(b^2 - c))``.
 
     Flags:
@@ -84,7 +85,7 @@ class LocalizationCertificate:
     * ``cond_Mneq2``  -- stronger bound guaranteeing axis separation is
       compatible with the radius interval (meaningful for omega_k > 1);
     * ``interval_ok`` -- the chosen Rk actually lies in the admissible interval;
-    * ``contained``   -- the enclosure disk stays inside the sampling disk;
+    * ``contained``   -- the enclosure disk stays inside the disk of radius ``R1``;
     * ``separated``   -- certified disk with Rk <= theta_frac * |Re lambda_star|.
     """
 
@@ -258,47 +259,32 @@ def convergence_radius(ctx: CharContext) -> float:
     return min(candidates)
 
 
-def _remainder_max(ctx: CharContext, R1: float, samples: int,
-                   f0: complex, f1: complex) -> float:
-    t = 2.0 * np.pi * np.arange(samples) / samples
-    lam = ctx.center + R1 * np.exp(1j * t)
-    shift = lam - ctx.center
-    resid = eval_F(ctx, lam) - f0 - shift * f1
-    return float(np.max(np.abs(resid) / np.abs(shift) ** 2))
+def estimate_M(ctx: CharContext, R1: float) -> float:
+    """Closed-form bound on the quadratic-remainder factor of F.
 
-
-def estimate_M(ctx: CharContext, R1: float, samples: int = M_SAMPLES_DEFAULT,
-               safety_factor: float = M_SAFETY_DEFAULT) -> float:
-    """Sampled bound on the quadratic-remainder factor of F.
-
-    Maximizes ``|F(lam) - F(center) - (lam - center) F'(center)| / |lam - center|^2``
-    over equispaced points of the circle ``|lam - center| = R1`` and multiplies
-    by a safety factor.  The maximum principle pushes the circle maximum to the
-    closed disk, up to the sampling error the refinement loop controls: the
-    sample count doubles until the estimate moves by less than 2% (cap 4096).
+    With ``s = lam - center`` and ``u = center - a`` for each pole ``a`` of f
+    other than the cleared center, ``F(lam) - F(center) - s F'(center)``
+    equals ``-s^2 sum_a res_a / (u (lam - a))``.  On ``|s| <= R1`` every
+    ``|lam - a| >= d_a - R1``, so the factor multiplying ``|s|^2`` is at most
+    ``sum_a |res_a| / (d_a (d_a - R1))``.  The poles are ``+i omega_j``
+    (j != k) and ``-i omega_j`` with ``|res| = c_j^2/omega_j``, and 0 with
+    ``|res| = 2/gamma``.
     """
     R0 = convergence_radius(ctx)
     if not 0.0 < R1 < R0:
         raise ValueError(f"R1 must lie in (0, {R0}), got {R1}")
-    if samples < 8:
-        raise ValueError("need at least 8 boundary samples")
-    f0, f1 = char_linearization(ctx)
-    m = int(samples)
-    current = _remainder_max(ctx, R1, m, f0, f1)
-    while m < M_SAMPLES_CAP:
-        m *= 2
-        refined = _remainder_max(ctx, R1, m, f0, f1)
-        done = abs(refined - current) <= M_REFINE_RTOL * refined
-        current = refined
-        if done:
-            break
-    return safety_factor * current
+    sys = ctx.sys
+    wk = ctx.omega_k
+    weights = sys.cs**2 / sys.omegas
+    d_upper = np.abs(np.delete(sys.omegas, ctx.k - 1) - wk)
+    d_lower = sys.omegas + wk
+    upper = np.sum(np.delete(weights, ctx.k - 1) / (d_upper * (d_upper - R1)))
+    lower = np.sum(weights / (d_lower * (d_lower - R1)))
+    return float(upper + lower + (2.0 / sys.gamma) / (wk * (wk - R1)))
 
 
-def localize(ctx: CharContext, theta_frac: float = THETA_FRACTION_DEFAULT,
-             r1_frac: float = R1_FRACTION_DEFAULT,
-             samples: int = M_SAMPLES_DEFAULT,
-             safety_factor: float = M_SAFETY_DEFAULT) -> LocalizationCertificate:
+def localize(ctx: CharContext,
+             theta_frac: float = THETA_FRACTION_DEFAULT) -> LocalizationCertificate:
     """Build the enclosure certificate for one mode.
 
     The disk radius is chosen as
@@ -315,8 +301,8 @@ def localize(ctx: CharContext, theta_frac: float = THETA_FRACTION_DEFAULT,
     f0, f1 = char_linearization(ctx)
     lam_s = 1j * ctx.omega_k - f0 / f1
     R0 = convergence_radius(ctx)
-    R1 = r1_frac * R0
-    M = estimate_M(ctx, R1, samples=samples, safety_factor=safety_factor)
+    R1 = R1_FRACTION * R0
+    M = estimate_M(ctx, R1)
 
     abs_f0, abs_f1 = abs(f0), abs(f1)
     b = math.sqrt(abs_f1 / (4.0 * M))
@@ -361,15 +347,14 @@ def localize(ctx: CharContext, theta_frac: float = THETA_FRACTION_DEFAULT,
     )
 
 
-def rouche_margin(ctx: CharContext, cert: LocalizationCertificate,
-                  samples: int = 64) -> float:
+def rouche_margin(ctx: CharContext, cert: LocalizationCertificate) -> float:
     """Smallest value of |g| - |r| on the enclosure circle.
 
     ``g`` is the linear part of F at the center, ``r = F - g`` the remainder.
     A positive margin is the dominance hypothesis behind the one-zero
     enclosure, checked directly at the sampled contour points.
     """
-    t = 2.0 * np.pi * np.arange(samples) / samples
+    t = 2.0 * np.pi * np.arange(ROUCHE_MARGIN_SAMPLES) / ROUCHE_MARGIN_SAMPLES
     lam = cert.lambda_star + cert.Rk * np.exp(1j * t)
     shift = lam - ctx.center
     g = cert.F0 + shift * cert.F1

@@ -144,11 +144,6 @@ class ModalBasis:
         """Q^{-1} vec via the stored LU factorization."""
         return scipy.linalg.lu_solve(self._lu, vec)
 
-    def propagate(self, eps: StateVector, t: float) -> StateVector:
-        """Exact modal propagation Q exp(G t) Q^{-1} eps."""
-        coeffs = self.solve(eps.to_array())
-        return StateVector.from_array(self.Q @ (np.exp(self.G * t) * coeffs))
-
     def to_json_dict(self) -> dict:
         return {
             "beta1": self.beta1,

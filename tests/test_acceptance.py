@@ -90,7 +90,7 @@ def test_criterion_3_rouche_certification():
             assert eig.winding == 1, f"mode {cert.k} ({half}): winding {eig.winding}"
             assert abs(eig.lam - eig.disk_center) < eig.disk_radius, \
                 f"mode {cert.k} ({half}): root outside its disk"
-        margins.append(rouche_margin(CharContext(sys, cert.k), cert, samples=64))
+        margins.append(rouche_margin(CharContext(sys, cert.k), cert))
     ok = checked > 0 and all(m > 0.0 for m in margins)
     report(3, ok,
            f"{checked} modes pass the axis-separation inequality; winding = 1 and "

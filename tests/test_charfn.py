@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from obsdecay.charfn import (
+    R1_FRACTION,
     CharContext,
     LocalizationError,
     PoleError,
@@ -140,21 +141,41 @@ class TestLambdaStar:
         assert scaled[-1] == pytest.approx(0.5, rel=0.05)
 
 
-class TestEstimateM:
-    def test_stable_under_refinement(self, single_mode):
-        ctx = CharContext(single_mode, 1)
-        m256 = estimate_M(ctx, 0.9, samples=256)
-        m512 = estimate_M(ctx, 0.9, samples=512)
-        assert m256 > 0.0
-        assert abs(m256 - m512) <= 0.02 * max(m256, m512)
+def sampled_remainder_peak(ctx, R1):
+    """Reference oracle: max of |F - F0 - s F1| / |s|^2 at 4096 points of |s| = R1."""
+    f0, f1 = char_linearization(ctx)
+    shift = R1 * np.exp(2j * np.pi * np.arange(4096) / 4096)
+    resid = eval_F(ctx, ctx.center + shift) - f0 - shift * f1
+    return float(np.max(np.abs(resid) / np.abs(shift) ** 2))
 
-    def test_safety_factor_scaling(self, beam23):
-        ctx = CharContext(beam23, 10)
-        r1 = 0.9 * convergence_radius(ctx)
-        lo = estimate_M(ctx, r1, safety_factor=1.0)
-        hi = estimate_M(ctx, r1, safety_factor=1.25)
-        assert hi == pytest.approx(1.25 * lo, rel=1e-12)
-        assert lo > 0.0
+
+def perturbed_beam_family(seed, count):
+    """Beam-like systems with jittered gaps and signed, jittered couplings."""
+    rng = np.random.default_rng(seed)
+    systems = []
+    for _ in range(count):
+        n = int(rng.integers(2, 41))
+        theta, sigma, gamma = np.exp(rng.uniform(np.log(0.3), np.log(3.0), 3))
+        j = np.arange(1, n + 1, dtype=float)
+        omegas = np.cumsum(theta * (2 * j - 1) * (1.0 + rng.uniform(-0.2, 0.2, n)))
+        cs = sigma / j * (1.0 + rng.uniform(-0.2, 0.2, n)) * rng.choice((-1.0, 1.0), n)
+        systems.append(build_system(gamma, omegas, cs))
+    return systems
+
+
+class TestEstimateM:
+    @pytest.mark.parametrize("systems", [
+        pytest.param([beam_example(1.0, 1.0, 23)], id="beam23"),
+        pytest.param([beam_example(1.0, 1.0, 128)], id="beam128"),
+        pytest.param(perturbed_beam_family(17, 16), id="perturbed"),
+    ])
+    def test_dominates_sampled_remainder(self, systems):
+        # the closed form must bound the remainder wherever it is sampled
+        for sys in systems:
+            for k in range(1, sys.N + 1):
+                ctx = CharContext(sys, k)
+                r1 = R1_FRACTION * convergence_radius(ctx)
+                assert estimate_M(ctx, r1) >= sampled_remainder_peak(ctx, r1), (sys.N, k)
 
     def test_r1_range_validation(self, beam23):
         ctx = CharContext(beam23, 10)
@@ -231,7 +252,7 @@ class TestLocalize:
             except LocalizationError:
                 continue
             if cert.cond_Mneq1 and cert.interval_ok:
-                assert rouche_margin(ctx, cert, samples=64) > 0.0
+                assert rouche_margin(ctx, cert) > 0.0
                 seen += 1
         assert seen >= 20
 
@@ -251,3 +272,25 @@ class TestLocalize:
             pass  # strong coupling may defeat the interval; the flag path
         cert23 = localize(CharContext(beam_example(1.0, 1.0, 23), 5))
         assert cert23.omega_gt_1
+
+
+class TestLocalizeScaling:
+    @pytest.mark.parametrize("n", [128, 512, 1024])
+    def test_every_mode_from_three_is_certified(self, n):
+        sys = beam_example(1.0, 1.0, n)
+        for k in (1, 2):
+            with pytest.raises(LocalizationError):
+                localize(CharContext(sys, k))
+        for k in range(3, n + 1):
+            cert = localize(CharContext(sys, k))
+            assert cert.rouche_ok and cert.separated, k
+
+    def test_disks_hold_one_dense_oracle_eigenvalue(self):
+        from obsdecay.spectrum import dense_oracle_spectrum
+
+        sys = beam_example(1.0, 1.0, 64)
+        oracle = dense_oracle_spectrum(sys)
+        for k in range(3, 65):
+            cert = localize(CharContext(sys, k))
+            for center in (cert.lambda_star, np.conjugate(cert.lambda_star)):
+                assert np.count_nonzero(np.abs(oracle - center) < cert.Rk) == 1, k

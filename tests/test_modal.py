@@ -5,7 +5,7 @@ import pytest
 
 from conftest import SINGLE_MODE_ROOTS
 from obsdecay.charfn import PoleError
-from obsdecay.dynamics import dense_generator
+from obsdecay.dynamics import dense_generator, simulate_error
 from obsdecay.modal import (
     BasisError,
     ResidualError,
@@ -190,10 +190,10 @@ class TestDiagonalCoords:
         with pytest.raises(ValueError):
             from_diagonal_coords(beam4_basis, StateVector.zero(3))
 
-    def test_propagation_matches_eigenstructure(self, beam4_basis):
+    def test_propagation_matches_eigenstructure(self, beam4, beam4_basis):
         # a basis column evolves by its own eigenvalue factor
         col = StateVector.from_array(beam4_basis.Q[:, 6])
         lam = beam4_basis.G[6]
-        out = beam4_basis.propagate(col, 0.7)
+        traj = simulate_error(beam4, col, [0.0, 0.7], basis=beam4_basis)
         np.testing.assert_allclose(
-            out.to_array(), np.exp(lam * 0.7) * col.to_array(), atol=1e-12)
+            traj.state_at(1).to_array(), np.exp(lam * 0.7) * col.to_array(), atol=1e-12)
