@@ -42,8 +42,6 @@ from .modal import (
     build_basis,
     comparison_vector,
     eigenvector,
-    from_diagonal_coords,
-    to_diagonal_coords,
 )
 from .model import (
     AssumptionCertificate,
@@ -118,7 +116,6 @@ __all__ = [
     "eval_F",
     "eval_f",
     "eval_f_prime",
-    "from_diagonal_coords",
     "full_spectrum",
     "lambda_star",
     "localize",
@@ -129,6 +126,5 @@ __all__ = [
     "segment_bound_checks",
     "simulate_error",
     "simulate_observer",
-    "to_diagonal_coords",
     "winding_number",
 ]

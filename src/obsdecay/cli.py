@@ -40,6 +40,19 @@ class ConfigError(ValueError):
     """Malformed run configuration."""
 
 
+def _same_kind(default, value) -> bool:
+    """Whether a config value may replace a tolerance default.
+
+    A bool replaces a bool, an integer an integer (or a ``None`` default),
+    and any number a float.
+    """
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, int) or (default is None and value is None)
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Every tunable the pipeline consumes, echoed back into each report."""
@@ -64,11 +77,16 @@ class Tolerances:
 
     @staticmethod
     def from_dict(doc: dict) -> "Tolerances":
-        known = {f.name for f in fields(Tolerances)}
-        unknown = set(doc) - known
+        defaults = Tolerances()
+        unknown = set(doc) - {f.name for f in fields(Tolerances)}
         if unknown:
             raise ConfigError(f"unknown tolerance keys: {sorted(unknown)}")
-        return replace(Tolerances(), **doc)
+        for key, value in doc.items():
+            default = getattr(defaults, key)
+            if not _same_kind(default, value):
+                raise ConfigError(f"tolerance {key!r} = {value!r} does not have the type "
+                                  f"of its default {default!r}")
+        return replace(defaults, **doc)
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -122,7 +140,9 @@ def load_config(path: str, out_override: Optional[str] = None,
         raise ConfigError("'tolerances' must be an object")
     tolerances = Tolerances.from_dict(tol_doc)
 
-    seed = seed_override if seed_override is not None else int(doc.get("seed", 0))
+    seed = seed_override if seed_override is not None else doc.get("seed", 0)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise ConfigError(f"'seed' must be an integer, got {seed!r}")
     out = out_override if out_override is not None else str(doc.get("output_dir", "."))
     return RunConfig(system=system, tasks=tuple(tasks), seed=seed,
                      output_dir=out, tolerances=tolerances, strict=strict)

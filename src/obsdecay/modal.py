@@ -136,10 +136,6 @@ class ModalBasis:
     factorization_residual: float
     _lu: tuple = field(repr=False, compare=False, default=None)
 
-    @property
-    def n_modes(self) -> int:
-        return self.G.size // 2
-
     def solve(self, vec: np.ndarray) -> np.ndarray:
         """Q^{-1} vec via the stored LU factorization."""
         return scipy.linalg.lu_solve(self._lu, vec)
@@ -212,16 +208,3 @@ def build_basis(sys: SystemSpec, spectrum: SpectrumReport) -> ModalBasis:
         _lu=lu,
     )
 
-
-def to_diagonal_coords(basis: ModalBasis, eps: StateVector) -> StateVector:
-    """Coordinates of a state in the eigenbasis: Q^{-1} eps."""
-    if eps.n_modes != basis.n_modes:
-        raise ValueError("state size does not match the basis")
-    return StateVector.from_array(basis.solve(eps.to_array()))
-
-
-def from_diagonal_coords(basis: ModalBasis, coords: StateVector) -> StateVector:
-    """Inverse of :func:`to_diagonal_coords`: Q coords."""
-    if coords.n_modes != basis.n_modes:
-        raise ValueError("coordinate size does not match the basis")
-    return StateVector.from_array(basis.Q @ coords.to_array())

@@ -2,7 +2,9 @@
 
 Roots of the characteristic function come in conjugate pairs, one pair per
 mode: the upper root sits near ``+i omega_k``, the lower near ``-i omega_k``.
-Each root is found by damped Newton iteration seeded at the first-order
+The generator is real, so ``f(conj lam) = -conj f(lam)``, and the lower root
+of each pair is the exact conjugate of the upper one; only the upper root is
+solved for.  It is found by damped Newton iteration seeded at the first-order
 prediction, then verified two ways:
 
 * an argument-principle winding count over the enclosure disk boundary
@@ -15,7 +17,7 @@ cross-validation oracle at test scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -154,8 +156,10 @@ class EigenCertificate:
     """One eigenvalue of the truncated generator with its verification data.
 
     ``half`` is "upper" for the root near +i omega_k and "lower" for its
-    conjugate partner.  ``certified`` requires a successful disk enclosure
-    (winding number one, root inside, small residual, strictly stable).
+    conjugate partner, whose certificate is the upper one with ``lam`` and
+    ``disk_center`` conjugated.  ``certified`` requires a successful disk
+    enclosure (winding number one, root inside, small residual, strictly
+    stable).
     ``fallback`` marks roots found from the uncertified backup seeding.
     """
 
@@ -213,10 +217,6 @@ class SpectrumReport:
     def lower(self) -> list[EigenCertificate]:
         return [e for e in self.eigs if e.half == "lower"]
 
-    @property
-    def all_certified(self) -> bool:
-        return self.complete and all(e.certified for e in self.eigs)
-
     def to_json_dict(self) -> dict:
         return {
             "eigs": [e.to_json_dict() for e in self.eigs],
@@ -233,33 +233,31 @@ def _nearest_mode(sys: SystemSpec, im_part: float) -> int:
     return int(np.argmin(dist)) + 1
 
 
-def _find_half(sys: SystemSpec, k: int, half: str, loc: Optional[LocalizationCertificate],
+def _find_root(sys: SystemSpec, k: int, loc: Optional[LocalizationCertificate],
                seed: complex, band: float, tol: float
                ) -> tuple[Optional[EigenCertificate], Optional[str]]:
-    sign = 1.0 if half == "upper" else -1.0
+    """Upper root of mode ``k`` with its certificate, or ``(None, reason)``."""
     wk = float(sys.omegas[k - 1])
     fallback = False
     try:
         root, resid, iters = newton_root(sys, seed, tol=tol)
-        if abs(root.imag - sign * wk) > band:
+        if abs(root.imag - wk) > band:
             raise NewtonError(f"root {root} left the mode-{k} band")
     except (NewtonError, PoleError):
         fallback = True
-        fb_seed = -0.5 * enclosure_radius(sys, 1j * wk) + sign * 1j * wk
+        fb_seed = -0.5 * enclosure_radius(sys, 1j * wk) + 1j * wk
         try:
             root, resid, iters = newton_root(sys, fb_seed, tol=tol)
         except (NewtonError, PoleError) as exc2:
-            return None, f"mode {k} ({half}): fallback Newton failed: {exc2}"
-        if abs(root.imag - sign * wk) > band:
-            return None, f"mode {k} ({half}): fallback root {root} left the mode band"
+            return None, f"mode {k}: fallback Newton failed: {exc2}"
+        if abs(root.imag - wk) > band:
+            return None, f"mode {k}: fallback root {root} left the mode band"
 
     if _nearest_mode(sys, root.imag) != k:
-        return None, f"mode {k} ({half}): root {root} assigned to another mode"
+        return None, f"mode {k}: root {root} assigned to another mode"
 
     if loc is not None and not fallback:
-        center = loc.lambda_star if half == "upper" else loc.lambda_star.conjugate()
-        radius = loc.Rk
-        rouche_ok = loc.rouche_ok
+        center, radius, rouche_ok = loc.lambda_star, loc.Rk, loc.rouche_ok
     else:
         center = root
         radius = 0.5 * float(np.min(np.abs(root - _poles(sys))))
@@ -274,7 +272,7 @@ def _find_half(sys: SystemSpec, k: int, half: str, loc: Optional[LocalizationCer
     stable = root.real < 0.0
     certified = bool(rouche_ok and wind == 1 and inside and residual_ok and stable)
     cert = EigenCertificate(
-        k=k, half=half, lam=root, residual=resid,
+        k=k, half="upper", lam=root, residual=resid,
         disk_center=center, disk_radius=radius, winding=wind,
         certified=certified, newton_iters=iters, fallback=fallback,
     )
@@ -285,10 +283,12 @@ def full_spectrum(sys: SystemSpec, theta_frac: float = 0.5,
                   newton_tol: float = NEWTON_TOL) -> SpectrumReport:
     """Locate and certify all 2N roots of the characteristic function.
 
-    Each mode is localized, refined by Newton from the first-order seed (and
-    from a left-shifted backup seed when needed), and paired with its
-    conjugate partner.  Failures are collected instead of raised; the report
-    is flagged incomplete when any (mode, half) pair is missing.
+    Each mode is localized and its upper root refined by Newton from the
+    first-order seed (and from a left-shifted backup seed when needed).  The
+    lower root is the exact conjugate of the upper one, certificate included,
+    because ``f(conj lam) = -conj f(lam)`` holds bitwise.  Failures are
+    collected instead of raised; the report is flagged incomplete when any
+    mode is missing.
     """
     band = 0.5 * (sys.min_gap() if sys.N > 1 else float(sys.omegas[0]))
     eigs: list[EigenCertificate] = []
@@ -296,30 +296,21 @@ def full_spectrum(sys: SystemSpec, theta_frac: float = 0.5,
     locs: list[LocalizationCertificate] = []
     for k in range(1, sys.N + 1):
         ctx = CharContext(sys, k)
-        lam_s = lambda_star(ctx)
         try:
             loc = localize(ctx, theta_frac=theta_frac)
         except LocalizationError:
             loc = None
         else:
             locs.append(loc)
-        for half, seed in (("upper", lam_s), ("lower", lam_s.conjugate())):
-            cert, err = _find_half(sys, k, half, loc, seed, band, newton_tol)
-            if cert is None:
-                failures.append(err)
-            else:
-                eigs.append(cert)
+        cert, err = _find_root(sys, k, loc, lambda_star(ctx), band, newton_tol)
+        if cert is None:
+            failures.append(err)
+        else:
+            eigs += [cert, replace(cert, half="lower", lam=cert.lam.conjugate(),
+                                   disk_center=cert.disk_center.conjugate())]
 
-    order = {"upper": 0, "lower": 1}
-    eigs.sort(key=lambda e: (e.k, order[e.half]))
-
-    by_mode: dict[int, dict[str, EigenCertificate]] = {}
-    for e in eigs:
-        by_mode.setdefault(e.k, {})[e.half] = e
-    sym = 0.0
-    for pair in by_mode.values():
-        if "upper" in pair and "lower" in pair:
-            sym = max(sym, abs(pair["upper"].lam - pair["lower"].lam.conjugate()))
+    sym = max((abs(up.lam - low.lam.conjugate()) for up, low in zip(eigs[::2], eigs[1::2])),
+              default=0.0)
 
     enc = 0.0
     iw = 1j * sys.omegas

@@ -8,6 +8,20 @@ from obsdecay import beam_example, build_basis, build_system, full_spectrum
 SINGLE_MODE_ROOTS = ((-1 + 1j * np.sqrt(3.0)) / 2, (-1 - 1j * np.sqrt(3.0)) / 2)
 
 
+def perturbed_beam_family(seed, count):
+    """Beam-like systems with jittered gaps and signed, jittered couplings."""
+    rng = np.random.default_rng(seed)
+    systems = []
+    for _ in range(count):
+        n = int(rng.integers(2, 41))
+        theta, sigma, gamma = np.exp(rng.uniform(np.log(0.3), np.log(3.0), 3))
+        j = np.arange(1, n + 1, dtype=float)
+        omegas = np.cumsum(theta * (2 * j - 1) * (1.0 + rng.uniform(-0.2, 0.2, n)))
+        cs = sigma / j * (1.0 + rng.uniform(-0.2, 0.2, n)) * rng.choice((-1.0, 1.0), n)
+        systems.append(build_system(gamma, omegas, cs))
+    return systems
+
+
 @pytest.fixture(scope="session")
 def single_mode():
     return build_system(1.0, [1.0], [1.0])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import perturbed_beam_family
 from obsdecay.charfn import (
     R1_FRACTION,
     CharContext,
@@ -53,12 +54,15 @@ class TestEvalF:
             eval_f(beam23, -529.0j)
 
     def test_conjugate_antisymmetry(self, beam23):
+        # f(conj lam) = -conj f(lam) and f'(conj lam) = -conj f'(lam) hold
+        # bitwise; full_spectrum conjugates upper roots on the strength of it
         rng = np.random.default_rng(5)
-        for _ in range(25):
-            lam = complex(rng.normal(), rng.normal(scale=20.0))
-            lhs = eval_f(beam23, np.conjugate(lam))
-            rhs = -np.conjugate(eval_f(beam23, lam))
-            assert abs(lhs - rhs) <= 1e-13 * max(1.0, abs(rhs))
+        lams = rng.normal(size=25) + 1j * rng.normal(scale=20.0, size=25)
+        for sys in (beam23, perturbed_beam_family(29, 1)[0]):
+            for fn in (eval_f, eval_f_prime):
+                for lam in lams:
+                    assert fn(sys, np.conjugate(lam)) == -np.conjugate(fn(sys, lam))
+                assert np.array_equal(fn(sys, np.conjugate(lams)), -np.conjugate(fn(sys, lams)))
 
     def test_derivative_against_finite_differences(self, beam23):
         h = 1e-6
@@ -147,20 +151,6 @@ def sampled_remainder_peak(ctx, R1):
     shift = R1 * np.exp(2j * np.pi * np.arange(4096) / 4096)
     resid = eval_F(ctx, ctx.center + shift) - f0 - shift * f1
     return float(np.max(np.abs(resid) / np.abs(shift) ** 2))
-
-
-def perturbed_beam_family(seed, count):
-    """Beam-like systems with jittered gaps and signed, jittered couplings."""
-    rng = np.random.default_rng(seed)
-    systems = []
-    for _ in range(count):
-        n = int(rng.integers(2, 41))
-        theta, sigma, gamma = np.exp(rng.uniform(np.log(0.3), np.log(3.0), 3))
-        j = np.arange(1, n + 1, dtype=float)
-        omegas = np.cumsum(theta * (2 * j - 1) * (1.0 + rng.uniform(-0.2, 0.2, n)))
-        cs = sigma / j * (1.0 + rng.uniform(-0.2, 0.2, n)) * rng.choice((-1.0, 1.0), n)
-        systems.append(build_system(gamma, omegas, cs))
-    return systems
 
 
 class TestEstimateM:

@@ -215,6 +215,26 @@ class TestReportVerb:
         })
         assert main(["report", "--config", cfg]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("extra", [
+        {"tolerances": {"newton_tol": "1e-12"}},
+        {"tolerances": {"envelope_points": 2.5}},
+        {"tolerances": {"dump_q": 1}},
+        {"tolerances": {"k0": True}},
+        {"tolerances": {"scan_k_min": 3.0}},
+        {"seed": "abc"},
+        {"seed": 1.5},
+    ], ids=["float_as_string", "count_as_float", "flag_as_int", "count_as_bool",
+            "optional_count_as_float", "seed_as_string", "seed_as_float"])
+    def test_mistyped_value_is_config_error(self, extra, tmp_path, capsys):
+        cfg = write_config(tmp_path / "typed.json", {
+            "gamma": 1.0,
+            "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 4},
+            "tasks": ["envelope"],
+            **extra,
+        })
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "config error" in capsys.readouterr().err
+
 
 class TestTolerances:
     def test_defaults_echoed(self):
@@ -227,6 +247,11 @@ class TestTolerances:
     def test_overrides_applied(self):
         tol = Tolerances.from_dict({"beta": 2.0, "pts_per_segment": 17})
         assert tol.beta == 2.0 and tol.pts_per_segment == 17
+
+    def test_value_types_follow_the_defaults(self):
+        tol = Tolerances.from_dict({"beta": 2, "scan_k_min": None, "scan_k_max": 12,
+                                    "dump_q": True})
+        assert (tol.beta, tol.scan_k_min, tol.scan_k_max, tol.dump_q) == (2, None, 12, True)
 
 
 class TestDegradedPipelines:

@@ -1,11 +1,23 @@
+import collections
+
 import numpy as np
 import pytest
 
-from conftest import SINGLE_MODE_ROOTS
-from obsdecay.charfn import CharContext, LocalizationError, PoleError, lambda_star, localize
+from conftest import SINGLE_MODE_ROOTS, perturbed_beam_family
+from obsdecay import spectrum
+from obsdecay.charfn import (
+    CharContext,
+    LocalizationError,
+    PoleError,
+    eval_f_prime,
+    lambda_star,
+    localize,
+)
 from obsdecay.model import beam_example
 from obsdecay.spectrum import (
+    RESIDUAL_CERT_FACTOR,
     NewtonError,
+    WindingError,
     dense_oracle_spectrum,
     enclosure_radius,
     full_spectrum,
@@ -13,6 +25,47 @@ from obsdecay.spectrum import (
     newton_root,
     winding_number,
 )
+
+
+def solve_lower_root(sys, k, loc):
+    """The lower root of mode k solved on its own, with its certificate fields.
+
+    Newton from the conjugated first-order seed (or from the conjugated
+    left-shifted backup seed), then a winding count over the conjugated
+    disk.  Returns ``(lam, residual, newton_iters, winding, certified,
+    fallback, disk_center, disk_radius)``, or None when no root of mode k is
+    found.
+    """
+    wk = float(sys.omegas[k - 1])
+    band = 0.5 * (sys.min_gap() if sys.N > 1 else wk)
+    fallback = False
+    try:
+        lam, resid, iters = newton_root(sys, lambda_star(CharContext(sys, k)).conjugate())
+        if abs(lam.imag + wk) > band:
+            raise NewtonError("left the mode band")
+    except (NewtonError, PoleError):
+        fallback = True
+        try:
+            lam, resid, iters = newton_root(sys, -0.5 * enclosure_radius(sys, 1j * wk) - 1j * wk)
+        except (NewtonError, PoleError):
+            return None
+        if abs(lam.imag + wk) > band:
+            return None
+    if np.argmin(np.abs(sys.omegas - abs(lam.imag))) + 1 != k:
+        return None
+    if loc is not None and not fallback:
+        center, radius, rouche_ok = loc.lambda_star.conjugate(), loc.Rk, loc.rouche_ok
+    else:
+        poles = np.concatenate([[0.0], 1j * sys.omegas, -1j * sys.omegas])
+        center, radius, rouche_ok = lam, 0.5 * float(np.min(np.abs(lam - poles))), False
+    try:
+        wind = winding_number(sys, (center, radius))
+    except (WindingError, PoleError):
+        wind = None
+    certified = bool(rouche_ok and wind == 1 and abs(lam - center) < radius
+                     and resid <= RESIDUAL_CERT_FACTOR * (1.0 + abs(eval_f_prime(sys, lam)))
+                     and lam.real < 0.0)
+    return lam, resid, iters, wind, certified, fallback, center, radius
 
 
 class TestNewtonRoot:
@@ -124,6 +177,47 @@ class TestFullSpectrum:
         lam = -0.5 + 12.0j
         expected = 0.5 * beam23.gamma * abs(lam) * np.sum(beam23.cs**2 / beam23.omegas)
         assert enclosure_radius(beam23, lam) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("systems", [
+        pytest.param([beam_example(1.0, 1.0, 23)], id="beam23"),
+        pytest.param([beam_example(1.0, 1.0, 64)], id="beam64"),
+        pytest.param([beam_example(1.0, 1.0, 23, gamma=2.0)], id="overdamped"),
+        # a fallback root (seed 1), overdamped first modes and modes lost
+        # to the band check (seed 2)
+        pytest.param(perturbed_beam_family(1, 4) + perturbed_beam_family(2, 4), id="perturbed"),
+    ])
+    def test_lower_half_matches_direct_solve(self, systems):
+        # every lower certificate is the conjugated upper one; solving the
+        # lower root on its own must give the same fields exactly
+        for sys in systems:
+            rep = full_spectrum(sys)
+            lower = {e.k: e for e in rep.lower()}
+            locs = {c.k: c for c in rep.localizations}
+            for k in range(1, sys.N + 1):
+                direct = solve_lower_root(sys, k, locs.get(k))
+                if direct is None:
+                    assert k not in lower, (sys.N, k)
+                    continue
+                e = lower[k]
+                assert (e.lam, e.residual, e.newton_iters, e.winding, e.certified,
+                        e.fallback, e.disk_center, e.disk_radius) == direct, (sys.N, k)
+            assert [e.k for e in rep.upper()] == list(lower)
+
+    def test_perturbed_oracle_systems_cover_fallback_and_failures(self):
+        reps = [full_spectrum(s) for s in perturbed_beam_family(1, 4) + perturbed_beam_family(2, 4)]
+        assert any(e.fallback for rep in reps for e in rep.eigs)
+        assert any("distinct" in msg for rep in reps for msg in rep.failures)
+        assert any("mode band" in msg for rep in reps for msg in rep.failures)
+
+    def test_one_newton_solve_and_winding_count_per_mode(self, beam23, monkeypatch):
+        calls = collections.Counter()
+        for name in ("newton_root", "winding_number"):
+            def counted(*args, _fn=getattr(spectrum, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(spectrum, name, counted)
+        full_spectrum(beam23)
+        assert calls == {"newton_root": 23, "winding_number": 23}
 
     def test_overdamped_pair_is_flagged(self):
         # at gamma = 2 the first mode pair collides on the real axis; the
