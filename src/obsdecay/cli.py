@@ -34,6 +34,7 @@ EXIT_CONFIG = 2
 
 ALL_TASKS = ("verify", "localize", "spectrum", "resolvent-scan", "simulate",
              "envelope", "report")
+SIM_T_FIRST = 0.01  # first positive time of the simulate grid
 
 
 class ConfigError(ValueError):
@@ -72,7 +73,6 @@ class Tolerances:
     envelope_points: int = 200
     sim_t_final: float = 10.0
     sim_points: int = 80
-    symmetry_tol: float = 1e-9
     dump_q: bool = False
 
     @staticmethod
@@ -86,7 +86,24 @@ class Tolerances:
             if not _same_kind(default, value):
                 raise ConfigError(f"tolerance {key!r} = {value!r} does not have the type "
                                   f"of its default {default!r}")
-        return replace(defaults, **doc)
+        tol = replace(defaults, **doc)
+        # the conditions the library calls raise ValueError for
+        ranges = (
+            (tol.beta > 0.0, "beta must be positive"),
+            (tol.k0 >= 1, "k0 must be at least 1"),
+            (0.0 < tol.theta_frac < 1.0, "theta_frac must lie in (0, 1)"),
+            (tol.newton_tol > 0.0, "newton_tol must be positive"),
+            (tol.pts_per_segment >= 3, "pts_per_segment must be at least 3"),
+            (0.0 < tol.envelope_t_lo < tol.envelope_t_hi,
+             "envelope_t_lo and envelope_t_hi must satisfy 0 < t_lo < t_hi"),
+            (tol.envelope_points >= 3, "envelope_points must be at least 3"),
+            (tol.sim_t_final > SIM_T_FIRST, f"sim_t_final must exceed {SIM_T_FIRST}"),
+            (tol.sim_points >= 1, "sim_points must be at least 1"),
+        )
+        bad = [msg for ok, msg in ranges if not ok]
+        if bad:
+            raise ConfigError(f"tolerances out of range: {'; '.join(bad)}")
+        return tol
 
     def to_json_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -175,7 +192,14 @@ class Pipeline:
 
     @cached_property
     def localizations(self) -> dict[int, charfn.LocalizationCertificate]:
-        return {c.k: c for c in self.spectrum.localizations}
+        certs = {}
+        for k in range(1, self.config.system.N + 1):
+            try:
+                certs[k] = charfn.localize(charfn.CharContext(self.config.system, k),
+                                           theta_frac=self.config.tolerances.theta_frac)
+            except charfn.LocalizationError:
+                continue
+        return certs
 
     @cached_property
     def spectrum(self) -> spectrum_mod.SpectrumReport:
@@ -237,7 +261,6 @@ class Pipeline:
             "certified": int(sum(e.certified for e in rep.eigs)),
             "complete": rep.complete,
             "failures": list(rep.failures),
-            "symmetry_defect": rep.symmetry_defect,
             "enclosure_defect": rep.enclosure_defect,
             "max_re": float(np.max(lams.real)) if lams.size else None,
             "min_abs_re": float(np.min(np.abs(lams.real))) if lams.size else None,
@@ -278,7 +301,8 @@ class Pipeline:
         tol = self.config.tolerances
         config = self.config
         eps0 = dynamics.domain_initial_state(config.system, config.seed)
-        t_grid = np.concatenate([[0.0], np.geomspace(0.01, tol.sim_t_final, tol.sim_points)])
+        t_grid = np.concatenate([[0.0],
+                                 np.geomspace(SIM_T_FIRST, tol.sim_t_final, tol.sim_points)])
         traj = dynamics.simulate_error(config.system, eps0, t_grid, basis=self.basis)
         reports.write_trajectory_csv(traj, self._out("trajectory.csv"))
         fit = dynamics.decay_fit_trajectory(
@@ -315,17 +339,12 @@ class Pipeline:
             worst = max(worst, code)
             results[key_map[task]] = doc
 
-        if "simulate" in tasks or self.config.tolerances.dump_q:
+        dump_q = self.config.tolerances.dump_q
+        if "simulate" in tasks or dump_q or ("spectrum" in tasks and self.spectrum.complete):
             try:
                 results["basis"] = self.basis.to_json_dict()
-                if self.config.tolerances.dump_q:
+                if dump_q:
                     reports.write_q_binary(self.basis, self._out("basis_q.bin"))
-            except modal.BasisError as exc:
-                results["basis"] = {"error": str(exc)}
-                worst = max(worst, EXIT_CHECK_FAILED)
-        elif "spectrum" in tasks and self.spectrum.complete:
-            try:
-                results["basis"] = self.basis.to_json_dict()
             except modal.BasisError as exc:
                 results["basis"] = {"error": str(exc)}
 
@@ -359,10 +378,6 @@ class Pipeline:
             checks["spectrum_stable"] = {
                 "pass": spec_sum["max_re"] is not None and spec_sum["max_re"] < 0.0,
                 "detail": {"max_re": spec_sum["max_re"]},
-            }
-            checks["conjugate_symmetry"] = {
-                "pass": spec_sum["symmetry_defect"] <= tol.symmetry_tol,
-                "detail": {"symmetry_defect": spec_sum["symmetry_defect"]},
             }
             checks["disk_enclosure"] = {
                 "pass": spec_sum["enclosure_defect"] == 0.0,

@@ -4,11 +4,14 @@ Each root lam of the characteristic function has the explicit eigenvector
 
     q_j = -c_j / (i omega_j + lam),    p_j = c_j / (i omega_j - lam),
 
-rescaled so that the "own" component equals one: the upper-half vector for
-mode n gets p_n = 1, its lower-half partner gets q_n = 1.  With that scaling
-the eigenvectors approach the canonical unit vectors as the coupling fades,
-and the column matrix Q of all 2N of them diagonalizes the generator:
-A = Q G Q^{-1} with G the diagonal of eigenvalues (lower half first).
+rescaled so that the "own" component p_n equals one for the upper root of
+mode n.  The generator is real and swaps q and p under conjugation, so the
+lower root conj(lam) has the eigenvector J v = (conj p, conj q), whose own
+component q_n is one; it is taken from the upper vector rather than built
+again.  With that scaling the eigenvectors approach the canonical unit
+vectors as the coupling fades, and the column matrix Q of all 2N of them
+diagonalizes the generator: A = Q G Q^{-1} with G the diagonal of
+eigenvalues (lower half first).
 
 The squared distances between scaled eigenvectors and their canonical
 comparisons ("closeness increments") quantify how far the eigenbasis is
@@ -32,9 +35,6 @@ from .state import StateVector
 EIGENVECTOR_RESIDUAL_RTOL = 1e-9
 FACTORIZATION_RESIDUAL_RTOL = 1e-8
 COND_Q_LIMIT = 1e12
-DENSE_NORM_MAX_DIM = 128
-POWER_ITER_TOL = 1e-8
-POWER_ITER_MAX = 500
 
 
 class BasisError(RuntimeError):
@@ -45,24 +45,18 @@ class ResidualError(ValueError):
     """A claimed eigenpair fails its residual check."""
 
 
-def comparison_vector(n_modes: int, n: int, half: str) -> StateVector:
-    """Canonical comparison vector: p_n = 1 for "upper", q_n = 1 for "lower"."""
+def comparison_vector(n_modes: int, n: int) -> StateVector:
+    """Canonical comparison vector of the upper root of mode n: p_n = 1."""
     if not 1 <= n <= n_modes:
         raise ValueError(f"mode index must lie in [1, {n_modes}]")
-    q = np.zeros(n_modes, dtype=complex)
     p = np.zeros(n_modes, dtype=complex)
-    if half == "upper":
-        p[n - 1] = 1.0
-    elif half == "lower":
-        q[n - 1] = 1.0
-    else:
-        raise ValueError(f"half must be 'upper' or 'lower', got {half!r}")
-    return StateVector(q=q, p=p)
+    p[n - 1] = 1.0
+    return StateVector(q=np.zeros(n_modes, dtype=complex), p=p)
 
 
-def eigenvector(sys: SystemSpec, lam: complex, n: int, half: str,
+def eigenvector(sys: SystemSpec, lam: complex, n: int, *,
                 check_residual: bool = True) -> StateVector:
-    """Scaled eigenvector of the generator for the eigenvalue lam near mode n.
+    """Scaled eigenvector (p_n = 1) of the generator for the root lam near +i omega_n.
 
     Raises ResidualError when (A - lam I) applied to the result is larger
     than 1e-9 times the vector norm, i.e. when lam is not actually an
@@ -73,14 +67,7 @@ def eigenvector(sys: SystemSpec, lam: complex, n: int, half: str,
         raise ValueError(f"mode index must lie in [1, {sys.N}]")
     if np.any(1j * sys.omegas == lam) or np.any(-1j * sys.omegas == lam):
         raise PoleError("lam coincides with a mode frequency; not an eigenvalue")
-    wn = sys.omegas[n - 1]
-    cn = sys.cs[n - 1]
-    if half == "upper":
-        scale = (1j * wn - lam) / cn
-    elif half == "lower":
-        scale = -(1j * wn + lam) / cn
-    else:
-        raise ValueError(f"half must be 'upper' or 'lower', got {half!r}")
+    scale = (1j * sys.omegas[n - 1] - lam) / sys.cs[n - 1]
     q = -sys.cs / (1j * sys.omegas + lam) * scale
     p = sys.cs / (1j * sys.omegas - lam) * scale
     vec = StateVector(q=q, p=p)
@@ -90,28 +77,9 @@ def eigenvector(sys: SystemSpec, lam: complex, n: int, half: str,
         if resid > EIGENVECTOR_RESIDUAL_RTOL * vec.norm():
             raise ResidualError(
                 f"residual {resid:.3e} exceeds {EIGENVECTOR_RESIDUAL_RTOL} * norm; "
-                f"lam = {lam} is not an eigenvalue for mode {n} ({half})"
+                f"lam = {lam} is not an eigenvalue for mode {n}"
             )
     return vec
-
-
-def _spectral_norm(mat: np.ndarray) -> float:
-    """Largest singular value: dense SVD at small size, power iteration beyond."""
-    if max(mat.shape) <= DENSE_NORM_MAX_DIM:
-        return float(np.max(np.linalg.svd(mat, compute_uv=False)))
-    rng = np.random.default_rng(0)
-    v = rng.normal(size=mat.shape[1]) + 1j * rng.normal(size=mat.shape[1])
-    v /= np.linalg.norm(v)
-    herm = mat.conj().T @ mat
-    prev = 0.0
-    for _ in range(POWER_ITER_MAX):
-        v = herm @ v
-        cur = float(np.linalg.norm(v))
-        v /= cur
-        if abs(cur - prev) <= POWER_ITER_TOL * cur:
-            break
-        prev = cur
-    return float(np.sqrt(cur))
 
 
 @dataclass(frozen=True)
@@ -120,7 +88,8 @@ class ModalBasis:
 
     Column order matches G: the first N columns are lower-half eigenvectors
     (eigenvalues near -i omega_n), the last N upper-half ones.  ``beta1`` and
-    ``beta2`` are the operator norms of Q and its inverse; their product is
+    ``beta2`` are the operator norms of Q and its inverse (the largest and
+    the reciprocal of the smallest singular value of Q); their product is
     the basis condition number entering every norm-equivalence bound.
     ``closeness`` holds partial sums of the per-mode squared distances to the
     canonical comparison vectors.
@@ -153,7 +122,10 @@ class ModalBasis:
 def build_basis(sys: SystemSpec, spectrum: SpectrumReport) -> ModalBasis:
     """Assemble the diagonalizing eigenbasis from a computed spectrum.
 
-    Requires a complete report (all 2N residual-verified roots present).
+    Requires a complete report (all 2N roots present).  The upper eigenvector
+    of each mode is built and residual-checked; the lower one is its
+    conjugate swap J v, an eigenvector of conj(lam) because the generator
+    commutes with J.
     Raises BasisError when Q is numerically singular or the factorization
     residual ||A Q - Q G||_F exceeds 1e-8 ||A||_F.
     """
@@ -170,23 +142,22 @@ def build_basis(sys: SystemSpec, spectrum: SpectrumReport) -> ModalBasis:
     g_diag = np.empty(dim, dtype=complex)
     increments = []
     for k in range(1, n + 1):
-        lo = eigenvector(sys, lowers[k].lam, k, "lower")
-        up = eigenvector(sys, uppers[k].lam, k, "upper")
-        q_mat[:, k - 1] = lo.to_array()
+        up = eigenvector(sys, uppers[k].lam, k)
+        q_mat[:, k - 1] = np.concatenate([up.p.conj(), up.q.conj()])
         q_mat[:, n + k - 1] = up.to_array()
         g_diag[k - 1] = lowers[k].lam
         g_diag[n + k - 1] = uppers[k].lam
-        d_lo = lo.to_array() - comparison_vector(n, k, "lower").to_array()
-        d_up = up.to_array() - comparison_vector(n, k, "upper").to_array()
-        increments.append(float(np.sum(np.abs(d_up) ** 2) + np.sum(np.abs(d_lo) ** 2)))
+        # J is an isometry taking the upper comparison vector to the lower one
+        d_up = up.to_array() - comparison_vector(n, k).to_array()
+        increments.append(2.0 * float(np.sum(np.abs(d_up) ** 2)))
 
-    beta1 = _spectral_norm(q_mat)
     try:
         lu = scipy.linalg.lu_factor(q_mat)
     except scipy.linalg.LinAlgError as exc:
         raise BasisError(f"eigenvector matrix is singular: {exc}") from None
-    q_inv = scipy.linalg.lu_solve(lu, np.eye(dim, dtype=complex))
-    beta2 = _spectral_norm(q_inv)
+    svals = np.linalg.svd(q_mat, compute_uv=False)
+    beta1 = float(svals[0])
+    beta2 = float(1.0 / svals[-1])
     cond_q = beta1 * beta2
     if not np.isfinite(cond_q) or cond_q > COND_Q_LIMIT:
         raise BasisError(f"eigenvector matrix is numerically singular (cond = {cond_q:.3e})")

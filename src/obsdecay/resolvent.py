@@ -116,15 +116,16 @@ def _apply_resolvent_at_pole(sys: SystemSpec, k: int, sign: float,
     return StateVector(q=q, p=p)
 
 
-def _diag_bound(upper: np.ndarray, lower: np.ndarray, lams) -> np.ndarray:
+def _diag_bound(upper: np.ndarray, lams) -> np.ndarray:
     """Diagonal-model resolvent bound ``sqrt(d_lo^-2 + d_up^-2)`` at each point.
 
-    ``d_up`` (``d_lo``) is the distance from the point to the nearest of the
-    ``upper`` (``lower``) eigenvalues.
+    ``d_up`` is the distance from the point to the nearest of the ``upper``
+    eigenvalues, ``d_lo`` the distance to the nearest of their conjugates
+    (the lower eigenvalues), taken as ``|upper - conj(point)|``.
     """
     pts = np.asarray(lams, dtype=complex)[:, None]
     d_up = np.min(np.abs(upper[None, :] - pts), axis=1)
-    d_lo = np.min(np.abs(lower[None, :] - pts), axis=1)
+    d_lo = np.min(np.abs(upper[None, :] - pts.conj()), axis=1)
     hit = (d_up == 0.0) | (d_lo == 0.0)
     if np.any(hit):
         raise SpectrumProximityError(f"lam = {pts[hit, 0][0]} is an eigenvalue")
@@ -144,8 +145,7 @@ def resolvent_norm(sys: SystemSpec, lam: complex, mode: str = "diag",
     if mode == "diag":
         if spectrum is None:
             raise ValueError("diag mode requires a completed SpectrumReport")
-        return float(_diag_bound(spectrum.eigenvalues("upper"),
-                                 spectrum.eigenvalues("lower"), [lam])[0])
+        return float(_diag_bound(spectrum.eigenvalues("upper"), [lam])[0])
     if mode == "exact":
         if sys.N > EXACT_NORM_MAX_N:
             raise ValueError(f"exact mode is capped at N = {EXACT_NORM_MAX_N}")
@@ -199,7 +199,6 @@ def axis_scan(sys: SystemSpec, spectrum: SpectrumReport, k_range: tuple[int, int
     if pts_per_segment < 3:
         raise ValueError("need at least 3 points per segment")
     upper = spectrum.eigenvalues("upper")
-    lower = spectrum.eigenvalues("lower")
     segments = []
     suprema = []
     all_samples = []
@@ -211,7 +210,7 @@ def axis_scan(sys: SystemSpec, spectrum: SpectrumReport, k_range: tuple[int, int
         grid = np.linspace(s_lo, s_hi, pts_per_segment)
         peaks = im_parts[(im_parts >= s_lo) & (im_parts <= s_hi)]
         svals = np.sort(np.concatenate([grid, peaks]))
-        vals = _diag_bound(upper, lower, 1j * svals)
+        vals = _diag_bound(upper, 1j * svals)
         segments.append((k, float(s_lo), float(s_hi)))
         suprema.append((k, float(0.5 * (s_lo + s_hi)), float(np.max(vals))))
         all_samples.extend(zip(svals.tolist(), vals.tolist()))

@@ -193,19 +193,14 @@ class EigenCertificate:
 class SpectrumReport:
     """All 2N roots with global consistency metrics.
 
-    ``symmetry_defect`` is the largest gap between an upper root and the
-    conjugate of its lower partner; ``enclosure_defect`` the largest
-    violation of the global disk enclosure (0 when every root is inside).
-    ``localizations`` holds the per-mode certificates the search was seeded
-    from, in mode order, for every mode whose localization succeeded.
+    ``enclosure_defect`` is the largest violation of the global disk
+    enclosure (0 when every root is inside).
     """
 
     eigs: tuple[EigenCertificate, ...]
-    symmetry_defect: float
     enclosure_defect: float
     complete: bool
     failures: tuple[str, ...] = ()
-    localizations: tuple[LocalizationCertificate, ...] = ()
 
     def eigenvalues(self, half: Optional[str] = None) -> np.ndarray:
         vals = [e.lam for e in self.eigs if half is None or e.half == half]
@@ -220,7 +215,6 @@ class SpectrumReport:
     def to_json_dict(self) -> dict:
         return {
             "eigs": [e.to_json_dict() for e in self.eigs],
-            "symmetry_defect": self.symmetry_defect,
             "enclosure_defect": self.enclosure_defect,
             "complete": self.complete,
             "failures": list(self.failures),
@@ -293,24 +287,18 @@ def full_spectrum(sys: SystemSpec, theta_frac: float = 0.5,
     band = 0.5 * (sys.min_gap() if sys.N > 1 else float(sys.omegas[0]))
     eigs: list[EigenCertificate] = []
     failures: list[str] = []
-    locs: list[LocalizationCertificate] = []
     for k in range(1, sys.N + 1):
         ctx = CharContext(sys, k)
         try:
             loc = localize(ctx, theta_frac=theta_frac)
         except LocalizationError:
             loc = None
-        else:
-            locs.append(loc)
         cert, err = _find_root(sys, k, loc, lambda_star(ctx), band, newton_tol)
         if cert is None:
             failures.append(err)
         else:
             eigs += [cert, replace(cert, half="lower", lam=cert.lam.conjugate(),
                                    disk_center=cert.disk_center.conjugate())]
-
-    sym = max((abs(up.lam - low.lam.conjugate()) for up, low in zip(eigs[::2], eigs[1::2])),
-              default=0.0)
 
     enc = 0.0
     iw = 1j * sys.omegas
@@ -327,10 +315,8 @@ def full_spectrum(sys: SystemSpec, theta_frac: float = 0.5,
             failures.append(f"eigenvalues not distinct (min pairwise distance {min_dist:.3e})")
 
     complete = len(eigs) == 2 * sys.N and not failures
-    return SpectrumReport(
-        eigs=tuple(eigs), symmetry_defect=sym, enclosure_defect=enc,
-        complete=complete, failures=tuple(failures), localizations=tuple(locs),
-    )
+    return SpectrumReport(eigs=tuple(eigs), enclosure_defect=enc,
+                          complete=complete, failures=tuple(failures))
 
 
 def dense_oracle_spectrum(sys: SystemSpec) -> np.ndarray:

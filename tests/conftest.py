@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from obsdecay import beam_example, build_basis, build_system, full_spectrum
+from obsdecay.charfn import CharContext, LocalizationError, localize
 
 # Exact roots of lam^2 + lam + 1 = 0, the single-mode characteristic
 # polynomial for gamma = c = omega = 1.
@@ -20,6 +21,17 @@ def perturbed_beam_family(seed, count):
         cs = sigma / j * (1.0 + rng.uniform(-0.2, 0.2, n)) * rng.choice((-1.0, 1.0), n)
         systems.append(build_system(gamma, omegas, cs))
     return systems
+
+
+def localizations(sys):
+    """Localization certificates by mode, for every mode that localizes."""
+    certs = {}
+    for k in range(1, sys.N + 1):
+        try:
+            certs[k] = localize(CharContext(sys, k))
+        except LocalizationError:
+            continue
+    return certs
 
 
 @pytest.fixture(scope="session")

@@ -1,0 +1,52 @@
+"""Smoke test of the benchmark's correctness gates (bench/workloads.py).
+
+The gates read the program through names a refactor could rename away
+(``rep.eigs``, ``.certified``, ``.fallback``, ``basis.Q``/``G``/``to_json_dict``,
+``spectrum.json["eigs"]``).  The module is loaded read-only (no bytecode is
+written next to it) and run on small inputs; every gate must pass.
+"""
+
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+WORKLOADS_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    name = "obsdecay_bench_workloads"
+    spec = importlib.util.spec_from_file_location(name, WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # its dataclasses look their module up by name
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    yield module
+    del sys.modules[name]
+
+
+def test_report_workload_gates_pass(workloads, tmp_path):
+    workload = workloads.ReportWorkload(workloads.beam_config(23), seed_failures=frozenset(),
+                                        workdir=str(tmp_path))
+    for index in range(2):  # the second repeat is compared with the first
+        outcome = workload.iteration(index)
+        workload.check(outcome)
+        assert outcome.failures == [] and outcome.failed_units == 0
+        assert outcome.found == 46 and outcome.certified > 0
+
+
+def test_sweep_unit_gates_pass(workloads):
+    built = 0
+    for case in workloads.random_family(1)[:3]:
+        system, cert, rep, basis, solved, envelope = workloads.SweepWorkload._unit(case)
+        outcome = workloads.Outcome(wall_s=0.0, unit_s=[], unit_start=[])
+        fail, _ = workloads.SweepWorkload._case_failures(outcome, case, system, cert, rep,
+                                                         basis, solved, envelope)
+        assert fail == []
+        built += basis is not None
+    assert built > 0  # the basis gates ran at least once

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
-from conftest import SINGLE_MODE_ROOTS
+from conftest import SINGLE_MODE_ROOTS, localizations
+from obsdecay import spectrum
 from obsdecay.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, Tolerances, main
+from obsdecay.model import beam_example
 
 
 def write_config(path, doc):
@@ -129,6 +131,19 @@ class TestOtherVerbs:
         rows = read_rows(out / "localization.csv")
         assert len(rows) == 22
 
+    def test_localize_runs_no_root_finding(self, beam23_config, tmp_path, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the localize verb must not search for roots")
+
+        monkeypatch.setattr(spectrum, "newton_root", forbidden)
+        monkeypatch.setattr(spectrum, "winding_number", forbidden)
+        out = tmp_path / "out"
+        assert main(["localize", "--config", beam23_config, "--out", str(out)]) == EXIT_OK
+        doc = json.loads((out / "localization.json").read_text())
+        expected = localizations(beam_example(1.0, 1.0, 23))
+        assert doc["certificates"] == json.loads(json.dumps(
+            [expected[k].to_json_dict() for k in sorted(expected)]))
+
     def test_resolvent_scan_fit(self, beam23_config, tmp_path):
         out = tmp_path / "out"
         assert main(["resolvent-scan", "--config", beam23_config,
@@ -175,6 +190,20 @@ class TestReportVerb:
         assert doc["checks"]["disk_enclosure"]["pass"]
         printed = capsys.readouterr().out
         assert "overall: PASS" in printed
+
+    def test_spectrum_only_report_carries_the_basis(self, tmp_path):
+        cfg = write_config(tmp_path / "spec.json", {
+            "gamma": 1.0,
+            "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 23},
+            "tasks": ["spectrum"],
+        })
+        out = tmp_path / "out"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        doc = json.loads((out / "report.json").read_text())
+        assert set(doc["checks"]) == {"spectrum_complete", "spectrum_stable",
+                                      "disk_enclosure", "basis_conditioning"}
+        assert doc["basis"]["cond_Q"] == pytest.approx(1.86087467488369, rel=1e-13)
+        assert not (out / "basis_q.bin").exists()
 
     def test_determinism_byte_identical(self, beam8_config, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -234,6 +263,39 @@ class TestReportVerb:
         })
         assert main(["report", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("tolerances", [
+        {"theta_frac": 1.5},
+        {"sim_points": 0},
+        {"pts_per_segment": 2},
+        {"envelope_points": 2},
+        {"k0": 0},
+        {"beta": -1.0},
+        {"envelope_t_lo": 0.0},
+        {"envelope_t_lo": 300.0},
+        {"newton_tol": 0.0},
+        {"sim_t_final": 0.01},
+    ], ids=lambda doc: "-".join(f"{k}={v}" for k, v in doc.items()))
+    def test_out_of_range_value_is_config_error(self, tolerances, tmp_path, capsys):
+        cfg = write_config(tmp_path / "range.json", {
+            "gamma": 1.0,
+            "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 8},
+            "tasks": ["verify", "localize", "spectrum", "resolvent-scan", "envelope",
+                      "simulate"],
+            "tolerances": tolerances,
+        })
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "out of range" in capsys.readouterr().err
+
+    def test_removed_symmetry_tol_is_unknown(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "sym.json", {
+            "gamma": 1.0,
+            "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 4},
+            "tolerances": {"symmetry_tol": 1e-9},
+        })
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "unknown tolerance keys" in capsys.readouterr().err
 
 
 class TestTolerances:

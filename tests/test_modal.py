@@ -3,9 +3,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import SINGLE_MODE_ROOTS
+from conftest import SINGLE_MODE_ROOTS, perturbed_beam_family
+from obsdecay import modal
 from obsdecay.charfn import PoleError
-from obsdecay.dynamics import dense_generator, simulate_error
+from obsdecay.dynamics import apply_generator, dense_generator, simulate_error
 from obsdecay.modal import (
     BasisError,
     ResidualError,
@@ -14,7 +15,7 @@ from obsdecay.modal import (
     eigenvector,
 )
 from obsdecay.model import beam_example
-from obsdecay.spectrum import full_spectrum
+from obsdecay.spectrum import dense_oracle_spectrum, full_spectrum
 from obsdecay.state import StateVector
 
 
@@ -25,59 +26,93 @@ def random_state(n, rng):
     )
 
 
+def conjugate_swap(vec):
+    """J v = (conj p, conj q): the eigenvector of conj(lam) when v belongs to lam."""
+    return StateVector(q=np.conjugate(vec.p), p=np.conjugate(vec.q))
+
+
+def direct_lower_eigenvector(sys, lam, n):
+    """The lower-root eigenvector from its own closed form, scaled to q_n = 1."""
+    scale = -(1j * sys.omegas[n - 1] + lam) / sys.cs[n - 1]
+    return StateVector(q=-sys.cs / (1j * sys.omegas + lam) * scale,
+                       p=sys.cs / (1j * sys.omegas - lam) * scale)
+
+
 class TestEigenvector:
     def test_single_mode_formulas(self, single_mode):
         lam = SINGLE_MODE_ROOTS[0]
-        vec = eigenvector(single_mode, lam, 1, "upper")
+        vec = eigenvector(single_mode, lam, 1)
         # own component normalized to one, partner from the closed form
         assert vec.p[0] == pytest.approx(1.0)
         expected_q = -(1.0 / (1j + lam)) * (1j - lam) / 1.0
         assert vec.q[0] == pytest.approx(expected_q)
 
     def test_lower_half_scaling(self, single_mode):
-        lam = SINGLE_MODE_ROOTS[1]
-        vec = eigenvector(single_mode, lam, 1, "lower")
-        assert vec.q[0] == pytest.approx(1.0)
+        basis = build_basis(single_mode, full_spectrum(single_mode))
+        assert basis.Q[0, 0] == pytest.approx(1.0)  # q_1 of the lower column
 
     def test_residual_guard_rejects_non_eigenvalue(self, single_mode):
         with pytest.raises(ResidualError):
-            eigenvector(single_mode, -0.4 + 0.9j, 1, "upper")
+            eigenvector(single_mode, -0.4 + 0.9j, 1)
 
     def test_pole_rejected(self, single_mode):
         with pytest.raises(PoleError):
-            eigenvector(single_mode, 1j, 1, "upper")
+            eigenvector(single_mode, 1j, 1)
 
     def test_inputs_validated(self, single_mode):
         with pytest.raises(ValueError):
-            eigenvector(single_mode, SINGLE_MODE_ROOTS[0], 2, "upper")
+            eigenvector(single_mode, SINGLE_MODE_ROOTS[0], 2)
         with pytest.raises(ValueError):
-            eigenvector(single_mode, SINGLE_MODE_ROOTS[0], 1, "middle")
+            comparison_vector(1, 2)
 
     def test_weak_gain_limit_approaches_canonical(self):
         sys = beam_example(1.0, 1.0, 5, gamma=1e-6)
-        rep = full_spectrum(sys)
-        for e in rep.eigs:
-            vec = eigenvector(sys, e.lam, e.k, e.half)
-            ref = comparison_vector(5, e.k, e.half)
+        # roots from the dense oracle: full_spectrum's Newton does not reach
+        # its absolute |f| tolerance at this gain
+        uppers = [lam for lam in dense_oracle_spectrum(sys) if lam.imag > 0.0]
+        for k, lam in enumerate(uppers, start=1):
+            vec = eigenvector(sys, lam, k)
+            ref = comparison_vector(5, k)
             assert np.max(np.abs(vec.to_array() - ref.to_array())) < 1e-5
+            lower_gap = conjugate_swap(vec).to_array() - conjugate_swap(ref).to_array()
+            assert np.max(np.abs(lower_gap)) < 1e-5
 
     def test_comparison_vectors_orthonormal(self):
-        cols = [comparison_vector(3, n, half).to_array()
-                for n in (1, 2, 3) for half in ("upper", "lower")]
+        ups = [comparison_vector(3, n) for n in (1, 2, 3)]
+        cols = [v.to_array() for v in ups] + [conjugate_swap(v).to_array() for v in ups]
         gram = np.array(cols) @ np.conjugate(np.array(cols)).T
         np.testing.assert_allclose(gram, np.eye(6), atol=1e-15)
 
-    def test_swap_conjugation_links_the_halves(self, beam4, beam4_spectrum):
-        uppers = {e.k: e for e in beam4_spectrum.upper()}
-        lowers = {e.k: e for e in beam4_spectrum.lower()}
-        for k in range(1, 5):
-            up = eigenvector(beam4, uppers[k].lam, k, "upper")
-            lo = eigenvector(beam4, lowers[k].lam, k, "lower")
-            swapped = np.concatenate([np.conjugate(up.p), np.conjugate(up.q)])
-            target = lo.to_array()
-            cos = abs(np.vdot(swapped, target)) / (
-                np.linalg.norm(swapped) * np.linalg.norm(target))
-            assert cos == pytest.approx(1.0, abs=1e-12)
+    def test_swap_conjugation_links_the_halves(self, beam4, beam4_basis):
+        # the lower columns are exactly J of the upper ones, and eigenvectors
+        for k in range(4):
+            up = StateVector.from_array(beam4_basis.Q[:, 4 + k])
+            lo = beam4_basis.Q[:, k]
+            np.testing.assert_array_equal(lo, conjugate_swap(up).to_array())
+            resid = apply_generator(beam4, StateVector.from_array(lo)).to_array() \
+                - beam4_basis.G[k] * lo
+            assert np.linalg.norm(resid) <= 1e-12 * np.linalg.norm(lo)
+
+    @pytest.mark.parametrize("systems", [
+        pytest.param([beam_example(1.0, 1.0, 23)], id="beam23"),
+        pytest.param(perturbed_beam_family(1, 4), id="perturbed"),
+    ])
+    def test_conjugate_swap_is_the_direct_lower_eigenvector(self, systems):
+        # bitwise: J(upper) equals the lower vector built from its own formula,
+        # and the generator commutes with J
+        rng = np.random.default_rng(5)
+        for sys in systems:
+            rep = full_spectrum(sys)
+            lowers = {e.k: e.lam for e in rep.lower()}
+            for e in rep.upper():
+                up = eigenvector(sys, e.lam, e.k)
+                swapped = conjugate_swap(up).to_array()
+                direct = direct_lower_eigenvector(sys, lowers[e.k], e.k).to_array()
+                np.testing.assert_array_equal(swapped, direct)
+                for vec in (up, random_state(sys.N, rng)):
+                    np.testing.assert_array_equal(
+                        apply_generator(sys, conjugate_swap(vec)).to_array(),
+                        conjugate_swap(apply_generator(sys, vec)).to_array())
 
 
 class TestBuildBasis:
@@ -135,6 +170,26 @@ class TestBuildBasis:
         svals = np.linalg.svd(beam4_basis.Q, compute_uv=False)
         assert beam4_basis.beta1 == pytest.approx(svals.max(), rel=1e-10)
         assert beam4_basis.beta2 == pytest.approx(1.0 / svals.min(), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [23, 70])
+    def test_operator_norms_match_dense_norms(self, n):
+        sys = beam_example(1.0, 1.0, n)
+        basis = build_basis(sys, full_spectrum(sys))
+        assert basis.beta1 == pytest.approx(np.linalg.norm(basis.Q, 2), rel=1e-12)
+        assert basis.beta2 == pytest.approx(np.linalg.norm(np.linalg.inv(basis.Q), 2),
+                                            rel=1e-12)
+        assert basis.cond_Q == basis.beta1 * basis.beta2
+
+    def test_one_eigenvector_per_mode(self, beam23, beam23_spectrum, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return eigenvector(*args, **kwargs)
+
+        monkeypatch.setattr(modal, "eigenvector", counting)
+        build_basis(beam23, beam23_spectrum)
+        assert calls == list(range(1, 24))
 
     def test_incomplete_spectrum_rejected(self, beam4, beam4_spectrum):
         broken = dataclasses.replace(beam4_spectrum, complete=False,
