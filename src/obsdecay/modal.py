@@ -54,8 +54,7 @@ def comparison_vector(n_modes: int, n: int) -> StateVector:
     return StateVector(q=np.zeros(n_modes, dtype=complex), p=p)
 
 
-def eigenvector(sys: SystemSpec, lam: complex, n: int, *,
-                check_residual: bool = True) -> StateVector:
+def eigenvector(sys: SystemSpec, lam: complex, n: int) -> StateVector:
     """Scaled eigenvector (p_n = 1) of the generator for the root lam near +i omega_n.
 
     Raises ResidualError when (A - lam I) applied to the result is larger
@@ -71,14 +70,13 @@ def eigenvector(sys: SystemSpec, lam: complex, n: int, *,
     q = -sys.cs / (1j * sys.omegas + lam) * scale
     p = sys.cs / (1j * sys.omegas - lam) * scale
     vec = StateVector(q=q, p=p)
-    if check_residual:
-        diff = apply_generator(sys, vec).to_array() - lam * vec.to_array()
-        resid = float(np.linalg.norm(diff))
-        if resid > EIGENVECTOR_RESIDUAL_RTOL * vec.norm():
-            raise ResidualError(
-                f"residual {resid:.3e} exceeds {EIGENVECTOR_RESIDUAL_RTOL} * norm; "
-                f"lam = {lam} is not an eigenvalue for mode {n}"
-            )
+    diff = apply_generator(sys, vec).to_array() - lam * vec.to_array()
+    resid = float(np.linalg.norm(diff))
+    if resid > EIGENVECTOR_RESIDUAL_RTOL * vec.norm():
+        raise ResidualError(
+            f"residual {resid:.3e} exceeds {EIGENVECTOR_RESIDUAL_RTOL} * norm; "
+            f"lam = {lam} is not an eigenvalue for mode {n}"
+        )
     return vec
 
 

@@ -4,8 +4,11 @@ Roots of the characteristic function come in conjugate pairs, one pair per
 mode: the upper root sits near ``+i omega_k``, the lower near ``-i omega_k``.
 The generator is real, so ``f(conj lam) = -conj f(lam)``, and the lower root
 of each pair is the exact conjugate of the upper one; only the upper root is
-solved for.  It is found by damped Newton iteration seeded at the first-order
-prediction, then verified two ways:
+solved for.  The upper roots of all modes are found together, by one
+array-valued damped Newton iteration seeded at the first-order predictions
+(and one more from backup seeds for the modes that need them); each root
+gets the same arithmetic as a scalar iteration from its seed.  Each root is
+then verified two ways:
 
 * an argument-principle winding count over the enclosure disk boundary
   (an integer, so the check is self-validating);
@@ -69,49 +72,106 @@ def enclosure_radius(sys: SystemSpec, lam: complex) -> float:
     return 0.5 * sys.gamma * abs(lam) * sys.coupling_sum()
 
 
-def newton_root(sys: SystemSpec, seed: complex, tol: float = NEWTON_TOL,
-                max_iters: int = NEWTON_MAX_ITERS) -> tuple[complex, float, int]:
-    """Damped Newton iteration on the characteristic function.
+def newton_roots(sys: SystemSpec, seeds, tol: float = NEWTON_TOL,
+                 max_iters: int = NEWTON_MAX_ITERS
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Optional[Exception]]]:
+    """Damped Newton iteration on the characteristic function, one root per seed.
 
-    Steps are halved (up to 20 times) until |f| decreases, so the residual is
-    non-increasing across accepted steps; candidates within 1e-12 of a pole
-    are rejected.  Returns ``(root, |f(root)|, iterations)``.
+    All seeds iterate together, so each iteration costs one array-valued
+    evaluation of ``f'`` and one of ``f`` per halving.  Each element follows
+    the scalar rules: steps are halved (up to 20 times) until |f| decreases,
+    so the residual is non-increasing across accepted steps; seeds and
+    candidates within 1e-12 of a pole are rejected; an element stops once
+    ``|f| <= tol``.  |f| is taken with ``hypot`` and the Newton step with
+    Python complex division, so every root is bitwise the one a scalar
+    iteration reaches.
+
+    Returns ``(roots, residuals, iterations, errors)``.  ``errors[i]`` is the
+    :class:`PoleError` or :class:`NewtonError` that stopped element ``i``, or
+    None; a failed element does not stop the others, and its root and
+    residual are NaN.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     poles = _poles(sys)
-    lam = complex(seed)
-    if np.min(np.abs(lam - poles)) <= POLE_GUARD:
-        raise PoleError(f"seed {lam} is (numerically) a pole of the characteristic function")
 
-    fval = eval_f(sys, lam)
-    for iters in range(max_iters):
-        resid = abs(fval)
-        if resid <= tol:
-            return lam, resid, iters
-        deriv = eval_f_prime(sys, lam)
-        if deriv == 0:
-            raise NewtonError(f"vanishing derivative at {lam}")
-        step = -fval / deriv
-        accepted = False
-        near_pole_only = True
+    def near_pole(z: np.ndarray) -> np.ndarray:
+        return np.min(np.abs(z[:, None] - poles), axis=1) <= POLE_GUARD
+
+    lam = np.array(seeds, dtype=complex).reshape(-1)
+    n = lam.size
+    roots = np.full(n, complex(np.nan, np.nan))
+    resids = np.full(n, np.nan)
+    iters = np.zeros(n, dtype=int)
+    errors: list[Optional[Exception]] = [None] * n
+
+    at_pole = near_pole(lam)
+    for i in np.flatnonzero(at_pole):
+        errors[i] = PoleError(f"seed {complex(lam[i])} is (numerically) a pole of the "
+                              "characteristic function")
+    active = np.flatnonzero(~at_pole)
+    fval = np.zeros(n, dtype=complex)
+    if active.size:
+        fval[active] = eval_f(sys, lam[active])
+    resid = np.hypot(fval.real, fval.imag)
+
+    for it in range(max_iters):
+        done = resid[active] <= tol
+        conv = active[done]
+        roots[conv], resids[conv], iters[conv] = lam[conv], resid[conv], it
+        active = active[~done]
+        if not active.size:
+            break
+        deriv = eval_f_prime(sys, lam[active]).tolist()
+        zero = np.array([d == 0 for d in deriv], dtype=bool)
+        for i in active[zero]:
+            errors[i] = NewtonError(f"vanishing derivative at {complex(lam[i])}")
+        step = np.array([-f / d for f, d in zip(fval[active].tolist(), deriv) if d != 0],
+                        dtype=complex)
+        active = active[~zero]
+
+        pending = active
+        near_only = np.ones(pending.size, dtype=bool)
         for _ in range(NEWTON_MAX_HALVINGS + 1):
-            cand = lam + step
-            if np.min(np.abs(cand - poles)) <= POLE_GUARD:
-                step *= 0.5
-                continue
-            near_pole_only = False
-            cand_f = eval_f(sys, cand)
-            if abs(cand_f) < resid:
-                lam, fval = cand, cand_f
-                accepted = True
+            if not pending.size:
                 break
-            step *= 0.5
-        if not accepted:
-            if near_pole_only:
-                raise PoleError(f"iteration stalled within {POLE_GUARD} of a pole near {lam}")
-            raise NewtonError(f"damping failed to reduce |f| below {resid:.3e} at {lam}")
-    raise NewtonError(f"no convergence after {max_iters} iterations (|f| = {abs(fval):.3e})")
+            cand = lam[pending] + step
+            far = ~near_pole(cand)
+            near_only &= ~far
+            ok = np.zeros(pending.size, dtype=bool)
+            if far.any():
+                cand_f = eval_f(sys, cand[far])
+                cand_r = np.hypot(cand_f.real, cand_f.imag)
+                better = cand_r < resid[pending[far]]
+                ok[far] = better
+                acc = pending[ok]
+                lam[acc], fval[acc], resid[acc] = cand[ok], cand_f[better], cand_r[better]
+            pending, step, near_only = pending[~ok], step[~ok] * 0.5, near_only[~ok]
+        for i, only in zip(pending, near_only):
+            if only:
+                errors[i] = PoleError(f"iteration stalled within {POLE_GUARD} of a pole "
+                                      f"near {complex(lam[i])}")
+            else:
+                errors[i] = NewtonError(f"damping failed to reduce |f| below "
+                                        f"{float(resid[i]):.3e} at {complex(lam[i])}")
+        active = np.setdiff1d(active, pending)
+    for i in active:
+        errors[i] = NewtonError(f"no convergence after {max_iters} iterations "
+                                f"(|f| = {float(resid[i]):.3e})")
+    return roots, resids, iters, errors
+
+
+def newton_root(sys: SystemSpec, seed: complex, tol: float = NEWTON_TOL,
+                max_iters: int = NEWTON_MAX_ITERS) -> tuple[complex, float, int]:
+    """Damped Newton iteration from one seed: :func:`newton_roots` on a batch of one.
+
+    Returns ``(root, |f(root)|, iterations)``; raises the element's
+    :class:`PoleError` or :class:`NewtonError` when it fails.
+    """
+    roots, resids, iters, errors = newton_roots(sys, [seed], tol, max_iters)
+    if errors[0] is not None:
+        raise errors[0]
+    return complex(roots[0]), float(resids[0]), int(iters[0])
 
 
 def winding_number(sys: SystemSpec, disk: tuple[complex, float],
@@ -221,102 +281,93 @@ class SpectrumReport:
         }
 
 
-def _nearest_mode(sys: SystemSpec, im_part: float) -> int:
-    """Index (1-based) of the mode frequency closest to |im_part|; ties go low."""
-    dist = np.abs(sys.omegas - abs(im_part))
-    return int(np.argmin(dist)) + 1
-
-
-def _find_root(sys: SystemSpec, k: int, loc: Optional[LocalizationCertificate],
-               seed: complex, band: float, tol: float
-               ) -> tuple[Optional[EigenCertificate], Optional[str]]:
-    """Upper root of mode ``k`` with its certificate, or ``(None, reason)``."""
-    wk = float(sys.omegas[k - 1])
-    fallback = False
-    try:
-        root, resid, iters = newton_root(sys, seed, tol=tol)
-        if abs(root.imag - wk) > band:
-            raise NewtonError(f"root {root} left the mode-{k} band")
-    except (NewtonError, PoleError):
-        fallback = True
-        fb_seed = -0.5 * enclosure_radius(sys, 1j * wk) + 1j * wk
-        try:
-            root, resid, iters = newton_root(sys, fb_seed, tol=tol)
-        except (NewtonError, PoleError) as exc2:
-            return None, f"mode {k}: fallback Newton failed: {exc2}"
-        if abs(root.imag - wk) > band:
-            return None, f"mode {k}: fallback root {root} left the mode band"
-
-    if _nearest_mode(sys, root.imag) != k:
-        return None, f"mode {k}: root {root} assigned to another mode"
-
-    if loc is not None and not fallback:
-        center, radius, rouche_ok = loc.lambda_star, loc.Rk, loc.rouche_ok
-    else:
-        center = root
-        radius = 0.5 * float(np.min(np.abs(root - _poles(sys))))
-        rouche_ok = False
-    try:
-        wind = winding_number(sys, (center, radius))
-    except (WindingError, PoleError):
-        wind = None
-
-    inside = abs(root - center) < radius
-    residual_ok = resid <= RESIDUAL_CERT_FACTOR * (1.0 + abs(eval_f_prime(sys, root)))
-    stable = root.real < 0.0
-    certified = bool(rouche_ok and wind == 1 and inside and residual_ok and stable)
-    cert = EigenCertificate(
-        k=k, half="upper", lam=root, residual=resid,
-        disk_center=center, disk_radius=radius, winding=wind,
-        certified=certified, newton_iters=iters, fallback=fallback,
-    )
-    return cert, None
-
-
 def full_spectrum(sys: SystemSpec, theta_frac: float = 0.5,
                   newton_tol: float = NEWTON_TOL) -> SpectrumReport:
     """Locate and certify all 2N roots of the characteristic function.
 
-    Each mode is localized and its upper root refined by Newton from the
-    first-order seed (and from a left-shifted backup seed when needed).  The
-    lower root is the exact conjugate of the upper one, certificate included,
-    because ``f(conj lam) = -conj f(lam)`` holds bitwise.  Failures are
-    collected instead of raised; the report is flagged incomplete when any
-    mode is missing.
+    Each mode is localized, and the upper roots of all modes are refined
+    together by :func:`newton_roots` from the first-order seeds; the modes
+    whose root fails or leaves its band are solved again, together, from a
+    left-shifted backup seed.  The lower root is the exact conjugate of the
+    upper one, certificate included, because ``f(conj lam) = -conj f(lam)``
+    holds bitwise.  Failures are collected instead of raised; the report is
+    flagged incomplete when any mode is missing.
     """
-    band = 0.5 * (sys.min_gap() if sys.N > 1 else float(sys.omegas[0]))
-    eigs: list[EigenCertificate] = []
-    failures: list[str] = []
+    wk = sys.omegas
+    band = 0.5 * (sys.min_gap() if sys.N > 1 else float(wk[0]))
+    locs: list[Optional[LocalizationCertificate]] = []
+    seeds = []
     for k in range(1, sys.N + 1):
         ctx = CharContext(sys, k)
         try:
-            loc = localize(ctx, theta_frac=theta_frac)
+            locs.append(localize(ctx, theta_frac=theta_frac))
         except LocalizationError:
-            loc = None
-        cert, err = _find_root(sys, k, loc, lambda_star(ctx), band, newton_tol)
-        if cert is None:
-            failures.append(err)
+            locs.append(None)
+        seeds.append(lambda_star(ctx))
+
+    roots, resids, iters, errors = newton_roots(sys, seeds, tol=newton_tol)
+    fallback = np.array([err is not None for err in errors]) | (np.abs(roots.imag - wk) > band)
+    failures: dict[int, str] = {}
+    fb = np.flatnonzero(fallback)
+    if fb.size:
+        fb_seeds = [-0.5 * enclosure_radius(sys, 1j * w) + 1j * w for w in wk[fb].tolist()]
+        roots[fb], resids[fb], iters[fb], fb_errors = newton_roots(sys, fb_seeds, tol=newton_tol)
+        left = np.abs(roots[fb].imag - wk[fb]) > band
+        for i, err, out, root in zip(fb.tolist(), fb_errors, left, roots[fb].tolist()):
+            if err is not None:
+                failures[i] = f"mode {i + 1}: fallback Newton failed: {err}"
+            elif out:
+                failures[i] = f"mode {i + 1}: fallback root {root} left the mode band"
+    # nearest mode frequency to |Im root|; ties go low
+    nearest = np.argmin(np.abs(wk - np.abs(roots.imag)[:, None]), axis=1)
+    for i in np.flatnonzero(nearest != np.arange(sys.N)).tolist():
+        failures.setdefault(i, f"mode {i + 1}: root {complex(roots[i])} assigned to another mode")
+
+    found = np.array([i for i in range(sys.N) if i not in failures], dtype=int)
+    own_disk = np.array([locs[i] is None or fallback[i] for i in found], dtype=bool)
+    own_radius = 0.5 * np.min(np.abs(roots[found][:, None] - _poles(sys)), axis=1)
+    fp = eval_f_prime(sys, roots[found])
+    residual_ok = resids[found] <= RESIDUAL_CERT_FACTOR * (1.0 + np.hypot(fp.real, fp.imag))
+    eigs: list[EigenCertificate] = []
+    for j, i in enumerate(found.tolist()):
+        root, loc = complex(roots[i]), locs[i]
+        if own_disk[j]:
+            center, radius, rouche_ok = root, float(own_radius[j]), False
         else:
-            eigs += [cert, replace(cert, half="lower", lam=cert.lam.conjugate(),
-                                   disk_center=cert.disk_center.conjugate())]
+            center, radius, rouche_ok = loc.lambda_star, loc.Rk, loc.rouche_ok
+        try:
+            wind = winding_number(sys, (center, radius))
+        except (WindingError, PoleError):
+            wind = None
+        inside = abs(root - center) < radius
+        stable = root.real < 0.0
+        certified = bool(rouche_ok and wind == 1 and inside and residual_ok[j] and stable)
+        cert = EigenCertificate(
+            k=i + 1, half="upper", lam=root, residual=float(resids[i]),
+            disk_center=center, disk_radius=radius, winding=wind,
+            certified=certified, newton_iters=int(iters[i]), fallback=bool(fallback[i]),
+        )
+        eigs += [cert, replace(cert, half="lower", lam=root.conjugate(),
+                               disk_center=center.conjugate())]
 
-    enc = 0.0
-    iw = 1j * sys.omegas
-    for e in eigs:
-        nearest = float(np.min(np.minimum(np.abs(e.lam - iw), np.abs(e.lam + iw))))
-        enc = max(enc, max(0.0, nearest - enclosure_radius(sys, e.lam)))
+    vals = np.asarray([e.lam for e in eigs], dtype=complex)
+    iw = 1j * wk
+    nearest_pole = np.min(np.minimum(np.abs(vals[:, None] - iw), np.abs(vals[:, None] + iw)),
+                          axis=1)
+    radii = 0.5 * sys.gamma * np.hypot(vals.real, vals.imag) * sys.coupling_sum()
+    enc = float(np.max(nearest_pole - radii, initial=0.0))
 
-    vals = np.asarray([e.lam for e in eigs])
+    fail_msgs = [failures[i] for i in sorted(failures)]
     if len(vals) > 1:
         dists = np.abs(vals[:, None] - vals[None, :])
         np.fill_diagonal(dists, np.inf)
         min_dist = float(np.min(dists))
         if min_dist <= DISTINCTNESS_TOL:
-            failures.append(f"eigenvalues not distinct (min pairwise distance {min_dist:.3e})")
+            fail_msgs.append(f"eigenvalues not distinct (min pairwise distance {min_dist:.3e})")
 
-    complete = len(eigs) == 2 * sys.N and not failures
+    complete = len(eigs) == 2 * sys.N and not fail_msgs
     return SpectrumReport(eigs=tuple(eigs), enclosure_defect=enc,
-                          complete=complete, failures=tuple(failures))
+                          complete=complete, failures=tuple(fail_msgs))
 
 
 def dense_oracle_spectrum(sys: SystemSpec) -> np.ndarray:

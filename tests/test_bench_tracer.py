@@ -13,7 +13,6 @@ import sys
 import pytest
 
 from obsdecay import spectrum
-from obsdecay.spectrum import full_spectrum
 
 SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -40,12 +39,17 @@ def test_every_patched_name_resolves(spans):
             f"obsdecay.{mod}.{attr}"
 
 
-def test_tracer_counts_and_restores(spans, beam4):
+def test_tracer_counts_and_restores(spans, beam23):
+    # full_spectrum calls newton_roots, not the traced newton_root; the
+    # count of points spectrum passes to eval_f pins the work it does
     tracer = spans.Tracer()
-    newton_root = spectrum.newton_root
+    newton_root, eval_f = spectrum.newton_root, spectrum.eval_f
     with tracer.recording(0) as counts:
-        rep = full_spectrum(beam4)
+        rep = spectrum.full_spectrum(beam23)
     assert spectrum.newton_root is newton_root
-    assert counts["spectrum.newton_iters"] == sum(e.newton_iters for e in rep.upper())
-    assert counts["spectrum.eval_f.points"] > 0
-    assert tracer.iteration_times(0)["spectrum.newton_root"]["calls"] == 4
+    assert spectrum.eval_f is eval_f
+    assert rep.complete
+    assert counts["spectrum.eval_f.points"] == 3012
+    times = tracer.iteration_times(0)
+    assert times["spectrum.full_spectrum"]["calls"] == 1
+    assert times["spectrum.winding_number"]["calls"] == 23

@@ -136,6 +136,7 @@ class TestOtherVerbs:
             raise AssertionError("the localize verb must not search for roots")
 
         monkeypatch.setattr(spectrum, "newton_root", forbidden)
+        monkeypatch.setattr(spectrum, "newton_roots", forbidden)
         monkeypatch.setattr(spectrum, "winding_number", forbidden)
         out = tmp_path / "out"
         assert main(["localize", "--config", beam23_config, "--out", str(out)]) == EXIT_OK

@@ -8,12 +8,17 @@ from obsdecay import spectrum
 from obsdecay.charfn import (
     CharContext,
     PoleError,
+    eval_f,
     eval_f_prime,
     lambda_star,
     localize,
 )
 from obsdecay.model import beam_example
 from obsdecay.spectrum import (
+    NEWTON_MAX_HALVINGS,
+    NEWTON_MAX_ITERS,
+    NEWTON_TOL,
+    POLE_GUARD,
     RESIDUAL_CERT_FACTOR,
     NewtonError,
     WindingError,
@@ -22,8 +27,88 @@ from obsdecay.spectrum import (
     full_spectrum,
     matching_distance,
     newton_root,
+    newton_roots,
     winding_number,
 )
+
+
+def scalar_newton_root(sys, seed, tol=NEWTON_TOL, max_iters=NEWTON_MAX_ITERS):
+    """Reference copy of the one-seed damped Newton loop that ``newton_roots`` batches.
+
+    Steps are halved (up to 20 times) until |f| decreases; seeds and
+    candidates within 1e-12 of a pole are rejected.  Returns ``(root,
+    |f(root)|, iterations)`` or raises PoleError / NewtonError.
+    """
+    poles = np.concatenate([[0.0 + 0.0j], 1j * sys.omegas, -1j * sys.omegas])
+    lam = complex(seed)
+    if np.min(np.abs(lam - poles)) <= POLE_GUARD:
+        raise PoleError(f"seed {lam} is (numerically) a pole of the characteristic function")
+
+    fval = eval_f(sys, lam)
+    for iters in range(max_iters):
+        resid = abs(fval)
+        if resid <= tol:
+            return lam, resid, iters
+        deriv = eval_f_prime(sys, lam)
+        if deriv == 0:
+            raise NewtonError(f"vanishing derivative at {lam}")
+        step = -fval / deriv
+        accepted = False
+        near_pole_only = True
+        for _ in range(NEWTON_MAX_HALVINGS + 1):
+            cand = lam + step
+            if np.min(np.abs(cand - poles)) <= POLE_GUARD:
+                step *= 0.5
+                continue
+            near_pole_only = False
+            cand_f = eval_f(sys, cand)
+            if abs(cand_f) < resid:
+                lam, fval = cand, cand_f
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            if near_pole_only:
+                raise PoleError(f"iteration stalled within {POLE_GUARD} of a pole near {lam}")
+            raise NewtonError(f"damping failed to reduce |f| below {resid:.3e} at {lam}")
+    raise NewtonError(f"no convergence after {max_iters} iterations (|f| = {abs(fval):.3e})")
+
+
+def assert_matches_scalar(sys, seeds, **kwargs):
+    """``newton_roots`` on ``seeds`` equals the reference loop on each seed.
+
+    Roots, residuals and iteration counts must be equal, failures of the same
+    type with the same message.  Returns the reference outcomes, each a
+    result tuple or an exception.
+    """
+    roots, resids, iters, errors = newton_roots(sys, seeds, **kwargs)
+    assert len(roots) == len(resids) == len(iters) == len(errors) == len(seeds)
+    outcomes = []
+    for i, seed in enumerate(seeds):
+        try:
+            expected = scalar_newton_root(sys, seed, **kwargs)
+        except (NewtonError, PoleError) as exc:
+            assert (type(errors[i]), str(errors[i])) == (type(exc), str(exc)), (i, seed)
+            outcomes.append(exc)
+        else:
+            assert errors[i] is None, (i, seed, errors[i])
+            assert (complex(roots[i]), float(resids[i]), int(iters[i])) == expected, (i, seed)
+            outcomes.append(expected)
+    return outcomes
+
+
+def primary_seeds(sys):
+    return [lambda_star(CharContext(sys, k)) for k in range(1, sys.N + 1)]
+
+
+def fallback_seed(sys, k):
+    wk = float(sys.omegas[k - 1])
+    return -0.5 * enclosure_radius(sys, 1j * wk) + 1j * wk
+
+
+def band_exit(sys, k, root):
+    band = 0.5 * (sys.min_gap() if sys.N > 1 else float(sys.omegas[0]))
+    return abs(root.imag - float(sys.omegas[k - 1])) > band
 
 
 def solve_lower_root(sys, k, loc):
@@ -94,6 +179,52 @@ class TestNewtonRoot:
         # one iteration cannot reach the root from a distant seed
         with pytest.raises(NewtonError):
             newton_root(single_mode, 50.0 + 40.0j, max_iters=1)
+
+
+class TestNewtonRootsParity:
+    """The batched iteration reproduces the scalar loop element by element."""
+
+    def test_beam23_seeds(self, beam23):
+        outcomes = assert_matches_scalar(beam23, primary_seeds(beam23))
+        assert all(isinstance(o, tuple) for o in outcomes)
+
+    def test_beam128_primary_and_fallback_seeds(self):
+        sys = beam_example(1.0, 1.0, 128)
+        primary = assert_matches_scalar(sys, primary_seeds(sys))
+        failed = [k for k, o in enumerate(primary, start=1)
+                  if isinstance(o, Exception) or band_exit(sys, k, o[0])]
+        assert failed and failed[0] == 65
+        assert all("damping failed" in str(primary[k - 1]) for k in failed)
+        fallback = assert_matches_scalar(sys, [fallback_seed(sys, k) for k in failed])
+        assert any(band_exit(sys, k, o[0]) for k, o in zip(failed, fallback))
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_perturbed_family_seeds(self, seed):
+        fallbacks = 0
+        for sys in perturbed_beam_family(seed, 4):
+            primary = assert_matches_scalar(sys, primary_seeds(sys))
+            failed = [k for k, o in enumerate(primary, start=1)
+                      if isinstance(o, Exception) or band_exit(sys, k, o[0])]
+            assert_matches_scalar(sys, [fallback_seed(sys, k) for k in failed])
+            fallbacks += len(failed)
+        assert fallbacks > 0
+
+    def test_weak_gain_every_root_fails(self):
+        sys = beam_example(1.0, 1.0, 5, gamma=1e-6)
+        seeds = primary_seeds(sys) + [fallback_seed(sys, k) for k in range(1, 6)]
+        outcomes = assert_matches_scalar(sys, seeds)
+        assert all(isinstance(o, NewtonError) and "damping failed" in str(o) for o in outcomes)
+
+    @pytest.mark.parametrize("max_iters", [NEWTON_MAX_ITERS, 1])
+    def test_pole_seeds_and_iteration_cap(self, single_mode, max_iters):
+        seeds = [1j, lambda_star(CharContext(single_mode, 1)), 0.0, 50.0 + 40.0j, -1j]
+        outcomes = assert_matches_scalar(single_mode, seeds, max_iters=max_iters)
+        assert [type(outcomes[i]) for i in (0, 2, 4)] == [PoleError] * 3
+        assert isinstance(outcomes[3], tuple if max_iters > 1 else NewtonError)
+
+    def test_empty_batch(self, single_mode):
+        roots, resids, iters, errors = newton_roots(single_mode, [])
+        assert roots.size == resids.size == iters.size == len(errors) == 0
 
 
 class TestWindingNumber:
@@ -200,14 +331,19 @@ class TestFullSpectrum:
         assert any("mode band" in msg for rep in reps for msg in rep.failures)
 
     def test_one_newton_solve_and_winding_count_per_mode(self, beam23, monkeypatch):
+        # one batched Newton for all modes, one more for the fallback seeds;
+        # one winding count per found mode
         calls = collections.Counter()
-        for name in ("newton_root", "winding_number"):
+        for name in ("newton_roots", "winding_number"):
             def counted(*args, _fn=getattr(spectrum, name), _name=name, **kwargs):
                 calls[_name] += 1
                 return _fn(*args, **kwargs)
             monkeypatch.setattr(spectrum, name, counted)
         full_spectrum(beam23)
-        assert calls == {"newton_root": 23, "winding_number": 23}
+        assert calls == {"newton_roots": 1, "winding_number": 23}
+        calls.clear()
+        rep = full_spectrum(beam_example(1.0, 1.0, 128))
+        assert calls == {"newton_roots": 2, "winding_number": len(rep.upper())}
 
     def test_overdamped_pair_is_flagged(self):
         # at gamma = 2 the first mode pair collides on the real axis; the
