@@ -61,7 +61,6 @@ class Tolerances:
     beta: float = 1.0
     k0: int = 2
     theta_frac: float = 0.5
-    newton_tol: float = 1e-12
     scan_k_min: Optional[int] = None
     scan_k_max: Optional[int] = None
     pts_per_segment: int = 33
@@ -92,7 +91,6 @@ class Tolerances:
             (tol.beta > 0.0, "beta must be positive"),
             (tol.k0 >= 1, "k0 must be at least 1"),
             (0.0 < tol.theta_frac < 1.0, "theta_frac must lie in (0, 1)"),
-            (tol.newton_tol > 0.0, "newton_tol must be positive"),
             (tol.pts_per_segment >= 3, "pts_per_segment must be at least 3"),
             (0.0 < tol.envelope_t_lo < tol.envelope_t_hi,
              "envelope_t_lo and envelope_t_hi must satisfy 0 < t_lo < t_hi"),
@@ -203,10 +201,7 @@ class Pipeline:
 
     @cached_property
     def spectrum(self) -> spectrum_mod.SpectrumReport:
-        return spectrum_mod.full_spectrum(
-            self.config.system, theta_frac=self.config.tolerances.theta_frac,
-            newton_tol=self.config.tolerances.newton_tol,
-        )
+        return spectrum_mod.full_spectrum(self.config.system)
 
     @cached_property
     def basis(self) -> modal.ModalBasis:
@@ -265,12 +260,7 @@ class Pipeline:
             "max_re": float(np.max(lams.real)) if lams.size else None,
             "min_abs_re": float(np.min(np.abs(lams.real))) if lams.size else None,
         }
-        code = EXIT_OK
-        if not rep.complete:
-            code = EXIT_CHECK_FAILED
-        elif self.config.strict and not all(e.certified for e in rep.eigs):
-            code = EXIT_CHECK_FAILED
-        return code, doc
+        return (EXIT_OK if rep.complete else EXIT_CHECK_FAILED), doc
 
     def _task_scan(self) -> tuple[int, dict]:
         n = self.config.system.N
@@ -450,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None,
                        help="override the generator truncation order")
         p.add_argument("--strict", action="store_true",
-                       help="exit nonzero when any mode is uncertified")
+                       help="localize: exit 1 when any mode fails to localize")
     return parser
 
 

@@ -4,7 +4,7 @@ All writers are atomic (temp file + rename) and deterministic: no
 timestamps, keys sorted, floats rendered with repr.  CSV layouts:
 
 * localization: k, re_lambda_star, im_lambda_star, M, b, c, Rk + flags
-* spectrum: k, half, re_lambda, im_lambda, residual, certified, winding
+* spectrum: k, half, re_lambda, im_lambda, residual, certified
 * spectrum plot data: re, im (one row per eigenvalue)
 * axis scan: s, norm_bound
 * trajectory: t, norm, |mode 1|, ..., |mode N| magnitudes
@@ -90,12 +90,11 @@ def write_localization_csv(certs, path: str) -> None:
 
 def write_spectrum_csv(report: SpectrumReport, path: str) -> None:
     rows = [
-        [e.k, e.half, e.lam.real, e.lam.imag, e.residual, int(e.certified),
-         "" if e.winding is None else e.winding]
+        [e.k, e.half, e.lam.real, e.lam.imag, e.residual, int(e.certified)]
         for e in report.eigs
     ]
     _write_csv(path, ["k", "half", "re_lambda", "im_lambda", "residual",
-                      "certified", "winding"], rows)
+                      "certified"], rows)
 
 
 def write_spectrum_plot_csv(report: SpectrumReport, path: str) -> None:

@@ -8,14 +8,12 @@ solved for.  The upper roots of all modes are found together, by one
 array-valued damped Newton iteration seeded at the first-order predictions
 (and one more from backup seeds for the modes that need them); each root
 gets the same arithmetic as a scalar iteration from its seed.  Each root is
-then verified two ways:
-
-* an argument-principle winding count over the enclosure disk boundary
-  (an integer, so the check is self-validating);
-* the residual |f(root)| against an explicit tolerance.
-
-A dense eigenvalue solve of the real block matrix provides an independent
-cross-validation oracle at test scale.
+then certified by one closed-form a-posteriori Rouche disk centred at it
+(:func:`_certified_radii`).  The report is ``complete`` when every mode is
+found and every root certified; f has exactly 2N zeros, so 2N disjoint
+one-zero disks prove the spectrum complete and simple (up to rounding in
+the computed ``|f|``, ``|f'|`` and remainder bound).  The contour count
+:func:`winding_number` and a dense eigenvalue solve are independent oracles.
 """
 
 from __future__ import annotations
@@ -26,16 +24,7 @@ from typing import Optional
 import numpy as np
 import scipy.optimize
 
-from .charfn import (
-    CharContext,
-    LocalizationCertificate,
-    LocalizationError,
-    PoleError,
-    eval_f,
-    eval_f_prime,
-    lambda_star,
-    localize,
-)
+from .charfn import CharContext, PoleError, eval_f, eval_f_prime, lambda_star
 from .model import SystemSpec
 
 NEWTON_TOL = 1e-12
@@ -46,8 +35,9 @@ WINDING_SAMPLES_INIT = 128
 WINDING_SAMPLES_CAP = 8192
 WINDING_INT_TOL = 1e-6
 CONTOUR_MIN_ABS_F = 1e-9
-RESIDUAL_CERT_FACTOR = 1e-10
-DISTINCTNESS_TOL = 1e-9
+# certificate radii, as fractions of min(distance to the nearest pole, -Re z);
+# below 1e-12 the test would read rounding noise in |f(z)| as proof
+CERT_RADII = np.geomspace(1e-12, 0.99, 60)
 DENSE_ORACLE_MAX_N = 64
 
 
@@ -217,10 +207,10 @@ class EigenCertificate:
 
     ``half`` is "upper" for the root near +i omega_k and "lower" for its
     conjugate partner, whose certificate is the upper one with ``lam`` and
-    ``disk_center`` conjugated.  ``certified`` requires a successful disk
-    enclosure (winding number one, root inside, small residual, strictly
-    stable).
-    ``fallback`` marks roots found from the uncertified backup seeding.
+    ``disk_center``/``disk_radius`` is the root's Rouche disk (radius NaN
+    when none exists).  ``certified`` means the disk exists, lies in the open
+    left half-plane and meets no other root's disk.  ``fallback`` marks
+    roots found from the backup seed.
     """
 
     k: int
@@ -229,7 +219,6 @@ class EigenCertificate:
     residual: float
     disk_center: complex
     disk_radius: float
-    winding: Optional[int]
     certified: bool
     newton_iters: int
     fallback: bool = False
@@ -242,7 +231,6 @@ class EigenCertificate:
             "residual": self.residual,
             "disk_center": [self.disk_center.real, self.disk_center.imag],
             "disk_radius": self.disk_radius,
-            "winding": self.winding,
             "certified": self.certified,
             "newton_iters": self.newton_iters,
             "fallback": self.fallback,
@@ -281,37 +269,71 @@ class SpectrumReport:
         }
 
 
-def full_spectrum(sys: SystemSpec, theta_frac: float = 0.5,
-                  newton_tol: float = NEWTON_TOL) -> SpectrumReport:
+def _certified_radii(sys: SystemSpec, roots: np.ndarray, resids: np.ndarray) -> np.ndarray:
+    """Largest radius on the :data:`CERT_RADII` grid of a one-zero disk about each root.
+
+    Every term of f is a simple pole, so on ``|lam - z| = r < d_a = |z - a|``
+    the Taylor remainder ``(lam - z)^2 sum_a res_a/((z - a)^2 (lam - a))`` is
+    at most ``r^2 K(r)``, ``K(r) = sum_a |res_a| / (d_a^2 (d_a - r))``; Rouche
+    puts one zero in the disk when ``|f'(z)| r - |f(z)| > r^2 K(r)``, with
+    ``|f(z)|`` = ``resids``.  Radii stay below ``-Re z``; NaN where none passes.
+    """
+    c2_over_w = sys.cs**2 / sys.omegas
+    res = np.concatenate([[2.0 / sys.gamma], c2_over_w, c2_over_w])
+    d = np.abs(roots[:, None] - _poles(sys))
+    reach = np.minimum(np.min(d, axis=1), -roots.real)
+    slope = np.abs(eval_f_prime(sys, roots))
+    radii = np.full(roots.size, np.nan)
+    todo = np.flatnonzero(reach > 0.0)
+    for frac in CERT_RADII[::-1]:
+        r, dt = frac * reach[todo], d[todo]
+        K = np.sum(res / (dt * dt * (dt - r[:, None])), axis=1)
+        ok = slope[todo] * r - resids[todo] > r * r * K
+        radii[todo[ok]] = r[ok]
+        todo = todo[~ok]
+        if not todo.size:
+            break
+    return radii
+
+
+def _meets_another(c: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Whether each closed disk meets another (never if its radius is NaN), by a sweep."""
+    order = np.argsort(c.imag - r)
+    c, r = c[order], r[order]
+    hit = np.zeros(c.size, dtype=bool)
+    for off in range(1, c.size):
+        near = c.imag[off:] - r[off:] <= c.imag[:-off] + r[:-off]
+        if not near.any():  # lowest points ascend, so no larger offset has one either
+            break
+        meet = near & (np.abs(c[off:] - c[:-off]) <= r[off:] + r[:-off])
+        hit[off:] |= meet
+        hit[:-off] |= meet
+    return hit[np.argsort(order)]
+
+
+def full_spectrum(sys: SystemSpec) -> SpectrumReport:
     """Locate and certify all 2N roots of the characteristic function.
 
-    Each mode is localized, and the upper roots of all modes are refined
-    together by :func:`newton_roots` from the first-order seeds; the modes
-    whose root fails or leaves its band are solved again, together, from a
-    left-shifted backup seed.  The lower root is the exact conjugate of the
-    upper one, certificate included, because ``f(conj lam) = -conj f(lam)``
-    holds bitwise.  Failures are collected instead of raised; the report is
-    flagged incomplete when any mode is missing.
+    The upper roots of all modes are refined together by
+    :func:`newton_roots` from the first-order seeds; the modes whose root
+    fails or leaves its band are solved again, together, from a left-shifted
+    backup seed.  Each found root is certified by its Rouche disk, which must
+    miss every other root's disk, its conjugate's included.  The lower root
+    is the exact conjugate of the upper one, certificate included, because
+    ``f(conj lam) = -conj f(lam)`` holds bitwise.  Failures are collected
+    instead of raised: one per missing mode and one per uncertified root.
     """
     wk = sys.omegas
     band = 0.5 * (sys.min_gap() if sys.N > 1 else float(wk[0]))
-    locs: list[Optional[LocalizationCertificate]] = []
-    seeds = []
-    for k in range(1, sys.N + 1):
-        ctx = CharContext(sys, k)
-        try:
-            locs.append(localize(ctx, theta_frac=theta_frac))
-        except LocalizationError:
-            locs.append(None)
-        seeds.append(lambda_star(ctx))
+    seeds = [lambda_star(CharContext(sys, k)) for k in range(1, sys.N + 1)]
 
-    roots, resids, iters, errors = newton_roots(sys, seeds, tol=newton_tol)
+    roots, resids, iters, errors = newton_roots(sys, seeds)
     fallback = np.array([err is not None for err in errors]) | (np.abs(roots.imag - wk) > band)
     failures: dict[int, str] = {}
     fb = np.flatnonzero(fallback)
     if fb.size:
         fb_seeds = [-0.5 * enclosure_radius(sys, 1j * w) + 1j * w for w in wk[fb].tolist()]
-        roots[fb], resids[fb], iters[fb], fb_errors = newton_roots(sys, fb_seeds, tol=newton_tol)
+        roots[fb], resids[fb], iters[fb], fb_errors = newton_roots(sys, fb_seeds)
         left = np.abs(roots[fb].imag - wk[fb]) > band
         for i, err, out, root in zip(fb.tolist(), fb_errors, left, roots[fb].tolist()):
             if err is not None:
@@ -324,31 +346,25 @@ def full_spectrum(sys: SystemSpec, theta_frac: float = 0.5,
         failures.setdefault(i, f"mode {i + 1}: root {complex(roots[i])} assigned to another mode")
 
     found = np.array([i for i in range(sys.N) if i not in failures], dtype=int)
-    own_disk = np.array([locs[i] is None or fallback[i] for i in found], dtype=bool)
-    own_radius = 0.5 * np.min(np.abs(roots[found][:, None] - _poles(sys)), axis=1)
-    fp = eval_f_prime(sys, roots[found])
-    residual_ok = resids[found] <= RESIDUAL_CERT_FACTOR * (1.0 + np.hypot(fp.real, fp.imag))
+    cert_r = _certified_radii(sys, roots[found], resids[found])
+    both = np.concatenate([roots[found], roots[found].conjugate()])
+    meets = _meets_another(both, np.tile(cert_r, 2)).reshape(2, -1).any(axis=0)
     eigs: list[EigenCertificate] = []
+    uncertified = []
     for j, i in enumerate(found.tolist()):
-        root, loc = complex(roots[i]), locs[i]
-        if own_disk[j]:
-            center, radius, rouche_ok = root, float(own_radius[j]), False
-        else:
-            center, radius, rouche_ok = loc.lambda_star, loc.Rk, loc.rouche_ok
-        try:
-            wind = winding_number(sys, (center, radius))
-        except (WindingError, PoleError):
-            wind = None
-        inside = abs(root - center) < radius
-        stable = root.real < 0.0
-        certified = bool(rouche_ok and wind == 1 and inside and residual_ok[j] and stable)
-        cert = EigenCertificate(
-            k=i + 1, half="upper", lam=root, residual=float(resids[i]),
-            disk_center=center, disk_radius=radius, winding=wind,
-            certified=certified, newton_iters=int(iters[i]), fallback=bool(fallback[i]),
-        )
-        eigs += [cert, replace(cert, half="lower", lam=root.conjugate(),
-                               disk_center=center.conjugate())]
+        root, radius = complex(roots[i]), float(cert_r[j])
+        why = None
+        if np.isnan(radius):
+            why = "no radius 0 < r < min(|root - pole|, -Re root) has |f'| r - |f| > r^2 K(r)"
+        elif meets[j]:
+            why = f"disk of radius {radius:.3e} meets another root's disk"
+        cert = EigenCertificate(k=i + 1, half="upper", lam=root, residual=float(resids[i]),
+                                disk_center=root, disk_radius=radius, certified=why is None,
+                                newton_iters=int(iters[i]), fallback=bool(fallback[i]))
+        lower = replace(cert, half="lower", lam=root.conjugate(), disk_center=root.conjugate())
+        eigs += [cert, lower]
+        uncertified += [f"mode {e.k} ({e.half}): root {e.lam} not certified: {why}"
+                        for e in (cert, lower) if why is not None]
 
     vals = np.asarray([e.lam for e in eigs], dtype=complex)
     iw = 1j * wk
@@ -357,14 +373,7 @@ def full_spectrum(sys: SystemSpec, theta_frac: float = 0.5,
     radii = 0.5 * sys.gamma * np.hypot(vals.real, vals.imag) * sys.coupling_sum()
     enc = float(np.max(nearest_pole - radii, initial=0.0))
 
-    fail_msgs = [failures[i] for i in sorted(failures)]
-    if len(vals) > 1:
-        dists = np.abs(vals[:, None] - vals[None, :])
-        np.fill_diagonal(dists, np.inf)
-        min_dist = float(np.min(dists))
-        if min_dist <= DISTINCTNESS_TOL:
-            fail_msgs.append(f"eigenvalues not distinct (min pairwise distance {min_dist:.3e})")
-
+    fail_msgs = [failures[i] for i in sorted(failures)] + uncertified
     complete = len(eigs) == 2 * sys.N and not fail_msgs
     return SpectrumReport(eigs=tuple(eigs), enclosure_defect=enc,
                           complete=complete, failures=tuple(fail_msgs))

@@ -33,6 +33,7 @@ from obsdecay.spectrum import (
     dense_oracle_spectrum,
     full_spectrum,
     matching_distance,
+    winding_number,
 )
 from obsdecay.state import RealState, StateVector
 from obsdecay import cli
@@ -84,10 +85,11 @@ def test_criterion_3_rouche_certification():
         if not (cert.omega_gt_1 and cert.cond_Mneq2):
             continue
         checked += 1
-        for half in ("upper", "lower"):
+        for half, center in (("upper", cert.lambda_star), ("lower", cert.lambda_star.conjugate())):
             eig = by_key[(cert.k, half)]
-            assert eig.winding == 1, f"mode {cert.k} ({half}): winding {eig.winding}"
-            assert abs(eig.lam - eig.disk_center) < eig.disk_radius, \
+            winding = winding_number(sys, (center, cert.Rk))
+            assert winding == 1, f"mode {cert.k} ({half}): winding {winding}"
+            assert abs(eig.lam - center) < cert.Rk, \
                 f"mode {cert.k} ({half}): root outside its disk"
         margins.append(rouche_margin(CharContext(sys, cert.k), cert))
     ok = checked > 0 and all(m > 0.0 for m in margins)

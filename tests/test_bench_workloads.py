@@ -50,3 +50,16 @@ def test_sweep_unit_gates_pass(workloads):
         assert fail == []
         built += basis is not None
     assert built > 0  # the basis gates ran at least once
+
+
+def test_exact_zero_residual_roots_are_certified(workloads):
+    # four roots of the sweep have f(z) == 0.0 exactly; a radius taken from
+    # |f|/|f'| alone would be 0 there
+    from obsdecay import SystemSpec, full_spectrum
+
+    exact = []
+    for case in workloads.random_family(1):
+        rep = full_spectrum(SystemSpec.from_json_dict(case.doc))
+        exact += [e for e in rep.eigs if e.residual == 0.0]
+    assert len(exact) == 8  # four conjugate pairs
+    assert all(e.certified and e.disk_radius > 0.0 for e in exact)

@@ -99,14 +99,20 @@ class TestSpectrumVerb:
         assert all(abs(a - b) < 1e-10 for a, b in zip(got, expected))
 
     def test_strict_flags_uncertified_modes(self, tmp_path):
+        # an uncertified root makes the spectrum incomplete, so the verb
+        # fails with or without --strict
         cfg = write_config(tmp_path / "hot.json", {
             "gamma": 100.0,
             "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 23},
         })
         out = tmp_path / "out"
-        assert main(["spectrum", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        assert main(["spectrum", "--config", cfg, "--out", str(out),
-                     "--strict"]) == EXIT_CHECK_FAILED
+        for flags in ([], ["--strict"]):
+            assert main(["spectrum", "--config", cfg, "--out", str(out),
+                         *flags]) == EXIT_CHECK_FAILED
+        doc = json.loads((out / "spectrum.json").read_text())
+        assert not doc["complete"]
+        assert [e["certified"] for e in doc["eigs"][:2]] == [False, False]
+        assert all("meets another root's disk" in msg for msg in doc["failures"])
 
     def test_n_override(self, beam23_config, tmp_path):
         out = tmp_path / "out"
@@ -130,6 +136,14 @@ class TestOtherVerbs:
         assert len(doc["certificates"]) == 21
         rows = read_rows(out / "localization.csv")
         assert len(rows) == 22
+
+    def test_strict_localize_fails_on_unlocalized_modes(self, beam23_config, tmp_path):
+        # modes 1 and 2 of beam23 have no a-priori disk
+        out = tmp_path / "out"
+        assert main(["localize", "--config", beam23_config, "--out", str(out),
+                     "--strict"]) == EXIT_CHECK_FAILED
+        doc = json.loads((out / "localization.json").read_text())
+        assert doc["failed_modes"] == [1, 2]
 
     def test_localize_runs_no_root_finding(self, beam23_config, tmp_path, monkeypatch):
         def forbidden(*args, **kwargs):
@@ -246,7 +260,7 @@ class TestReportVerb:
         assert main(["report", "--config", cfg]) == EXIT_CONFIG
 
     @pytest.mark.parametrize("extra", [
-        {"tolerances": {"newton_tol": "1e-12"}},
+        {"tolerances": {"beta": "1.0"}},
         {"tolerances": {"envelope_points": 2.5}},
         {"tolerances": {"dump_q": 1}},
         {"tolerances": {"k0": True}},
@@ -275,7 +289,7 @@ class TestReportVerb:
         {"beta": -1.0},
         {"envelope_t_lo": 0.0},
         {"envelope_t_lo": 300.0},
-        {"newton_tol": 0.0},
+        {"envelope_t_hi": 0.5},
         {"sim_t_final": 0.01},
     ], ids=lambda doc: "-".join(f"{k}={v}" for k, v in doc.items()))
     def test_out_of_range_value_is_config_error(self, tolerances, tmp_path, capsys):
@@ -298,12 +312,22 @@ class TestReportVerb:
         assert main(["report", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "unknown tolerance keys" in capsys.readouterr().err
 
+    def test_removed_newton_tol_is_unknown(self, tmp_path, capsys):
+        cfg = write_config(tmp_path / "newton.json", {
+            "gamma": 1.0,
+            "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 4},
+            "tolerances": {"newton_tol": 1e-12},
+        })
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "unknown tolerance keys" in capsys.readouterr().err
+
 
 class TestTolerances:
     def test_defaults_echoed(self):
         tol = Tolerances()
         doc = tol.to_json_dict()
-        assert doc["newton_tol"] == 1e-12
+        assert doc["theta_frac"] == 0.5
+        assert "newton_tol" not in doc
         assert doc["axis_slope_tol"] == 0.15
         assert doc["envelope_exponent_tol"] == 0.2
 

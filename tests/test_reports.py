@@ -62,7 +62,7 @@ class TestCsvWriters:
         write_spectrum_csv(beam4_spectrum, str(path))
         rows = read_rows(path)
         assert rows[0] == ["k", "half", "re_lambda", "im_lambda", "residual",
-                           "certified", "winding"]
+                           "certified"]
         assert len(rows) == 9
         assert rows[1][1] == "upper" and rows[2][1] == "lower"
 

@@ -3,8 +3,8 @@ import collections
 import numpy as np
 import pytest
 
-from conftest import SINGLE_MODE_ROOTS, localizations, perturbed_beam_family
-from obsdecay import spectrum
+from conftest import SINGLE_MODE_ROOTS, perturbed_beam_family
+from obsdecay import charfn, spectrum
 from obsdecay.charfn import (
     CharContext,
     PoleError,
@@ -15,13 +15,12 @@ from obsdecay.charfn import (
 )
 from obsdecay.model import beam_example
 from obsdecay.spectrum import (
+    CERT_RADII,
     NEWTON_MAX_HALVINGS,
     NEWTON_MAX_ITERS,
     NEWTON_TOL,
     POLE_GUARD,
-    RESIDUAL_CERT_FACTOR,
     NewtonError,
-    WindingError,
     dense_oracle_spectrum,
     enclosure_radius,
     full_spectrum,
@@ -111,14 +110,33 @@ def band_exit(sys, k, root):
     return abs(root.imag - float(sys.omegas[k - 1])) > band
 
 
-def solve_lower_root(sys, k, loc):
-    """The lower root of mode k solved on its own, with its certificate fields.
+def reference_radius(sys, z, fz):
+    """Reference copy of the a-posteriori Rouche test at one root ``z`` with |f(z)| = fz.
+
+    The largest radius ``r`` on the grid, as a fraction of
+    ``min(distance to the nearest pole, -Re z)``, with
+    ``|f'(z)| r - fz > r^2 sum_a |res_a| / (d_a^2 (d_a - r))``; NaN if none.
+    """
+    poles = np.concatenate([[0.0], 1j * sys.omegas, -1j * sys.omegas])
+    weights = sys.cs**2 / sys.omegas
+    res = np.concatenate([[2.0 / sys.gamma], weights, weights])
+    d = np.abs(z - poles)
+    reach = min(float(np.min(d)), -z.real)
+    slope = abs(eval_f_prime(sys, z))
+    for frac in CERT_RADII[::-1] if reach > 0.0 else ():
+        r = frac * reach
+        if slope * r - fz > r * r * np.sum(res / (d * d * (d - r))):
+            return r
+    return float("nan")
+
+
+def solve_lower_root(sys, k):
+    """The lower root of mode k solved on its own, with its certificate disk.
 
     Newton from the conjugated first-order seed (or from the conjugated
-    left-shifted backup seed), then a winding count over the conjugated
-    disk.  Returns ``(lam, residual, newton_iters, winding, certified,
-    fallback, disk_center, disk_radius)``, or None when no root of mode k is
-    found.
+    left-shifted backup seed), then the Rouche test at that root.  Returns
+    ``(lam, residual, newton_iters, fallback, disk_center, disk_radius)``,
+    or None when no root of mode k is found.
     """
     wk = float(sys.omegas[k - 1])
     band = 0.5 * (sys.min_gap() if sys.N > 1 else wk)
@@ -137,19 +155,23 @@ def solve_lower_root(sys, k, loc):
             return None
     if np.argmin(np.abs(sys.omegas - abs(lam.imag))) + 1 != k:
         return None
-    if loc is not None and not fallback:
-        center, radius, rouche_ok = loc.lambda_star.conjugate(), loc.Rk, loc.rouche_ok
-    else:
-        poles = np.concatenate([[0.0], 1j * sys.omegas, -1j * sys.omegas])
-        center, radius, rouche_ok = lam, 0.5 * float(np.min(np.abs(lam - poles))), False
-    try:
-        wind = winding_number(sys, (center, radius))
-    except (WindingError, PoleError):
-        wind = None
-    certified = bool(rouche_ok and wind == 1 and abs(lam - center) < radius
-                     and resid <= RESIDUAL_CERT_FACTOR * (1.0 + abs(eval_f_prime(sys, lam)))
-                     and lam.real < 0.0)
-    return lam, resid, iters, wind, certified, fallback, center, radius
+    return lam, resid, iters, fallback, lam, reference_radius(sys, lam, resid)
+
+
+def same_float(a, b):
+    return a == b or (np.isnan(a) and np.isnan(b))
+
+
+def disks_meet(c, r):
+    """Whether each closed disk meets another one (brute force)."""
+    meet = np.abs(c[:, None] - c[None, :]) <= r[:, None] + r[None, :]
+    np.fill_diagonal(meet, False)
+    return meet.any(axis=1)
+
+
+def certificate_disks_meet(eigs):
+    return disks_meet(np.array([e.disk_center for e in eigs]),
+                      np.array([e.disk_radius for e in eigs]))
 
 
 class TestNewtonRoot:
@@ -274,20 +296,20 @@ class TestFullSpectrum:
         assert keys == expected
 
     def test_distinctness(self, beam23_spectrum):
-        vals = beam23_spectrum.eigenvalues()
-        dists = np.abs(vals[:, None] - vals[None, :])
-        np.fill_diagonal(dists, np.inf)
-        assert dists.min() > 1e-9
+        # 46 pairwise disjoint disks, one eigenvalue in each, prove the
+        # eigenvalues distinct
+        assert not certificate_disks_meet(beam23_spectrum.eigs).any()
+        assert len(set(beam23_spectrum.eigenvalues().tolist())) == 46
 
     def test_residuals_certified_scale(self, beam23_spectrum):
         for e in beam23_spectrum.eigs:
             assert e.residual <= 1e-10  # raw residual bound, system-wide
 
     def test_high_modes_fully_certified(self, beam23_spectrum):
+        # modes 1-2 have no a-priori disk, but their roots are certified too
         for e in beam23_spectrum.eigs:
-            if e.k >= 3:
-                assert e.certified, f"mode {e.k} ({e.half}) lost certification"
-            assert e.winding == 1
+            assert e.certified, f"mode {e.k} ({e.half}) is not certified"
+            assert e.disk_center == e.lam and 0.0 < e.disk_radius < -e.lam.real
 
     def test_asymptotic_approach_to_mode_frequencies(self, beam23, beam23_spectrum):
         for e in beam23_spectrum.upper():
@@ -309,48 +331,109 @@ class TestFullSpectrum:
     ])
     def test_lower_half_matches_direct_solve(self, systems):
         # every lower certificate is the conjugated upper one; solving the
-        # lower root on its own must give the same fields exactly
+        # lower root on its own and running the reference test there must
+        # give the same fields exactly.  A root is certified exactly when it
+        # has a disk and that disk meets no other one.
         for sys in systems:
             rep = full_spectrum(sys)
             lower = {e.k: e for e in rep.lower()}
-            locs = localizations(sys)
             for k in range(1, sys.N + 1):
-                direct = solve_lower_root(sys, k, locs.get(k))
+                direct = solve_lower_root(sys, k)
                 if direct is None:
                     assert k not in lower, (sys.N, k)
                     continue
                 e = lower[k]
-                assert (e.lam, e.residual, e.newton_iters, e.winding, e.certified,
-                        e.fallback, e.disk_center, e.disk_radius) == direct, (sys.N, k)
+                assert (e.lam, e.residual, e.newton_iters, e.fallback,
+                        e.disk_center) == direct[:5], (sys.N, k)
+                assert same_float(e.disk_radius, direct[5]), (sys.N, k)
             assert [e.k for e in rep.upper()] == list(lower)
+            for e, meets in zip(rep.eigs, certificate_disks_meet(rep.eigs)):
+                assert same_float(e.disk_radius, reference_radius(sys, e.lam, e.residual))
+                assert e.certified == (not np.isnan(e.disk_radius) and not meets), (sys.N, e)
 
     def test_perturbed_oracle_systems_cover_fallback_and_failures(self):
         reps = [full_spectrum(s) for s in perturbed_beam_family(1, 4) + perturbed_beam_family(2, 4)]
         assert any(e.fallback for rep in reps for e in rep.eigs)
-        assert any("distinct" in msg for rep in reps for msg in rep.failures)
+        assert any("meets another root's disk" in msg for rep in reps for msg in rep.failures)
         assert any("mode band" in msg for rep in reps for msg in rep.failures)
 
-    def test_one_newton_solve_and_winding_count_per_mode(self, beam23, monkeypatch):
+    def test_one_newton_solve_and_no_localize_or_winding_count(self, beam23, monkeypatch):
         # one batched Newton for all modes, one more for the fallback seeds;
-        # one winding count per found mode
+        # the a-priori disks and the contour integral are not consulted
         calls = collections.Counter()
-        for name in ("newton_roots", "winding_number"):
-            def counted(*args, _fn=getattr(spectrum, name), _name=name, **kwargs):
-                calls[_name] += 1
-                return _fn(*args, **kwargs)
-            monkeypatch.setattr(spectrum, name, counted)
+
+        def counted(*args, **kwargs):
+            calls["newton_roots"] += 1
+            return newton_roots(*args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("full_spectrum must not localize or count windings")
+
+        monkeypatch.setattr(spectrum, "newton_roots", counted)
+        monkeypatch.setattr(charfn, "localize", forbidden)
+        monkeypatch.setattr(spectrum, "winding_number", forbidden)
         full_spectrum(beam23)
-        assert calls == {"newton_roots": 1, "winding_number": 23}
+        assert calls == {"newton_roots": 1}
         calls.clear()
-        rep = full_spectrum(beam_example(1.0, 1.0, 128))
-        assert calls == {"newton_roots": 2, "winding_number": len(rep.upper())}
+        full_spectrum(beam_example(1.0, 1.0, 128))
+        assert calls == {"newton_roots": 2}
 
     def test_overdamped_pair_is_flagged(self):
         # at gamma = 2 the first mode pair collides on the real axis; the
         # report must flag the duplication instead of silently passing
         rep = full_spectrum(beam_example(1.0, 1.0, 23, gamma=2.0))
         assert not rep.complete
-        assert any("distinct" in msg for msg in rep.failures)
+        meets = [msg for msg in rep.failures if "meets another root's disk" in msg]
+        assert [msg.split(":")[0] for msg in meets] == ["mode 1 (upper)", "mode 1 (lower)"]
+
+    def test_rounding_split_real_root_is_not_certified(self):
+        # at gamma = 100 mode 1 is overdamped: two real roots, -155.522 and
+        # -0.00983.  Newton finds the first, split off the axis by rounding
+        # into -155.522 +/- 1.06e-7i, and misses the second.  The two disks
+        # of that one real root overlap, so the report is incomplete.
+        sys = beam_example(1.0, 1.0, 23, gamma=100.0)
+        rep = full_spectrum(sys)
+        assert not rep.complete
+        first = [e for e in rep.eigs if e.k == 1]
+        assert [e.certified for e in first] == [False, False]
+        assert abs(first[0].lam.imag) < 1e-6 < first[0].disk_radius
+        assert len(rep.failures) == 2
+        assert all("mode 1 (" in msg and "meets another root's disk" in msg
+                   for msg in rep.failures)
+        assert all(e.certified for e in rep.eigs if e.k > 1)
+        assert matching_distance(rep.eigenvalues(), dense_oracle_spectrum(sys)) > 100.0
+
+
+class TestCertificateOracles:
+    """Independent checks of the a-posteriori disks."""
+
+    def test_disk_sweep_matches_brute_force(self):
+        # crowded random disks, so that disks far apart in the sweep order
+        # meet; NaN radii mark roots without a disk
+        rng = np.random.default_rng(0)
+        for _ in range(20):
+            c = rng.normal(size=40) + 1j * rng.normal(size=40)
+            r = rng.uniform(0.0, 0.3, 40)
+            r[rng.integers(0, 40, 5)] = np.nan
+            np.testing.assert_array_equal(spectrum._meets_another(c, r), disks_meet(c, r))
+
+    @pytest.mark.parametrize("systems", [
+        pytest.param([beam_example(1.0, 1.0, 23)], id="beam23"),
+        pytest.param([beam_example(1.0, 1.0, 128)], id="beam128"),
+        pytest.param([s for seed in (1, 2, 3) for s in perturbed_beam_family(seed, 4)],
+                     id="perturbed"),
+    ])
+    def test_each_certified_disk_holds_one_zero(self, systems):
+        for sys in systems:
+            dense = dense_oracle_spectrum(sys) if sys.N <= 64 else None
+            certified = [e for e in full_spectrum(sys).eigs if e.certified]
+            assert certified
+            for e in certified:
+                disk = (e.disk_center, e.disk_radius)
+                assert winding_number(sys, disk) == 1, (sys.N, e)
+                if dense is not None:
+                    inside = np.abs(dense - e.disk_center) < e.disk_radius
+                    assert np.count_nonzero(inside) == 1, (sys.N, e)
 
 
 class TestDenseOracle:
