@@ -144,16 +144,20 @@ def _check_poles(sys: SystemSpec, lam: np.ndarray, exclude_center: int | None = 
     """Reject evaluation points that sit exactly on a pole.
 
     ``exclude_center`` names a mode whose upper pole i*omega_k has been
-    cleared and is therefore admissible.
+    cleared and is therefore admissible.  A point is a pole only when its
+    real part is zero, and then ``|Im lam|`` is looked up in the sorted
+    frequencies.
     """
-    if np.any(lam == 0):
+    on_axis = lam.real == 0
+    if np.any(on_axis & (lam.imag == 0)):
         raise PoleError("characteristic function has a pole at 0")
-    iw = 1j * sys.omegas
-    lam_col = lam[..., None]
-    upper_hit = lam_col == iw
+    im = lam.imag[on_axis]
+    mag = np.abs(im)
+    idx = np.searchsorted(sys.omegas, mag).clip(max=sys.N - 1)
+    hit = sys.omegas[idx] == mag
     if exclude_center is not None:
-        upper_hit = upper_hit & (np.arange(sys.N) != exclude_center - 1)
-    if np.any(upper_hit) or np.any(lam_col == -iw):
+        hit &= (idx != exclude_center - 1) | (im < 0)
+    if np.any(hit):
         raise PoleError("characteristic function has a pole at +/- i*omega_j")
 
 

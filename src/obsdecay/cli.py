@@ -167,8 +167,9 @@ class Pipeline:
     """Lazy pipeline state: stages are computed once, on first use.
 
     ``run(task)`` computes a stage, writes its artifacts, and returns
-    (exit code, result document).  Prerequisite stages pulled in along the
-    way do not emit files.
+    (exit code, result document, the text ``write_json`` wrote for that
+    document, or None when it is not written as it is).  Prerequisite stages
+    pulled in along the way do not emit files.
     """
 
     def __init__(self, config: RunConfig):
@@ -209,7 +210,7 @@ class Pipeline:
 
     # ---- task runners -----------------------------------------------------
 
-    def run(self, task: str) -> tuple[int, dict]:
+    def run(self, task: str) -> tuple[int, dict, Optional[str]]:
         runner = {
             "verify": self._task_verify,
             "localize": self._task_localize,
@@ -220,17 +221,17 @@ class Pipeline:
         }[task]
         return runner()
 
-    def _task_verify(self) -> tuple[int, dict]:
+    def _task_verify(self) -> tuple[int, dict, Optional[str]]:
         cert = self.assumptions
         doc = {
             "assumptions": cert.to_json_dict(),
             "coupling_sum": self.config.system.coupling_sum(),
             "coupling_sum_tail_bound": self.config.system.coupling_sum_tail_bound(),
         }
-        reports.write_json(self._out("assumptions.json"), doc)
-        return (EXIT_OK if cert.holds else EXIT_CHECK_FAILED), doc
+        text = reports.write_json(self._out("assumptions.json"), doc)
+        return (EXIT_OK if cert.holds else EXIT_CHECK_FAILED), doc, text
 
-    def _task_localize(self) -> tuple[int, dict]:
+    def _task_localize(self) -> tuple[int, dict, Optional[str]]:
         certs = self.localizations
         ordered = [certs[k] for k in sorted(certs)]
         reports.write_localization_csv(ordered, self._out("localization.csv"))
@@ -239,13 +240,13 @@ class Pipeline:
             "failed_modes": [k for k in range(1, self.config.system.N + 1)
                              if k not in certs],
         }
-        reports.write_json(self._out("localization.json"), doc)
+        text = reports.write_json(self._out("localization.json"), doc)
         code = EXIT_OK
         if self.config.strict and doc["failed_modes"]:
             code = EXIT_CHECK_FAILED
-        return code, doc
+        return code, doc, text
 
-    def _task_spectrum(self) -> tuple[int, dict]:
+    def _task_spectrum(self) -> tuple[int, dict, Optional[str]]:
         rep = self.spectrum
         reports.write_spectrum_csv(rep, self._out("spectrum.csv"))
         reports.write_spectrum_plot_csv(rep, self._out("spectrum_plot.csv"))
@@ -260,9 +261,9 @@ class Pipeline:
             "max_re": float(np.max(lams.real)) if lams.size else None,
             "min_abs_re": float(np.min(np.abs(lams.real))) if lams.size else None,
         }
-        return (EXIT_OK if rep.complete else EXIT_CHECK_FAILED), doc
+        return (EXIT_OK if rep.complete else EXIT_CHECK_FAILED), doc, None
 
-    def _task_scan(self) -> tuple[int, dict]:
+    def _task_scan(self) -> tuple[int, dict, Optional[str]]:
         n = self.config.system.N
         tol = self.config.tolerances
         k_min = max(2, tol.scan_k_min if tol.scan_k_min is not None else 3)
@@ -276,18 +277,18 @@ class Pipeline:
         doc = scan.to_json_dict(alpha_expected=self.alpha)
         doc["segment_bound_checks"] = [c._asdict() for c in checks]
         doc["segment_bounds_ok"] = all(c.ok for c in checks)
-        reports.write_json(self._out("axis_scan.json"), doc)
-        return EXIT_OK, doc
+        text = reports.write_json(self._out("axis_scan.json"), doc)
+        return EXIT_OK, doc, text
 
-    def _task_envelope(self) -> tuple[int, dict]:
+    def _task_envelope(self) -> tuple[int, dict, Optional[str]]:
         tol = self.config.tolerances
         t_grid = np.geomspace(tol.envelope_t_lo, tol.envelope_t_hi, tol.envelope_points)
         fit = dynamics.decay_envelope(self.config.system, self.spectrum, t_grid)
         doc = fit.to_json_dict()
-        reports.write_json(self._out("envelope.json"), doc)
-        return EXIT_OK, doc
+        text = reports.write_json(self._out("envelope.json"), doc)
+        return EXIT_OK, doc, text
 
-    def _task_simulate(self) -> tuple[int, dict]:
+    def _task_simulate(self) -> tuple[int, dict, Optional[str]]:
         tol = self.config.tolerances
         config = self.config
         eps0 = dynamics.domain_initial_state(config.system, config.seed)
@@ -301,8 +302,8 @@ class Pipeline:
         )
         doc = fit.to_json_dict()
         doc["monotone_decay"] = bool(np.all(np.diff(traj.norm) <= 1e-9 * traj.norm[0]))
-        reports.write_json(self._out("trajectory_fit.json"), doc)
-        return EXIT_OK, doc
+        text = reports.write_json(self._out("trajectory_fit.json"), doc)
+        return EXIT_OK, doc, text
 
     # ---- consolidated report ----------------------------------------------
 
@@ -316,18 +317,21 @@ class Pipeline:
             "tolerances": self.config.tolerances.to_json_dict(),
             "tasks": tasks,
         }
+        written: dict = {}  # task documents already encoded into their own files
         worst = EXIT_OK
         key_map = {"verify": "assumptions", "localize": "localization",
                    "spectrum": "spectrum", "resolvent-scan": "axis_scan",
                    "envelope": "envelope", "simulate": "trajectory"}
         for task in (t for t in ALL_TASKS if t in tasks):
             try:
-                code, doc = self.run(task)
+                code, doc, text = self.run(task)
             except (modal.BasisError, dynamics.IntegrationError,
                     dynamics.FitError) as exc:
-                code, doc = EXIT_CHECK_FAILED, {"error": str(exc)}
+                code, doc, text = EXIT_CHECK_FAILED, {"error": str(exc)}, None
             worst = max(worst, code)
             results[key_map[task]] = doc
+            if text is not None:
+                written[key_map[task]] = text
 
         dump_q = self.config.tolerances.dump_q
         if "simulate" in tasks or dump_q or ("spectrum" in tasks and self.spectrum.complete):
@@ -343,7 +347,7 @@ class Pipeline:
         results["pass"] = all(c["pass"] for c in checks.values() if not c.get("skipped"))
         if not results["pass"]:
             worst = max(worst, EXIT_CHECK_FAILED)
-        reports.write_json(self._out("report.json"), results)
+        reports.write_json(self._out("report.json"), {**results, **written})
         self._print_summary(results)
         return worst, results
 

@@ -25,7 +25,6 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
-from scipy.integrate import solve_ivp
 
 from .fitting import loglog_fit
 from .model import SystemSpec
@@ -179,6 +178,17 @@ class ObserverTrajectory:
     error_norm: np.ndarray
     plant_norm: np.ndarray
     observer_norm: np.ndarray
+
+
+def solve_ivp(*args, **kwargs):
+    """``scipy.integrate.solve_ivp``, imported on first call.
+
+    Only the observer co-simulation integrates, so ``import obsdecay`` does
+    not pay for loading ``scipy.integrate``.
+    """
+    from scipy.integrate import solve_ivp as scipy_solve_ivp
+
+    return scipy_solve_ivp(*args, **kwargs)
 
 
 def simulate_observer(setup: ObserverSetup, z0: RealState, ztilde0: RealState,

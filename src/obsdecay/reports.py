@@ -1,7 +1,12 @@
 """File emitters for certificates, spectra, scans and trajectories.
 
 All writers are atomic (temp file + rename) and deterministic: no
-timestamps, keys sorted, floats rendered with repr.  CSV layouts:
+timestamps.  JSON artifacts are strict JSON, encoded in one pass with the
+layout of ``json.dumps(indent=2, sort_keys=True)``: keys are sorted as
+strings, tuples and arrays become lists, numpy scalars their Python values,
+a complex number ``[re, im]``, finite floats their repr and every non-finite
+float ``null``.  ``report.json`` embeds each task document verbatim, with the
+text of that task's own file re-indented.  CSV layouts:
 
 * localization: k, re_lambda_star, im_lambda_star, M, b, c, Rk + flags
 * spectrum: k, half, re_lambda, im_lambda, residual, certified
@@ -14,9 +19,10 @@ from __future__ import annotations
 
 import csv
 import io
-import json
+import math
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 import numpy as np
@@ -25,27 +31,6 @@ from .dynamics import ErrorTrajectory
 from .modal import ModalBasis
 from .resolvent import AxisScan
 from .spectrum import SpectrumReport
-
-
-def jsonable(obj):
-    """Recursively convert numpy scalars/arrays and tuples to JSON-safe types."""
-    if isinstance(obj, dict):
-        return {str(k): jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, float) and (obj != obj or obj in (float("inf"), float("-inf"))):
-        return None  # strict-JSON stand-in for nan/inf
-    return obj
 
 
 def atomic_write(path: str, data: bytes) -> None:
@@ -63,9 +48,76 @@ def atomic_write(path: str, data: bytes) -> None:
         raise
 
 
-def write_json(path: str, doc: dict) -> None:
-    text = json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n"
+class _Encoded(str):
+    """JSON text that :func:`write_json` wrote, trailing newline included.
+
+    As a value inside a later document it is embedded verbatim (re-indented
+    to its depth) instead of being encoded again as a JSON string.
+    """
+
+    __slots__ = ()
+
+
+def _float(x: float) -> str:
+    return float.__repr__(x) if math.isfinite(x) else "null"
+
+
+# exact scalar types, encoded in place without a recursive call
+_SCALARS = {
+    float: _float,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+    str: encode_basestring_ascii,
+    type(None): lambda _: "null",
+}
+
+
+def _encode(obj, nl: str) -> str:
+    """JSON text of ``obj``; ``nl`` is the newline and indent of its closing bracket."""
+    scalar = _SCALARS.get(type(obj))
+    if scalar is not None:
+        return scalar(obj)
+    inner = nl + "  "
+    get = _SCALARS.get
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = sorted({str(k): v for k, v in obj.items()}.items())
+        parts = [encode_basestring_ascii(k) + ": "
+                 + (f(v) if (f := get(type(v))) else _encode(v, inner)) for k, v in items]
+        return "{" + inner + ("," + inner).join(parts) + nl + "}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        parts = [f(v) if (f := get(type(v))) else _encode(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(parts) + nl + "]"
+    if isinstance(obj, _Encoded):
+        # an encoded string holds no raw newline, so every one is layout
+        return obj[:-1].replace("\n", nl)
+    if isinstance(obj, str):
+        return encode_basestring_ascii(obj)
+    if isinstance(obj, (float, np.floating)):
+        return _float(float(obj))
+    if isinstance(obj, (bool, np.bool_)):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return int.__repr__(int(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        return _encode([float(obj.real), float(obj.imag)], nl)
+    if isinstance(obj, np.ndarray):
+        return _encode(obj.tolist(), nl)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
+def write_json(path: str, doc: dict) -> str:
+    """Write ``doc`` as strict JSON (see the module docstring); return the text.
+
+    The returned text, placed as a value in a later document, is embedded
+    there verbatim instead of being encoded again.
+    """
+    text = _Encoded(_encode(doc, "\n") + "\n")
     atomic_write(path, text.encode())
+    return text
 
 
 def _write_csv(path: str, header: list[str], rows: list[list]) -> None:

@@ -22,7 +22,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 
 from .charfn import CharContext, PoleError, eval_f, eval_f_prime, lambda_star
 from .model import SystemSpec
@@ -83,10 +82,14 @@ def newton_roots(sys: SystemSpec, seeds, tol: float = NEWTON_TOL,
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
+    # every pole lies on the imaginary axis, so |z - pole| grows with
+    # |Im z - Im pole| and the nearest pole neighbours Im z in this order
     poles = _poles(sys)
+    poles = poles[np.argsort(poles.imag)]
 
     def near_pole(z: np.ndarray) -> np.ndarray:
-        return np.min(np.abs(z[:, None] - poles), axis=1) <= POLE_GUARD
+        hi = np.searchsorted(poles.imag, z.imag).clip(1, poles.size - 1)
+        return np.minimum(np.abs(z - poles[hi - 1]), np.abs(z - poles[hi])) <= POLE_GUARD
 
     lam = np.array(seeds, dtype=complex).reshape(-1)
     n = lam.size
@@ -409,5 +412,7 @@ def matching_distance(a: np.ndarray, b: np.ndarray) -> float:
     if a.size != b.size:
         raise ValueError("multisets must have equal size")
     cost = np.abs(a[:, None] - b[None, :])
-    rows, cols = scipy.optimize.linear_sum_assignment(cost)
+    from scipy.optimize import linear_sum_assignment  # test oracle only: imported on use
+
+    rows, cols = linear_sum_assignment(cost)
     return float(np.max(cost[rows, cols]))

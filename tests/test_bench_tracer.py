@@ -10,9 +10,12 @@ import importlib.util
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
-from obsdecay import spectrum
+from obsdecay import dynamics, spectrum
+from obsdecay.dynamics import ObserverSetup, simulate_observer
+from obsdecay.state import RealState
 
 SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -54,3 +57,27 @@ def test_tracer_counts_and_restores(spans, beam23):
     times = tracer.iteration_times(0)
     assert times["spectrum.full_spectrum"]["calls"] == 1
     assert times["spectrum.winding_number"]["calls"] == 0
+
+
+def test_tracer_counts_observer_rhs_evals(spans, beam4, monkeypatch):
+    # dynamics.solve_ivp imports scipy.integrate on first call; the tracer
+    # still patches it by name and counts every right-hand-side evaluation
+    nfev = []
+    solve_ivp = dynamics.solve_ivp
+
+    def recording(*args, **kwargs):
+        sol = solve_ivp(*args, **kwargs)
+        nfev.append(sol.nfev)
+        return sol
+
+    monkeypatch.setattr(dynamics, "solve_ivp", recording)
+    rng = np.random.default_rng(3)
+    z0 = RealState(Delta=rng.normal(size=4), delta=rng.normal(size=4))
+    zt0 = RealState(Delta=np.zeros(4), delta=np.zeros(4))
+    tracer = spans.Tracer()
+    with tracer.recording(0) as counts:
+        out = simulate_observer(ObserverSetup(sys=beam4), z0, zt0, np.linspace(0.0, 2.0, 9))
+    assert dynamics.solve_ivp is recording
+    assert out.error_norm[-1] < out.error_norm[0]
+    assert len(nfev) == 1 and nfev[0] > 0
+    assert counts["dynamics.rhs_evals"] == nfev[0]

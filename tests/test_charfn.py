@@ -101,6 +101,31 @@ class TestEvalFCentered:
         with pytest.raises(PoleError):
             eval_F(ctx, 0.0)
 
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_exact_pole_lookup_matches_brute_force(self, beam4):
+        # a pole needs Re lam == 0 (either sign) and |Im lam| == omega_j exactly
+        w = beam4.omegas
+        ims = [0.0, *w, *-w, *np.nextafter(w, np.inf), *np.nextafter(w, 0.0), 0.5 * w[0],
+               2.0 * w[-1], -2.0 * w[-1], np.inf, np.nan]
+        points = [complex(re, im) for re in (0.0, -0.0, 1e-300, np.nan) for im in ims]
+        for k in (None, 1, 2, 4):
+            for lam in points:
+                iw = 1j * w
+                upper = lam == iw
+                if k is not None:
+                    upper[k - 1] = False
+                expected = lam == 0 or upper.any() or (lam == -iw).any()
+                call = (lambda: eval_f(beam4, lam)) if k is None else \
+                    (lambda: eval_F(CharContext(beam4, k), lam))
+                if expected:
+                    with pytest.raises(PoleError):
+                        call()
+                else:
+                    call()
+        # one pole in a batch rejects the batch
+        with pytest.raises(PoleError):
+            eval_f_prime(beam4, np.array([1.0 + 1.0j, complex(-0.0, -w[2]), 2.0]))
+
     def test_context_validation(self, beam23):
         with pytest.raises(ValueError):
             CharContext(beam23, 0)

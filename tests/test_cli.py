@@ -1,10 +1,11 @@
 import csv
 import json
+import os
 
 import pytest
 
 from conftest import SINGLE_MODE_ROOTS, localizations
-from obsdecay import spectrum
+from obsdecay import reports, spectrum
 from obsdecay.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, Tolerances, main
 from obsdecay.model import beam_example
 
@@ -227,6 +228,39 @@ class TestReportVerb:
         for name in ("report.json", "assumptions.json", "spectrum.csv",
                      "trajectory.csv", "trajectory_fit.json", "envelope.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+    def test_task_documents_embedded_as_written(self, tmp_path, monkeypatch):
+        cfg = write_config(tmp_path / "all.json", {
+            "gamma": 1.0,
+            "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 8},
+            "seed": 4,
+            "tolerances": {"sim_t_final": 4.0, "sim_points": 30},
+        })
+        calls = {}
+        write_json = reports.write_json
+
+        def recording(path, doc):
+            text = write_json(path, doc)
+            calls[os.path.basename(path)] = (doc, text)
+            return text
+
+        monkeypatch.setattr(reports, "write_json", recording)
+        out = tmp_path / "out"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        report = (out / "report.json").read_text()
+        files = {"assumptions": "assumptions.json", "localization": "localization.json",
+                 "axis_scan": "axis_scan.json", "envelope": "envelope.json",
+                 "trajectory": "trajectory_fit.json"}
+        for key, name in files.items():
+            text = (out / name).read_text()
+            entry = f'\n  "{key}": ' + text[:-1].replace("\n", "\n  ")
+            assert entry + ",\n" in report or report.endswith(entry + "\n}\n"), key
+            # handed over as the written text, not encoded a second time
+            assert calls["report.json"][0][key] is calls[name][1]
+        # spectrum.json holds every root; report.json only its summary
+        assert set(json.loads(report)["spectrum"]) == {
+            "count", "certified", "complete", "failures", "enclosure_defect", "max_re",
+            "min_abs_re"}
 
     def test_seed_flag_changes_trajectory(self, beam8_config, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

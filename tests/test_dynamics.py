@@ -1,9 +1,13 @@
 import dataclasses
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from obsdecay import dynamics
 from obsdecay.dynamics import (
     FitError,
     IntegrationError,
@@ -194,6 +198,16 @@ class TestObserverCoSimulation:
         complex_run = simulate_error(sys, e0.to_complex(), t_grid)
         np.testing.assert_allclose(
             complex_run.norm, np.sqrt(2.0) * real_run.error_norm, atol=1e-9)
+
+    def test_import_leaves_optional_scipy_unloaded(self):
+        # scipy.integrate serves only simulate_observer and scipy.optimize only
+        # the matching_distance test oracle; both load on first use
+        src = pathlib.Path(dynamics.__file__).resolve().parents[1]
+        code = ("import sys; import obsdecay; "
+                "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              check=True, timeout=120, cwd=src, env={"PYTHONPATH": str(src)})
+        assert done.stdout.strip() == "[]"
 
     def test_control_without_actuators_rejected(self, beam4):
         with pytest.raises(ValueError):

@@ -3,15 +3,18 @@ import json
 import math
 import os
 import struct
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from obsdecay.charfn import CharContext, localize
 from obsdecay.dynamics import domain_initial_state, simulate_error
 from obsdecay.reports import (
     atomic_write,
-    jsonable,
     read_q_binary,
     write_axis_scan_csv,
     write_json,
@@ -29,17 +32,96 @@ def read_rows(path):
         return list(csv.reader(handle))
 
 
+def jsonable(obj):
+    """Reference oracle for ``write_json``, with ``reference_json``.
+
+    Converts numpy scalars and arrays and tuples to JSON types for
+    ``json.dumps(indent=2, sort_keys=True)``.  Only Python floats are checked
+    for non-finite values, so it serves as the oracle on finite input alone.
+    """
+    if isinstance(obj, dict):
+        return {str(k): jsonable(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [jsonable(v) for v in obj]
+    if isinstance(obj, np.ndarray):
+        return [jsonable(v) for v in obj.tolist()]
+    if isinstance(obj, (np.floating,)):
+        return float(obj)
+    if isinstance(obj, (np.integer,)):
+        return int(obj)
+    if isinstance(obj, (np.bool_,)):
+        return bool(obj)
+    if isinstance(obj, complex):
+        return [obj.real, obj.imag]
+    if isinstance(obj, float) and (obj != obj or obj in (float("inf"), float("-inf"))):
+        return None
+    return obj
+
+
+def reference_json(doc) -> str:
+    return json.dumps(jsonable(doc), indent=2, sort_keys=True) + "\n"
+
+
+def written(doc) -> str:
+    """Text of ``write_json``'s file for ``doc``, checked against its return value."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "doc.json")
+        text = write_json(path, doc)
+        with open(path, encoding="ascii") as handle:
+            assert handle.read() == text
+    return text
+
+
+def reject_constant(name):
+    raise ValueError(f"not strict JSON: {name}")
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.text(), FINITE,
+    FINITE.map(np.float64), st.integers(-2**31, 2**31 - 1).map(np.int32),
+    st.booleans().map(np.bool_), st.complex_numbers(allow_nan=False, allow_infinity=False),
+    hnp.arrays(st.sampled_from([np.float64, np.int64, np.complex128]),
+               hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=3),
+               elements={"allow_nan": False, "allow_infinity": False}),
+)
+KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 12))
+DOCS = st.dictionaries(KEYS, st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
+                            st.dictionaries(KEYS, inner, max_size=4)),
+    max_leaves=16))
+
+
 class TestJsonable:
     def test_numpy_scalars_and_arrays(self):
-        doc = jsonable({
-            "f": np.float64(1.5), "i": np.int32(3), "b": np.bool_(True),
-            "arr": np.array([1.0, 2.0]), "z": 1 + 2j,
-        })
-        assert doc == {"f": 1.5, "i": 3, "b": True, "arr": [1.0, 2.0], "z": [1.0, 2.0]}
+        doc = {"f": np.float64(1.5), "i": np.int32(3), "b": np.bool_(True),
+               "arr": np.array([1.0, 2.0]), "z": 1 + 2j, "t": (1, "x"), 7: None}
+        assert json.loads(written(doc)) == {"f": 1.5, "i": 3, "b": True, "arr": [1.0, 2.0],
+                                            "z": [1.0, 2.0], "t": [1, "x"], "7": None}
 
     def test_non_finite_floats_become_null(self):
-        assert jsonable({"a": math.inf, "b": math.nan}) == {"a": None, "b": None}
-        json.dumps(jsonable({"a": math.inf}), allow_nan=False)
+        doc = {"a": math.inf, "b": math.nan, "f": np.float64("nan"), "g": np.float32("-inf"),
+               "z": complex(math.nan, 1.0), "w": np.complex128(complex(2.0, math.inf)),
+               "arr": np.array([1.0, math.nan, -math.inf])}
+        back = json.loads(written(doc), parse_constant=reject_constant)
+        assert back == {"a": None, "b": None, "f": None, "g": None, "z": [None, 1.0],
+                        "w": [2.0, None], "arr": [1.0, None, None]}
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(DOCS)
+    def test_bytes_match_two_pass_reference(self, doc):
+        assert written(doc) == reference_json(doc)
+
+    def test_written_text_is_embedded_reindented(self):
+        inner = written({"b": [1.0, {"c": "x\ny"}], "a": {}})
+        outer = written({"doc": inner, "k": [inner]})
+        plain = {"b": [1.0, {"c": "x\ny"}], "a": {}}
+        assert outer == reference_json({"doc": plain, "k": [plain]})
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(TypeError):
+            written({"s": {1, 2}})
 
 
 class TestAtomicWrite:

@@ -244,6 +244,19 @@ class TestNewtonRootsParity:
         assert [type(outcomes[i]) for i in (0, 2, 4)] == [PoleError] * 3
         assert isinstance(outcomes[3], tuple if max_iters > 1 else NewtonError)
 
+    def test_seeds_at_the_pole_guard(self, beam4):
+        # the guard looks up only the two poles next to Im z; seeds straddle
+        # POLE_GUARD about every pole, beyond both ends and off the axis
+        offsets = [0.0, 0.5, 0.999, 1.001, 2.0]
+        seeds = []
+        for im in [0.0, *beam4.omegas, *-beam4.omegas]:
+            for off in offsets:
+                for step in (1.0, -1.0, 1j, -1j, (1 + 1j) / np.sqrt(2.0)):
+                    seeds.append(complex(0.0, im) + off * POLE_GUARD * step)
+        seeds += [complex(0.0, 1e3), complex(0.0, -1e3), complex(-1e-13, 1e-13)]
+        outcomes = assert_matches_scalar(beam4, seeds, max_iters=1)
+        assert sum(isinstance(o, PoleError) for o in outcomes) > len(outcomes) // 3
+
     def test_empty_batch(self, single_mode):
         roots, resids, iters, errors = newton_roots(single_mode, [])
         assert roots.size == resids.size == iters.size == len(errors) == 0
