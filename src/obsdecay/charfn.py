@@ -226,13 +226,15 @@ def char_linearization(ctx: CharContext) -> tuple[complex, complex]:
     """
     sys = ctx.sys
     wk = ctx.omega_k
-    ck = ctx.c_k
     mask = np.arange(sys.N) != ctx.k - 1
-    s = 2.0 * float(np.sum(sys.cs[mask] ** 2 / (sys.omegas[mask] ** 2 - wk**2)))
-    s += ck**2 / (2.0 * wk**2)
-    f0 = complex(ck**2 / wk)
-    f1 = 2.0 / (sys.gamma * wk) + 1j * s
-    return f0, f1
+    others = 2.0 * float(np.sum(sys.cs[mask] ** 2 / (sys.omegas[mask] ** 2 - wk**2)))
+    return _linearization(sys.gamma, wk, ctx.c_k, others)
+
+
+def _linearization(gamma: float, wk: float, ck: float, others: float) -> tuple[complex, complex]:
+    """F and F' at i*omega_k, given ``others = 2 sum_{j != k} c_j^2/(omega_j^2 - omega_k^2)``."""
+    s = others + ck**2 / (2.0 * wk**2)
+    return complex(ck**2 / wk), 2.0 / (gamma * wk) + 1j * s
 
 
 def lambda_star(ctx: CharContext) -> complex:
@@ -245,6 +247,26 @@ def lambda_star(ctx: CharContext) -> complex:
     """
     f0, f1 = char_linearization(ctx)
     return 1j * ctx.omega_k - f0 / f1
+
+
+def lambda_stars(sys: SystemSpec) -> np.ndarray:
+    """:func:`lambda_star` of every mode, with the sums over j != k in one array pass.
+
+    Bitwise equal to ``lambda_star(CharContext(sys, k))`` for k = 1..N: row k
+    of the sum holds the same N - 1 terms in the same order, and the per-mode
+    terms ``omega_k^2``, ``c_k^2`` and the complex quotient are formed in
+    Python floats as there (numpy's square and complex division can differ
+    from them in the last bit).
+    """
+    n = sys.N
+    wk = sys.omegas.tolist()
+    # row k lists the indices j != k in ascending order
+    cols = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
+    wk2 = np.array([w**2 for w in wk])
+    others = 2.0 * np.sum(sys.cs[cols] ** 2 / (sys.omegas[cols] ** 2 - wk2[:, None]), axis=1)
+    lin = (_linearization(sys.gamma, w, c, s)
+           for w, c, s in zip(wk, sys.cs.tolist(), others.tolist()))
+    return np.array([1j * w - f0 / f1 for w, (f0, f1) in zip(wk, lin)], dtype=complex)
 
 
 def convergence_radius(ctx: CharContext) -> float:

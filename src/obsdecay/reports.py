@@ -155,7 +155,9 @@ def write_spectrum_plot_csv(report: SpectrumReport, path: str) -> None:
 
 
 def write_axis_scan_csv(scan: AxisScan, path: str) -> None:
-    _write_csv(path, ["s", "norm_bound"], [[s, v] for s, v in scan.samples])
+    # the bytes csv.writer gives (it writes a float by its repr), in one join
+    rows = "".join(f"{s!r},{v!r}\r\n" for s, v in scan.samples)
+    atomic_write(path, ("s,norm_bound\r\n" + rows).encode())
 
 
 def write_trajectory_csv(traj: ErrorTrajectory, path: str) -> None:

@@ -7,7 +7,9 @@ of each pair is the exact conjugate of the upper one; only the upper root is
 solved for.  The upper roots of all modes are found together, by one
 array-valued damped Newton iteration seeded at the first-order predictions
 (and one more from backup seeds for the modes that need them); each root
-gets the same arithmetic as a scalar iteration from its seed.  Each root is
+gets the same arithmetic as a scalar iteration from its seed.  An iterate
+past :func:`escape_radius` is stopped: no root lies out there, and Newton
+only moves outward.  Each root is
 then certified by one closed-form a-posteriori Rouche disk centred at it
 (:func:`_certified_radii`).  The report is ``complete`` when every mode is
 found and every root certified; f has exactly 2N zeros, so 2N disjoint
@@ -23,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charfn import CharContext, PoleError, eval_f, eval_f_prime, lambda_star
+from .charfn import PoleError, eval_f, eval_f_prime, lambda_stars
 from .model import SystemSpec
 
 NEWTON_TOL = 1e-12
@@ -61,6 +63,20 @@ def enclosure_radius(sys: SystemSpec, lam: complex) -> float:
     return 0.5 * sys.gamma * abs(lam) * sys.coupling_sum()
 
 
+def escape_radius(sys: SystemSpec) -> float:
+    """Radius ``rho = max(2 omega_N, 8 gamma ||c||^2)`` past which Newton cannot return.
+
+    Every eigenvalue has ``|lam| <= ||A||_2 <= omega_N + gamma ||c||^2 < rho``.
+    For ``|lam| >= rho``, ``f = (2i/(gamma lam)) (1 + e)`` with
+    ``e = gamma lam sum_j c_j^2/(omega_j^2 + lam^2)`` and ``|e| <= 1/6``, so
+    the Newton step is ``lam/(1 - t)`` with ``t = lam e'/(1 + e)``,
+    ``|t| <= 1/3``.  Every damped candidate then has
+    ``|lam + h s| >= (1 + h/2) |lam|``: an iterate past ``rho`` only moves
+    outward and never reaches a root.
+    """
+    return max(2.0 * float(sys.omegas[-1]), 8.0 * sys.gamma * float(np.sum(sys.cs**2)))
+
+
 def newton_roots(sys: SystemSpec, seeds, tol: float = NEWTON_TOL,
                  max_iters: int = NEWTON_MAX_ITERS
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Optional[Exception]]]:
@@ -70,7 +86,9 @@ def newton_roots(sys: SystemSpec, seeds, tol: float = NEWTON_TOL,
     evaluation of ``f'`` and one of ``f`` per halving.  Each element follows
     the scalar rules: steps are halved (up to 20 times) until |f| decreases,
     so the residual is non-increasing across accepted steps; seeds and
-    candidates within 1e-12 of a pole are rejected; an element stops once
+    candidates within 1e-12 of a pole are rejected; a seed or accepted
+    iterate at or past :func:`escape_radius` fails, since no root is out
+    there and Newton cannot come back; an element stops once
     ``|f| <= tol``.  |f| is taken with ``hypot`` and the Newton step with
     Python complex division, so every root is bitwise the one a scalar
     iteration reaches.
@@ -97,12 +115,22 @@ def newton_roots(sys: SystemSpec, seeds, tol: float = NEWTON_TOL,
     resids = np.full(n, np.nan)
     iters = np.zeros(n, dtype=int)
     errors: list[Optional[Exception]] = [None] * n
+    rho = escape_radius(sys)
+
+    def inside(idx: np.ndarray) -> np.ndarray:
+        """The elements of ``idx`` inside the escape radius; the others fail."""
+        out = np.abs(lam[idx]) >= rho
+        for i in idx[out]:
+            errors[i] = NewtonError(f"iterate {complex(lam[i])} is past the escape radius "
+                                    f"{rho:.6g}: no root lies there and Newton only moves "
+                                    "outward")
+        return idx[~out]
 
     at_pole = near_pole(lam)
     for i in np.flatnonzero(at_pole):
         errors[i] = PoleError(f"seed {complex(lam[i])} is (numerically) a pole of the "
                               "characteristic function")
-    active = np.flatnonzero(~at_pole)
+    active = inside(np.flatnonzero(~at_pole))
     fval = np.zeros(n, dtype=complex)
     if active.size:
         fval[active] = eval_f(sys, lam[active])
@@ -147,7 +175,7 @@ def newton_roots(sys: SystemSpec, seeds, tol: float = NEWTON_TOL,
             else:
                 errors[i] = NewtonError(f"damping failed to reduce |f| below "
                                         f"{float(resid[i]):.3e} at {complex(lam[i])}")
-        active = np.setdiff1d(active, pending)
+        active = inside(np.setdiff1d(active, pending))
     for i in active:
         errors[i] = NewtonError(f"no convergence after {max_iters} iterations "
                                 f"(|f| = {float(resid[i]):.3e})")
@@ -328,9 +356,7 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
     """
     wk = sys.omegas
     band = 0.5 * (sys.min_gap() if sys.N > 1 else float(wk[0]))
-    seeds = [lambda_star(CharContext(sys, k)) for k in range(1, sys.N + 1)]
-
-    roots, resids, iters, errors = newton_roots(sys, seeds)
+    roots, resids, iters, errors = newton_roots(sys, lambda_stars(sys))
     fallback = np.array([err is not None for err in errors]) | (np.abs(roots.imag - wk) > band)
     failures: dict[int, str] = {}
     fb = np.flatnonzero(fallback)

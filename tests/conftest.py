@@ -1,3 +1,8 @@
+import functools
+import importlib.util
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -21,6 +26,22 @@ def perturbed_beam_family(seed, count):
         cs = sigma / j * (1.0 + rng.uniform(-0.2, 0.2, n)) * rng.choice((-1.0, 1.0), n)
         systems.append(build_system(gamma, omegas, cs))
     return systems
+
+
+@functools.cache
+def load_bench_workloads():
+    """The benchmark's ``bench/workloads.py``, loaded read-only (no bytecode is written)."""
+    name = "obsdecay_bench_workloads"
+    path = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # its dataclasses look their module up by name
+    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = write_bytecode
+    return module
 
 
 def localizations(sys):

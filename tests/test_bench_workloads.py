@@ -3,31 +3,18 @@
 The gates read the program through names a refactor could rename away
 (``rep.eigs``, ``.certified``, ``.fallback``, ``basis.Q``/``G``/``to_json_dict``,
 ``spectrum.json["eigs"]``).  The module is loaded read-only (no bytecode is
-written next to it) and run on small inputs; every gate must pass.
+written next to it, see ``conftest.load_bench_workloads``) and run on small
+inputs; every gate must pass.
 """
-
-import importlib.util
-import pathlib
-import sys
 
 import pytest
 
-WORKLOADS_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+from conftest import load_bench_workloads
 
 
 @pytest.fixture(scope="module")
 def workloads():
-    name = "obsdecay_bench_workloads"
-    spec = importlib.util.spec_from_file_location(name, WORKLOADS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # its dataclasses look their module up by name
-    write_bytecode, sys.dont_write_bytecode = sys.dont_write_bytecode, True
-    try:
-        spec.loader.exec_module(module)
-    finally:
-        sys.dont_write_bytecode = write_bytecode
-    yield module
-    del sys.modules[name]
+    return load_bench_workloads()
 
 
 def test_report_workload_gates_pass(workloads, tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import perturbed_beam_family
+from conftest import load_bench_workloads, perturbed_beam_family
 from obsdecay.charfn import (
     R1_FRACTION,
     CharContext,
@@ -15,10 +15,11 @@ from obsdecay.charfn import (
     eval_f_prime,
     eval_f_rational,
     lambda_star,
+    lambda_stars,
     localize,
     rouche_margin,
 )
-from obsdecay.model import beam_example, build_system
+from obsdecay.model import SystemSpec, beam_example, build_system
 
 # f at 0.5 + 0.5i for the N=23 quadratic-frequency family, summed at 50
 # decimal digits with mpmath (term-by-term, ascending mode order).
@@ -158,6 +159,17 @@ class TestLambdaStar:
                 val = lambda_star(CharContext(sys, k))
                 assert val.real < 0.0
                 assert val.imag != 0.0
+
+    def test_all_modes_in_one_pass_match_each_mode(self, single_mode):
+        # bitwise, on systems where numpy's c_j**2 differs from the Python
+        # float's in the last bit (random family, seed 1)
+        systems = [single_mode] + [beam_example(1.0, 1.0, n) for n in (2, 9, 23, 256)]
+        systems += perturbed_beam_family(1, 4)
+        systems += [SystemSpec.from_json_dict(case.doc)
+                    for case in load_bench_workloads().random_family(1)]
+        for sys in systems:
+            expected = [lambda_star(CharContext(sys, k)) for k in range(1, sys.N + 1)]
+            assert lambda_stars(sys).tolist() == expected, sys.N
 
     def test_quadratic_approach_rate(self, beam23):
         # |lambda_star - i omega_k| * k^2 stays bounded for the beam family

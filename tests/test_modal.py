@@ -1,11 +1,12 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
 
 from conftest import SINGLE_MODE_ROOTS, perturbed_beam_family
-from obsdecay import modal
 from obsdecay.charfn import PoleError
+from obsdecay.cli import EXIT_CHECK_FAILED, Pipeline, load_config
 from obsdecay.dynamics import apply_generator, dense_generator, simulate_error
 from obsdecay.modal import (
     BasisError,
@@ -180,16 +181,45 @@ class TestBuildBasis:
                                             rel=1e-12)
         assert basis.cond_Q == basis.beta1 * basis.beta2
 
-    def test_one_eigenvector_per_mode(self, beam23, beam23_spectrum, monkeypatch):
-        calls = []
+    @pytest.mark.parametrize("systems", [
+        pytest.param([beam_example(1.0, 1.0, 23), beam_example(1.0, 1.0, 128)], id="beam"),
+        pytest.param(perturbed_beam_family(1, 4), id="perturbed"),
+    ])
+    def test_columns_are_the_one_root_eigenvectors(self, systems):
+        # the one-pass build gives each column bitwise as eigenvector() builds
+        # it for its root alone, and the lower column is J of the upper one
+        for sys in systems:
+            rep = full_spectrum(sys)
+            if not rep.complete:
+                continue
+            basis = build_basis(sys, rep)
+            n = sys.N
+            for e in rep.upper():
+                up = eigenvector(sys, e.lam, e.k).to_array()
+                np.testing.assert_array_equal(basis.Q[:, n + e.k - 1], up)
+                np.testing.assert_array_equal(
+                    basis.Q[:, e.k - 1],
+                    conjugate_swap(StateVector.from_array(up)).to_array())
 
-        def counting(*args, **kwargs):
-            calls.append(args[2])
-            return eigenvector(*args, **kwargs)
-
-        monkeypatch.setattr(modal, "eigenvector", counting)
-        build_basis(beam23, beam23_spectrum)
-        assert calls == list(range(1, 24))
+    def test_failed_upper_residual_is_a_basis_error(self, beam23, beam23_spectrum, tmp_path):
+        # a complete report whose mode-5 upper root is off by 1e-6: the basis
+        # is refused with BasisError, and a report records the failed stage
+        nudged = dataclasses.replace(beam23_spectrum, eigs=tuple(
+            dataclasses.replace(e, lam=e.lam + 1e-6) if (e.k, e.half) == (5, "upper") else e
+            for e in beam23_spectrum.eigs))
+        with pytest.raises(BasisError, match=r"^mode 5: upper eigenvector residual"):
+            build_basis(beam23, nudged)
+        config = tmp_path / "beam23.json"
+        config.write_text(json.dumps({
+            "gamma": 1.0, "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 23},
+            "tasks": ["spectrum", "simulate"]}))
+        pipeline = Pipeline(load_config(str(config), out_override=str(tmp_path / "out")))
+        pipeline.spectrum = nudged
+        code, results = pipeline.run_report()
+        assert code == EXIT_CHECK_FAILED
+        assert not results["checks"]["basis_ran"]["pass"]
+        assert results["basis"]["error"].startswith("mode 5: upper eigenvector residual")
+        assert results["trajectory"]["error"] == results["basis"]["error"]
 
     def test_incomplete_spectrum_rejected(self, beam4, beam4_spectrum):
         broken = dataclasses.replace(beam4_spectrum, complete=False,

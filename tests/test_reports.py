@@ -1,4 +1,6 @@
 import csv
+import dataclasses
+import io
 import json
 import math
 import os
@@ -173,6 +175,18 @@ class TestCsvWriters:
         assert rows[0] == ["s", "norm_bound"]
         svals = [float(r[0]) for r in rows[1:]]
         assert svals == sorted(svals)
+
+    def test_axis_scan_bytes_match_csv_writer(self, tmp_path, beam23, beam23_spectrum):
+        scan = axis_scan(beam23, beam23_spectrum, (3, 6))
+        odd = ((0.5, math.nan), (1.0, math.inf), (-0.0, -math.inf), (1e-300, 0.1 + 0.2))
+        scan = dataclasses.replace(scan, samples=scan.samples + odd)
+        path = tmp_path / "scan.csv"
+        write_axis_scan_csv(scan, str(path))
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(["s", "norm_bound"])
+        writer.writerows(scan.samples)
+        assert path.read_bytes() == buf.getvalue().encode()
 
     def test_trajectory_with_mode_magnitudes(self, tmp_path, beam4):
         eps0 = domain_initial_state(beam4, seed=3)

@@ -3,7 +3,7 @@ import collections
 import numpy as np
 import pytest
 
-from conftest import SINGLE_MODE_ROOTS, perturbed_beam_family
+from conftest import SINGLE_MODE_ROOTS, load_bench_workloads, perturbed_beam_family
 from obsdecay import charfn, spectrum
 from obsdecay.charfn import (
     CharContext,
@@ -13,7 +13,8 @@ from obsdecay.charfn import (
     lambda_star,
     localize,
 )
-from obsdecay.model import beam_example
+from obsdecay.dynamics import dense_generator
+from obsdecay.model import SystemSpec, beam_example, build_system
 from obsdecay.spectrum import (
     CERT_RADII,
     NEWTON_MAX_HALVINGS,
@@ -23,6 +24,7 @@ from obsdecay.spectrum import (
     NewtonError,
     dense_oracle_spectrum,
     enclosure_radius,
+    escape_radius,
     full_spectrum,
     matching_distance,
     newton_root,
@@ -35,13 +37,22 @@ def scalar_newton_root(sys, seed, tol=NEWTON_TOL, max_iters=NEWTON_MAX_ITERS):
     """Reference copy of the one-seed damped Newton loop that ``newton_roots`` batches.
 
     Steps are halved (up to 20 times) until |f| decreases; seeds and
-    candidates within 1e-12 of a pole are rejected.  Returns ``(root,
+    candidates within 1e-12 of a pole are rejected, and so are a seed and an
+    accepted iterate at or past the escape radius.  Returns ``(root,
     |f(root)|, iterations)`` or raises PoleError / NewtonError.
     """
     poles = np.concatenate([[0.0 + 0.0j], 1j * sys.omegas, -1j * sys.omegas])
+    rho = max(2.0 * sys.omegas[-1], 8.0 * sys.gamma * np.sum(sys.cs**2))
+
+    def check_escape(lam):
+        if abs(lam) >= rho:
+            raise NewtonError(f"iterate {lam} is past the escape radius {rho:.6g}: no root "
+                              "lies there and Newton only moves outward")
+
     lam = complex(seed)
     if np.min(np.abs(lam - poles)) <= POLE_GUARD:
         raise PoleError(f"seed {lam} is (numerically) a pole of the characteristic function")
+    check_escape(lam)
 
     fval = eval_f(sys, lam)
     for iters in range(max_iters):
@@ -70,6 +81,7 @@ def scalar_newton_root(sys, seed, tol=NEWTON_TOL, max_iters=NEWTON_MAX_ITERS):
             if near_pole_only:
                 raise PoleError(f"iteration stalled within {POLE_GUARD} of a pole near {lam}")
             raise NewtonError(f"damping failed to reduce |f| below {resid:.3e} at {lam}")
+        check_escape(lam)
     raise NewtonError(f"no convergence after {max_iters} iterations (|f| = {abs(fval):.3e})")
 
 
@@ -203,6 +215,41 @@ class TestNewtonRoot:
             newton_root(single_mode, 50.0 + 40.0j, max_iters=1)
 
 
+class TestEscapeRadius:
+    """Past ``escape_radius`` no eigenvalue lies and damped Newton only moves outward."""
+
+    @staticmethod
+    def systems():
+        for seed in (1, 2):
+            for case in load_bench_workloads().random_family(seed):
+                yield SystemSpec.from_json_dict(case.doc), case.oracle
+        for sys in [beam_example(1.0, 1.0, n) for n in (1, 5, 23, 256)] + [
+                build_system(1.0, [1.0], [1.0])]:
+            yield sys, np.linalg.eigvals(dense_generator(sys))
+
+    def test_escape_lemma(self):
+        angles = np.exp(2j * np.pi * np.arange(64) / 64)
+        h = 2.0 ** -np.arange(21)
+        worst = np.inf
+        for sys, dense in self.systems():
+            rho = escape_radius(sys)
+            assert np.max(np.abs(dense)) < rho, sys.N
+            lam = (rho * np.geomspace(1.0, 100.0, 9)[:, None] * angles).ravel()
+            step = -eval_f(sys, lam) / eval_f_prime(sys, lam)
+            cand = lam[:, None] + h * step[:, None]
+            ratio = np.abs(cand) / ((1.0 + h / 2.0) * np.abs(lam)[:, None])
+            worst = min(worst, float(np.min(ratio)))
+        assert worst >= 1.0
+
+    def test_seed_past_the_radius_is_not_evaluated(self, single_mode, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("f evaluated past the escape radius")
+
+        monkeypatch.setattr(spectrum, "eval_f", forbidden)
+        _, _, _, errors = newton_roots(single_mode, [8.0, -6.0 + 6.0j])
+        assert all(isinstance(e, NewtonError) and "escape radius 8:" in str(e) for e in errors)
+
+
 class TestNewtonRootsParity:
     """The batched iteration reproduces the scalar loop element by element."""
 
@@ -218,7 +265,8 @@ class TestNewtonRootsParity:
         assert failed and failed[0] == 65
         assert all("damping failed" in str(primary[k - 1]) for k in failed)
         fallback = assert_matches_scalar(sys, [fallback_seed(sys, k) for k in failed])
-        assert any(band_exit(sys, k, o[0]) for k, o in zip(failed, fallback))
+        # the backup seeds of the stalled modes run away and stop at the escape radius
+        assert any(isinstance(o, NewtonError) and "escape radius" in str(o) for o in fallback)
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_perturbed_family_seeds(self, seed):
@@ -242,7 +290,10 @@ class TestNewtonRootsParity:
         seeds = [1j, lambda_star(CharContext(single_mode, 1)), 0.0, 50.0 + 40.0j, -1j]
         outcomes = assert_matches_scalar(single_mode, seeds, max_iters=max_iters)
         assert [type(outcomes[i]) for i in (0, 2, 4)] == [PoleError] * 3
-        assert isinstance(outcomes[3], tuple if max_iters > 1 else NewtonError)
+        # 50+40j lies past the escape radius 8; Newton from it doubles lam
+        # until a false "root" near 1.7e12+1.4e12j has |f| < 1e-12
+        assert isinstance(outcomes[3], NewtonError)
+        assert "past the escape radius 8:" in str(outcomes[3])
 
     def test_seeds_at_the_pole_guard(self, beam4):
         # the guard looks up only the two poles next to Im z; seeds straddle
@@ -368,7 +419,8 @@ class TestFullSpectrum:
         reps = [full_spectrum(s) for s in perturbed_beam_family(1, 4) + perturbed_beam_family(2, 4)]
         assert any(e.fallback for rep in reps for e in rep.eigs)
         assert any("meets another root's disk" in msg for rep in reps for msg in rep.failures)
-        assert any("mode band" in msg for rep in reps for msg in rep.failures)
+        assert any("fallback Newton failed" in msg and "past the escape radius" in msg
+                   for rep in reps for msg in rep.failures)
 
     def test_one_newton_solve_and_no_localize_or_winding_count(self, beam23, monkeypatch):
         # one batched Newton for all modes, one more for the fallback seeds;
@@ -390,6 +442,22 @@ class TestFullSpectrum:
         calls.clear()
         full_spectrum(beam_example(1.0, 1.0, 128))
         assert calls == {"newton_roots": 2}
+
+    def test_eval_f_work_count(self, monkeypatch):
+        # the counts repeat exactly; at N = 256, running the backup seeds of the
+        # stalled modes out to |lam| ~ 1e12 would take 7790 points
+        points = []
+
+        def counted(sys, lam):
+            points.append(np.size(lam))
+            return eval_f(sys, lam)
+
+        monkeypatch.setattr(spectrum, "eval_f", counted)
+        full_spectrum(beam_example(1.0, 1.0, 23))
+        assert sum(points) == 68
+        points.clear()
+        full_spectrum(beam_example(1.0, 1.0, 256))
+        assert sum(points) <= 4284
 
     def test_overdamped_pair_is_flagged(self):
         # at gamma = 2 the first mode pair collides on the real axis; the
