@@ -60,10 +60,10 @@ class Tolerances:
 
     beta: float = 1.0
     k0: int = 2
-    theta_frac: float = 0.5
+    theta_frac: float = charfn.THETA_FRACTION_DEFAULT
     scan_k_min: Optional[int] = None
     scan_k_max: Optional[int] = None
-    pts_per_segment: int = 33
+    pts_per_segment: int = resolvent.PTS_PER_SEGMENT_DEFAULT
     axis_slope_tol: float = 0.15
     axis_r2_min: float = 0.95
     envelope_exponent_tol: float = 0.2

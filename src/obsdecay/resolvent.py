@@ -1,15 +1,21 @@
 """Closed-form resolvent of the error generator and imaginary-axis norm scans.
 
-Solving ``(A - lam I) eps = rhs`` reduces to one scalar coupling equation:
-with ``phi = sum_j c_j (q_j + p_j)`` the solution components are
+Solving ``(A - lam I) eps = rhs`` reduces to one scalar coupling equation.
+Stack ``x = (q, p)``, ``r = (rhs.q, rhs.p)``, ``c^ = (c, c)`` and
+``d = (-i omega - lam, i omega - lam)``; with ``g = gamma/2`` and
+``phi = sum_i c^_i x_i`` the rows read ``d_i x_i = r_i + g c^_i phi``.
+Dividing by ``d_i`` fails at the poles ``lam = +/- i omega_k`` and loses
+digits near them, so the pole ``m`` nearest to lam (``m = argmin |d_i|``)
+is kept in local coordinates:
 
-    q_j = -((gamma/2) c_j phi + rhs.q_j) / (i omega_j + lam),
-    p_j =  ((gamma/2) c_j phi + rhs.p_j) / (i omega_j - lam),
+    D   = d_m (1 - g sum_{i!=m} c^_i^2/d_i) - g c^_m^2,
+    phi = (c^_m r_m + d_m sum_{i!=m} c^_i r_i/d_i) / D,
+    x_i = (r_i + g c^_i phi) / d_i                      (i != m),
+    x_m = (phi - sum_{i!=m} c^_i x_i) / c^_m.
 
-and phi itself is a ratio whose denominator
-``1 + gamma lam sum_j c_j^2/(omega_j^2 + lam^2)`` vanishes exactly at the
-eigenvalues.  At the mode frequencies ``lam = +/- i omega_k`` the generic
-formulas degenerate; dedicated branch formulas cover those two families.
+``D/d_m = 1 + gamma lam sum_j c_j^2/(omega_j^2 + lam^2)`` vanishes exactly
+at the eigenvalues, and at a pole ``D = -g c_m^2 != 0``, so the one formula
+covers every lam in the resolvent set.
 
 The axis scan samples a diagonal-model bound for the resolvent norm on mode
 bands of the imaginary axis and fits the growth exponent of the per-band
@@ -42,78 +48,38 @@ class SpectrumProximityError(ValueError):
     """The requested point is (numerically) an eigenvalue of the generator."""
 
 
-def _match_mode(sys: SystemSpec, lam: complex) -> Optional[tuple[int, float]]:
-    """(k, sign) when lam equals sign * i * omega_k exactly, else None."""
-    if lam.real == 0.0:
-        hits = np.nonzero(sys.omegas == abs(lam.imag))[0]
-        if hits.size:
-            return int(hits[0]) + 1, math.copysign(1.0, lam.imag)
-    return None
-
-
 def apply_resolvent(sys: SystemSpec, lam: complex, rhs: StateVector) -> StateVector:
     """Apply ``(A - lam I)^{-1}`` to a state.
 
-    Valid for any lam in the resolvent set; the two singular families
-    ``lam = +/- i omega_k`` are dispatched to their dedicated formulas.
-    Raises for lam = 0 and for lam numerically at an eigenvalue.
+    Valid for any lam in the resolvent set, the mode frequencies
+    ``lam = +/- i omega_k`` included: one formula in local coordinates at
+    the nearest pole covers every point.  Raises for lam = 0 and for lam
+    numerically at an eigenvalue.
     """
     lam = complex(lam)
     if lam == 0:
         raise PoleError("the resolvent is not evaluated at lam = 0")
     if rhs.n_modes != sys.N:
         raise ValueError(f"rhs has {rhs.n_modes} modes, system has {sys.N}")
-    hit = _match_mode(sys, lam)
-    if hit is not None:
-        k, sign = hit
-        return _apply_resolvent_at_pole(sys, k, sign, rhs)
-
-    w = sys.omegas
-    c = sys.cs
-    gamma = sys.gamma
-    denom_terms = w**2 + lam**2
-    dval = 1.0 + gamma * lam * np.sum(c**2 / denom_terms)
-    if abs(dval) < EIGEN_PROXIMITY_TOL:
+    iw = 1j * sys.omegas
+    d = np.concatenate([-iw - lam, iw - lam])
+    c = np.concatenate([sys.cs, sys.cs])
+    r = rhs.to_array()
+    g = 0.5 * sys.gamma
+    m = int(np.abs(d).argmin())
+    dm, cm, rm = d[m], c[m], r[m]
+    d[m] = np.inf  # takes the pivot out of every sum over i != m below
+    cd = c / d
+    den = dm * (1.0 - g * (c @ cd)) - g * cm * cm
+    if abs(den) < EIGEN_PROXIMITY_TOL * abs(dm):
         raise SpectrumProximityError(
-            f"lam = {lam} is numerically in the spectrum (|denominator| = {abs(dval):.3e})"
+            f"lam = {lam} is numerically in the spectrum "
+            f"(|denominator| = {abs(den) / abs(dm):.3e})"
         )
-    numer = np.sum(c / denom_terms * ((1j * w - lam) * rhs.q - (1j * w + lam) * rhs.p))
-    phi = numer / dval
-    inj = 0.5 * gamma * c * phi
-    q = -(inj + rhs.q) / (1j * w + lam)
-    p = (inj + rhs.p) / (1j * w - lam)
-    return StateVector(q=q, p=p)
-
-
-def _apply_resolvent_at_pole(sys: SystemSpec, k: int, sign: float,
-                             rhs: StateVector) -> StateVector:
-    """Resolvent at lam = sign * i * omega_k.
-
-    One output component is determined by the scalar coupling constraint
-    rather than by division: p_k for the upper family, q_k for the lower.
-    """
-    w = sys.omegas
-    c = sys.cs
-    gamma = sys.gamma
-    ki = k - 1
-    ck = c[ki]
-    lam = sign * 1j * w[ki]
-    mask = np.arange(sys.N) != ki
-    if sign > 0:
-        pivot = rhs.p[ki]
-        q = -(rhs.q - (c / ck) * pivot) / (1j * w + lam)
-        den = 1j * w - lam
-        den[ki] = 1.0  # placeholder; the k-th entry is overwritten below
-        p = (rhs.p - (c / ck) * pivot) / den
-        p[ki] = -(2.0 / (gamma * ck) * pivot + np.sum(c * q) + np.sum(c[mask] * p[mask])) / ck
-    else:
-        pivot = rhs.q[ki]
-        p = (rhs.p - (c / ck) * pivot) / (1j * w - lam)
-        den = 1j * w + lam
-        den[ki] = 1.0
-        q = -(rhs.q - (c / ck) * pivot) / den
-        q[ki] = -(2.0 / (gamma * ck) * pivot + np.sum(c * p) + np.sum(c[mask] * q[mask])) / ck
-    return StateVector(q=q, p=p)
+    phi = (cm * rm + dm * (cd @ r)) / den
+    x = (r + g * c * phi) / d
+    x[m] = (phi - c @ x) / cm
+    return StateVector.from_array(x)
 
 
 def _diag_bound(upper: np.ndarray, lams) -> np.ndarray:

@@ -55,12 +55,14 @@ def _poles(sys: SystemSpec) -> np.ndarray:
     return np.concatenate([[0.0 + 0.0j], iw, -iw])
 
 
-def enclosure_radius(sys: SystemSpec, lam: complex) -> float:
-    """Global enclosure radius (gamma/2) |lam| sum_j c_j^2/omega_j.
+def enclosure_radius(sys: SystemSpec, lam: complex | np.ndarray) -> float | np.ndarray:
+    """Global enclosure radius (gamma/2) |lam| sum_j c_j^2/omega_j, elementwise.
 
     Every eigenvalue lies within this distance of some +/- i omega_j.
+    ``|lam|`` is taken as ``hypot(Re lam, Im lam)``: on arrays numpy's
+    complex ``abs`` can differ from it in the last bit.
     """
-    return 0.5 * sys.gamma * abs(lam) * sys.coupling_sum()
+    return 0.5 * sys.gamma * np.hypot(np.real(lam), np.imag(lam)) * sys.coupling_sum()
 
 
 def escape_radius(sys: SystemSpec) -> float:
@@ -238,10 +240,10 @@ class EigenCertificate:
 
     ``half`` is "upper" for the root near +i omega_k and "lower" for its
     conjugate partner, whose certificate is the upper one with ``lam`` and
-    ``disk_center``/``disk_radius`` is the root's Rouche disk (radius NaN
-    when none exists).  ``certified`` means the disk exists, lies in the open
-    left half-plane and meets no other root's disk.  ``fallback`` marks
-    roots found from the backup seed.
+    ``disk_center`` conjugated.  ``disk_center``/``disk_radius`` is the
+    root's Rouche disk (radius NaN when none exists).  ``certified`` means
+    the disk exists, lies in the open left half-plane and meets no other
+    root's disk.  ``fallback`` marks roots found from the backup seed.
     """
 
     k: int
@@ -399,8 +401,7 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
     iw = 1j * wk
     nearest_pole = np.min(np.minimum(np.abs(vals[:, None] - iw), np.abs(vals[:, None] + iw)),
                           axis=1)
-    radii = 0.5 * sys.gamma * np.hypot(vals.real, vals.imag) * sys.coupling_sum()
-    enc = float(np.max(nearest_pole - radii, initial=0.0))
+    enc = float(np.max(nearest_pole - enclosure_radius(sys, vals), initial=0.0))
 
     fail_msgs = [failures[i] for i in sorted(failures)] + uncertified
     complete = len(eigs) == 2 * sys.N and not fail_msgs

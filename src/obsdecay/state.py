@@ -87,11 +87,3 @@ class RealState:
     def to_complex(self) -> StateVector:
         """Map (Delta, delta) -> (q, p) = (Delta + i delta, Delta - i delta)."""
         return StateVector(q=self.Delta + 1j * self.delta, p=self.Delta - 1j * self.delta)
-
-    @staticmethod
-    def from_complex(eps: StateVector) -> "RealState":
-        """Inverse of :meth:`to_complex`; exact for conjugate-paired states."""
-        return RealState(
-            Delta=((eps.q + eps.p) / 2.0).real,
-            delta=((eps.q - eps.p) / 2.0).imag,
-        )

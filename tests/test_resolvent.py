@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from conftest import perturbed_beam_family
 from obsdecay.charfn import CharContext, LocalizationError, PoleError, localize
-from obsdecay.dynamics import apply_generator
-from obsdecay.model import beam_example
+from obsdecay.dynamics import apply_generator, dense_generator
+from obsdecay.model import beam_example, build_system
 from obsdecay.resolvent import (
     SpectrumProximityError,
     apply_resolvent,
@@ -24,6 +27,34 @@ def random_state(n, rng):
 
 def shifted_apply(sys, lam, eps):
     return apply_generator(sys, eps).to_array() - lam * eps.to_array()
+
+
+NEAR_POLE_SYSTEMS = [beam_example(1.0, 1.0, 23)] + perturbed_beam_family(3, 4)
+
+
+@st.composite
+def small_systems(draw):
+    """Random systems of 1..6 modes with signed couplings of mixed size."""
+    n = draw(st.integers(1, 6))
+    gaps = draw(st.lists(st.floats(0.1, 10.0), min_size=n, max_size=n))
+    sizes = draw(st.lists(st.floats(0.05, 3.0), min_size=n, max_size=n))
+    signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n))
+    gamma = draw(st.floats(0.05, 5.0))
+    return build_system(gamma, np.cumsum(gaps), np.multiply(sizes, signs))
+
+
+@st.composite
+def resolvent_points(draw, sys):
+    """An exact mode frequency, a point near one, or a generic point."""
+    kind = draw(st.sampled_from(("pole", "near", "generic")))
+    if kind == "generic":
+        top = 1.2 * sys.omegas[-1]
+        return complex(draw(st.floats(-3.0, 3.0)), draw(st.floats(-top, top)))
+    pole = draw(st.sampled_from((1j, -1j))) * draw(st.sampled_from(sys.omegas.tolist()))
+    if kind == "pole":
+        return pole
+    step = 10.0 ** -draw(st.floats(4.0, 14.0))
+    return pole + step * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
 
 
 class TestApplyResolvent:
@@ -101,22 +132,55 @@ class TestApplyResolvent:
             rhs = (lam1 - lam2) * apply_resolvent(beam4, lam1, inner).to_array()
             assert np.linalg.norm(lhs - rhs) <= 1e-8
 
-    def test_pole_approach_matches_branch_formula(self, beam4):
-        # generic formula at i omega_k + h approaches the branch output in
-        # every component except the pivot as h -> 0
+    def test_continuous_through_the_pole(self, beam4):
+        # R(lam0 + h) = R(lam0) + h R(lam0)^2 + O(h^2) in all eight
+        # components, the pivot row (p_2 at +i omega_2, q_3 at -i omega_3)
+        # included
         rng = np.random.default_rng(16)
         rhs = random_state(4, rng)
-        k = 2
-        lam0 = 1j * beam4.omegas[k - 1]
-        exact = apply_resolvent(beam4, lam0, rhs).to_array()
-        keep = np.ones(8, dtype=bool)
-        keep[4 + k - 1] = False  # drop the pivot row p_k
-        errs = []
-        for h in (1e-4, 1e-6):
-            approx = apply_resolvent(beam4, lam0 + h, rhs).to_array()
-            errs.append(np.linalg.norm((approx - exact)[keep]))
-        assert errs[1] < errs[0]
-        assert errs[1] <= 1e-4
+        for lam0 in (1j * beam4.omegas[1], -1j * beam4.omegas[2]):
+            x0 = apply_resolvent(beam4, lam0, rhs)
+            dx = apply_resolvent(beam4, lam0, x0)
+            ddx = apply_resolvent(beam4, lam0, dx)
+            for e in range(4, 15):
+                for direction in (1.0, 1j):
+                    lam = lam0 + direction * 10.0**-e
+                    h = lam - lam0  # the step actually taken, after rounding
+                    step = apply_resolvent(beam4, lam, rhs).to_array() - x0.to_array()
+                    err = np.max(np.abs(step - h * dx.to_array()))
+                    assert err <= 2.0 * abs(h) ** 2 * ddx.norm() + 1e-14 * x0.norm()
+
+    @pytest.mark.parametrize("sys", NEAR_POLE_SYSTEMS, ids=lambda s: f"N{s.N}")
+    def test_round_trip_near_every_pole(self, sys):
+        # lam = +/- i omega_k + h for h down to 1e-14, every mode, four directions
+        rng = np.random.default_rng(17)
+        gen = dense_generator(sys)
+        worst = 0.0
+        for w in sys.omegas:
+            for pole in (1j * w, -1j * w):
+                for e in range(4, 15):
+                    for direction in (1.0, 1j, -1.0, -1j):
+                        lam = pole + direction * 10.0**-e
+                        rhs = random_state(sys.N, rng)
+                        eps = apply_resolvent(sys, lam, rhs).to_array()
+                        resid = np.linalg.norm((gen - lam * np.eye(2 * sys.N)) @ eps
+                                               - rhs.to_array())
+                        worst = max(worst, resid / rhs.norm())
+        assert worst <= 1e-10
+
+    @settings(deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        sys = data.draw(small_systems())
+        lam = data.draw(resolvent_points(sys))
+        gen = dense_generator(sys)
+        shifted = gen - lam * np.eye(2 * sys.N)
+        assume(lam != 0 and np.min(np.abs(np.linalg.eigvals(gen) - lam)) > 1e-6)
+        rhs = random_state(sys.N, np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))))
+        eps = apply_resolvent(sys, lam, rhs).to_array()
+        resid = np.linalg.norm(shifted @ eps - rhs.to_array())
+        # normwise backward error: the solve is exact for a nearby matrix
+        assert resid <= 1e-13 * (np.linalg.norm(shifted, 2) * np.linalg.norm(eps) + rhs.norm())
 
     def test_spectrum_proximity_guard(self, beam4, beam4_spectrum):
         lam = beam4_spectrum.eigs[0].lam
