@@ -217,6 +217,32 @@ def eval_F(ctx: CharContext, lam):
     return complex(val) if scalar else val
 
 
+def _other_modes(n: int, ks: np.ndarray) -> np.ndarray:
+    """Row i lists the indices ``j != ks[i] - 1`` of the other modes, ascending."""
+    j = np.arange(n - 1)
+    return j + (j >= ks[:, None] - 1)
+
+
+def _linearizations(sys: SystemSpec, ks: np.ndarray) -> list[tuple[complex, complex]]:
+    """F and F' at i*omega_k for each mode k in ``ks``, the sums over j != k in one array pass.
+
+    Row k of the sum holds the same N - 1 terms in the same order whichever
+    modes share the batch, so each mode's values are bitwise the same in
+    every batch.  The per-mode terms ``omega_k^2``, ``c_k^2`` and the
+    complex values are formed in Python floats (numpy's square and complex
+    arithmetic can differ from them in the last bit).
+    """
+    cols = _other_modes(sys.N, ks)
+    wk = sys.omegas[ks - 1].tolist()
+    wk2 = np.array([w**2 for w in wk])
+    others = 2.0 * np.sum(sys.cs[cols] ** 2 / (sys.omegas[cols] ** 2 - wk2[:, None]), axis=1)
+    out = []
+    for w, c, o in zip(wk, sys.cs[ks - 1].tolist(), others.tolist()):
+        s = o + c**2 / (2.0 * w**2)
+        out.append((complex(c**2 / w), 2.0 / (sys.gamma * w) + 1j * s))
+    return out
+
+
 def char_linearization(ctx: CharContext) -> tuple[complex, complex]:
     """Closed-form value and derivative of F at the center i*omega_k.
 
@@ -224,17 +250,7 @@ def char_linearization(ctx: CharContext) -> tuple[complex, complex]:
     F'(i omega_k) = 2i sum_{j != k} c_j^2/(omega_j^2 - omega_k^2)
                     + i c_k^2 / (2 omega_k^2) + 2/(gamma omega_k)
     """
-    sys = ctx.sys
-    wk = ctx.omega_k
-    mask = np.arange(sys.N) != ctx.k - 1
-    others = 2.0 * float(np.sum(sys.cs[mask] ** 2 / (sys.omegas[mask] ** 2 - wk**2)))
-    return _linearization(sys.gamma, wk, ctx.c_k, others)
-
-
-def _linearization(gamma: float, wk: float, ck: float, others: float) -> tuple[complex, complex]:
-    """F and F' at i*omega_k, given ``others = 2 sum_{j != k} c_j^2/(omega_j^2 - omega_k^2)``."""
-    s = others + ck**2 / (2.0 * wk**2)
-    return complex(ck**2 / wk), 2.0 / (gamma * wk) + 1j * s
+    return _linearizations(ctx.sys, np.array([ctx.k]))[0]
 
 
 def lambda_star(ctx: CharContext) -> complex:
@@ -252,21 +268,20 @@ def lambda_star(ctx: CharContext) -> complex:
 def lambda_stars(sys: SystemSpec) -> np.ndarray:
     """:func:`lambda_star` of every mode, with the sums over j != k in one array pass.
 
-    Bitwise equal to ``lambda_star(CharContext(sys, k))`` for k = 1..N: row k
-    of the sum holds the same N - 1 terms in the same order, and the per-mode
-    terms ``omega_k^2``, ``c_k^2`` and the complex quotient are formed in
-    Python floats as there (numpy's square and complex division can differ
-    from them in the last bit).
+    Bitwise equal to ``lambda_star(CharContext(sys, k))`` for k = 1..N (see
+    :func:`_linearizations`).
     """
-    n = sys.N
-    wk = sys.omegas.tolist()
-    # row k lists the indices j != k in ascending order
-    cols = np.arange(n - 1) + (np.arange(n - 1) >= np.arange(n)[:, None])
-    wk2 = np.array([w**2 for w in wk])
-    others = 2.0 * np.sum(sys.cs[cols] ** 2 / (sys.omegas[cols] ** 2 - wk2[:, None]), axis=1)
-    lin = (_linearization(sys.gamma, w, c, s)
-           for w, c, s in zip(wk, sys.cs.tolist(), others.tolist()))
-    return np.array([1j * w - f0 / f1 for w, (f0, f1) in zip(wk, lin)], dtype=complex)
+    lin = _linearizations(sys, np.arange(1, sys.N + 1))
+    return np.array([1j * w - f0 / f1 for w, (f0, f1) in zip(sys.omegas.tolist(), lin)],
+                    dtype=complex)
+
+
+def _convergence_radii(sys: SystemSpec, ks: np.ndarray) -> np.ndarray:
+    """:func:`convergence_radius` of each mode in ``ks``."""
+    gaps = np.diff(sys.omegas)
+    below = np.concatenate([[np.inf], gaps])[ks - 1]
+    above = np.concatenate([gaps, [np.inf]])[ks - 1]
+    return np.minimum(sys.omegas[ks - 1], np.minimum(below, above))
 
 
 def convergence_radius(ctx: CharContext) -> float:
@@ -275,14 +290,23 @@ def convergence_radius(ctx: CharContext) -> float:
     Singularities of f are 0 and +/- i*omega_j.  The nearest ones are the
     neighbouring upper poles and the origin; lower poles are farther away.
     """
-    sys = ctx.sys
-    wk = ctx.omega_k
-    candidates = [wk]  # distance to 0 (and a lower bound for all -i omega_j)
-    if ctx.k > 1:
-        candidates.append(wk - float(sys.omegas[ctx.k - 2]))
-    if ctx.k < sys.N:
-        candidates.append(float(sys.omegas[ctx.k]) - wk)
-    return min(candidates)
+    return float(_convergence_radii(ctx.sys, np.array([ctx.k]))[0])
+
+
+def _remainder_bounds(sys: SystemSpec, ks: np.ndarray, R1: np.ndarray) -> np.ndarray:
+    """:func:`estimate_M` of each mode in ``ks`` at its radius in ``R1``, in one array pass.
+
+    Row k sums the same terms in the same order whichever modes share the
+    batch, so each value is bitwise the same in every batch.
+    """
+    wk = sys.omegas[ks - 1]
+    cols = _other_modes(sys.N, ks)
+    weights = sys.cs**2 / sys.omegas
+    d_upper = np.abs(sys.omegas[cols] - wk[:, None])
+    d_lower = sys.omegas + wk[:, None]
+    upper = np.sum(weights[cols] / (d_upper * (d_upper - R1[:, None])), axis=1)
+    lower = np.sum(weights / (d_lower * (d_lower - R1[:, None])), axis=1)
+    return upper + lower + (2.0 / sys.gamma) / (wk * (wk - R1))
 
 
 def estimate_M(ctx: CharContext, R1: float) -> float:
@@ -299,78 +323,91 @@ def estimate_M(ctx: CharContext, R1: float) -> float:
     R0 = convergence_radius(ctx)
     if not 0.0 < R1 < R0:
         raise ValueError(f"R1 must lie in (0, {R0}), got {R1}")
-    sys = ctx.sys
-    wk = ctx.omega_k
-    weights = sys.cs**2 / sys.omegas
-    d_upper = np.abs(np.delete(sys.omegas, ctx.k - 1) - wk)
-    d_lower = sys.omegas + wk
-    upper = np.sum(np.delete(weights, ctx.k - 1) / (d_upper * (d_upper - R1)))
-    lower = np.sum(weights / (d_lower * (d_lower - R1)))
-    return float(upper + lower + (2.0 / sys.gamma) / (wk * (wk - R1)))
+    return float(_remainder_bounds(ctx.sys, np.array([ctx.k]), np.array([R1]))[0])
 
 
-def localize(ctx: CharContext,
-             theta_frac: float = THETA_FRACTION_DEFAULT) -> LocalizationCertificate:
-    """Build the enclosure certificate for one mode.
+def localize_modes(sys: SystemSpec, ks,
+                   theta_frac: float = THETA_FRACTION_DEFAULT
+                   ) -> tuple[dict[int, LocalizationCertificate], dict[int, str]]:
+    """Enclosure certificates of the modes ``ks``, with their O(N) sums in one array pass.
 
-    The disk radius is chosen as
+    F0, F1, lambda_star, R0, ``R1 = R1_FRACTION * R0`` and the remainder
+    bound M of every mode come from whole-batch arrays (bitwise what each
+    mode alone gives); the radius choice below then runs per mode.  The disk
+    radius is chosen as
     ``min(theta_frac * |Re lambda_star|, (0.5 * (b + sqrt(b^2 - c)))^2)`` and,
     when that falls outside the admissible interval, clamped just inside it
     provided axis separation survives; otherwise the certificate degrades to
     an uncertified disk of radius ``theta_frac * |Re lambda_star|``.
 
-    Raises LocalizationError when the admissible interval is empty (b^2 <= c).
+    Returns ``(certificates, failures)``, both keyed by mode: the certificate
+    of each mode that localizes, and the :class:`LocalizationError` text of
+    each mode whose admissible interval is empty (b^2 <= c).
     """
     if not 0.0 < theta_frac < 1.0:
         raise ValueError("theta_frac must lie in (0, 1)")
-    sys = ctx.sys
-    f0, f1 = char_linearization(ctx)
-    lam_s = 1j * ctx.omega_k - f0 / f1
-    R0 = convergence_radius(ctx)
+    ks = np.asarray(ks, dtype=int)
+    if np.any((ks < 1) | (ks > sys.N)):
+        raise ValueError(f"mode indices must lie in [1, {sys.N}]")
+    R0 = _convergence_radii(sys, ks)
     R1 = R1_FRACTION * R0
-    M = estimate_M(ctx, R1)
+    Ms = _remainder_bounds(sys, ks, R1)
+    certs, failures = {}, {}
+    for k, wk, ck, (f0, f1), r0, r1, M in zip(
+            ks.tolist(), sys.omegas[ks - 1].tolist(), sys.cs[ks - 1].tolist(),
+            _linearizations(sys, ks), R0.tolist(), R1.tolist(), Ms.tolist()):
+        lam_s = 1j * wk - f0 / f1
+        abs_f0, abs_f1 = abs(f0), abs(f1)
+        b = math.sqrt(abs_f1 / (4.0 * M))
+        c_const = abs(f0 / f1)
+        cond1 = 0.0 < M < abs_f1**2 / (4.0 * abs_f0)
+        gw = sys.gamma * wk
+        cond2 = M < gw * abs_f1**3 / (ck**2 * (gw * abs_f1 + 1.0) ** 2)
 
-    abs_f0, abs_f1 = abs(f0), abs(f1)
-    b = math.sqrt(abs_f1 / (4.0 * M))
-    c_const = abs(f0 / f1)
-    cond1 = 0.0 < M < abs_f1**2 / (4.0 * abs_f0)
-    wk = ctx.omega_k
-    gw = sys.gamma * wk
-    cond2 = M < gw * abs_f1**3 / (ctx.c_k**2 * (gw * abs_f1 + 1.0) ** 2)
+        if b * b <= c_const:
+            failures[k] = (f"mode {k}: empty admissible radius interval (b^2 = {b*b:.3e} "
+                           f"<= c = {c_const:.3e})")
+            continue
+        root = math.sqrt(b * b - c_const)
+        lo = (b - root) ** 2
+        hi = (b + root) ** 2
+        sep_target = theta_frac * abs(lam_s.real)
 
-    if b * b <= c_const:
-        raise LocalizationError(
-            f"mode {ctx.k}: empty admissible radius interval (b^2 = {b*b:.3e} "
-            f"<= c = {c_const:.3e})"
-        )
-    root = math.sqrt(b * b - c_const)
-    lo = (b - root) ** 2
-    hi = (b + root) ** 2
-    sep_target = theta_frac * abs(lam_s.real)
-
-    candidate = min(sep_target, (0.5 * (b + root)) ** 2)
-    if lo < candidate < hi:
-        rk, interval_ok = candidate, True
-    else:
-        clamped = min(max(candidate, lo * (1.0 + 1e-9)), hi * (1.0 - 1e-9))
-        if lo < clamped < hi and clamped <= sep_target:
-            rk, interval_ok = clamped, True
+        candidate = min(sep_target, (0.5 * (b + root)) ** 2)
+        if lo < candidate < hi:
+            rk, interval_ok = candidate, True
         else:
-            rk = sep_target
-            interval_ok = lo < rk < hi
+            clamped = min(max(candidate, lo * (1.0 + 1e-9)), hi * (1.0 - 1e-9))
+            if lo < clamped < hi and clamped <= sep_target:
+                rk, interval_ok = clamped, True
+            else:
+                rk = sep_target
+                interval_ok = lo < rk < hi
 
-    contained = c_const + rk <= R1
-    separated = bool(
-        interval_ok and cond1 and contained and rk <= sep_target * (1.0 + 1e-12)
-    )
+        contained = c_const + rk <= r1
+        separated = bool(
+            interval_ok and cond1 and contained and rk <= sep_target * (1.0 + 1e-12)
+        )
+        certs[k] = LocalizationCertificate(
+            k=k, lambda_star=lam_s, F0=f0, F1=f1, M=M, R0=r0, R1=r1,
+            b=b, c_const=c_const, Rk=rk, theta_frac=theta_frac,
+            cond_Mneq1=bool(cond1), cond_Mneq2=bool(cond2),
+            interval_ok=bool(interval_ok), contained=bool(contained),
+            separated=separated, omega_gt_1=bool(wk > 1.0),
+        )
+    return certs, failures
 
-    return LocalizationCertificate(
-        k=ctx.k, lambda_star=lam_s, F0=f0, F1=f1, M=M, R0=R0, R1=R1,
-        b=b, c_const=c_const, Rk=rk, theta_frac=theta_frac,
-        cond_Mneq1=bool(cond1), cond_Mneq2=bool(cond2),
-        interval_ok=bool(interval_ok), contained=bool(contained),
-        separated=separated, omega_gt_1=bool(wk > 1.0),
-    )
+
+def localize(ctx: CharContext,
+             theta_frac: float = THETA_FRACTION_DEFAULT) -> LocalizationCertificate:
+    """Build the enclosure certificate for one mode: :func:`localize_modes` on a batch of one.
+
+    Raises LocalizationError when the admissible interval is empty (b^2 <= c).
+    """
+    certs, failures = localize_modes(ctx.sys, [ctx.k], theta_frac)
+    if failures:
+        raise LocalizationError(failures[ctx.k])
+    return certs[ctx.k]
 
 
 def rouche_margin(ctx: CharContext, cert: LocalizationCertificate) -> float:

@@ -191,13 +191,9 @@ class Pipeline:
 
     @cached_property
     def localizations(self) -> dict[int, charfn.LocalizationCertificate]:
-        certs = {}
-        for k in range(1, self.config.system.N + 1):
-            try:
-                certs[k] = charfn.localize(charfn.CharContext(self.config.system, k),
-                                           theta_frac=self.config.tolerances.theta_frac)
-            except charfn.LocalizationError:
-                continue
+        system = self.config.system
+        certs, _failures = charfn.localize_modes(
+            system, range(1, system.N + 1), theta_frac=self.config.tolerances.theta_frac)
         return certs
 
     @cached_property

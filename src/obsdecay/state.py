@@ -31,10 +31,12 @@ class StateVector:
         p = np.asarray(self.p, dtype=complex)
         if q.ndim != 1 or p.ndim != 1 or q.shape != p.shape:
             raise ValueError("q and p must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
+        # one stacked copy, validated in one pass; q and p are views of it
+        vec = np.concatenate((q, p))
+        if not np.isfinite(vec).all():
             raise ValueError("state entries must be finite")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", vec[:q.size])
+        object.__setattr__(self, "p", vec[q.size:])
 
     @property
     def n_modes(self) -> int:

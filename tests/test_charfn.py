@@ -1,10 +1,15 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 
 from conftest import load_bench_workloads, perturbed_beam_family
+from obsdecay import cli, reports
 from obsdecay.charfn import (
     R1_FRACTION,
     CharContext,
+    LocalizationCertificate,
     LocalizationError,
     PoleError,
     char_linearization,
@@ -17,6 +22,7 @@ from obsdecay.charfn import (
     lambda_star,
     lambda_stars,
     localize,
+    localize_modes,
     rouche_margin,
 )
 from obsdecay.model import SystemSpec, beam_example, build_system
@@ -24,6 +30,95 @@ from obsdecay.model import SystemSpec, beam_example, build_system
 # f at 0.5 + 0.5i for the N=23 quadratic-frequency family, summed at 50
 # decimal digits with mpmath (term-by-term, ascending mode order).
 F_BEAM23_HALF_HALF = 2.80099362173489 + 3.6346554739934485j
+
+
+# ---- reference: one mode at a time, in scalar code --------------------------
+
+def reference_linearization(sys, k):
+    """F and F' at i*omega_k, the sum over j != k formed for this mode alone."""
+    wk, ck = float(sys.omegas[k - 1]), float(sys.cs[k - 1])
+    mask = np.arange(sys.N) != k - 1
+    others = 2.0 * float(np.sum(sys.cs[mask] ** 2 / (sys.omegas[mask] ** 2 - wk**2)))
+    s = others + ck**2 / (2.0 * wk**2)
+    return complex(ck**2 / wk), 2.0 / (sys.gamma * wk) + 1j * s
+
+
+def reference_convergence_radius(sys, k):
+    wk = float(sys.omegas[k - 1])
+    candidates = [wk]
+    if k > 1:
+        candidates.append(wk - float(sys.omegas[k - 2]))
+    if k < sys.N:
+        candidates.append(float(sys.omegas[k]) - wk)
+    return min(candidates)
+
+
+def reference_M(sys, k, R1):
+    wk = float(sys.omegas[k - 1])
+    weights = sys.cs**2 / sys.omegas
+    d_upper = np.abs(np.delete(sys.omegas, k - 1) - wk)
+    d_lower = sys.omegas + wk
+    upper = np.sum(np.delete(weights, k - 1) / (d_upper * (d_upper - R1)))
+    lower = np.sum(weights / (d_lower * (d_lower - R1)))
+    return float(upper + lower + (2.0 / sys.gamma) / (wk * (wk - R1)))
+
+
+def reference_localize(sys, k, theta_frac=0.5):
+    """The certificate of mode k built from its own O(N) sums; raises
+    LocalizationError on an empty admissible interval."""
+    wk, ck = float(sys.omegas[k - 1]), float(sys.cs[k - 1])
+    f0, f1 = reference_linearization(sys, k)
+    lam_s = 1j * wk - f0 / f1
+    R0 = reference_convergence_radius(sys, k)
+    R1 = R1_FRACTION * R0
+    M = reference_M(sys, k, R1)
+    abs_f0, abs_f1 = abs(f0), abs(f1)
+    b = math.sqrt(abs_f1 / (4.0 * M))
+    c_const = abs(f0 / f1)
+    cond1 = 0.0 < M < abs_f1**2 / (4.0 * abs_f0)
+    gw = sys.gamma * wk
+    cond2 = M < gw * abs_f1**3 / (ck**2 * (gw * abs_f1 + 1.0) ** 2)
+    if b * b <= c_const:
+        raise LocalizationError(
+            f"mode {k}: empty admissible radius interval (b^2 = {b*b:.3e} "
+            f"<= c = {c_const:.3e})"
+        )
+    root = math.sqrt(b * b - c_const)
+    lo, hi = (b - root) ** 2, (b + root) ** 2
+    sep_target = theta_frac * abs(lam_s.real)
+    candidate = min(sep_target, (0.5 * (b + root)) ** 2)
+    if lo < candidate < hi:
+        rk, interval_ok = candidate, True
+    else:
+        clamped = min(max(candidate, lo * (1.0 + 1e-9)), hi * (1.0 - 1e-9))
+        if lo < clamped < hi and clamped <= sep_target:
+            rk, interval_ok = clamped, True
+        else:
+            rk = sep_target
+            interval_ok = lo < rk < hi
+    contained = c_const + rk <= R1
+    separated = bool(interval_ok and cond1 and contained
+                     and rk <= sep_target * (1.0 + 1e-12))
+    return LocalizationCertificate(
+        k=k, lambda_star=lam_s, F0=f0, F1=f1, M=M, R0=R0, R1=R1,
+        b=b, c_const=c_const, Rk=rk, theta_frac=theta_frac,
+        cond_Mneq1=bool(cond1), cond_Mneq2=bool(cond2),
+        interval_ok=bool(interval_ok), contained=bool(contained),
+        separated=separated, omega_gt_1=bool(wk > 1.0),
+    )
+
+
+def bits(cert):
+    """Every field of a certificate, with floats by their exact repr."""
+    return repr(dataclasses.astuple(cert))
+
+
+# bitwise parity set: numpy's c_j**2 differs from the Python float's in the
+# last bit on some of the random family (seed 1)
+PARITY_SYSTEMS = [build_system(1.0, [1.0], [1.0])]
+PARITY_SYSTEMS += [beam_example(1.0, 1.0, n, gamma=g) for n in (2, 9, 23, 64, 256)
+                   for g in (0.3, 1.0, 3.0)]
+PARITY_SYSTEMS += perturbed_beam_family(1, 4) + perturbed_beam_family(17, 16)
 
 
 class TestEvalF:
@@ -168,8 +263,12 @@ class TestLambdaStar:
         systems += [SystemSpec.from_json_dict(case.doc)
                     for case in load_bench_workloads().random_family(1)]
         for sys in systems:
-            expected = [lambda_star(CharContext(sys, k)) for k in range(1, sys.N + 1)]
+            expected = []
+            for k in range(1, sys.N + 1):
+                f0, f1 = reference_linearization(sys, k)
+                expected.append(1j * float(sys.omegas[k - 1]) - f0 / f1)
             assert lambda_stars(sys).tolist() == expected, sys.N
+            assert [lambda_star(CharContext(sys, k)) for k in range(1, sys.N + 1)] == expected
 
     def test_quadratic_approach_rate(self, beam23):
         # |lambda_star - i omega_k| * k^2 stays bounded for the beam family
@@ -321,3 +420,87 @@ class TestLocalizeScaling:
             cert = localize(CharContext(sys, k))
             for center in (cert.lambda_star, np.conjugate(cert.lambda_star)):
                 assert np.count_nonzero(np.abs(oracle - center) < cert.Rk) == 1, k
+
+
+class TestLocalizeModes:
+    def test_batch_matches_each_mode(self):
+        # field for field, bitwise, and the same LocalizationError text
+        cases = [(sys, theta_frac) for sys in PARITY_SYSTEMS for theta_frac in (0.5, 0.2)]
+        cases += [(SystemSpec.from_json_dict(case.doc), 0.5)
+                  for case in load_bench_workloads().random_family(1)]
+        for sys, theta_frac in cases:
+            certs, failures = localize_modes(sys, range(1, sys.N + 1), theta_frac)
+            assert sorted(certs.keys() | failures.keys()) == list(range(1, sys.N + 1))
+            assert not certs.keys() & failures.keys()
+            for k in range(1, sys.N + 1):
+                try:
+                    expected = reference_localize(sys, k, theta_frac)
+                except LocalizationError as exc:
+                    assert failures[k] == str(exc), (sys.N, k)
+                    with pytest.raises(LocalizationError) as one:
+                        localize(CharContext(sys, k), theta_frac)
+                    assert str(one.value) == str(exc)
+                    continue
+                assert bits(certs[k]) == bits(expected), (sys.N, k)
+                assert bits(localize(CharContext(sys, k), theta_frac)) == bits(expected)
+
+    @pytest.mark.parametrize("n", [23, 256])
+    def test_first_two_beam_modes_fail_with_the_same_text(self, n):
+        sys = beam_example(1.0, 1.0, n)
+        certs, failures = localize_modes(sys, range(1, n + 1))
+        assert sorted(failures) == [1, 2] and len(certs) == n - 2
+        for k in (1, 2):
+            with pytest.raises(LocalizationError) as exc:
+                reference_localize(sys, k)
+            assert failures[k] == str(exc.value)
+            assert failures[k].startswith(f"mode {k}: empty admissible radius interval")
+
+    def test_each_helper_matches_its_reference(self):
+        for sys in PARITY_SYSTEMS:
+            for k in range(1, sys.N + 1):
+                ctx = CharContext(sys, k)
+                assert char_linearization(ctx) == reference_linearization(sys, k)
+                r0 = convergence_radius(ctx)
+                assert r0 == reference_convergence_radius(sys, k)
+                for r1 in (R1_FRACTION * r0, 0.5 * r0):
+                    assert estimate_M(ctx, r1) == reference_M(sys, k, r1)
+
+    def test_any_subset_in_any_order(self, beam23):
+        certs, failures = localize_modes(beam23, [23, 2, 9, 9])
+        assert sorted(certs) == [9, 23] and sorted(failures) == [2]
+        assert bits(certs[9]) == bits(reference_localize(beam23, 9))
+        assert localize_modes(beam23, []) == ({}, {})
+
+    def test_validation(self, beam23):
+        for ks in ([0], [24], [1, 24]):
+            with pytest.raises(ValueError):
+                localize_modes(beam23, ks)
+        for theta_frac in (0.0, 1.0):
+            with pytest.raises(ValueError):
+                localize_modes(beam23, [5], theta_frac)
+
+    @pytest.mark.parametrize("n", [23, 256])
+    def test_localize_artifacts_match_the_reference(self, n, tmp_path):
+        # localization.json and localization.csv byte for byte as written
+        # from the per-mode reference certificates
+        config = tmp_path / "config.json"
+        config.write_text('{"gamma": 1.0, "generator": {"type": "beam", "theta": 1.0, '
+                          f'"sigma": 1.0, "N": {n}}}}}')
+        out = tmp_path / "out"
+        assert cli.main(["localize", "--config", str(config), "--out", str(out)]) == 0
+        sys = beam_example(1.0, 1.0, n)
+        ordered = []
+        for k in range(1, n + 1):
+            try:
+                ordered.append(reference_localize(sys, k))
+            except LocalizationError:
+                continue
+        ref = tmp_path / "ref"
+        ref.mkdir()
+        reports.write_localization_csv(ordered, str(ref / "localization.csv"))
+        reports.write_json(str(ref / "localization.json"), {
+            "certificates": [c.to_json_dict() for c in ordered],
+            "failed_modes": [k for k in range(1, n + 1) if k not in {c.k for c in ordered}],
+        })
+        for name in ("localization.csv", "localization.json"):
+            assert (out / name).read_bytes() == (ref / name).read_bytes(), name

@@ -4,10 +4,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import perturbed_beam_family
+from obsdecay import resolvent
 from obsdecay.charfn import CharContext, LocalizationError, PoleError, localize
-from obsdecay.dynamics import apply_generator, dense_generator
+from obsdecay.dynamics import dense_generator
+from obsdecay.fitting import loglog_fit
 from obsdecay.model import beam_example, build_system
 from obsdecay.resolvent import (
+    PTS_PER_SEGMENT_DEFAULT,
     SpectrumProximityError,
     apply_resolvent,
     axis_scan,
@@ -25,11 +28,74 @@ def random_state(n, rng):
     )
 
 
-def shifted_apply(sys, lam, eps):
-    return apply_generator(sys, eps).to_array() - lam * eps.to_array()
+def round_trip_residual(sys, lam, eps, rhs):
+    """``|(A - lam I) eps - rhs|`` with the dense generator: a matrix-free
+    ``A eps - lam eps`` cancels two terms of size ``|A| |eps|`` and would
+    measure that cancellation, not the solve."""
+    shifted = dense_generator(sys) - lam * np.eye(2 * sys.N)
+    return np.linalg.norm(shifted @ eps.to_array() - rhs.to_array())
 
 
 NEAR_POLE_SYSTEMS = [beam_example(1.0, 1.0, 23)] + perturbed_beam_family(3, 4)
+
+
+def brute_force_scan(sys, upper, k_range, pts_per_segment):
+    """Reference axis scan: one band at a time, every point against every root.
+
+    Returns ``(segments, samples, suprema, fit)`` as the fields of
+    :class:`AxisScan`.
+    """
+    def diag_bound(lams):
+        pts = np.asarray(lams, dtype=complex)[:, None]
+        d_up = np.min(np.abs(upper[None, :] - pts), axis=1)
+        d_lo = np.min(np.abs(upper[None, :] - pts.conj()), axis=1)
+        return np.sqrt(d_lo**-2.0 + d_up**-2.0)
+
+    segments, suprema, samples = [], [], []
+    w, im_parts = sys.omegas, upper.imag
+    for k in range(k_range[0], k_range[1] + 1):
+        s_lo = 0.5 * (w[k - 2] + w[k - 1])
+        s_hi = 0.5 * (w[k - 1] + w[k])
+        grid = np.linspace(s_lo, s_hi, pts_per_segment)
+        peaks = im_parts[(im_parts >= s_lo) & (im_parts <= s_hi)]
+        svals = np.sort(np.concatenate([grid, peaks]))
+        vals = diag_bound(1j * svals)
+        segments.append((k, float(s_lo), float(s_hi)))
+        suprema.append((k, float(0.5 * (s_lo + s_hi)), float(np.max(vals))))
+        samples.extend(zip(svals.tolist(), vals.tolist()))
+    samples.sort(key=lambda pair: pair[0])
+    fit = loglog_fit([c for _, c, _ in suprema], [v for _, _, v in suprema])
+    return tuple(segments), tuple(samples), tuple(suprema), fit
+
+
+@pytest.fixture
+def fallback_points(monkeypatch):
+    """Records the number of points each full-row fallback of the scan takes."""
+    sizes = []
+    full_row = resolvent._min_distance
+
+    def recording(roots, pts):
+        sizes.append(pts.size)
+        return full_row(roots, pts)
+
+    monkeypatch.setattr(resolvent, "_min_distance", recording)
+    return sizes
+
+
+class UpperRoots:
+    """Stands in for a SpectrumReport: the axis scan reads only the upper roots."""
+
+    def __init__(self, upper):
+        self.upper = np.asarray(upper, dtype=complex)
+
+    def eigenvalues(self, half):
+        assert half == "upper"
+        return self.upper
+
+
+SCAN_SYSTEMS = [beam_example(1.0, 1.0, n, gamma=g)
+                for n in (23, 64, 256) for g in (0.3, 1.0, 3.0)]
+SCAN_SYSTEMS += [s for s in perturbed_beam_family(5, 8) if s.N >= 5]
 
 
 @st.composite
@@ -62,8 +128,7 @@ class TestApplyResolvent:
         rng = np.random.default_rng(11)
         rhs = random_state(4, rng)
         eps = apply_resolvent(beam4, 1.0 + 1.0j, rhs)
-        resid = np.linalg.norm(shifted_apply(beam4, 1.0 + 1.0j, eps) - rhs.to_array())
-        assert resid <= 1e-10 * rhs.norm()
+        assert round_trip_residual(beam4, 1.0 + 1.0j, eps, rhs) <= 1e-10 * rhs.norm()
 
     def test_round_trip_random_draws(self, beam4, beam4_spectrum):
         rng = np.random.default_rng(12)
@@ -75,8 +140,7 @@ class TestApplyResolvent:
                 continue
             rhs = random_state(4, rng)
             eps = apply_resolvent(beam4, lam, rhs)
-            resid = np.linalg.norm(shifted_apply(beam4, lam, eps) - rhs.to_array())
-            assert resid <= 1e-10 * rhs.norm()
+            assert round_trip_residual(beam4, lam, eps, rhs) <= 1e-10 * rhs.norm()
             done += 1
 
     def test_zero_rhs_maps_to_zero(self, beam4):
@@ -106,8 +170,7 @@ class TestApplyResolvent:
                   + np.sum(c * out.q) + np.sum(c[mask] * out.p[mask])) / c[k - 1]
         assert abs(out.p[k - 1] - pivot) <= 1e-12 * max(1.0, abs(pivot))
         # and the dense operator agrees
-        resid = np.linalg.norm(shifted_apply(beam4, lam, out) - rhs.to_array())
-        assert resid <= 1e-10 * rhs.norm()
+        assert round_trip_residual(beam4, lam, out, rhs) <= 1e-10 * rhs.norm()
 
     def test_lower_pole_defining_equations(self, beam4):
         rng = np.random.default_rng(14)
@@ -118,8 +181,7 @@ class TestApplyResolvent:
         c, g = beam4.cs, beam4.gamma
         phi = np.sum(c * (out.q + out.p))
         assert abs(-0.5 * g * c[k - 1] * phi - rhs.q[k - 1]) <= 1e-10
-        resid = np.linalg.norm(shifted_apply(beam4, lam, out) - rhs.to_array())
-        assert resid <= 1e-10 * rhs.norm()
+        assert round_trip_residual(beam4, lam, out, rhs) <= 1e-10 * rhs.norm()
 
     def test_first_resolvent_identity(self, beam4):
         rng = np.random.default_rng(15)
@@ -285,6 +347,47 @@ class TestAxisScan:
     def test_degenerate_fit_rejected(self, beam23, beam23_spectrum):
         with pytest.raises(ValueError, match="degenerate"):
             axis_scan(beam23, beam23_spectrum, (3, 4))
+
+    @pytest.mark.parametrize("sys", SCAN_SYSTEMS, ids=lambda s: f"N{s.N}-g{s.gamma:.3g}")
+    def test_one_pass_matches_band_by_band(self, sys, fallback_points):
+        # bitwise: samples, suprema, segments and fit, with the window bound
+        # settling every point (no full-row fallback) on these spectra
+        spectrum = full_spectrum(sys)
+        upper = spectrum.eigenvalues("upper")
+        for k_range in ((3, sys.N - 3), (2, sys.N - 1)):
+            if k_range[1] - k_range[0] < 2:
+                continue
+            for pts in (PTS_PER_SEGMENT_DEFAULT, 5):
+                scan = axis_scan(sys, spectrum, k_range, pts_per_segment=pts)
+                segments, samples, suprema, fit = brute_force_scan(sys, upper, k_range, pts)
+                assert scan.segments == segments
+                assert scan.samples == samples
+                assert scan.suprema == suprema
+                assert scan.alpha_fit == fit
+        assert fallback_points == []
+
+    def test_window_fallback_matches_band_by_band(self, beam23, beam23_spectrum,
+                                                  fallback_points):
+        # a cluster of strongly damped roots around Im = 100 is nearest in
+        # imaginary part to the points of band 10, but the beam roots at
+        # Im ~ 81 and ~ 121 are nearer in distance: the window bound fails
+        # there and the full row must decide
+        cluster = -200.0 + 1j * (100.0 + np.linspace(-2.0, 2.0, 5))
+        upper = np.concatenate([beam23_spectrum.eigenvalues("upper"), cluster])
+        scan = axis_scan(beam23, UpperRoots(upper), (3, 20))
+        segments, samples, suprema, fit = brute_force_scan(beam23, upper, (3, 20),
+                                                           PTS_PER_SEGMENT_DEFAULT)
+        assert sum(fallback_points) > 0
+        assert scan.segments == segments
+        assert scan.samples == samples
+        assert scan.suprema == suprema
+        assert scan.alpha_fit == fit
+
+    def test_exact_hit_raises(self, beam23, beam23_spectrum):
+        lam = beam23_spectrum.eigenvalues("upper")[4]
+        for point in (lam, np.conjugate(lam)):
+            with pytest.raises(SpectrumProximityError):
+                resolvent_norm(beam23, point, "diag", beam23_spectrum)
 
     def test_peak_capture_beats_endpoint_sampling(self, beam23, beam23_spectrum):
         # the supremum must reflect the eigenvalue peak 1/|Re lam_k|, which a
