@@ -96,7 +96,7 @@ class Tolerances:
              "envelope_t_lo and envelope_t_hi must satisfy 0 < t_lo < t_hi"),
             (tol.envelope_points >= 3, "envelope_points must be at least 3"),
             (tol.sim_t_final > SIM_T_FIRST, f"sim_t_final must exceed {SIM_T_FIRST}"),
-            (tol.sim_points >= 1, "sim_points must be at least 1"),
+            (tol.sim_points >= 3, "sim_points must be at least 3"),
         )
         bad = [msg for ok, msg in ranges if not ok]
         if bad:

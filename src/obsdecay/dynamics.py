@@ -27,7 +27,9 @@ import numpy as np
 import scipy.linalg
 
 from .fitting import loglog_fit
+from .modal import build_basis
 from .model import SystemSpec
+from .spectrum import full_spectrum
 from .state import RealState, StateVector
 
 RTOL_DEFAULT = 1e-9
@@ -126,9 +128,6 @@ def simulate_error(sys: SystemSpec, eps0: StateVector, t_grid,
     if eps0.n_modes != sys.N:
         raise ValueError(f"state has {eps0.n_modes} modes, system has {sys.N}")
     if basis is None:
-        from .modal import build_basis  # modal imports this module
-        from .spectrum import full_spectrum
-
         basis = build_basis(sys, full_spectrum(sys))
     y0 = eps0.to_array()
     coeffs = basis.solve(y0)

@@ -11,7 +11,9 @@ component q_n is one; it is taken from the upper vector rather than built
 again.  With that scaling the eigenvectors approach the canonical unit
 vectors as the coupling fades, and the column matrix Q of all 2N of them
 diagonalizes the generator: A = Q G Q^{-1} with G the diagonal of
-eigenvalues (lower half first).
+eigenvalues (lower half first).  As A = A^T and a complete report proves
+the eigenvalues distinct, Q^{-1} = diag(1/nu) Q^T with nu_k = v_k^T v_k
+(unconjugated), and A Q - Q G is made of the eigenvectors' column residuals.
 
 The squared distances between scaled eigenvectors and their canonical
 comparisons ("closeness increments") quantify how far the eigenbasis is
@@ -22,12 +24,10 @@ basis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import numpy as np
-import scipy.linalg
 
 from .charfn import PoleError
-from .dynamics import dense_generator
 from .model import SystemSpec
 from .spectrum import SpectrumReport
 from .state import StateVector
@@ -109,7 +109,8 @@ class ModalBasis:
     the reciprocal of the smallest singular value of Q); their product is
     the basis condition number entering every norm-equivalence bound.
     ``closeness`` holds partial sums of the per-mode squared distances to the
-    canonical comparison vectors.
+    canonical comparison vectors.  ``nu`` holds ``v_k^T v_k`` (unconjugated):
+    A = A^T with distinct eigenvalues gives ``Q^{-1} = diag(1/nu) Q^T``.
     """
 
     Q: np.ndarray
@@ -120,11 +121,11 @@ class ModalBasis:
     closeness_increments: tuple[float, ...]
     closeness: tuple[float, ...]
     factorization_residual: float
-    _lu: tuple = field(repr=False, compare=False, default=None)
+    nu: np.ndarray
 
     def solve(self, vec: np.ndarray) -> np.ndarray:
-        """Q^{-1} vec via the stored LU factorization."""
-        return scipy.linalg.lu_solve(self._lu, vec)
+        """Q^{-1} vec = diag(1/nu) Q^T vec, for a vector or a matrix of columns."""
+        return (self.Q.T @ vec) / self.nu.reshape((-1,) + (1,) * (np.ndim(vec) - 1))
 
     def to_json_dict(self) -> dict:
         return {
@@ -143,7 +144,12 @@ def build_basis(sys: SystemSpec, spectrum: SpectrumReport) -> ModalBasis:
     eigenvectors are built and residual-checked together, in one array pass,
     each bitwise as :func:`eigenvector` builds it alone; the lower one of
     each mode is its conjugate swap J v, an eigenvector of conj(lam) because
-    the generator commutes with J.
+    the generator commutes with J.  ``Q^{-1} = diag(1/nu) Q^T`` since A = A^T
+    and the report proves the eigenvalues distinct; the SVD's condition check
+    is the one guard against a singular Q, and passing it gives
+    ``min |nu| >= 1/beta2^2``.  Column k of A Q - Q G is (A - lam_k) v_k, and
+    J is an isometry commuting with A, so ||A Q - Q G||_F is sqrt(2) times
+    the norm of the N upper column residuals.
     Raises BasisError when an upper eigenvector fails its 1e-9 residual
     check (naming the mode), when Q is numerically singular, or when the
     factorization residual ||A Q - Q G||_F exceeds 1e-8 ||A||_F.
@@ -173,10 +179,6 @@ def build_basis(sys: SystemSpec, spectrum: SpectrumReport) -> ModalBasis:
     vecs[ks - 1, n + ks - 1] -= 1.0
     increments = 2.0 * np.sum(np.abs(vecs) ** 2, axis=1)
 
-    try:
-        lu = scipy.linalg.lu_factor(q_mat)
-    except scipy.linalg.LinAlgError as exc:
-        raise BasisError(f"eigenvector matrix is singular: {exc}") from None
     svals = np.linalg.svd(q_mat, compute_uv=False)
     beta1 = float(svals[0])
     beta2 = float(1.0 / svals[-1])
@@ -184,20 +186,18 @@ def build_basis(sys: SystemSpec, spectrum: SpectrumReport) -> ModalBasis:
     if not np.isfinite(cond_q) or cond_q > COND_Q_LIMIT:
         raise BasisError(f"eigenvector matrix is numerically singular (cond = {cond_q:.3e})")
 
-    a_dense = dense_generator(sys)
-    fact_resid = float(np.linalg.norm(a_dense @ q_mat - q_mat * g_diag[None, :]))
-    a_scale = float(np.linalg.norm(a_dense))
+    fact_resid = float(np.sqrt(2.0) * np.linalg.norm(resid))
+    a_scale = float(np.sqrt(2.0 * sys.omegas @ sys.omegas + (sys.gamma * sys.cs @ sys.cs) ** 2))
     if fact_resid > FACTORIZATION_RESIDUAL_RTOL * a_scale:
-        raise BasisError(
-            f"factorization residual {fact_resid:.3e} exceeds "
-            f"{FACTORIZATION_RESIDUAL_RTOL} * ||A||_F = {FACTORIZATION_RESIDUAL_RTOL * a_scale:.3e}"
-        )
+        raise BasisError(f"factorization residual {fact_resid:.3e} exceeds "
+                         f"{FACTORIZATION_RESIDUAL_RTOL} * ||A||_F = "
+                         f"{FACTORIZATION_RESIDUAL_RTOL * a_scale:.3e}")
 
     return ModalBasis(
         Q=q_mat, G=g_diag, beta1=beta1, beta2=beta2, cond_Q=cond_q,
         closeness_increments=tuple(increments.tolist()),
         closeness=tuple(np.cumsum(increments).tolist()),
         factorization_residual=fact_resid,
-        _lu=lu,
+        nu=np.sum(q_mat * q_mat, axis=0),
     )
 

@@ -317,6 +317,7 @@ class TestReportVerb:
     @pytest.mark.parametrize("tolerances", [
         {"theta_frac": 1.5},
         {"sim_points": 0},
+        {"sim_points": 2},
         {"pts_per_segment": 2},
         {"envelope_points": 2},
         {"k0": 0},

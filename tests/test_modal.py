@@ -27,6 +27,21 @@ def random_state(n, rng):
     )
 
 
+# beam truncations and jittered beam-like systems; only the complete ones get a basis
+PARITY_SYSTEMS = ([beam_example(1.0, 1.0, n) for n in (1, 2, 4, 8, 23, 64)]
+                  + [sys for seed in (1, 2, 3) for sys in perturbed_beam_family(seed, 4)])
+
+
+@pytest.fixture(scope="module")
+def parity_bases():
+    pairs = []
+    for sys in PARITY_SYSTEMS:
+        rep = full_spectrum(sys)
+        if rep.complete:
+            pairs.append((sys, build_basis(sys, rep)))
+    return pairs
+
+
 def conjugate_swap(vec):
     """J v = (conj p, conj q): the eigenvector of conj(lam) when v belongs to lam."""
     return StateVector(q=np.conjugate(vec.p), p=np.conjugate(vec.q))
@@ -141,9 +156,49 @@ class TestBuildBasis:
         resid = np.linalg.norm(basis.solve(a @ basis.Q) - np.diag(basis.G))
         assert resid <= 1e-7 * np.linalg.norm(np.diag(basis.G))
 
-    def test_factorization_residual_bound(self, beam23, beam23_basis):
-        a = dense_generator(beam23)
-        assert beam23_basis.factorization_residual <= 1e-8 * np.linalg.norm(a)
+    def test_factorization_residual_bound(self, parity_bases):
+        # the residual from the column residuals equals the dense ||A Q - Q G||_F,
+        # and ||A||_F has the closed form 2 sum omega^2 + gamma^2 (sum c^2)^2
+        assert len(parity_bases) >= 10
+        for sys, basis in parity_bases:
+            a = dense_generator(sys)
+            a_norm = np.linalg.norm(a)
+            closed = np.sqrt(2.0 * np.sum(sys.omegas ** 2)
+                             + sys.gamma ** 2 * np.sum(sys.cs ** 2) ** 2)
+            assert closed == pytest.approx(a_norm, rel=1e-14, abs=0.0)
+            dense = np.linalg.norm(a @ basis.Q - basis.Q * basis.G[None, :])
+            assert abs(basis.factorization_residual - dense) <= 1e-14 * a_norm
+            # both are sums of the same column residuals, so they also agree relatively;
+            # this is what would show a lost sqrt(2) for the lower columns
+            assert basis.factorization_residual == pytest.approx(dense, rel=1e-2)
+            assert basis.factorization_residual <= 1e-8 * a_norm
+
+    def test_solve_matches_dense_solve(self, parity_bases):
+        # a vector and a non-square 2N x 3 block: 1/nu scales the rows of Q^T rhs
+        rng = np.random.default_rng(31)
+        for sys, basis in parity_bases:
+            n2 = 2 * sys.N
+            for shape in ((n2,), (n2, 3)):
+                rhs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+                np.testing.assert_allclose(basis.solve(rhs), np.linalg.solve(basis.Q, rhs),
+                                           rtol=1e-10, atol=0.0)
+
+    def test_bilinear_gram_is_diagonal(self, parity_bases):
+        # Q^T Q = diag(nu), and the SVD guard bounds nu away from zero
+        for sys, basis in parity_bases:
+            gram = (basis.Q.T @ basis.Q) / basis.nu[:, None]
+            assert np.linalg.norm(gram - np.eye(2 * sys.N)) <= 1e-10
+            assert np.min(np.abs(basis.nu)) >= (1.0 - 1e-12) / basis.beta2 ** 2
+
+    def test_parallel_columns_are_numerically_singular(self, beam23, beam23_spectrum):
+        # mode 3 given both of mode 4's roots: every column passes its residual
+        # check, but two columns of Q are parallel
+        lams = {(e.k, e.half): e.lam for e in beam23_spectrum.eigs}
+        doubled = dataclasses.replace(beam23_spectrum, eigs=tuple(
+            dataclasses.replace(e, lam=lams[(4, e.half)]) if e.k == 3 else e
+            for e in beam23_spectrum.eigs))
+        with pytest.raises(BasisError, match="numerically singular"):
+            build_basis(beam23, doubled)
 
     def test_closeness_increments_quartic_decay(self, beam23_basis):
         inc = np.array(beam23_basis.closeness_increments)
