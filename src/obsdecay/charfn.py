@@ -145,10 +145,12 @@ def _check_poles(sys: SystemSpec, lam: np.ndarray, exclude_center: int | None = 
 
     ``exclude_center`` names a mode whose upper pole i*omega_k has been
     cleared and is therefore admissible.  A point is a pole only when its
-    real part is zero, and then ``|Im lam|`` is looked up in the sorted
-    frequencies.
+    real part is zero, so a batch with no such point passes at once; on
+    the axis ``|Im lam|`` is looked up in the sorted frequencies.
     """
     on_axis = lam.real == 0
+    if not on_axis.any():
+        return
     if np.any(on_axis & (lam.imag == 0)):
         raise PoleError("characteristic function has a pole at 0")
     im = lam.imag[on_axis]

@@ -222,6 +222,24 @@ class TestEvalFCentered:
         with pytest.raises(PoleError):
             eval_f_prime(beam4, np.array([1.0 + 1.0j, complex(-0.0, -w[2]), 2.0]))
 
+    def test_pole_in_large_off_axis_batch(self, beam23):
+        # a batch with no point on the axis skips the pole lookup; one exact
+        # pole appended to it must still reject the whole batch
+        rng = np.random.default_rng(13)
+        off = rng.uniform(-2.0, -1e-3, 2000) + 1j * rng.uniform(-600.0, 600.0, 2000)
+        w = beam23.omegas
+        eval_f(beam23, off)
+        eval_f_prime(beam23, off)
+        for pole in (0.0, 1j * w[6], -1j * w[6], complex(-0.0, w[-1])):
+            for fn in (eval_f, eval_f_prime):
+                with pytest.raises(PoleError):
+                    fn(beam23, np.append(off, pole))
+        ctx = CharContext(beam23, 7)
+        eval_F(ctx, np.append(off, 1j * w[6]))  # the cleared centre is admissible
+        for pole in (0.0, -1j * w[6], 1j * w[7]):
+            with pytest.raises(PoleError):
+                eval_F(ctx, np.append(off, pole))
+
     def test_context_validation(self, beam23):
         with pytest.raises(ValueError):
             CharContext(beam23, 0)

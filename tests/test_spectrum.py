@@ -257,8 +257,12 @@ class TestNewtonRootsParity:
         outcomes = assert_matches_scalar(beam23, primary_seeds(beam23))
         assert all(isinstance(o, tuple) for o in outcomes)
 
-    def test_beam128_primary_and_fallback_seeds(self):
-        sys = beam_example(1.0, 1.0, 128)
+    @pytest.mark.parametrize("n", [128, 256])
+    def test_beam_primary_and_fallback_seeds(self, n):
+        # from mode 65 on the primary seeds stall where lam + step rounds to
+        # lam (147 of them at N = 256); the reference loop still tries all
+        # 21 halvings there
+        sys = beam_example(1.0, 1.0, n)
         primary = assert_matches_scalar(sys, primary_seeds(sys))
         failed = [k for k, o in enumerate(primary, start=1)
                   if isinstance(o, Exception) or band_exit(sys, k, o[0])]
@@ -445,7 +449,8 @@ class TestFullSpectrum:
 
     def test_eval_f_work_count(self, monkeypatch):
         # the counts repeat exactly; at N = 256, running the backup seeds of the
-        # stalled modes out to |lam| ~ 1e12 would take 7790 points
+        # stalled modes out to |lam| ~ 1e12 would take 7790 points, and trying
+        # all 21 halvings at every stalled iterate 4284
         points = []
 
         def counted(sys, lam):
@@ -456,8 +461,11 @@ class TestFullSpectrum:
         full_spectrum(beam_example(1.0, 1.0, 23))
         assert sum(points) == 68
         points.clear()
+        full_spectrum(beam_example(1.0, 1.0, 128))
+        assert sum(points) == 405
+        points.clear()
         full_spectrum(beam_example(1.0, 1.0, 256))
-        assert sum(points) <= 4284
+        assert sum(points) == 1414
 
     def test_overdamped_pair_is_flagged(self):
         # at gamma = 2 the first mode pair collides on the real axis; the
