@@ -171,11 +171,10 @@ def eval_f(sys: SystemSpec, lam):
     """
     arr, scalar = _as_complex_array(lam)
     _check_poles(sys, arr)
-    w = sys.omegas
-    c2_over_w = sys.cs**2 / w
+    iw = sys.iw
     L = arr[..., None]
-    terms = c2_over_w * (1.0 / (L - 1j * w) - 1.0 / (L + 1j * w))
-    val = np.sum(terms, axis=-1) + 2j / (sys.gamma * arr)
+    terms = sys.c2_over_w * (1.0 / (L - iw) - 1.0 / (L + iw))
+    val = terms.sum(axis=-1) + 2j / (sys.gamma * arr)
     return complex(val) if scalar else val
 
 
@@ -192,11 +191,10 @@ def eval_f_prime(sys: SystemSpec, lam):
     """Derivative f'(lam); scalar or vectorized over lam."""
     arr, scalar = _as_complex_array(lam)
     _check_poles(sys, arr)
-    w = sys.omegas
-    c2_over_w = sys.cs**2 / w
+    iw = sys.iw
     L = arr[..., None]
-    terms = c2_over_w * (-1.0 / (L - 1j * w) ** 2 + 1.0 / (L + 1j * w) ** 2)
-    val = np.sum(terms, axis=-1) - 2j / (sys.gamma * arr**2)
+    terms = sys.c2_over_w * (-1.0 / (L - iw) ** 2 + 1.0 / (L + iw) ** 2)
+    val = terms.sum(axis=-1) - 2j / (sys.gamma * arr**2)
     return complex(val) if scalar else val
 
 
@@ -303,7 +301,7 @@ def _remainder_bounds(sys: SystemSpec, ks: np.ndarray, R1: np.ndarray) -> np.nda
     """
     wk = sys.omegas[ks - 1]
     cols = _other_modes(sys.N, ks)
-    weights = sys.cs**2 / sys.omegas
+    weights = sys.c2_over_w
     d_upper = np.abs(sys.omegas[cols] - wk[:, None])
     d_lower = sys.omegas + wk[:, None]
     upper = np.sum(weights[cols] / (d_upper * (d_upper - R1[:, None])), axis=1)

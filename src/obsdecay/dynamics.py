@@ -302,12 +302,14 @@ def decay_envelope(sys: SystemSpec, spectrum, t_grid) -> DecayFit:
     This is the exact norm of ``exp(t G) G^{-1}`` for the diagonalized
     dynamics, so the fit isolates the decay law from integrator error.  The
     fitted slope estimates the decay exponent (-1/alpha for admissible mode
-    families).
+    families).  The maximum runs over the upper eigenvalues only: each lower
+    one is the bitwise conjugate of an upper one, with the same real part
+    and the same modulus.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 3 or np.any(np.diff(t) <= 0.0) or t[0] < 0.0:
         raise ValueError("t_grid must be increasing with at least 3 nonnegative times")
-    lams = spectrum.eigenvalues()
+    lams = spectrum.eigenvalues("upper")
     if lams.size == 0:
         raise ValueError("spectrum report carries no eigenvalues")
     rates = lams.real

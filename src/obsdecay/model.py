@@ -19,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,16 +32,24 @@ ALPHA_GRID_MAX = 8.0
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """Validated truncated modal system.
+    """Validated, immutable truncated modal system.
+
+    ``omegas`` and ``cs`` are read-only copies of the arrays passed in, so
+    neither a later write to those arrays nor one through the instance can
+    change a validated system.  The per-system constants that the
+    characteristic function, Newton and the resolvent read on every call
+    (:attr:`iw`, :attr:`c2_over_w`, the pole tables and the stacked
+    resolvent arrays) are built once per instance, on first use, and are
+    read-only as well.
 
     Attributes
     ----------
     gamma : float
         Observer output-injection gain, > 0.
     omegas : np.ndarray
-        Mode frequencies, strictly increasing, all > 0.
+        Mode frequencies, strictly increasing, all > 0 (read-only).
     cs : np.ndarray
-        Output coefficients, all nonzero.
+        Output coefficients, all nonzero (read-only).
     generator : dict or None
         Provenance record when the system came from a closed-form family
         (enables closed-form tail bounds for truncated series).
@@ -52,8 +61,8 @@ class SystemSpec:
     generator: Optional[dict] = None
 
     def __post_init__(self):
-        omegas = np.asarray(self.omegas, dtype=float)
-        cs = np.asarray(self.cs, dtype=float)
+        omegas = np.array(self.omegas, dtype=float)
+        cs = np.array(self.cs, dtype=float)
         if omegas.ndim != 1 or cs.ndim != 1:
             raise ValueError("omegas and cs must be 1-d sequences")
         if omegas.size == 0:
@@ -75,12 +84,51 @@ class SystemSpec:
         if self.gamma <= 0.0:
             raise ValueError("gamma must be positive")
         object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "omegas", omegas)
-        object.__setattr__(self, "cs", cs)
+        object.__setattr__(self, "omegas", _read_only(omegas))
+        object.__setattr__(self, "cs", _read_only(cs))
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt through validation, so their arrays are read-only too
+        return SystemSpec, (self.gamma, self.omegas, self.cs, self.generator)
 
     @property
     def N(self) -> int:
         return self.omegas.size
+
+    @cached_property
+    def iw(self) -> np.ndarray:
+        """Upper poles ``i omega_j`` of the characteristic function."""
+        return _read_only(1j * self.omegas)
+
+    @cached_property
+    def c2_over_w(self) -> np.ndarray:
+        """Pole weights ``c_j^2 / omega_j``: ``|res|`` of f at ``+/- i omega_j``."""
+        return _read_only(self.cs**2 / self.omegas)
+
+    @cached_property
+    def poles(self) -> np.ndarray:
+        """Every pole of f: 0, then each ``i omega_j``, then each ``-i omega_j``."""
+        return _read_only(np.concatenate([[0.0 + 0.0j], self.iw, -self.iw]))
+
+    @cached_property
+    def pole_residues(self) -> np.ndarray:
+        """``|res|`` of f at each of :attr:`poles`: ``2/gamma`` at 0, ``c_j^2/omega_j`` elsewhere."""
+        return _read_only(np.concatenate([[2.0 / self.gamma], self.c2_over_w, self.c2_over_w]))
+
+    @cached_property
+    def poles_by_imag(self) -> np.ndarray:
+        """:attr:`poles` sorted by imaginary part (all distinct)."""
+        return _read_only(self.poles[np.argsort(self.poles.imag)])
+
+    @cached_property
+    def resolvent_offsets(self) -> np.ndarray:
+        """Stacked ``(-i omega, i omega)``: the diagonal of ``A - lam I`` is this minus lam."""
+        return _read_only(np.concatenate([-self.iw, self.iw]))
+
+    @cached_property
+    def resolvent_couplings(self) -> np.ndarray:
+        """Stacked ``(c, c)``: the output coefficient of each q and each p entry."""
+        return _read_only(np.concatenate([self.cs, self.cs]))
 
     def min_gap(self) -> float:
         """Smallest frequency gap; +inf for a single-mode system."""
@@ -90,7 +138,7 @@ class SystemSpec:
 
     def coupling_sum(self) -> float:
         """Partial sum of c_j^2 / omega_j over the retained modes."""
-        return float(np.sum(self.cs**2 / self.omegas))
+        return float(np.sum(self.c2_over_w))
 
     def coupling_sum_tail_bound(self) -> Optional[float]:
         """Closed-form bound on the dropped tail of sum c_j^2/omega_j.
@@ -172,13 +220,19 @@ class AssumptionCertificate:
         }
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 def build_system(gamma: float, omegas: Sequence[float], cs: Sequence[float]) -> SystemSpec:
     """Validate and freeze a truncated modal system.
 
-    Raises ValueError for non-increasing frequencies, zero coefficients,
+    The system keeps read-only copies of ``omegas`` and ``cs``.  Raises
+    ValueError for non-increasing frequencies, zero coefficients,
     non-positive gamma, or empty/mismatched sequences.
     """
-    return SystemSpec(gamma=gamma, omegas=np.asarray(omegas, float), cs=np.asarray(cs, float))
+    return SystemSpec(gamma=gamma, omegas=omegas, cs=cs)
 
 
 def beam_example(theta: float, sigma: float, N: int, gamma: float = 1.0) -> SystemSpec:
@@ -228,14 +282,17 @@ def certify_assumptions(sys: SystemSpec, beta: float = 1.0, k0: int = 2) -> Assu
 
     tail_c = np.abs(sys.cs[k0 - 1 :])
     tail_w = sys.omegas[k0 - 1 :]
-    alpha = None
-    for a in alpha_grid():
-        if np.all(tail_c * tail_w ** (a / 2.0) >= beta):
-            alpha = float(a)
-            break
-    holds_a3 = alpha is not None
-    if alpha is None:
-        alpha = ALPHA_GRID_MAX
+    grid = alpha_grid()
+    half = grid / 2.0
+    # every grid exponent in one array pass; numpy's scalar power takes
+    # w ** 0.5 as sqrt(w) and w ** 2 as square(w), which can differ from pow
+    # in the last bit, so those rows keep the values a per-exponent loop sees
+    powers = tail_w ** half[:, None]
+    powers[half == 0.5] = np.sqrt(tail_w)
+    powers[half == 2.0] = np.square(tail_w)
+    holds = np.all(tail_c * powers >= beta, axis=1)
+    holds_a3 = bool(holds.any())
+    alpha = float(grid[holds.argmax()]) if holds_a3 else ALPHA_GRID_MAX
 
     return AssumptionCertificate(
         kappa=kappa, alpha=alpha, beta=float(beta), k0=int(k0),

@@ -61,9 +61,8 @@ def apply_resolvent(sys: SystemSpec, lam: complex, rhs: StateVector) -> StateVec
         raise PoleError("the resolvent is not evaluated at lam = 0")
     if rhs.n_modes != sys.N:
         raise ValueError(f"rhs has {rhs.n_modes} modes, system has {sys.N}")
-    iw = 1j * sys.omegas
-    d = np.concatenate([-iw - lam, iw - lam])
-    c = np.concatenate([sys.cs, sys.cs])
+    d = sys.resolvent_offsets - lam
+    c = sys.resolvent_couplings
     r = rhs.to_array()
     g = 0.5 * sys.gamma
     m = int(np.abs(d).argmin())

@@ -52,11 +52,6 @@ class WindingError(RuntimeError):
     """Contour integral did not settle on an integer within the sample cap."""
 
 
-def _poles(sys: SystemSpec) -> np.ndarray:
-    iw = 1j * sys.omegas
-    return np.concatenate([[0.0 + 0.0j], iw, -iw])
-
-
 def enclosure_radius(sys: SystemSpec, lam: complex | np.ndarray) -> float | np.ndarray:
     """Global enclosure radius (gamma/2) |lam| sum_j c_j^2/omega_j, elementwise.
 
@@ -116,9 +111,8 @@ def newton_roots(sys: SystemSpec, seeds, tol: float = NEWTON_TOL,
         raise ValueError("tol must be positive")
     # every pole lies on the imaginary axis, so |z - pole| grows with
     # |Im z - Im pole| and the nearest pole neighbours Im z in this order
-    poles = _poles(sys)
-    poles = poles[np.argsort(poles.imag)]
-    inner = poles.imag[1:-1]
+    poles = sys.poles_by_imag
+    inner = np.ascontiguousarray(poles.imag[1:-1])
 
     def near_pole(z: np.ndarray) -> np.ndarray:
         hi = np.searchsorted(inner, z.imag) + 1
@@ -332,16 +326,15 @@ def _certified_radii(sys: SystemSpec, roots: np.ndarray, resids: np.ndarray) -> 
     puts one zero in the disk when ``|f'(z)| r - |f(z)| > r^2 K(r)``, with
     ``|f(z)|`` = ``resids``.  Radii stay below ``-Re z``; NaN where none passes.
     """
-    c2_over_w = sys.cs**2 / sys.omegas
-    res = np.concatenate([[2.0 / sys.gamma], c2_over_w, c2_over_w])
-    d = np.abs(roots[:, None] - _poles(sys))
+    res = sys.pole_residues
+    d = np.abs(roots[:, None] - sys.poles)
     reach = np.minimum(np.min(d, axis=1), -roots.real)
     slope = np.abs(eval_f_prime(sys, roots))
     radii = np.full(roots.size, np.nan)
     todo = np.flatnonzero(reach > 0.0)
     for frac in CERT_RADII[::-1]:
         r, dt = frac * reach[todo], d[todo]
-        K = np.sum(res / (dt * dt * (dt - r[:, None])), axis=1)
+        K = (res / (dt * dt * (dt - r[:, None]))).sum(axis=1)
         ok = slope[todo] * r - resids[todo] > r * r * K
         radii[todo[ok]] = r[ok]
         todo = todo[~ok]
@@ -419,7 +412,7 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
                 uncertified.append(f"mode {i + 1} ({half}): root {z} not certified: {why}")
 
     vals = np.asarray([e.lam for e in eigs], dtype=complex)
-    iw = 1j * wk
+    iw = sys.iw
     nearest_pole = np.min(np.minimum(np.abs(vals[:, None] - iw), np.abs(vals[:, None] + iw)),
                           axis=1)
     enc = float(np.max(nearest_pole - enclosure_radius(sys, vals), initial=0.0))

@@ -21,7 +21,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class StateVector:
-    """Complex modal error state: q and p blocks of equal length N."""
+    """Complex modal error state: q and p blocks of equal length N.
+
+    The state owns one stacked copy of its entries, checked finite once;
+    ``q`` and ``p`` are views of it and never alias the caller's arrays.
+    """
 
     q: np.ndarray
     p: np.ndarray
@@ -31,12 +35,15 @@ class StateVector:
         p = np.asarray(self.p, dtype=complex)
         if q.ndim != 1 or p.ndim != 1 or q.shape != p.shape:
             raise ValueError("q and p must be 1-d arrays of equal length")
-        # one stacked copy, validated in one pass; q and p are views of it
-        vec = np.concatenate((q, p))
-        if not np.isfinite(vec).all():
+        self._own(np.concatenate((q, p)))
+
+    def _own(self, vec: np.ndarray) -> None:
+        """Keep ``vec``, a stacked copy no caller holds, once its entries are finite."""
+        if np.count_nonzero(np.isfinite(vec)) < vec.size:
             raise ValueError("state entries must be finite")
-        object.__setattr__(self, "q", vec[:q.size])
-        object.__setattr__(self, "p", vec[q.size:])
+        n = vec.size // 2
+        object.__setattr__(self, "q", vec[:n])
+        object.__setattr__(self, "p", vec[n:])
 
     @property
     def n_modes(self) -> int:
@@ -51,11 +58,13 @@ class StateVector:
 
     @staticmethod
     def from_array(vec: np.ndarray) -> "StateVector":
-        vec = np.asarray(vec, dtype=complex)
+        """State from a stacked (q, p) vector of even length, copied once."""
+        vec = np.array(vec, dtype=complex)
         if vec.ndim != 1 or vec.size % 2 != 0:
             raise ValueError("expected a flat vector of even length")
-        n = vec.size // 2
-        return StateVector(q=vec[:n], p=vec[n:])
+        state = StateVector.__new__(StateVector)
+        state._own(vec)
+        return state
 
     @staticmethod
     def zero(n: int) -> "StateVector":

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from conftest import perturbed_beam_family
 from obsdecay import dynamics
 from obsdecay.dynamics import (
     FitError,
@@ -239,6 +240,24 @@ class TestDecayEnvelope:
         rep = full_spectrum(sys)
         fit = decay_envelope(sys, rep, np.geomspace(1.0, 200.0, 200))
         assert abs(fit.exponent + 1.0) <= 0.2
+
+    def test_upper_half_gives_the_full_envelope(self, beam23):
+        """Each lower eigenvalue is the bitwise conjugate of an upper one, so the maximum over
+        the upper half is the envelope over every eigenvalue."""
+
+        class EveryEigenvalue:
+            def __init__(self, rep):
+                self.rep = rep
+
+            def eigenvalues(self, half=None):
+                return self.rep.eigenvalues()
+
+        grid = np.geomspace(1.0, 200.0, 200)
+        for sys in [beam23, beam_example(1.0, 1.0, 4)] + perturbed_beam_family(2, 6):
+            rep = full_spectrum(sys)
+            upper, lower = rep.eigenvalues("upper"), rep.eigenvalues("lower")
+            assert lower.tobytes() == upper.conj().tobytes()
+            assert decay_envelope(sys, rep, grid) == decay_envelope(sys, EveryEigenvalue(rep), grid)
 
     def test_grid_validation(self, beam23, beam23_spectrum):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
+import copy
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from conftest import load_bench_workloads, perturbed_beam_family
 from obsdecay.model import (
     ALPHA_GRID_MAX,
     SystemSpec,
@@ -58,6 +61,88 @@ class TestBuildSystem:
         assert a.gamma == b.gamma
         np.testing.assert_array_equal(a.omegas, b.omegas)
         np.testing.assert_array_equal(a.cs, b.cs)
+
+
+def grid_loop_alpha(sys, beta, k0):
+    """(alpha, holds_A3) by trying the grid exponents one at a time, smallest first."""
+    tail_c = np.abs(sys.cs[k0 - 1:])
+    tail_w = sys.omegas[k0 - 1:]
+    for a in alpha_grid():
+        if np.all(tail_c * tail_w ** (a / 2.0) >= beta):
+            return float(a), True
+    return ALPHA_GRID_MAX, False
+
+
+def power_edge_cases():
+    """(system, beta) pairs where ``omega ** (alpha/2) >= beta`` holds with equality at alpha = 1
+    or 4 as numpy's scalar power computes it (``sqrt``, ``square``) but fails as an elementwise
+    ``pow`` computes it.
+
+    Found among the values ``1 + j/7``; where ``pow`` is correctly rounded there are none.
+    """
+    w = 1.0 + np.arange(1, 4000) / 7.0
+    cases = []
+    for half, exact in ((0.5, np.sqrt), (2.0, np.square)):
+        low = w[np.power(w, np.full(w.size, half)) < exact(w)][:3]
+        cases += [(build_system(1.0, [x], [1.0]), float(exact(x))) for x in low]
+    return cases
+
+
+class TestImmutability:
+    CONSTANTS = ("iw", "c2_over_w", "poles", "pole_residues", "poles_by_imag",
+                 "resolvent_offsets", "resolvent_couplings")
+
+    def test_source_arrays_are_copied(self):
+        w, c = np.array([1.0, 4.0, 9.0]), np.array([1.0, 0.5, 0.25])
+        sys = build_system(1.0, w, c)
+        direct = SystemSpec(gamma=1.0, omegas=w, cs=c)
+        w[1], c[0] = 100.0, 0.0
+        for spec in (sys, direct):
+            np.testing.assert_array_equal(spec.omegas, [1.0, 4.0, 9.0])
+            np.testing.assert_array_equal(spec.cs, [1.0, 0.5, 0.25])
+
+    def test_arrays_are_read_only(self):
+        sys = build_system(1.0, [1.0, 4.0, 9.0], [1.0, -0.5, 0.25])
+        for name in ("omegas", "cs") + self.CONSTANTS:
+            arr = getattr(sys, name)
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 2.0
+        np.testing.assert_array_equal(sys.omegas, [1.0, 4.0, 9.0])
+
+    def test_copies_and_pickles_stay_read_only(self):
+        sys = beam_example(1.0, 1.0, 4, gamma=2.0)
+        assert sys.iw.size == 4 and "iw" in vars(sys)  # built here; each copy builds its own
+        for twin in (copy.copy(sys), copy.deepcopy(sys), pickle.loads(pickle.dumps(sys))):
+            assert twin.gamma == 2.0 and twin.generator == sys.generator
+            np.testing.assert_array_equal(twin.omegas, sys.omegas)
+            np.testing.assert_array_equal(twin.cs, sys.cs)
+            assert not twin.omegas.flags.writeable and not twin.cs.flags.writeable
+            assert "iw" not in vars(twin)
+
+    @pytest.mark.parametrize("sys", [beam_example(1.0, 1.0, 23), beam_example(0.3, 2.0, 5, 0.7),
+                                     build_system(2.5, [0.5], [-3.0])]
+                             + perturbed_beam_family(1, 3), ids=lambda s: f"N{s.N}")
+    def test_constants_match_their_expressions(self, sys):
+        """Each per-system constant is bitwise the expression the readers used to build per call."""
+        iw = 1j * sys.omegas
+        c2_over_w = sys.cs**2 / sys.omegas
+        poles = np.concatenate([[0.0 + 0.0j], iw, -iw])
+        expected = {
+            "iw": iw,
+            "c2_over_w": c2_over_w,
+            "poles": poles,
+            "pole_residues": np.concatenate([[2.0 / sys.gamma], c2_over_w, c2_over_w]),
+            "poles_by_imag": poles[np.argsort(poles.imag)],
+            "resolvent_offsets": np.concatenate([-iw, iw]),
+            "resolvent_couplings": np.concatenate([sys.cs, sys.cs]),
+        }
+        assert set(expected) == set(self.CONSTANTS)
+        for name, want in expected.items():
+            got = getattr(sys, name)
+            assert got.dtype == want.dtype and got.shape == want.shape, name
+            assert got.tobytes() == want.tobytes(), name
+            assert getattr(sys, name) is got, f"{name} is built once"
+        assert sys.coupling_sum() == float(np.sum(sys.cs**2 / sys.omegas))
 
 
 class TestBeamExample:
@@ -151,6 +236,20 @@ class TestCertifyAssumptions:
             certify_assumptions(sys, k0=0)
         with pytest.raises(ValueError):
             certify_assumptions(sys, k0=5)
+
+    def test_one_pass_matches_grid_loop(self):
+        """The one-pass alpha search gives every certificate the per-exponent loop gives."""
+        systems = [SystemSpec.from_json_dict(case.doc)
+                   for case in load_bench_workloads().random_family(1)]
+        # beam theta = sigma = beta = 1: |c_k| omega_k^(1/2) = 1 = beta holds exactly at alpha = 1
+        systems += [beam_example(1.0, 1.0, n) for n in (2, 5, 23, 48, 64)]
+        cases = [(sys, beta) for sys in systems for beta in (0.5, 1.0, 2.0)]
+        cases += power_edge_cases()
+        for sys, beta in cases:
+            for k0 in sorted({1, min(2, sys.N)}):
+                cert = certify_assumptions(sys, beta=beta, k0=k0)
+                assert (cert.alpha, cert.holds_A3) == grid_loop_alpha(sys, beta, k0)
+        assert certify_assumptions(beam_example(1.0, 1.0, 23), beta=1.0, k0=2).alpha == 1.0
 
     def test_alpha_grid_shape(self):
         grid = alpha_grid()

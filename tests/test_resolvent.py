@@ -3,12 +3,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import perturbed_beam_family
+from conftest import load_bench_workloads, perturbed_beam_family
 from obsdecay import resolvent
 from obsdecay.charfn import CharContext, LocalizationError, PoleError, localize
 from obsdecay.dynamics import dense_generator
 from obsdecay.fitting import loglog_fit
-from obsdecay.model import beam_example, build_system
+from obsdecay.model import SystemSpec, beam_example, build_system
 from obsdecay.resolvent import (
     PTS_PER_SEGMENT_DEFAULT,
     SpectrumProximityError,
@@ -123,7 +123,34 @@ def resolvent_points(draw, sys):
     return pole + step * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
 
 
+def resolvent_per_call(sys, lam, rhs):
+    """The resolvent formula with its stacked arrays built on every call, as a reference."""
+    lam = complex(lam)
+    iw = 1j * sys.omegas
+    d = np.concatenate([-iw - lam, iw - lam])
+    c = np.concatenate([sys.cs, sys.cs])
+    r = rhs.to_array()
+    g = 0.5 * sys.gamma
+    m = int(np.abs(d).argmin())
+    dm, cm, rm = d[m], c[m], r[m]
+    d[m] = np.inf
+    cd = c / d
+    den = dm * (1.0 - g * (c @ cd)) - g * cm * cm
+    phi = (cm * rm + dm * (cd @ r)) / den
+    x = (r + g * c * phi) / d
+    x[m] = (phi - c @ x) / cm
+    return x
+
+
 class TestApplyResolvent:
+    def test_bitwise_equal_to_per_call_formula(self):
+        """Every point of the benchmark's random family, the poles +/- i omega_k included."""
+        for case in load_bench_workloads().random_family(1):
+            sys = SystemSpec.from_json_dict(case.doc)
+            for lam in case.points:
+                got = apply_resolvent(sys, lam, case.rhs).to_array()
+                assert got.tobytes() == resolvent_per_call(sys, lam, case.rhs).tobytes(), lam
+
     def test_round_trip_at_fixed_point(self, beam4):
         rng = np.random.default_rng(11)
         rhs = random_state(4, rng)

@@ -33,3 +33,18 @@ class TestStateVector:
         assert state.q[0] == 0.0
         vec = np.arange(6.0) + 1j
         assert np.array_equal(StateVector.from_array(vec).to_array(), vec)
+
+    @pytest.mark.parametrize("vec", [np.ones(5, dtype=complex), np.ones((2, 4), dtype=complex)])
+    def test_from_array_shape_rejected(self, vec):
+        with pytest.raises(ValueError, match="even length"):
+            StateVector.from_array(vec)
+
+    @pytest.mark.parametrize("dtype", [complex, float])
+    def test_from_array_never_aliases_its_input(self, dtype):
+        vec = np.arange(6.0).astype(dtype)
+        state = StateVector.from_array(vec)
+        for block in (state.q, state.p):
+            assert not np.shares_memory(block, vec)
+        vec[0] = 9.0
+        assert state.q[0] == 0.0
+        assert not np.shares_memory(state.q, state.to_array())
