@@ -1,4 +1,6 @@
+import cmath
 import dataclasses
+import json
 import pathlib
 import subprocess
 import sys
@@ -120,12 +122,17 @@ class TestSimulateError:
         eps0 = random_state(4, rng)
         simulate_error(beam4, eps0, np.linspace(0.0, 3.0, 7), basis=beam4_basis)
 
-    def test_modal_cross_validation_rejects_wrong_basis(self, beam4, beam4_basis):
+    @pytest.mark.parametrize("case,t_final", [("beam4", 3.0), ("beam23", 10.0)])
+    def test_modal_cross_validation_rejects_wrong_basis(self, case, t_final, request):
+        # at N=23 and the reference sim_t_final 10 the reference exponential
+        # squares about 10 times, and must still expose a 1e-3 eigenvalue error
+        sys = request.getfixturevalue(case)
+        basis = request.getfixturevalue(f"{case}_basis")
         rng = np.random.default_rng(34)
-        eps0 = random_state(4, rng)
-        wrong = dataclasses.replace(beam4_basis, G=beam4_basis.G * (1 + 1e-3))
+        eps0 = random_state(sys.N, rng)
+        wrong = dataclasses.replace(basis, G=basis.G * (1 + 1e-3))
         with pytest.raises(IntegrationError):
-            simulate_error(beam4, eps0, np.linspace(0.0, 3.0, 7), basis=wrong)
+            simulate_error(sys, eps0, np.linspace(0.0, t_final, 7), basis=wrong)
 
     def test_grid_validation(self, beam4):
         eps0 = StateVector.zero(4)
@@ -147,6 +154,37 @@ class TestSimulateError:
         tail = slice(40, 61)
         fitted = -np.polyfit(t_grid[tail], np.log(traj.norm[tail]), 1)[0]
         assert fitted == pytest.approx(rate, rel=0.05)
+
+
+class TestPadeExponential:
+    """``dynamics._expm`` against ``scipy.linalg.expm`` as the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 4, 23, 64])
+    @pytest.mark.parametrize("t", [1e-3, 1.0, 10.0, 100.0])
+    def test_matches_scipy_on_beam_generators(self, n, t):
+        a = dense_generator(beam_example(1.0, 1.0, n)) * t
+        ref = scipy.linalg.expm(a)
+        got = dynamics._expm(a)
+        assert np.linalg.norm(got - ref) <= 1e-9 * np.linalg.norm(ref)
+
+    def test_zero_matrix_gives_identity(self):
+        # the one solve divides by its pivots, so exact to rounding, not bitwise
+        np.testing.assert_allclose(dynamics._expm(np.zeros((5, 5), dtype=complex)),
+                                   np.eye(5), rtol=0.0, atol=1e-15)
+
+    def test_small_norm_needs_no_squaring(self):
+        rng = np.random.default_rng(39)
+        a = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        a *= 4.0 / np.linalg.norm(a, 1)
+        assert np.linalg.norm(a, 1) < dynamics.PADE13_THETA
+        ref = scipy.linalg.expm(a)
+        assert np.linalg.norm(dynamics._expm(a) - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("z", [-0.3 + 2.0j, 3.0 - 40.0j])
+    def test_scalar_matches_complex_exp(self, z):
+        # |z| below theta_13 runs the unscaled approximant, above it squares
+        got = dynamics._expm(np.array([[z]]))[0, 0]
+        assert abs(got - cmath.exp(z)) <= 1e-13 * abs(cmath.exp(z))
 
 
 class TestObserverCoSimulation:
@@ -200,15 +238,40 @@ class TestObserverCoSimulation:
         np.testing.assert_allclose(
             complex_run.norm, np.sqrt(2.0) * real_run.error_norm, atol=1e-9)
 
-    def test_import_leaves_optional_scipy_unloaded(self):
-        # scipy.integrate serves only simulate_observer and scipy.optimize only
-        # the matching_distance test oracle; both load on first use
+    def test_import_leaves_optional_scipy_unloaded(self, tmp_path):
+        # import obsdecay and the default report (simulate included) load only
+        # numpy; scipy.integrate serves only simulate_observer and
+        # scipy.optimize only the matching_distance test oracle, each loaded
+        # on first use
         src = pathlib.Path(dynamics.__file__).resolve().parents[1]
-        code = ("import sys; import obsdecay; "
-                "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])")
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              check=True, timeout=120, cwd=src, env={"PYTHONPATH": str(src)})
-        assert done.stdout.strip() == "[]"
+        config = tmp_path / "reference.json"
+        config.write_text(json.dumps({
+            "gamma": 1.0, "seed": 11,
+            "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 23},
+        }))
+        code = (
+            "import json, sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "import obsdecay\n"
+            "after_import = scipy_modules()\n"
+            "from obsdecay import cli\n"
+            "code = cli.main(['report', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
+            "print(json.dumps({'import': after_import, 'report': scipy_modules(),"
+            " 'exit': code}))\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, str(config), str(tmp_path / "out")],
+            capture_output=True, text=True, check=True, timeout=120, cwd=src,
+            env={"PYTHONPATH": str(src)})
+        loaded = json.loads(done.stdout.strip().splitlines()[-1])
+        assert loaded["exit"] == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert "error" not in report["trajectory"]
+        for stage in ("import", "report"):
+            assert "scipy.integrate" not in loaded[stage]
+            assert "scipy.optimize" not in loaded[stage]
+            assert loaded[stage] == []
 
     def test_control_without_actuators_rejected(self, beam4):
         with pytest.raises(ValueError):
