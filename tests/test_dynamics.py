@@ -122,17 +122,22 @@ class TestSimulateError:
         eps0 = random_state(4, rng)
         simulate_error(beam4, eps0, np.linspace(0.0, 3.0, 7), basis=beam4_basis)
 
-    @pytest.mark.parametrize("case,t_final", [("beam4", 3.0), ("beam23", 10.0)])
-    def test_modal_cross_validation_rejects_wrong_basis(self, case, t_final, request):
+    def test_modal_cross_validation_rejects_wrong_basis(self, beam4, beam4_basis):
+        rng = np.random.default_rng(34)
+        eps0 = random_state(4, rng)
+        wrong = dataclasses.replace(beam4_basis, G=beam4_basis.G * (1 + 1e-3))
+        with pytest.raises(IntegrationError):
+            simulate_error(beam4, eps0, np.linspace(0.0, 3.0, 7), basis=wrong)
+
+    def test_modal_cross_validation_rejects_wrong_basis_at_reference_size(
+            self, beam23, beam23_basis):
         # at N=23 and the reference sim_t_final 10 the reference exponential
         # squares about 10 times, and must still expose a 1e-3 eigenvalue error
-        sys = request.getfixturevalue(case)
-        basis = request.getfixturevalue(f"{case}_basis")
         rng = np.random.default_rng(34)
-        eps0 = random_state(sys.N, rng)
-        wrong = dataclasses.replace(basis, G=basis.G * (1 + 1e-3))
+        eps0 = random_state(23, rng)
+        wrong = dataclasses.replace(beam23_basis, G=beam23_basis.G * (1 + 1e-3))
         with pytest.raises(IntegrationError):
-            simulate_error(sys, eps0, np.linspace(0.0, t_final, 7), basis=wrong)
+            simulate_error(beam23, eps0, np.linspace(0.0, 10.0, 7), basis=wrong)
 
     def test_grid_validation(self, beam4):
         eps0 = StateVector.zero(4)
