@@ -63,10 +63,8 @@ from .spectrum import (
     NewtonError,
     SpectrumReport,
     WindingError,
-    dense_oracle_spectrum,
     enclosure_radius,
     full_spectrum,
-    matching_distance,
     newton_root,
     winding_number,
 )
@@ -108,7 +106,6 @@ __all__ = [
     "decay_envelope",
     "decay_fit_trajectory",
     "dense_generator",
-    "dense_oracle_spectrum",
     "domain_initial_state",
     "eigenvector",
     "enclosure_radius",
@@ -119,7 +116,6 @@ __all__ = [
     "full_spectrum",
     "lambda_star",
     "localize",
-    "matching_distance",
     "newton_root",
     "resolvent_norm",
     "rouche_margin",

@@ -178,15 +178,6 @@ def eval_f(sys: SystemSpec, lam):
     return complex(val) if scalar else val
 
 
-def eval_f_rational(sys: SystemSpec, lam):
-    """Equivalent rational form 2i * (sum_j c_j^2/(omega_j^2 + lam^2) + 1/(gamma lam))."""
-    arr, scalar = _as_complex_array(lam)
-    _check_poles(sys, arr)
-    L = arr[..., None]
-    val = 2j * (np.sum(sys.cs**2 / (sys.omegas**2 + L**2), axis=-1) + 1.0 / (sys.gamma * arr))
-    return complex(val) if scalar else val
-
-
 def eval_f_prime(sys: SystemSpec, lam):
     """Derivative f'(lam); scalar or vectorized over lam."""
     arr, scalar = _as_complex_array(lam)

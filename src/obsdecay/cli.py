@@ -247,10 +247,11 @@ class Pipeline:
         reports.write_spectrum_csv(rep, self._out("spectrum.csv"))
         reports.write_spectrum_plot_csv(rep, self._out("spectrum_plot.csv"))
         reports.write_json(self._out("spectrum.json"), rep.to_json_dict())
-        lams = rep.eigenvalues()
+        # each row is a conjugate pair with one certificate and one real part
+        lams = rep.lam
         doc = {
-            "count": len(rep.eigs),
-            "certified": int(sum(e.certified for e in rep.eigs)),
+            "count": 2 * lams.size,
+            "certified": 2 * int(np.count_nonzero(rep.certified)),
             "complete": rep.complete,
             "failures": list(rep.failures),
             "enclosure_defect": rep.enclosure_defect,

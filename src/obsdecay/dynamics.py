@@ -342,12 +342,14 @@ def decay_envelope(sys: SystemSpec, spectrum, t_grid) -> DecayFit:
     fitted slope estimates the decay exponent (-1/alpha for admissible mode
     families).  The maximum runs over the upper eigenvalues only: each lower
     one is the bitwise conjugate of an upper one, with the same real part
-    and the same modulus.
+    and the same modulus.  Only the positive envelope samples are fitted
+    (``exp(Re lam t)`` underflows to 0 at late times), and ``window`` spans
+    the samples fitted; fewer than 3 raise :class:`FitError`.
     """
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size < 3 or np.any(np.diff(t) <= 0.0) or t[0] < 0.0:
         raise ValueError("t_grid must be increasing with at least 3 nonnegative times")
-    lams = spectrum.eigenvalues("upper")
+    lams = spectrum.lam
     if lams.size == 0:
         raise ValueError("spectrum report carries no eigenvalues")
     rates = lams.real
@@ -355,6 +357,10 @@ def decay_envelope(sys: SystemSpec, spectrum, t_grid) -> DecayFit:
     mask, polynomial, clipped = _fit_window(t, slowest)
     tw = t[mask]
     env = np.max(np.exp(np.outer(tw, rates)) / np.abs(lams), axis=1)
+    positive = env > 0.0
+    if np.count_nonzero(positive) < 3:
+        raise FitError("envelope underflowed to zero inside the fit window")
+    tw, env = tw[positive], env[positive]
     fit = loglog_fit(1.0 + tw, env)
     return DecayFit(
         exponent=fit.slope, prefactor=math.exp(fit.intercept),

@@ -8,7 +8,8 @@ rescaled so that the "own" component p_n equals one for the upper root of
 mode n.  The generator is real and swaps q and p under conjugation, so the
 lower root conj(lam) has the eigenvector J v = (conj p, conj q), whose own
 component q_n is one; it is taken from the upper vector rather than built
-again.  With that scaling the eigenvectors approach the canonical unit
+again, just as a spectrum report stores only the upper roots and conj(lam)
+is derived.  With that scaling the eigenvectors approach the canonical unit
 vectors as the coupling fades, and the column matrix Q of all 2N of them
 diagonalizes the generator: A = Q G Q^{-1} with G the diagonal of
 eigenvalues (lower half first).  As A = A^T and a complete report proves
@@ -140,8 +141,9 @@ class ModalBasis:
 def build_basis(sys: SystemSpec, spectrum: SpectrumReport) -> ModalBasis:
     """Assemble the diagonalizing eigenbasis from a computed spectrum.
 
-    Requires a complete report (all 2N roots present).  The N upper
-    eigenvectors are built and residual-checked together, in one array pass,
+    Requires a complete report with one row for each mode ``k = 1..N``; its
+    ``lam`` column gives the upper roots and ``lam.conj()`` the lower.  The
+    N upper eigenvectors are built and residual-checked together, in one array pass,
     each bitwise as :func:`eigenvector` builds it alone; the lower one of
     each mode is its conjugate swap J v, an eigenvector of conj(lam) because
     the generator commutes with J.  ``Q^{-1} = diag(1/nu) Q^T`` since A = A^T
@@ -150,20 +152,18 @@ def build_basis(sys: SystemSpec, spectrum: SpectrumReport) -> ModalBasis:
     ``min |nu| >= 1/beta2^2``.  Column k of A Q - Q G is (A - lam_k) v_k, and
     J is an isometry commuting with A, so ||A Q - Q G||_F is sqrt(2) times
     the norm of the N upper column residuals.
-    Raises BasisError when an upper eigenvector fails its 1e-9 residual
+    Raises BasisError when the report is incomplete or does not hold modes
+    1..N in order, when an upper eigenvector fails its 1e-9 residual
     check (naming the mode), when Q is numerically singular, or when the
     factorization residual ||A Q - Q G||_F exceeds 1e-8 ||A||_F.
     """
     if not spectrum.complete:
         raise BasisError(f"spectrum report is incomplete: {spectrum.failures}")
     n = sys.N
-    uppers = {e.k: e for e in spectrum.upper()}
-    lowers = {e.k: e for e in spectrum.lower()}
-    if set(uppers) != set(range(1, n + 1)) or set(lowers) != set(range(1, n + 1)):
-        raise BasisError("spectrum report does not cover every (mode, half) pair")
-
     ks = np.arange(1, n + 1)
-    g_up = np.array([uppers[k].lam for k in ks.tolist()], dtype=complex)
+    if not np.array_equal(spectrum.k, ks):
+        raise BasisError("spectrum report does not hold one root for each mode 1..N")
+    g_up = spectrum.lam
     vecs, resid, bound = _upper_eigenvectors(sys, g_up, ks)
     bad = np.flatnonzero(~(resid <= bound))
     if bad.size:
@@ -174,7 +174,7 @@ def build_basis(sys: SystemSpec, spectrum: SpectrumReport) -> ModalBasis:
     q_mat = np.empty((2 * n, 2 * n), dtype=complex)
     q_mat[:n, :n], q_mat[n:, :n] = vecs[:, n:].T.conj(), vecs[:, :n].T.conj()  # J v
     q_mat[:, n:] = vecs.T
-    g_diag = np.concatenate([[lowers[k].lam for k in ks.tolist()], g_up])
+    g_diag = np.concatenate([g_up.conj(), g_up])
     # J is an isometry taking the upper comparison vector to the lower one
     vecs[ks - 1, n + ks - 1] -= 1.0
     increments = 2.0 * np.sum(np.abs(vecs) ** 2, axis=1)

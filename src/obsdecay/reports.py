@@ -33,14 +33,25 @@ from .resolvent import AxisScan
 from .spectrum import SpectrumReport
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write(path: str, data: bytes) -> None:
-    """Write via a temp file in the same directory, then rename into place."""
+    """Write via a temp file in the same directory, then rename into place.
+
+    The file gets mode ``0o666 & ~umask``, as ``open`` would create it;
+    ``mkstemp`` alone would leave it 0600.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+            os.fchmod(handle.fileno(), 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

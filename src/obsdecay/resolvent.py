@@ -151,7 +151,7 @@ def resolvent_norm(sys: SystemSpec, lam: complex, mode: str = "diag",
     if mode == "diag":
         if spectrum is None:
             raise ValueError("diag mode requires a completed SpectrumReport")
-        return float(_diag_bound(spectrum.eigenvalues("upper"), [lam])[0])
+        return float(_diag_bound(spectrum.lam, [lam])[0])
     if mode == "exact":
         if sys.N > EXACT_NORM_MAX_N:
             raise ValueError(f"exact mode is capped at N = {EXACT_NORM_MAX_N}")
@@ -207,7 +207,7 @@ def axis_scan(sys: SystemSpec, spectrum: SpectrumReport, k_range: tuple[int, int
         raise ValueError(f"k_range must satisfy 2 <= k_min < k_max <= N-1 = {sys.N - 1}")
     if pts_per_segment < 3:
         raise ValueError("need at least 3 points per segment")
-    upper = spectrum.eigenvalues("upper")
+    upper = spectrum.lam
     w = sys.omegas
     ks = np.arange(k_min, k_max + 1)
     s_lo = 0.5 * (w[ks - 2] + w[ks - 1])

@@ -17,12 +17,18 @@ then certified by one closed-form a-posteriori Rouche disk centred at it
 found and every root certified; f has exactly 2N zeros, so 2N disjoint
 one-zero disks prove the spectrum complete and simple (up to rounding in
 the computed ``|f|``, ``|f'|`` and remainder bound).  The contour count
-:func:`winding_number` and a dense eigenvalue solve are independent oracles.
+:func:`winding_number` and a dense eigenvalue solve (in the tests) are
+independent oracles.
+
+A :class:`SpectrumReport` stores one row per found mode, as read-only
+column arrays over the upper roots; the lower half, :meth:`eigenvalues` and
+the per-root :class:`EigenCertificate` records are derived from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -41,7 +47,6 @@ CONTOUR_MIN_ABS_F = 1e-9
 # certificate radii, as fractions of min(distance to the nearest pole, -Re z);
 # below 1e-12 the test would read rounding noise in |f(z)| as proof
 CERT_RADII = np.geomspace(1e-12, 0.99, 60)
-DENSE_ORACLE_MAX_N = 64
 
 
 class NewtonError(RuntimeError):
@@ -253,19 +258,19 @@ def winding_number(sys: SystemSpec, disk: tuple[complex, float],
 class EigenCertificate:
     """One eigenvalue of the truncated generator with its verification data.
 
-    ``half`` is "upper" for the root near +i omega_k and "lower" for its
-    conjugate partner, whose certificate is the upper one with ``lam`` and
-    ``disk_center`` conjugated.  ``disk_center``/``disk_radius`` is the
-    root's Rouche disk (radius NaN when none exists).  ``certified`` means
-    the disk exists, lies in the open left half-plane and meets no other
-    root's disk.  ``fallback`` marks roots found from the backup seed.
+    A row view of :class:`SpectrumReport`, built from its columns.  ``half``
+    is "upper" for the root near +i omega_k and "lower" for its conjugate
+    partner, whose certificate is the upper one with ``lam`` conjugated.
+    ``disk_radius`` is the radius of the root's Rouche disk, centred at
+    ``lam`` (NaN when none exists).  ``certified`` means the disk exists,
+    lies in the open left half-plane and meets no other root's disk.
+    ``fallback`` marks roots found from the backup seed.
     """
 
     k: int
     half: str
     lam: complex
     residual: float
-    disk_center: complex
     disk_radius: float
     certified: bool
     newton_iters: int
@@ -277,7 +282,7 @@ class EigenCertificate:
             "half": self.half,
             "lambda": [self.lam.real, self.lam.imag],
             "residual": self.residual,
-            "disk_center": [self.disk_center.real, self.disk_center.imag],
+            "disk_center": [self.lam.real, self.lam.imag],
             "disk_radius": self.disk_radius,
             "certified": self.certified,
             "newton_iters": self.newton_iters,
@@ -285,28 +290,58 @@ class EigenCertificate:
         }
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    """All 2N roots with global consistency metrics.
+# the per-root columns of a SpectrumReport and their dtypes
+_COLUMNS = {"k": int, "lam": complex, "residual": float, "radius": float,
+            "certified": bool, "newton_iters": int, "fallback": bool}
 
+
+@dataclass(frozen=True, eq=False)
+class SpectrumReport:
+    """The found roots, one row per mode, with global consistency metrics.
+
+    Each column holds one read-only array over the found modes' upper roots
+    (near +i omega_k), by ascending mode ``k``: the root ``lam``, its
+    residual ``|f(lam)|``, the ``radius`` of its Rouche disk (NaN when none
+    exists), whether it is ``certified``, its ``newton_iters`` and whether
+    it came from the ``fallback`` seed.  The lower root of each mode is
+    ``lam.conj()`` with the same certificate, so it is not stored.
     ``enclosure_defect`` is the largest violation of the global disk
     enclosure (0 when every root is inside).
     """
 
-    eigs: tuple[EigenCertificate, ...]
+    k: np.ndarray
+    lam: np.ndarray
+    residual: np.ndarray
+    radius: np.ndarray
+    certified: np.ndarray
+    newton_iters: np.ndarray
+    fallback: np.ndarray
     enclosure_defect: float
     complete: bool
     failures: tuple[str, ...] = ()
 
-    def eigenvalues(self, half: Optional[str] = None) -> np.ndarray:
-        vals = [e.lam for e in self.eigs if half is None or e.half == half]
-        return np.asarray(vals, dtype=complex)
+    def __post_init__(self):
+        size = np.size(self.k)
+        for name, dtype in _COLUMNS.items():
+            col = np.array(getattr(self, name), dtype=dtype)
+            if col.shape != (size,):
+                raise ValueError(f"column {name!r} has shape {col.shape}, expected ({size},)")
+            col.flags.writeable = False
+            object.__setattr__(self, name, col)
 
-    def upper(self) -> list[EigenCertificate]:
-        return [e for e in self.eigs if e.half == "upper"]
+    def eigenvalues(self) -> np.ndarray:
+        """All found roots: the upper, then the lower root of each mode in turn."""
+        return np.stack([self.lam, self.lam.conj()], axis=1).ravel()
 
-    def lower(self) -> list[EigenCertificate]:
-        return [e for e in self.eigs if e.half == "lower"]
+    @cached_property
+    def eigs(self) -> tuple[EigenCertificate, ...]:
+        """One certificate per root, in the order of :meth:`eigenvalues`."""
+        rows = zip(self.k.tolist(), self.lam.tolist(), self.residual.tolist(),
+                   self.radius.tolist(), self.certified.tolist(),
+                   self.newton_iters.tolist(), self.fallback.tolist())
+        return tuple(EigenCertificate(k, half, z, res, r, cert, iters, fb)
+                     for k, lam, res, r, cert, iters, fb in rows
+                     for half, z in (("upper", lam), ("lower", lam.conjugate())))
 
     def to_json_dict(self) -> dict:
         return {
@@ -367,8 +402,9 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
     backup seed.  Each found root is certified by its Rouche disk, which must
     miss every other root's disk, its conjugate's included.  The lower root
     is the exact conjugate of the upper one, certificate included, because
-    ``f(conj lam) = -conj f(lam)`` holds bitwise.  Failures are collected
-    instead of raised: one per missing mode and one per uncertified root.
+    ``f(conj lam) = -conj f(lam)`` holds bitwise, so the report stores the
+    upper roots alone.  Failures are collected instead of raised: one per
+    missing mode and one per uncertified root.
     """
     wk = sys.omegas
     band = 0.5 * (sys.min_gap() if sys.N > 1 else float(wk[0]))
@@ -391,69 +427,30 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
         failures.setdefault(i, f"mode {i + 1}: root {complex(roots[i])} assigned to another mode")
 
     found = np.array([i for i in range(sys.N) if i not in failures], dtype=int)
-    cert_r = _certified_radii(sys, roots[found], resids[found])
-    both = np.concatenate([roots[found], roots[found].conjugate()])
-    meets = _meets_another(both, np.tile(cert_r, 2)).reshape(2, -1).any(axis=0)
-    eigs: list[EigenCertificate] = []
+    lam = roots[found]
+    radius = _certified_radii(sys, lam, resids[found])
+    meets = _meets_another(np.concatenate([lam, lam.conj()]),
+                           np.tile(radius, 2)).reshape(2, -1).any(axis=0)
+    certified = ~np.isnan(radius) & ~meets
     uncertified = []
-    for j, i in enumerate(found.tolist()):
-        root, radius = complex(roots[i]), float(cert_r[j])
-        why = None
-        if np.isnan(radius):
+    for j in np.flatnonzero(~certified).tolist():
+        root, k = complex(lam[j]), int(found[j]) + 1
+        if np.isnan(radius[j]):
             why = "no radius 0 < r < min(|root - pole|, -Re root) has |f'| r - |f| > r^2 K(r)"
-        elif meets[j]:
-            why = f"disk of radius {radius:.3e} meets another root's disk"
+        else:
+            why = f"disk of radius {float(radius[j]):.3e} meets another root's disk"
         for half, z in (("upper", root), ("lower", root.conjugate())):
-            eigs.append(EigenCertificate(k=i + 1, half=half, lam=z, residual=float(resids[i]),
-                                         disk_center=z, disk_radius=radius,
-                                         certified=why is None, newton_iters=int(iters[i]),
-                                         fallback=bool(fallback[i])))
-            if why is not None:
-                uncertified.append(f"mode {i + 1} ({half}): root {z} not certified: {why}")
+            uncertified.append(f"mode {k} ({half}): root {z} not certified: {why}")
 
-    vals = np.asarray([e.lam for e in eigs], dtype=complex)
+    # a lower root has the nearest pole distance and |lam| of its upper one
     iw = sys.iw
-    nearest_pole = np.min(np.minimum(np.abs(vals[:, None] - iw), np.abs(vals[:, None] + iw)),
+    nearest_pole = np.min(np.minimum(np.abs(lam[:, None] - iw), np.abs(lam[:, None] + iw)),
                           axis=1)
-    enc = float(np.max(nearest_pole - enclosure_radius(sys, vals), initial=0.0))
+    enc = float(np.max(nearest_pole - enclosure_radius(sys, lam), initial=0.0))
 
     fail_msgs = [failures[i] for i in sorted(failures)] + uncertified
-    complete = len(eigs) == 2 * sys.N and not fail_msgs
-    return SpectrumReport(eigs=tuple(eigs), enclosure_defect=enc,
-                          complete=complete, failures=tuple(fail_msgs))
-
-
-def dense_oracle_spectrum(sys: SystemSpec) -> np.ndarray:
-    """Eigenvalues of the dense real block matrix, via the LAPACK QR solver.
-
-    Independent of the Newton/contour path; intended for test-scale
-    cross-validation only (N <= 64).  Returned sorted by (imag, real).
-    """
-    if sys.N > DENSE_ORACLE_MAX_N:
-        raise ValueError(f"dense oracle is capped at N = {DENSE_ORACLE_MAX_N}, got {sys.N}")
-    n = sys.N
-    omega = np.diag(sys.omegas)
-    damped = -sys.gamma * np.outer(sys.cs, sys.cs)
-    top = np.hstack([damped, omega])
-    bot = np.hstack([-omega, np.zeros((n, n))])
-    mat = np.vstack([top, bot])
-    vals = np.linalg.eigvals(mat)
-    idx = np.lexsort((vals.real, vals.imag))
-    return vals[idx]
-
-
-def matching_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Largest pairwise distance under the optimal bipartite matching.
-
-    Used to compare two multisets of eigenvalues without relying on any
-    particular ordering.
-    """
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
-    if a.size != b.size:
-        raise ValueError("multisets must have equal size")
-    cost = np.abs(a[:, None] - b[None, :])
-    from scipy.optimize import linear_sum_assignment  # test oracle only: imported on use
-
-    rows, cols = linear_sum_assignment(cost)
-    return float(np.max(cost[rows, cols]))
+    return SpectrumReport(k=found + 1, lam=lam, residual=resids[found], radius=radius,
+                          certified=certified, newton_iters=iters[found],
+                          fallback=fallback[found], enclosure_defect=enc,
+                          complete=found.size == sys.N and not fail_msgs,
+                          failures=tuple(fail_msgs))

@@ -13,6 +13,9 @@ from obsdecay.charfn import CharContext, LocalizationError, localize
 # polynomial for gamma = c = omega = 1.
 SINGLE_MODE_ROOTS = ((-1 + 1j * np.sqrt(3.0)) / 2, (-1 - 1j * np.sqrt(3.0)) / 2)
 
+# the per-mode columns of a SpectrumReport, one row per found mode
+SPECTRUM_COLUMNS = ("k", "lam", "residual", "radius", "certified", "newton_iters", "fallback")
+
 
 def perturbed_beam_family(seed, count):
     """Beam-like systems with jittered gaps and signed, jittered couplings."""

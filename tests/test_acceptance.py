@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 from conftest import localizations
+from oracles import dense_oracle_spectrum, matching_distance
 from obsdecay.charfn import CharContext, rouche_margin
 from obsdecay.dynamics import (
     apply_generator,
@@ -29,12 +30,7 @@ from obsdecay.resolvent import (
     axis_scan,
     segment_bound_checks,
 )
-from obsdecay.spectrum import (
-    dense_oracle_spectrum,
-    full_spectrum,
-    matching_distance,
-    winding_number,
-)
+from obsdecay.spectrum import full_spectrum, winding_number
 from obsdecay.state import RealState, StateVector
 from obsdecay import cli
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import load_bench_workloads, perturbed_beam_family
+from oracles import dense_oracle_spectrum, eval_f_rational
 from obsdecay import cli, reports
 from obsdecay.charfn import (
     R1_FRACTION,
@@ -18,7 +19,6 @@ from obsdecay.charfn import (
     eval_F,
     eval_f,
     eval_f_prime,
-    eval_f_rational,
     lambda_star,
     lambda_stars,
     localize,
@@ -354,8 +354,6 @@ class TestLocalize:
     def test_disk_encloses_dense_oracle_eigenvalue(self, beam23):
         # an independent eigensolver must place the mode-15 eigenvalue
         # inside the certified disk
-        from obsdecay.spectrum import dense_oracle_spectrum
-
         cert = localize(CharContext(beam23, 15))
         oracle = dense_oracle_spectrum(beam23)
         nearest = oracle[np.argmin(np.abs(oracle - cert.lambda_star))]
@@ -430,8 +428,6 @@ class TestLocalizeScaling:
             assert cert.rouche_ok and cert.separated, k
 
     def test_disks_hold_one_dense_oracle_eigenvalue(self):
-        from obsdecay.spectrum import dense_oracle_spectrum
-
         sys = beam_example(1.0, 1.0, 64)
         oracle = dense_oracle_spectrum(sys)
         for k in range(3, 65):

@@ -401,3 +401,22 @@ class TestDegradedPipelines:
         assert not doc["pass"]
         assert "error" in doc["trajectory"]
         assert not doc["checks"]["spectrum_complete"]["pass"]
+
+    def test_envelope_underflow_is_fitted_on_the_positive_samples(self, tmp_path):
+        # exp(Re lam t) underflows to 0 from t ~ 3.5e4 on, inside the whole
+        # grid the non-polynomial fit falls back to; only the positive
+        # samples are fitted and the window ends at the last of them
+        cfg = write_config(tmp_path / "late.json", {
+            "gamma": 1.0,
+            "modes": [{"omega": float(j * j), "c": j ** -0.5} for j in range(1, 24)],
+            "tasks": ["spectrum", "envelope"],
+            "tolerances": {"envelope_t_hi": 1e5},
+        })
+        out = tmp_path / "out"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        env = json.loads((out / "envelope.json").read_text())
+        assert not env["polynomial"]
+        assert env["window"][0] == 1.0 and 3e4 < env["window"][1] < 1e5
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["checks"]["envelope_exponent"]["skipped"]
+        assert "envelope_ran" not in doc["checks"]

@@ -245,9 +245,8 @@ class TestObserverCoSimulation:
 
     def test_import_leaves_optional_scipy_unloaded(self, tmp_path):
         # import obsdecay and the default report (simulate included) load only
-        # numpy; scipy.integrate serves only simulate_observer and
-        # scipy.optimize only the matching_distance test oracle, each loaded
-        # on first use
+        # numpy; scipy.integrate serves only simulate_observer, loaded on
+        # first use, and no scipy.optimize is reachable from the package
         src = pathlib.Path(dynamics.__file__).resolve().parents[1]
         config = tmp_path / "reference.json"
         config.write_text(json.dumps({
@@ -314,18 +313,23 @@ class TestDecayEnvelope:
         the upper half is the envelope over every eigenvalue."""
 
         class EveryEigenvalue:
-            def __init__(self, rep):
-                self.rep = rep
+            """A report whose ``lam`` column holds both roots of every mode."""
 
-            def eigenvalues(self, half=None):
-                return self.rep.eigenvalues()
+            def __init__(self, rep):
+                self.lam = rep.eigenvalues()
 
         grid = np.geomspace(1.0, 200.0, 200)
         for sys in [beam23, beam_example(1.0, 1.0, 4)] + perturbed_beam_family(2, 6):
             rep = full_spectrum(sys)
-            upper, lower = rep.eigenvalues("upper"), rep.eigenvalues("lower")
+            upper, lower = rep.lam, rep.eigenvalues()[1::2]
             assert lower.tobytes() == upper.conj().tobytes()
             assert decay_envelope(sys, rep, grid) == decay_envelope(sys, EveryEigenvalue(rep), grid)
+
+    def test_underflowed_envelope_rejected(self, beam4, beam4_spectrum):
+        # exp(-1000 t) is 0 on the whole grid, so no sample can be fitted
+        fast = dataclasses.replace(beam4_spectrum, lam=beam4_spectrum.lam - 1000.0)
+        with pytest.raises(FitError, match="underflowed"):
+            decay_envelope(beam4, fast, np.geomspace(1.0, 10.0, 20))
 
     def test_grid_validation(self, beam23, beam23_spectrum):
         with pytest.raises(ValueError):

@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from conftest import SINGLE_MODE_ROOTS, perturbed_beam_family
+from conftest import SINGLE_MODE_ROOTS, SPECTRUM_COLUMNS, perturbed_beam_family
+from oracles import dense_oracle_spectrum
 from obsdecay.charfn import PoleError
 from obsdecay.cli import EXIT_CHECK_FAILED, Pipeline, load_config
 from obsdecay.dynamics import apply_generator, dense_generator, simulate_error
@@ -16,7 +17,7 @@ from obsdecay.modal import (
     eigenvector,
 )
 from obsdecay.model import beam_example
-from obsdecay.spectrum import dense_oracle_spectrum, full_spectrum
+from obsdecay.spectrum import full_spectrum
 from obsdecay.state import StateVector
 
 
@@ -119,11 +120,11 @@ class TestEigenvector:
         rng = np.random.default_rng(5)
         for sys in systems:
             rep = full_spectrum(sys)
-            lowers = {e.k: e.lam for e in rep.lower()}
-            for e in rep.upper():
-                up = eigenvector(sys, e.lam, e.k)
+            lowers = rep.eigenvalues()[1::2]
+            for k, lam, lower in zip(rep.k.tolist(), rep.lam.tolist(), lowers.tolist()):
+                up = eigenvector(sys, lam, k)
                 swapped = conjugate_swap(up).to_array()
-                direct = direct_lower_eigenvector(sys, lowers[e.k], e.k).to_array()
+                direct = direct_lower_eigenvector(sys, lower, k).to_array()
                 np.testing.assert_array_equal(swapped, direct)
                 for vec in (up, random_state(sys.N, rng)):
                     np.testing.assert_array_equal(
@@ -136,14 +137,14 @@ class TestBuildBasis:
         rep = full_spectrum(single_mode)
         basis = build_basis(single_mode, rep)
         assert basis.Q.shape == (2, 2)
-        lam = rep.eigenvalues("upper")[0]
+        lam = rep.lam[0]
         assert basis.G[0] == pytest.approx(np.conjugate(lam))
         assert basis.G[1] == pytest.approx(lam)
         assert np.isfinite(basis.cond_Q)
 
     def test_eigenvalue_diagonal_matches_report(self, beam23_spectrum, beam23_basis):
-        lowers = beam23_spectrum.eigenvalues("lower")
-        uppers = beam23_spectrum.eigenvalues("upper")
+        lowers = beam23_spectrum.eigenvalues()[1::2]
+        uppers = beam23_spectrum.eigenvalues()[0::2]
         np.testing.assert_array_equal(beam23_basis.G[:23], lowers)
         np.testing.assert_array_equal(beam23_basis.G[23:], uppers)
 
@@ -193,10 +194,9 @@ class TestBuildBasis:
     def test_parallel_columns_are_numerically_singular(self, beam23, beam23_spectrum):
         # mode 3 given both of mode 4's roots: every column passes its residual
         # check, but two columns of Q are parallel
-        lams = {(e.k, e.half): e.lam for e in beam23_spectrum.eigs}
-        doubled = dataclasses.replace(beam23_spectrum, eigs=tuple(
-            dataclasses.replace(e, lam=lams[(4, e.half)]) if e.k == 3 else e
-            for e in beam23_spectrum.eigs))
+        lam = beam23_spectrum.lam.copy()
+        lam[2] = lam[3]
+        doubled = dataclasses.replace(beam23_spectrum, lam=lam)
         with pytest.raises(BasisError, match="numerically singular"):
             build_basis(beam23, doubled)
 
@@ -249,19 +249,19 @@ class TestBuildBasis:
                 continue
             basis = build_basis(sys, rep)
             n = sys.N
-            for e in rep.upper():
-                up = eigenvector(sys, e.lam, e.k).to_array()
-                np.testing.assert_array_equal(basis.Q[:, n + e.k - 1], up)
+            for k, lam in zip(rep.k.tolist(), rep.lam.tolist()):
+                up = eigenvector(sys, lam, k).to_array()
+                np.testing.assert_array_equal(basis.Q[:, n + k - 1], up)
                 np.testing.assert_array_equal(
-                    basis.Q[:, e.k - 1],
+                    basis.Q[:, k - 1],
                     conjugate_swap(StateVector.from_array(up)).to_array())
 
     def test_failed_upper_residual_is_a_basis_error(self, beam23, beam23_spectrum, tmp_path):
         # a complete report whose mode-5 upper root is off by 1e-6: the basis
         # is refused with BasisError, and a report records the failed stage
-        nudged = dataclasses.replace(beam23_spectrum, eigs=tuple(
-            dataclasses.replace(e, lam=e.lam + 1e-6) if (e.k, e.half) == (5, "upper") else e
-            for e in beam23_spectrum.eigs))
+        lam = beam23_spectrum.lam.copy()
+        lam[4] += 1e-6
+        nudged = dataclasses.replace(beam23_spectrum, lam=lam)
         with pytest.raises(BasisError, match=r"^mode 5: upper eigenvector residual"):
             build_basis(beam23, nudged)
         config = tmp_path / "beam23.json"
@@ -283,9 +283,15 @@ class TestBuildBasis:
             build_basis(beam4, broken)
 
     def test_missing_pair_rejected(self, beam4, beam4_spectrum):
-        broken = dataclasses.replace(beam4_spectrum, eigs=beam4_spectrum.eigs[:-1])
-        with pytest.raises(BasisError):
+        # a report marked complete that lacks mode 4, or holds the modes out of order
+        rows = {name: getattr(beam4_spectrum, name) for name in SPECTRUM_COLUMNS}
+        broken = dataclasses.replace(beam4_spectrum, **{n: c[:-1] for n, c in rows.items()})
+        with pytest.raises(BasisError, match="one root for each mode"):
             build_basis(beam4, broken)
+        swapped = dataclasses.replace(beam4_spectrum,
+                                      **{n: c[[1, 0, 2, 3]] for n, c in rows.items()})
+        with pytest.raises(BasisError, match="one root for each mode"):
+            build_basis(beam4, swapped)
 
     def test_json_summary_fields(self, beam23_basis):
         doc = beam23_basis.to_json_dict()

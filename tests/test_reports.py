@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import stat
 import struct
 import tempfile
 
@@ -138,6 +139,18 @@ class TestAtomicWrite:
         write_json(str(target), {"a": 1})
         write_json(str(target), {"a": 2})
         assert json.loads(target.read_text()) == {"a": 2}
+
+    def test_mode_follows_the_umask(self, tmp_path):
+        # as open() would create it: 0o666 & ~umask, not mkstemp's 0600
+        old = os.umask(0o022)
+        try:
+            write_json(str(tmp_path / "a.json"), {"a": 1})
+            os.umask(0o027)
+            atomic_write(str(tmp_path / "b.bin"), b"x")
+        finally:
+            os.umask(old)
+        assert stat.S_IMODE(os.stat(tmp_path / "a.json").st_mode) == 0o644
+        assert stat.S_IMODE(os.stat(tmp_path / "b.bin").st_mode) == 0o640
 
 
 class TestCsvWriters:

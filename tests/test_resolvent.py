@@ -83,14 +83,10 @@ def fallback_points(monkeypatch):
 
 
 class UpperRoots:
-    """Stands in for a SpectrumReport: the axis scan reads only the upper roots."""
+    """Stands in for a SpectrumReport: the axis scan reads only its ``lam`` column."""
 
     def __init__(self, upper):
-        self.upper = np.asarray(upper, dtype=complex)
-
-    def eigenvalues(self, half):
-        assert half == "upper"
-        return self.upper
+        self.lam = np.asarray(upper, dtype=complex)
 
 
 SCAN_SYSTEMS = [beam_example(1.0, 1.0, n, gamma=g)
@@ -288,7 +284,7 @@ class TestApplyResolvent:
 class TestResolventNorm:
     def test_single_mode_diagonal_value(self, single_mode):
         rep = full_spectrum(single_mode)
-        lam1 = rep.eigenvalues("upper")[0]
+        lam1 = rep.lam[0]
         expected = np.sqrt(abs(np.conjugate(lam1) - 10.0) ** -2 + abs(lam1 - 10.0) ** -2)
         assert resolvent_norm(single_mode, 10.0, "diag", rep) == pytest.approx(expected)
 
@@ -345,7 +341,7 @@ class TestAxisScan:
         # per-band sup^2 never exceeds twice the sum of inverse squared decay
         # rates of bands k-1, k, k+1 (the chain behind the certified cap)
         scan = axis_scan(beam23, beam23_spectrum, (3, 20))
-        rates = {e.k: abs(e.lam.real) for e in beam23_spectrum.upper()}
+        rates = dict(zip(beam23_spectrum.k.tolist(), np.abs(beam23_spectrum.lam.real).tolist()))
         for k, _center, sup in scan.suprema:
             cap_sq = 2.0 * sum(rates[j] ** -2 for j in (k - 1, k, k + 1))
             assert sup**2 <= cap_sq * (1 + 1e-12)
@@ -380,7 +376,7 @@ class TestAxisScan:
         # bitwise: samples, suprema, segments and fit, with the window bound
         # settling every point (no full-row fallback) on these spectra
         spectrum = full_spectrum(sys)
-        upper = spectrum.eigenvalues("upper")
+        upper = spectrum.lam
         for k_range in ((3, sys.N - 3), (2, sys.N - 1)):
             if k_range[1] - k_range[0] < 2:
                 continue
@@ -400,7 +396,7 @@ class TestAxisScan:
         # Im ~ 81 and ~ 121 are nearer in distance: the window bound fails
         # there and the full row must decide
         cluster = -200.0 + 1j * (100.0 + np.linspace(-2.0, 2.0, 5))
-        upper = np.concatenate([beam23_spectrum.eigenvalues("upper"), cluster])
+        upper = np.concatenate([beam23_spectrum.lam, cluster])
         scan = axis_scan(beam23, UpperRoots(upper), (3, 20))
         segments, samples, suprema, fit = brute_force_scan(beam23, upper, (3, 20),
                                                            PTS_PER_SEGMENT_DEFAULT)
@@ -411,7 +407,7 @@ class TestAxisScan:
         assert scan.alpha_fit == fit
 
     def test_exact_hit_raises(self, beam23, beam23_spectrum):
-        lam = beam23_spectrum.eigenvalues("upper")[4]
+        lam = beam23_spectrum.lam[4]
         for point in (lam, np.conjugate(lam)):
             with pytest.raises(SpectrumProximityError):
                 resolvent_norm(beam23, point, "diag", beam23_spectrum)
@@ -420,6 +416,6 @@ class TestAxisScan:
         # the supremum must reflect the eigenvalue peak 1/|Re lam_k|, which a
         # coarse even grid would miss
         scan = axis_scan(beam23, beam23_spectrum, (3, 20), pts_per_segment=5)
-        uppers = {e.k: e.lam for e in beam23_spectrum.upper()}
+        uppers = dict(zip(beam23_spectrum.k.tolist(), beam23_spectrum.lam.tolist()))
         for k, _center, sup in scan.suprema:
             assert sup >= 1.0 / abs(uppers[k].real)

@@ -1,9 +1,16 @@
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
 
-from conftest import SINGLE_MODE_ROOTS, load_bench_workloads, perturbed_beam_family
+from conftest import (
+    SINGLE_MODE_ROOTS,
+    SPECTRUM_COLUMNS,
+    load_bench_workloads,
+    perturbed_beam_family,
+)
+from oracles import dense_oracle_spectrum, matching_distance
 from obsdecay import charfn, spectrum
 from obsdecay.charfn import (
     CharContext,
@@ -22,11 +29,9 @@ from obsdecay.spectrum import (
     NEWTON_TOL,
     POLE_GUARD,
     NewtonError,
-    dense_oracle_spectrum,
     enclosure_radius,
     escape_radius,
     full_spectrum,
-    matching_distance,
     newton_root,
     newton_roots,
     winding_number,
@@ -147,8 +152,8 @@ def solve_lower_root(sys, k):
 
     Newton from the conjugated first-order seed (or from the conjugated
     left-shifted backup seed), then the Rouche test at that root.  Returns
-    ``(lam, residual, newton_iters, fallback, disk_center, disk_radius)``,
-    or None when no root of mode k is found.
+    ``(lam, residual, newton_iters, fallback, disk_radius)``, the disk
+    centred at ``lam``, or None when no root of mode k is found.
     """
     wk = float(sys.omegas[k - 1])
     band = 0.5 * (sys.min_gap() if sys.N > 1 else wk)
@@ -167,7 +172,7 @@ def solve_lower_root(sys, k):
             return None
     if np.argmin(np.abs(sys.omegas - abs(lam.imag))) + 1 != k:
         return None
-    return lam, resid, iters, fallback, lam, reference_radius(sys, lam, resid)
+    return lam, resid, iters, fallback, reference_radius(sys, lam, resid)
 
 
 def same_float(a, b):
@@ -182,8 +187,7 @@ def disks_meet(c, r):
 
 
 def certificate_disks_meet(eigs):
-    return disks_meet(np.array([e.disk_center for e in eigs]),
-                      np.array([e.disk_radius for e in eigs]))
+    return disks_meet(np.array([e.lam for e in eigs]), np.array([e.disk_radius for e in eigs]))
 
 
 class TestNewtonRoot:
@@ -354,8 +358,7 @@ class TestFullSpectrum:
         assert rep.complete
         assert len(rep.eigs) == 46
         assert all(e.lam.real < 0.0 for e in rep.eigs)
-        np.testing.assert_array_equal(rep.eigenvalues("lower"),
-                                      rep.eigenvalues("upper").conj())
+        np.testing.assert_array_equal(rep.eigenvalues()[1::2], rep.lam.conj())
         assert rep.enclosure_defect == 0.0
 
     def test_sorted_one_certificate_per_pair(self, beam23_spectrum):
@@ -377,11 +380,12 @@ class TestFullSpectrum:
         # modes 1-2 have no a-priori disk, but their roots are certified too
         for e in beam23_spectrum.eigs:
             assert e.certified, f"mode {e.k} ({e.half}) is not certified"
-            assert e.disk_center == e.lam and 0.0 < e.disk_radius < -e.lam.real
+            assert e.to_json_dict()["disk_center"] == [e.lam.real, e.lam.imag]
+            assert 0.0 < e.disk_radius < -e.lam.real
 
     def test_asymptotic_approach_to_mode_frequencies(self, beam23, beam23_spectrum):
-        for e in beam23_spectrum.upper():
-            drift = abs(e.lam - 1j * beam23.omegas[e.k - 1]) * e.k**2
+        for k, lam in zip(beam23_spectrum.k.tolist(), beam23_spectrum.lam.tolist()):
+            drift = abs(lam - 1j * beam23.omegas[k - 1]) * k**2
             assert drift < 1.0
 
     def test_enclosure_radius_formula(self, beam23):
@@ -404,17 +408,16 @@ class TestFullSpectrum:
         # has a disk and that disk meets no other one.
         for sys in systems:
             rep = full_spectrum(sys)
-            lower = {e.k: e for e in rep.lower()}
+            lower = {e.k: e for e in rep.eigs if e.half == "lower"}
             for k in range(1, sys.N + 1):
                 direct = solve_lower_root(sys, k)
                 if direct is None:
                     assert k not in lower, (sys.N, k)
                     continue
                 e = lower[k]
-                assert (e.lam, e.residual, e.newton_iters, e.fallback,
-                        e.disk_center) == direct[:5], (sys.N, k)
-                assert same_float(e.disk_radius, direct[5]), (sys.N, k)
-            assert [e.k for e in rep.upper()] == list(lower)
+                assert (e.lam, e.residual, e.newton_iters, e.fallback) == direct[:4], (sys.N, k)
+                assert same_float(e.disk_radius, direct[4]), (sys.N, k)
+            assert rep.k.tolist() == list(lower)
             for e, meets in zip(rep.eigs, certificate_disks_meet(rep.eigs)):
                 assert same_float(e.disk_radius, reference_radius(sys, e.lam, e.residual))
                 assert e.certified == (not np.isnan(e.disk_radius) and not meets), (sys.N, e)
@@ -493,6 +496,62 @@ class TestFullSpectrum:
         assert matching_distance(rep.eigenvalues(), dense_oracle_spectrum(sys)) > 100.0
 
 
+class TestSpectrumColumns:
+    """The report stores one row per found mode; everything else derives from the columns."""
+
+    @pytest.mark.parametrize("systems", [
+        pytest.param([beam_example(1.0, 1.0, 23)], id="beam23"),
+        # an uncertified overdamped pair, and fallback roots and lost modes
+        pytest.param([beam_example(1.0, 1.0, 23, gamma=100.0)] + perturbed_beam_family(2, 4),
+                     id="incomplete"),
+    ])
+    def test_rows_views_and_json_agree_with_the_columns(self, systems):
+        for sys in systems:
+            rep = full_spectrum(sys)
+            vals, doc = rep.eigenvalues(), rep.to_json_dict()
+            assert len(rep.eigs) == vals.size == len(doc["eigs"]) == 2 * rep.k.size
+            assert vals[0::2].tobytes() == rep.lam.tobytes()
+            assert vals[1::2].tobytes() == rep.lam.conj().tobytes()
+            assert np.all(np.diff(rep.k) > 0) and set(rep.k.tolist()) <= set(range(1, sys.N + 1))
+            rows = zip(*(getattr(rep, name).tolist() for name in SPECTRUM_COLUMNS))
+            for j, (k, lam, res, radius, cert, iters, fb) in enumerate(rows):
+                for h, (half, z) in enumerate((("upper", lam), ("lower", lam.conjugate()))):
+                    e = rep.eigs[2 * j + h]
+                    assert (e.k, e.half, e.lam, e.residual, e.certified, e.newton_iters,
+                            e.fallback) == (k, half, z, res, cert, iters, fb)
+                    assert e.lam == vals[2 * j + h] and same_float(e.disk_radius, radius)
+                    np.testing.assert_equal(doc["eigs"][2 * j + h], {
+                        "k": k, "half": half, "lambda": [z.real, z.imag], "residual": res,
+                        "disk_center": [z.real, z.imag], "disk_radius": radius,
+                        "certified": cert, "newton_iters": iters, "fallback": fb})
+
+    def test_columns_are_read_only(self, beam4_spectrum):
+        for name in SPECTRUM_COLUMNS:
+            col = getattr(beam4_spectrum, name)
+            assert col.shape == (4,) and not col.flags.writeable, name
+            with pytest.raises(ValueError):
+                col[0] = col[1]
+
+    def test_columns_of_one_length(self, beam4_spectrum):
+        with pytest.raises(ValueError, match="'radius'"):
+            dataclasses.replace(beam4_spectrum, radius=beam4_spectrum.radius[:-1])
+
+    def test_library_paths_build_no_certificate_records(self, beam23, monkeypatch):
+        from obsdecay import build_basis, decay_envelope
+        from obsdecay.resolvent import axis_scan, resolvent_norm
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("EigenCertificate built on a library path")
+
+        monkeypatch.setattr(spectrum, "EigenCertificate", forbidden)
+        rep = full_spectrum(beam23)
+        build_basis(beam23, rep)
+        decay_envelope(beam23, rep, np.geomspace(1.0, 200.0, 50))
+        axis_scan(beam23, rep, (3, 20))
+        resolvent_norm(beam23, 1.0 + 5.0j, "diag", rep)
+        assert "eigs" not in vars(rep)
+
+
 class TestCertificateOracles:
     """Independent checks of the a-posteriori disks."""
 
@@ -518,10 +577,9 @@ class TestCertificateOracles:
             certified = [e for e in full_spectrum(sys).eigs if e.certified]
             assert certified
             for e in certified:
-                disk = (e.disk_center, e.disk_radius)
-                assert winding_number(sys, disk) == 1, (sys.N, e)
+                assert winding_number(sys, (e.lam, e.disk_radius)) == 1, (sys.N, e)
                 if dense is not None:
-                    inside = np.abs(dense - e.disk_center) < e.disk_radius
+                    inside = np.abs(dense - e.lam) < e.disk_radius
                     assert np.count_nonzero(inside) == 1, (sys.N, e)
 
 
