@@ -1,28 +1,43 @@
 """File emitters for certificates, spectra, scans and trajectories.
 
 All writers are atomic (temp file + rename) and deterministic: no
-timestamps.  JSON artifacts are strict JSON, encoded in one pass with the
-layout of ``json.dumps(indent=2, sort_keys=True)``: keys are sorted as
-strings, tuples and arrays become lists, numpy scalars their Python values,
-a complex number ``[re, im]``, finite floats their repr and every non-finite
-float ``null``.  ``report.json`` embeds each task document verbatim, with the
-text of that task's own file re-indented.  CSV layouts:
+timestamps.  JSON artifacts are strict JSON, with the layout of
+``json.dumps(indent=2, sort_keys=True)``: keys are sorted as strings, tuples
+and arrays become lists, numpy scalars their Python values, a complex number
+``[re, im]``, finite floats their repr and every non-finite float ``null``.
+A document is encoded in one walk, except for lists of records: two or more
+dicts with the same ``str`` keys (none holding ``%``), each key's values of
+one exact scalar type, or lists of one length of such values.  A list of
+records is encoded column by column: each column is formatted in one
+``map``, the layout of one record is built once, and every record fills it
+with ``%``.  The bytes are those of the walk.  ``report.json`` embeds each
+task document verbatim, with the text of that task's own file re-indented.
+
+CSV artifacts are joined from formatted columns, with the bytes
+``csv.writer`` gives: ``str`` of each field (no field needs quoting) and
+``\\r\\n`` line ends.  Layouts:
 
 * localization: k, re_lambda_star, im_lambda_star, M, b, c, Rk + flags
 * spectrum: k, half, re_lambda, im_lambda, residual, certified
 * spectrum plot data: re, im (one row per eigenvalue)
 * axis scan: s, norm_bound
 * trajectory: t, norm, |mode 1|, ..., |mode N| magnitudes
+
+The spectrum CSV files are formatted from the report's upper-root columns:
+each lower root's imaginary text is the upper one's with its sign flipped,
+since a float's repr is sign-symmetric.  ``spectrum.json`` is a list of
+records; each root's ``[re, im]`` list serves as both its ``lambda`` and
+its ``disk_center``, and a column of the same objects as an earlier one is
+formatted once.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import os
-import tempfile
+from itertools import chain
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
@@ -32,26 +47,29 @@ from .modal import ModalBasis
 from .resolvent import AxisScan
 from .spectrum import SpectrumReport
 
-
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
+# O_BINARY keeps Windows from translating line ends in the written bytes
+_TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
 
 
 def atomic_write(path: str, data: bytes) -> None:
     """Write via a temp file in the same directory, then rename into place.
 
-    The file gets mode ``0o666 & ~umask``, as ``open`` would create it;
-    ``mkstemp`` alone would leave it 0600.
+    The temp file is created with mode 0o666 under a fresh random name, so
+    the kernel applies the umask to it as ``open`` would; the process-wide
+    umask is never read or changed.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    while True:
+        tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+        try:
+            fd = os.open(tmp, _TMP_FLAGS, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
-            os.fchmod(handle.fileno(), 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -67,6 +85,10 @@ class _Encoded(str):
     """
 
     __slots__ = ()
+
+
+# encodes to ``%s``: one slot of a record layout (see _records)
+_SLOT = _Encoded("%s\n")
 
 
 def _float(x: float) -> str:
@@ -100,7 +122,9 @@ def _encode(obj, nl: str) -> str:
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        parts = [f(v) if (f := get(type(v))) else _encode(v, inner) for v in obj]
+        parts = _records(obj, inner) if len(obj) > 1 and type(obj[0]) is dict else None
+        if parts is None:
+            parts = [f(v) if (f := get(type(v))) else _encode(v, inner) for v in obj]
         return "[" + inner + ("," + inner).join(parts) + nl + "]"
     if isinstance(obj, _Encoded):
         # an encoded string holds no raw newline, so every one is layout
@@ -120,6 +144,60 @@ def _encode(obj, nl: str) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
+def _column(values: list | tuple) -> Optional[list[str]]:
+    """JSON text of each value, or None unless all have one exact scalar type."""
+    kinds = set(map(type, values))
+    if len(kinds) != 1:
+        return None
+    kind = kinds.pop()
+    if kind is float:
+        text = list(map(float.__repr__, values))
+        if not all(map(math.isfinite, values)):
+            # a finite repr ends in a digit; "nan", "inf" and "-inf" do not
+            text = [t if t[-1].isdigit() else "null" for t in text]
+        return text
+    scalar = _SCALARS.get(kind)
+    return None if scalar is None else list(map(scalar, values))
+
+
+def _records(rows, nl: str) -> Optional[list[str]]:
+    """JSON text of each record in ``rows``, column by column; None if they are not records.
+
+    See the module docstring for what a list of records is.  Each column
+    is transposed out of the rows and formatted in one pass (a column of
+    the same objects as an earlier one reuses its text), the layout of one
+    record is encoded once with a ``%s`` slot per scalar, and each row
+    fills it.  ``nl`` is as for :func:`_encode`.
+    """
+    first = rows[0]
+    if not all(type(k) is str and "%" not in k for k in first):
+        return None
+    keys = first.keys()
+    if any(type(row) is not dict or row.keys() != keys for row in rows):
+        return None
+    layout, slots, formatted = {}, [], {}
+    for key in sorted(keys):
+        col = list(map(itemgetter(key), rows))
+        if type(col[0]) in (list, tuple):
+            width = len(col[0])
+            if any(type(v) not in (list, tuple) or len(v) != width for v in col):
+                return None
+            layout[key], parts = [_SLOT] * width, zip(*col)
+        else:
+            layout[key], parts = _SLOT, [col]
+        ident = tuple(map(id, col))
+        text = formatted.get(ident)
+        if text is None:
+            text = formatted[ident] = [_column(part) for part in parts]
+            if None in text:
+                return None
+        slots.extend(text)
+    template = _encode(layout, nl)
+    if not slots:
+        return [template] * len(rows)
+    return list(map(template.__mod__, zip(*slots)))
+
+
 def write_json(path: str, doc: dict) -> str:
     """Write ``doc`` as strict JSON (see the module docstring); return the text.
 
@@ -131,38 +209,54 @@ def write_json(path: str, doc: dict) -> str:
     return text
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
-    buf = io.StringIO(newline="")
-    writer = csv.writer(buf)
-    writer.writerow(header)
-    writer.writerows(rows)
-    atomic_write(path, buf.getvalue().encode())
+def _rows(header: list[str], columns) -> bytes:
+    """CSV bytes of ``columns`` (equal-length sequences of fields) under ``header``."""
+    lines = map(",".join, zip(*[map(str, col) for col in columns]))
+    return "\r\n".join([",".join(header), *lines, ""]).encode()
+
+
+def _pairs(a, b) -> list:
+    """``a[0], b[0], a[1], b[1], ...``: an upper and a lower row per mode."""
+    return list(chain.from_iterable(zip(a, b)))
+
+
+def _negated(texts: list[str]) -> list[str]:
+    """The repr of ``-x`` for each repr of a float ``x``; a NaN's repr has no sign."""
+    return [t[1:] if t[0] == "-" else t if t == "nan" else "-" + t for t in texts]
+
+
+def _lam_columns(report: SpectrumReport) -> tuple[list[str], list[str]]:
+    """Text of Re and Im of every root, in the order of ``report.eigenvalues()``."""
+    re = list(map(float.__repr__, report.lam.real.tolist()))
+    im = list(map(float.__repr__, report.lam.imag.tolist()))
+    return _pairs(re, re), _pairs(im, _negated(im))
 
 
 def write_localization_csv(certs, path: str) -> None:
-    rows = [
-        [c.k, c.lambda_star.real, c.lambda_star.imag, c.M, c.b, c.c_const, c.Rk,
+    columns = zip(*[
+        (c.k, c.lambda_star.real, c.lambda_star.imag, c.M, c.b, c.c_const, c.Rk,
          int(c.cond_Mneq1), int(c.cond_Mneq2), int(c.interval_ok), int(c.contained),
-         int(c.separated), int(c.omega_gt_1)]
+         int(c.separated), int(c.omega_gt_1))
         for c in certs
-    ]
-    _write_csv(path, ["k", "re_lambda_star", "im_lambda_star", "M", "b", "c", "Rk",
-                      "cond_Mneq1", "cond_Mneq2", "interval_ok", "contained",
-                      "separated", "omega_gt_1"], rows)
+    ])
+    atomic_write(path, _rows(["k", "re_lambda_star", "im_lambda_star", "M", "b", "c", "Rk",
+                              "cond_Mneq1", "cond_Mneq2", "interval_ok", "contained",
+                              "separated", "omega_gt_1"], columns))
 
 
 def write_spectrum_csv(report: SpectrumReport, path: str) -> None:
-    rows = [
-        [e.k, e.half, e.lam.real, e.lam.imag, e.residual, int(e.certified)]
-        for e in report.eigs
-    ]
-    _write_csv(path, ["k", "half", "re_lambda", "im_lambda", "residual",
-                      "certified"], rows)
+    re, im = _lam_columns(report)
+    k = list(map(int.__repr__, report.k.tolist()))
+    residual = list(map(float.__repr__, report.residual.tolist()))
+    certified = ["1" if c else "0" for c in report.certified.tolist()]
+    columns = [_pairs(k, k), ["upper", "lower"] * len(k), re, im,
+               _pairs(residual, residual), _pairs(certified, certified)]
+    atomic_write(path, _rows(["k", "half", "re_lambda", "im_lambda", "residual",
+                              "certified"], columns))
 
 
 def write_spectrum_plot_csv(report: SpectrumReport, path: str) -> None:
-    rows = [[e.lam.real, e.lam.imag] for e in report.eigs]
-    _write_csv(path, ["re", "im"], rows)
+    atomic_write(path, _rows(["re", "im"], _lam_columns(report)))
 
 
 def write_axis_scan_csv(scan: AxisScan, path: str) -> None:
@@ -172,14 +266,14 @@ def write_axis_scan_csv(scan: AxisScan, path: str) -> None:
 
 
 def write_trajectory_csv(traj: ErrorTrajectory, path: str) -> None:
-    n = traj.states.shape[1] // 2
+    states = traj.states
+    n = states.shape[1] // 2
     header = ["t", "norm"] + [f"mode_{j+1}" for j in range(n)]
-    rows = []
-    for i, (t, nv) in enumerate(zip(traj.t, traj.norm)):
-        row = traj.states[i]
-        mags = np.sqrt(np.abs(row[:n]) ** 2 + np.abs(row[n:]) ** 2)
-        rows.append([t, nv] + mags.tolist())
-    _write_csv(path, header, rows)
+    mags = np.sqrt(np.abs(states[:, :n]) ** 2 + np.abs(states[:, n:]) ** 2)
+    table = np.column_stack([traj.t, traj.norm, mags])
+    row = ",".join(["%r"] * table.shape[1]) + "\r\n"
+    text = (row * table.shape[0]) % tuple(table.ravel().tolist())
+    atomic_write(path, (",".join(header) + "\r\n" + text).encode())
 
 
 def write_q_binary(basis: ModalBasis, path: str) -> None:

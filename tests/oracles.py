@@ -3,7 +3,13 @@
 None of these is on a path the package runs: the dense eigenvalue solve and
 the rational form of ``f`` check the Newton/Rouche path and ``charfn.eval_f``
 from outside, and ``matching_distance`` compares two eigenvalue multisets.
+The artifact oracles give the bytes of ``reports``' CSV writers through
+``csv.writer``, row by row, and the ``spectrum.json`` document through the
+per-root ``EigenCertificate`` records.
 """
+
+import csv
+import io
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -48,3 +54,55 @@ def eval_f_rational(sys, lam):
     L = arr[..., None]
     val = 2j * (np.sum(sys.cs**2 / (sys.omegas**2 + L**2), axis=-1) + 1.0 / (sys.gamma * arr))
     return complex(val) if np.ndim(lam) == 0 else val
+
+
+def csv_bytes(header, rows) -> bytes:
+    """What ``csv.writer`` writes for ``header`` and ``rows``."""
+    buf = io.StringIO(newline="")
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue().encode()
+
+
+def localization_csv(certs) -> bytes:
+    rows = [
+        [c.k, c.lambda_star.real, c.lambda_star.imag, c.M, c.b, c.c_const, c.Rk,
+         int(c.cond_Mneq1), int(c.cond_Mneq2), int(c.interval_ok), int(c.contained),
+         int(c.separated), int(c.omega_gt_1)]
+        for c in certs
+    ]
+    return csv_bytes(["k", "re_lambda_star", "im_lambda_star", "M", "b", "c", "Rk",
+                      "cond_Mneq1", "cond_Mneq2", "interval_ok", "contained",
+                      "separated", "omega_gt_1"], rows)
+
+
+def spectrum_csv(report) -> bytes:
+    rows = [[e.k, e.half, e.lam.real, e.lam.imag, e.residual, int(e.certified)]
+            for e in report.eigs]
+    return csv_bytes(["k", "half", "re_lambda", "im_lambda", "residual", "certified"], rows)
+
+
+def spectrum_plot_csv(report) -> bytes:
+    return csv_bytes(["re", "im"], [[e.lam.real, e.lam.imag] for e in report.eigs])
+
+
+def trajectory_csv(traj) -> bytes:
+    """One row per time, each mode's magnitude taken from that row alone."""
+    n = traj.states.shape[1] // 2
+    rows = []
+    for i, (t, nv) in enumerate(zip(traj.t, traj.norm)):
+        row = traj.states[i]
+        mags = np.sqrt(np.abs(row[:n]) ** 2 + np.abs(row[n:]) ** 2)
+        rows.append([t, nv] + mags.tolist())
+    return csv_bytes(["t", "norm"] + [f"mode_{j+1}" for j in range(n)], rows)
+
+
+def spectrum_json_dict(report) -> dict:
+    """The ``spectrum.json`` document, one ``EigenCertificate`` record per root."""
+    return {
+        "eigs": [e.to_json_dict() for e in report.eigs],
+        "enclosure_defect": report.enclosure_defect,
+        "complete": report.complete,
+        "failures": list(report.failures),
+    }

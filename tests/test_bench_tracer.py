@@ -5,15 +5,19 @@ that every name it patches still resolves, so a refactor cannot silently
 break ``bench/run.py --trace 1``.
 """
 
+import contextlib
 import importlib
 import importlib.util
+import io
+import json
 import pathlib
 import sys
 
 import numpy as np
 import pytest
 
-from obsdecay import dynamics, spectrum
+from conftest import load_bench_workloads
+from obsdecay import cli, dynamics, reports, spectrum
 from obsdecay.dynamics import ObserverSetup, simulate_observer
 from obsdecay.state import RealState
 
@@ -81,3 +85,28 @@ def test_tracer_counts_observer_rhs_evals(spans, beam4, monkeypatch):
     assert out.error_norm[-1] < out.error_norm[0]
     assert len(nfev) == 1 and nfev[0] > 0
     assert counts["dynamics.rhs_evals"] == nfev[0]
+
+
+@pytest.mark.parametrize("size, scale_tasks, files", [(23, False, 12), (256, True, 10)],
+                         ids=["reference-report", "scale-certify"])
+def test_every_artifact_goes_through_a_traced_writer(spans, tmp_path, monkeypatch,
+                                                     size, scale_tasks, files):
+    # reports.write times these writers and sizes the first str argument of
+    # each call; an artifact written any other way would drop out of it
+    workloads = load_bench_workloads()
+    writers = [attr for mod, attr, name in spans.SPAN_TARGETS if name == "reports.write"]
+    assert len(writers) == 7
+    destinations = []
+    for attr in writers:
+        def recording(*args, _write=getattr(reports, attr), **kwargs):
+            destinations.append(next(a for a in args if isinstance(a, str)))
+            return _write(*args, **kwargs)
+        monkeypatch.setattr(reports, attr, recording)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(
+        workloads.beam_config(size, workloads.SCALE_TASKS if scale_tasks else None)))
+    out = tmp_path / "out"
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["report", "--config", str(config), "--out", str(out)])
+    assert len(destinations) == files
+    assert sorted(destinations) == sorted(str(p) for p in out.iterdir())

@@ -14,7 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from obsdecay.charfn import CharContext, localize
+import oracles
+from obsdecay import beam_example, full_spectrum
+from obsdecay.charfn import CharContext, localize, localize_modes
 from obsdecay.dynamics import domain_initial_state, simulate_error
 from obsdecay.reports import (
     atomic_write,
@@ -28,6 +30,7 @@ from obsdecay.reports import (
     write_trajectory_csv,
 )
 from obsdecay.resolvent import axis_scan
+from obsdecay.spectrum import SpectrumReport
 
 
 def read_rows(path):
@@ -39,8 +42,8 @@ def jsonable(obj):
     """Reference oracle for ``write_json``, with ``reference_json``.
 
     Converts numpy scalars and arrays and tuples to JSON types for
-    ``json.dumps(indent=2, sort_keys=True)``.  Only Python floats are checked
-    for non-finite values, so it serves as the oracle on finite input alone.
+    ``json.dumps(indent=2, sort_keys=True)``; every non-finite float, numpy
+    ones included, becomes None, so it serves as the oracle on any input.
     """
     if isinstance(obj, dict):
         return {str(k): jsonable(v) for k, v in obj.items()}
@@ -48,16 +51,14 @@ def jsonable(obj):
         return [jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating,)):
-        return float(obj)
+    if isinstance(obj, (float, np.floating)):
+        return float(obj) if math.isfinite(obj) else None
     if isinstance(obj, (np.integer,)):
         return int(obj)
     if isinstance(obj, (np.bool_,)):
         return bool(obj)
-    if isinstance(obj, complex):
-        return [obj.real, obj.imag]
-    if isinstance(obj, float) and (obj != obj or obj in (float("inf"), float("-inf"))):
-        return None
+    if isinstance(obj, (complex, np.complexfloating)):
+        return [jsonable(obj.real), jsonable(obj.imag)]
     return obj
 
 
@@ -89,11 +90,67 @@ SCALARS = st.one_of(
                elements={"allow_nan": False, "allow_infinity": False}),
 )
 KEYS = st.one_of(st.text(max_size=4), st.integers(-3, 12))
+# record columns: non-finite floats, -0.0, numpy scalars, and strings with % or newlines
+COLUMN_KINDS = (
+    st.floats(), st.sampled_from([-0.0, 0.0, math.nan, math.inf, -math.inf]),
+    st.floats().map(np.float64), st.integers(), st.booleans(), st.none(),
+    st.booleans().map(np.bool_), st.text(alphabet="a%s\n\"\\\u00e9", max_size=5),
+)
+MIXED = st.one_of(*COLUMN_KINDS)
+
+
+@st.composite
+def record_lists(draw):
+    """2-6 dicts with one key set, mostly with values of one kind (or width) per key.
+
+    Now and then a key holds ``%`` or is not a string, a column mixes kinds
+    or widths, or one record lists its keys in another order.
+    """
+    keys = draw(st.lists(st.text(max_size=3), max_size=4, unique=True))
+    if keys and draw(st.integers(0, 3)) == 0:
+        keys[0] = draw(st.sampled_from(["%", "%s", "a%d", 0]))
+        keys = list(dict.fromkeys(keys))
+    n = draw(st.integers(2, 6))
+    columns = []
+    for _ in keys:
+        kind = draw(st.sampled_from(COLUMN_KINDS + (MIXED,)))
+        shape = draw(st.sampled_from(["scalar", "scalar", "list", "tuple", "ragged"]))
+        if shape == "scalar":
+            values = kind
+        elif shape == "ragged":
+            values = st.lists(kind, max_size=2)
+        else:
+            width = draw(st.integers(0, 3))
+            values = st.lists(kind, min_size=width, max_size=width)
+            if shape == "tuple":
+                values = values.map(tuple)
+        columns.append(draw(st.lists(values, min_size=n, max_size=n)))
+    rows = [{key: col[i] for key, col in zip(keys, columns)} for i in range(n)]
+    if draw(st.booleans()):
+        i = draw(st.integers(0, n - 1))
+        rows[i] = dict(reversed(list(rows[i].items())))
+    return rows
+
+
 DOCS = st.dictionaries(KEYS, st.recursive(
-    SCALARS,
+    st.one_of(SCALARS, record_lists()),
     lambda inner: st.one_of(st.lists(inner, max_size=4), st.lists(inner, max_size=4).map(tuple),
                             st.dictionaries(KEYS, inner, max_size=4)),
     max_leaves=16))
+
+
+def spectrum_with_edge_values():
+    """A report whose columns hold what full_spectrum seldom gives: NaN, inf, -0.0, tiny values."""
+    return SpectrumReport(
+        k=[1, 2, 3, 4, 5, 6],
+        lam=[complex(-1.0, 0.0), complex(-2.0, -0.0), complex(-1e-300, 1e-7),
+             complex(-3.0, math.inf), complex(math.nan, math.nan), complex(-0.5, -5e-324)],
+        residual=[math.nan, 0.0, 1e-15, math.inf, 2.5, 1e300],
+        radius=[math.nan, 0.1, math.nan, 0.0, math.nan, 1e-12],
+        certified=[False, True, False, True, False, True],
+        newton_iters=[0, 1, 2, 3, 4, 100],
+        fallback=[False, True, False, False, True, False],
+        enclosure_defect=math.nan, complete=False, failures=("mode 1: %s\n\"x\"",))
 
 
 class TestJsonable:
@@ -111,9 +168,17 @@ class TestJsonable:
         assert back == {"a": None, "b": None, "f": None, "g": None, "z": [None, 1.0],
                         "w": [2.0, None], "arr": [1.0, None, None]}
 
-    @settings(deadline=None, derandomize=True, database=None)
+    @settings(deadline=None, derandomize=True, database=None, max_examples=300)
     @given(DOCS)
     def test_bytes_match_two_pass_reference(self, doc):
+        assert written(doc) == reference_json(doc)
+
+    def test_records_with_percent_keys_and_reordered_keys(self):
+        rows = [{"%s": 1.5, "a": [math.nan, -0.0], "b": "50%\n"},
+                {"b": "%d", "a": [math.inf, 2.0], "%s": -0.0},
+                {"%s": 1e-300, "a": [0.1, -math.inf], "b": ""}]
+        plain = [{"a": [1, np.float64(2.0)], "b": (True, None)}, {"b": (False, None), "a": [3, 4.0]}]
+        doc = {"rows": rows, "plain": plain, "swapped": [rows[1], rows[0]], "one": rows[:1]}
         assert written(doc) == reference_json(doc)
 
     def test_written_text_is_embedded_reindented(self):
@@ -139,6 +204,15 @@ class TestAtomicWrite:
         write_json(str(target), {"a": 1})
         write_json(str(target), {"a": 2})
         assert json.loads(target.read_text()) == {"a": 2}
+
+    def test_process_umask_is_not_touched(self, tmp_path, monkeypatch):
+        # setting the umask to read it would change it for every thread meanwhile
+        def forbidden(mask):
+            raise AssertionError("atomic_write changed the process umask")
+
+        monkeypatch.setattr(os, "umask", forbidden)
+        atomic_write(str(tmp_path / "x.bin"), b"x")
+        assert (tmp_path / "x.bin").read_bytes() == b"x"
 
     def test_mode_follows_the_umask(self, tmp_path):
         # as open() would create it: 0o666 & ~umask, not mkstemp's 0600
@@ -195,11 +269,7 @@ class TestCsvWriters:
         scan = dataclasses.replace(scan, samples=scan.samples + odd)
         path = tmp_path / "scan.csv"
         write_axis_scan_csv(scan, str(path))
-        buf = io.StringIO(newline="")
-        writer = csv.writer(buf)
-        writer.writerow(["s", "norm_bound"])
-        writer.writerows(scan.samples)
-        assert path.read_bytes() == buf.getvalue().encode()
+        assert path.read_bytes() == oracles.csv_bytes(["s", "norm_bound"], scan.samples)
 
     def test_trajectory_with_mode_magnitudes(self, tmp_path, beam4):
         eps0 = domain_initial_state(beam4, seed=3)
@@ -212,6 +282,54 @@ class TestCsvWriters:
         assert first[1] == pytest.approx(eps0.norm())
         assert first[2] == pytest.approx(
             math.sqrt(abs(eps0.q[0]) ** 2 + abs(eps0.p[0]) ** 2))
+
+
+class TestArtifactBytesMatchOracles:
+    """The column writers against the row-by-row csv.writer and per-record oracles."""
+
+    @pytest.fixture(scope="class", params=[1.0, 2.0, 100.0], ids=lambda g: f"gamma{g:g}")
+    def beam_spectrum(self, request):
+        # gamma 2 and 100 leave an uncertified near-real root (Im ~ 1e-14 and 1e-7)
+        system = beam_example(1.0, 1.0, 23, gamma=request.param)
+        return system, full_spectrum(system)
+
+    @staticmethod
+    def check_spectrum(rep, tmp_path):
+        write_spectrum_csv(rep, str(tmp_path / "spectrum.csv"))
+        write_spectrum_plot_csv(rep, str(tmp_path / "plot.csv"))
+        text = written(rep.to_json_dict())
+        assert (tmp_path / "spectrum.csv").read_bytes() == oracles.spectrum_csv(rep)
+        assert (tmp_path / "plot.csv").read_bytes() == oracles.spectrum_plot_csv(rep)
+        assert text == reference_json(oracles.spectrum_json_dict(rep))
+
+    def test_spectrum_artifacts(self, beam_spectrum, tmp_path):
+        system, rep = beam_spectrum
+        self.check_spectrum(rep, tmp_path)
+        assert rep.to_json_dict()["eigs"] == [e.to_json_dict() for e in rep.eigs]
+        certs, _ = localize_modes(system, range(1, system.N + 1))
+        write_localization_csv([certs[k] for k in sorted(certs)], str(tmp_path / "loc.csv"))
+        assert (tmp_path / "loc.csv").read_bytes() == oracles.localization_csv(
+            [certs[k] for k in sorted(certs)])
+
+    def test_spectrum_artifacts_at_edge_values(self, tmp_path):
+        rep = spectrum_with_edge_values()
+        self.check_spectrum(rep, tmp_path)
+        # NaN fields compare unequal to themselves, so compare their text
+        assert repr(rep.to_json_dict()["eigs"]) == repr([e.to_json_dict() for e in rep.eigs])
+
+    def test_empty_spectrum(self, tmp_path):
+        rep = SpectrumReport(k=[], lam=[], residual=[], radius=[], certified=[],
+                             newton_iters=[], fallback=[], enclosure_defect=0.0,
+                             complete=False)
+        self.check_spectrum(rep, tmp_path)
+
+    def test_trajectory(self, tmp_path, beam23, beam23_basis):
+        eps0 = domain_initial_state(beam23, seed=11)
+        t_grid = np.concatenate([[0.0], np.geomspace(0.01, 10.0, 80)])
+        traj = simulate_error(beam23, eps0, t_grid, basis=beam23_basis)
+        path = tmp_path / "trajectory.csv"
+        write_trajectory_csv(traj, str(path))
+        assert path.read_bytes() == oracles.trajectory_csv(traj)
 
 
 class TestQBinaryDump:
