@@ -1,6 +1,5 @@
 import csv
 import dataclasses
-import io
 import json
 import math
 import os
