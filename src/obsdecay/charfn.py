@@ -20,16 +20,22 @@ around lam_k_star.  The remainder is bounded in closed form on the disk
 the poles ``a != i omega_k`` of f, ``d_a = |i omega_k - a|``, because every
 term of f is a simple pole (see :func:`estimate_M`).  The certificate also
 records whether the disk stays a fixed fraction away from the imaginary axis.
+
+``F(i omega_k)`` and ``F'(i omega_k)`` of every mode are formed once per
+system (:attr:`~obsdecay.model.SystemSpec.linearization`), and the disks of
+a batch of modes come back as the columns of a :class:`LocalizationReport`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
-from .model import SystemSpec
+from .model import SystemSpec, _without_own
 
 R1_FRACTION = 0.9
 THETA_FRACTION_DEFAULT = 0.5
@@ -173,9 +179,24 @@ def eval_f(sys: SystemSpec, lam):
     _check_poles(sys, arr)
     iw = sys.iw
     L = arr[..., None]
-    terms = sys.c2_over_w * (1.0 / (L - iw) - 1.0 / (L + iw))
+    # c2_over_w * (1/(L - iw) - 1/(L + iw)), in two reused temporaries
+    terms = np.subtract(L, iw)
+    np.divide(1.0, terms, out=terms)
+    lower = np.add(L, iw)
+    np.divide(1.0, lower, out=lower)
+    np.subtract(terms, lower, out=terms)
+    np.multiply(sys.c2_over_w, terms, out=terms)
     val = terms.sum(axis=-1) + 2j / (sys.gamma * arr)
     return complex(val) if scalar else val
+
+
+def _square(x: np.ndarray) -> np.ndarray:
+    """``x ** 2``, in place when ``x`` has two or more elements.
+
+    numpy squares a lone complex element in place by another loop than
+    ``x ** 2`` uses, and the two can round differently.
+    """
+    return np.square(x, out=x if x.size > 1 else None)
 
 
 def eval_f_prime(sys: SystemSpec, lam):
@@ -184,7 +205,13 @@ def eval_f_prime(sys: SystemSpec, lam):
     _check_poles(sys, arr)
     iw = sys.iw
     L = arr[..., None]
-    terms = sys.c2_over_w * (-1.0 / (L - iw) ** 2 + 1.0 / (L + iw) ** 2)
+    # c2_over_w * (-1/(L - iw)**2 + 1/(L + iw)**2), in two reused temporaries
+    terms = _square(np.subtract(L, iw))
+    np.divide(-1.0, terms, out=terms)
+    lower = _square(np.add(L, iw))
+    np.divide(1.0, lower, out=lower)
+    np.add(terms, lower, out=terms)
+    np.multiply(sys.c2_over_w, terms, out=terms)
     val = terms.sum(axis=-1) - 2j / (sys.gamma * arr**2)
     return complex(val) if scalar else val
 
@@ -208,40 +235,18 @@ def eval_F(ctx: CharContext, lam):
     return complex(val) if scalar else val
 
 
-def _other_modes(n: int, ks: np.ndarray) -> np.ndarray:
-    """Row i lists the indices ``j != ks[i] - 1`` of the other modes, ascending."""
-    j = np.arange(n - 1)
-    return j + (j >= ks[:, None] - 1)
-
-
-def _linearizations(sys: SystemSpec, ks: np.ndarray) -> list[tuple[complex, complex]]:
-    """F and F' at i*omega_k for each mode k in ``ks``, the sums over j != k in one array pass.
-
-    Row k of the sum holds the same N - 1 terms in the same order whichever
-    modes share the batch, so each mode's values are bitwise the same in
-    every batch.  The per-mode terms ``omega_k^2``, ``c_k^2`` and the
-    complex values are formed in Python floats (numpy's square and complex
-    arithmetic can differ from them in the last bit).
-    """
-    cols = _other_modes(sys.N, ks)
-    wk = sys.omegas[ks - 1].tolist()
-    wk2 = np.array([w**2 for w in wk])
-    others = 2.0 * np.sum(sys.cs[cols] ** 2 / (sys.omegas[cols] ** 2 - wk2[:, None]), axis=1)
-    out = []
-    for w, c, o in zip(wk, sys.cs[ks - 1].tolist(), others.tolist()):
-        s = o + c**2 / (2.0 * w**2)
-        out.append((complex(c**2 / w), 2.0 / (sys.gamma * w) + 1j * s))
-    return out
-
-
 def char_linearization(ctx: CharContext) -> tuple[complex, complex]:
     """Closed-form value and derivative of F at the center i*omega_k.
 
     F(i omega_k)  = c_k^2 / omega_k
     F'(i omega_k) = 2i sum_{j != k} c_j^2/(omega_j^2 - omega_k^2)
                     + i c_k^2 / (2 omega_k^2) + 2/(gamma omega_k)
+
+    Read from the system's :attr:`~obsdecay.model.SystemSpec.linearization`,
+    which forms both for every mode once.
     """
-    return _linearizations(ctx.sys, np.array([ctx.k]))[0]
+    f0, f1 = ctx.sys.linearization[:, ctx.k - 1].tolist()
+    return f0, f1
 
 
 def lambda_star(ctx: CharContext) -> complex:
@@ -256,15 +261,14 @@ def lambda_star(ctx: CharContext) -> complex:
     return 1j * ctx.omega_k - f0 / f1
 
 
-def lambda_stars(sys: SystemSpec) -> np.ndarray:
-    """:func:`lambda_star` of every mode, with the sums over j != k in one array pass.
+def _quotients(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
+    """``f0 / f1`` elementwise, by Python's complex division (numpy's can differ in the last bit)."""
+    return np.array([a / b for a, b in zip(f0.tolist(), f1.tolist())], dtype=complex)
 
-    Bitwise equal to ``lambda_star(CharContext(sys, k))`` for k = 1..N (see
-    :func:`_linearizations`).
-    """
-    lin = _linearizations(sys, np.arange(1, sys.N + 1))
-    return np.array([1j * w - f0 / f1 for w, (f0, f1) in zip(sys.omegas.tolist(), lin)],
-                    dtype=complex)
+
+def lambda_stars(sys: SystemSpec) -> np.ndarray:
+    """:func:`lambda_star` of every mode, bitwise, from the system's linearization."""
+    return 1j * sys.omegas - _quotients(*sys.linearization)
 
 
 def _convergence_radii(sys: SystemSpec, ks: np.ndarray) -> np.ndarray:
@@ -291,13 +295,22 @@ def _remainder_bounds(sys: SystemSpec, ks: np.ndarray, R1: np.ndarray) -> np.nda
     batch, so each value is bitwise the same in every batch.
     """
     wk = sys.omegas[ks - 1]
-    cols = _other_modes(sys.N, ks)
     weights = sys.c2_over_w
-    d_upper = np.abs(sys.omegas[cols] - wk[:, None])
-    d_lower = sys.omegas + wk[:, None]
-    upper = np.sum(weights[cols] / (d_upper * (d_upper - R1[:, None])), axis=1)
-    lower = np.sum(weights / (d_lower * (d_lower - R1[:, None])), axis=1)
-    return upper + lower + (2.0 / sys.gamma) / (wk * (wk - R1))
+    r1 = R1[:, None]
+    # weights / (d (d - r1)) with d = |omega_j - omega_k|, then d = omega_j + omega_k,
+    # in two reused arrays
+    d = np.subtract(sys.omegas, wk[:, None])
+    np.abs(d, out=d)
+    terms = np.subtract(d, r1)
+    np.multiply(d, terms, out=terms)
+    with np.errstate(divide="ignore"):  # the cleared pole j = k, dropped below
+        np.divide(weights, terms, out=terms)
+    upper = np.sum(_without_own(terms, ks), axis=1)
+    np.add(sys.omegas, wk[:, None], out=d)
+    np.subtract(d, r1, out=terms)
+    np.multiply(d, terms, out=terms)
+    np.divide(weights, terms, out=terms)
+    return upper + np.sum(terms, axis=1) + (2.0 / sys.gamma) / (wk * (wk - R1))
 
 
 def estimate_M(ctx: CharContext, R1: float) -> float:
@@ -317,76 +330,178 @@ def estimate_M(ctx: CharContext, R1: float) -> float:
     return float(_remainder_bounds(ctx.sys, np.array([ctx.k]), np.array([R1]))[0])
 
 
-def localize_modes(sys: SystemSpec, ks,
-                   theta_frac: float = THETA_FRACTION_DEFAULT
-                   ) -> tuple[dict[int, LocalizationCertificate], dict[int, str]]:
-    """Enclosure certificates of the modes ``ks``, with their O(N) sums in one array pass.
+def _freeze_columns(report, columns: dict[str, type]) -> None:
+    """Make each named column of a frozen report a read-only array of its dtype.
 
-    F0, F1, lambda_star, R0, ``R1 = R1_FRACTION * R0`` and the remainder
-    bound M of every mode come from whole-batch arrays (bitwise what each
-    mode alone gives); the radius choice below then runs per mode.  The disk
-    radius is chosen as
+    Raises ValueError unless every column has the length of the first.
+    """
+    size = np.size(getattr(report, next(iter(columns))))
+    for name, dtype in columns.items():
+        col = np.array(getattr(report, name), dtype=dtype)
+        if col.shape != (size,):
+            raise ValueError(f"column {name!r} has shape {col.shape}, expected ({size},)")
+        col.flags.writeable = False
+        object.__setattr__(report, name, col)
+
+
+# the per-mode columns of a LocalizationReport and their dtypes
+_COLUMNS = {"k": int, "lambda_star": complex, "F0": complex, "F1": complex, "M": float,
+            "R0": float, "R1": float, "b": float, "c_const": float, "Rk": float,
+            "cond_Mneq1": bool, "cond_Mneq2": bool, "interval_ok": bool, "contained": bool,
+            "separated": bool, "omega_gt_1": bool}
+
+
+@dataclass(frozen=True, eq=False)
+class LocalizationReport:
+    """Enclosure disks of a batch of modes, one row per mode that localizes.
+
+    Each column is one read-only array over those modes, by ascending ``k``,
+    and means what the :class:`LocalizationCertificate` field of that name
+    means; ``theta_frac`` is shared by every row.  ``failures`` maps each
+    requested mode whose admissible interval is empty (b^2 <= c) to its
+    :class:`LocalizationError` text.  The per-mode certificate records are
+    built only when :attr:`certificates` is read.
+    """
+
+    k: np.ndarray
+    lambda_star: np.ndarray
+    F0: np.ndarray
+    F1: np.ndarray
+    M: np.ndarray
+    R0: np.ndarray
+    R1: np.ndarray
+    b: np.ndarray
+    c_const: np.ndarray
+    Rk: np.ndarray
+    cond_Mneq1: np.ndarray
+    cond_Mneq2: np.ndarray
+    interval_ok: np.ndarray
+    contained: np.ndarray
+    separated: np.ndarray
+    omega_gt_1: np.ndarray
+    theta_frac: float
+    failures: Mapping[int, str]
+
+    def __post_init__(self):
+        _freeze_columns(self, _COLUMNS)
+        object.__setattr__(self, "failures", MappingProxyType(dict(self.failures)))
+
+    @property
+    def rouche_ok(self) -> np.ndarray:
+        """:attr:`LocalizationCertificate.rouche_ok` of each row."""
+        return self.cond_Mneq1 & self.interval_ok & self.contained
+
+    @cached_property
+    def certificates(self) -> Mapping[int, LocalizationCertificate]:
+        """The certificate of each row, keyed by mode."""
+        rows = zip(*(getattr(self, name).tolist() for name in _COLUMNS))
+        return MappingProxyType({
+            row[0]: LocalizationCertificate(theta_frac=self.theta_frac, **dict(zip(_COLUMNS, row)))
+            for row in rows
+        })
+
+    def to_json_dict(self) -> dict:
+        """The ``localization.json`` document, built from the columns.
+
+        ``certificates`` holds one record per row, equal to its certificate's
+        :meth:`LocalizationCertificate.to_json_dict`; ``failed_modes`` lists
+        the failed modes in ascending order.
+        """
+        def pairs(col: np.ndarray) -> list[list[float]]:
+            return list(map(list, zip(col.real.tolist(), col.imag.tolist())))
+
+        theta = self.theta_frac
+        rows = zip(self.k.tolist(), pairs(self.lambda_star), pairs(self.F0), pairs(self.F1),
+                   *(col.tolist() for col in (
+                       self.M, self.R0, self.R1, self.b, self.c_const, self.Rk, self.cond_Mneq1,
+                       self.cond_Mneq2, self.interval_ok, self.contained, self.separated,
+                       self.omega_gt_1, self.rouche_ok)))
+        return {
+            "certificates": [
+                {"k": k, "lambda_star": lam, "F0": f0, "F1": f1, "M": M, "R0": r0, "R1": r1,
+                 "b": b, "c_const": c, "Rk": rk, "theta_frac": theta, "cond_Mneq1": c1,
+                 "cond_Mneq2": c2, "interval_ok": iok, "contained": cont, "separated": sep,
+                 "omega_gt_1": og1, "rouche_ok": rok}
+                for k, lam, f0, f1, M, r0, r1, b, c, rk, c1, c2, iok, cont, sep, og1, rok in rows
+            ],
+            "failed_modes": sorted(self.failures),
+        }
+
+
+def _pow(x: np.ndarray, p: int) -> np.ndarray:
+    """``x ** p`` elementwise by Python's float power (numpy squares instead, which can
+    differ from it in the last bit)."""
+    return np.array([v**p for v in x.tolist()])
+
+
+def localize_modes(sys: SystemSpec, ks,
+                   theta_frac: float = THETA_FRACTION_DEFAULT) -> LocalizationReport:
+    """Enclosure disks of the modes ``ks`` (any order, repeats allowed), in array passes.
+
+    F0 and F1 come from the system's cached
+    :attr:`~obsdecay.model.SystemSpec.linearization`; R0,
+    ``R1 = R1_FRACTION * R0`` and the remainder bound M of every mode come
+    from whole-batch arrays.  The disk radius is chosen as
     ``min(theta_frac * |Re lambda_star|, (0.5 * (b + sqrt(b^2 - c)))^2)`` and,
     when that falls outside the admissible interval, clamped just inside it
     provided axis separation survives; otherwise the certificate degrades to
-    an uncertified disk of radius ``theta_frac * |Re lambda_star|``.
+    an uncertified disk of radius ``theta_frac * |Re lambda_star|``.  Every
+    column is bitwise what the same steps give one mode at a time in Python
+    floats: the powers and the complex quotient are taken in Python.
 
-    Returns ``(certificates, failures)``, both keyed by mode: the certificate
-    of each mode that localizes, and the :class:`LocalizationError` text of
-    each mode whose admissible interval is empty (b^2 <= c).
+    The report has a row for each distinct mode that localizes and a
+    :class:`LocalizationError` text in ``failures`` for each one whose
+    admissible interval is empty (b^2 <= c).
     """
     if not 0.0 < theta_frac < 1.0:
         raise ValueError("theta_frac must lie in (0, 1)")
     ks = np.asarray(ks, dtype=int)
     if np.any((ks < 1) | (ks > sys.N)):
         raise ValueError(f"mode indices must lie in [1, {sys.N}]")
+    requested = np.zeros(sys.N + 1, dtype=bool)
+    requested[ks] = True
+    ks = np.flatnonzero(requested)  # distinct, ascending
+    f0, f1 = sys.linearization[:, ks - 1]
+    wk, ck = sys.omegas[ks - 1], sys.cs[ks - 1]
     R0 = _convergence_radii(sys, ks)
     R1 = R1_FRACTION * R0
-    Ms = _remainder_bounds(sys, ks, R1)
-    certs, failures = {}, {}
-    for k, wk, ck, (f0, f1), r0, r1, M in zip(
-            ks.tolist(), sys.omegas[ks - 1].tolist(), sys.cs[ks - 1].tolist(),
-            _linearizations(sys, ks), R0.tolist(), R1.tolist(), Ms.tolist()):
-        lam_s = 1j * wk - f0 / f1
-        abs_f0, abs_f1 = abs(f0), abs(f1)
-        b = math.sqrt(abs_f1 / (4.0 * M))
-        c_const = abs(f0 / f1)
-        cond1 = 0.0 < M < abs_f1**2 / (4.0 * abs_f0)
-        gw = sys.gamma * wk
-        cond2 = M < gw * abs_f1**3 / (ck**2 * (gw * abs_f1 + 1.0) ** 2)
+    M = _remainder_bounds(sys, ks, R1)
+    quot = _quotients(f0, f1)
+    abs_f0, abs_f1 = np.hypot(f0.real, f0.imag), np.hypot(f1.real, f1.imag)
+    b = np.sqrt(abs_f1 / (4.0 * M))
+    c_const = np.hypot(quot.real, quot.imag)
+    cond1 = (0.0 < M) & (M < _pow(abs_f1, 2) / (4.0 * abs_f0))
+    gw = sys.gamma * wk
+    cond2 = M < gw * _pow(abs_f1, 3) / (_pow(ck, 2) * _pow(gw * abs_f1 + 1.0, 2))
 
-        if b * b <= c_const:
-            failures[k] = (f"mode {k}: empty admissible radius interval (b^2 = {b*b:.3e} "
-                           f"<= c = {c_const:.3e})")
-            continue
-        root = math.sqrt(b * b - c_const)
-        lo = (b - root) ** 2
-        hi = (b + root) ** 2
-        sep_target = theta_frac * abs(lam_s.real)
-
-        candidate = min(sep_target, (0.5 * (b + root)) ** 2)
-        if lo < candidate < hi:
-            rk, interval_ok = candidate, True
-        else:
-            clamped = min(max(candidate, lo * (1.0 + 1e-9)), hi * (1.0 - 1e-9))
-            if lo < clamped < hi and clamped <= sep_target:
-                rk, interval_ok = clamped, True
-            else:
-                rk = sep_target
-                interval_ok = lo < rk < hi
-
-        contained = c_const + rk <= r1
-        separated = bool(
-            interval_ok and cond1 and contained and rk <= sep_target * (1.0 + 1e-12)
-        )
-        certs[k] = LocalizationCertificate(
-            k=k, lambda_star=lam_s, F0=f0, F1=f1, M=M, R0=r0, R1=r1,
-            b=b, c_const=c_const, Rk=rk, theta_frac=theta_frac,
-            cond_Mneq1=bool(cond1), cond_Mneq2=bool(cond2),
-            interval_ok=bool(interval_ok), contained=bool(contained),
-            separated=separated, omega_gt_1=bool(wk > 1.0),
-        )
-    return certs, failures
+    empty = b * b <= c_const
+    failures = {k: f"mode {k}: empty admissible radius interval (b^2 = {bb:.3e} <= c = {c:.3e})"
+                for k, bb, c in zip(ks[empty].tolist(), (b * b)[empty].tolist(),
+                                    c_const[empty].tolist())}
+    ok = ~empty
+    b, c_const, R1 = b[ok], c_const[ok], R1[ok]
+    lam_s = 1j * wk[ok] - quot[ok]
+    root = np.sqrt(b * b - c_const)
+    lo, hi = _pow(b - root, 2), _pow(b + root, 2)
+    sep_target = theta_frac * np.abs(lam_s.real)
+    # min and max as Python's, which keep their first argument on a tie
+    half = _pow(0.5 * (b + root), 2)
+    candidate = np.where(half < sep_target, half, sep_target)
+    inside = (lo < candidate) & (candidate < hi)
+    floor, ceiling = lo * (1.0 + 1e-9), hi * (1.0 - 1e-9)
+    clamped = np.where(floor > candidate, floor, candidate)
+    clamped = np.where(ceiling < clamped, ceiling, clamped)
+    clamp_ok = (lo < clamped) & (clamped < hi) & (clamped <= sep_target)
+    rk = np.where(inside, candidate, np.where(clamp_ok, clamped, sep_target))
+    interval_ok = inside | clamp_ok | ((lo < sep_target) & (sep_target < hi))
+    contained = c_const + rk <= R1
+    separated = interval_ok & cond1[ok] & contained & (rk <= sep_target * (1.0 + 1e-12))
+    return LocalizationReport(
+        k=ks[ok], lambda_star=lam_s, F0=f0[ok], F1=f1[ok], M=M[ok], R0=R0[ok], R1=R1,
+        b=b, c_const=c_const, Rk=rk, cond_Mneq1=cond1[ok], cond_Mneq2=cond2[ok],
+        interval_ok=interval_ok, contained=contained, separated=separated,
+        omega_gt_1=wk[ok] > 1.0, theta_frac=theta_frac, failures=failures,
+    )
 
 
 def localize(ctx: CharContext,
@@ -395,10 +510,10 @@ def localize(ctx: CharContext,
 
     Raises LocalizationError when the admissible interval is empty (b^2 <= c).
     """
-    certs, failures = localize_modes(ctx.sys, [ctx.k], theta_frac)
-    if failures:
-        raise LocalizationError(failures[ctx.k])
-    return certs[ctx.k]
+    rep = localize_modes(ctx.sys, [ctx.k], theta_frac)
+    if rep.failures:
+        raise LocalizationError(rep.failures[ctx.k])
+    return rep.certificates[ctx.k]
 
 
 def rouche_margin(ctx: CharContext, cert: LocalizationCertificate) -> float:

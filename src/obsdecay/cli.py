@@ -190,11 +190,10 @@ class Pipeline:
         return self.assumptions.alpha if self.assumptions.holds_A3 else None
 
     @cached_property
-    def localizations(self) -> dict[int, charfn.LocalizationCertificate]:
+    def localizations(self) -> charfn.LocalizationReport:
         system = self.config.system
-        certs, _failures = charfn.localize_modes(
-            system, range(1, system.N + 1), theta_frac=self.config.tolerances.theta_frac)
-        return certs
+        return charfn.localize_modes(system, range(1, system.N + 1),
+                                     theta_frac=self.config.tolerances.theta_frac)
 
     @cached_property
     def spectrum(self) -> spectrum_mod.SpectrumReport:
@@ -228,14 +227,9 @@ class Pipeline:
         return (EXIT_OK if cert.holds else EXIT_CHECK_FAILED), doc, text
 
     def _task_localize(self) -> tuple[int, dict, Optional[str]]:
-        certs = self.localizations
-        ordered = [certs[k] for k in sorted(certs)]
-        reports.write_localization_csv(ordered, self._out("localization.csv"))
-        doc = {
-            "certificates": [c.to_json_dict() for c in ordered],
-            "failed_modes": [k for k in range(1, self.config.system.N + 1)
-                             if k not in certs],
-        }
+        loc = self.localizations
+        reports.write_localization_csv(loc, self._out("localization.csv"))
+        doc = loc.to_json_dict()
         text = reports.write_json(self._out("localization.json"), doc)
         code = EXIT_OK
         if self.config.strict and doc["failed_modes"]:
@@ -265,8 +259,9 @@ class Pipeline:
         tol = self.config.tolerances
         k_min = max(2, tol.scan_k_min if tol.scan_k_min is not None else 3)
         k_max = min(n - 1, tol.scan_k_max if tol.scan_k_max is not None else n - 3)
-        if not 2 <= k_min < k_max <= n - 1:
-            raise ConfigError(f"system too small for an axis scan (N = {n})")
+        if k_max - k_min < 2:
+            raise ConfigError(f"axis scan band range {k_min}..{k_max} holds fewer than the "
+                              f"3 bands the slope fit needs (N = {n})")
         scan = resolvent.axis_scan(self.config.system, self.spectrum, (k_min, k_max),
                                    pts_per_segment=tol.pts_per_segment)
         checks = resolvent.segment_bound_checks(scan, self.localizations)

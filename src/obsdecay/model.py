@@ -38,9 +38,9 @@ class SystemSpec:
     neither a later write to those arrays nor one through the instance can
     change a validated system.  The per-system constants that the
     characteristic function, Newton and the resolvent read on every call
-    (:attr:`iw`, :attr:`c2_over_w`, the pole tables and the stacked
-    resolvent arrays) are built once per instance, on first use, and are
-    read-only as well.
+    (:attr:`iw`, :attr:`c2_over_w`, the pole tables, the stacked resolvent
+    arrays and the :attr:`linearization` at each mode) are built once per
+    instance, on first use, and are read-only as well.
 
     Attributes
     ----------
@@ -129,6 +129,19 @@ class SystemSpec:
     def resolvent_couplings(self) -> np.ndarray:
         """Stacked ``(c, c)``: the output coefficient of each q and each p entry."""
         return _read_only(np.concatenate([self.cs, self.cs]))
+
+    @cached_property
+    def linearization(self) -> np.ndarray:
+        """``F(i omega_k)`` (row 0) and ``F'(i omega_k)`` (row 1) of every mode k.
+
+        ``F(lam) = (lam - i omega_k) f(lam)`` is the characteristic function
+        with its pole at ``i omega_k`` cleared (see :mod:`obsdecay.charfn`):
+
+            F(i omega_k)  = c_k^2 / omega_k,
+            F'(i omega_k) = 2/(gamma omega_k)
+                            + i (2 sum_{j != k} c_j^2/(omega_j^2 - omega_k^2) + c_k^2/(2 omega_k^2)).
+        """
+        return _read_only(_linearizations(self.gamma, self.omegas, self.cs))
 
     def min_gap(self) -> float:
         """Smallest frequency gap; +inf for a single-mode system."""
@@ -223,6 +236,35 @@ class AssumptionCertificate:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _without_own(terms: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Row i of the ``(len(ks), N)`` array ``terms`` without its column ``ks[i] - 1``.
+
+    The result is a contiguous ``(len(ks), N - 1)`` array, so a row sum adds
+    the same N - 1 terms in the same order whichever modes share the batch.
+    """
+    keep = np.arange(terms.shape[1]) != ks[:, None] - 1
+    return terms[keep].reshape(ks.size, terms.shape[1] - 1)
+
+
+def _linearizations(gamma: float, omegas: np.ndarray, cs: np.ndarray) -> np.ndarray:
+    """:attr:`SystemSpec.linearization`, the sums over j != k in one N x N pass.
+
+    The per-mode terms ``omega_k^2``, ``c_k^2`` and the complex values are
+    formed in Python floats (numpy's square and complex arithmetic can
+    differ from them in the last bit).
+    """
+    wk = omegas.tolist()
+    wk2 = np.array([w**2 for w in wk])
+    with np.errstate(divide="ignore"):  # the own term j = k, dropped below
+        terms = cs**2 / (omegas**2 - wk2[:, None])
+    others = 2.0 * np.sum(_without_own(terms, np.arange(1, omegas.size + 1)), axis=1)
+    f0, f1 = [], []
+    for w, c, o in zip(wk, cs.tolist(), others.tolist()):
+        f0.append(complex(c**2 / w))
+        f1.append(2.0 / (gamma * w) + 1j * (o + c**2 / (2.0 * w**2)))
+    return np.array([f0, f1], dtype=complex)
 
 
 def build_system(gamma: float, omegas: Sequence[float], cs: Sequence[float]) -> SystemSpec:

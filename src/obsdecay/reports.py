@@ -23,6 +23,8 @@ CSV artifacts are joined from formatted columns, with the bytes
 * axis scan: s, norm_bound
 * trajectory: t, norm, |mode 1|, ..., |mode N| magnitudes
 
+``localization.csv`` is formatted from the columns of a
+:class:`~obsdecay.charfn.LocalizationReport`, one row per localized mode.
 The spectrum CSV files are formatted from the report's upper-root columns:
 each lower root's imaginary text is the upper one's with its sign flipped,
 since a float's repr is sign-symmetric.  ``spectrum.json`` is a list of
@@ -42,6 +44,7 @@ from typing import Optional
 
 import numpy as np
 
+from .charfn import LocalizationReport
 from .dynamics import ErrorTrajectory
 from .modal import ModalBasis
 from .resolvent import AxisScan
@@ -232,13 +235,13 @@ def _lam_columns(report: SpectrumReport) -> tuple[list[str], list[str]]:
     return _pairs(re, re), _pairs(im, _negated(im))
 
 
-def write_localization_csv(certs, path: str) -> None:
-    columns = zip(*[
-        (c.k, c.lambda_star.real, c.lambda_star.imag, c.M, c.b, c.c_const, c.Rk,
-         int(c.cond_Mneq1), int(c.cond_Mneq2), int(c.interval_ok), int(c.contained),
-         int(c.separated), int(c.omega_gt_1))
-        for c in certs
-    ])
+def write_localization_csv(report: LocalizationReport, path: str) -> None:
+    flags = (report.cond_Mneq1, report.cond_Mneq2, report.interval_ok, report.contained,
+             report.separated, report.omega_gt_1)
+    columns = [report.k.tolist(), report.lambda_star.real.tolist(),
+               report.lambda_star.imag.tolist(), report.M.tolist(), report.b.tolist(),
+               report.c_const.tolist(), report.Rk.tolist(),
+               *(flag.astype(int).tolist() for flag in flags)]
     atomic_write(path, _rows(["k", "re_lambda_star", "im_lambda_star", "M", "b", "c", "Rk",
                               "cond_Mneq1", "cond_Mneq2", "interval_ok", "contained",
                               "separated", "omega_gt_1"], columns))

@@ -27,11 +27,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .charfn import LocalizationCertificate, PoleError
+from .charfn import LocalizationReport, PoleError
 from .dynamics import dense_generator
 from .fitting import LogLogFit, loglog_fit
 from .model import SystemSpec
@@ -63,7 +63,7 @@ def apply_resolvent(sys: SystemSpec, lam: complex, rhs: StateVector) -> StateVec
         raise ValueError(f"rhs has {rhs.n_modes} modes, system has {sys.N}")
     d = sys.resolvent_offsets - lam
     c = sys.resolvent_couplings
-    r = rhs.to_array()
+    r = rhs._stacked  # the state's own vector: read here, never written
     g = 0.5 * sys.gamma
     m = int(np.abs(d).argmin())
     dm, cm, rm = d[m], c[m], r[m]
@@ -78,7 +78,7 @@ def apply_resolvent(sys: SystemSpec, lam: complex, rhs: StateVector) -> StateVec
     phi = (cm * rm + dm * (cd @ r)) / den
     x = (r + g * c * phi) / d
     x[m] = (phi - c @ x) / cm
-    return StateVector.from_array(x)
+    return StateVector._adopt(x)
 
 
 def _min_distance(roots: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -205,6 +205,8 @@ def axis_scan(sys: SystemSpec, spectrum: SpectrumReport, k_range: tuple[int, int
     k_min, k_max = k_range
     if not (2 <= k_min < k_max <= sys.N - 1):
         raise ValueError(f"k_range must satisfy 2 <= k_min < k_max <= N-1 = {sys.N - 1}")
+    if k_max - k_min < 2:
+        raise ValueError("degenerate fit: need at least 3 segments")
     if pts_per_segment < 3:
         raise ValueError("need at least 3 points per segment")
     upper = spectrum.lam
@@ -230,8 +232,6 @@ def axis_scan(sys: SystemSpec, spectrum: SpectrumReport, k_range: tuple[int, int
     sups = vals[:grid.size].reshape(grid.shape).max(axis=1)
     np.maximum.at(sups, band, vals[grid.size:])
 
-    if ks.size < 3:
-        raise ValueError("degenerate fit: need at least 3 segments")
     centers = 0.5 * (s_lo + s_hi)
     return AxisScan(
         segments=tuple(zip(ks.tolist(), s_lo.tolist(), s_hi.tolist())),
@@ -249,23 +249,24 @@ class SegmentBoundCheck(NamedTuple):
     ok: bool
 
 
-def segment_bound_checks(scan: AxisScan,
-                         certs: Mapping[int, LocalizationCertificate]
-                         ) -> list[SegmentBoundCheck]:
+def segment_bound_checks(scan: AxisScan, loc: LocalizationReport) -> list[SegmentBoundCheck]:
     """Compare per-band suprema against the certified cap.
 
     The cap ``2 sqrt(6) / |Re lambda_star_{k+1}|`` applies on band k whenever
-    the localization certificates at k-1, k, k+1 guarantee axis separation.
+    the localization disks at k-1, k, k+1 guarantee axis separation (rows of
+    ``loc`` whose ``separated`` is true; a mode without a row has none).
     """
-    out = []
-    for k, _center, sup in scan.suprema:
-        needed = [certs.get(j) for j in (k - 1, k, k + 1)]
-        applicable = all(c is not None and c.separated for c in needed)
-        if applicable:
-            cap = SEGMENT_BOUND_FACTOR / abs(needed[2].lambda_star.real)
-            ok = sup <= cap
-        else:
-            cap = math.nan
-            ok = True
-        out.append(SegmentBoundCheck(k=k, sup=sup, bound=cap, applicable=applicable, ok=ok))
-    return out
+    if not scan.suprema:
+        return []
+    ks, _centers, sups = map(list, zip(*scan.suprema))
+    size = max(ks + loc.k.tolist()) + 2
+    separated = np.zeros(size, dtype=bool)
+    separated[loc.k] = loc.separated
+    rate = np.ones(size)  # |Re lambda_star|; 1 where no row (those bands are not applicable)
+    rate[loc.k] = np.abs(loc.lambda_star.real)
+    k = np.array(ks)
+    applicable = separated[k - 1] & separated[k] & separated[k + 1]
+    bound = np.where(applicable, SEGMENT_BOUND_FACTOR / rate[k + 1], math.nan)
+    ok = ~applicable | (np.array(sups) <= bound)
+    return list(map(SegmentBoundCheck._make,
+                    zip(ks, sups, bound.tolist(), applicable.tolist(), ok.tolist())))

@@ -33,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charfn import PoleError, eval_f, eval_f_prime, lambda_stars
+from .charfn import PoleError, _freeze_columns, eval_f, eval_f_prime, lambda_stars
 from .model import SystemSpec
 
 NEWTON_TOL = 1e-12
@@ -321,13 +321,7 @@ class SpectrumReport:
     failures: tuple[str, ...] = ()
 
     def __post_init__(self):
-        size = np.size(self.k)
-        for name, dtype in _COLUMNS.items():
-            col = np.array(getattr(self, name), dtype=dtype)
-            if col.shape != (size,):
-                raise ValueError(f"column {name!r} has shape {col.shape}, expected ({size},)")
-            col.flags.writeable = False
-            object.__setattr__(self, name, col)
+        _freeze_columns(self, _COLUMNS)
 
     def eigenvalues(self) -> np.ndarray:
         """All found roots: the upper, then the lower root of each mode in turn."""

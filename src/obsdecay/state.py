@@ -25,6 +25,7 @@ class StateVector:
 
     The state owns one stacked copy of its entries, checked finite once;
     ``q`` and ``p`` are views of it and never alias the caller's arrays.
+    Copies and pickles are rebuilt from ``q`` and ``p``, so they own theirs.
     """
 
     q: np.ndarray
@@ -42,8 +43,12 @@ class StateVector:
         if np.count_nonzero(np.isfinite(vec)) < vec.size:
             raise ValueError("state entries must be finite")
         n = vec.size // 2
+        object.__setattr__(self, "_stacked", vec)
         object.__setattr__(self, "q", vec[:n])
         object.__setattr__(self, "p", vec[n:])
+
+    def __reduce__(self):
+        return StateVector, (self.q, self.p)
 
     @property
     def n_modes(self) -> int:
@@ -62,6 +67,11 @@ class StateVector:
         vec = np.array(vec, dtype=complex)
         if vec.ndim != 1 or vec.size % 2 != 0:
             raise ValueError("expected a flat vector of even length")
+        return StateVector._adopt(vec)
+
+    @staticmethod
+    def _adopt(vec: np.ndarray) -> "StateVector":
+        """State that takes ``vec``, a fresh flat complex vector of even length, without a copy."""
         state = StateVector.__new__(StateVector)
         state._own(vec)
         return state

@@ -5,14 +5,19 @@ the rational form of ``f`` check the Newton/Rouche path and ``charfn.eval_f``
 from outside, and ``matching_distance`` compares two eigenvalue multisets.
 The artifact oracles give the bytes of ``reports``' CSV writers through
 ``csv.writer``, row by row, and the ``spectrum.json`` document through the
-per-root ``EigenCertificate`` records.
+per-root ``EigenCertificate`` records.  ``segment_bound_checks`` is the
+per-band loop over ``LocalizationCertificate`` records that the column
+version in ``resolvent`` replaced.
 """
 
 import csv
 import io
+import math
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+
+from obsdecay.resolvent import SEGMENT_BOUND_FACTOR, SegmentBoundCheck
 
 DENSE_ORACLE_MAX_N = 64
 
@@ -106,3 +111,19 @@ def spectrum_json_dict(report) -> dict:
         "complete": report.complete,
         "failures": list(report.failures),
     }
+
+
+def segment_bound_checks(scan, certs):
+    """The cap check of each band, from ``certs``: mode -> ``LocalizationCertificate``."""
+    out = []
+    for k, _center, sup in scan.suprema:
+        needed = [certs.get(j) for j in (k - 1, k, k + 1)]
+        applicable = all(c is not None and c.separated for c in needed)
+        if applicable:
+            cap = SEGMENT_BOUND_FACTOR / abs(needed[2].lambda_star.real)
+            ok = sup <= cap
+        else:
+            cap = math.nan
+            ok = True
+        out.append(SegmentBoundCheck(k=k, sup=sup, bound=cap, applicable=applicable, ok=ok))
+    return out

@@ -12,7 +12,7 @@ import numpy as np
 
 from conftest import localizations
 from oracles import dense_oracle_spectrum, matching_distance
-from obsdecay.charfn import CharContext, rouche_margin
+from obsdecay.charfn import CharContext, localize_modes, rouche_margin
 from obsdecay.dynamics import (
     apply_generator,
     decay_envelope,
@@ -134,8 +134,7 @@ def test_criterion_5_axis_scan_exponent():
     sys = beam_example(1.0, 1.0, 23)
     rep = full_spectrum(sys)
     scan = axis_scan(sys, rep, (3, 20))
-    certs = localizations(sys)
-    checks = segment_bound_checks(scan, certs)
+    checks = segment_bound_checks(scan, localize_modes(sys, range(1, sys.N + 1)))
     applicable = [c for c in checks if c.applicable]
     ok = (
         abs(scan.alpha_fit.slope - 1.0) <= 0.15

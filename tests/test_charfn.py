@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import oracles
 from conftest import load_bench_workloads, perturbed_beam_family
 from oracles import dense_oracle_spectrum, eval_f_rational
 from obsdecay import cli, reports
@@ -116,8 +117,8 @@ def bits(cert):
 # bitwise parity set: numpy's c_j**2 differs from the Python float's in the
 # last bit on some of the random family (seed 1)
 PARITY_SYSTEMS = [build_system(1.0, [1.0], [1.0])]
-PARITY_SYSTEMS += [beam_example(1.0, 1.0, n, gamma=g) for n in (2, 9, 23, 64, 256)
-                   for g in (0.3, 1.0, 3.0)]
+PARITY_SYSTEMS += [beam_example(1.0, 1.0, n, gamma=g) for n in (2, 9, 23, 64, 256, 1024)
+                   for g in (0.1, 0.3, 1.0, 3.0)]
 PARITY_SYSTEMS += perturbed_beam_family(1, 4) + perturbed_beam_family(17, 16)
 
 
@@ -129,6 +130,27 @@ class TestEvalF:
         for sys in (single_mode, beam23):
             for lam in (0.5, 1.5, -2.0, 17.3):
                 assert eval_f(sys, lam).real == 0.0
+
+    @pytest.mark.parametrize("n, gamma", [(1, 2.0), (2, 1.0), (23, 1.0)])
+    def test_bitwise_the_plain_expression(self, n, gamma):
+        # the evaluation into reused arrays against the expression with a fresh
+        # array per operation, on lone points and batches; near the double root
+        # -1 of N = 1, gamma = 2 the real part of (lam - i)^2 cancels
+        sys = beam_example(1.0, 1.0, n, gamma=gamma)
+        rng = np.random.default_rng(n)
+        lams = np.concatenate([-1.0 + 1e-4 * rng.normal(size=20) + 1e-7j * rng.normal(size=20),
+                               rng.normal(size=20) + 1j * n * n * rng.normal(size=20)])
+        iw = 1j * sys.omegas
+        for batch in [lams[i:i + 1] for i in range(lams.size)] + [lams]:
+            L = batch[:, None]
+            f = np.sum(sys.c2_over_w * (1.0 / (L - iw) - 1.0 / (L + iw)), axis=-1) \
+                + 2j / (sys.gamma * batch)
+            fp = np.sum(sys.c2_over_w * (-1.0 / (L - iw) ** 2 + 1.0 / (L + iw) ** 2), axis=-1) \
+                - 2j / (sys.gamma * batch**2)
+            assert eval_f(sys, batch).tobytes() == f.tobytes()
+            assert eval_f_prime(sys, batch).tobytes() == fp.tobytes()
+            if batch.size == 1:
+                assert eval_f_prime(sys, batch[0]) == complex(fp[0])
 
     def test_two_forms_agree(self, beam23):
         rng = np.random.default_rng(3)
@@ -443,7 +465,8 @@ class TestLocalizeModes:
         cases += [(SystemSpec.from_json_dict(case.doc), 0.5)
                   for case in load_bench_workloads().random_family(1)]
         for sys, theta_frac in cases:
-            certs, failures = localize_modes(sys, range(1, sys.N + 1), theta_frac)
+            rep = localize_modes(sys, range(1, sys.N + 1), theta_frac)
+            certs, failures = rep.certificates, rep.failures
             assert sorted(certs.keys() | failures.keys()) == list(range(1, sys.N + 1))
             assert not certs.keys() & failures.keys()
             for k in range(1, sys.N + 1):
@@ -461,7 +484,8 @@ class TestLocalizeModes:
     @pytest.mark.parametrize("n", [23, 256])
     def test_first_two_beam_modes_fail_with_the_same_text(self, n):
         sys = beam_example(1.0, 1.0, n)
-        certs, failures = localize_modes(sys, range(1, n + 1))
+        rep = localize_modes(sys, range(1, n + 1))
+        certs, failures = rep.certificates, rep.failures
         assert sorted(failures) == [1, 2] and len(certs) == n - 2
         for k in (1, 2):
             with pytest.raises(LocalizationError) as exc:
@@ -480,10 +504,12 @@ class TestLocalizeModes:
                     assert estimate_M(ctx, r1) == reference_M(sys, k, r1)
 
     def test_any_subset_in_any_order(self, beam23):
-        certs, failures = localize_modes(beam23, [23, 2, 9, 9])
+        rep = localize_modes(beam23, [23, 2, 9, 9])
+        certs, failures = rep.certificates, rep.failures
         assert sorted(certs) == [9, 23] and sorted(failures) == [2]
         assert bits(certs[9]) == bits(reference_localize(beam23, 9))
-        assert localize_modes(beam23, []) == ({}, {})
+        rep = localize_modes(beam23, [])
+        assert (rep.certificates, rep.failures) == ({}, {})
 
     def test_validation(self, beam23):
         for ks in ([0], [24], [1, 24]):
@@ -511,7 +537,7 @@ class TestLocalizeModes:
                 continue
         ref = tmp_path / "ref"
         ref.mkdir()
-        reports.write_localization_csv(ordered, str(ref / "localization.csv"))
+        (ref / "localization.csv").write_bytes(oracles.localization_csv(ordered))
         reports.write_json(str(ref / "localization.json"), {
             "certificates": [c.to_json_dict() for c in ordered],
             "failed_modes": [k for k in range(1, n + 1) if k not in {c.k for c in ordered}],

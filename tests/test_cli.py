@@ -5,7 +5,7 @@ import os
 import pytest
 
 from conftest import SINGLE_MODE_ROOTS, localizations
-from obsdecay import reports, spectrum
+from obsdecay import model, reports, spectrum
 from obsdecay.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, Tolerances, main
 from obsdecay.model import beam_example
 
@@ -220,6 +220,39 @@ class TestReportVerb:
                                       "disk_enclosure", "basis_conditioning"}
         assert doc["basis"]["cond_Q"] == pytest.approx(1.86087467488369, rel=1e-13)
         assert not (out / "basis_q.bin").exists()
+
+    @pytest.mark.parametrize("n", [6, 7, 8])
+    def test_small_beam_scan_needs_three_bands(self, n, tmp_path, capsys):
+        # the default bands 3..N-3 hold fewer than the 3 the slope fit needs below N = 8
+        cfg = write_config(tmp_path / "small.json", {
+            "gamma": 1.0, "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": n},
+        })
+        out = tmp_path / "out"
+        code = main(["report", "--config", cfg, "--out", str(out)])
+        err = capsys.readouterr().err
+        if n < 8:
+            assert code == EXIT_CONFIG
+            assert err.startswith("config error: axis scan band range 3..")
+            assert "Traceback" not in err
+            assert not (out / "report.json").exists()
+        else:
+            assert code == EXIT_OK and err == ""
+            scan = json.loads((out / "axis_scan.json").read_text())
+            assert [seg[0] for seg in scan["segments"]] == [3, 4, 5]
+
+    def test_report_forms_the_linearization_once(self, beam23_config, tmp_path, monkeypatch):
+        # localization and the Newton seeds both read the system's cached F and F'
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return linearizations(*args)
+
+        linearizations = model._linearizations
+        monkeypatch.setattr(model, "_linearizations", counted)
+        assert main(["report", "--config", beam23_config, "--out", str(tmp_path / "out")]) \
+            == EXIT_OK
+        assert len(calls) == 1
 
     def test_determinism_byte_identical(self, beam8_config, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

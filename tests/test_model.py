@@ -88,9 +88,21 @@ def power_edge_cases():
     return cases
 
 
+def per_mode_linearization(sys):
+    """F and F' at i*omega_k, mode by mode, as charfn formed them before the constant."""
+    f0, f1 = [], []
+    for k in range(sys.N):
+        wk, ck = float(sys.omegas[k]), float(sys.cs[k])
+        mask = np.arange(sys.N) != k
+        others = 2.0 * float(np.sum(sys.cs[mask] ** 2 / (sys.omegas[mask] ** 2 - wk**2)))
+        f0.append(complex(ck**2 / wk))
+        f1.append(2.0 / (sys.gamma * wk) + 1j * (others + ck**2 / (2.0 * wk**2)))
+    return np.array([f0, f1], dtype=complex)
+
+
 class TestImmutability:
     CONSTANTS = ("iw", "c2_over_w", "poles", "pole_residues", "poles_by_imag",
-                 "resolvent_offsets", "resolvent_couplings")
+                 "resolvent_offsets", "resolvent_couplings", "linearization")
 
     def test_source_arrays_are_copied(self):
         w, c = np.array([1.0, 4.0, 9.0]), np.array([1.0, 0.5, 0.25])
@@ -112,12 +124,15 @@ class TestImmutability:
     def test_copies_and_pickles_stay_read_only(self):
         sys = beam_example(1.0, 1.0, 4, gamma=2.0)
         assert sys.iw.size == 4 and "iw" in vars(sys)  # built here; each copy builds its own
+        assert sys.linearization.shape == (2, 4)
         for twin in (copy.copy(sys), copy.deepcopy(sys), pickle.loads(pickle.dumps(sys))):
             assert twin.gamma == 2.0 and twin.generator == sys.generator
             np.testing.assert_array_equal(twin.omegas, sys.omegas)
             np.testing.assert_array_equal(twin.cs, sys.cs)
             assert not twin.omegas.flags.writeable and not twin.cs.flags.writeable
-            assert "iw" not in vars(twin)
+            assert "iw" not in vars(twin) and "linearization" not in vars(twin)
+            assert twin.linearization.tobytes() == sys.linearization.tobytes()
+            assert not twin.linearization.flags.writeable
 
     @pytest.mark.parametrize("sys", [beam_example(1.0, 1.0, 23), beam_example(0.3, 2.0, 5, 0.7),
                                      build_system(2.5, [0.5], [-3.0])]
@@ -135,6 +150,7 @@ class TestImmutability:
             "poles_by_imag": poles[np.argsort(poles.imag)],
             "resolvent_offsets": np.concatenate([-iw, iw]),
             "resolvent_couplings": np.concatenate([sys.cs, sys.cs]),
+            "linearization": per_mode_linearization(sys),
         }
         assert set(expected) == set(self.CONSTANTS)
         for name, want in expected.items():

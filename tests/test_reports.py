@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from obsdecay import beam_example, full_spectrum
-from obsdecay.charfn import CharContext, localize, localize_modes
+from obsdecay.charfn import localize_modes
 from obsdecay.dynamics import domain_initial_state, simulate_error
 from obsdecay.reports import (
     atomic_write,
@@ -245,9 +245,8 @@ class TestCsvWriters:
         assert len(res) == 8 and all(v < 0 for v in res)
 
     def test_localization_layout(self, tmp_path, beam23):
-        certs = [localize(CharContext(beam23, k)) for k in (3, 4)]
         path = tmp_path / "loc.csv"
-        write_localization_csv(certs, str(path))
+        write_localization_csv(localize_modes(beam23, [4, 3]), str(path))
         rows = read_rows(path)
         assert rows[0][:7] == ["k", "re_lambda_star", "im_lambda_star", "M", "b",
                                "c", "Rk"]
@@ -305,10 +304,10 @@ class TestArtifactBytesMatchOracles:
         system, rep = beam_spectrum
         self.check_spectrum(rep, tmp_path)
         assert rep.to_json_dict()["eigs"] == [e.to_json_dict() for e in rep.eigs]
-        certs, _ = localize_modes(system, range(1, system.N + 1))
-        write_localization_csv([certs[k] for k in sorted(certs)], str(tmp_path / "loc.csv"))
+        loc = localize_modes(system, range(1, system.N + 1))
+        write_localization_csv(loc, str(tmp_path / "loc.csv"))
         assert (tmp_path / "loc.csv").read_bytes() == oracles.localization_csv(
-            [certs[k] for k in sorted(certs)])
+            loc.certificates.values())
 
     def test_spectrum_artifacts_at_edge_values(self, tmp_path):
         rep = spectrum_with_edge_values()

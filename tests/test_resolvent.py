@@ -1,11 +1,15 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import oracles
 from conftest import load_bench_workloads, perturbed_beam_family
 from obsdecay import resolvent
-from obsdecay.charfn import CharContext, LocalizationError, PoleError, localize
+from obsdecay.charfn import PoleError, localize_modes
 from obsdecay.dynamics import dense_generator
 from obsdecay.fitting import loglog_fit
 from obsdecay.model import SystemSpec, beam_example, build_system
@@ -140,8 +144,8 @@ def resolvent_per_call(sys, lam, rhs):
 
 class TestApplyResolvent:
     def test_bitwise_equal_to_per_call_formula(self):
-        """Every point of the benchmark's random family, the poles +/- i omega_k included."""
-        for case in load_bench_workloads().random_family(1):
+        """Every point of the benchmark's random families 1-3, the poles +/- i omega_k included."""
+        for case in [c for seed in (1, 2, 3) for c in load_bench_workloads().random_family(seed)]:
             sys = SystemSpec.from_json_dict(case.doc)
             for lam in case.points:
                 got = apply_resolvent(sys, lam, case.rhs).to_array()
@@ -272,6 +276,21 @@ class TestApplyResolvent:
         with pytest.raises(SpectrumProximityError):
             apply_resolvent(beam4, lam, StateVector.zero(4))
 
+    def test_reads_the_entries_the_state_holds(self, beam4):
+        # the solve reads the state's own vector: never written, never aliased by
+        # the result, and in step with q and p in copies and after a write to q
+        rhs = random_state(4, np.random.default_rng(5))
+        lam = 0.3 + 2.0j
+        before = rhs.to_array()
+        out = apply_resolvent(beam4, lam, rhs)
+        assert rhs.to_array().tobytes() == before.tobytes()
+        assert not np.shares_memory(out.q, rhs.q) and not np.shares_memory(out.p, rhs.p)
+        for twin in (rhs, copy.deepcopy(rhs), pickle.loads(pickle.dumps(rhs))):
+            twin.q[1] += 1.0
+            fresh = StateVector(q=twin.q, p=twin.p)
+            assert (apply_resolvent(beam4, lam, twin).to_array().tobytes()
+                    == apply_resolvent(beam4, lam, fresh).to_array().tobytes())
+
     def test_origin_rejected(self, beam4):
         with pytest.raises(PoleError):
             apply_resolvent(beam4, 0.0, StateVector.zero(4))
@@ -348,16 +367,21 @@ class TestAxisScan:
 
     def test_certified_caps_hold(self, beam23, beam23_spectrum):
         scan = axis_scan(beam23, beam23_spectrum, (3, 20))
-        certs = {}
-        for k in range(1, 24):
-            try:
-                certs[k] = localize(CharContext(beam23, k))
-            except LocalizationError:
-                continue
-        checks = segment_bound_checks(scan, certs)
+        checks = segment_bound_checks(scan, localize_modes(beam23, range(1, 24)))
         applicable = [c for c in checks if c.applicable]
         assert len(applicable) >= 15
         assert all(c.ok for c in checks)
+
+    @pytest.mark.parametrize("sys", [beam_example(1.0, 1.0, 23, gamma=g) for g in (0.1, 1.0, 3.0)]
+                             + [beam_example(1.0, 1.0, 64), beam_example(1.0, 1.0, 256)]
+                             + perturbed_beam_family(1, 3), ids=lambda s: f"N{s.N}-g{s.gamma:.3g}")
+    def test_checks_match_the_per_band_loop(self, sys):
+        # bitwise, NaN bounds included, also when some modes have no row
+        scan = axis_scan(sys, full_spectrum(sys), (2, sys.N - 1))
+        for ks in (range(1, sys.N + 1), range(1, sys.N + 1, 2), [sys.N], []):
+            loc = localize_modes(sys, ks)
+            expected = oracles.segment_bound_checks(scan, loc.certificates)
+            assert repr(segment_bound_checks(scan, loc)) == repr(expected), list(ks)
 
     def test_range_validation(self, beam23, beam23_spectrum):
         with pytest.raises(ValueError):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
@@ -48,3 +51,9 @@ class TestStateVector:
         vec[0] = 9.0
         assert state.q[0] == 0.0
         assert not np.shares_memory(state.q, state.to_array())
+
+    def test_copies_and_pickles_own_their_entries(self):
+        state = StateVector.from_array(np.arange(6.0) + 1j)
+        for twin in (copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+            assert np.array_equal(twin.to_array(), state.to_array())
+            assert not np.shares_memory(twin.q, state.q)
