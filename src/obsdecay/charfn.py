@@ -401,31 +401,10 @@ class LocalizationReport:
         })
 
     def to_json_dict(self) -> dict:
-        """The ``localization.json`` document, built from the columns.
-
-        ``certificates`` holds one record per row, equal to its certificate's
-        :meth:`LocalizationCertificate.to_json_dict`; ``failed_modes`` lists
-        the failed modes in ascending order.
-        """
-        def pairs(col: np.ndarray) -> list[list[float]]:
-            return list(map(list, zip(col.real.tolist(), col.imag.tolist())))
-
-        theta = self.theta_frac
-        rows = zip(self.k.tolist(), pairs(self.lambda_star), pairs(self.F0), pairs(self.F1),
-                   *(col.tolist() for col in (
-                       self.M, self.R0, self.R1, self.b, self.c_const, self.Rk, self.cond_Mneq1,
-                       self.cond_Mneq2, self.interval_ok, self.contained, self.separated,
-                       self.omega_gt_1, self.rouche_ok)))
-        return {
-            "certificates": [
-                {"k": k, "lambda_star": lam, "F0": f0, "F1": f1, "M": M, "R0": r0, "R1": r1,
-                 "b": b, "c_const": c, "Rk": rk, "theta_frac": theta, "cond_Mneq1": c1,
-                 "cond_Mneq2": c2, "interval_ok": iok, "contained": cont, "separated": sep,
-                 "omega_gt_1": og1, "rouche_ok": rok}
-                for k, lam, f0, f1, M, r0, r1, b, c, rk, c1, c2, iok, cont, sep, og1, rok in rows
-            ],
-            "failed_modes": sorted(self.failures),
-        }
+        """The ``localization.json`` document: one record per row, that of its
+        certificate, and the failed modes in ascending order."""
+        return {"certificates": [c.to_json_dict() for c in self.certificates.values()],
+                "failed_modes": sorted(self.failures)}
 
 
 def _pow(x: np.ndarray, p: int) -> np.ndarray:

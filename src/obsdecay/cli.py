@@ -168,8 +168,9 @@ class Pipeline:
 
     ``run(task)`` computes a stage, writes its artifacts, and returns
     (exit code, result document, the text ``write_json`` wrote for that
-    document, or None when it is not written as it is).  Prerequisite stages
-    pulled in along the way do not emit files.
+    document, or None when it is not written as it is).  A document's
+    tables are :class:`reports.Table` values, which only ``write_json``
+    encodes.  Prerequisite stages pulled in along the way do not emit files.
     """
 
     def __init__(self, config: RunConfig):
@@ -229,10 +230,10 @@ class Pipeline:
     def _task_localize(self) -> tuple[int, dict, Optional[str]]:
         loc = self.localizations
         reports.write_localization_csv(loc, self._out("localization.csv"))
-        doc = loc.to_json_dict()
+        doc = reports.localization_doc(loc)
         text = reports.write_json(self._out("localization.json"), doc)
         code = EXIT_OK
-        if self.config.strict and doc["failed_modes"]:
+        if self.config.strict and loc.failures:
             code = EXIT_CHECK_FAILED
         return code, doc, text
 
@@ -240,7 +241,7 @@ class Pipeline:
         rep = self.spectrum
         reports.write_spectrum_csv(rep, self._out("spectrum.csv"))
         reports.write_spectrum_plot_csv(rep, self._out("spectrum_plot.csv"))
-        reports.write_json(self._out("spectrum.json"), rep.to_json_dict())
+        reports.write_json(self._out("spectrum.json"), reports.spectrum_doc(rep))
         # each row is a conjugate pair with one certificate and one real part
         lams = rep.lam
         doc = {
@@ -254,7 +255,8 @@ class Pipeline:
         }
         return (EXIT_OK if rep.complete else EXIT_CHECK_FAILED), doc, None
 
-    def _task_scan(self) -> tuple[int, dict, Optional[str]]:
+    def scan_bands(self) -> tuple[int, int]:
+        """The axis scan's band range (k_min, k_max); ConfigError if it holds fewer than 3."""
         n = self.config.system.N
         tol = self.config.tolerances
         k_min = max(2, tol.scan_k_min if tol.scan_k_min is not None else 3)
@@ -262,13 +264,14 @@ class Pipeline:
         if k_max - k_min < 2:
             raise ConfigError(f"axis scan band range {k_min}..{k_max} holds fewer than the "
                               f"3 bands the slope fit needs (N = {n})")
-        scan = resolvent.axis_scan(self.config.system, self.spectrum, (k_min, k_max),
-                                   pts_per_segment=tol.pts_per_segment)
+        return k_min, k_max
+
+    def _task_scan(self) -> tuple[int, dict, Optional[str]]:
+        scan = resolvent.axis_scan(self.config.system, self.spectrum, self.scan_bands(),
+                                   pts_per_segment=self.config.tolerances.pts_per_segment)
         checks = resolvent.segment_bound_checks(scan, self.localizations)
         reports.write_axis_scan_csv(scan, self._out("axis_scan.csv"))
-        doc = scan.to_json_dict(alpha_expected=self.alpha)
-        doc["segment_bound_checks"] = [c._asdict() for c in checks]
-        doc["segment_bounds_ok"] = all(c.ok for c in checks)
+        doc = reports.axis_scan_doc(scan, checks, alpha_expected=self.alpha)
         text = reports.write_json(self._out("axis_scan.json"), doc)
         return EXIT_OK, doc, text
 
@@ -303,8 +306,10 @@ class Pipeline:
         tasks = [t for t in self.config.tasks if t != "report"]
         if not tasks:
             raise ConfigError("report needs a nonempty task list")
+        if "resolvent-scan" in tasks:
+            self.scan_bands()  # a range too narrow is rejected before any task writes
         results: dict = {
-            "system": self.config.system.to_json_dict(),
+            "system": reports.system_doc(self.config.system),
             "seed": self.config.seed,
             "tolerances": self.config.tolerances.to_json_dict(),
             "tasks": tasks,
@@ -427,16 +432,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Spectral certification and decay-rate verification for "
                     "modal observer error dynamics.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for verb in ALL_TASKS:
-        p = sub.add_parser(verb)
-        p.add_argument("--config", required=True, help="path to the JSON run config")
-        p.add_argument("--out", default=None, help="output directory (overrides config)")
-        p.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
-        p.add_argument("--n", type=int, default=None,
-                       help="override the generator truncation order")
-        p.add_argument("--strict", action="store_true",
-                       help="localize: exit 1 when any mode fails to localize")
+    parser.add_argument("command", choices=ALL_TASKS, help="the stage to run")
+    parser.add_argument("--config", required=True, help="path to the JSON run config")
+    parser.add_argument("--out", default=None, help="output directory (overrides config)")
+    parser.add_argument("--seed", type=int, default=None, help="RNG seed (overrides config)")
+    parser.add_argument("--n", type=int, default=None,
+                        help="override the generator truncation order")
+    parser.add_argument("--strict", action="store_true",
+                        help="localize: exit 1 when any mode fails to localize")
     return parser
 
 
@@ -446,7 +449,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         config = load_config(args.config, out_override=args.out,
                              seed_override=args.seed, n_override=args.n,
                              strict=args.strict)
-        os.makedirs(config.output_dir, exist_ok=True)
         pipeline = Pipeline(config)
         if args.command == "report":
             return pipeline.run_report()[0]

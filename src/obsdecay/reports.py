@@ -5,13 +5,26 @@ timestamps.  JSON artifacts are strict JSON, with the layout of
 ``json.dumps(indent=2, sort_keys=True)``: keys are sorted as strings, tuples
 and arrays become lists, numpy scalars their Python values, a complex number
 ``[re, im]``, finite floats their repr and every non-finite float ``null``.
-A document is encoded in one walk, except for lists of records: two or more
-dicts with the same ``str`` keys (none holding ``%``), each key's values of
-one exact scalar type, or lists of one length of such values.  A list of
-records is encoded column by column: each column is formatted in one
-``map``, the layout of one record is built once, and every record fills it
-with ``%``.  The bytes are those of the walk.  ``report.json`` embeds each
-task document verbatim, with the text of that task's own file re-indented.
+``report.json`` embeds each task document verbatim, with the text of that
+task's own file re-indented.
+
+The tables of the pipeline's reports -- the certificates of
+``localization.json``, the roots of ``spectrum.json``, the bands, suprema
+and bound checks of ``axis_scan.json``, and an inline mode list in
+``report.json`` -- go into their documents as :class:`Table` values, made
+by :func:`localization_doc`, :func:`spectrum_doc`, :func:`axis_scan_doc`
+and :func:`system_doc` from the columns of the report (or system).
+A table holds no text until :func:`write_json` encodes it: the layout of
+one row is encoded once, with a ``%s`` slot per column, and every row fills
+it.  The rest of a document is encoded in one walk.  The bytes are those of
+the row-by-row documents of the reports' ``to_json_dict`` methods.
+
+Each report column is formatted once while its report lives (:func:`_texts`
+keeps the text of a report's columns until the report is freed), and the
+report's JSON and CSV artifacts share that text: the ``str`` that
+``csv.writer`` would write (a flag as ``1``/``0``), and the JSON text
+derived from it (``null`` for a non-finite float, ``true``/``false`` for a
+flag).
 
 CSV artifacts are joined from formatted columns, with the bytes
 ``csv.writer`` gives: ``str`` of each field (no field needs quoting) and
@@ -23,31 +36,30 @@ CSV artifacts are joined from formatted columns, with the bytes
 * axis scan: s, norm_bound
 * trajectory: t, norm, |mode 1|, ..., |mode N| magnitudes
 
-``localization.csv`` is formatted from the columns of a
-:class:`~obsdecay.charfn.LocalizationReport`, one row per localized mode.
-The spectrum CSV files are formatted from the report's upper-root columns:
-each lower root's imaginary text is the upper one's with its sign flipped,
-since a float's repr is sign-symmetric.  ``spectrum.json`` is a list of
-records; each root's ``[re, im]`` list serves as both its ``lambda`` and
-its ``disk_center``, and a column of the same objects as an earlier one is
-formatted once.
+``localization.csv`` has one row per localized mode.  The spectrum files are
+formatted from the report's upper-root columns: each lower root's imaginary
+text is the upper one's with its sign flipped, since a float's repr is
+sign-symmetric.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import weakref
+from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
-from typing import Optional
+from operator import attrgetter
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .charfn import LocalizationReport
 from .dynamics import ErrorTrajectory
 from .modal import ModalBasis
-from .resolvent import AxisScan
+from .model import SystemSpec
+from .resolvent import AxisScan, SegmentBoundCheck
 from .spectrum import SpectrumReport
 
 # O_BINARY keeps Windows from translating line ends in the written bytes
@@ -90,8 +102,23 @@ class _Encoded(str):
     __slots__ = ()
 
 
-# encodes to ``%s``: one slot of a record layout (see _records)
+# encodes to ``%s``: one slot of a row layout (see _table_rows)
 _SLOT = _Encoded("%s\n")
+
+
+class Table:
+    """A JSON list of rows of one layout, held as columns until it is encoded.
+
+    ``layout()`` returns the layout of one row: a dict (a record) or a tuple
+    (a JSON list) whose values are columns or, nested, such tuples.  A
+    column is a list of the JSON text of that value in each row; every
+    column has one entry per row, and no key holds ``%``.
+    """
+
+    __slots__ = ("layout",)
+
+    def __init__(self, layout: Callable[[], dict | tuple]):
+        self.layout = layout
 
 
 def _float(x: float) -> str:
@@ -122,12 +149,13 @@ def _encode(obj, nl: str) -> str:
         parts = [encode_basestring_ascii(k) + ": "
                  + (f(v) if (f := get(type(v))) else _encode(v, inner)) for k, v in items]
         return "{" + inner + ("," + inner).join(parts) + nl + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        parts = _records(obj, inner) if len(obj) > 1 and type(obj[0]) is dict else None
-        if parts is None:
+    if isinstance(obj, (list, tuple, Table)):
+        if type(obj) is Table:
+            parts = _table_rows(obj, inner)
+        else:
             parts = [f(v) if (f := get(type(v))) else _encode(v, inner) for v in obj]
+        if not parts:
+            return "[]"
         return "[" + inner + ("," + inner).join(parts) + nl + "]"
     if isinstance(obj, _Encoded):
         # an encoded string holds no raw newline, so every one is layout
@@ -147,58 +175,24 @@ def _encode(obj, nl: str) -> str:
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-def _column(values: list | tuple) -> Optional[list[str]]:
-    """JSON text of each value, or None unless all have one exact scalar type."""
-    kinds = set(map(type, values))
-    if len(kinds) != 1:
-        return None
-    kind = kinds.pop()
-    if kind is float:
-        text = list(map(float.__repr__, values))
-        if not all(map(math.isfinite, values)):
-            # a finite repr ends in a digit; "nan", "inf" and "-inf" do not
-            text = [t if t[-1].isdigit() else "null" for t in text]
-        return text
-    scalar = _SCALARS.get(kind)
-    return None if scalar is None else list(map(scalar, values))
+def _slotted(layout, columns: list):
+    """``layout`` with a slot in place of each column; the columns go to ``columns`` in
+    the order their slots take in the encoded layout (keys sorted)."""
+    if type(layout) is list:
+        columns.append(layout)
+        return _SLOT
+    if type(layout) is tuple:
+        return [_slotted(part, columns) for part in layout]
+    return {key: _slotted(layout[key], columns) for key in sorted(layout)}
 
 
-def _records(rows, nl: str) -> Optional[list[str]]:
-    """JSON text of each record in ``rows``, column by column; None if they are not records.
-
-    See the module docstring for what a list of records is.  Each column
-    is transposed out of the rows and formatted in one pass (a column of
-    the same objects as an earlier one reuses its text), the layout of one
-    record is encoded once with a ``%s`` slot per scalar, and each row
-    fills it.  ``nl`` is as for :func:`_encode`.
-    """
-    first = rows[0]
-    if not all(type(k) is str and "%" not in k for k in first):
-        return None
-    keys = first.keys()
-    if any(type(row) is not dict or row.keys() != keys for row in rows):
-        return None
-    layout, slots, formatted = {}, [], {}
-    for key in sorted(keys):
-        col = list(map(itemgetter(key), rows))
-        if type(col[0]) in (list, tuple):
-            width = len(col[0])
-            if any(type(v) not in (list, tuple) or len(v) != width for v in col):
-                return None
-            layout[key], parts = [_SLOT] * width, zip(*col)
-        else:
-            layout[key], parts = _SLOT, [col]
-        ident = tuple(map(id, col))
-        text = formatted.get(ident)
-        if text is None:
-            text = formatted[ident] = [_column(part) for part in parts]
-            if None in text:
-                return None
-        slots.extend(text)
-    template = _encode(layout, nl)
-    if not slots:
-        return [template] * len(rows)
-    return list(map(template.__mod__, zip(*slots)))
+def _table_rows(table: Table, nl: str) -> list[str]:
+    """JSON text of each row of ``table``; ``nl`` is as for :func:`_encode`."""
+    columns: list[list[str]] = []
+    template = _encode(_slotted(table.layout(), columns), nl)
+    if len(set(map(len, columns))) > 1:
+        raise ValueError("the columns of a table differ in length")
+    return list(map(template.__mod__, zip(*columns)))
 
 
 def write_json(path: str, doc: dict) -> str:
@@ -212,10 +206,60 @@ def write_json(path: str, doc: dict) -> str:
     return text
 
 
-def _rows(header: list[str], columns) -> bytes:
-    """CSV bytes of ``columns`` (equal-length sequences of fields) under ``header``."""
-    lines = map(",".join, zip(*[map(str, col) for col in columns]))
-    return "\r\n".join([",".join(header), *lines, ""]).encode()
+# ---- formatted report columns ------------------------------------------------
+
+
+class _Text(NamedTuple):
+    """One formatted column: the ``str`` csv.writer writes for each value, and its JSON text."""
+
+    csv: list[str]
+    json: list[str]
+
+
+def _format(values: list) -> _Text:
+    """The text of a column of scalars, each column of Python floats, ints or bools in one pass."""
+    kinds = set(map(type, values))
+    if kinds == {bool}:
+        return _Text(["1" if v else "0" for v in values],
+                     ["true" if v else "false" for v in values])
+    if kinds == {int}:
+        text = list(map(int.__repr__, values))
+        return _Text(text, text)
+    if kinds != {float}:
+        return _Text(list(map(str, values)), [_encode(v, "") for v in values])
+    text = list(map(float.__repr__, values))
+    if not all(map(math.isfinite, values)):
+        # a finite repr ends in a digit; "nan", "inf" and "-inf" do not
+        return _Text(text, [t if t[-1].isdigit() else "null" for t in text])
+    return _Text(text, text)
+
+
+def _format_column(report, column: str) -> _Text:
+    """Format one column of ``report``.
+
+    ``column`` names an array attribute, or its ``.real`` or ``.imag``
+    part; or, as ``"name.i"``, item ``i`` of each row of a tuple of rows.
+    """
+    name, _, part = column.partition(".")
+    if part.isdigit():
+        return _format([row[int(part)] for row in getattr(report, name)])
+    return _format(attrgetter(column)(report).tolist())
+
+
+# formatted columns by id(report); an entry goes when its report is freed
+_TEXTS: dict[int, dict[str, _Text]] = {}
+
+
+def _texts(report, column: str) -> _Text:
+    """The text of ``column`` of ``report`` (see :func:`_format_column`), formatted once."""
+    memo = _TEXTS.get(id(report))
+    if memo is None:
+        memo = _TEXTS[id(report)] = {}
+        weakref.finalize(report, _TEXTS.pop, id(report), None)
+    text = memo.get(column)
+    if text is None:
+        text = memo[column] = _format_column(report, column)
+    return text
 
 
 def _pairs(a, b) -> list:
@@ -224,34 +268,130 @@ def _pairs(a, b) -> list:
 
 
 def _negated(texts: list[str]) -> list[str]:
-    """The repr of ``-x`` for each repr of a float ``x``; a NaN's repr has no sign."""
-    return [t[1:] if t[0] == "-" else t if t == "nan" else "-" + t for t in texts]
+    """The text of ``-x`` for each text of a float ``x``; NaN and null have no sign."""
+    return [t if t in ("nan", "null") else t[1:] if t[0] == "-" else "-" + t for t in texts]
 
 
-def _lam_columns(report: SpectrumReport) -> tuple[list[str], list[str]]:
-    """Text of Re and Im of every root, in the order of ``report.eigenvalues()``."""
-    re = list(map(float.__repr__, report.lam.real.tolist()))
-    im = list(map(float.__repr__, report.lam.imag.tolist()))
+def _lam_columns(report: SpectrumReport, form: str) -> tuple[list[str], list[str]]:
+    """``form`` (csv or json) text of Re and Im of every root, in the order of ``eigenvalues()``."""
+    re = getattr(_texts(report, "lam.real"), form)
+    im = getattr(_texts(report, "lam.imag"), form)
     return _pairs(re, re), _pairs(im, _negated(im))
 
 
+# ---- task documents ------------------------------------------------------------
+
+
+def _mode_rows(system: SystemSpec) -> dict:
+    return {"omega": _texts(system, "omegas").json, "c": _texts(system, "cs").json}
+
+
+def system_doc(system: SystemSpec) -> dict:
+    """:meth:`SystemSpec.to_json_dict`, with an inline mode list as a :class:`Table`."""
+    if system.generator is not None:
+        return system.to_json_dict()
+    return {"gamma": system.gamma, "modes": Table(partial(_mode_rows, system))}
+
+
+def _certificate_rows(report: LocalizationReport) -> dict:
+    def col(column: str) -> list[str]:
+        return _texts(report, column).json
+
+    def pair(column: str) -> tuple[list[str], list[str]]:
+        return col(column + ".real"), col(column + ".imag")
+
+    layout = {name: col(name) for name in (
+        "k", "M", "R0", "R1", "b", "c_const", "Rk", "cond_Mneq1", "cond_Mneq2", "interval_ok",
+        "contained", "separated", "omega_gt_1", "rouche_ok")}
+    layout.update(lambda_star=pair("lambda_star"), F0=pair("F0"), F1=pair("F1"),
+                  theta_frac=[_encode(report.theta_frac, "")] * report.k.size)
+    return layout
+
+
+def localization_doc(report: LocalizationReport) -> dict:
+    """The ``localization.json`` document: :meth:`LocalizationReport.to_json_dict`'s,
+    with the certificates as a :class:`Table` of the report's columns."""
+    return {"certificates": Table(partial(_certificate_rows, report)),
+            "failed_modes": sorted(report.failures)}
+
+
+def _root_rows(report: SpectrumReport) -> dict:
+    def twice(column: str) -> list[str]:
+        text = _texts(report, column).json
+        return _pairs(text, text)
+
+    lam = _lam_columns(report, "json")
+    return {"k": twice("k"), "half": ['"upper"', '"lower"'] * report.k.size, "lambda": lam,
+            "residual": twice("residual"), "disk_center": lam, "disk_radius": twice("radius"),
+            "certified": twice("certified"), "newton_iters": twice("newton_iters"),
+            "fallback": twice("fallback")}
+
+
+def spectrum_doc(report: SpectrumReport) -> dict:
+    """The ``spectrum.json`` document: :meth:`SpectrumReport.to_json_dict`'s, with the
+    roots as a :class:`Table` of the report's columns (an upper and a lower row per mode)."""
+    return {"eigs": Table(partial(_root_rows, report)),
+            "enclosure_defect": report.enclosure_defect,
+            "complete": report.complete,
+            "failures": list(report.failures)}
+
+
+def _band_rows(scan: AxisScan, rows: str) -> tuple:
+    return tuple(_texts(scan, f"{rows}.{i}").json for i in range(3))
+
+
+def _check_rows(scan: AxisScan, checks: list[SegmentBoundCheck]) -> dict:
+    return {"k": _texts(scan, "suprema.0").json, "sup": _texts(scan, "suprema.2").json,
+            "bound": _format([c.bound for c in checks]).json,
+            "applicable": _format([c.applicable for c in checks]).json,
+            "ok": _format([c.ok for c in checks]).json}
+
+
+def axis_scan_doc(scan: AxisScan, checks: list[SegmentBoundCheck],
+                  alpha_expected: Optional[float] = None) -> dict:
+    """The ``axis_scan.json`` document, with the bands, suprema and bound checks as tables.
+
+    It is :meth:`AxisScan.to_json_dict` with ``segment_bound_checks`` (the
+    records of ``checks``) and ``segment_bounds_ok`` added.  ``checks`` must
+    be :func:`~obsdecay.resolvent.segment_bound_checks` of ``scan``: one per
+    row of ``scan.suprema``, in its order, so they share its ``k`` and
+    ``sup`` text.
+    """
+    if len(checks) != len(scan.suprema):
+        raise ValueError(f"{len(checks)} checks for {len(scan.suprema)} bands")
+    fit = scan.alpha_fit
+    return {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2,
+            "segments": Table(partial(_band_rows, scan, "segments")),
+            "suprema": Table(partial(_band_rows, scan, "suprema")),
+            "alpha_expected": alpha_expected,
+            "segment_bound_checks": Table(partial(_check_rows, scan, checks)),
+            "segment_bounds_ok": all(c.ok for c in checks)}
+
+
+# ---- CSV files -------------------------------------------------------------------
+
+
+def _rows(header: list[str], columns: list[list[str]]) -> bytes:
+    """CSV bytes of the text ``columns`` (one entry per row each) under ``header``."""
+    lines = map(",".join, zip(*columns))
+    return "\r\n".join([",".join(header), *lines, ""]).encode()
+
+
+_LOCALIZATION_CSV = {"k": "k", "re_lambda_star": "lambda_star.real",
+                     "im_lambda_star": "lambda_star.imag", "M": "M", "b": "b", "c": "c_const",
+                     "Rk": "Rk", "cond_Mneq1": "cond_Mneq1", "cond_Mneq2": "cond_Mneq2",
+                     "interval_ok": "interval_ok", "contained": "contained",
+                     "separated": "separated", "omega_gt_1": "omega_gt_1"}
+
+
 def write_localization_csv(report: LocalizationReport, path: str) -> None:
-    flags = (report.cond_Mneq1, report.cond_Mneq2, report.interval_ok, report.contained,
-             report.separated, report.omega_gt_1)
-    columns = [report.k.tolist(), report.lambda_star.real.tolist(),
-               report.lambda_star.imag.tolist(), report.M.tolist(), report.b.tolist(),
-               report.c_const.tolist(), report.Rk.tolist(),
-               *(flag.astype(int).tolist() for flag in flags)]
-    atomic_write(path, _rows(["k", "re_lambda_star", "im_lambda_star", "M", "b", "c", "Rk",
-                              "cond_Mneq1", "cond_Mneq2", "interval_ok", "contained",
-                              "separated", "omega_gt_1"], columns))
+    columns = [_texts(report, column).csv for column in _LOCALIZATION_CSV.values()]
+    atomic_write(path, _rows(list(_LOCALIZATION_CSV), columns))
 
 
 def write_spectrum_csv(report: SpectrumReport, path: str) -> None:
-    re, im = _lam_columns(report)
-    k = list(map(int.__repr__, report.k.tolist()))
-    residual = list(map(float.__repr__, report.residual.tolist()))
-    certified = ["1" if c else "0" for c in report.certified.tolist()]
+    re, im = _lam_columns(report, "csv")
+    k, residual, certified = (_texts(report, c).csv for c in ("k", "residual", "certified"))
     columns = [_pairs(k, k), ["upper", "lower"] * len(k), re, im,
                _pairs(residual, residual), _pairs(certified, certified)]
     atomic_write(path, _rows(["k", "half", "re_lambda", "im_lambda", "residual",
@@ -259,7 +399,7 @@ def write_spectrum_csv(report: SpectrumReport, path: str) -> None:
 
 
 def write_spectrum_plot_csv(report: SpectrumReport, path: str) -> None:
-    atomic_write(path, _rows(["re", "im"], _lam_columns(report)))
+    atomic_write(path, _rows(["re", "im"], list(_lam_columns(report, "csv"))))
 
 
 def write_axis_scan_csv(scan: AxisScan, path: str) -> None:

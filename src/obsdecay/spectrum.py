@@ -338,22 +338,9 @@ class SpectrumReport:
                      for half, z in (("upper", lam), ("lower", lam.conjugate())))
 
     def to_json_dict(self) -> dict:
-        """The report as JSON types, with one record per root as in :attr:`eigs`.
-
-        Built from the columns; each root's ``[re, im]`` list serves both
-        ``lambda`` and ``disk_center``, so a writer can format it once.
-        """
-        eigs = []
-        rows = zip(self.k.tolist(), self.lam.real.tolist(), self.lam.imag.tolist(),
-                   self.residual.tolist(), self.radius.tolist(), self.certified.tolist(),
-                   self.newton_iters.tolist(), self.fallback.tolist())
-        for k, re, im, res, r, cert, iters, fb in rows:
-            for half, lam in (("upper", [re, im]), ("lower", [re, -im])):
-                eigs.append({"k": k, "half": half, "lambda": lam, "residual": res,
-                             "disk_center": lam, "disk_radius": r, "certified": cert,
-                             "newton_iters": iters, "fallback": fb})
+        """The report as JSON types, with one record per root as in :attr:`eigs`."""
         return {
-            "eigs": eigs,
+            "eigs": [e.to_json_dict() for e in self.eigs],
             "enclosure_defect": self.enclosure_defect,
             "complete": self.complete,
             "failures": list(self.failures),

@@ -7,9 +7,13 @@ The artifact oracles give the bytes of ``reports``' CSV writers through
 ``csv.writer``, row by row, and the ``spectrum.json`` document through the
 per-root ``EigenCertificate`` records.  ``segment_bound_checks`` is the
 per-band loop over ``LocalizationCertificate`` records that the column
-version in ``resolvent`` replaced.
+version in ``resolvent`` replaced.  ``axis_scan_json_dict`` is the
+``axis_scan.json`` document built from ``AxisScan.to_json_dict`` and one
+record per band check, and ``subcommand_parser`` the command line as one
+subparser per verb.
 """
 
+import argparse
 import csv
 import io
 import math
@@ -127,3 +131,25 @@ def segment_bound_checks(scan, certs):
             ok = True
         out.append(SegmentBoundCheck(k=k, sup=sup, bound=cap, applicable=applicable, ok=ok))
     return out
+
+
+def axis_scan_json_dict(scan, checks, alpha_expected) -> dict:
+    """The ``axis_scan.json`` document: the scan's own, plus one record per check."""
+    doc = scan.to_json_dict(alpha_expected=alpha_expected)
+    doc["segment_bound_checks"] = [c._asdict() for c in checks]
+    doc["segment_bounds_ok"] = all(c.ok for c in checks)
+    return doc
+
+
+def subcommand_parser(verbs) -> argparse.ArgumentParser:
+    """The command line with one subparser per verb, each with the same five options."""
+    parser = argparse.ArgumentParser(prog="obsdecay")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for verb in verbs:
+        p = sub.add_parser(verb)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", default=None)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--n", type=int, default=None)
+        p.add_argument("--strict", action="store_true")
+    return parser

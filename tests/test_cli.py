@@ -1,13 +1,21 @@
+import collections
 import csv
+import gc
 import json
 import os
+import weakref
 
 import pytest
 
+import oracles
 from conftest import SINGLE_MODE_ROOTS, localizations
 from obsdecay import model, reports, spectrum
-from obsdecay.cli import EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, Tolerances, main
+from obsdecay.charfn import LocalizationReport
+from obsdecay.cli import (ALL_TASKS, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, Tolerances,
+                          build_parser, main)
 from obsdecay.model import beam_example
+from obsdecay.resolvent import SegmentBoundCheck
+from obsdecay.spectrum import SpectrumReport
 
 
 def write_config(path, doc):
@@ -227,18 +235,20 @@ class TestReportVerb:
         cfg = write_config(tmp_path / "small.json", {
             "gamma": 1.0, "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": n},
         })
-        out = tmp_path / "out"
-        code = main(["report", "--config", cfg, "--out", str(out)])
-        err = capsys.readouterr().err
-        if n < 8:
-            assert code == EXIT_CONFIG
-            assert err.startswith("config error: axis scan band range 3..")
-            assert "Traceback" not in err
-            assert not (out / "report.json").exists()
-        else:
-            assert code == EXIT_OK and err == ""
-            scan = json.loads((out / "axis_scan.json").read_text())
-            assert [seg[0] for seg in scan["segments"]] == [3, 4, 5]
+        for verb in ("report", "resolvent-scan"):
+            out = tmp_path / verb
+            code = main([verb, "--config", cfg, "--out", str(out)])
+            err = capsys.readouterr().err
+            if n < 8:
+                # rejected before any task runs: no artifact is left behind
+                assert code == EXIT_CONFIG
+                assert err.startswith("config error: axis scan band range 3..")
+                assert "Traceback" not in err
+                assert not out.exists()
+            else:
+                assert code == EXIT_OK and err == ""
+                scan = json.loads((out / "axis_scan.json").read_text())
+                assert [seg[0] for seg in scan["segments"]] == [3, 4, 5]
 
     def test_report_forms_the_linearization_once(self, beam23_config, tmp_path, monkeypatch):
         # localization and the Newton seeds both read the system's cached F and F'
@@ -253,6 +263,54 @@ class TestReportVerb:
         assert main(["report", "--config", beam23_config, "--out", str(tmp_path / "out")]) \
             == EXIT_OK
         assert len(calls) == 1
+
+    @pytest.fixture
+    def beam23_all_tasks(self, tmp_path):
+        return write_config(tmp_path / "all.json", {
+            "gamma": 1.0, "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 23}})
+
+    def test_report_builds_no_table_records(self, beam23_all_tasks, tmp_path, monkeypatch):
+        # the tables of localization.json, spectrum.json and axis_scan.json are
+        # encoded from the reports' columns, never from per-row records
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a per-row record built on the report path")
+
+        monkeypatch.setattr(LocalizationReport, "to_json_dict", forbidden)
+        monkeypatch.setattr(SpectrumReport, "to_json_dict", forbidden)
+        monkeypatch.setattr(SegmentBoundCheck, "_asdict", forbidden)
+        out = tmp_path / "out"
+        assert main(["report", "--config", beam23_all_tasks, "--out", str(out)]) == EXIT_OK
+        assert {"localization.json", "spectrum.json", "axis_scan.json"} <= set(os.listdir(out))
+
+    def test_each_report_column_is_formatted_once(self, beam23_all_tasks, tmp_path,
+                                                  monkeypatch):
+        # the JSON and CSV artifacts of a report share the text of its columns,
+        # and that text goes when the report does
+        calls = collections.Counter()
+        alive = {}
+        format_column = reports._format_column
+
+        def counted(report, column):
+            calls[type(report).__name__, column] += 1
+            alive[id(report)] = weakref.ref(report)
+            return format_column(report, column)
+
+        monkeypatch.setattr(reports, "_format_column", counted)
+        assert main(["report", "--config", beam23_all_tasks, "--out", str(tmp_path / "out")]) \
+            == EXIT_OK
+        assert set(calls.values()) == {1}
+        loc = ["k", "M", "R0", "R1", "b", "c_const", "Rk", "cond_Mneq1", "cond_Mneq2",
+               "interval_ok", "contained", "separated", "omega_gt_1", "rouche_ok"]
+        loc += [f"{name}.{part}" for name in ("lambda_star", "F0", "F1") for part in ("real", "imag")]
+        spec = ["k", "lam.real", "lam.imag", "residual", "radius", "certified", "newton_iters",
+                "fallback"]
+        scan = [f"{rows}.{i}" for rows in ("segments", "suprema") for i in range(3)]
+        assert set(calls) == ({("LocalizationReport", c) for c in loc}
+                              | {("SpectrumReport", c) for c in spec}
+                              | {("AxisScan", c) for c in scan})
+        gc.collect()
+        assert all(ref() is None for ref in alive.values())
+        assert not alive.keys() & reports._TEXTS.keys()
 
     def test_determinism_byte_identical(self, beam8_config, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"
@@ -388,6 +446,38 @@ class TestReportVerb:
         })
         assert main(["report", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "unknown tolerance keys" in capsys.readouterr().err
+
+
+# the argv shapes the tests in this file hand to main, and every option on every verb
+PARSED_ARGV = [
+    ["verify", "--config", "c.json"],
+    ["spectrum", "--config", "c.json", "--out", "out", "--strict"],
+    ["spectrum", "--config", "c.json", "--out", "out", "--n", "4"],
+    ["localize", "--config", "c.json", "--out", "out", "--strict"],
+    ["report", "--config", "c.json", "--out", "out", "--seed", "1"],
+    *([verb, "--config", "c.json", *extra] for verb in ALL_TASKS for extra in (
+        ["--out", "out"], ["--seed", "-3"], ["--n", "12"], ["--strict"],
+        ["--strict", "--n", "5", "--seed", "2", "--out", "o"])),
+]
+USAGE_ERRORS = [[], ["teleport", "--config", "c.json"], ["report"], ["report", "--config"],
+                ["report", "--config", "c.json", "--seed", "x"],
+                ["report", "--config", "c.json", "--n", "1.5"],
+                ["report", "--config", "c.json", "--bogus"]]
+
+
+class TestParser:
+    @pytest.mark.parametrize("argv", PARSED_ARGV, ids=" ".join)
+    def test_same_values_as_one_subparser_per_verb(self, argv):
+        expected = oracles.subcommand_parser(ALL_TASKS).parse_args(argv)
+        assert vars(build_parser().parse_args(argv)) == vars(expected)
+
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=" ".join)
+    def test_usage_errors_exit_2(self, argv, capsys):
+        for parse in (main, oracles.subcommand_parser(ALL_TASKS).parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            assert exc.value.code == EXIT_CONFIG
+            assert "usage: obsdecay" in capsys.readouterr().err
 
 
 class TestTolerances:

@@ -15,11 +15,18 @@ from hypothesis.extra import numpy as hnp
 
 import oracles
 from obsdecay import beam_example, full_spectrum
-from obsdecay.charfn import localize_modes
+from obsdecay.charfn import LocalizationReport, localize_modes
 from obsdecay.dynamics import domain_initial_state, simulate_error
+from obsdecay.fitting import LogLogFit
+from obsdecay.model import SystemSpec
 from obsdecay.reports import (
+    Table,
     atomic_write,
+    axis_scan_doc,
+    localization_doc,
     read_q_binary,
+    spectrum_doc,
+    system_doc,
     write_axis_scan_csv,
     write_json,
     write_localization_csv,
@@ -28,7 +35,7 @@ from obsdecay.reports import (
     write_spectrum_plot_csv,
     write_trajectory_csv,
 )
-from obsdecay.resolvent import axis_scan
+from obsdecay.resolvent import AxisScan, SegmentBoundCheck, axis_scan, segment_bound_checks
 from obsdecay.spectrum import SpectrumReport
 
 
@@ -150,6 +157,48 @@ def spectrum_with_edge_values():
         newton_iters=[0, 1, 2, 3, 4, 100],
         fallback=[False, True, False, False, True, False],
         enclosure_defect=math.nan, complete=False, failures=("mode 1: %s\n\"x\"",))
+
+
+# what full_spectrum and localize_modes seldom give: NaN, inf, -0.0, subnormal and huge values
+EDGE_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, -1e300, 0.1 + 0.2]
+EDGE_COMPLEX = [complex(a, b) for a, b in zip(EDGE_FLOATS, reversed(EDGE_FLOATS))]
+
+
+def localization_with_edge_values(rows=len(EDGE_FLOATS)):
+    """A report of ``rows`` rows (up to 7) over the edge values, with failed modes."""
+    floats = {name: np.roll(EDGE_FLOATS, i)[:rows]
+              for i, name in enumerate(["M", "R0", "R1", "b", "c_const", "Rk"])}
+    complexes = {name: np.roll(EDGE_COMPLEX, i)[:rows]
+                 for i, name in enumerate(["lambda_star", "F0", "F1"])}
+    flags = {name: (np.arange(rows) + i) % 3 == 0 for i, name in enumerate(
+        ["cond_Mneq1", "cond_Mneq2", "interval_ok", "contained", "separated", "omega_gt_1"])}
+    return LocalizationReport(k=np.arange(rows) + 3, **floats, **complexes, **flags,
+                              theta_frac=0.5, failures={2: "mode 2: %s", 1: "mode 1"})
+
+
+def scan_with_edge_values(bands=len(EDGE_FLOATS)):
+    """An axis scan of ``bands`` bands (up to 7) over the edge values, with its checks."""
+    ks = list(range(4, 4 + bands))
+    lo, hi, center, sup = (list(np.roll(EDGE_FLOATS, i)[:bands].tolist()) for i in range(4))
+    scan = AxisScan(segments=tuple(zip(ks, lo, hi)), samples=((0.5, math.nan),),
+                    suprema=tuple(zip(ks, center, sup)),
+                    alpha_fit=LogLogFit(math.nan, -0.0, math.inf))
+    checks = [SegmentBoundCheck(k, s, b, i % 2 == 0, i % 3 != 0) for i, (k, s, b) in
+              enumerate(zip(ks, sup, np.roll(EDGE_FLOATS, 4).tolist()))]
+    return scan, checks
+
+
+class TestTable:
+    def test_rows_of_records_and_lists(self):
+        table = Table(lambda: {"b": ["1", "2"], "a": (["true", "false"], ["null", "3.5"])})
+        doc = {"t": table, "u": [Table(lambda: (["1"], ['"x"']))], "e": Table(lambda: {"a": []})}
+        assert written(doc) == reference_json({
+            "t": [{"a": [True, None], "b": 1}, {"a": [False, 3.5], "b": 2}],
+            "u": [[[1, "x"]]], "e": []})
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            written({"t": Table(lambda: {"a": ["1"], "b": ["1", "2"]})})
 
 
 class TestJsonable:
@@ -295,25 +344,66 @@ class TestArtifactBytesMatchOracles:
     def check_spectrum(rep, tmp_path):
         write_spectrum_csv(rep, str(tmp_path / "spectrum.csv"))
         write_spectrum_plot_csv(rep, str(tmp_path / "plot.csv"))
-        text = written(rep.to_json_dict())
+        expected = reference_json(oracles.spectrum_json_dict(rep))
+        assert written(spectrum_doc(rep)) == expected
+        assert written(rep.to_json_dict()) == expected
         assert (tmp_path / "spectrum.csv").read_bytes() == oracles.spectrum_csv(rep)
         assert (tmp_path / "plot.csv").read_bytes() == oracles.spectrum_plot_csv(rep)
-        assert text == reference_json(oracles.spectrum_json_dict(rep))
+
+    @staticmethod
+    def check_localization(loc, tmp_path):
+        write_localization_csv(loc, str(tmp_path / "loc.csv"))
+        assert written(localization_doc(loc)) == reference_json(loc.to_json_dict())
+        assert (tmp_path / "loc.csv").read_bytes() == oracles.localization_csv(
+            loc.certificates.values())
+
+    @staticmethod
+    def check_axis_scan(scan, checks, alpha):
+        assert written(axis_scan_doc(scan, checks, alpha)) == reference_json(
+            oracles.axis_scan_json_dict(scan, checks, alpha))
 
     def test_spectrum_artifacts(self, beam_spectrum, tmp_path):
         system, rep = beam_spectrum
         self.check_spectrum(rep, tmp_path)
         assert rep.to_json_dict()["eigs"] == [e.to_json_dict() for e in rep.eigs]
+
+    def test_localization_and_axis_scan_artifacts(self, beam_spectrum, tmp_path):
+        # modes 1 and 2 fail to localize, so the bands next to them have no bound
+        system, rep = beam_spectrum
         loc = localize_modes(system, range(1, system.N + 1))
-        write_localization_csv(loc, str(tmp_path / "loc.csv"))
-        assert (tmp_path / "loc.csv").read_bytes() == oracles.localization_csv(
-            loc.certificates.values())
+        assert loc.failures
+        self.check_localization(loc, tmp_path)
+        scan = axis_scan(system, rep, (2, system.N - 1))
+        checks = segment_bound_checks(scan, loc)
+        assert not all(c.applicable for c in checks)
+        for alpha in (1.0, None):
+            self.check_axis_scan(scan, checks, alpha)
 
     def test_spectrum_artifacts_at_edge_values(self, tmp_path):
         rep = spectrum_with_edge_values()
         self.check_spectrum(rep, tmp_path)
         # NaN fields compare unequal to themselves, so compare their text
         assert repr(rep.to_json_dict()["eigs"]) == repr([e.to_json_dict() for e in rep.eigs])
+
+    @pytest.mark.parametrize("rows", [0, 1, 7])
+    def test_localization_at_edge_values(self, rows, tmp_path):
+        self.check_localization(localization_with_edge_values(rows), tmp_path)
+
+    @pytest.mark.parametrize("bands", [0, 1, 7])
+    def test_axis_scan_at_edge_values(self, bands):
+        scan, checks = scan_with_edge_values(bands)
+        self.check_axis_scan(scan, checks, math.nan)
+
+    def test_inline_system(self, beam23):
+        inline = SystemSpec.from_json_dict({"gamma": 0.5, "modes": [
+            {"omega": float(w), "c": float(c)} for w, c in zip(beam23.omegas, beam23.cs)]})
+        for system in (inline, beam23):
+            assert written(system_doc(system)) == reference_json(system.to_json_dict())
+
+    def test_axis_scan_checks_must_match_the_bands(self):
+        scan, checks = scan_with_edge_values(3)
+        with pytest.raises(ValueError, match="2 checks for 3 bands"):
+            axis_scan_doc(scan, checks[:2])
 
     def test_empty_spectrum(self, tmp_path):
         rep = SpectrumReport(k=[], lam=[], residual=[], radius=[], certified=[],
