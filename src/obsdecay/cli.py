@@ -267,7 +267,8 @@ class Pipeline:
         return k_min, k_max
 
     def _task_scan(self) -> tuple[int, dict, Optional[str]]:
-        scan = resolvent.axis_scan(self.config.system, self.spectrum, self.scan_bands(),
+        bands = self.scan_bands()  # a range too narrow is rejected before any stage runs
+        scan = resolvent.axis_scan(self.config.system, self.spectrum, bands,
                                    pts_per_segment=self.config.tolerances.pts_per_segment)
         checks = resolvent.segment_bound_checks(scan, self.localizations)
         reports.write_axis_scan_csv(scan, self._out("axis_scan.csv"))
@@ -309,7 +310,7 @@ class Pipeline:
         if "resolvent-scan" in tasks:
             self.scan_bands()  # a range too narrow is rejected before any task writes
         results: dict = {
-            "system": reports.system_doc(self.config.system),
+            "system": self.config.system.to_json_dict(),
             "seed": self.config.seed,
             "tolerances": self.config.tolerances.to_json_dict(),
             "tasks": tasks,

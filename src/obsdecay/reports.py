@@ -9,22 +9,23 @@ and arrays become lists, numpy scalars their Python values, a complex number
 task's own file re-indented.
 
 The tables of the pipeline's reports -- the certificates of
-``localization.json``, the roots of ``spectrum.json``, the bands, suprema
-and bound checks of ``axis_scan.json``, and an inline mode list in
-``report.json`` -- go into their documents as :class:`Table` values, made
-by :func:`localization_doc`, :func:`spectrum_doc`, :func:`axis_scan_doc`
-and :func:`system_doc` from the columns of the report (or system).
-A table holds no text until :func:`write_json` encodes it: the layout of
-one row is encoded once, with a ``%s`` slot per column, and every row fills
-it.  The rest of a document is encoded in one walk.  The bytes are those of
-the row-by-row documents of the reports' ``to_json_dict`` methods.
+``localization.json``, the roots of ``spectrum.json``, and the bands, suprema
+and bound checks of ``axis_scan.json`` -- go into their documents as
+:class:`Table` values, made by :func:`localization_doc`, :func:`spectrum_doc`
+and :func:`axis_scan_doc` from the columns of the report.  A table holds no
+text until :func:`write_json` encodes it: the layout of one row is encoded
+once, with a ``%s`` slot per column, and every row fills it.  The rest of a
+document is encoded in one walk.  The bytes are those of the row-by-row
+documents of the reports' ``to_json_dict`` methods.
 
-Each report column is formatted once while its report lives (:func:`_texts`
-keeps the text of a report's columns until the report is freed), and the
-report's JSON and CSV artifacts share that text: the ``str`` that
-``csv.writer`` would write (a flag as ``1``/``0``), and the JSON text
-derived from it (``null`` for a non-finite float, ``true``/``false`` for a
-flag).
+Each column of a localization or spectrum report is formatted once while
+the report lives (:func:`_texts` keeps the text in a weak memo keyed by the
+report), and the report's JSON and CSV artifacts share that text: the
+``str`` that ``csv.writer`` would write (a flag as ``1``/``0``), and the
+JSON text derived from it (``null`` for a non-finite float,
+``true``/``false`` for a flag).  The axis scan's tables are formatted once
+per document, the bound checks sharing the suprema's ``k`` and ``sup``
+text.
 
 CSV artifacts are joined from formatted columns, with the bytes
 ``csv.writer`` gives: ``str`` of each field (no field needs quoting) and
@@ -47,7 +48,7 @@ from __future__ import annotations
 import math
 import os
 import weakref
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -58,7 +59,6 @@ import numpy as np
 from .charfn import LocalizationReport
 from .dynamics import ErrorTrajectory
 from .modal import ModalBasis
-from .model import SystemSpec
 from .resolvent import AxisScan, SegmentBoundCheck
 from .spectrum import SpectrumReport
 
@@ -234,28 +234,20 @@ def _format(values: list) -> _Text:
     return _Text(text, text)
 
 
-def _format_column(report, column: str) -> _Text:
-    """Format one column of ``report``.
+_Report = LocalizationReport | SpectrumReport
 
-    ``column`` names an array attribute, or its ``.real`` or ``.imag``
-    part; or, as ``"name.i"``, item ``i`` of each row of a tuple of rows.
-    """
-    name, _, part = column.partition(".")
-    if part.isdigit():
-        return _format([row[int(part)] for row in getattr(report, name)])
+# formatted columns of each live report; an entry goes when its report is freed
+_TEXTS: weakref.WeakKeyDictionary[_Report, dict[str, _Text]] = weakref.WeakKeyDictionary()
+
+
+def _format_column(report: _Report, column: str) -> _Text:
+    """Format one column of ``report``: an array attribute, or its ``.real`` or ``.imag`` part."""
     return _format(attrgetter(column)(report).tolist())
 
 
-# formatted columns by id(report); an entry goes when its report is freed
-_TEXTS: dict[int, dict[str, _Text]] = {}
-
-
-def _texts(report, column: str) -> _Text:
+def _texts(report: _Report, column: str) -> _Text:
     """The text of ``column`` of ``report`` (see :func:`_format_column`), formatted once."""
-    memo = _TEXTS.get(id(report))
-    if memo is None:
-        memo = _TEXTS[id(report)] = {}
-        weakref.finalize(report, _TEXTS.pop, id(report), None)
+    memo = _TEXTS.setdefault(report, {})
     text = memo.get(column)
     if text is None:
         text = memo[column] = _format_column(report, column)
@@ -280,17 +272,6 @@ def _lam_columns(report: SpectrumReport, form: str) -> tuple[list[str], list[str
 
 
 # ---- task documents ------------------------------------------------------------
-
-
-def _mode_rows(system: SystemSpec) -> dict:
-    return {"omega": _texts(system, "omegas").json, "c": _texts(system, "cs").json}
-
-
-def system_doc(system: SystemSpec) -> dict:
-    """:meth:`SystemSpec.to_json_dict`, with an inline mode list as a :class:`Table`."""
-    if system.generator is not None:
-        return system.to_json_dict()
-    return {"gamma": system.gamma, "modes": Table(partial(_mode_rows, system))}
 
 
 def _certificate_rows(report: LocalizationReport) -> dict:
@@ -336,15 +317,9 @@ def spectrum_doc(report: SpectrumReport) -> dict:
             "failures": list(report.failures)}
 
 
-def _band_rows(scan: AxisScan, rows: str) -> tuple:
-    return tuple(_texts(scan, f"{rows}.{i}").json for i in range(3))
-
-
-def _check_rows(scan: AxisScan, checks: list[SegmentBoundCheck]) -> dict:
-    return {"k": _texts(scan, "suprema.0").json, "sup": _texts(scan, "suprema.2").json,
-            "bound": _format([c.bound for c in checks]).json,
-            "applicable": _format([c.applicable for c in checks]).json,
-            "ok": _format([c.ok for c in checks]).json}
+def _columns(rows: tuple, width: int) -> tuple[list[str], ...]:
+    """JSON text of each of the ``width`` columns of a tuple of rows."""
+    return tuple(_format([row[i] for row in rows]).json for i in range(width))
 
 
 def axis_scan_doc(scan: AxisScan, checks: list[SegmentBoundCheck],
@@ -359,12 +334,24 @@ def axis_scan_doc(scan: AxisScan, checks: list[SegmentBoundCheck],
     """
     if len(checks) != len(scan.suprema):
         raise ValueError(f"{len(checks)} checks for {len(scan.suprema)} bands")
+
+    @cache
+    def layouts() -> dict:
+        # the three tables' columns, formatted when the first of them is encoded
+        suprema = _columns(scan.suprema, 3)
+        return {"segments": _columns(scan.segments, 3), "suprema": suprema,
+                "segment_bound_checks": {
+                    "k": suprema[0], "sup": suprema[2],
+                    "bound": _format([c.bound for c in checks]).json,
+                    "applicable": _format([c.applicable for c in checks]).json,
+                    "ok": _format([c.ok for c in checks]).json}}
+
     fit = scan.alpha_fit
     return {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2,
-            "segments": Table(partial(_band_rows, scan, "segments")),
-            "suprema": Table(partial(_band_rows, scan, "suprema")),
+            "segments": Table(lambda: layouts()["segments"]),
+            "suprema": Table(lambda: layouts()["suprema"]),
             "alpha_expected": alpha_expected,
-            "segment_bound_checks": Table(partial(_check_rows, scan, checks)),
+            "segment_bound_checks": Table(lambda: layouts()["segment_bound_checks"]),
             "segment_bounds_ok": all(c.ok for c in checks)}
 
 

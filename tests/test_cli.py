@@ -230,14 +230,22 @@ class TestReportVerb:
         assert not (out / "basis_q.bin").exists()
 
     @pytest.mark.parametrize("n", [6, 7, 8])
-    def test_small_beam_scan_needs_three_bands(self, n, tmp_path, capsys):
+    def test_small_beam_scan_needs_three_bands(self, n, tmp_path, capsys, monkeypatch):
         # the default bands 3..N-3 hold fewer than the 3 the slope fit needs below N = 8
         cfg = write_config(tmp_path / "small.json", {
             "gamma": 1.0, "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": n},
         })
+        def no_stage(*args, **kwargs):
+            raise AssertionError("a stage computed before the band range was checked")
+
         for verb in ("report", "resolvent-scan"):
             out = tmp_path / verb
-            code = main([verb, "--config", cfg, "--out", str(out)])
+            with monkeypatch.context() as patch:
+                if n < 8:
+                    for stage in ("spectrum.full_spectrum", "charfn.localize_modes",
+                                  "cli.certify_assumptions"):
+                        patch.setattr(f"obsdecay.{stage}", no_stage)
+                code = main([verb, "--config", cfg, "--out", str(out)])
             err = capsys.readouterr().err
             if n < 8:
                 # rejected before any task runs: no artifact is left behind
@@ -285,32 +293,37 @@ class TestReportVerb:
     def test_each_report_column_is_formatted_once(self, beam23_all_tasks, tmp_path,
                                                   monkeypatch):
         # the JSON and CSV artifacts of a report share the text of its columns,
-        # and that text goes when the report does
+        # and that text goes when the report does; the axis scan's bands and
+        # suprema are formatted once for all three of its tables
         calls = collections.Counter()
-        alive = {}
-        format_column = reports._format_column
+        alive = []
+        format_column, columns = reports._format_column, reports._columns
 
         def counted(report, column):
             calls[type(report).__name__, column] += 1
-            alive[id(report)] = weakref.ref(report)
+            alive.append(weakref.ref(report))
             return format_column(report, column)
 
+        def counted_rows(rows, width):
+            calls["AxisScan", len(rows), width] += 1
+            return columns(rows, width)
+
         monkeypatch.setattr(reports, "_format_column", counted)
+        monkeypatch.setattr(reports, "_columns", counted_rows)
         assert main(["report", "--config", beam23_all_tasks, "--out", str(tmp_path / "out")]) \
             == EXIT_OK
-        assert set(calls.values()) == {1}
         loc = ["k", "M", "R0", "R1", "b", "c_const", "Rk", "cond_Mneq1", "cond_Mneq2",
                "interval_ok", "contained", "separated", "omega_gt_1", "rouche_ok"]
         loc += [f"{name}.{part}" for name in ("lambda_star", "F0", "F1") for part in ("real", "imag")]
         spec = ["k", "lam.real", "lam.imag", "residual", "radius", "certified", "newton_iters",
                 "fallback"]
-        scan = [f"{rows}.{i}" for rows in ("segments", "suprema") for i in range(3)]
-        assert set(calls) == ({("LocalizationReport", c) for c in loc}
-                              | {("SpectrumReport", c) for c in spec}
-                              | {("AxisScan", c) for c in scan})
+        # bands 3..20 of N = 23: the segments and the suprema, each formatted once
+        assert calls == collections.Counter({("LocalizationReport", c): 1 for c in loc}
+                                            | {("SpectrumReport", c): 1 for c in spec}
+                                            | {("AxisScan", 18, 3): 2})
         gc.collect()
-        assert all(ref() is None for ref in alive.values())
-        assert not alive.keys() & reports._TEXTS.keys()
+        assert all(ref() is None for ref in alive)
+        assert not any(ref() in reports._TEXTS for ref in alive)
 
     def test_determinism_byte_identical(self, beam8_config, tmp_path):
         out1, out2 = tmp_path / "r1", tmp_path / "r2"

