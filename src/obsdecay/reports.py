@@ -18,14 +18,13 @@ once, with a ``%s`` slot per column, and every row fills it.  The rest of a
 document is encoded in one walk.  The bytes are those of the row-by-row
 documents of the reports' ``to_json_dict`` methods.
 
-Each column of a localization or spectrum report is formatted once while
-the report lives (:func:`_texts` keeps the text in a weak memo keyed by the
-report), and the report's JSON and CSV artifacts share that text: the
-``str`` that ``csv.writer`` would write (a flag as ``1``/``0``), and the
-JSON text derived from it (``null`` for a non-finite float,
-``true``/``false`` for a flag).  The axis scan's tables are formatted once
-per document, the bound checks sharing the suprema's ``k`` and ``sup``
-text.
+Each column of a report -- a localization, spectrum or axis scan report,
+or the scan's bound checks -- is formatted once while the report lives
+(:func:`_texts` keeps the text in a weak memo keyed by the report), and
+its tables and CSV files share that text: the ``str`` that ``csv.writer``
+would write (a flag as ``1``/``0``), and the JSON text derived from it
+(``null`` for a non-finite float, ``true``/``false`` for a flag).  The
+bound checks' table takes its ``k`` and ``sup`` text from the scan.
 
 CSV artifacts are joined from formatted columns, with the bytes
 ``csv.writer`` gives: ``str`` of each field (no field needs quoting) and
@@ -48,7 +47,7 @@ from __future__ import annotations
 import math
 import os
 import weakref
-from functools import cache, partial
+from functools import partial
 from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
@@ -59,7 +58,7 @@ import numpy as np
 from .charfn import LocalizationReport
 from .dynamics import ErrorTrajectory
 from .modal import ModalBasis
-from .resolvent import AxisScan, SegmentBoundCheck
+from .resolvent import AxisScan, SegmentBoundChecks
 from .spectrum import SpectrumReport
 
 # O_BINARY keeps Windows from translating line ends in the written bytes
@@ -234,7 +233,7 @@ def _format(values: list) -> _Text:
     return _Text(text, text)
 
 
-_Report = LocalizationReport | SpectrumReport
+_Report = LocalizationReport | SpectrumReport | AxisScan | SegmentBoundChecks
 
 # formatted columns of each live report; an entry goes when its report is freed
 _TEXTS: weakref.WeakKeyDictionary[_Report, dict[str, _Text]] = weakref.WeakKeyDictionary()
@@ -317,42 +316,37 @@ def spectrum_doc(report: SpectrumReport) -> dict:
             "failures": list(report.failures)}
 
 
-def _columns(rows: tuple, width: int) -> tuple[list[str], ...]:
-    """JSON text of each of the ``width`` columns of a tuple of rows."""
-    return tuple(_format([row[i] for row in rows]).json for i in range(width))
+def _band_columns(scan: AxisScan, columns: tuple[str, ...]) -> tuple[list[str], ...]:
+    return tuple(_texts(scan, column).json for column in columns)
 
 
-def axis_scan_doc(scan: AxisScan, checks: list[SegmentBoundCheck],
+def _check_rows(scan: AxisScan, checks: SegmentBoundChecks) -> dict:
+    layout = {name: _texts(checks, name).json for name in ("bound", "applicable", "ok")}
+    layout.update(k=_texts(scan, "k").json, sup=_texts(scan, "sup").json)
+    return layout
+
+
+def axis_scan_doc(scan: AxisScan, checks: SegmentBoundChecks,
                   alpha_expected: Optional[float] = None) -> dict:
     """The ``axis_scan.json`` document, with the bands, suprema and bound checks as tables.
 
-    It is :meth:`AxisScan.to_json_dict` with ``segment_bound_checks`` (the
-    records of ``checks``) and ``segment_bounds_ok`` added.  ``checks`` must
-    be :func:`~obsdecay.resolvent.segment_bound_checks` of ``scan``: one per
-    row of ``scan.suprema``, in its order, so they share its ``k`` and
-    ``sup`` text.
+    It is :meth:`AxisScan.to_json_dict` with ``segment_bound_checks`` (a
+    record per band of ``checks``) and ``segment_bounds_ok`` added.
+    ``checks`` must be :func:`~obsdecay.resolvent.segment_bound_checks` of
+    ``scan``: its ``k`` and ``sup`` are the scan's (NaN equal to NaN), so
+    the check table shares the scan's ``k`` and ``sup`` text.
     """
-    if len(checks) != len(scan.suprema):
-        raise ValueError(f"{len(checks)} checks for {len(scan.suprema)} bands")
-
-    @cache
-    def layouts() -> dict:
-        # the three tables' columns, formatted when the first of them is encoded
-        suprema = _columns(scan.suprema, 3)
-        return {"segments": _columns(scan.segments, 3), "suprema": suprema,
-                "segment_bound_checks": {
-                    "k": suprema[0], "sup": suprema[2],
-                    "bound": _format([c.bound for c in checks]).json,
-                    "applicable": _format([c.applicable for c in checks]).json,
-                    "ok": _format([c.ok for c in checks]).json}}
-
+    if not (np.array_equal(checks.k, scan.k)
+            and np.array_equal(checks.sup, scan.sup, equal_nan=True)):
+        raise ValueError(f"{checks.k.size} checks for {scan.k.size} bands: "
+                         "the checks' k and sup are not the bands'")
     fit = scan.alpha_fit
     return {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2,
-            "segments": Table(lambda: layouts()["segments"]),
-            "suprema": Table(lambda: layouts()["suprema"]),
+            "segments": Table(partial(_band_columns, scan, ("k", "s_lo", "s_hi"))),
+            "suprema": Table(partial(_band_columns, scan, ("k", "center", "sup"))),
             "alpha_expected": alpha_expected,
-            "segment_bound_checks": Table(lambda: layouts()["segment_bound_checks"]),
-            "segment_bounds_ok": all(c.ok for c in checks)}
+            "segment_bound_checks": Table(partial(_check_rows, scan, checks)),
+            "segment_bounds_ok": bool(checks.ok.all())}
 
 
 # ---- CSV files -------------------------------------------------------------------
@@ -390,9 +384,8 @@ def write_spectrum_plot_csv(report: SpectrumReport, path: str) -> None:
 
 
 def write_axis_scan_csv(scan: AxisScan, path: str) -> None:
-    # the bytes csv.writer gives (it writes a float by its repr), in one join
-    rows = "".join(f"{s!r},{v!r}\r\n" for s, v in scan.samples)
-    atomic_write(path, ("s,norm_bound\r\n" + rows).encode())
+    atomic_write(path, _rows(["s", "norm_bound"], [_texts(scan, "s").csv,
+                                                    _texts(scan, "bound").csv]))
 
 
 def write_trajectory_csv(traj: ErrorTrajectory, path: str) -> None:

@@ -19,19 +19,19 @@ covers every lam in the resolvent set.
 
 The axis scan samples a diagonal-model bound for the resolvent norm on mode
 bands of the imaginary axis and fits the growth exponent of the per-band
-suprema, which is the quantity that governs the polynomial decay rate of
-the semigroup.
+suprema, which governs the polynomial decay rate of the semigroup.  The
+scan and its certified-cap checks are held as read-only columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
-from .charfn import LocalizationReport, PoleError
+from .charfn import LocalizationReport, PoleError, _freeze_columns
 from .dynamics import dense_generator
 from .fitting import LogLogFit, loglog_fit
 from .model import SystemSpec
@@ -163,32 +163,38 @@ def resolvent_norm(sys: SystemSpec, lam: complex, mode: str = "diag",
     raise ValueError(f"unknown mode {mode!r} (expected 'diag' or 'exact')")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AxisScan:
-    """Sampled resolvent-norm bound along the upper imaginary axis.
+    """Sampled resolvent-norm bound along the upper imaginary axis, as read-only columns.
 
-    ``segments`` are the mode bands ``[0.5 (omega_{k-1} + omega_k),
-    0.5 (omega_k + omega_{k+1})]``; ``samples`` all (s, bound) pairs sorted
-    by s; ``suprema`` the per-band peak (k, band center, sup); ``alpha_fit``
-    the log-log fit of sup against band center, whose slope estimates the
-    resolvent growth exponent.
+    Band columns, one row per mode band ``k`` (ascending): its ends ``s_lo =
+    0.5 (omega_{k-1} + omega_k)`` and ``s_hi = 0.5 (omega_k + omega_{k+1})``,
+    its ``center`` and the ``sup`` of the bound over it.  Sample columns: every
+    sampled point ``s`` (sorted) and the ``bound`` there.  ``alpha_fit`` is the
+    log-log fit of sup against center; its slope estimates the growth exponent.
     """
 
-    segments: tuple[tuple[int, float, float], ...]
-    samples: tuple[tuple[float, float], ...]
-    suprema: tuple[tuple[int, float, float], ...]
+    k: np.ndarray
+    s_lo: np.ndarray
+    s_hi: np.ndarray
+    center: np.ndarray
+    sup: np.ndarray
+    s: np.ndarray
+    bound: np.ndarray
     alpha_fit: LogLogFit
 
+    def __post_init__(self):
+        _freeze_columns(self, {"k": int, "s_lo": float, "s_hi": float, "center": float,
+                               "sup": float})
+        _freeze_columns(self, {"s": float, "bound": float})
+
     def to_json_dict(self, alpha_expected: Optional[float] = None) -> dict:
-        doc = {
-            "slope": self.alpha_fit.slope,
-            "intercept": self.alpha_fit.intercept,
-            "r2": self.alpha_fit.r2,
-            "segments": [list(seg) for seg in self.segments],
-            "suprema": [list(sup) for sup in self.suprema],
-        }
-        doc["alpha_expected"] = alpha_expected
-        return doc
+        """The scan as JSON types, with one list per band in ``segments`` and ``suprema``."""
+        k, fit = self.k.tolist(), self.alpha_fit
+        return {"slope": fit.slope, "intercept": fit.intercept, "r2": fit.r2,
+                "segments": [list(row) for row in zip(k, self.s_lo.tolist(), self.s_hi.tolist())],
+                "suprema": [list(row) for row in zip(k, self.center.tolist(), self.sup.tolist())],
+                "alpha_expected": alpha_expected}
 
 
 def axis_scan(sys: SystemSpec, spectrum: SpectrumReport, k_range: tuple[int, int],
@@ -233,40 +239,41 @@ def axis_scan(sys: SystemSpec, spectrum: SpectrumReport, k_range: tuple[int, int
     np.maximum.at(sups, band, vals[grid.size:])
 
     centers = 0.5 * (s_lo + s_hi)
-    return AxisScan(
-        segments=tuple(zip(ks.tolist(), s_lo.tolist(), s_hi.tolist())),
-        samples=tuple(zip(s_sorted.tolist(), v_sorted.tolist())),
-        suprema=tuple(zip(ks.tolist(), centers.tolist(), sups.tolist())),
-        alpha_fit=loglog_fit(centers, sups),
-    )
+    return AxisScan(k=ks, s_lo=s_lo, s_hi=s_hi, center=centers, sup=sups,
+                    s=s_sorted, bound=v_sorted, alpha_fit=loglog_fit(centers, sups))
 
 
-class SegmentBoundCheck(NamedTuple):
-    k: int
-    sup: float
-    bound: float
-    applicable: bool
-    ok: bool
+@dataclass(frozen=True, eq=False)
+class SegmentBoundChecks:
+    """The certified-cap check of each band of a scan, as read-only columns: the scan's
+    ``k`` and ``sup``, the cap ``bound`` on band k (NaN where it is not ``applicable``),
+    and ``ok``, true where ``sup <= bound`` or the cap does not apply."""
+
+    k: np.ndarray
+    sup: np.ndarray
+    bound: np.ndarray
+    applicable: np.ndarray
+    ok: np.ndarray
+
+    def __post_init__(self):
+        _freeze_columns(self, {"k": int, "sup": float, "bound": float, "applicable": bool,
+                               "ok": bool})
 
 
-def segment_bound_checks(scan: AxisScan, loc: LocalizationReport) -> list[SegmentBoundCheck]:
+def segment_bound_checks(scan: AxisScan, loc: LocalizationReport) -> SegmentBoundChecks:
     """Compare per-band suprema against the certified cap.
 
     The cap ``2 sqrt(6) / |Re lambda_star_{k+1}|`` applies on band k whenever
     the localization disks at k-1, k, k+1 guarantee axis separation (rows of
     ``loc`` whose ``separated`` is true; a mode without a row has none).
     """
-    if not scan.suprema:
-        return []
-    ks, _centers, sups = map(list, zip(*scan.suprema))
-    size = max(ks + loc.k.tolist()) + 2
+    k = scan.k
+    size = max(k.max(initial=0), loc.k.max(initial=0)) + 2
     separated = np.zeros(size, dtype=bool)
     separated[loc.k] = loc.separated
     rate = np.ones(size)  # |Re lambda_star|; 1 where no row (those bands are not applicable)
     rate[loc.k] = np.abs(loc.lambda_star.real)
-    k = np.array(ks)
     applicable = separated[k - 1] & separated[k] & separated[k + 1]
     bound = np.where(applicable, SEGMENT_BOUND_FACTOR / rate[k + 1], math.nan)
-    ok = ~applicable | (np.array(sups) <= bound)
-    return list(map(SegmentBoundCheck._make,
-                    zip(ks, sups, bound.tolist(), applicable.tolist(), ok.tolist())))
+    ok = ~applicable | (scan.sup <= bound)
+    return SegmentBoundChecks(k, scan.sup, bound, applicable, ok)

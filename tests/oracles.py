@@ -7,10 +7,10 @@ The artifact oracles give the bytes of ``reports``' CSV writers through
 ``csv.writer``, row by row, and the ``spectrum.json`` document through the
 per-root ``EigenCertificate`` records.  ``segment_bound_checks`` is the
 per-band loop over ``LocalizationCertificate`` records that the column
-version in ``resolvent`` replaced.  ``axis_scan_json_dict`` is the
-``axis_scan.json`` document built from ``AxisScan.to_json_dict`` and one
-record per band check, and ``subcommand_parser`` the command line as one
-subparser per verb.
+version in ``resolvent`` replaced, its results gathered into the same
+columns.  ``axis_scan_json_dict`` is the ``axis_scan.json`` document built
+from ``AxisScan.to_json_dict`` and one record per band check, and
+``subcommand_parser`` the command line as one subparser per verb.
 """
 
 import argparse
@@ -21,7 +21,9 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from obsdecay.resolvent import SEGMENT_BOUND_FACTOR, SegmentBoundCheck
+from obsdecay.resolvent import SEGMENT_BOUND_FACTOR, SegmentBoundChecks
+
+CHECK_COLUMNS = ("k", "sup", "bound", "applicable", "ok")
 
 DENSE_ORACLE_MAX_N = 64
 
@@ -119,8 +121,8 @@ def spectrum_json_dict(report) -> dict:
 
 def segment_bound_checks(scan, certs):
     """The cap check of each band, from ``certs``: mode -> ``LocalizationCertificate``."""
-    out = []
-    for k, _center, sup in scan.suprema:
+    rows = []
+    for k, sup in zip(scan.k.tolist(), scan.sup.tolist()):
         needed = [certs.get(j) for j in (k - 1, k, k + 1)]
         applicable = all(c is not None and c.separated for c in needed)
         if applicable:
@@ -129,15 +131,22 @@ def segment_bound_checks(scan, certs):
         else:
             cap = math.nan
             ok = True
-        out.append(SegmentBoundCheck(k=k, sup=sup, bound=cap, applicable=applicable, ok=ok))
-    return out
+        rows.append((k, sup, cap, applicable, ok))
+    columns = zip(*rows) if rows else [[]] * len(CHECK_COLUMNS)
+    return SegmentBoundChecks(*map(list, columns))
+
+
+def check_records(checks) -> list[dict]:
+    """One record per band of the check columns ``checks``, its values Python scalars."""
+    columns = [getattr(checks, name).tolist() for name in CHECK_COLUMNS]
+    return [dict(zip(CHECK_COLUMNS, row)) for row in zip(*columns)]
 
 
 def axis_scan_json_dict(scan, checks, alpha_expected) -> dict:
     """The ``axis_scan.json`` document: the scan's own, plus one record per check."""
     doc = scan.to_json_dict(alpha_expected=alpha_expected)
-    doc["segment_bound_checks"] = [c._asdict() for c in checks]
-    doc["segment_bounds_ok"] = all(c.ok for c in checks)
+    doc["segment_bound_checks"] = check_records(checks)
+    doc["segment_bounds_ok"] = all(c["ok"] for c in doc["segment_bound_checks"])
     return doc
 
 

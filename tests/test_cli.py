@@ -14,7 +14,7 @@ from obsdecay.charfn import LocalizationReport
 from obsdecay.cli import (ALL_TASKS, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, Tolerances,
                           build_parser, main)
 from obsdecay.model import beam_example
-from obsdecay.resolvent import SegmentBoundCheck
+from obsdecay.resolvent import AxisScan
 from obsdecay.spectrum import SpectrumReport
 
 
@@ -285,7 +285,7 @@ class TestReportVerb:
 
         monkeypatch.setattr(LocalizationReport, "to_json_dict", forbidden)
         monkeypatch.setattr(SpectrumReport, "to_json_dict", forbidden)
-        monkeypatch.setattr(SegmentBoundCheck, "_asdict", forbidden)
+        monkeypatch.setattr(AxisScan, "to_json_dict", forbidden)
         out = tmp_path / "out"
         assert main(["report", "--config", beam23_all_tasks, "--out", str(out)]) == EXIT_OK
         assert {"localization.json", "spectrum.json", "axis_scan.json"} <= set(os.listdir(out))
@@ -293,23 +293,18 @@ class TestReportVerb:
     def test_each_report_column_is_formatted_once(self, beam23_all_tasks, tmp_path,
                                                   monkeypatch):
         # the JSON and CSV artifacts of a report share the text of its columns,
-        # and that text goes when the report does; the axis scan's bands and
-        # suprema are formatted once for all three of its tables
+        # and that text goes when the report does; the axis scan's k and sup
+        # are formatted once for its suprema and bound-check tables
         calls = collections.Counter()
         alive = []
-        format_column, columns = reports._format_column, reports._columns
+        format_column = reports._format_column
 
         def counted(report, column):
             calls[type(report).__name__, column] += 1
             alive.append(weakref.ref(report))
             return format_column(report, column)
 
-        def counted_rows(rows, width):
-            calls["AxisScan", len(rows), width] += 1
-            return columns(rows, width)
-
         monkeypatch.setattr(reports, "_format_column", counted)
-        monkeypatch.setattr(reports, "_columns", counted_rows)
         assert main(["report", "--config", beam23_all_tasks, "--out", str(tmp_path / "out")]) \
             == EXIT_OK
         loc = ["k", "M", "R0", "R1", "b", "c_const", "Rk", "cond_Mneq1", "cond_Mneq2",
@@ -317,10 +312,12 @@ class TestReportVerb:
         loc += [f"{name}.{part}" for name in ("lambda_star", "F0", "F1") for part in ("real", "imag")]
         spec = ["k", "lam.real", "lam.imag", "residual", "radius", "certified", "newton_iters",
                 "fallback"]
-        # bands 3..20 of N = 23: the segments and the suprema, each formatted once
+        scan = ["k", "s_lo", "s_hi", "center", "sup", "s", "bound"]
+        checks = ["bound", "applicable", "ok"]
         assert calls == collections.Counter({("LocalizationReport", c): 1 for c in loc}
                                             | {("SpectrumReport", c): 1 for c in spec}
-                                            | {("AxisScan", 18, 3): 2})
+                                            | {("AxisScan", c): 1 for c in scan}
+                                            | {("SegmentBoundChecks", c): 1 for c in checks})
         gc.collect()
         assert all(ref() is None for ref in alive)
         assert not any(ref() in reports._TEXTS for ref in alive)

@@ -34,7 +34,7 @@ from obsdecay.reports import (
     write_spectrum_plot_csv,
     write_trajectory_csv,
 )
-from obsdecay.resolvent import AxisScan, SegmentBoundCheck, axis_scan, segment_bound_checks
+from obsdecay.resolvent import AxisScan, SegmentBoundChecks, axis_scan, segment_bound_checks
 from obsdecay.spectrum import SpectrumReport
 
 
@@ -178,12 +178,12 @@ def localization_with_edge_values(rows=len(EDGE_FLOATS)):
 def scan_with_edge_values(bands=len(EDGE_FLOATS)):
     """An axis scan of ``bands`` bands (up to 7) over the edge values, with its checks."""
     ks = list(range(4, 4 + bands))
-    lo, hi, center, sup = (list(np.roll(EDGE_FLOATS, i)[:bands].tolist()) for i in range(4))
-    scan = AxisScan(segments=tuple(zip(ks, lo, hi)), samples=((0.5, math.nan),),
-                    suprema=tuple(zip(ks, center, sup)),
+    lo, hi, center, sup, bound = (np.roll(EDGE_FLOATS, i)[:bands].tolist() for i in range(5))
+    scan = AxisScan(k=ks, s_lo=lo, s_hi=hi, center=center, sup=sup, s=[0.5], bound=[math.nan],
                     alpha_fit=LogLogFit(math.nan, -0.0, math.inf))
-    checks = [SegmentBoundCheck(k, s, b, i % 2 == 0, i % 3 != 0) for i, (k, s, b) in
-              enumerate(zip(ks, sup, np.roll(EDGE_FLOATS, 4).tolist()))]
+    checks = SegmentBoundChecks(k=ks, sup=sup, bound=bound,
+                                applicable=[i % 2 == 0 for i in range(bands)],
+                                ok=[i % 3 != 0 for i in range(bands)])
     return scan, checks
 
 
@@ -312,10 +312,14 @@ class TestCsvWriters:
     def test_axis_scan_bytes_match_csv_writer(self, tmp_path, beam23, beam23_spectrum):
         scan = axis_scan(beam23, beam23_spectrum, (3, 6))
         odd = ((0.5, math.nan), (1.0, math.inf), (-0.0, -math.inf), (1e-300, 0.1 + 0.2))
-        scan = dataclasses.replace(scan, samples=scan.samples + odd)
+        odd_s, odd_bound = map(list, zip(*odd))
+        scan = dataclasses.replace(scan, s=scan.s.tolist() + odd_s,
+                                   bound=scan.bound.tolist() + odd_bound)
         path = tmp_path / "scan.csv"
         write_axis_scan_csv(scan, str(path))
-        assert path.read_bytes() == oracles.csv_bytes(["s", "norm_bound"], scan.samples)
+        samples = list(zip(scan.s.tolist(), scan.bound.tolist()))
+        assert repr(samples[-4:]) == repr(list(odd))
+        assert path.read_bytes() == oracles.csv_bytes(["s", "norm_bound"], samples)
 
     def test_trajectory_with_mode_magnitudes(self, tmp_path, beam4):
         eps0 = domain_initial_state(beam4, seed=3)
@@ -374,7 +378,7 @@ class TestArtifactBytesMatchOracles:
         self.check_localization(loc, tmp_path)
         scan = axis_scan(system, rep, (2, system.N - 1))
         checks = segment_bound_checks(scan, loc)
-        assert not all(c.applicable for c in checks)
+        assert not checks.applicable.all()
         for alpha in (1.0, None):
             self.check_axis_scan(scan, checks, alpha)
 
@@ -401,8 +405,37 @@ class TestArtifactBytesMatchOracles:
 
     def test_axis_scan_checks_must_match_the_bands(self):
         scan, checks = scan_with_edge_values(3)
+        short = dataclasses.replace(checks, **{name: getattr(checks, name)[:2]
+                                               for name in oracles.CHECK_COLUMNS})
         with pytest.raises(ValueError, match="2 checks for 3 bands"):
-            axis_scan_doc(scan, checks[:2])
+            axis_scan_doc(scan, short)
+
+    @pytest.fixture(scope="class")
+    def scans_and_checks(self):
+        """Bands 3..20 of beam N = 23 at gamma 1 and 2, each scan with its bound checks."""
+        out = {}
+        for gamma in (1.0, 2.0):
+            system = beam_example(1.0, 1.0, 23, gamma=gamma)
+            scan = axis_scan(system, full_spectrum(system), (3, 20))
+            out[gamma] = scan, segment_bound_checks(scan, localize_modes(system, range(1, 24)))
+        return out
+
+    def test_axis_scan_checks_of_another_scan_rejected(self, scans_and_checks):
+        # same bands, but the gamma = 2 checks were computed for that scan's suprema
+        scan, checks = scans_and_checks[1.0]
+        other = scans_and_checks[2.0][1]
+        assert other.k.tolist() == scan.k.tolist() and other.sup[0] != scan.sup[0]
+        axis_scan_doc(scan, checks)
+        with pytest.raises(ValueError, match="18 checks for 18 bands: the checks' k and sup"):
+            axis_scan_doc(scan, other)
+
+    def test_axis_scan_checks_out_of_band_order_rejected(self, scans_and_checks):
+        # rotated by one band, row 0 would pair band 3 with band 4's bound
+        scan, checks = scans_and_checks[1.0]
+        rotated = dataclasses.replace(checks, **{name: np.roll(getattr(checks, name), -1)
+                                                 for name in oracles.CHECK_COLUMNS})
+        with pytest.raises(ValueError, match="18 checks for 18 bands: the checks' k and sup"):
+            axis_scan_doc(scan, rotated)
 
     def test_empty_spectrum(self, tmp_path):
         rep = SpectrumReport(k=[], lam=[], residual=[], radius=[], certified=[],

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import pickle
 
 import numpy as np
@@ -15,6 +16,7 @@ from obsdecay.fitting import loglog_fit
 from obsdecay.model import SystemSpec, beam_example, build_system
 from obsdecay.resolvent import (
     PTS_PER_SEGMENT_DEFAULT,
+    AxisScan,
     SpectrumProximityError,
     apply_resolvent,
     axis_scan,
@@ -44,18 +46,14 @@ NEAR_POLE_SYSTEMS = [beam_example(1.0, 1.0, 23)] + perturbed_beam_family(3, 4)
 
 
 def brute_force_scan(sys, upper, k_range, pts_per_segment):
-    """Reference axis scan: one band at a time, every point against every root.
-
-    Returns ``(segments, samples, suprema, fit)`` as the fields of
-    :class:`AxisScan`.
-    """
+    """Reference axis scan: one band at a time, every point against every root."""
     def diag_bound(lams):
         pts = np.asarray(lams, dtype=complex)[:, None]
         d_up = np.min(np.abs(upper[None, :] - pts), axis=1)
         d_lo = np.min(np.abs(upper[None, :] - pts.conj()), axis=1)
         return np.sqrt(d_lo**-2.0 + d_up**-2.0)
 
-    segments, suprema, samples = [], [], []
+    bands, samples = [], []
     w, im_parts = sys.omegas, upper.imag
     for k in range(k_range[0], k_range[1] + 1):
         s_lo = 0.5 * (w[k - 2] + w[k - 1])
@@ -64,12 +62,22 @@ def brute_force_scan(sys, upper, k_range, pts_per_segment):
         peaks = im_parts[(im_parts >= s_lo) & (im_parts <= s_hi)]
         svals = np.sort(np.concatenate([grid, peaks]))
         vals = diag_bound(1j * svals)
-        segments.append((k, float(s_lo), float(s_hi)))
-        suprema.append((k, float(0.5 * (s_lo + s_hi)), float(np.max(vals))))
+        bands.append((k, float(s_lo), float(s_hi), float(0.5 * (s_lo + s_hi)),
+                      float(np.max(vals))))
         samples.extend(zip(svals.tolist(), vals.tolist()))
     samples.sort(key=lambda pair: pair[0])
-    fit = loglog_fit([c for _, c, _ in suprema], [v for _, _, v in suprema])
-    return tuple(segments), tuple(samples), tuple(suprema), fit
+    k, s_lo, s_hi, center, sup = map(list, zip(*bands))
+    s, bound = map(list, zip(*samples))
+    return AxisScan(k=k, s_lo=s_lo, s_hi=s_hi, center=center, sup=sup, s=s, bound=bound,
+                    alpha_fit=loglog_fit(center, sup))
+
+
+SCAN_COLUMNS = ("k", "s_lo", "s_hi", "center", "sup", "s", "bound")
+
+
+def columns_text(report, names=SCAN_COLUMNS):
+    """``repr`` of each named column's values: equal text is bitwise equal, NaN included."""
+    return {name: repr(getattr(report, name).tolist()) for name in names}
 
 
 @pytest.fixture
@@ -339,15 +347,14 @@ class TestAxisScan:
 
     def test_segments_cover_requested_bands(self, beam23, beam23_spectrum):
         scan = axis_scan(beam23, beam23_spectrum, (3, 6))
-        assert [seg[0] for seg in scan.segments] == [3, 4, 5, 6]
-        k, s_lo, s_hi = scan.segments[0]
-        assert s_lo == 0.5 * (4.0 + 9.0) and s_hi == 0.5 * (9.0 + 16.0)
-        svals = [s for s, _ in scan.samples]
+        assert scan.k.tolist() == [3, 4, 5, 6]
+        assert scan.s_lo[0] == 0.5 * (4.0 + 9.0) and scan.s_hi[0] == 0.5 * (9.0 + 16.0)
+        svals = scan.s.tolist()
         assert svals == sorted(svals)
 
     def test_suprema_monotone_for_beam(self, beam23, beam23_spectrum):
         scan = axis_scan(beam23, beam23_spectrum, (3, 20))
-        sups = [v for _, _, v in scan.suprema]
+        sups = scan.sup.tolist()
         assert all(b >= a for a, b in zip(sups, sups[1:]))
 
     def test_mirrored_segments_match(self, beam23, beam23_spectrum):
@@ -361,16 +368,15 @@ class TestAxisScan:
         # rates of bands k-1, k, k+1 (the chain behind the certified cap)
         scan = axis_scan(beam23, beam23_spectrum, (3, 20))
         rates = dict(zip(beam23_spectrum.k.tolist(), np.abs(beam23_spectrum.lam.real).tolist()))
-        for k, _center, sup in scan.suprema:
+        for k, sup in zip(scan.k.tolist(), scan.sup.tolist()):
             cap_sq = 2.0 * sum(rates[j] ** -2 for j in (k - 1, k, k + 1))
             assert sup**2 <= cap_sq * (1 + 1e-12)
 
     def test_certified_caps_hold(self, beam23, beam23_spectrum):
         scan = axis_scan(beam23, beam23_spectrum, (3, 20))
         checks = segment_bound_checks(scan, localize_modes(beam23, range(1, 24)))
-        applicable = [c for c in checks if c.applicable]
-        assert len(applicable) >= 15
-        assert all(c.ok for c in checks)
+        assert np.count_nonzero(checks.applicable) >= 15
+        assert checks.ok.all()
 
     @pytest.mark.parametrize("sys", [beam_example(1.0, 1.0, 23, gamma=g) for g in (0.1, 1.0, 3.0)]
                              + [beam_example(1.0, 1.0, 64), beam_example(1.0, 1.0, 256)]
@@ -381,7 +387,41 @@ class TestAxisScan:
         for ks in (range(1, sys.N + 1), range(1, sys.N + 1, 2), [sys.N], []):
             loc = localize_modes(sys, ks)
             expected = oracles.segment_bound_checks(scan, loc.certificates)
-            assert repr(segment_bound_checks(scan, loc)) == repr(expected), list(ks)
+            assert columns_text(segment_bound_checks(scan, loc), oracles.CHECK_COLUMNS) \
+                == columns_text(expected, oracles.CHECK_COLUMNS), list(ks)
+
+    def test_columns_are_read_only(self, beam23, beam23_spectrum):
+        scan = axis_scan(beam23, beam23_spectrum, (3, 6))
+        checks = segment_bound_checks(scan, localize_modes(beam23, range(1, 24)))
+        for report, names in ((scan, SCAN_COLUMNS), (checks, oracles.CHECK_COLUMNS)):
+            for name in names:
+                column = getattr(report, name)
+                with pytest.raises(ValueError, match="read-only"):
+                    column[0] = column[-1]
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(report, name, column.copy())
+
+    @pytest.mark.parametrize("column", SCAN_COLUMNS)
+    def test_column_of_wrong_length_rejected(self, beam23, beam23_spectrum, column):
+        # the band columns share one length and the sample columns another
+        scan = axis_scan(beam23, beam23_spectrum, (3, 6))
+        assert scan.k.size == 4 and scan.s.size > 4
+        with pytest.raises(ValueError, match="has shape"):
+            dataclasses.replace(scan, **{column: getattr(scan, column)[:-1]})
+        checks = segment_bound_checks(scan, localize_modes(beam23, range(1, 24)))
+        for name in oracles.CHECK_COLUMNS:
+            with pytest.raises(ValueError, match="has shape"):
+                dataclasses.replace(checks, **{name: getattr(checks, name)[1:]})
+
+    def test_hash_and_equality_by_identity(self, beam23, beam23_spectrum):
+        # hashing walks no column, and two scans of equal values are distinct
+        scan = axis_scan(beam23, beam23_spectrum, (3, 20))
+        checks = segment_bound_checks(scan, localize_modes(beam23, range(1, 24)))
+        for report in (scan, checks):
+            twin = dataclasses.replace(report)
+            assert report == report and report != twin
+            assert hash(report) == object.__hash__(report)
+            assert len({report, twin}) == 2
 
     def test_range_validation(self, beam23, beam23_spectrum):
         with pytest.raises(ValueError):
@@ -397,7 +437,7 @@ class TestAxisScan:
 
     @pytest.mark.parametrize("sys", SCAN_SYSTEMS, ids=lambda s: f"N{s.N}-g{s.gamma:.3g}")
     def test_one_pass_matches_band_by_band(self, sys, fallback_points):
-        # bitwise: samples, suprema, segments and fit, with the window bound
+        # bitwise: every band and sample column and the fit, with the window bound
         # settling every point (no full-row fallback) on these spectra
         spectrum = full_spectrum(sys)
         upper = spectrum.lam
@@ -406,11 +446,9 @@ class TestAxisScan:
                 continue
             for pts in (PTS_PER_SEGMENT_DEFAULT, 5):
                 scan = axis_scan(sys, spectrum, k_range, pts_per_segment=pts)
-                segments, samples, suprema, fit = brute_force_scan(sys, upper, k_range, pts)
-                assert scan.segments == segments
-                assert scan.samples == samples
-                assert scan.suprema == suprema
-                assert scan.alpha_fit == fit
+                expected = brute_force_scan(sys, upper, k_range, pts)
+                assert columns_text(scan) == columns_text(expected)
+                assert scan.alpha_fit == expected.alpha_fit
         assert fallback_points == []
 
     def test_window_fallback_matches_band_by_band(self, beam23, beam23_spectrum,
@@ -422,13 +460,10 @@ class TestAxisScan:
         cluster = -200.0 + 1j * (100.0 + np.linspace(-2.0, 2.0, 5))
         upper = np.concatenate([beam23_spectrum.lam, cluster])
         scan = axis_scan(beam23, UpperRoots(upper), (3, 20))
-        segments, samples, suprema, fit = brute_force_scan(beam23, upper, (3, 20),
-                                                           PTS_PER_SEGMENT_DEFAULT)
+        expected = brute_force_scan(beam23, upper, (3, 20), PTS_PER_SEGMENT_DEFAULT)
         assert sum(fallback_points) > 0
-        assert scan.segments == segments
-        assert scan.samples == samples
-        assert scan.suprema == suprema
-        assert scan.alpha_fit == fit
+        assert columns_text(scan) == columns_text(expected)
+        assert scan.alpha_fit == expected.alpha_fit
 
     def test_exact_hit_raises(self, beam23, beam23_spectrum):
         lam = beam23_spectrum.lam[4]
@@ -441,5 +476,5 @@ class TestAxisScan:
         # coarse even grid would miss
         scan = axis_scan(beam23, beam23_spectrum, (3, 20), pts_per_segment=5)
         uppers = dict(zip(beam23_spectrum.k.tolist(), beam23_spectrum.lam.tolist()))
-        for k, _center, sup in scan.suprema:
+        for k, sup in zip(scan.k.tolist(), scan.sup.tolist()):
             assert sup >= 1.0 / abs(uppers[k].real)
