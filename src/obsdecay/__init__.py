@@ -55,7 +55,6 @@ from .resolvent import (
     SpectrumProximityError,
     apply_resolvent,
     axis_scan,
-    resolvent_norm,
     segment_bound_checks,
 )
 from .spectrum import (
@@ -117,7 +116,6 @@ __all__ = [
     "lambda_star",
     "localize",
     "newton_root",
-    "resolvent_norm",
     "rouche_margin",
     "segment_bound_checks",
     "simulate_error",

@@ -63,7 +63,6 @@ class Tolerances:
     theta_frac: float = charfn.THETA_FRACTION_DEFAULT
     scan_k_min: Optional[int] = None
     scan_k_max: Optional[int] = None
-    pts_per_segment: int = resolvent.PTS_PER_SEGMENT_DEFAULT
     axis_slope_tol: float = 0.15
     axis_r2_min: float = 0.95
     envelope_exponent_tol: float = 0.2
@@ -91,7 +90,6 @@ class Tolerances:
             (tol.beta > 0.0, "beta must be positive"),
             (tol.k0 >= 1, "k0 must be at least 1"),
             (0.0 < tol.theta_frac < 1.0, "theta_frac must lie in (0, 1)"),
-            (tol.pts_per_segment >= 3, "pts_per_segment must be at least 3"),
             (0.0 < tol.envelope_t_lo < tol.envelope_t_hi,
              "envelope_t_lo and envelope_t_hi must satisfy 0 < t_lo < t_hi"),
             (tol.envelope_points >= 3, "envelope_points must be at least 3"),
@@ -268,8 +266,7 @@ class Pipeline:
 
     def _task_scan(self) -> tuple[int, dict, Optional[str]]:
         bands = self.scan_bands()  # a range too narrow is rejected before any stage runs
-        scan = resolvent.axis_scan(self.config.system, self.spectrum, bands,
-                                   pts_per_segment=self.config.tolerances.pts_per_segment)
+        scan = resolvent.axis_scan(self.config.system, self.spectrum, bands)
         checks = resolvent.segment_bound_checks(scan, self.localizations)
         reports.write_axis_scan_csv(scan, self._out("axis_scan.csv"))
         doc = reports.axis_scan_doc(scan, checks, alpha_expected=self.alpha)

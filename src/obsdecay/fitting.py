@@ -14,10 +14,12 @@ class LogLogFit(NamedTuple):
 
 
 def loglog_fit(x, y) -> LogLogFit:
-    """Straight-line fit of log(y) against log(x).
+    """Least-squares line through (log x, log y), in closed form.
 
-    Requires at least 3 strictly positive samples; returns the slope,
-    intercept (of log y) and the coefficient of determination.
+    With ``dx``, ``dy`` the centred logs, the slope is ``sum(dx dy) /
+    sum(dx^2)`` and the line passes through the means.  Requires at least 3
+    strictly positive samples; returns the slope, intercept (of log y) and
+    the coefficient of determination.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -27,9 +29,11 @@ def loglog_fit(x, y) -> LogLogFit:
         raise ValueError("log-log fit requires positive samples")
     lx = np.log(x)
     ly = np.log(y)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    ss_res = float(np.sum(resid**2))
-    ss_tot = float(np.sum((ly - np.mean(ly)) ** 2))
-    r2 = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
+    mx, my = lx.mean(), ly.mean()
+    dx, dy = lx - mx, ly - my
+    slope = (dx @ dy) / (dx @ dx)
+    intercept = my - slope * mx
+    resid = dy - slope * dx
+    ss_tot = dy @ dy
+    r2 = 1.0 if ss_tot == 0.0 else 1.0 - (resid @ resid) / ss_tot
     return LogLogFit(float(slope), float(intercept), float(r2))

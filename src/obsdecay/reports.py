@@ -33,7 +33,7 @@ CSV artifacts are joined from formatted columns, with the bytes
 * localization: k, re_lambda_star, im_lambda_star, M, b, c, Rk + flags
 * spectrum: k, half, re_lambda, im_lambda, residual, certified
 * spectrum plot data: re, im (one row per eigenvalue)
-* axis scan: s, norm_bound
+* axis scan: k, s_lo, s_hi, center, sup (one row per band)
 * trajectory: t, norm, |mode 1|, ..., |mode N| magnitudes
 
 ``localization.csv`` has one row per localized mode.  The spectrum files are
@@ -383,9 +383,12 @@ def write_spectrum_plot_csv(report: SpectrumReport, path: str) -> None:
     atomic_write(path, _rows(["re", "im"], list(_lam_columns(report, "csv"))))
 
 
+_AXIS_SCAN_CSV = ["k", "s_lo", "s_hi", "center", "sup"]
+
+
 def write_axis_scan_csv(scan: AxisScan, path: str) -> None:
-    atomic_write(path, _rows(["s", "norm_bound"], [_texts(scan, "s").csv,
-                                                    _texts(scan, "bound").csv]))
+    columns = [_texts(scan, column).csv for column in _AXIS_SCAN_CSV]
+    atomic_write(path, _rows(_AXIS_SCAN_CSV, columns))
 
 
 def write_trajectory_csv(traj: ErrorTrajectory, path: str) -> None:

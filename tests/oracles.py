@@ -2,7 +2,8 @@
 
 None of these is on a path the package runs: the dense eigenvalue solve and
 the rational form of ``f`` check the Newton/Rouche path and ``charfn.eval_f``
-from outside, and ``matching_distance`` compares two eigenvalue multisets.
+from outside, ``resolvent_norm`` is the resolvent norm from a dense SVD, and
+``matching_distance`` compares two eigenvalue multisets.
 The artifact oracles give the bytes of ``reports``' CSV writers through
 ``csv.writer``, row by row, and the ``spectrum.json`` document through the
 per-root ``EigenCertificate`` records.  ``segment_bound_checks`` is the
@@ -21,11 +22,21 @@ import math
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
+from obsdecay.dynamics import dense_generator
 from obsdecay.resolvent import SEGMENT_BOUND_FACTOR, SegmentBoundChecks
 
+SCAN_COLUMNS = ("k", "s_lo", "s_hi", "center", "sup")
 CHECK_COLUMNS = ("k", "sup", "bound", "applicable", "ok")
 
 DENSE_ORACLE_MAX_N = 64
+
+
+def resolvent_norm(sys, lam) -> float:
+    """``||(A - lam I)^{-1}||_2`` from the singular values of the dense shifted generator (N <= 64)."""
+    if sys.N > DENSE_ORACLE_MAX_N:
+        raise ValueError(f"dense oracle is capped at N = {DENSE_ORACLE_MAX_N}, got {sys.N}")
+    shifted = dense_generator(sys) - lam * np.eye(2 * sys.N)
+    return 1.0 / float(np.linalg.svd(shifted, compute_uv=False)[-1])
 
 
 def dense_oracle_spectrum(sys):
@@ -96,6 +107,11 @@ def spectrum_csv(report) -> bytes:
 
 def spectrum_plot_csv(report) -> bytes:
     return csv_bytes(["re", "im"], [[e.lam.real, e.lam.imag] for e in report.eigs])
+
+
+def axis_scan_csv(scan) -> bytes:
+    rows = zip(*(getattr(scan, name).tolist() for name in SCAN_COLUMNS))
+    return csv_bytes(list(SCAN_COLUMNS), rows)
 
 
 def trajectory_csv(traj) -> bytes:

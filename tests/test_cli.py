@@ -312,7 +312,7 @@ class TestReportVerb:
         loc += [f"{name}.{part}" for name in ("lambda_star", "F0", "F1") for part in ("real", "imag")]
         spec = ["k", "lam.real", "lam.imag", "residual", "radius", "certified", "newton_iters",
                 "fallback"]
-        scan = ["k", "s_lo", "s_hi", "center", "sup", "s", "bound"]
+        scan = ["k", "s_lo", "s_hi", "center", "sup"]
         checks = ["bound", "applicable", "ok"]
         assert calls == collections.Counter({("LocalizationReport", c): 1 for c in loc}
                                             | {("SpectrumReport", c): 1 for c in spec}
@@ -419,7 +419,7 @@ class TestReportVerb:
         {"theta_frac": 1.5},
         {"sim_points": 0},
         {"sim_points": 2},
-        {"pts_per_segment": 2},
+        {"envelope_points": 0},
         {"envelope_points": 2},
         {"k0": 0},
         {"beta": -1.0},
@@ -447,6 +447,17 @@ class TestReportVerb:
         })
         assert main(["report", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "unknown tolerance keys" in capsys.readouterr().err
+
+    def test_removed_pts_per_segment_is_unknown(self, tmp_path, capsys):
+        # the axis scan takes each band's supremum in closed form and samples nothing
+        cfg = write_config(tmp_path / "pts.json", {
+            "gamma": 1.0,
+            "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 8},
+            "tasks": ["resolvent-scan"],
+            "tolerances": {"pts_per_segment": 33},
+        })
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "unknown tolerance keys: ['pts_per_segment']" in capsys.readouterr().err
 
     def test_removed_newton_tol_is_unknown(self, tmp_path, capsys):
         cfg = write_config(tmp_path / "newton.json", {
@@ -500,8 +511,8 @@ class TestTolerances:
         assert doc["envelope_exponent_tol"] == 0.2
 
     def test_overrides_applied(self):
-        tol = Tolerances.from_dict({"beta": 2.0, "pts_per_segment": 17})
-        assert tol.beta == 2.0 and tol.pts_per_segment == 17
+        tol = Tolerances.from_dict({"beta": 2.0, "envelope_points": 17})
+        assert tol.beta == 2.0 and tol.envelope_points == 17
 
     def test_value_types_follow_the_defaults(self):
         tol = Tolerances.from_dict({"beta": 2, "scan_k_min": None, "scan_k_max": 12,

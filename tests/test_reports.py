@@ -179,7 +179,7 @@ def scan_with_edge_values(bands=len(EDGE_FLOATS)):
     """An axis scan of ``bands`` bands (up to 7) over the edge values, with its checks."""
     ks = list(range(4, 4 + bands))
     lo, hi, center, sup, bound = (np.roll(EDGE_FLOATS, i)[:bands].tolist() for i in range(5))
-    scan = AxisScan(k=ks, s_lo=lo, s_hi=hi, center=center, sup=sup, s=[0.5], bound=[math.nan],
+    scan = AxisScan(k=ks, s_lo=lo, s_hi=hi, center=center, sup=sup,
                     alpha_fit=LogLogFit(math.nan, -0.0, math.inf))
     checks = SegmentBoundChecks(k=ks, sup=sup, bound=bound,
                                 applicable=[i % 2 == 0 for i in range(bands)],
@@ -305,21 +305,17 @@ class TestCsvWriters:
         path = tmp_path / "scan.csv"
         write_axis_scan_csv(scan, str(path))
         rows = read_rows(path)
-        assert rows[0] == ["s", "norm_bound"]
-        svals = [float(r[0]) for r in rows[1:]]
-        assert svals == sorted(svals)
+        assert rows[0] == ["k", "s_lo", "s_hi", "center", "sup"]
+        assert [r[0] for r in rows[1:]] == ["3", "4", "5", "6"]
+        assert [float(r[4]) for r in rows[1:]] == scan.sup.tolist()
 
-    def test_axis_scan_bytes_match_csv_writer(self, tmp_path, beam23, beam23_spectrum):
-        scan = axis_scan(beam23, beam23_spectrum, (3, 6))
-        odd = ((0.5, math.nan), (1.0, math.inf), (-0.0, -math.inf), (1e-300, 0.1 + 0.2))
-        odd_s, odd_bound = map(list, zip(*odd))
-        scan = dataclasses.replace(scan, s=scan.s.tolist() + odd_s,
-                                   bound=scan.bound.tolist() + odd_bound)
+    @pytest.mark.parametrize("bands", [0, 1, 7])
+    def test_axis_scan_bytes_match_csv_writer(self, tmp_path, beam23, beam23_spectrum, bands):
         path = tmp_path / "scan.csv"
-        write_axis_scan_csv(scan, str(path))
-        samples = list(zip(scan.s.tolist(), scan.bound.tolist()))
-        assert repr(samples[-4:]) == repr(list(odd))
-        assert path.read_bytes() == oracles.csv_bytes(["s", "norm_bound"], samples)
+        for scan in (axis_scan(beam23, beam23_spectrum, (3, 20)),
+                     scan_with_edge_values(bands)[0]):
+            write_axis_scan_csv(scan, str(path))
+            assert path.read_bytes() == oracles.axis_scan_csv(scan)
 
     def test_trajectory_with_mode_magnitudes(self, tmp_path, beam4):
         eps0 = domain_initial_state(beam4, seed=3)

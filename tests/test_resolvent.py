@@ -9,18 +9,16 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import load_bench_workloads, perturbed_beam_family
-from obsdecay import resolvent
 from obsdecay.charfn import PoleError, localize_modes
 from obsdecay.dynamics import dense_generator
 from obsdecay.fitting import loglog_fit
+from obsdecay.modal import build_basis
 from obsdecay.model import SystemSpec, beam_example, build_system
 from obsdecay.resolvent import (
-    PTS_PER_SEGMENT_DEFAULT,
     AxisScan,
     SpectrumProximityError,
     apply_resolvent,
     axis_scan,
-    resolvent_norm,
     segment_bound_checks,
 )
 from obsdecay.spectrum import full_spectrum
@@ -45,34 +43,22 @@ def round_trip_residual(sys, lam, eps, rhs):
 NEAR_POLE_SYSTEMS = [beam_example(1.0, 1.0, 23)] + perturbed_beam_family(3, 4)
 
 
-def brute_force_scan(sys, upper, k_range, pts_per_segment):
-    """Reference axis scan: one band at a time, every point against every root."""
-    def diag_bound(lams):
-        pts = np.asarray(lams, dtype=complex)[:, None]
-        d_up = np.min(np.abs(upper[None, :] - pts), axis=1)
-        d_lo = np.min(np.abs(upper[None, :] - pts.conj()), axis=1)
-        return np.sqrt(d_lo**-2.0 + d_up**-2.0)
-
-    bands, samples = [], []
-    w, im_parts = sys.omegas, upper.imag
+def brute_force_scan(sys, upper, k_range):
+    """Reference axis scan: one band at a time, its distance to every root of both halves."""
+    roots = np.concatenate([upper, upper.conj()]).tolist()
+    w = sys.omegas
+    bands = []
     for k in range(k_range[0], k_range[1] + 1):
         s_lo = 0.5 * (w[k - 2] + w[k - 1])
         s_hi = 0.5 * (w[k - 1] + w[k])
-        grid = np.linspace(s_lo, s_hi, pts_per_segment)
-        peaks = im_parts[(im_parts >= s_lo) & (im_parts <= s_hi)]
-        svals = np.sort(np.concatenate([grid, peaks]))
-        vals = diag_bound(1j * svals)
-        bands.append((k, float(s_lo), float(s_hi), float(0.5 * (s_lo + s_hi)),
-                      float(np.max(vals))))
-        samples.extend(zip(svals.tolist(), vals.tolist()))
-    samples.sort(key=lambda pair: pair[0])
+        m = min(np.hypot(lam.real, max(0.0, s_lo - lam.imag, lam.imag - s_hi)) for lam in roots)
+        bands.append((k, s_lo, s_hi, 0.5 * (s_lo + s_hi), 1.0 / m))
     k, s_lo, s_hi, center, sup = map(list, zip(*bands))
-    s, bound = map(list, zip(*samples))
-    return AxisScan(k=k, s_lo=s_lo, s_hi=s_hi, center=center, sup=sup, s=s, bound=bound,
+    return AxisScan(k=k, s_lo=s_lo, s_hi=s_hi, center=center, sup=sup,
                     alpha_fit=loglog_fit(center, sup))
 
 
-SCAN_COLUMNS = ("k", "s_lo", "s_hi", "center", "sup", "s", "bound")
+SCAN_COLUMNS = oracles.SCAN_COLUMNS
 
 
 def columns_text(report, names=SCAN_COLUMNS):
@@ -80,18 +66,9 @@ def columns_text(report, names=SCAN_COLUMNS):
     return {name: repr(getattr(report, name).tolist()) for name in names}
 
 
-@pytest.fixture
-def fallback_points(monkeypatch):
-    """Records the number of points each full-row fallback of the scan takes."""
-    sizes = []
-    full_row = resolvent._min_distance
-
-    def recording(roots, pts):
-        sizes.append(pts.size)
-        return full_row(roots, pts)
-
-    monkeypatch.setattr(resolvent, "_min_distance", recording)
-    return sizes
+def distance_to(roots, s):
+    """``d(s)``: the distance from ``is`` to the nearest of ``roots``."""
+    return float(np.min(np.abs(roots - 1j * s)))
 
 
 class UpperRoots:
@@ -308,35 +285,8 @@ class TestApplyResolvent:
             apply_resolvent(beam4, 1.0 + 1.0j, StateVector.zero(3))
 
 
-class TestResolventNorm:
-    def test_single_mode_diagonal_value(self, single_mode):
-        rep = full_spectrum(single_mode)
-        lam1 = rep.lam[0]
-        expected = np.sqrt(abs(np.conjugate(lam1) - 10.0) ** -2 + abs(lam1 - 10.0) ** -2)
-        assert resolvent_norm(single_mode, 10.0, "diag", rep) == pytest.approx(expected)
-
-    def test_exact_within_conditioning_factor_of_diag(self, beam4, beam4_spectrum,
-                                                      beam4_basis):
-        factor = np.sqrt(2.0) * beam4_basis.cond_Q
-        for lam in (2.0 + 0.5j, -1.0 + 6.0j, 0.5 - 11.0j):
-            exact = resolvent_norm(beam4, lam, "exact")
-            diag = resolvent_norm(beam4, lam, "diag", beam4_spectrum)
-            assert exact > 0.0
-            assert exact <= factor * diag * (1 + 1e-12)
-            assert diag <= factor * exact * (1 + 1e-12)
-
-    def test_diag_requires_spectrum(self, beam4):
-        with pytest.raises(ValueError):
-            resolvent_norm(beam4, 1.0 + 1.0j, "diag")
-
-    def test_unknown_mode(self, beam4):
-        with pytest.raises(ValueError):
-            resolvent_norm(beam4, 1.0 + 1.0j, "svd")
-
-    def test_exact_size_cap(self):
-        big = beam_example(1.0, 1.0, 65)
-        with pytest.raises(ValueError):
-            resolvent_norm(big, 1.0 + 1.0j, "exact")
+BRACKET_SYSTEMS = [beam_example(1.0, 1.0, 23), beam_example(1.0, 1.0, 64),
+                   beam_example(1.0, 1.0, 23, gamma=0.5), perturbed_beam_family(1, 3)[2]]
 
 
 class TestAxisScan:
@@ -349,19 +299,37 @@ class TestAxisScan:
         scan = axis_scan(beam23, beam23_spectrum, (3, 6))
         assert scan.k.tolist() == [3, 4, 5, 6]
         assert scan.s_lo[0] == 0.5 * (4.0 + 9.0) and scan.s_hi[0] == 0.5 * (9.0 + 16.0)
-        svals = scan.s.tolist()
-        assert svals == sorted(svals)
 
     def test_suprema_monotone_for_beam(self, beam23, beam23_spectrum):
         scan = axis_scan(beam23, beam23_spectrum, (3, 20))
         sups = scan.sup.tolist()
         assert all(b >= a for a, b in zip(sups, sups[1:]))
 
-    def test_mirrored_segments_match(self, beam23, beam23_spectrum):
-        for s in (9.7, 30.5, 250.0):
-            up = resolvent_norm(beam23, 1j * s, "diag", beam23_spectrum)
-            down = resolvent_norm(beam23, -1j * s, "diag", beam23_spectrum)
-            assert up == pytest.approx(down, rel=1e-9)
+    def test_either_half_gives_the_same_scan(self, beam23, beam23_spectrum):
+        # the distance is taken to the roots of both halves, so the lower roots
+        # describe the same spectrum
+        scan = axis_scan(beam23, beam23_spectrum, (3, 20))
+        mirrored = axis_scan(beam23, UpperRoots(beam23_spectrum.lam.conj()), (3, 20))
+        assert columns_text(mirrored) == columns_text(scan)
+        assert mirrored.alpha_fit == scan.alpha_fit
+
+    @pytest.mark.parametrize("sys", BRACKET_SYSTEMS, ids=lambda s: f"N{s.N}-g{s.gamma:.3g}")
+    def test_dense_norm_within_the_bracket(self, sys):
+        # (1 - 1e-9)/d(s) <= ||R(is)|| <= cond_Q/d(s) at each band's nearest point
+        # and at its ends, and sup = 1/d(s) at the nearest point
+        spectrum = full_spectrum(sys)
+        cond = build_basis(sys, spectrum).cond_Q
+        roots = spectrum.eigenvalues()
+        scan = axis_scan(sys, spectrum, (2, sys.N - 1))
+        for s_lo, s_hi, sup in zip(scan.s_lo.tolist(), scan.s_hi.tolist(), scan.sup.tolist()):
+            # the point of the band nearest to a root is that root's imaginary part, clipped
+            candidates = np.clip(roots.imag, s_lo, s_hi).tolist()
+            nearest = min(candidates, key=lambda s: distance_to(roots, s))
+            assert sup == 1.0 / distance_to(roots, nearest)
+            for s in (nearest, s_lo, s_hi):
+                d = distance_to(roots, s)
+                norm = oracles.resolvent_norm(sys, 1j * s)
+                assert (1.0 - 1e-9) / d <= norm <= cond / d, (s_lo, s)
 
     def test_suprema_bounded_by_neighbor_rates(self, beam23, beam23_spectrum):
         # per-band sup^2 never exceeds twice the sum of inverse squared decay
@@ -403,9 +371,9 @@ class TestAxisScan:
 
     @pytest.mark.parametrize("column", SCAN_COLUMNS)
     def test_column_of_wrong_length_rejected(self, beam23, beam23_spectrum, column):
-        # the band columns share one length and the sample columns another
+        # every column holds one row per band
         scan = axis_scan(beam23, beam23_spectrum, (3, 6))
-        assert scan.k.size == 4 and scan.s.size > 4
+        assert scan.k.size == 4
         with pytest.raises(ValueError, match="has shape"):
             dataclasses.replace(scan, **{column: getattr(scan, column)[:-1]})
         checks = segment_bound_checks(scan, localize_modes(beam23, range(1, 24)))
@@ -435,46 +403,37 @@ class TestAxisScan:
         with pytest.raises(ValueError, match="degenerate"):
             axis_scan(beam23, beam23_spectrum, (3, 4))
 
+    def test_empty_spectrum_rejected(self, beam23):
+        with pytest.raises(ValueError, match="at least one eigenvalue"):
+            axis_scan(beam23, UpperRoots([]), (3, 20))
+
     @pytest.mark.parametrize("sys", SCAN_SYSTEMS, ids=lambda s: f"N{s.N}-g{s.gamma:.3g}")
-    def test_one_pass_matches_band_by_band(self, sys, fallback_points):
-        # bitwise: every band and sample column and the fit, with the window bound
-        # settling every point (no full-row fallback) on these spectra
+    def test_one_pass_matches_band_by_band(self, sys):
+        # bitwise: every band column and the fit
         spectrum = full_spectrum(sys)
-        upper = spectrum.lam
         for k_range in ((3, sys.N - 3), (2, sys.N - 1)):
             if k_range[1] - k_range[0] < 2:
                 continue
-            for pts in (PTS_PER_SEGMENT_DEFAULT, 5):
-                scan = axis_scan(sys, spectrum, k_range, pts_per_segment=pts)
-                expected = brute_force_scan(sys, upper, k_range, pts)
-                assert columns_text(scan) == columns_text(expected)
-                assert scan.alpha_fit == expected.alpha_fit
-        assert fallback_points == []
+            scan = axis_scan(sys, spectrum, k_range)
+            expected = brute_force_scan(sys, spectrum.lam, k_range)
+            assert columns_text(scan) == columns_text(expected)
+            assert scan.alpha_fit == expected.alpha_fit
 
-    def test_window_fallback_matches_band_by_band(self, beam23, beam23_spectrum,
-                                                  fallback_points):
-        # a cluster of strongly damped roots around Im = 100 is nearest in
-        # imaginary part to the points of band 10, but the beam roots at
-        # Im ~ 81 and ~ 121 are nearer in distance: the window bound fails
-        # there and the full row must decide
+    def test_damped_cluster_matches_band_by_band(self, beam23, beam23_spectrum):
+        # a cluster of strongly damped roots around Im = 100 lies in band 10,
+        # at imaginary gap 0 like the beam root of mode 10; only the real parts
+        # tell them apart, and the cluster, 200 off the axis, changes no band
         cluster = -200.0 + 1j * (100.0 + np.linspace(-2.0, 2.0, 5))
         upper = np.concatenate([beam23_spectrum.lam, cluster])
         scan = axis_scan(beam23, UpperRoots(upper), (3, 20))
-        expected = brute_force_scan(beam23, upper, (3, 20), PTS_PER_SEGMENT_DEFAULT)
-        assert sum(fallback_points) > 0
+        expected = brute_force_scan(beam23, upper, (3, 20))
         assert columns_text(scan) == columns_text(expected)
         assert scan.alpha_fit == expected.alpha_fit
+        assert columns_text(scan) == columns_text(axis_scan(beam23, beam23_spectrum, (3, 20)))
 
-    def test_exact_hit_raises(self, beam23, beam23_spectrum):
-        lam = beam23_spectrum.lam[4]
-        for point in (lam, np.conjugate(lam)):
-            with pytest.raises(SpectrumProximityError):
-                resolvent_norm(beam23, point, "diag", beam23_spectrum)
-
-    def test_peak_capture_beats_endpoint_sampling(self, beam23, beam23_spectrum):
-        # the supremum must reflect the eigenvalue peak 1/|Re lam_k|, which a
-        # coarse even grid would miss
-        scan = axis_scan(beam23, beam23_spectrum, (3, 20), pts_per_segment=5)
-        uppers = dict(zip(beam23_spectrum.k.tolist(), beam23_spectrum.lam.tolist()))
-        for k, sup in zip(scan.k.tolist(), scan.sup.tolist()):
-            assert sup >= 1.0 / abs(uppers[k].real)
+    def test_root_on_a_band_raises(self, beam23, beam23_spectrum):
+        # band 3 is i [6.5, 12.5]; a root on it, in either half, leaves 1/d unbounded
+        for root in (10.0j, -10.0j):
+            upper = np.append(beam23_spectrum.lam, root)
+            with pytest.raises(SpectrumProximityError, match="band 3"):
+                axis_scan(beam23, UpperRoots(upper), (3, 20))

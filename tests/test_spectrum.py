@@ -538,7 +538,7 @@ class TestSpectrumColumns:
 
     def test_library_paths_build_no_certificate_records(self, beam23, monkeypatch):
         from obsdecay import build_basis, decay_envelope
-        from obsdecay.resolvent import axis_scan, resolvent_norm
+        from obsdecay.resolvent import axis_scan
 
         def forbidden(*args, **kwargs):
             raise AssertionError("EigenCertificate built on a library path")
@@ -548,7 +548,6 @@ class TestSpectrumColumns:
         build_basis(beam23, rep)
         decay_envelope(beam23, rep, np.geomspace(1.0, 200.0, 50))
         axis_scan(beam23, rep, (3, 20))
-        resolvent_norm(beam23, 1.0 + 5.0j, "diag", rep)
         assert "eigs" not in vars(rep)
 
 
