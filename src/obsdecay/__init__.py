@@ -19,6 +19,7 @@ from .charfn import (
     eval_f_prime,
     lambda_star,
     localize,
+    newton_seed,
     rouche_margin,
 )
 from .dynamics import (
@@ -116,6 +117,7 @@ __all__ = [
     "lambda_star",
     "localize",
     "newton_root",
+    "newton_seed",
     "rouche_margin",
     "segment_bound_checks",
     "simulate_error",

@@ -21,13 +21,16 @@ the poles ``a != i omega_k`` of f, ``d_a = |i omega_k - a|``, because every
 term of f is a simple pole (see :func:`estimate_M`).  The certificate also
 records whether the disk stays a fixed fraction away from the imaginary axis.
 
-``F(i omega_k)`` and ``F'(i omega_k)`` of every mode are formed once per
-system (:attr:`~obsdecay.model.SystemSpec.linearization`), and the disks of
-a batch of modes come back as the columns of a :class:`LocalizationReport`.
+``F(i omega_k)``, ``F'(i omega_k)`` and ``F''(i omega_k)`` of every mode are
+formed once per system (:attr:`~obsdecay.model.SystemSpec.linearization`),
+and the disks of a batch of modes come back as the columns of a
+:class:`LocalizationReport`.  The localization keeps the paper's first-order
+``lam_k_star``; Newton starts from the second-order :func:`newton_seed`.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -245,7 +248,7 @@ def char_linearization(ctx: CharContext) -> tuple[complex, complex]:
     Read from the system's :attr:`~obsdecay.model.SystemSpec.linearization`,
     which forms both for every mode once.
     """
-    f0, f1 = ctx.sys.linearization[:, ctx.k - 1].tolist()
+    f0, f1 = ctx.sys.linearization[:2, ctx.k - 1].tolist()
     return f0, f1
 
 
@@ -266,9 +269,39 @@ def _quotients(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
     return np.array([a / b for a, b in zip(f0.tolist(), f1.tolist())], dtype=complex)
 
 
-def lambda_stars(sys: SystemSpec) -> np.ndarray:
-    """:func:`lambda_star` of every mode, bitwise, from the system's linearization."""
-    return 1j * sys.omegas - _quotients(*sys.linearization)
+def _quadratic_root(w: float, f0: complex, f1: complex, f2: complex) -> complex:
+    """The root nearest ``i w`` of the quadratic Taylor model of ``G(lam) = lam F(lam)`` there.
+
+    ``G0 = i w F0``, ``G1 = F0 + i w F1`` and ``G2 = 2 F1 + i w F2`` are G and
+    its first two derivatives at ``i w``; the root is
+    ``i w - 2 G0 / (G1 +/- sqrt(G1^2 - 2 G0 G2))`` with the sign that makes
+    the denominator largest (the first on a tie).  ``Im G1 = w Re F1 =
+    2/gamma > 0``, so the denominator never vanishes.
+    """
+    center = complex(0.0, w)
+    g0 = center * f0
+    g1 = f0 + center * f1
+    g2 = 2.0 * f1 + center * f2
+    root = cmath.sqrt(g1 * g1 - 2.0 * g0 * g2)
+    return center - 2.0 * g0 / max(g1 + root, g1 - root, key=abs)
+
+
+def newton_seed(ctx: CharContext) -> complex:
+    """Second-order eigenvalue prediction near mode k: the Newton seed of that mode.
+
+    The root nearest the center of the quadratic Taylor model of
+    ``G(lam) = lam F(lam)`` at ``i omega_k``, from F, F' and F'' there.  The
+    factor ``lam`` clears the pole of f at 0 as well, so the model's disk of
+    convergence reaches the nearest other mode pole instead of stopping at 0.
+    """
+    f0, f1, f2 = ctx.sys.linearization[:, ctx.k - 1].tolist()
+    return _quadratic_root(ctx.omega_k, f0, f1, f2)
+
+
+def newton_seeds(sys: SystemSpec) -> np.ndarray:
+    """:func:`newton_seed` of every mode, bitwise, from the system's linearization."""
+    rows = zip(sys.omegas.tolist(), *sys.linearization.tolist())
+    return np.array([_quadratic_root(*row) for row in rows], dtype=complex)
 
 
 def _convergence_radii(sys: SystemSpec, ks: np.ndarray) -> np.ndarray:
@@ -440,7 +473,7 @@ def localize_modes(sys: SystemSpec, ks,
     requested = np.zeros(sys.N + 1, dtype=bool)
     requested[ks] = True
     ks = np.flatnonzero(requested)  # distinct, ascending
-    f0, f1 = sys.linearization[:, ks - 1]
+    f0, f1 = sys.linearization[:2, ks - 1]
     wk, ck = sys.omegas[ks - 1], sys.cs[ks - 1]
     R0 = _convergence_radii(sys, ks)
     R1 = R1_FRACTION * R0

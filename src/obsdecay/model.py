@@ -132,14 +132,19 @@ class SystemSpec:
 
     @cached_property
     def linearization(self) -> np.ndarray:
-        """``F(i omega_k)`` (row 0) and ``F'(i omega_k)`` (row 1) of every mode k.
+        """``F``, ``F'`` and ``F''`` at ``i omega_k`` (rows 0, 1, 2) of every mode k.
 
         ``F(lam) = (lam - i omega_k) f(lam)`` is the characteristic function
         with its pole at ``i omega_k`` cleared (see :mod:`obsdecay.charfn`):
 
-            F(i omega_k)  = c_k^2 / omega_k,
-            F'(i omega_k) = 2/(gamma omega_k)
-                            + i (2 sum_{j != k} c_j^2/(omega_j^2 - omega_k^2) + c_k^2/(2 omega_k^2)).
+            F(i omega_k)   = c_k^2 / omega_k,
+            F'(i omega_k)  = 2/(gamma omega_k)
+                             + i (2 sum_{j != k} c_j^2/(omega_j^2 - omega_k^2) + c_k^2/(2 omega_k^2)),
+            F''(i omega_k) = 8 omega_k sum_{j != k} c_j^2/(omega_j^2 - omega_k^2)^2
+                             - c_k^2/(2 omega_k^3) + 4i/(gamma omega_k^2).
+
+        Rows 0 and 1 are the linearization behind the paper's ``lambda_star``;
+        row 2 completes the quadratic model that seeds Newton.
         """
         return _read_only(_linearizations(self.gamma, self.omegas, self.cs))
 
@@ -257,14 +262,19 @@ def _linearizations(gamma: float, omegas: np.ndarray, cs: np.ndarray) -> np.ndar
     """
     wk = omegas.tolist()
     wk2 = np.array([w**2 for w in wk])
+    ks = np.arange(1, omegas.size + 1)
+    gaps = omegas**2 - wk2[:, None]
     with np.errstate(divide="ignore"):  # the own term j = k, dropped below
-        terms = cs**2 / (omegas**2 - wk2[:, None])
-    others = 2.0 * np.sum(_without_own(terms, np.arange(1, omegas.size + 1)), axis=1)
-    f0, f1 = [], []
-    for w, c, o in zip(wk, cs.tolist(), others.tolist()):
+        terms = cs**2 / gaps
+        curvs = cs**2 / gaps**2
+    others = 2.0 * np.sum(_without_own(terms, ks), axis=1)
+    bends = 8.0 * np.sum(_without_own(curvs, ks), axis=1)
+    f0, f1, f2 = [], [], []
+    for w, c, o, b in zip(wk, cs.tolist(), others.tolist(), bends.tolist()):
         f0.append(complex(c**2 / w))
         f1.append(2.0 / (gamma * w) + 1j * (o + c**2 / (2.0 * w**2)))
-    return np.array([f0, f1], dtype=complex)
+        f2.append(complex(w * b - c**2 / (2.0 * w**3), 4.0 / (gamma * w**2)))
+    return np.array([f0, f1, f2], dtype=complex)
 
 
 def build_system(gamma: float, omegas: Sequence[float], cs: Sequence[float]) -> SystemSpec:

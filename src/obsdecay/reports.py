@@ -321,7 +321,7 @@ def _band_columns(scan: AxisScan, columns: tuple[str, ...]) -> tuple[list[str], 
 
 
 def _check_rows(scan: AxisScan, checks: SegmentBoundChecks) -> dict:
-    layout = {name: _texts(checks, name).json for name in ("bound", "applicable", "ok")}
+    layout = {name: _texts(checks, name).json for name in ("upper", "bound", "applicable", "ok")}
     layout.update(k=_texts(scan, "k").json, sup=_texts(scan, "sup").json)
     return layout
 
@@ -331,7 +331,8 @@ def axis_scan_doc(scan: AxisScan, checks: SegmentBoundChecks,
     """The ``axis_scan.json`` document, with the bands, suprema and bound checks as tables.
 
     It is :meth:`AxisScan.to_json_dict` with ``segment_bound_checks`` (a
-    record per band of ``checks``) and ``segment_bounds_ok`` added.
+    record per band of ``checks``) and ``segment_bounds_ok`` added; the
+    latter is null when the checks carry no ``cond`` (no cap is proven).
     ``checks`` must be :func:`~obsdecay.resolvent.segment_bound_checks` of
     ``scan``: its ``k`` and ``sup`` are the scan's (NaN equal to NaN), so
     the check table shares the scan's ``k`` and ``sup`` text.
@@ -346,7 +347,7 @@ def axis_scan_doc(scan: AxisScan, checks: SegmentBoundChecks,
             "suprema": Table(partial(_band_columns, scan, ("k", "center", "sup"))),
             "alpha_expected": alpha_expected,
             "segment_bound_checks": Table(partial(_check_rows, scan, checks)),
-            "segment_bounds_ok": bool(checks.ok.all())}
+            "segment_bounds_ok": None if checks.cond is None else bool(checks.ok.all())}
 
 
 # ---- CSV files -------------------------------------------------------------------

@@ -152,26 +152,35 @@ def axis_scan(sys: SystemSpec, spectrum: SpectrumReport, k_range: tuple[int, int
 @dataclass(frozen=True, eq=False)
 class SegmentBoundChecks:
     """The certified-cap check of each band of a scan, as read-only columns: the scan's
-    ``k`` and ``sup``, the cap ``bound`` on band k (NaN where it is not ``applicable``),
-    and ``ok``, true where ``sup <= bound`` or the cap does not apply."""
+    ``k`` and ``sup``, the proven upper end ``upper = cond sup`` of the band's resolvent
+    supremum (NaN when ``cond`` is None), the cap ``bound`` on band k (NaN where it is not
+    ``applicable``), and ``ok``, true where ``upper <= bound`` or the cap does not apply.
+    Without ``cond`` nothing bounds the norm from above, so an applicable cap is not
+    shown to hold and its ``ok`` is false."""
 
     k: np.ndarray
     sup: np.ndarray
+    upper: np.ndarray
     bound: np.ndarray
     applicable: np.ndarray
     ok: np.ndarray
+    cond: Optional[float] = None
 
     def __post_init__(self):
-        _freeze_columns(self, {"k": int, "sup": float, "bound": float, "applicable": bool,
-                               "ok": bool})
+        _freeze_columns(self, {"k": int, "sup": float, "upper": float, "bound": float,
+                               "applicable": bool, "ok": bool})
 
 
-def segment_bound_checks(scan: AxisScan, loc: LocalizationReport) -> SegmentBoundChecks:
-    """Compare per-band suprema against the certified cap.
+def segment_bound_checks(scan: AxisScan, loc: LocalizationReport,
+                         cond: Optional[float] = None) -> SegmentBoundChecks:
+    """Compare the proven upper end of each band's resolvent supremum against the certified cap.
 
     The cap ``2 sqrt(6) / |Re lambda_star_{k+1}|`` applies on band k whenever
     the localization disks at k-1, k, k+1 guarantee axis separation (rows of
-    ``loc`` whose ``separated`` is true; a mode without a row has none).
+    ``loc`` whose ``separated`` is true; a mode without a row has none).  The
+    scan's ``sup = 1/m_k`` bounds the norm from below only; with ``cond =
+    cond(Q)`` of the eigenbasis the norm is at most ``upper = cond sup``
+    (see :func:`axis_scan`), and that is what is compared with the cap.
     """
     k = scan.k
     size = max(k.max(initial=0), loc.k.max(initial=0)) + 2
@@ -181,5 +190,6 @@ def segment_bound_checks(scan: AxisScan, loc: LocalizationReport) -> SegmentBoun
     rate[loc.k] = np.abs(loc.lambda_star.real)
     applicable = separated[k - 1] & separated[k] & separated[k + 1]
     bound = np.where(applicable, SEGMENT_BOUND_FACTOR / rate[k + 1], math.nan)
-    ok = ~applicable | (scan.sup <= bound)
-    return SegmentBoundChecks(k, scan.sup, bound, applicable, ok)
+    upper = scan.sup * (math.nan if cond is None else cond)
+    ok = ~applicable | (upper <= bound)
+    return SegmentBoundChecks(k, scan.sup, upper, bound, applicable, ok, cond)

@@ -5,9 +5,10 @@ mode: the upper root sits near ``+i omega_k``, the lower near ``-i omega_k``.
 The generator is real, so ``f(conj lam) = -conj f(lam)``, and the lower root
 of each pair is the exact conjugate of the upper one; only the upper root is
 solved for.  The upper roots of all modes are found together, by one
-array-valued damped Newton iteration seeded at the first-order predictions
-(and one more from backup seeds for the modes that need them); each root
-gets the same arithmetic as a scalar iteration from its seed.  An iterate
+array-valued damped Newton iteration seeded at each pole's second-order
+prediction (:func:`~obsdecay.charfn.newton_seed`, and one more iteration
+from backup seeds for the modes that need them); each root gets the same
+arithmetic as a scalar iteration from its seed.  An iterate
 past :func:`escape_radius` is stopped: no root lies out there, and Newton
 only moves outward.  An iterate whose damped step rounds to itself stops
 halving at once: rounding is monotone, so every smaller step rounds to it
@@ -33,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .charfn import PoleError, _freeze_columns, eval_f, eval_f_prime, lambda_stars
+from .charfn import PoleError, _freeze_columns, eval_f, eval_f_prime, newton_seeds
 from .model import SystemSpec
 
 NEWTON_TOL = 1e-12
@@ -105,7 +106,7 @@ def newton_roots(sys: SystemSpec, seeds, tol: float = NEWTON_TOL,
     checked seed or an accepted iterate, so it is not near a pole.  The
     element thus fails with the "damping failed" :class:`NewtonError`, text
     included, that all 21 trials give, and no other element changes; at
-    beam N=256 the whole spectrum takes 1414 points of ``f`` instead of 4284.
+    beam N=256 the whole spectrum takes 1364 points of ``f`` instead of 4157.
 
     Returns ``(roots, residuals, iterations, errors)``.  ``errors[i]`` is the
     :class:`PoleError` or :class:`NewtonError` that stopped element ``i``, or
@@ -114,14 +115,19 @@ def newton_roots(sys: SystemSpec, seeds, tol: float = NEWTON_TOL,
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    # every pole lies on the imaginary axis, so |z - pole| grows with
-    # |Im z - Im pole| and the nearest pole neighbours Im z in this order
+    # every pole lies on the imaginary axis, so |z - pole| >= |Re z| and
+    # grows with |Im z - Im pole|: the nearest pole neighbours Im z in this order
     poles = sys.poles_by_imag
     inner = np.ascontiguousarray(poles.imag[1:-1])
 
     def near_pole(z: np.ndarray) -> np.ndarray:
-        hi = np.searchsorted(inner, z.imag) + 1
-        return np.minimum(np.abs(z - poles[hi - 1]), np.abs(z - poles[hi])) <= POLE_GUARD
+        near = np.abs(z.real) <= POLE_GUARD
+        idx = np.flatnonzero(near)
+        if idx.size:
+            w = z[idx]
+            hi = np.searchsorted(inner, w.imag) + 1
+            near[idx] = np.minimum(np.abs(w - poles[hi - 1]), np.abs(w - poles[hi])) <= POLE_GUARD
+        return near
 
     lam = np.array(seeds, dtype=complex).reshape(-1)
     n = lam.size
@@ -392,9 +398,10 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
     """Locate and certify all 2N roots of the characteristic function.
 
     The upper roots of all modes are refined together by
-    :func:`newton_roots` from the first-order seeds; the modes whose root
-    fails or leaves its band are solved again, together, from a left-shifted
-    backup seed.  Each found root is certified by its Rouche disk, which must
+    :func:`newton_roots` from the second-order seeds of
+    :func:`~obsdecay.charfn.newton_seeds`; the modes whose root fails or
+    leaves its band are solved again, together, from a left-shifted backup
+    seed.  Each found root is certified by its Rouche disk, which must
     miss every other root's disk, its conjugate's included.  The lower root
     is the exact conjugate of the upper one, certificate included, because
     ``f(conj lam) = -conj f(lam)`` holds bitwise, so the report stores the
@@ -403,7 +410,7 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
     """
     wk = sys.omegas
     band = 0.5 * (sys.min_gap() if sys.N > 1 else float(wk[0]))
-    roots, resids, iters, errors = newton_roots(sys, lambda_stars(sys))
+    roots, resids, iters, errors = newton_roots(sys, newton_seeds(sys))
     fallback = np.array([err is not None for err in errors]) | (np.abs(roots.imag - wk) > band)
     failures: dict[int, str] = {}
     fb = np.flatnonzero(fallback)

@@ -26,7 +26,7 @@ from obsdecay.dynamics import dense_generator
 from obsdecay.resolvent import SEGMENT_BOUND_FACTOR, SegmentBoundChecks
 
 SCAN_COLUMNS = ("k", "s_lo", "s_hi", "center", "sup")
-CHECK_COLUMNS = ("k", "sup", "bound", "applicable", "ok")
+CHECK_COLUMNS = ("k", "sup", "upper", "bound", "applicable", "ok")
 
 DENSE_ORACLE_MAX_N = 64
 
@@ -135,21 +135,26 @@ def spectrum_json_dict(report) -> dict:
     }
 
 
-def segment_bound_checks(scan, certs):
-    """The cap check of each band, from ``certs``: mode -> ``LocalizationCertificate``."""
+def segment_bound_checks(scan, certs, cond=None):
+    """The cap check of each band, from ``certs``: mode -> ``LocalizationCertificate``.
+
+    ``upper = cond * sup`` must lie under the cap; without ``cond`` it is NaN
+    and an applicable cap fails.
+    """
     rows = []
     for k, sup in zip(scan.k.tolist(), scan.sup.tolist()):
         needed = [certs.get(j) for j in (k - 1, k, k + 1)]
         applicable = all(c is not None and c.separated for c in needed)
+        upper = math.nan if cond is None else cond * sup
         if applicable:
             cap = SEGMENT_BOUND_FACTOR / abs(needed[2].lambda_star.real)
-            ok = sup <= cap
+            ok = upper <= cap
         else:
             cap = math.nan
             ok = True
-        rows.append((k, sup, cap, applicable, ok))
+        rows.append((k, sup, upper, cap, applicable, ok))
     columns = zip(*rows) if rows else [[]] * len(CHECK_COLUMNS)
-    return SegmentBoundChecks(*map(list, columns))
+    return SegmentBoundChecks(*map(list, columns), cond=cond)
 
 
 def check_records(checks) -> list[dict]:
@@ -162,7 +167,8 @@ def axis_scan_json_dict(scan, checks, alpha_expected) -> dict:
     """The ``axis_scan.json`` document: the scan's own, plus one record per check."""
     doc = scan.to_json_dict(alpha_expected=alpha_expected)
     doc["segment_bound_checks"] = check_records(checks)
-    doc["segment_bounds_ok"] = all(c["ok"] for c in doc["segment_bound_checks"])
+    doc["segment_bounds_ok"] = (None if checks.cond is None
+                                else all(c["ok"] for c in doc["segment_bound_checks"]))
     return doc
 
 

@@ -134,7 +134,8 @@ def test_criterion_5_axis_scan_exponent():
     sys = beam_example(1.0, 1.0, 23)
     rep = full_spectrum(sys)
     scan = axis_scan(sys, rep, (3, 20))
-    checks = segment_bound_checks(scan, localize_modes(sys, range(1, sys.N + 1)))
+    checks = segment_bound_checks(scan, localize_modes(sys, range(1, sys.N + 1)),
+                                  build_basis(sys, rep).cond_Q)
     applicable = int(np.count_nonzero(checks.applicable))
     ok = (
         abs(scan.alpha_fit.slope - 1.0) <= 0.15

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -21,12 +22,14 @@ from obsdecay.charfn import (
     eval_f,
     eval_f_prime,
     lambda_star,
-    lambda_stars,
     localize,
     localize_modes,
+    newton_seed,
+    newton_seeds,
     rouche_margin,
 )
 from obsdecay.model import SystemSpec, beam_example, build_system
+from obsdecay.spectrum import full_spectrum
 
 # f at 0.5 + 0.5i for the N=23 quadratic-frequency family, summed at 50
 # decimal digits with mpmath (term-by-term, ascending mode order).
@@ -295,7 +298,7 @@ class TestLambdaStar:
                 assert val.real < 0.0
                 assert val.imag != 0.0
 
-    def test_all_modes_in_one_pass_match_each_mode(self, single_mode):
+    def test_each_mode_matches_the_reference(self, single_mode):
         # bitwise, on systems where numpy's c_j**2 differs from the Python
         # float's in the last bit (random family, seed 1)
         systems = [single_mode] + [beam_example(1.0, 1.0, n) for n in (2, 9, 23, 256)]
@@ -307,7 +310,6 @@ class TestLambdaStar:
             for k in range(1, sys.N + 1):
                 f0, f1 = reference_linearization(sys, k)
                 expected.append(1j * float(sys.omegas[k - 1]) - f0 / f1)
-            assert lambda_stars(sys).tolist() == expected, sys.N
             assert [lambda_star(CharContext(sys, k)) for k in range(1, sys.N + 1)] == expected
 
     def test_quadratic_approach_rate(self, beam23):
@@ -319,6 +321,61 @@ class TestLambdaStar:
         assert max(scaled) < 1.0
         # and settles near gamma/2 for high modes
         assert scaled[-1] == pytest.approx(0.5, rel=0.05)
+
+
+def mp_F(sys, k):
+    """F of mode k as an mpmath function, in the regrouped form finite at i*omega_k."""
+    wk, ck, gamma = sys.omegas[k - 1], sys.cs[k - 1], sys.gamma
+    others = [(mpmath.mpf(c) ** 2 / w, mpmath.mpf(w)) for j, (w, c)
+              in enumerate(zip(sys.omegas.tolist(), sys.cs.tolist())) if j != k - 1]
+    iwk = mpmath.mpc(0, wk)
+
+    def F(lam):
+        f = sum(q * (1 / (lam - 1j * w) - 1 / (lam + 1j * w)) for q, w in others)
+        return (lam - iwk) * (f + 2j / (gamma * lam)) + 2j * mpmath.mpf(ck) ** 2 / (lam + iwk)
+    return F, iwk
+
+
+class TestNewtonSeed:
+    @pytest.mark.parametrize("sys", [beam_example(1.0, 1.0, 23)] + perturbed_beam_family(1, 2),
+                             ids=lambda s: f"N{s.N}")
+    def test_second_derivative_matches_extended_precision(self, sys):
+        with mpmath.workdps(40):
+            for k in range(1, sys.N + 1):
+                F, iwk = mp_F(sys, k)
+                want = complex(mpmath.diff(F, iwk, 2))
+                got = complex(sys.linearization[2, k - 1])
+                assert abs(got - want) <= 1e-12 * abs(want), (sys.N, k)
+
+    def test_all_modes_in_one_pass_match_each_mode(self, single_mode):
+        systems = [single_mode] + [beam_example(1.0, 1.0, n, gamma=g) for n in (2, 9, 23, 256)
+                                   for g in (0.1, 1.0, 3.0)]
+        systems += perturbed_beam_family(1, 4)
+        systems += [SystemSpec.from_json_dict(case.doc)
+                    for case in load_bench_workloads().random_family(1)]
+        for sys in systems:
+            seeds = [newton_seed(CharContext(sys, k)) for k in range(1, sys.N + 1)]
+            assert newton_seeds(sys).tolist() == seeds, sys.N
+
+    @pytest.mark.parametrize("sys", [beam_example(1.0, 1.0, 23), beam_example(1.0, 1.0, 23, 3.0)]
+                             + perturbed_beam_family(2, 3), ids=lambda s: f"N{s.N}-{s.gamma:.3g}")
+    def test_nearest_root_of_the_cleared_quadratic_model(self, sys):
+        # G(lam) = lam F(lam): G(c + s) ~ G0 + G1 s + G2 s^2 / 2 at c = i omega_k
+        for k in range(1, sys.N + 1):
+            ctx = CharContext(sys, k)
+            f0, f1, f2 = sys.linearization[:, k - 1].tolist()
+            c = ctx.center
+            g = [c * f0, f0 + c * f1, 2.0 * f1 + c * f2]
+            roots = np.roots([g[2] / 2.0, g[1], g[0]])
+            s = newton_seed(ctx) - c
+            assert np.min(np.abs(roots - s)) <= 1e-9 * abs(s), (sys.N, k)
+            assert abs(s) <= np.max(np.abs(roots)), (sys.N, k)
+
+    def test_second_order_seed_is_closer_on_the_beam(self, beam23):
+        roots = full_spectrum(beam23).lam
+        for k in range(1, 24):
+            ctx = CharContext(beam23, k)
+            assert abs(newton_seed(ctx) - roots[k - 1]) < abs(lambda_star(ctx) - roots[k - 1])
 
 
 def sampled_remainder_peak(ctx, R1):

@@ -9,7 +9,7 @@ import pytest
 
 import oracles
 from conftest import SINGLE_MODE_ROOTS, localizations
-from obsdecay import model, reports, spectrum
+from obsdecay import modal, model, reports, spectrum
 from obsdecay.charfn import LocalizationReport
 from obsdecay.cli import (ALL_TASKS, EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_OK, Tolerances,
                           build_parser, main)
@@ -176,7 +176,9 @@ class TestOtherVerbs:
         assert abs(doc["slope"] - 1.0) <= 0.15
         assert doc["r2"] >= 0.95
         assert doc["alpha_expected"] == 1.0
-        assert doc["segment_bounds_ok"]
+        # the spectrum is complete, so the verb builds the basis for cond(Q)
+        assert doc["segment_bounds_ok"] is True
+        assert all(row["upper"] is not None for row in doc["segment_bound_checks"])
 
     def test_envelope_fit(self, beam23_config, tmp_path):
         out = tmp_path / "out"
@@ -313,7 +315,7 @@ class TestReportVerb:
         spec = ["k", "lam.real", "lam.imag", "residual", "radius", "certified", "newton_iters",
                 "fallback"]
         scan = ["k", "s_lo", "s_hi", "center", "sup"]
-        checks = ["bound", "applicable", "ok"]
+        checks = ["upper", "bound", "applicable", "ok"]
         assert calls == collections.Counter({("LocalizationReport", c): 1 for c in loc}
                                             | {("SpectrumReport", c): 1 for c in spec}
                                             | {("AxisScan", c): 1 for c in scan}
@@ -545,6 +547,27 @@ class TestDegradedPipelines:
         assert not doc["pass"]
         assert "error" in doc["trajectory"]
         assert not doc["checks"]["spectrum_complete"]["pass"]
+
+    def test_incomplete_spectrum_skips_the_segment_bounds(self, tmp_path, monkeypatch):
+        # without a complete spectrum there is no basis and no cond(Q), so no
+        # cap is proven: the check is skipped and the basis is never built
+        def no_basis(*args, **kwargs):
+            raise AssertionError("the basis of an incomplete spectrum was built")
+
+        monkeypatch.setattr(modal, "build_basis", no_basis)
+        cfg = write_config(tmp_path / "hot.json", {
+            "gamma": 2.0,
+            "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 23},
+            "tasks": ["localize", "resolvent-scan"],
+        })
+        out = tmp_path / "out"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["checks"]["segment_bounds"] == {"pass": True, "skipped": True,
+                                                   "detail": "no cond(Q): cap not proven"}
+        scan = json.loads((out / "axis_scan.json").read_text())
+        assert scan["segment_bounds_ok"] is None
+        assert all(row["upper"] is None for row in scan["segment_bound_checks"])
 
     def test_envelope_underflow_is_fitted_on_the_positive_samples(self, tmp_path):
         # exp(Re lam t) underflows to 0 from t ~ 3.5e4 on, inside the whole

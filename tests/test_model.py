@@ -89,15 +89,19 @@ def power_edge_cases():
 
 
 def per_mode_linearization(sys):
-    """F and F' at i*omega_k, mode by mode, as charfn formed them before the constant."""
-    f0, f1 = [], []
+    """F, F' and F'' at i*omega_k, mode by mode (F and F' as charfn formed them before the
+    constant)."""
+    f0, f1, f2 = [], [], []
     for k in range(sys.N):
         wk, ck = float(sys.omegas[k]), float(sys.cs[k])
         mask = np.arange(sys.N) != k
-        others = 2.0 * float(np.sum(sys.cs[mask] ** 2 / (sys.omegas[mask] ** 2 - wk**2)))
+        gaps = sys.omegas[mask] ** 2 - wk**2
+        others = 2.0 * float(np.sum(sys.cs[mask] ** 2 / gaps))
+        bends = 8.0 * float(np.sum(sys.cs[mask] ** 2 / gaps**2))
         f0.append(complex(ck**2 / wk))
         f1.append(2.0 / (sys.gamma * wk) + 1j * (others + ck**2 / (2.0 * wk**2)))
-    return np.array([f0, f1], dtype=complex)
+        f2.append(complex(wk * bends - ck**2 / (2.0 * wk**3), 4.0 / (sys.gamma * wk**2)))
+    return np.array([f0, f1, f2], dtype=complex)
 
 
 class TestImmutability:
@@ -124,7 +128,7 @@ class TestImmutability:
     def test_copies_and_pickles_stay_read_only(self):
         sys = beam_example(1.0, 1.0, 4, gamma=2.0)
         assert sys.iw.size == 4 and "iw" in vars(sys)  # built here; each copy builds its own
-        assert sys.linearization.shape == (2, 4)
+        assert sys.linearization.shape == (3, 4)
         for twin in (copy.copy(sys), copy.deepcopy(sys), pickle.loads(pickle.dumps(sys))):
             assert twin.gamma == 2.0 and twin.generator == sys.generator
             np.testing.assert_array_equal(twin.omegas, sys.omegas)

@@ -176,14 +176,17 @@ def localization_with_edge_values(rows=len(EDGE_FLOATS)):
 
 
 def scan_with_edge_values(bands=len(EDGE_FLOATS)):
-    """An axis scan of ``bands`` bands (up to 7) over the edge values, with its checks."""
+    """An axis scan of ``bands`` bands (up to 7) over the edge values, with its checks
+    (which carry a ``cond`` unless ``bands`` is even)."""
     ks = list(range(4, 4 + bands))
-    lo, hi, center, sup, bound = (np.roll(EDGE_FLOATS, i)[:bands].tolist() for i in range(5))
+    lo, hi, center, sup, bound, upper = (np.roll(EDGE_FLOATS, i)[:bands].tolist()
+                                         for i in range(6))
     scan = AxisScan(k=ks, s_lo=lo, s_hi=hi, center=center, sup=sup,
                     alpha_fit=LogLogFit(math.nan, -0.0, math.inf))
-    checks = SegmentBoundChecks(k=ks, sup=sup, bound=bound,
+    checks = SegmentBoundChecks(k=ks, sup=sup, upper=upper, bound=bound,
                                 applicable=[i % 2 == 0 for i in range(bands)],
-                                ok=[i % 3 != 0 for i in range(bands)])
+                                ok=[i % 3 != 0 for i in range(bands)],
+                                cond=None if bands % 2 == 0 else 2.0)
     return scan, checks
 
 

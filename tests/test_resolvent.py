@@ -341,10 +341,32 @@ class TestAxisScan:
             assert sup**2 <= cap_sq * (1 + 1e-12)
 
     def test_certified_caps_hold(self, beam23, beam23_spectrum):
+        # the proven upper end cond(Q) sup, not the lower end sup, lies under each cap
         scan = axis_scan(beam23, beam23_spectrum, (3, 20))
-        checks = segment_bound_checks(scan, localize_modes(beam23, range(1, 24)))
+        cond = build_basis(beam23, beam23_spectrum).cond_Q
+        checks = segment_bound_checks(scan, localize_modes(beam23, range(1, 24)), cond)
         assert np.count_nonzero(checks.applicable) >= 15
         assert checks.ok.all()
+        assert checks.upper.tolist() == (cond * scan.sup).tolist()
+        assert np.max(checks.upper[checks.applicable] / checks.bound[checks.applicable]) < 0.35
+
+    def test_cap_without_cond_is_not_proven(self, beam23, beam23_spectrum):
+        # sup = 1/m_k bounds the norm from below only; without cond(Q) nothing
+        # shows an applicable cap holds, however far under it sup lies
+        scan = axis_scan(beam23, beam23_spectrum, (3, 20))
+        checks = segment_bound_checks(scan, localize_modes(beam23, range(1, 24)))
+        assert checks.cond is None and np.isnan(checks.upper).all()
+        assert (scan.sup[checks.applicable] < checks.bound[checks.applicable]).all()
+        assert checks.ok.tolist() == (~checks.applicable).tolist()
+
+    def test_cap_fails_when_the_upper_end_exceeds_it(self, beam23, beam23_spectrum):
+        scan = axis_scan(beam23, beam23_spectrum, (3, 20))
+        loc = localize_modes(beam23, range(1, 24))
+        applicable = segment_bound_checks(scan, loc).applicable
+        ratio = (segment_bound_checks(scan, loc, 1.0).bound / scan.sup)[applicable]
+        checks = segment_bound_checks(scan, loc, float(np.min(ratio)) * 1.01)
+        assert not checks.ok.all()
+        assert checks.ok.tolist() == (~applicable | (checks.upper <= checks.bound)).tolist()
 
     @pytest.mark.parametrize("sys", [beam_example(1.0, 1.0, 23, gamma=g) for g in (0.1, 1.0, 3.0)]
                              + [beam_example(1.0, 1.0, 64), beam_example(1.0, 1.0, 256)]
@@ -354,9 +376,12 @@ class TestAxisScan:
         scan = axis_scan(sys, full_spectrum(sys), (2, sys.N - 1))
         for ks in (range(1, sys.N + 1), range(1, sys.N + 1, 2), [sys.N], []):
             loc = localize_modes(sys, ks)
-            expected = oracles.segment_bound_checks(scan, loc.certificates)
-            assert columns_text(segment_bound_checks(scan, loc), oracles.CHECK_COLUMNS) \
-                == columns_text(expected, oracles.CHECK_COLUMNS), list(ks)
+            for cond in (None, 1.0, 3.7):
+                expected = oracles.segment_bound_checks(scan, loc.certificates, cond)
+                got = segment_bound_checks(scan, loc, cond)
+                assert got.cond == expected.cond
+                assert columns_text(got, oracles.CHECK_COLUMNS) \
+                    == columns_text(expected, oracles.CHECK_COLUMNS), (list(ks), cond)
 
     def test_columns_are_read_only(self, beam23, beam23_spectrum):
         scan = axis_scan(beam23, beam23_spectrum, (3, 6))

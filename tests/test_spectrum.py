@@ -19,6 +19,7 @@ from obsdecay.charfn import (
     eval_f_prime,
     lambda_star,
     localize,
+    newton_seed,
 )
 from obsdecay.dynamics import dense_generator
 from obsdecay.model import SystemSpec, beam_example, build_system
@@ -150,7 +151,7 @@ def reference_radius(sys, z, fz):
 def solve_lower_root(sys, k):
     """The lower root of mode k solved on its own, with its certificate disk.
 
-    Newton from the conjugated first-order seed (or from the conjugated
+    Newton from the conjugated second-order seed (or from the conjugated
     left-shifted backup seed), then the Rouche test at that root.  Returns
     ``(lam, residual, newton_iters, fallback, disk_radius)``, the disk
     centred at ``lam``, or None when no root of mode k is found.
@@ -159,7 +160,7 @@ def solve_lower_root(sys, k):
     band = 0.5 * (sys.min_gap() if sys.N > 1 else wk)
     fallback = False
     try:
-        lam, resid, iters = newton_root(sys, lambda_star(CharContext(sys, k)).conjugate())
+        lam, resid, iters = newton_root(sys, newton_seed(CharContext(sys, k)).conjugate())
         if abs(lam.imag + wk) > band:
             raise NewtonError("left the mode band")
     except (NewtonError, PoleError):
@@ -397,8 +398,8 @@ class TestFullSpectrum:
         pytest.param([beam_example(1.0, 1.0, 23)], id="beam23"),
         pytest.param([beam_example(1.0, 1.0, 64)], id="beam64"),
         pytest.param([beam_example(1.0, 1.0, 23, gamma=2.0)], id="overdamped"),
-        # a fallback root (seed 1), overdamped first modes and modes lost
-        # to the band check (seed 2)
+        # overdamped first modes and modes lost to the band check (seed 2);
+        # a fallback root is checked in test_backup_seed_root_matches_direct_solve
         pytest.param(perturbed_beam_family(1, 4) + perturbed_beam_family(2, 4), id="perturbed"),
     ])
     def test_lower_half_matches_direct_solve(self, systems):
@@ -423,11 +424,22 @@ class TestFullSpectrum:
                 assert e.certified == (not np.isnan(e.disk_radius) and not meets), (sys.N, e)
 
     def test_perturbed_oracle_systems_cover_fallback_and_failures(self):
+        # the perturbed families no longer need the backup seed; mode 1 of
+        # system 88 of the first sweep family (an overdamped real pair) does
         reps = [full_spectrum(s) for s in perturbed_beam_family(1, 4) + perturbed_beam_family(2, 4)]
-        assert any(e.fallback for rep in reps for e in rep.eigs)
+        backup = full_spectrum(SystemSpec.from_json_dict(
+            load_bench_workloads().random_family(1)[88].doc))
+        assert backup.k[backup.fallback].tolist() == [1]
         assert any("meets another root's disk" in msg for rep in reps for msg in rep.failures)
         assert any("fallback Newton failed" in msg and "past the escape radius" in msg
                    for rep in reps for msg in rep.failures)
+
+    def test_backup_seed_root_matches_direct_solve(self):
+        sys = SystemSpec.from_json_dict(load_bench_workloads().random_family(1)[88].doc)
+        lower = next(e for e in full_spectrum(sys).eigs if e.k == 1 and e.half == "lower")
+        direct = solve_lower_root(sys, 1)
+        assert direct[3] and (lower.lam, lower.residual, lower.newton_iters) == direct[:3]
+        assert lower.fallback and same_float(lower.disk_radius, direct[4])
 
     def test_one_newton_solve_and_no_localize_or_winding_count(self, beam23, monkeypatch):
         # one batched Newton for all modes, one more for the fallback seeds;
@@ -452,8 +464,8 @@ class TestFullSpectrum:
 
     def test_eval_f_work_count(self, monkeypatch):
         # the counts repeat exactly; at N = 256, running the backup seeds of the
-        # stalled modes out to |lam| ~ 1e12 would take 7790 points, and trying
-        # all 21 halvings at every stalled iterate 4284
+        # stalled modes on past the escape radius would take 4870 points, and
+        # trying all 21 halvings at every stalled iterate 4157
         points = []
 
         def counted(sys, lam):
@@ -462,13 +474,13 @@ class TestFullSpectrum:
 
         monkeypatch.setattr(spectrum, "eval_f", counted)
         full_spectrum(beam_example(1.0, 1.0, 23))
-        assert sum(points) == 68
+        assert sum(points) == 37
         points.clear()
         full_spectrum(beam_example(1.0, 1.0, 128))
-        assert sum(points) == 405
+        assert sum(points) == 292
         points.clear()
         full_spectrum(beam_example(1.0, 1.0, 256))
-        assert sum(points) == 1414
+        assert sum(points) == 1364
 
     def test_overdamped_pair_is_flagged(self):
         # at gamma = 2 the first mode pair collides on the real axis; the
@@ -494,6 +506,60 @@ class TestFullSpectrum:
                    for msg in rep.failures)
         assert all(e.certified for e in rep.eigs if e.k > 1)
         assert matching_distance(rep.eigenvalues(), dense_oracle_spectrum(sys)) > 100.0
+
+
+# roots found and certified (both halves) and complete reports of the beam
+# grid, per N over BEAM_GAMMAS ("x" marks a complete report); a change of
+# Newton seed must find and certify the same roots
+BEAM_GAMMAS = (1e-6, 1e-3, 1e-2, 0.1, 0.3, 0.5, 1.0, 2.0, 3.0, 10.0, 100.0)
+BEAM_COUNTS = {
+    1: ((0, 0, 0, 2, 2, 2, 2, 0, 0, 0, 0),
+        (0, 0, 0, 2, 2, 2, 2, 0, 0, 0, 0), "...xxxx...."),
+    2: ((0, 0, 2, 4, 4, 4, 4, 4, 4, 4, 4),
+        (0, 0, 2, 4, 4, 4, 4, 2, 2, 2, 2), "...xxxx...."),
+    3: ((0, 0, 2, 6, 6, 6, 6, 6, 6, 6, 6),
+        (0, 0, 2, 6, 6, 6, 6, 4, 4, 4, 4), "...xxxx...."),
+    5: ((0, 0, 2, 10, 10, 10, 10, 10, 10, 10, 10),
+        (0, 0, 2, 10, 10, 10, 10, 8, 8, 8, 8), "...xxxx...."),
+    8: ((0, 0, 0, 14, 16, 16, 16, 16, 16, 16, 16),
+        (0, 0, 0, 14, 16, 16, 16, 14, 14, 14, 14), "....xxx...."),
+    23: ((0, 0, 2, 18, 44, 46, 46, 46, 46, 46, 46),
+         (0, 0, 2, 18, 44, 46, 46, 44, 44, 44, 44), ".....xx...."),
+    40: ((0, 0, 2, 16, 52, 74, 80, 80, 80, 80, 80),
+         (0, 0, 2, 16, 52, 74, 80, 78, 78, 78, 78), "......x...."),
+    64: ((0, 0, 0, 20, 54, 88, 128, 128, 128, 128, 128),
+         (0, 0, 0, 20, 54, 88, 128, 126, 126, 126, 126), "......x...."),
+    100: ((0, 0, 0, 22, 62, 92, 160, 200, 200, 200, 200),
+          (0, 0, 0, 22, 62, 92, 160, 198, 198, 198, 198), "..........."),
+    128: ((0, 0, 0, 26, 56, 104, 192, 256, 256, 256, 256),
+          (0, 0, 0, 26, 56, 104, 192, 254, 254, 254, 254), "..........."),
+    256: ((0, 0, 2, 24, 60, 112, 218, 372, 452, 512, 512),
+          (0, 0, 2, 24, 60, 112, 218, 370, 450, 510, 510), "..........."),
+}
+# (modes found, modes certified, complete reports) over each sweep family
+SWEEP_COUNTS = {1: (3225, 3182, 93), 2: (3229, 3184, 95), 3: (3235, 3193, 97),
+                4: (3237, 3188, 96), 5: (3235, 3191, 96)}
+
+
+def spectrum_counts(rep):
+    return 2 * rep.k.size, 2 * int(np.count_nonzero(rep.certified)), rep.complete
+
+
+class TestSpectrumCounts:
+    @pytest.mark.parametrize("n", sorted(BEAM_COUNTS))
+    def test_beam_grid(self, n):
+        counts = [spectrum_counts(full_spectrum(beam_example(1.0, 1.0, n, gamma=g)))
+                  for g in BEAM_GAMMAS]
+        found, certified, complete = zip(*counts)
+        assert (found, certified, "".join(".x"[c] for c in complete)) == BEAM_COUNTS[n]
+
+    @pytest.mark.parametrize("family", sorted(SWEEP_COUNTS))
+    def test_sweep_family(self, family):
+        totals = np.zeros(3, dtype=int)
+        for case in load_bench_workloads().random_family(family):
+            rep = full_spectrum(SystemSpec.from_json_dict(case.doc))
+            totals += (rep.k.size, np.count_nonzero(rep.certified), rep.complete)
+        assert tuple(totals.tolist()) == SWEEP_COUNTS[family]
 
 
 class TestSpectrumColumns:
