@@ -35,6 +35,7 @@ EXIT_CONFIG = 2
 ALL_TASKS = ("verify", "localize", "spectrum", "resolvent-scan", "simulate",
              "envelope", "report")
 SIM_T_FIRST = 0.01  # first positive time of the simulate grid
+STAGE_ERRORS = (modal.BasisError, dynamics.IntegrationError, ValueError)  # FitError is a ValueError
 
 
 class ConfigError(ValueError):
@@ -326,8 +327,7 @@ class Pipeline:
         for task in (t for t in ALL_TASKS if t in tasks):
             try:
                 code, doc, text = self.run(task)
-            except (modal.BasisError, dynamics.IntegrationError,
-                    dynamics.FitError) as exc:
+            except STAGE_ERRORS as exc:  # ConfigErrors come before any stage runs
                 code, doc, text = EXIT_CHECK_FAILED, {"error": str(exc)}, None
             worst = max(worst, code)
             results[key_map[task]] = doc
@@ -463,7 +463,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return EXIT_CONFIG
-    except (modal.BasisError, dynamics.IntegrationError, dynamics.FitError) as exc:
+    except STAGE_ERRORS as exc:  # after ConfigError, itself a ValueError
         print(f"computation failed: {exc}", file=_sys.stderr)
         return EXIT_CHECK_FAILED
 

@@ -266,9 +266,10 @@ def _linearizations(gamma: float, omegas: np.ndarray, cs: np.ndarray) -> np.ndar
     gaps = omegas**2 - wk2[:, None]
     with np.errstate(divide="ignore"):  # the own term j = k, dropped below
         terms = cs**2 / gaps
-        curvs = cs**2 / gaps**2
-    others = 2.0 * np.sum(_without_own(terms, ks), axis=1)
-    bends = 8.0 * np.sum(_without_own(curvs, ks), axis=1)
+        others = 2.0 * np.sum(_without_own(terms, ks), axis=1)
+        np.square(gaps, out=gaps)  # F'' reuses both N x N arrays
+        np.divide(cs**2, gaps, out=terms)
+    bends = 8.0 * np.sum(_without_own(terms, ks), axis=1)
     f0, f1, f2 = [], [], []
     for w, c, o, b in zip(wk, cs.tolist(), others.tolist(), bends.tolist()):
         f0.append(complex(c**2 / w))

@@ -12,14 +12,14 @@ arithmetic as a scalar iteration from its seed.  An iterate
 past :func:`escape_radius` is stopped: no root lies out there, and Newton
 only moves outward.  An iterate whose damped step rounds to itself stops
 halving at once: rounding is monotone, so every smaller step rounds to it
-too and no halving could lower ``|f|``.  Each root is
-then certified by one closed-form a-posteriori Rouche disk centred at it
-(:func:`_certified_radii`).  The report is ``complete`` when every mode is
-found and every root certified; f has exactly 2N zeros, so 2N disjoint
-one-zero disks prove the spectrum complete and simple (up to rounding in
-the computed ``|f|``, ``|f'|`` and remainder bound).  The contour count
-:func:`winding_number` and a dense eigenvalue solve (in the tests) are
-independent oracles.
+too and no halving could lower ``|f|``.  Each root is then certified by one
+a-posteriori Rouche disk centred at it, whose closed-form radius keeps the
+remainder constant ``K(r) <= 2 K0`` (:func:`_certified_radii`).  The report
+is ``complete`` when every mode is found and every root certified; f has
+exactly 2N zeros, so 2N disjoint one-zero disks prove the spectrum complete
+and simple (up to rounding in the computed ``|f|``, ``|f'|`` and ``K0``).
+The contour count :func:`winding_number` and a dense eigenvalue solve (in
+the tests) are independent oracles.
 
 A :class:`SpectrumReport` stores one row per found mode, as read-only
 column arrays over the upper roots; the lower half, :meth:`eigenvalues` and
@@ -45,9 +45,9 @@ WINDING_SAMPLES_INIT = 128
 WINDING_SAMPLES_CAP = 8192
 WINDING_INT_TOL = 1e-6
 CONTOUR_MIN_ABS_F = 1e-9
-# certificate radii, as fractions of min(distance to the nearest pole, -Re z);
-# below 1e-12 the test would read rounding noise in |f(z)| as proof
-CERT_RADII = np.geomspace(1e-12, 0.99, 60)
+# smallest certificate radius, as a fraction of min(distance to the nearest
+# pole, -Re z); below it the test would read rounding noise in |f(z)| as proof
+CERT_FLOOR = 1e-12
 
 
 class NewtonError(RuntimeError):
@@ -353,30 +353,30 @@ class SpectrumReport:
         }
 
 
-def _certified_radii(sys: SystemSpec, roots: np.ndarray, resids: np.ndarray) -> np.ndarray:
-    """Largest radius on the :data:`CERT_RADII` grid of a one-zero disk about each root.
+def _certified_radii(sys: SystemSpec, roots: np.ndarray, resids: np.ndarray,
+                     d: np.ndarray) -> np.ndarray:
+    """Closed-form radius of a one-zero Rouche disk about each root.
 
     Every term of f is a simple pole, so on ``|lam - z| = r < d_a = |z - a|``
-    the Taylor remainder ``(lam - z)^2 sum_a res_a/((z - a)^2 (lam - a))`` is
-    at most ``r^2 K(r)``, ``K(r) = sum_a |res_a| / (d_a^2 (d_a - r))``; Rouche
-    puts one zero in the disk when ``|f'(z)| r - |f(z)| > r^2 K(r)``, with
-    ``|f(z)|`` = ``resids``.  Radii stay below ``-Re z``; NaN where none passes.
+    the Taylor remainder is at most ``r^2 K(r)``, ``K(r) = sum_a |res_a| /
+    (d_a^2 (d_a - r))``, and Rouche puts one zero in the disk when
+    ``|f'(z)| r - |f(z)| > r^2 K(r)``.  Each ``r <= reach/2``, ``reach =
+    min(min_a d_a, -Re z)``, has ``d_a - r >= d_a/2``, so ``K(r) <= 2 K0 =
+    2 sum_a |res_a| / d_a^3``; the concave ``|f'(z)| r - 2 K0 r^2`` peaks on
+    ``(0, reach/2]`` at ``r = min(reach/2, |f'(z)|/(4 K0))``, the radius if
+    there it exceeds ``|f(z)|`` (``resids``) and ``r >= CERT_FLOOR reach > 0``;
+    else no radius of that range passes and it is NaN.  ``d`` is the
+    ``hypot`` table of ``|z - a|`` over :attr:`SystemSpec.poles`; ``K0`` adds
+    each ``+/- i omega_j`` pair first, so conjugates match bitwise.
     """
-    res = sys.pole_residues
-    d = np.abs(roots[:, None] - sys.poles)
+    terms = sys.pole_residues / (d * d * d)
+    k0 = terms[:, 0] + (terms[:, 1:sys.N + 1] + terms[:, sys.N + 1:]).sum(axis=1)
     reach = np.minimum(np.min(d, axis=1), -roots.real)
-    slope = np.abs(eval_f_prime(sys, roots))
-    radii = np.full(roots.size, np.nan)
-    todo = np.flatnonzero(reach > 0.0)
-    for frac in CERT_RADII[::-1]:
-        r, dt = frac * reach[todo], d[todo]
-        K = (res / (dt * dt * (dt - r[:, None]))).sum(axis=1)
-        ok = slope[todo] * r - resids[todo] > r * r * K
-        radii[todo[ok]] = r[ok]
-        todo = todo[~ok]
-        if not todo.size:
-            break
-    return radii
+    deriv = eval_f_prime(sys, roots)
+    slope = np.hypot(deriv.real, deriv.imag)
+    r = np.minimum(0.5 * reach, slope / (4.0 * k0))
+    ok = (reach > 0.0) & (r >= CERT_FLOOR * reach) & (slope * r - resids > 2.0 * k0 * r * r)
+    return np.where(ok, r, np.nan)
 
 
 def _meets_another(c: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -430,7 +430,9 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
 
     found = np.array([i for i in range(sys.N) if i not in failures], dtype=int)
     lam = roots[found]
-    radius = _certified_radii(sys, lam, resids[found])
+    gaps = lam[:, None] - sys.poles
+    dist = np.hypot(gaps.real, gaps.imag)
+    radius = _certified_radii(sys, lam, resids[found], dist)
     meets = _meets_another(np.concatenate([lam, lam.conj()]),
                            np.tile(radius, 2)).reshape(2, -1).any(axis=0)
     certified = ~np.isnan(radius) & ~meets
@@ -438,17 +440,14 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
     for j in np.flatnonzero(~certified).tolist():
         root, k = complex(lam[j]), int(found[j]) + 1
         if np.isnan(radius[j]):
-            why = "no radius 0 < r < min(|root - pole|, -Re root) has |f'| r - |f| > r^2 K(r)"
+            why = "no r <= min(|root - pole|, -Re root)/2 has |f'| r - |f| > 2 K0 r^2"
         else:
             why = f"disk of radius {float(radius[j]):.3e} meets another root's disk"
         for half, z in (("upper", root), ("lower", root.conjugate())):
             uncertified.append(f"mode {k} ({half}): root {z} not certified: {why}")
 
     # a lower root has the nearest pole distance and |lam| of its upper one
-    iw = sys.iw
-    nearest_pole = np.min(np.minimum(np.abs(lam[:, None] - iw), np.abs(lam[:, None] + iw)),
-                          axis=1)
-    enc = float(np.max(nearest_pole - enclosure_radius(sys, lam), initial=0.0))
+    enc = float(np.max(np.min(dist[:, 1:], axis=1) - enclosure_radius(sys, lam), initial=0.0))
 
     fail_msgs = [failures[i] for i in sorted(failures)] + uncertified
     return SpectrumReport(k=found + 1, lam=lam, residual=resids[found], radius=radius,

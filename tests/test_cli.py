@@ -569,6 +569,27 @@ class TestDegradedPipelines:
         assert scan["segment_bounds_ok"] is None
         assert all(row["upper"] is None for row in scan["segment_bound_checks"])
 
+    @pytest.mark.parametrize("n, task, check, error", [
+        (5, "envelope", "envelope_ran", "spectrum report carries no eigenvalues"),
+        (12, "resolvent-scan", "axis_scan_ran", "the axis scan needs at least one eigenvalue"),
+    ], ids=["envelope", "resolvent-scan"])
+    def test_empty_spectrum_is_a_stage_failure(self, n, task, check, error, tmp_path, capsys):
+        # at gamma = 1e-6 no root of these beams is found; the stage that needs
+        # one fails, the report records it and both runs exit 1
+        cfg = write_config(tmp_path / "cold.json", {
+            "gamma": 1e-6,
+            "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": n},
+            "tasks": ["verify", "spectrum", task],
+        })
+        out = tmp_path / "out"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
+        doc = json.loads((out / "report.json").read_text())
+        assert doc["spectrum"]["count"] == 0 and not doc["pass"]
+        assert doc["checks"][check] == {"pass": False, "detail": error}
+        capsys.readouterr()
+        assert main([task, "--config", cfg, "--out", str(tmp_path / "verb")]) == EXIT_CHECK_FAILED
+        assert capsys.readouterr().err == f"computation failed: {error}\n"
+
     def test_envelope_underflow_is_fitted_on_the_positive_samples(self, tmp_path):
         # exp(Re lam t) underflows to 0 from t ~ 3.5e4 on, inside the whole
         # grid the non-polynomial fit falls back to; only the positive

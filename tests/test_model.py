@@ -2,6 +2,7 @@ import copy
 import json
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from conftest import load_bench_workloads, perturbed_beam_family
 from obsdecay.model import (
     ALPHA_GRID_MAX,
     SystemSpec,
+    _linearizations,
     alpha_grid,
     beam_example,
     build_system,
@@ -163,6 +165,20 @@ class TestImmutability:
             assert got.tobytes() == want.tobytes(), name
             assert getattr(sys, name) is got, f"{name} is built once"
         assert sys.coupling_sum() == float(np.sum(sys.cs**2 / sys.omegas))
+
+
+class TestLinearizationMemory:
+    def test_peak_stays_within_three_and_a_half_n_by_n_arrays(self):
+        # gaps, the terms reused for the curvatures, and one row sum copy
+        n = 256
+        sys = beam_example(1.0, 1.0, n)
+        tracemalloc.start()
+        try:
+            _linearizations(sys.gamma, sys.omegas, sys.cs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * n * n * 8
 
 
 class TestBeamExample:

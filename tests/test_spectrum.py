@@ -24,7 +24,7 @@ from obsdecay.charfn import (
 from obsdecay.dynamics import dense_generator
 from obsdecay.model import SystemSpec, beam_example, build_system
 from obsdecay.spectrum import (
-    CERT_RADII,
+    CERT_FLOOR,
     NEWTON_MAX_HALVINGS,
     NEWTON_MAX_ITERS,
     NEWTON_TOL,
@@ -131,20 +131,24 @@ def band_exit(sys, k, root):
 def reference_radius(sys, z, fz):
     """Reference copy of the a-posteriori Rouche test at one root ``z`` with |f(z)| = fz.
 
-    The largest radius ``r`` on the grid, as a fraction of
-    ``min(distance to the nearest pole, -Re z)``, with
-    ``|f'(z)| r - fz > r^2 sum_a |res_a| / (d_a^2 (d_a - r))``; NaN if none.
+    With ``reach = min(distance to the nearest pole, -Re z)`` and
+    ``K0 = sum_a |res_a| / d_a^3``, the radius ``r = min(reach/2, |f'(z)|/(4 K0))``
+    if ``reach > 0``, ``r >= CERT_FLOOR reach`` and ``|f'(z)| r - fz > 2 K0 r^2``;
+    NaN otherwise.  ``K0`` adds each ``+/- i omega_j`` pair first.
     """
     poles = np.concatenate([[0.0], 1j * sys.omegas, -1j * sys.omegas])
     weights = sys.cs**2 / sys.omegas
     res = np.concatenate([[2.0 / sys.gamma], weights, weights])
-    d = np.abs(z - poles)
+    gaps = z - poles
+    d = np.hypot(gaps.real, gaps.imag)
     reach = min(float(np.min(d)), -z.real)
-    slope = abs(eval_f_prime(sys, z))
-    for frac in CERT_RADII[::-1] if reach > 0.0 else ():
-        r = frac * reach
-        if slope * r - fz > r * r * np.sum(res / (d * d * (d - r))):
-            return r
+    terms = res / (d * d * d)
+    k0 = terms[0] + np.sum(terms[1:sys.N + 1] + terms[sys.N + 1:])
+    deriv = eval_f_prime(sys, z)
+    slope = np.hypot(deriv.real, deriv.imag)
+    r = min(0.5 * reach, slope / (4.0 * k0))
+    if reach > 0.0 and r >= CERT_FLOOR * reach and slope * r - fz > 2.0 * k0 * r * r:
+        return r
     return float("nan")
 
 
@@ -174,6 +178,13 @@ def solve_lower_root(sys, k):
     if np.argmin(np.abs(sys.omegas - abs(lam.imag))) + 1 != k:
         return None
     return lam, resid, iters, fallback, reference_radius(sys, lam, resid)
+
+
+def exact_rouche_terms(sys, z, r):
+    """``(d, reach, |f'(z)|, K(r))`` of the Rouche test at ``z``, ``d`` over ``sys.poles``."""
+    d = np.abs(z - sys.poles)
+    exact_k = np.sum(sys.pole_residues / (d * d * (d - r)))
+    return d, min(float(np.min(d)), -z.real), abs(eval_f_prime(sys, z)), exact_k
 
 
 def same_float(a, b):
@@ -617,6 +628,14 @@ class TestSpectrumColumns:
         assert "eigs" not in vars(rep)
 
 
+ORACLE_SYSTEMS = [
+    pytest.param([beam_example(1.0, 1.0, 23)], id="beam23"),
+    pytest.param([beam_example(1.0, 1.0, 128)], id="beam128"),
+    pytest.param([s for seed in (1, 2, 3) for s in perturbed_beam_family(seed, 4)],
+                 id="perturbed"),
+]
+
+
 class TestCertificateOracles:
     """Independent checks of the a-posteriori disks."""
 
@@ -630,12 +649,7 @@ class TestCertificateOracles:
             r[rng.integers(0, 40, 5)] = np.nan
             np.testing.assert_array_equal(spectrum._meets_another(c, r), disks_meet(c, r))
 
-    @pytest.mark.parametrize("systems", [
-        pytest.param([beam_example(1.0, 1.0, 23)], id="beam23"),
-        pytest.param([beam_example(1.0, 1.0, 128)], id="beam128"),
-        pytest.param([s for seed in (1, 2, 3) for s in perturbed_beam_family(seed, 4)],
-                     id="perturbed"),
-    ])
+    @pytest.mark.parametrize("systems", ORACLE_SYSTEMS)
     def test_each_certified_disk_holds_one_zero(self, systems):
         for sys in systems:
             dense = dense_oracle_spectrum(sys) if sys.N <= 64 else None
@@ -646,6 +660,36 @@ class TestCertificateOracles:
                 if dense is not None:
                     inside = np.abs(dense - e.lam) < e.disk_radius
                     assert np.count_nonzero(inside) == 1, (sys.N, e)
+
+    @pytest.mark.parametrize("systems", ORACLE_SYSTEMS)
+    def test_each_certified_radius_passes_the_exact_rouche_test(self, systems):
+        # the closed-form radius stays within half the reach, and there the
+        # Rouche test holds with the exact K(r), not only with its bound 2 K0
+        for sys in systems:
+            for e in full_spectrum(sys).eigs:
+                if e.certified:
+                    _, reach, slope, exact_k = exact_rouche_terms(sys, e.lam, e.disk_radius)
+                    r = e.disk_radius
+                    assert r <= 0.5 * reach, (sys.N, e)
+                    assert slope * r - e.residual > r * r * exact_k, (sys.N, e)
+
+    @pytest.mark.parametrize("systems", ORACLE_SYSTEMS)
+    def test_radii_stay_sound_for_larger_residuals(self, systems):
+        # the computed residuals leave the test a wide margin, so each root is
+        # also tried with 256 residuals up to |f'| reach / 2: any radius given
+        # must pass the exact test with that residual
+        for sys in systems:
+            for z in full_spectrum(sys).lam.tolist():
+                d, reach, slope, _ = exact_rouche_terms(sys, z, 0.0)
+                fz = np.linspace(0.0, 0.5 * slope * reach, 257)[1:]
+                r = spectrum._certified_radii(sys, np.full(fz.size, z), fz,
+                                              np.tile(d, (fz.size, 1)))
+                ok = ~np.isnan(r)
+                assert ok.any(), (sys.N, z)
+                r, fz = r[ok], fz[ok]
+                exact_k = np.sum(sys.pole_residues / (d * d * (d - r[:, None])), axis=1)
+                assert np.all(r <= 0.5 * reach), (sys.N, z)
+                assert np.all(slope * r - fz > r * r * exact_k), (sys.N, z)
 
 
 class TestDenseOracle:
