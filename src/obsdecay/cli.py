@@ -88,6 +88,8 @@ class Tolerances:
         tol = replace(defaults, **doc)
         # the conditions the library calls raise ValueError for
         ranges = (
+            (all(math.isfinite(v) for v in doc.values() if isinstance(v, float)),
+             "every tolerance must be finite"),
             (tol.beta > 0.0, "beta must be positive"),
             (tol.k0 >= 1, "k0 must be at least 1"),
             (0.0 < tol.theta_frac < 1.0, "theta_frac must lie in (0, 1)"),

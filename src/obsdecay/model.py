@@ -11,7 +11,7 @@ Standing assumptions checked here:
   (enforced at construction);
 * a uniform frequency gap ``omega_{j+1} - omega_j >= kappa > 0``;
 * a coupling lower bound ``|c_k| * omega_k**(alpha/2) >= beta`` for
-  ``k0 <= k <= N`` (finite-range by necessity: only N modes exist).
+  ``k0 <= k <= N`` (finite-range: only N modes exist), ``alpha`` in closed form.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# Feasibility grid for the coupling exponent alpha.  The inequality only
-# pins a feasible region; a fixed coarse grid keeps certificates reproducible.
-ALPHA_GRID_STEP = 0.1
-ALPHA_GRID_MAX = 8.0
+# The coupling bound counts as holding for exponents alpha in [ALPHA_MIN,
+# ALPHA_MAX]; the bound at alpha implies it at every larger alpha on the modes
+# with omega > 1, and the pipeline divides by alpha, so alpha is floored.
+ALPHA_MIN = 0.1
+ALPHA_MAX = 8.0
 
 
 @dataclass(frozen=True)
@@ -211,8 +212,9 @@ class AssumptionCertificate:
     """Result of checking the gap and coupling assumptions on one system.
 
     ``kappa`` is the smallest frequency gap (+inf for N = 1); ``alpha`` is the
-    smallest grid exponent making ``|c_k| omega_k**(alpha/2) >= beta`` hold on
-    ``k0 <= k <= N``, or the grid maximum when none does (``holds_A3`` False).
+    first double >= ``ALPHA_MIN`` making ``|c_k| omega_k**(alpha/2) >= beta`` hold
+    on the modes ``k >= k0`` with ``omega_k > 1``, even where ``holds_A3`` -- the
+    bound at ``alpha`` on every mode ``k >= k0``, and ``alpha <= ALPHA_MAX`` -- fails.
     The certificate is finite-range: it reports what holds up to mode N.
     """
 
@@ -309,12 +311,6 @@ def beam_example(theta: float, sigma: float, N: int, gamma: float = 1.0) -> Syst
     )
 
 
-def alpha_grid() -> np.ndarray:
-    """The declared search grid for the coupling exponent: 0.1, 0.2, ..., 8.0."""
-    n = int(round(ALPHA_GRID_MAX / ALPHA_GRID_STEP))
-    return np.round(np.arange(1, n + 1) * ALPHA_GRID_STEP, 10)
-
-
 def certify_assumptions(sys: SystemSpec, beta: float = 1.0, k0: int = 2) -> AssumptionCertificate:
     """Check the gap and coupling assumptions for one system.
 
@@ -322,12 +318,12 @@ def certify_assumptions(sys: SystemSpec, beta: float = 1.0, k0: int = 2) -> Assu
     ----------
     sys : SystemSpec
     beta : float
-        Coupling lower-bound level, > 0.
+        Coupling lower-bound level, finite and > 0.
     k0 : int
         First mode index the coupling bound must cover, 1 <= k0 <= N.
     """
-    if beta <= 0.0:
-        raise ValueError("beta must be positive")
+    if not (math.isfinite(beta) and beta > 0.0):
+        raise ValueError("beta must be positive and finite")
     if not 1 <= k0 <= sys.N:
         raise ValueError(f"k0 must lie in [1, {sys.N}], got {k0}")
     kappa = sys.min_gap()
@@ -335,17 +331,19 @@ def certify_assumptions(sys: SystemSpec, beta: float = 1.0, k0: int = 2) -> Assu
 
     tail_c = np.abs(sys.cs[k0 - 1 :])
     tail_w = sys.omegas[k0 - 1 :]
-    grid = alpha_grid()
-    half = grid / 2.0
-    # every grid exponent in one array pass; numpy's scalar power takes
-    # w ** 0.5 as sqrt(w) and w ** 2 as square(w), which can differ from pow
-    # in the last bit, so those rows keep the values a per-exponent loop sees
-    powers = tail_w ** half[:, None]
-    powers[half == 0.5] = np.sqrt(tail_w)
-    powers[half == 2.0] = np.square(tail_w)
-    holds = np.all(tail_c * powers >= beta, axis=1)
-    holds_a3 = bool(holds.any())
-    alpha = float(grid[holds.argmax()]) if holds_a3 else ALPHA_GRID_MAX
+    rising = tail_w > 1.0  # the modes where omega**(alpha/2) grows with alpha
+
+    def coupled(alpha: float, rows=slice(None)) -> bool:
+        return bool(np.all(tail_c[rows] * tail_w[rows] ** (alpha / 2.0) >= beta))
+
+    # |c_k| omega_k**(alpha/2) = beta solved on the rising modes, raised to the first double
+    # their float check passes; a mode with omega_k <= 1 failing there fails at any larger alpha
+    with np.errstate(over="ignore"):  # a product that overflows to inf does exceed beta
+        alpha = float(np.max(2.0 * np.log(beta / tail_c[rising]) / np.log(tail_w[rising]),
+                             initial=ALPHA_MIN))
+        while not coupled(alpha, rising):
+            alpha = math.nextafter(alpha, math.inf)
+        holds_a3 = alpha <= ALPHA_MAX and coupled(alpha)
 
     return AssumptionCertificate(
         kappa=kappa, alpha=alpha, beta=float(beta), k0=int(k0),

@@ -2,6 +2,7 @@ import collections
 import csv
 import gc
 import json
+import math
 import os
 import weakref
 
@@ -260,6 +261,23 @@ class TestReportVerb:
                 scan = json.loads((out / "axis_scan.json").read_text())
                 assert [seg[0] for seg in scan["segments"]] == [3, 4, 5]
 
+    def test_beam256_envelope_follows_the_closed_form_alpha(self, tmp_path):
+        # at alpha = 1.1 the exponent -1.089 missed its target by 0.180; at alpha = 1 by 0.089
+        cfg = write_config(tmp_path / "beam256.json", {
+            "gamma": 1.0,
+            "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 256},
+            "tasks": ["verify", "localize", "spectrum", "resolvent-scan", "envelope"],
+            "seed": 11,
+        })
+        out = tmp_path / "out"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
+        checks = json.loads((out / "report.json").read_text())["checks"]
+        assert {k for k, c in checks.items() if not c["pass"]} == {"spectrum_complete",
+                                                                    "axis_scan_slope"}
+        detail = checks["envelope_exponent"]["detail"]
+        assert checks["envelope_exponent"]["pass"]
+        assert abs(detail["exponent"] - detail["target"]) <= 0.1
+
     def test_report_forms_the_linearization_once(self, beam23_config, tmp_path, monkeypatch):
         # localization and the Newton seeds both read the system's cached F and F'
         calls = []
@@ -429,6 +447,8 @@ class TestReportVerb:
         {"envelope_t_lo": 300.0},
         {"envelope_t_hi": 0.5},
         {"sim_t_final": 0.01},
+        {"beta": math.inf},
+        {"envelope_t_hi": math.inf},
     ], ids=lambda doc: "-".join(f"{k}={v}" for k, v in doc.items()))
     def test_out_of_range_value_is_config_error(self, tolerances, tmp_path, capsys):
         cfg = write_config(tmp_path / "range.json", {

@@ -9,10 +9,9 @@ import pytest
 
 from conftest import load_bench_workloads, perturbed_beam_family
 from obsdecay.model import (
-    ALPHA_GRID_MAX,
+    ALPHA_MAX,
     SystemSpec,
     _linearizations,
-    alpha_grid,
     beam_example,
     build_system,
     certify_assumptions,
@@ -66,13 +65,24 @@ class TestBuildSystem:
 
 
 def grid_loop_alpha(sys, beta, k0):
-    """(alpha, holds_A3) by trying the grid exponents one at a time, smallest first."""
+    """(alpha, holds_A3) by trying the exponents 0.1, 0.2, ..., 8.0 one at a time, smallest first."""
     tail_c = np.abs(sys.cs[k0 - 1:])
     tail_w = sys.omegas[k0 - 1:]
-    for a in alpha_grid():
+    for a in np.round(np.arange(1, 81) * 0.1, 10):
         if np.all(tail_c * tail_w ** (a / 2.0) >= beta):
             return float(a), True
-    return ALPHA_GRID_MAX, False
+    return 8.0, False
+
+
+def coupling_holds(sys, beta, k0, alpha):
+    """The float64 check ``|c_k| omega_k**(alpha/2) >= beta`` on every mode k >= k0."""
+    with np.errstate(over="ignore"):
+        return bool(np.all(np.abs(sys.cs[k0 - 1:]) * sys.omegas[k0 - 1:] ** (alpha / 2.0) >= beta))
+
+
+def two_ulps(x, toward=math.inf):
+    """The double two steps from ``x`` toward ``toward``."""
+    return math.nextafter(math.nextafter(x, toward), toward)
 
 
 def power_edge_cases():
@@ -234,8 +244,8 @@ class TestCertifyAssumptions:
         sys = build_system(1.0, [1.0, 4.0], [1.0, 0.5])
         cert = certify_assumptions(sys, beta=1.0, k0=1)
         assert cert.kappa == 3.0
-        # smallest grid alpha with 0.5 * 4^(alpha/2) >= 1 is alpha = 1
-        assert cert.alpha == 1.0
+        # 0.5 * 4^(alpha/2) = 1 solves to alpha = 1; mode 1 (omega = 1) holds at every alpha
+        assert cert.alpha == 1.0 and cert.holds_A3
 
     @pytest.mark.parametrize("theta", [1.0, 2.0, 0.5, 0.25])
     def test_kappa_exact_for_dyadic_theta(self, theta):
@@ -254,9 +264,21 @@ class TestCertifyAssumptions:
         assert alphas == sorted(alphas)
 
     def test_infeasible_beta(self):
+        # mode 2 needs 2^(alpha/2) / 2 >= 1e6: alpha = log2(2e6), past ALPHA_MAX
         cert = certify_assumptions(beam_example(1.0, 1.0, 23), beta=1e6, k0=2)
         assert not cert.holds_A3
-        assert cert.alpha == ALPHA_GRID_MAX
+        assert cert.alpha > ALPHA_MAX
+        assert cert.alpha == pytest.approx(math.log2(2e6), rel=1e-15)
+
+    def test_modes_at_or_below_unit_frequency(self):
+        # omega <= 1 cannot raise alpha: mode 1 holds at alpha = 0.1 and mode 2 sets alpha = 2,
+        # where 2 * 0.25 < 1 fails mode 1, and it fails at every larger alpha too
+        sys = build_system(1.0, [0.25, 2.0], [2.0, 0.5])
+        cert = certify_assumptions(sys, beta=1.0, k0=1)
+        assert two_ulps(2.0, 0.0) <= cert.alpha <= two_ulps(2.0) and not cert.holds_A3
+        assert certify_assumptions(sys, beta=1.0, k0=2).holds_A3
+        low = certify_assumptions(build_system(1.0, [0.5, 1.0], [2.0, 1.0]), beta=1.0, k0=1)
+        assert low.alpha == 0.1 and low.holds_A3
 
     def test_single_mode_gap_is_vacuous(self):
         cert = certify_assumptions(build_system(1.0, [2.0], [1.0]), beta=0.5, k0=1)
@@ -268,30 +290,55 @@ class TestCertifyAssumptions:
         sys = beam_example(1.0, 1.0, 4)
         with pytest.raises(ValueError):
             certify_assumptions(sys, beta=0.0)
+        for beta in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="finite"):
+                certify_assumptions(sys, beta=beta)
         with pytest.raises(ValueError):
             certify_assumptions(sys, k0=0)
         with pytest.raises(ValueError):
             certify_assumptions(sys, k0=5)
 
-    def test_one_pass_matches_grid_loop(self):
-        """The one-pass alpha search gives every certificate the per-exponent loop gives."""
-        systems = [SystemSpec.from_json_dict(case.doc)
-                   for case in load_bench_workloads().random_family(1)]
+    def test_closed_form_against_grid_loop(self):
+        """The closed-form alpha passes the float check, lies within one grid step below the grid's
+        alpha, and changes A3's verdict only where the grid's 0.1 step hid a feasible alpha."""
+        systems = [(f"seed{seed}/{i}", SystemSpec.from_json_dict(case.doc))
+                   for seed in (1, 2, 3)
+                   for i, case in enumerate(load_bench_workloads().random_family(seed))]
         # beam theta = sigma = beta = 1: |c_k| omega_k^(1/2) = 1 = beta holds exactly at alpha = 1
-        systems += [beam_example(1.0, 1.0, n) for n in (2, 5, 23, 48, 64)]
-        cases = [(sys, beta) for sys in systems for beta in (0.5, 1.0, 2.0)]
-        cases += power_edge_cases()
-        for sys, beta in cases:
+        systems += [(f"beam{n}", beam_example(1.0, 1.0, n))
+                    for n in (1, 2, 5, 23, 48, 49, 64, 256, 1024)]
+        cases = [(name, sys, beta) for name, sys in systems for beta in (0.5, 1.0, 2.0)]
+        cases += [(f"edge{i}", sys, beta) for i, (sys, beta) in enumerate(power_edge_cases())]
+        verdicts_changed, count = [], 0
+        for name, sys, beta in cases:
             for k0 in sorted({1, min(2, sys.N)}):
+                count += 1
                 cert = certify_assumptions(sys, beta=beta, k0=k0)
-                assert (cert.alpha, cert.holds_A3) == grid_loop_alpha(sys, beta, k0)
-        assert certify_assumptions(beam_example(1.0, 1.0, 23), beta=1.0, k0=2).alpha == 1.0
+                grid_alpha, grid_holds = grid_loop_alpha(sys, beta, k0)
+                assert cert.holds_A3 == (cert.alpha <= ALPHA_MAX
+                                         and coupling_holds(sys, beta, k0, cert.alpha))
+                if grid_holds:
+                    assert grid_alpha - 0.1 < cert.alpha <= two_ulps(grid_alpha)
+                if cert.holds_A3 != grid_holds:
+                    verdicts_changed.append((name, beta, k0, cert.holds_A3))
+        assert count == 2865
+        # both feasible intervals, [0.941, 0.982] and [1.080, 1.090], fall between grid points
+        assert verdicts_changed == [("seed2/5", 0.5, 1, True), ("seed2/72", 1.0, 1, True)]
 
-    def test_alpha_grid_shape(self):
-        grid = alpha_grid()
-        assert grid[0] == pytest.approx(0.1)
-        assert grid[-1] == pytest.approx(8.0)
-        assert len(grid) == 80
+    @pytest.mark.parametrize("n", [2, 5, 23, 48, 49, 64, 256, 1024])
+    def test_beam_alpha_is_one(self, n):
+        # fl(1/49) * 49 = 1 - 2^-53 put the grid at 1.1 from N = 49 on
+        cert = certify_assumptions(beam_example(1.0, 1.0, n), beta=1.0, k0=2)
+        assert cert.holds_A3
+        assert two_ulps(1.0, 0.0) <= cert.alpha <= two_ulps(1.0)
+
+    @pytest.mark.parametrize("q, p", [(2, 1), (2, 1.5), (2, 2), (1, 2), (1, 1), (1.5, 1)])
+    def test_power_family_alpha(self, q, p):
+        # omega_j = j^q, c_j = j^-p: |c_j| omega_j^(alpha/2) = j^(alpha q/2 - p) >= 1 from alpha = 2p/q
+        j = np.arange(1, 65, dtype=float)
+        cert = certify_assumptions(build_system(1.0, j**q, j**-p), beta=1.0, k0=2)
+        assert cert.holds_A3
+        assert two_ulps(2.0 * p / q, 0.0) <= cert.alpha <= two_ulps(2.0 * p / q)
 
 
 class TestSerialization:
