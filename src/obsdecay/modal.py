@@ -20,7 +20,7 @@ The squared distances between scaled eigenvectors and their canonical
 comparisons ("closeness increments") quantify how far the eigenbasis is
 from orthonormal; their partial sums are the finite-truncation stand-in for
 the quadratic-closeness property that makes the infinite family a Riesz
-basis.
+basis; the last bounds ||Q|| by 1 plus its square root.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 
 from .charfn import PoleError
 from .model import SystemSpec
-from .spectrum import SpectrumReport
+from .spectrum import SpectrumReport, _meets_another
 from .state import StateVector
 
 EIGENVECTOR_RESIDUAL_RTOL = 1e-9
@@ -106,9 +106,9 @@ class ModalBasis:
 
     Column order matches G: the first N columns are lower-half eigenvectors
     (eigenvalues near -i omega_n), the last N upper-half ones.  ``beta1`` and
-    ``beta2`` are the operator norms of Q and its inverse (the largest and
-    the reciprocal of the smallest singular value of Q); their product is
-    the basis condition number entering every norm-equivalence bound.
+    ``beta2`` are closed-form upper bounds on the operator norms of Q and its
+    inverse; their product bounds the condition number that enters every
+    norm-equivalence bound.
     ``closeness`` holds partial sums of the per-mode squared distances to the
     canonical comparison vectors.  ``nu`` holds ``v_k^T v_k`` (unconjugated):
     A = A^T with distinct eigenvalues gives ``Q^{-1} = diag(1/nu) Q^T``.
@@ -129,13 +129,9 @@ class ModalBasis:
         return (self.Q.T @ vec) / self.nu.reshape((-1,) + (1,) * (np.ndim(vec) - 1))
 
     def to_json_dict(self) -> dict:
-        return {
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "cond_Q": self.cond_Q,
-            "closeness_tail": self.closeness[-1] if self.closeness else 0.0,
-            "factorization_residual": self.factorization_residual,
-        }
+        return {"beta1": self.beta1, "beta2": self.beta2, "cond_Q": self.cond_Q,
+                "closeness_tail": self.closeness[-1],
+                "factorization_residual": self.factorization_residual}
 
 
 def build_basis(sys: SystemSpec, spectrum: SpectrumReport) -> ModalBasis:
@@ -143,19 +139,20 @@ def build_basis(sys: SystemSpec, spectrum: SpectrumReport) -> ModalBasis:
 
     Requires a complete report with one row for each mode ``k = 1..N``; its
     ``lam`` column gives the upper roots and ``lam.conj()`` the lower.  The
-    N upper eigenvectors are built and residual-checked together, in one array pass,
+    N upper eigenvectors are built and residual-checked in one array pass,
     each bitwise as :func:`eigenvector` builds it alone; the lower one of
     each mode is its conjugate swap J v, an eigenvector of conj(lam) because
-    the generator commutes with J.  ``Q^{-1} = diag(1/nu) Q^T`` since A = A^T
-    and the report proves the eigenvalues distinct; the SVD's condition check
-    is the one guard against a singular Q, and passing it gives
-    ``min |nu| >= 1/beta2^2``.  Column k of A Q - Q G is (A - lam_k) v_k, and
-    J is an isometry commuting with A, so ||A Q - Q G||_F is sqrt(2) times
-    the norm of the N upper column residuals.
+    the generator commutes with J.  The report's disjoint root disks prove the
+    eigenvalues distinct, so A = A^T gives ``Q^{-1} = diag(1/nu) Q^T``.  As the
+    comparison columns are I, ``||Q|| <= beta1 = 1 + sqrt(closeness tail)`` and
+    ``||Q^{-1}|| <= beta2 = beta1 / min |nu|``.  Column k of A Q - Q G is
+    (A - lam_k) v_k, and J is an isometry commuting with A, so ||A Q - Q G||_F
+    is sqrt(2) times the norm of the N upper column residuals.
     Raises BasisError when the report is incomplete or does not hold modes
-    1..N in order, when an upper eigenvector fails its 1e-9 residual
-    check (naming the mode), when Q is numerically singular, or when the
-    factorization residual ||A Q - Q G||_F exceeds 1e-8 ||A||_F.
+    1..N in order, when an upper eigenvector fails its 1e-9 residual check
+    (naming the mode), when two root disks meet or lack a radius or ``cond_Q``
+    exceeds 1e12 (both "numerically singular"), or when the factorization
+    residual ||A Q - Q G||_F exceeds 1e-8 ||A||_F.
     """
     if not spectrum.complete:
         raise BasisError(f"spectrum report is incomplete: {spectrum.failures}")
@@ -179,12 +176,16 @@ def build_basis(sys: SystemSpec, spectrum: SpectrumReport) -> ModalBasis:
     vecs[ks - 1, n + ks - 1] -= 1.0
     increments = 2.0 * np.sum(np.abs(vecs) ** 2, axis=1)
 
-    svals = np.linalg.svd(q_mat, compute_uv=False)
-    beta1 = float(svals[0])
-    beta2 = float(1.0 / svals[-1])
+    radius = np.tile(spectrum.radius, 2)  # the disks of the roots g_diag, conjugates included
+    if np.isnan(radius).any() or _meets_another(g_diag, radius).any():
+        raise BasisError("eigenvector matrix is numerically singular: the root disks do not "
+                         "prove the eigenvalues distinct")
+    closeness, nu = np.cumsum(increments), np.sum(q_mat * q_mat, axis=0)
+    beta1 = float(1.0 + np.sqrt(closeness[-1]))
+    beta2 = float(beta1 / np.min(np.abs(nu)))
     cond_q = beta1 * beta2
-    if not np.isfinite(cond_q) or cond_q > COND_Q_LIMIT:
-        raise BasisError(f"eigenvector matrix is numerically singular (cond = {cond_q:.3e})")
+    if not cond_q <= COND_Q_LIMIT:
+        raise BasisError(f"eigenvector matrix is numerically singular (cond bound {cond_q:.3e})")
 
     fact_resid = float(np.sqrt(2.0) * np.linalg.norm(resid))
     a_scale = float(np.sqrt(2.0 * sys.omegas @ sys.omegas + (sys.gamma * sys.cs @ sys.cs) ** 2))
@@ -195,9 +196,7 @@ def build_basis(sys: SystemSpec, spectrum: SpectrumReport) -> ModalBasis:
 
     return ModalBasis(
         Q=q_mat, G=g_diag, beta1=beta1, beta2=beta2, cond_Q=cond_q,
-        closeness_increments=tuple(increments.tolist()),
-        closeness=tuple(np.cumsum(increments).tolist()),
-        factorization_residual=fact_resid,
-        nu=np.sum(q_mat * q_mat, axis=0),
+        closeness_increments=tuple(increments.tolist()), closeness=tuple(closeness.tolist()),
+        factorization_residual=fact_resid, nu=nu,
     )
 

@@ -339,8 +339,10 @@ def certify_assumptions(sys: SystemSpec, beta: float = 1.0, k0: int = 2) -> Assu
     # |c_k| omega_k**(alpha/2) = beta solved on the rising modes, raised to the first double
     # their float check passes; a mode with omega_k <= 1 failing there fails at any larger alpha
     with np.errstate(over="ignore"):  # a product that overflows to inf does exceed beta
-        alpha = float(np.max(2.0 * np.log(beta / tail_c[rising]) / np.log(tail_w[rising]),
-                             initial=ALPHA_MIN))
+        ratio = beta / tail_c[rising]  # ln beta - ln|c_k| only where this overflows to inf
+        log_ratio = np.where(np.isinf(ratio), math.log(beta) - np.log(tail_c[rising]),
+                             np.log(ratio))
+        alpha = float(np.max(2.0 * log_ratio / np.log(tail_w[rising]), initial=ALPHA_MIN))
         while not coupled(alpha, rising):
             alpha = math.nextafter(alpha, math.inf)
         holds_a3 = alpha <= ALPHA_MAX and coupled(alpha)

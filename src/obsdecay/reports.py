@@ -408,10 +408,9 @@ def write_q_binary(basis: ModalBasis, path: str) -> None:
     atomic_write(path, np.ascontiguousarray(basis.Q).astype("<c16").tobytes(order="C"))
 
 
-def read_q_binary(path: str, dim: Optional[int] = None) -> np.ndarray:
+def read_q_binary(path: str) -> np.ndarray:
     raw = np.fromfile(path, dtype="<c16")
-    if dim is None:
-        dim = int(round(raw.size**0.5))
+    dim = int(round(raw.size**0.5))
     if dim * dim != raw.size:
         raise ValueError(f"binary dump holds {raw.size} entries, not a {dim}x{dim} matrix")
     return raw.reshape(dim, dim).astype(complex)

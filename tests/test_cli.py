@@ -229,8 +229,41 @@ class TestReportVerb:
         doc = json.loads((out / "report.json").read_text())
         assert set(doc["checks"]) == {"spectrum_complete", "spectrum_stable",
                                       "disk_enclosure", "basis_conditioning"}
-        assert doc["basis"]["cond_Q"] == pytest.approx(1.86087467488369, rel=1e-13)
+        # the closed-form bound beta1 beta2; the SVD's condition number is 1.8609
+        assert doc["basis"]["cond_Q"] == pytest.approx(2.246562717362324, rel=1e-13)
         assert not (out / "basis_q.bin").exists()
+
+    def test_dump_q_writes_the_basis(self, tmp_path):
+        cfg = write_config(tmp_path / "dump.json", {
+            "gamma": 1.0,
+            "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 23},
+            "tasks": ["spectrum"],
+            "tolerances": {"dump_q": True},
+        })
+        out = tmp_path / "out"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        sys = beam_example(1.0, 1.0, 23)
+        q = modal.build_basis(sys, spectrum.full_spectrum(sys)).Q
+        back = reports.read_q_binary(str(out / "basis_q.bin"))
+        assert back.tobytes() == q.tobytes()
+
+    def test_failed_coupling_skips_the_alpha_checks(self, tmp_path):
+        # beta = 1e6 fails A3, so no alpha is certified for the slope and the envelope
+        cfg = write_config(tmp_path / "beta.json", {
+            "gamma": 1.0,
+            "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 23},
+            "tasks": ["verify", "localize", "spectrum", "resolvent-scan", "envelope"],
+            "tolerances": {"beta": 1e6},
+        })
+        out = tmp_path / "out"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
+        checks = json.loads((out / "report.json").read_text())["checks"]
+        assert not checks["assumptions_hold"]["pass"]
+        for name in ("axis_scan_slope", "envelope_exponent"):
+            assert checks[name] == {"pass": True, "skipped": True,
+                                    "detail": "no certified alpha"}
+        failed = {name for name, check in checks.items() if not check["pass"]}
+        assert failed == {"assumptions_hold"}
 
     @pytest.mark.parametrize("n", [6, 7, 8])
     def test_small_beam_scan_needs_three_bands(self, n, tmp_path, capsys, monkeypatch):

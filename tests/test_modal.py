@@ -4,9 +4,11 @@ import json
 import numpy as np
 import pytest
 
-from conftest import SINGLE_MODE_ROOTS, SPECTRUM_COLUMNS, perturbed_beam_family
+from conftest import (SINGLE_MODE_ROOTS, SPECTRUM_COLUMNS, load_bench_workloads,
+                      perturbed_beam_family)
 from oracles import dense_oracle_spectrum
 from obsdecay.charfn import PoleError
+from obsdecay import modal
 from obsdecay.cli import EXIT_CHECK_FAILED, Pipeline, load_config
 from obsdecay.dynamics import apply_generator, dense_generator, simulate_error
 from obsdecay.modal import (
@@ -16,7 +18,7 @@ from obsdecay.modal import (
     comparison_vector,
     eigenvector,
 )
-from obsdecay.model import beam_example
+from obsdecay.model import SystemSpec, beam_example
 from obsdecay.spectrum import full_spectrum
 from obsdecay.state import StateVector
 
@@ -41,6 +43,15 @@ def parity_bases():
         if rep.complete:
             pairs.append((sys, build_basis(sys, rep)))
     return pairs
+
+
+def assert_bounds_svd(basis):
+    """sigma_max <= beta1, 1/sigma_min <= beta2 and cond_svd <= cond_Q <= 1.5 cond_svd."""
+    svals = np.linalg.svd(basis.Q, compute_uv=False)
+    assert svals[0] <= basis.beta1
+    assert 1.0 / svals[-1] <= basis.beta2
+    cond_svd = svals[0] / svals[-1]
+    assert cond_svd <= basis.cond_Q <= 1.5 * cond_svd
 
 
 def conjugate_swap(vec):
@@ -185,7 +196,8 @@ class TestBuildBasis:
                                            rtol=1e-10, atol=0.0)
 
     def test_bilinear_gram_is_diagonal(self, parity_bases):
-        # Q^T Q = diag(nu), and the SVD guard bounds nu away from zero
+        # Q^T Q = diag(nu); beta2 = beta1 / min |nu| and |nu_k| <= ||v_k||^2 <= beta1^2
+        # bound nu away from zero
         for sys, basis in parity_bases:
             gram = (basis.Q.T @ basis.Q) / basis.nu[:, None]
             assert np.linalg.norm(gram - np.eye(2 * sys.N)) <= 1e-10
@@ -197,7 +209,7 @@ class TestBuildBasis:
         lam = beam23_spectrum.lam.copy()
         lam[2] = lam[3]
         doubled = dataclasses.replace(beam23_spectrum, lam=lam)
-        with pytest.raises(BasisError, match="numerically singular"):
+        with pytest.raises(BasisError, match="numerically singular: the root disks"):
             build_basis(beam23, doubled)
 
     def test_closeness_increments_quartic_decay(self, beam23_basis):
@@ -223,18 +235,66 @@ class TestBuildBasis:
             assert coeff <= b2 * eps.norm() * (1 + 1e-12)
 
     def test_operator_norms_match_svd(self, beam4_basis):
-        svals = np.linalg.svd(beam4_basis.Q, compute_uv=False)
-        assert beam4_basis.beta1 == pytest.approx(svals.max(), rel=1e-10)
-        assert beam4_basis.beta2 == pytest.approx(1.0 / svals.min(), rel=1e-10)
+        # the closed forms bound the SVD's norms from above, within 1.5 in cond(Q)
+        assert_bounds_svd(beam4_basis)
+        assert beam4_basis.beta1 == 1.0 + np.sqrt(beam4_basis.closeness[-1])
+        assert beam4_basis.beta2 == beam4_basis.beta1 / np.min(np.abs(beam4_basis.nu))
 
     @pytest.mark.parametrize("n", [23, 70])
     def test_operator_norms_match_dense_norms(self, n):
         sys = beam_example(1.0, 1.0, n)
         basis = build_basis(sys, full_spectrum(sys))
-        assert basis.beta1 == pytest.approx(np.linalg.norm(basis.Q, 2), rel=1e-12)
-        assert basis.beta2 == pytest.approx(np.linalg.norm(np.linalg.inv(basis.Q), 2),
-                                            rel=1e-12)
+        norm, inv_norm = np.linalg.norm(basis.Q, 2), np.linalg.norm(np.linalg.inv(basis.Q), 2)
+        assert norm <= basis.beta1 and inv_norm <= basis.beta2
+        assert norm * inv_norm <= basis.cond_Q <= 1.5 * norm * inv_norm
         assert basis.cond_Q == basis.beta1 * basis.beta2
+        # 1.8609 by the SVD; the bound is 2.2466 from N = 23 on
+        assert basis.cond_Q == pytest.approx(2.2465631, rel=1e-6)
+
+    def test_bounds_hold_on_random_families(self):
+        # every complete system of the benchmark's random families, some with
+        # sqrt(closeness tail) >= 1 where the Neumann-series bound says nothing
+        count, far = 0, 0
+        for seed in (1, 2, 3, 61):
+            for case in load_bench_workloads().random_family(seed):
+                sys = SystemSpec.from_json_dict(case.doc)
+                rep = full_spectrum(sys)
+                if rep.complete:
+                    basis = build_basis(sys, rep)
+                    assert_bounds_svd(basis)
+                    count += 1
+                    far += basis.closeness[-1] >= 1.0
+        assert count >= 386 and far >= 16
+
+    # beam N in {1, 2, 5, 23, 64, 70} at gamma in {0.5, 1} where the spectrum is complete;
+    # N = 64 and 70 lose modes at gamma = 0.5
+    @pytest.mark.parametrize("n, gamma", [(n, 0.5) for n in (1, 2, 5, 23)]
+                             + [(n, 1.0) for n in (1, 2, 5, 23, 64, 70)])
+    def test_bounds_hold_on_beams(self, n, gamma):
+        sys = beam_example(1.0, 1.0, n, gamma=gamma)
+        rep = full_spectrum(sys)
+        assert rep.complete
+        assert_bounds_svd(build_basis(sys, rep))
+
+    def test_build_needs_no_svd(self, beam23, beam23_spectrum, monkeypatch):
+        def no_svd(*args, **kwargs):
+            raise AssertionError("build_basis took an SVD")
+
+        monkeypatch.setattr(np.linalg, "svd", no_svd)
+        basis = build_basis(beam23, beam23_spectrum)
+        assert basis.cond_Q == pytest.approx(2.2465627, rel=1e-6)
+
+    def test_bound_past_the_limit_is_numerically_singular(self, beam23, beam23_spectrum,
+                                                          monkeypatch):
+        monkeypatch.setattr(modal, "COND_Q_LIMIT", 2.0)
+        with pytest.raises(BasisError, match=r"numerically singular \(cond bound 2\.247e\+00\)"):
+            build_basis(beam23, beam23_spectrum)
+
+    def test_root_without_a_disk_is_numerically_singular(self, beam23, beam23_spectrum):
+        radius = beam23_spectrum.radius.copy()
+        radius[6] = np.nan
+        with pytest.raises(BasisError, match="do not prove the eigenvalues distinct"):
+            build_basis(beam23, dataclasses.replace(beam23_spectrum, radius=radius))
 
     @pytest.mark.parametrize("systems", [
         pytest.param([beam_example(1.0, 1.0, 23), beam_example(1.0, 1.0, 128)], id="beam"),

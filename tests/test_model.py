@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import load_bench_workloads, perturbed_beam_family
+from obsdecay import reports
 from obsdecay.model import (
     ALPHA_MAX,
     SystemSpec,
@@ -279,6 +280,19 @@ class TestCertifyAssumptions:
         assert certify_assumptions(sys, beta=1.0, k0=2).holds_A3
         low = certify_assumptions(build_system(1.0, [0.5, 1.0], [2.0, 1.0]), beta=1.0, k0=1)
         assert low.alpha == 0.1 and low.holds_A3
+
+    def test_overflowing_coupling_ratio_keeps_alpha_finite(self, tmp_path):
+        # beta/|c_1| = 1e600 overflows; 2 ln(1e600)/ln 2 is the alpha mode 1 needs
+        sys = build_system(1.0, [2.0, 3.0], [1e-300, 1.0])
+        cert = certify_assumptions(sys, beta=1e300, k0=1)
+        assert math.isfinite(cert.alpha)
+        assert cert.alpha == pytest.approx(2.0 * 600.0 * math.log(10.0) / math.log(2.0),
+                                           rel=1e-12)
+        assert round(cert.alpha, 1) == 3986.3
+        assert not cert.holds_A3
+        path = tmp_path / "assumptions.json"
+        reports.write_json(str(path), cert.to_json_dict())
+        assert json.loads(path.read_text())["alpha"] == cert.alpha
 
     def test_single_mode_gap_is_vacuous(self):
         cert = certify_assumptions(build_system(1.0, [2.0], [1.0]), beta=0.5, k0=1)

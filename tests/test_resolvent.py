@@ -348,7 +348,8 @@ class TestAxisScan:
         assert np.count_nonzero(checks.applicable) >= 15
         assert checks.ok.all()
         assert checks.upper.tolist() == (cond * scan.sup).tolist()
-        assert np.max(checks.upper[checks.applicable] / checks.bound[checks.applicable]) < 0.35
+        # 0.416 with the closed-form cond(Q) bound 2.2466 (0.345 with the SVD's 1.8609)
+        assert np.max(checks.upper[checks.applicable] / checks.bound[checks.applicable]) < 0.42
 
     def test_cap_without_cond_is_not_proven(self, beam23, beam23_spectrum):
         # sup = 1/m_k bounds the norm from below only; without cond(Q) nothing
