@@ -25,7 +25,8 @@ records whether the disk stays a fixed fraction away from the imaginary axis.
 formed once per system (:attr:`~obsdecay.model.SystemSpec.linearization`),
 and the disks of a batch of modes come back as the columns of a
 :class:`LocalizationReport`.  The localization keeps the paper's first-order
-``lam_k_star``; Newton starts from the second-order :func:`newton_seed`.
+``lam_k_star``; Newton starts from the second-order :func:`newton_seed`, taken
+as its offset from ``i omega_k`` (:func:`newton_seed_offsets`).
 """
 
 from __future__ import annotations
@@ -269,21 +270,24 @@ def _quotients(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
     return np.array([a / b for a, b in zip(f0.tolist(), f1.tolist())], dtype=complex)
 
 
-def _quadratic_root(w: float, f0: complex, f1: complex, f2: complex) -> complex:
-    """The root nearest ``i w`` of the quadratic Taylor model of ``G(lam) = lam F(lam)`` there.
+def _quadratic_offset(w: float, f0: complex, f1: complex, f2: complex) -> complex:
+    """The root nearest ``i w`` of the quadratic Taylor model of ``G(lam) = lam F(lam)``
+    there, as its offset ``mu`` from ``i w``.
 
     ``G0 = i w F0``, ``G1 = F0 + i w F1`` and ``G2 = 2 F1 + i w F2`` are G and
-    its first two derivatives at ``i w``; the root is
-    ``i w - 2 G0 / (G1 +/- sqrt(G1^2 - 2 G0 G2))`` with the sign that makes
-    the denominator largest (the first on a tie).  ``Im G1 = w Re F1 =
-    2/gamma > 0``, so the denominator never vanishes.
+    its first two derivatives at ``i w``; the root is ``i w + mu`` with
+    ``mu = -2 G0 / (G1 +/- sqrt(G1^2 - 2 G0 G2))``, the sign making the
+    denominator largest (the first on a tie).  ``Im G1 = w Re F1 =
+    2/gamma > 0``, so the denominator never vanishes.  ``mu`` is returned
+    before it is added to ``i w``, so none of its digits are lost to the
+    spacing of floats near ``w``.
     """
     center = complex(0.0, w)
     g0 = center * f0
     g1 = f0 + center * f1
     g2 = 2.0 * f1 + center * f2
     root = cmath.sqrt(g1 * g1 - 2.0 * g0 * g2)
-    return center - 2.0 * g0 / max(g1 + root, g1 - root, key=abs)
+    return -2.0 * g0 / max(g1 + root, g1 - root, key=abs)
 
 
 def newton_seed(ctx: CharContext) -> complex:
@@ -295,13 +299,13 @@ def newton_seed(ctx: CharContext) -> complex:
     convergence reaches the nearest other mode pole instead of stopping at 0.
     """
     f0, f1, f2 = ctx.sys.linearization[:, ctx.k - 1].tolist()
-    return _quadratic_root(ctx.omega_k, f0, f1, f2)
+    return ctx.center + _quadratic_offset(ctx.omega_k, f0, f1, f2)
 
 
-def newton_seeds(sys: SystemSpec) -> np.ndarray:
-    """:func:`newton_seed` of every mode, bitwise, from the system's linearization."""
+def newton_seed_offsets(sys: SystemSpec) -> np.ndarray:
+    """The offset ``mu = newton_seed - i omega_k`` of every mode's seed, before the addition."""
     rows = zip(sys.omegas.tolist(), *sys.linearization.tolist())
-    return np.array([_quadratic_root(*row) for row in rows], dtype=complex)
+    return np.array([_quadratic_offset(*row) for row in rows], dtype=complex)
 
 
 def _convergence_radii(sys: SystemSpec, ks: np.ndarray) -> np.ndarray:

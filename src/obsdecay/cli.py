@@ -202,8 +202,18 @@ class Pipeline:
         return spectrum_mod.full_spectrum(self.config.system)
 
     @cached_property
+    def _basis(self) -> modal.ModalBasis | modal.BasisError:
+        try:
+            return modal.build_basis(self.config.system, self.spectrum)
+        except modal.BasisError as exc:  # kept, so a failing basis is built once
+            return exc
+
+    @property
     def basis(self) -> modal.ModalBasis:
-        return modal.build_basis(self.config.system, self.spectrum)
+        """The eigenbasis of the spectrum, built once; raises its BasisError on every read."""
+        if isinstance(self._basis, modal.BasisError):
+            raise self._basis
+        return self._basis
 
     # ---- task runners -----------------------------------------------------
 

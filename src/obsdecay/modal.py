@@ -16,21 +16,32 @@ eigenvalues (lower half first).  As A = A^T and a complete report proves
 the eigenvalues distinct, Q^{-1} = diag(1/nu) Q^T with nu_k = v_k^T v_k
 (unconjugated), and A Q - Q G is made of the eigenvectors' column residuals.
 
-The squared distances between scaled eigenvectors and their canonical
-comparisons ("closeness increments") quantify how far the eigenbasis is
-from orthonormal; their partial sums are the finite-truncation stand-in for
-the quadratic-closeness property that makes the infinite family a Riesz
-basis; the last bounds ||Q|| by 1 plus its square root.
+The upper root is read in the spectrum's pole-local coordinates,
+``lam = i omega_n + mu``: the scale is ``mu/c_n`` and every ``lam - a`` is
+``mu + i g`` over the gap table, so a vector keeps its precision where
+``|mu|`` is far below the spacing of floats near ``omega_n``.  The generator
+is a rank-one update of a diagonal, so ``nu``, the squared distances of the
+scaled eigenvectors to their canonical comparisons ("closeness increments")
+and the column residuals have closed forms in the spectrum's own columns
+(``f`` and ``f'`` at the root) and the gap table: :func:`build_basis` takes
+them without forming Q, and the 2N x 2N matrix is built only when a caller
+reads :attr:`ModalBasis.Q` (simulation, ``dump_q``, :meth:`ModalBasis.solve`).
+The closeness increments quantify how far the eigenbasis is from
+orthonormal; their partial sums are the finite-truncation stand-in for the
+quadratic-closeness property that makes the infinite family a Riesz basis;
+the last bounds ||Q|| by 1 plus its square root.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+
 import numpy as np
 
 from .charfn import PoleError
 from .model import SystemSpec
-from .spectrum import SpectrumReport, _meets_another
+from .spectrum import SpectrumReport, _meets_another, _row_blocks
 from .state import StateVector
 
 EIGENVECTOR_RESIDUAL_RTOL = 1e-9
@@ -55,28 +66,94 @@ def comparison_vector(n_modes: int, n: int) -> StateVector:
     return StateVector(q=np.zeros(n_modes, dtype=complex), p=p)
 
 
-def _upper_eigenvectors(sys: SystemSpec, lams: np.ndarray,
-                        ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Scaled eigenvectors (p_k = 1) of the roots ``lams`` of modes ``ks``, in one pass.
+def _upper_eigenvectors(sys: SystemSpec, ks: np.ndarray,
+                        mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Scaled eigenvectors (p_k = 1) of the roots ``i omega_k + mu`` of modes ``ks``, in one pass.
 
     Returns the rows ``(q, p)``, the residual ``||(A - lam I) v||`` of each
-    and its bound ``1e-9 ||v||``.  Each row is bitwise the one built for its
-    root alone: the scale ``(i omega_k - lam)/c_k`` divides each part by
-    ``c_k`` as Python's complex-by-float division does.
+    and its norm ``||v||``.  The vector is ``v_a = s c_a/(lam - a)``
+    over the poles ``a = -i omega_j`` (q) and ``+i omega_j`` (p), with
+    ``s = mu/c_k`` and ``lam - a = mu + i g`` from the gap table
+    :attr:`~obsdecay.model.SystemSpec.pole_gaps`, and ``(A - lam I) v`` is
+    ``-(lam - a) v_a - (gamma/2) c_a sum_b c_b v_b``: the diagonal of
+    ``A - lam I`` is read in the same coordinates, so no float ``lam``
+    enters.  Each row is bitwise the one built for its root alone.
     """
-    w, c = sys.omegas, sys.cs
-    shift = 1j * w[ks - 1] - lams
-    scale = np.empty_like(shift)
-    scale.real, scale.imag = shift.real / c[ks - 1], shift.imag / c[ks - 1]
-    lam = lams[:, None]
-    q = -c / (1j * w + lam) * scale[:, None]
-    p = c / (1j * w - lam) * scale[:, None]
-    # (A - lam I) v, with A applied as dynamics.apply_generator does
-    inj = 0.5 * sys.gamma * c * np.sum(c * (q + p), axis=1)[:, None]
-    diff = np.concatenate([-1j * w * q - inj - lam * q, 1j * w * p - inj - lam * p], axis=1)
-    vecs = np.concatenate([q, p], axis=1)
-    return vecs, np.linalg.norm(diff, axis=1), EIGENVECTOR_RESIDUAL_RTOL * np.linalg.norm(
-        vecs, axis=1)
+    n, c = sys.N, sys.cs
+    s = mu / c[ks - 1]
+    gaps = sys.pole_gaps[ks - 1]
+    z = np.empty(gaps.shape, dtype=complex)
+    z.real, z.imag = mu.real[:, None], gaps + mu.imag[:, None]
+    z = np.concatenate([z[:, n:], z[:, :n]], axis=1)  # q over -i omega_j, then p over +i omega_j
+    u = np.concatenate([c, c])
+    vecs = s[:, None] * u / z
+    inj = 0.5 * sys.gamma * np.sum(u * vecs, axis=1)[:, None] * u
+    diff = -z * vecs - inj
+    return vecs, np.linalg.norm(diff, axis=1), np.linalg.norm(vecs, axis=1)
+
+
+def _basis_numbers(sys: SystemSpec, spectrum: SpectrumReport
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``nu``, closeness increments, column residuals and norms of the upper eigenvectors.
+
+    The generator is ``diag(-i omega, i omega) - (gamma/2) u u^T`` with
+    ``u = (c, c)``, a rank-one update of a diagonal, so the eigenvector of a
+    root is ``v = s (lam - D)^{-1} u`` with ``s = mu/c_k`` making ``p_k = 1``
+    (Golub, *SIAM Review* 15, 1973; Bunch, Nielsen and Sorensen, 1978).
+    With ``h(lam) = 1 + (gamma/2) u^T (lam - D)^{-1} u = gamma lam f(lam)/(2i)``:
+
+    * ``nu = v^T v = -s^2 (2/gamma) h'(lam) = i s^2 lam f'(lam)`` at a root;
+    * the closeness increment ``2 ||v - e_{p_k}||^2`` is
+      ``2 |s|^2 sum_{a != i omega_k} c_a^2/|lam - a|^2`` over the mode poles,
+      the own pole left out by index, and ``||v||^2`` is one plus its half;
+    * ``(A - lam) v = -s u h(lam)``, of norm ``|s| sqrt(2) ||c|| |gamma lam f(lam)|/2``.
+
+    ``f'`` and ``|f|`` are the report's ``deriv`` and ``residual`` columns and
+    ``|lam - a|`` comes from the gap table, so no 2N x 2N array is formed.
+    """
+    ks, mu = spectrum.k, spectrum.mu
+    c2 = np.concatenate([sys.cs, sys.cs]) ** 2
+    others = np.empty(mu.shape)
+    for blk in _row_blocks(sys, mu.size):
+        sq = sys.pole_gaps[ks[blk] - 1] + mu.imag[blk, None]
+        sq *= sq
+        sq += (mu.real[blk] * mu.real[blk])[:, None]  # |lam - a|^2
+        np.divide(c2, sq, out=sq)
+        sq[np.arange(sq.shape[0]), ks[blk] - 1] = 0.0
+        others[blk] = sq.sum(axis=1)
+    s = mu / sys.cs[ks - 1]
+    s_sq = s.real * s.real + s.imag * s.imag
+    increments = 2.0 * s_sq * others
+    nu = 1j * s * s * spectrum.lam * spectrum.deriv
+    resid = (np.sqrt(s_sq) * np.sqrt(2.0 * float(sys.cs @ sys.cs)) * 0.5 * sys.gamma
+             * np.abs(spectrum.lam) * spectrum.residual)
+    return nu, increments, resid, np.sqrt(1.0 + 0.5 * increments)
+
+
+def _check_residuals(resid: np.ndarray, norms: np.ndarray, lam: np.ndarray) -> None:
+    """Raise BasisError naming the first mode whose upper eigenvector residual exceeds
+    1e-9 times the eigenvector's norm."""
+    bad = np.flatnonzero(~(resid <= EIGENVECTOR_RESIDUAL_RTOL * norms))
+    if bad.size:
+        k = int(bad[0])
+        raise BasisError(f"mode {k + 1}: upper eigenvector residual {resid[k]:.3e} exceeds "
+                         f"{EIGENVECTOR_RESIDUAL_RTOL} * norm; lam = {complex(lam[k])} is not "
+                         "an eigenvalue")
+
+
+def _factorization_residual(sys: SystemSpec, resid: np.ndarray) -> float:
+    """``||A Q - Q G||_F = sqrt(2) ||resid||`` from the upper column residuals.
+
+    Raises BasisError when it exceeds 1e-8 ``||A||_F``, which is
+    ``sqrt(2 sum omega^2 + gamma^2 (sum c^2)^2)``.
+    """
+    fact_resid = float(np.sqrt(2.0) * np.linalg.norm(resid))
+    a_scale = float(np.sqrt(2.0 * sys.omegas @ sys.omegas + (sys.gamma * sys.cs @ sys.cs) ** 2))
+    if fact_resid > FACTORIZATION_RESIDUAL_RTOL * a_scale:
+        raise BasisError(f"factorization residual {fact_resid:.3e} exceeds "
+                         f"{FACTORIZATION_RESIDUAL_RTOL} * ||A||_F = "
+                         f"{FACTORIZATION_RESIDUAL_RTOL * a_scale:.3e}")
+    return fact_resid
 
 
 def eigenvector(sys: SystemSpec, lam: complex, n: int) -> StateVector:
@@ -91,8 +168,9 @@ def eigenvector(sys: SystemSpec, lam: complex, n: int) -> StateVector:
         raise ValueError(f"mode index must lie in [1, {sys.N}]")
     if np.any(1j * sys.omegas == lam) or np.any(-1j * sys.omegas == lam):
         raise PoleError("lam coincides with a mode frequency; not an eigenvalue")
-    vecs, resid, bound = _upper_eigenvectors(sys, np.array([lam]), np.array([n]))
-    if not resid[0] <= bound[0]:
+    mu = complex(lam.real, lam.imag - float(sys.omegas[n - 1]))
+    vecs, resid, norms = _upper_eigenvectors(sys, np.array([n]), np.array([mu]))
+    if not resid[0] <= EIGENVECTOR_RESIDUAL_RTOL * norms[0]:
         raise ResidualError(
             f"residual {resid[0]:.3e} exceeds {EIGENVECTOR_RESIDUAL_RTOL} * norm; "
             f"lam = {lam} is not an eigenvalue for mode {n}"
@@ -100,9 +178,9 @@ def eigenvector(sys: SystemSpec, lam: complex, n: int) -> StateVector:
     return StateVector.from_array(vecs[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModalBasis:
-    """Eigenvector matrix Q, eigenvalue diagonal G, and quality numbers.
+    """Eigenvalue diagonal G, quality numbers, and the eigenvector matrix Q on demand.
 
     Column order matches G: the first N columns are lower-half eigenvectors
     (eigenvalues near -i omega_n), the last N upper-half ones.  ``beta1`` and
@@ -112,9 +190,12 @@ class ModalBasis:
     ``closeness`` holds partial sums of the per-mode squared distances to the
     canonical comparison vectors.  ``nu`` holds ``v_k^T v_k`` (unconjugated):
     A = A^T with distinct eigenvalues gives ``Q^{-1} = diag(1/nu) Q^T``.
+    These numbers come from the spectrum's columns (:func:`build_basis`);
+    the 2N x 2N matrix :attr:`Q` is formed only when a caller reads it.
     """
 
-    Q: np.ndarray
+    sys: SystemSpec
+    mu: np.ndarray
     G: np.ndarray
     beta1: float
     beta2: float
@@ -123,6 +204,27 @@ class ModalBasis:
     closeness: tuple[float, ...]
     factorization_residual: float
     nu: np.ndarray
+
+    @cached_property
+    def Q(self) -> np.ndarray:
+        """The eigenvector matrix, built from the roots ``i omega_k + mu`` on first use.
+
+        The N upper columns are built and residual-checked in one array pass;
+        the lower column of each mode is its conjugate swap J v, an
+        eigenvector of conj(lam) because the generator commutes with J.
+        Column k of A Q - Q G is (A - lam_k) v_k, and J is an isometry
+        commuting with A, so ||A Q - Q G||_F is sqrt(2) times the norm of the
+        N upper column residuals.  Raises BasisError when a column fails its
+        1e-9 residual check or that norm exceeds 1e-8 ||A||_F.
+        """
+        n = self.sys.N
+        vecs, resid, norms = _upper_eigenvectors(self.sys, np.arange(1, n + 1), self.mu)
+        _check_residuals(resid, norms, self.G[n:])
+        _factorization_residual(self.sys, resid)
+        q_mat = np.empty((2 * n, 2 * n), dtype=complex)
+        q_mat[:n, :n], q_mat[n:, :n] = vecs[:, n:].T.conj(), vecs[:, :n].T.conj()  # J v
+        q_mat[:, n:] = vecs.T
+        return q_mat
 
     def solve(self, vec: np.ndarray) -> np.ndarray:
         """Q^{-1} vec = diag(1/nu) Q^T vec, for a vector or a matrix of columns."""
@@ -135,19 +237,20 @@ class ModalBasis:
 
 
 def build_basis(sys: SystemSpec, spectrum: SpectrumReport) -> ModalBasis:
-    """Assemble the diagonalizing eigenbasis from a computed spectrum.
+    """The diagonalizing eigenbasis of a computed spectrum, its numbers in closed form.
 
     Requires a complete report with one row for each mode ``k = 1..N``; its
     ``lam`` column gives the upper roots and ``lam.conj()`` the lower.  The
-    N upper eigenvectors are built and residual-checked in one array pass,
-    each bitwise as :func:`eigenvector` builds it alone; the lower one of
-    each mode is its conjugate swap J v, an eigenvector of conj(lam) because
-    the generator commutes with J.  The report's disjoint root disks prove the
-    eigenvalues distinct, so A = A^T gives ``Q^{-1} = diag(1/nu) Q^T``.  As the
-    comparison columns are I, ``||Q|| <= beta1 = 1 + sqrt(closeness tail)`` and
+    eigenvectors' ``nu``, closeness increments and column residuals come
+    from the report's columns by :func:`_basis_numbers`, without forming
+    the eigenvector matrix.  The report's disjoint root disks prove the
+    eigenvalues distinct, so A = A^T gives ``Q^{-1} = diag(1/nu) Q^T``, and
+    the lower root of each mode has the conjugate ``nu``.  As the comparison
+    columns are I, ``||Q|| <= beta1 = 1 + sqrt(closeness tail)`` and
     ``||Q^{-1}|| <= beta2 = beta1 / min |nu|``.  Column k of A Q - Q G is
-    (A - lam_k) v_k, and J is an isometry commuting with A, so ||A Q - Q G||_F
-    is sqrt(2) times the norm of the N upper column residuals.
+    (A - lam_k) v_k and J is an isometry commuting with A, so
+    ||A Q - Q G||_F is sqrt(2) times the norm of the N upper column
+    residuals.
     Raises BasisError when the report is incomplete or does not hold modes
     1..N in order, when an upper eigenvector fails its 1e-9 residual check
     (naming the mode), when two root disks meet or lack a radius or ``cond_Q``
@@ -156,47 +259,25 @@ def build_basis(sys: SystemSpec, spectrum: SpectrumReport) -> ModalBasis:
     """
     if not spectrum.complete:
         raise BasisError(f"spectrum report is incomplete: {spectrum.failures}")
-    n = sys.N
-    ks = np.arange(1, n + 1)
-    if not np.array_equal(spectrum.k, ks):
+    if not np.array_equal(spectrum.k, np.arange(1, sys.N + 1)):
         raise BasisError("spectrum report does not hold one root for each mode 1..N")
     g_up = spectrum.lam
-    vecs, resid, bound = _upper_eigenvectors(sys, g_up, ks)
-    bad = np.flatnonzero(~(resid <= bound))
-    if bad.size:
-        k = int(bad[0])
-        raise BasisError(f"mode {k + 1}: upper eigenvector residual {resid[k]:.3e} exceeds "
-                         f"{EIGENVECTOR_RESIDUAL_RTOL} * norm; lam = {complex(g_up[k])} is not "
-                         "an eigenvalue")
-    q_mat = np.empty((2 * n, 2 * n), dtype=complex)
-    q_mat[:n, :n], q_mat[n:, :n] = vecs[:, n:].T.conj(), vecs[:, :n].T.conj()  # J v
-    q_mat[:, n:] = vecs.T
+    nu_up, increments, resid, norms = _basis_numbers(sys, spectrum)
+    _check_residuals(resid, norms, g_up)
     g_diag = np.concatenate([g_up.conj(), g_up])
-    # J is an isometry taking the upper comparison vector to the lower one
-    vecs[ks - 1, n + ks - 1] -= 1.0
-    increments = 2.0 * np.sum(np.abs(vecs) ** 2, axis=1)
-
     radius = np.tile(spectrum.radius, 2)  # the disks of the roots g_diag, conjugates included
     if np.isnan(radius).any() or _meets_another(g_diag, radius).any():
         raise BasisError("eigenvector matrix is numerically singular: the root disks do not "
                          "prove the eigenvalues distinct")
-    closeness, nu = np.cumsum(increments), np.sum(q_mat * q_mat, axis=0)
+    closeness, nu = np.cumsum(increments), np.concatenate([nu_up.conj(), nu_up])
     beta1 = float(1.0 + np.sqrt(closeness[-1]))
     beta2 = float(beta1 / np.min(np.abs(nu)))
     cond_q = beta1 * beta2
     if not cond_q <= COND_Q_LIMIT:
         raise BasisError(f"eigenvector matrix is numerically singular (cond bound {cond_q:.3e})")
-
-    fact_resid = float(np.sqrt(2.0) * np.linalg.norm(resid))
-    a_scale = float(np.sqrt(2.0 * sys.omegas @ sys.omegas + (sys.gamma * sys.cs @ sys.cs) ** 2))
-    if fact_resid > FACTORIZATION_RESIDUAL_RTOL * a_scale:
-        raise BasisError(f"factorization residual {fact_resid:.3e} exceeds "
-                         f"{FACTORIZATION_RESIDUAL_RTOL} * ||A||_F = "
-                         f"{FACTORIZATION_RESIDUAL_RTOL * a_scale:.3e}")
-
+    fact_resid = _factorization_residual(sys, resid)
     return ModalBasis(
-        Q=q_mat, G=g_diag, beta1=beta1, beta2=beta2, cond_Q=cond_q,
+        sys=sys, mu=spectrum.mu, G=g_diag, beta1=beta1, beta2=beta2, cond_Q=cond_q,
         closeness_increments=tuple(increments.tolist()), closeness=tuple(closeness.tolist()),
         factorization_residual=fact_resid, nu=nu,
     )
-

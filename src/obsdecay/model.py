@@ -107,19 +107,27 @@ class SystemSpec:
         return _read_only(self.cs**2 / self.omegas)
 
     @cached_property
-    def poles(self) -> np.ndarray:
-        """Every pole of f: 0, then each ``i omega_j``, then each ``-i omega_j``."""
-        return _read_only(np.concatenate([[0.0 + 0.0j], self.iw, -self.iw]))
-
-    @cached_property
     def pole_residues(self) -> np.ndarray:
-        """``|res|`` of f at each of :attr:`poles`: ``2/gamma`` at 0, ``c_j^2/omega_j`` elsewhere."""
+        """``|res|`` of f at each pole: ``2/gamma`` at 0, then ``c_j^2/omega_j`` at each
+        ``i omega_j`` and again at each ``-i omega_j``."""
         return _read_only(np.concatenate([[2.0 / self.gamma], self.c2_over_w, self.c2_over_w]))
 
     @cached_property
-    def poles_by_imag(self) -> np.ndarray:
-        """:attr:`poles` sorted by imaginary part (all distinct)."""
-        return _read_only(self.poles[np.argsort(self.poles.imag)])
+    def pole_gaps(self) -> np.ndarray:
+        """Gaps from each upper pole to the mode poles, over i: an ``N x 2N`` table.
+
+        Row k holds ``omega_k - omega_j`` (the gap ``i omega_k - i omega_j``) for
+        each j, then ``omega_k + omega_j`` (``i omega_k + i omega_j``).  A root
+        ``lam = i omega_k + mu`` has ``lam - a = mu + i g`` for the gap ``g``
+        to the pole ``a``; the own gap is exactly 0.
+        """
+        w = self.omegas
+        return _read_only(np.concatenate([w[:, None] - w, w[:, None] + w], axis=1))
+
+    @cached_property
+    def mode_pole_residues(self) -> np.ndarray:
+        """Residues of f at the columns of :attr:`pole_gaps`: ``c_j^2/omega_j``, then their negatives."""
+        return _read_only(np.concatenate([self.c2_over_w, -self.c2_over_w]))
 
     @cached_property
     def resolvent_offsets(self) -> np.ndarray:
@@ -339,9 +347,10 @@ def certify_assumptions(sys: SystemSpec, beta: float = 1.0, k0: int = 2) -> Assu
     # |c_k| omega_k**(alpha/2) = beta solved on the rising modes, raised to the first double
     # their float check passes; a mode with omega_k <= 1 failing there fails at any larger alpha
     with np.errstate(over="ignore"):  # a product that overflows to inf does exceed beta
-        ratio = beta / tail_c[rising]  # ln beta - ln|c_k| only where this overflows to inf
-        log_ratio = np.where(np.isinf(ratio), math.log(beta) - np.log(tail_c[rising]),
-                             np.log(ratio))
+        ratio = beta / tail_c[rising]  # ln beta - ln|c_k| only where this over- or underflows
+        spill = np.isinf(ratio) | (ratio == 0.0)
+        log_ratio = np.where(spill, math.log(beta) - np.log(tail_c[rising]),
+                             np.log(np.where(spill, 1.0, ratio)))
         alpha = float(np.max(2.0 * log_ratio / np.log(tail_w[rising]), initial=ALPHA_MIN))
         while not coupled(alpha, rising):
             alpha = math.nextafter(alpha, math.inf)

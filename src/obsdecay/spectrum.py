@@ -4,26 +4,43 @@ Roots of the characteristic function come in conjugate pairs, one pair per
 mode: the upper root sits near ``+i omega_k``, the lower near ``-i omega_k``.
 The generator is real, so ``f(conj lam) = -conj f(lam)``, and the lower root
 of each pair is the exact conjugate of the upper one; only the upper root is
-solved for.  The upper roots of all modes are found together, by one
-array-valued damped Newton iteration seeded at each pole's second-order
-prediction (:func:`~obsdecay.charfn.newton_seed`, and one more iteration
-from backup seeds for the modes that need them); each root gets the same
-arithmetic as a scalar iteration from its seed.  An iterate
-past :func:`escape_radius` is stopped: no root lies out there, and Newton
-only moves outward.  An iterate whose damped step rounds to itself stops
-halving at once: rounding is monotone, so every smaller step rounds to it
-too and no halving could lower ``|f|``.  Each root is then certified by one
-a-posteriori Rouche disk centred at it, whose closed-form radius keeps the
-remainder constant ``K(r) <= 2 K0`` (:func:`_certified_radii`).  The report
-is ``complete`` when every mode is found and every root certified; f has
-exactly 2N zeros, so 2N disjoint one-zero disks prove the spectrum complete
-and simple (up to rounding in the computed ``|f|``, ``|f'|`` and ``K0``).
-The contour count :func:`winding_number` and a dense eigenvalue solve (in
-the tests) are independent oracles.
+solved for.
+
+Every root is held in pole-local coordinates ``(k, mu)``, ``lam = i omega_k
++ mu``, as the secular-equation solvers of Bunch, Nielsen and Sorensen
+(*Numer. Math.* 31, 1978) and LAPACK ``dlaed4`` (R.-C. Li, LAWN 89, 1994)
+iterate relative to the nearest pole.  ``lam - a`` is ``mu + i g`` for the
+gap ``g`` of :attr:`~obsdecay.model.SystemSpec.pole_gaps`, so the own-pole
+term ``(c_k^2/omega_k)/mu`` keeps its relative precision however small
+``|mu|`` is; a float ``lam`` would carry an error of ``eps omega_k``, which
+at beam N = 1024 is 2.3e-10 against ``|mu|`` = 4.8e-7.  :func:`eval_f`
+forms f, f' and the sum of the moduli of f's terms in one pass over those
+gaps.
+
+The upper roots of all modes are found together, by one array-valued damped
+Newton iteration in ``mu`` seeded at each pole's second-order prediction
+(:func:`~obsdecay.charfn.newton_seed_offsets`), and one more iteration from
+backup seeds for the modes that need them; each root gets the same
+arithmetic as an iteration from its seed alone.  An element stops when
+``|f| <= (2N + 4) u sum_a |res_a/(lam - a)|``, ``dlaed4``'s test: below that
+rounding bound of the evaluation the computed ``|f|`` is noise.  It fails
+when no damped step lowers ``|f|`` above the bound, or past
+:func:`escape_radius`, where no root lies and Newton only moves outward.
+Each root is then certified by one a-posteriori Rouche disk centred at it,
+whose closed-form radius keeps the remainder constant ``K(r) <= 2 K0``
+(:func:`_certified_radii`), with ``d_own = |mu|`` read in the same
+coordinates.  The report is ``complete`` when every mode is found and every
+root certified; f has exactly 2N zeros, so 2N disjoint one-zero disks prove
+the spectrum complete and simple (up to rounding in the computed ``|f|``,
+``|f'|`` and ``K0``).  The contour count :func:`winding_number` and a dense
+eigenvalue solve (in the tests) are independent oracles.
 
 A :class:`SpectrumReport` stores one row per found mode, as read-only
-column arrays over the upper roots; the lower half, :meth:`eigenvalues` and
-the per-root :class:`EigenCertificate` records are derived from them.
+column arrays over the upper roots: ``mu``, ``lam = i omega_k + mu`` derived
+from it, and ``f'`` at the root, which the certificate takes and the basis
+numbers of :mod:`obsdecay.modal` reuse.  The lower half,
+:meth:`eigenvalues` and the per-root :class:`EigenCertificate` records are
+derived from the columns.
 """
 
 from __future__ import annotations
@@ -34,17 +51,19 @@ from typing import Optional
 
 import numpy as np
 
-from .charfn import PoleError, _freeze_columns, eval_f, eval_f_prime, newton_seeds
+from . import charfn
+from .charfn import PoleError, _freeze_columns, newton_seed_offsets
 from .model import SystemSpec
 
-NEWTON_TOL = 1e-12
 NEWTON_MAX_ITERS = 100
 NEWTON_MAX_HALVINGS = 20
+UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
 POLE_GUARD = 1e-12
 WINDING_SAMPLES_INIT = 128
 WINDING_SAMPLES_CAP = 8192
 WINDING_INT_TOL = 1e-6
 CONTOUR_MIN_ABS_F = 1e-9
+EVAL_BLOCK = 32768  # gap table entries per block of rows that the pole sums take at once
 # smallest certificate radius, as a fraction of min(distance to the nearest
 # pole, -Re z); below it the test would read rounding noise in |f(z)| as proof
 CERT_FLOOR = 1e-12
@@ -82,94 +101,182 @@ def escape_radius(sys: SystemSpec) -> float:
     return max(2.0 * float(sys.omegas[-1]), 8.0 * sys.gamma * float(np.sum(sys.cs**2)))
 
 
-def newton_roots(sys: SystemSpec, seeds, tol: float = NEWTON_TOL,
-                 max_iters: int = NEWTON_MAX_ITERS
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[Optional[Exception]]]:
-    """Damped Newton iteration on the characteristic function, one root per seed.
+def _anchor_rows(sys: SystemSpec, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The pole ``i w`` of each anchor ``k`` and its gaps ``g`` and residues over the mode poles.
 
-    All seeds iterate together, so each iteration costs one array-valued
-    evaluation of ``f'`` and one of ``f`` per halving.  Each element follows
-    the scalar rules: steps are halved (up to 20 times) until |f| decreases,
-    so the residual is non-increasing across accepted steps; seeds and
-    candidates within 1e-12 of a pole are rejected; a seed or accepted
-    iterate at or past :func:`escape_radius` fails, since no root is out
-    there and Newton cannot come back; an element stops once
-    ``|f| <= tol``.  |f| is taken with ``hypot`` and the Newton step with
-    Python complex division, so every root is bitwise the one a scalar
-    iteration reaches.
-
-    An element whose candidate ``lam + step`` rounds to ``lam`` in both
-    components fails at that trial without another evaluation of ``f``.
-    Round-to-nearest is monotone, so every later halving rounds to ``lam``
-    as well, where ``|f|`` is bitwise the current residual (``f`` gives a
-    point the same value in any batch) and never decreases; ``lam`` is a
-    checked seed or an accepted iterate, so it is not near a pole.  The
-    element thus fails with the "damping failed" :class:`NewtonError`, text
-    included, that all 21 trials give, and no other element changes; at
-    beam N=256 the whole spectrum takes 1364 points of ``f`` instead of 4157.
-
-    Returns ``(roots, residuals, iterations, errors)``.  ``errors[i]`` is the
-    :class:`PoleError` or :class:`NewtonError` that stopped element ``i``, or
-    None; a failed element does not stop the others, and its root and
-    residual are NaN.
+    ``k > 0`` is the upper pole ``i omega_k``, ``k < 0`` the lower pole
+    ``-i omega_|k|``.  A lower anchor takes row ``|k|`` of
+    :attr:`~obsdecay.model.SystemSpec.pole_gaps` negated: its column j is the
+    gap to ``-i omega_j`` and its column N + j the gap to ``+i omega_j``, so
+    it takes the negated residues, and its arithmetic mirrors the upper one's.
+    Returns the signed ``w``, the gap rows and the residues of their columns.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    # every pole lies on the imaginary axis, so |z - pole| >= |Re z| and
-    # grows with |Im z - Im pole|: the nearest pole neighbours Im z in this order
-    poles = sys.poles_by_imag
-    inner = np.ascontiguousarray(poles.imag[1:-1])
+    rows = np.abs(ks) - 1
+    w, gaps, res = sys.omegas[rows], sys.pole_gaps[rows], sys.mode_pole_residues
+    if ks.size and ks.min() < 0:
+        sign = np.sign(ks)
+        w, gaps, res = w * sign, gaps * sign[:, None], res * sign[:, None]
+    return w, gaps, res
 
-    def near_pole(z: np.ndarray) -> np.ndarray:
-        near = np.abs(z.real) <= POLE_GUARD
+
+def _anchor_poles(sys: SystemSpec, ks: np.ndarray) -> np.ndarray:
+    """The signed frequency ``w = +/- omega_|k|`` of each anchor's pole ``i w``."""
+    return np.copysign(sys.omegas[np.abs(ks) - 1], ks)
+
+
+def _lam(w: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``lam = i w + mu`` elementwise: the root an anchor and its offset stand for."""
+    return mu + 1j * w
+
+
+def _row_blocks(sys: SystemSpec, n: int) -> list[slice]:
+    """Slices of ``n`` rows in blocks of about EVAL_BLOCK entries of a gap table row each.
+
+    A block's temporaries stay in cache; each row is computed on its own,
+    so the blocking changes no value.
+    """
+    step = max(1, EVAL_BLOCK // (2 * sys.N))
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
+def eval_f(sys: SystemSpec, mu, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f, f' and ``sum_a |res_a/(lam - a)|`` at ``lam = +/- i omega_|k| + mu``, per (mu, k).
+
+    Each ``mu`` is an offset from the pole of its anchor in ``ks`` (see
+    :func:`_anchor_rows`).  For each mode pole ``a``, ``lam - a = x + i y_a``
+    with ``x = Re mu`` and ``y_a = Im mu + g_a``, and the term
+    ``res_a/(lam - a) = res_a (x - i y_a)/|lam - a|^2`` and its derivative
+    ``-res_a (x - i y_a)^2/|lam - a|^4`` are summed in real arithmetic.  The
+    own gap is exactly 0, so the own-pole term is ``(c_k^2/omega_k)/mu``, as
+    precise as ``mu`` itself.  The pole at 0 adds ``2i/(gamma lam)``.  The
+    last value, the sum of the moduli of f's terms, scales the rounding error
+    of the computed f.  Each row sums the same terms in the same order in any
+    batch, so a point gets the same values in every batch.
+    """
+    mu = np.asarray(mu, dtype=complex)
+    w, gaps, res = _anchor_rows(sys, np.asarray(ks))
+    blocks = _row_blocks(sys, mu.size)
+    if len(blocks) == 1:
+        sums = _pole_sums(sys, mu, gaps, res)
+    else:
+        sums = np.concatenate([_pole_sums(sys, mu[blk], gaps[blk], res if res.ndim == 1
+                                          else res[blk]) for blk in blocks], axis=1)
+    fval = sums[0] + 1j * sums[1]
+    deriv = sums[2] + 1j * sums[3]
+    lam = _lam(w, mu)
+    origin = (2j / sys.gamma) / lam
+    return fval + origin, deriv - origin / lam, sums[4] + (2.0 / sys.gamma) / np.abs(lam)
+
+
+def _pole_sums(sys: SystemSpec, mu: np.ndarray, gaps: np.ndarray,
+               res: np.ndarray) -> np.ndarray:
+    """Re f, Im f, Re f', Im f' and the sum of |terms| over the mode poles, as five rows."""
+    x = mu.real
+    xx = x * x
+    y = gaps + mu.imag[:, None]
+    inv = y * y
+    inv += xx[:, None]
+    np.divide(1.0, inv, out=inv)  # 1/|lam - a|^2
+    q = res * inv
+    p = q * inv
+    py = p * y
+    sums = np.empty((5, mu.size))
+    sums[0] = x * q.sum(axis=1)
+    sums[1] = -np.einsum("ij,ij->i", q, y)
+    sums[2] = np.einsum("ij,ij->i", py, y) - xx * p.sum(axis=1)
+    sums[3] = 2.0 * x * py.sum(axis=1)
+    sums[4] = np.einsum("ij,j->i", np.sqrt(inv, out=inv), sys.pole_residues[1:])
+    return sums
+
+
+def _near_pole(sys: SystemSpec, mu: np.ndarray, ks: np.ndarray) -> np.ndarray:
+    """Whether ``lam = +/- i omega_|k| + mu`` lies within POLE_GUARD of a pole of f.
+
+    Every pole lies on the imaginary axis, so only a point with
+    ``|Re mu| <= POLE_GUARD`` can; its distances are read from its gap row.
+    """
+    near = np.abs(mu.real) <= POLE_GUARD
+    if near.any():
         idx = np.flatnonzero(near)
-        if idx.size:
-            w = z[idx]
-            hi = np.searchsorted(inner, w.imag) + 1
-            near[idx] = np.minimum(np.abs(w - poles[hi - 1]), np.abs(w - poles[hi])) <= POLE_GUARD
-        return near
+        w, gaps, _ = _anchor_rows(sys, ks[idx])
+        x = mu.real[idx]
+        dist = np.hypot(x[:, None], gaps + mu.imag[idx, None]).min(axis=1)
+        near[idx] = np.minimum(dist, np.abs(_lam(w, mu[idx]))) <= POLE_GUARD
+    return near
 
-    lam = np.array(seeds, dtype=complex).reshape(-1)
-    n = lam.size
-    roots = np.full(n, complex(np.nan, np.nan))
-    resids = np.full(n, np.nan)
+
+def newton_roots(sys: SystemSpec, ks, mu, max_iters: int = NEWTON_MAX_ITERS
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                            list[Optional[Exception]]]:
+    """Damped Newton iteration in pole-local coordinates, one root per seed ``(k, mu)``.
+
+    Element i iterates the offset ``mu[i]`` of ``lam`` from the pole of its
+    anchor ``ks[i]`` (``+i omega_k`` for ``k > 0``, ``-i omega_|k|`` for
+    ``k < 0``).  All elements iterate together, so each iteration costs one
+    array-valued :func:`eval_f` per halving, which gives f and f' at once.
+    Each element follows the scalar rules: it stops once ``|f| <= (2N + 4) u
+    S``, where S is the sum of the moduli of f's terms at the iterate and u
+    the unit roundoff; otherwise the Newton step is halved (up to 20 times)
+    until |f| decreases, so the residual is non-increasing across accepted
+    steps.  Seeds and candidates within 1e-12 of a pole are rejected, and a
+    seed or accepted iterate at or past :func:`escape_radius` fails, since no
+    root is out there and Newton cannot come back.  An element whose
+    candidate ``mu + step`` rounds to ``mu`` fails at that trial without
+    another evaluation: rounding is monotone, so every smaller step rounds to
+    ``mu`` as well, where ``|f|`` is the current residual.
+
+    Returns ``(mu, residuals, derivatives, iterations, errors)``: the root's
+    offset, ``|f|`` (taken with ``hypot``) and ``f'`` there, and the accepted
+    steps.  ``errors[i]`` is the :class:`PoleError` or :class:`NewtonError`
+    that stopped element ``i``, or None; a failed element does not stop the
+    others, and its offset, residual and derivative are NaN.
+    """
+    ks = np.asarray(ks, dtype=int).reshape(-1)
+    mu = np.array(mu, dtype=complex).reshape(-1)
+    n = mu.size
+    converged = np.zeros(n, dtype=bool)
     iters = np.zeros(n, dtype=int)
     errors: list[Optional[Exception]] = [None] * n
+    w = _anchor_poles(sys, ks)
     rho = escape_radius(sys)
+    rounding = (2 * sys.N + 4) * UNIT_ROUNDOFF
+
+    def lam(i) -> complex:
+        return complex(_lam(w[i], mu[i]))
 
     def inside(idx: np.ndarray) -> np.ndarray:
         """The elements of ``idx`` inside the escape radius; the others fail."""
-        out = np.abs(lam[idx]) >= rho
+        out = np.abs(_lam(w[idx], mu[idx])) >= rho
         for i in idx[out]:
-            errors[i] = NewtonError(f"iterate {complex(lam[i])} is past the escape radius "
+            errors[i] = NewtonError(f"iterate {lam(i)} is past the escape radius "
                                     f"{rho:.6g}: no root lies there and Newton only moves "
                                     "outward")
         return idx[~out]
 
-    at_pole = near_pole(lam)
+    at_pole = _near_pole(sys, mu, ks)
     for i in np.flatnonzero(at_pole):
-        errors[i] = PoleError(f"seed {complex(lam[i])} is (numerically) a pole of the "
+        errors[i] = PoleError(f"seed {lam(i)} is (numerically) a pole of the "
                               "characteristic function")
     active = inside(np.flatnonzero(~at_pole))
     fval = np.zeros(n, dtype=complex)
+    deriv = np.zeros(n, dtype=complex)
+    bound = np.zeros(n)
     if active.size:
-        fval[active] = eval_f(sys, lam[active])
+        fval[active], deriv[active], scale = eval_f(sys, mu[active], ks[active])
+        bound[active] = rounding * scale
     resid = np.hypot(fval.real, fval.imag)
 
     for it in range(max_iters):
-        done = resid[active] <= tol
-        conv = active[done]
-        roots[conv], resids[conv], iters[conv] = lam[conv], resid[conv], it
+        done = resid[active] <= bound[active]
+        converged[active[done]], iters[active[done]] = True, it
         active = active[~done]
         if not active.size:
             break
-        deriv = eval_f_prime(sys, lam[active]).tolist()
-        zero = np.array([d == 0 for d in deriv], dtype=bool)
+        zero = deriv[active] == 0
         for i in active[zero]:
-            errors[i] = NewtonError(f"vanishing derivative at {complex(lam[i])}")
-        step = np.array([-f / d for f, d in zip(fval[active].tolist(), deriv) if d != 0],
-                        dtype=complex)
+            errors[i] = NewtonError(f"vanishing derivative at {lam(i)}")
         active = active[~zero]
+        step = -fval[active] / deriv[active]
 
         pending = active
         near_only = np.ones(n, dtype=bool)
@@ -177,21 +284,22 @@ def newton_roots(sys: SystemSpec, seeds, tol: float = NEWTON_TOL,
         for _ in range(NEWTON_MAX_HALVINGS + 1):
             if not pending.size:
                 break
-            cand = lam[pending] + step
-            # a candidate that rounds to lam itself is lam: |f| there is resid,
-            # and every smaller step rounds to lam too, so the element fails now
-            moved = cand != lam[pending]
-            far = ~near_pole(cand)
+            cand = mu[pending] + step
+            # a candidate that rounds to mu itself is mu: |f| there is resid,
+            # and every smaller step rounds to mu too, so the element fails now
+            moved = cand != mu[pending]
+            far = ~_near_pole(sys, cand, ks[pending])
             near_only[pending[far]] = False
             ok = np.zeros(pending.size, dtype=bool)
             trial = far & moved
             if trial.any():
-                cand_f = eval_f(sys, cand[trial])
+                cand_f, cand_d, cand_s = eval_f(sys, cand[trial], ks[pending[trial]])
                 cand_r = np.hypot(cand_f.real, cand_f.imag)
                 better = cand_r < resid[pending[trial]]
                 ok[trial] = better
                 acc = pending[ok]
-                lam[acc], fval[acc], resid[acc] = cand[ok], cand_f[better], cand_r[better]
+                mu[acc], fval[acc], deriv[acc] = cand[ok], cand_f[better], cand_d[better]
+                resid[acc], bound[acc] = cand_r[better], rounding * cand_s[better]
             failed[pending[~moved]] = True
             keep = moved & ~ok
             pending, step = pending[keep], step[keep] * 0.5
@@ -199,28 +307,39 @@ def newton_roots(sys: SystemSpec, seeds, tol: float = NEWTON_TOL,
         for i in np.flatnonzero(failed):
             if near_only[i]:
                 errors[i] = PoleError(f"iteration stalled within {POLE_GUARD} of a pole "
-                                      f"near {complex(lam[i])}")
+                                      f"near {lam(i)}")
             else:
                 errors[i] = NewtonError(f"damping failed to reduce |f| below "
-                                        f"{float(resid[i]):.3e} at {complex(lam[i])}")
+                                        f"{float(resid[i]):.3e} (rounding bound "
+                                        f"{float(bound[i]):.3e}) at {lam(i)}")
         active = inside(active[~failed[active]])
     for i in active:
         errors[i] = NewtonError(f"no convergence after {max_iters} iterations "
                                 f"(|f| = {float(resid[i]):.3e})")
-    return roots, resids, iters, errors
+    nan = complex(np.nan, np.nan)
+    return (np.where(converged, mu, nan), np.where(converged, resid, np.nan),
+            np.where(converged, deriv, nan), iters, errors)
 
 
-def newton_root(sys: SystemSpec, seed: complex, tol: float = NEWTON_TOL,
+def newton_root(sys: SystemSpec, seed: complex,
                 max_iters: int = NEWTON_MAX_ITERS) -> tuple[complex, float, int]:
     """Damped Newton iteration from one seed: :func:`newton_roots` on a batch of one.
 
-    Returns ``(root, |f(root)|, iterations)``; raises the element's
-    :class:`PoleError` or :class:`NewtonError` when it fails.
+    The seed is anchored at the pole ``+/- i omega_k`` nearest it on its side
+    of the real axis (the upper side for a real seed).  Returns ``(root,
+    |f(root)|, iterations)``; raises the element's :class:`PoleError` or
+    :class:`NewtonError` when it fails.
     """
-    roots, resids, iters, errors = newton_roots(sys, [seed], tol, max_iters)
+    seed = complex(seed)
+    k = int(np.argmin(np.abs(sys.omegas - abs(seed.imag)))) + 1
+    if seed.imag < 0.0:
+        k = -k
+    w = float(_anchor_poles(sys, np.array([k]))[0])
+    mu, resids, _, iters, errors = newton_roots(sys, [k], [complex(seed.real, seed.imag - w)],
+                                                max_iters)
     if errors[0] is not None:
         raise errors[0]
-    return complex(roots[0]), float(resids[0]), int(iters[0])
+    return complex(_lam(np.array([w]), mu)[0]), float(resids[0]), int(iters[0])
 
 
 def winding_number(sys: SystemSpec, disk: tuple[complex, float],
@@ -242,13 +361,13 @@ def winding_number(sys: SystemSpec, disk: tuple[complex, float],
         t = 2.0 * np.pi * np.arange(m) / m
         unit = np.exp(1j * t)
         lam = center + radius * unit
-        fv = eval_f(sys, lam)
+        fv = charfn.eval_f(sys, lam)
         min_abs = float(np.min(np.abs(fv)))
         if min_abs <= CONTOUR_MIN_ABS_F:
             raise PoleError(
                 f"contour touches a zero or pole of f (min sampled |f| = {min_abs:.3e})"
             )
-        val = np.sum(eval_f_prime(sys, lam) / fv * unit) * radius / m
+        val = np.sum(charfn.eval_f_prime(sys, lam) / fv * unit) * radius / m
         nearest = round(val.real)
         if abs(val - nearest) < WINDING_INT_TOL:
             return int(nearest)
@@ -297,8 +416,8 @@ class EigenCertificate:
 
 
 # the per-root columns of a SpectrumReport and their dtypes
-_COLUMNS = {"k": int, "lam": complex, "residual": float, "radius": float,
-            "certified": bool, "newton_iters": int, "fallback": bool}
+_COLUMNS = {"k": int, "mu": complex, "lam": complex, "residual": float, "deriv": complex,
+            "radius": float, "certified": bool, "newton_iters": int, "fallback": bool}
 
 
 @dataclass(frozen=True, eq=False)
@@ -306,18 +425,21 @@ class SpectrumReport:
     """The found roots, one row per mode, with global consistency metrics.
 
     Each column holds one read-only array over the found modes' upper roots
-    (near +i omega_k), by ascending mode ``k``: the root ``lam``, its
-    residual ``|f(lam)|``, the ``radius`` of its Rouche disk (NaN when none
-    exists), whether it is ``certified``, its ``newton_iters`` and whether
-    it came from the ``fallback`` seed.  The lower root of each mode is
-    ``lam.conj()`` with the same certificate, so it is not stored.
+    (near +i omega_k), by ascending mode ``k``: the offset ``mu`` of the root
+    from ``i omega_k``, the root ``lam = i omega_k + mu``, its residual
+    ``|f(lam)|``, ``deriv = f'(lam)``, the ``radius`` of its Rouche disk (NaN
+    when none exists), whether it is ``certified``, its ``newton_iters`` and
+    whether it came from the ``fallback`` seed.  The lower root of each mode
+    is ``lam.conj()`` with the same certificate, so it is not stored.
     ``enclosure_defect`` is the largest violation of the global disk
     enclosure (0 when every root is inside).
     """
 
     k: np.ndarray
+    mu: np.ndarray
     lam: np.ndarray
     residual: np.ndarray
+    deriv: np.ndarray
     radius: np.ndarray
     certified: np.ndarray
     newton_iters: np.ndarray
@@ -353,9 +475,9 @@ class SpectrumReport:
         }
 
 
-def _certified_radii(sys: SystemSpec, roots: np.ndarray, resids: np.ndarray,
-                     d: np.ndarray) -> np.ndarray:
-    """Closed-form radius of a one-zero Rouche disk about each root.
+def _certified_radii(sys: SystemSpec, ks: np.ndarray, mu: np.ndarray, resids: np.ndarray,
+                     deriv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form radius of a one-zero Rouche disk about each upper root ``z = i omega_k + mu``.
 
     Every term of f is a simple pole, so on ``|lam - z| = r < d_a = |z - a|``
     the Taylor remainder is at most ``r^2 K(r)``, ``K(r) = sum_a |res_a| /
@@ -365,18 +487,29 @@ def _certified_radii(sys: SystemSpec, roots: np.ndarray, resids: np.ndarray,
     2 sum_a |res_a| / d_a^3``; the concave ``|f'(z)| r - 2 K0 r^2`` peaks on
     ``(0, reach/2]`` at ``r = min(reach/2, |f'(z)|/(4 K0))``, the radius if
     there it exceeds ``|f(z)|`` (``resids``) and ``r >= CERT_FLOOR reach > 0``;
-    else no radius of that range passes and it is NaN.  ``d`` is the
-    ``hypot`` table of ``|z - a|`` over :attr:`SystemSpec.poles`; ``K0`` adds
-    each ``+/- i omega_j`` pair first, so conjugates match bitwise.
+    else no radius of that range passes and it is NaN.  ``deriv`` is f'(z);
+    the distance to a mode pole is ``|mu + i g|`` for its gap g in
+    :attr:`~obsdecay.model.SystemSpec.pole_gaps`, so ``d_own = |mu|``; the
+    pole at 0 is ``|z|`` away, and ``-Re z = -Re mu``.
+
+    Returns the radii and each root's distance to its nearest mode pole.
     """
-    terms = sys.pole_residues / (d * d * d)
-    k0 = terms[:, 0] + (terms[:, 1:sys.N + 1] + terms[:, sys.N + 1:]).sum(axis=1)
-    reach = np.minimum(np.min(d, axis=1), -roots.real)
-    deriv = eval_f_prime(sys, roots)
+    nearest, k0 = np.empty(mu.shape), np.empty(mu.shape)
+    for blk in _row_blocks(sys, mu.size):
+        d = sys.pole_gaps[ks[blk] - 1] + mu.imag[blk, None]
+        d *= d
+        d += (mu.real[blk] * mu.real[blk])[:, None]
+        np.sqrt(d, out=d)  # |z - a|
+        nearest[blk] = d.min(axis=1)
+        d *= d * d
+        k0[blk] = np.einsum("ij,j->i", np.divide(1.0, d, out=d), sys.pole_residues[1:])
+    origin = np.abs(_lam(sys.omegas[ks - 1], mu))
+    k0 += sys.pole_residues[0] / origin**3
+    reach = np.minimum(np.minimum(nearest, origin), -mu.real)
     slope = np.hypot(deriv.real, deriv.imag)
     r = np.minimum(0.5 * reach, slope / (4.0 * k0))
     ok = (reach > 0.0) & (r >= CERT_FLOOR * reach) & (slope * r - resids > 2.0 * k0 * r * r)
-    return np.where(ok, r, np.nan)
+    return np.where(ok, r, np.nan), nearest
 
 
 def _meets_another(c: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -398,41 +531,42 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
     """Locate and certify all 2N roots of the characteristic function.
 
     The upper roots of all modes are refined together by
-    :func:`newton_roots` from the second-order seeds of
-    :func:`~obsdecay.charfn.newton_seeds`; the modes whose root fails or
-    leaves its band are solved again, together, from a left-shifted backup
-    seed.  Each found root is certified by its Rouche disk, which must
-    miss every other root's disk, its conjugate's included.  The lower root
-    is the exact conjugate of the upper one, certificate included, because
-    ``f(conj lam) = -conj f(lam)`` holds bitwise, so the report stores the
-    upper roots alone.  Failures are collected instead of raised: one per
-    missing mode and one per uncertified root.
+    :func:`newton_roots`, in pole-local coordinates, from the second-order
+    seeds of :func:`~obsdecay.charfn.newton_seed_offsets`; the modes whose
+    root fails or leaves its band (``|Im mu| > band``) are solved again,
+    together, from a left-shifted backup seed.  Each found root is certified
+    by its Rouche disk, which must miss every other root's disk, its
+    conjugate's included.  The lower root is the exact conjugate of the
+    upper one, certificate included, because ``f(conj lam) = -conj f(lam)``,
+    so the report stores the upper roots alone.  Failures are collected
+    instead of raised: one per missing mode and one per uncertified root.
     """
     wk = sys.omegas
+    ks = np.arange(1, sys.N + 1)
     band = 0.5 * (sys.min_gap() if sys.N > 1 else float(wk[0]))
-    roots, resids, iters, errors = newton_roots(sys, newton_seeds(sys))
-    fallback = np.array([err is not None for err in errors]) | (np.abs(roots.imag - wk) > band)
+    mu, resids, deriv, iters, errors = newton_roots(sys, ks, newton_seed_offsets(sys))
+    fallback = np.array([err is not None for err in errors]) | (np.abs(mu.imag) > band)
     failures: dict[int, str] = {}
     fb = np.flatnonzero(fallback)
     if fb.size:
-        fb_seeds = -0.5 * enclosure_radius(sys, 1j * wk[fb]) + 1j * wk[fb]
-        roots[fb], resids[fb], iters[fb], fb_errors = newton_roots(sys, fb_seeds)
-        left = np.abs(roots[fb].imag - wk[fb]) > band
-        for i, err, out, root in zip(fb.tolist(), fb_errors, left, roots[fb].tolist()):
+        fb_mu = -0.5 * enclosure_radius(sys, 1j * wk[fb]) + 0j
+        mu[fb], resids[fb], deriv[fb], iters[fb], fb_errors = newton_roots(sys, ks[fb], fb_mu)
+        left = np.abs(mu[fb].imag) > band
+        roots = _lam(wk[fb], mu[fb])
+        for i, err, out, root in zip(fb.tolist(), fb_errors, left, roots.tolist()):
             if err is not None:
                 failures[i] = f"mode {i + 1}: fallback Newton failed: {err}"
             elif out:
                 failures[i] = f"mode {i + 1}: fallback root {root} left the mode band"
+    lam = _lam(wk, mu)
     # nearest mode frequency to |Im root|; ties go low
-    nearest = np.argmin(np.abs(wk - np.abs(roots.imag)[:, None]), axis=1)
+    nearest = np.argmin(np.abs(wk - np.abs(lam.imag)[:, None]), axis=1)
     for i in np.flatnonzero(nearest != np.arange(sys.N)).tolist():
-        failures.setdefault(i, f"mode {i + 1}: root {complex(roots[i])} assigned to another mode")
+        failures.setdefault(i, f"mode {i + 1}: root {complex(lam[i])} assigned to another mode")
 
     found = np.array([i for i in range(sys.N) if i not in failures], dtype=int)
-    lam = roots[found]
-    gaps = lam[:, None] - sys.poles
-    dist = np.hypot(gaps.real, gaps.imag)
-    radius = _certified_radii(sys, lam, resids[found], dist)
+    radius, pole_dist = _certified_radii(sys, ks[found], mu[found], resids[found], deriv[found])
+    lam = lam[found]
     meets = _meets_another(np.concatenate([lam, lam.conj()]),
                            np.tile(radius, 2)).reshape(2, -1).any(axis=0)
     certified = ~np.isnan(radius) & ~meets
@@ -447,11 +581,12 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
             uncertified.append(f"mode {k} ({half}): root {z} not certified: {why}")
 
     # a lower root has the nearest pole distance and |lam| of its upper one
-    enc = float(np.max(np.min(dist[:, 1:], axis=1) - enclosure_radius(sys, lam), initial=0.0))
+    enc = float(np.max(pole_dist - enclosure_radius(sys, lam), initial=0.0))
 
     fail_msgs = [failures[i] for i in sorted(failures)] + uncertified
-    return SpectrumReport(k=found + 1, lam=lam, residual=resids[found], radius=radius,
-                          certified=certified, newton_iters=iters[found],
-                          fallback=fallback[found], enclosure_defect=enc,
+    return SpectrumReport(k=found + 1, mu=mu[found], lam=lam, residual=resids[found],
+                          deriv=deriv[found], radius=radius, certified=certified,
+                          newton_iters=iters[found], fallback=fallback[found],
+                          enclosure_defect=enc,
                           complete=found.size == sys.N and not fail_msgs,
                           failures=tuple(fail_msgs))

@@ -49,7 +49,8 @@ def test_every_patched_name_resolves(spans):
 def test_tracer_counts_and_restores(spans, beam23):
     # full_spectrum calls newton_roots, not the traced newton_root, and
     # counts no windings; the count of points spectrum passes to eval_f
-    # (Newton's alone: the certificate reuses its |f|) pins the work it does
+    # (Newton's alone, each giving f and f': the certificate reuses both)
+    # pins the work it does
     tracer = spans.Tracer()
     newton_root, eval_f = spectrum.newton_root, spectrum.eval_f
     with tracer.recording(0) as counts:
@@ -57,7 +58,7 @@ def test_tracer_counts_and_restores(spans, beam23):
     assert spectrum.newton_root is newton_root
     assert spectrum.eval_f is eval_f
     assert rep.complete
-    assert counts["spectrum.eval_f.points"] == 37
+    assert counts["spectrum.eval_f.points"] == 52
     times = tracer.iteration_times(0)
     assert times["spectrum.full_spectrum"]["calls"] == 1
     assert times["spectrum.winding_number"]["calls"] == 0

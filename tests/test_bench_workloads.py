@@ -40,13 +40,13 @@ def test_sweep_unit_gates_pass(workloads):
 
 
 def test_exact_zero_residual_roots_are_certified(workloads):
-    # four roots of the second sweep family have f(z) == 0.0 exactly; a
-    # radius taken from |f|/|f'| alone would be 0 there
+    # twenty roots of the second sweep family (mode 1 of ten systems) have
+    # f(z) == 0.0 exactly; a radius taken from |f|/|f'| alone would be 0 there
     from obsdecay import SystemSpec, full_spectrum
 
     exact = []
     for case in workloads.random_family(2):
         rep = full_spectrum(SystemSpec.from_json_dict(case.doc))
         exact += [e for e in rep.eigs if e.residual == 0.0]
-    assert len(exact) == 4  # two conjugate pairs
+    assert len(exact) == 20  # ten conjugate pairs
     assert all(e.certified and e.disk_radius > 0.0 for e in exact)

@@ -25,7 +25,7 @@ from obsdecay.charfn import (
     localize,
     localize_modes,
     newton_seed,
-    newton_seeds,
+    newton_seed_offsets,
     rouche_margin,
 )
 from obsdecay.model import SystemSpec, beam_example, build_system
@@ -355,7 +355,9 @@ class TestNewtonSeed:
                     for case in load_bench_workloads().random_family(1)]
         for sys in systems:
             seeds = [newton_seed(CharContext(sys, k)) for k in range(1, sys.N + 1)]
-            assert newton_seeds(sys).tolist() == seeds, sys.N
+            # each seed is its pole plus the offset, added last
+            offsets = newton_seed_offsets(sys).tolist()
+            assert [complex(0.0, w) + m for w, m in zip(sys.omegas.tolist(), offsets)] == seeds
 
     @pytest.mark.parametrize("sys", [beam_example(1.0, 1.0, 23), beam_example(1.0, 1.0, 23, 3.0)]
                              + perturbed_beam_family(2, 3), ids=lambda s: f"N{s.N}-{s.gamma:.3g}")

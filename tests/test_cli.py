@@ -294,8 +294,9 @@ class TestReportVerb:
                 scan = json.loads((out / "axis_scan.json").read_text())
                 assert [seg[0] for seg in scan["segments"]] == [3, 4, 5]
 
-    def test_beam256_envelope_follows_the_closed_form_alpha(self, tmp_path):
-        # at alpha = 1.1 the exponent -1.089 missed its target by 0.180; at alpha = 1 by 0.089
+    def test_beam256_report_passes_every_check(self, tmp_path):
+        # at alpha = 1.1 the exponent -1.089 missed its target by 0.180; at alpha = 1 by 0.089.
+        # The spectrum is complete, so the slope fits alpha and the segment caps are checked
         cfg = write_config(tmp_path / "beam256.json", {
             "gamma": 1.0,
             "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 256},
@@ -303,13 +304,63 @@ class TestReportVerb:
             "seed": 11,
         })
         out = tmp_path / "out"
-        assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
-        checks = json.loads((out / "report.json").read_text())["checks"]
-        assert {k for k, c in checks.items() if not c["pass"]} == {"spectrum_complete",
-                                                                    "axis_scan_slope"}
+        assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        doc = json.loads((out / "report.json").read_text())
+        checks = doc["checks"]
+        assert all(c["pass"] and not c.get("skipped") for c in checks.values()), checks
+        assert {"spectrum_complete", "axis_scan_slope", "segment_bounds",
+                "basis_conditioning"} <= set(checks)
+        assert doc["spectrum"]["certified"] == 512
+        slope = checks["axis_scan_slope"]["detail"]
+        assert abs(slope["slope"] - 1.0) <= 0.01 and slope["r2"] >= 0.999
+        assert doc["basis"]["cond_Q"] == pytest.approx(2.24656316, rel=1e-8)
         detail = checks["envelope_exponent"]["detail"]
-        assert checks["envelope_exponent"]["pass"]
         assert abs(detail["exponent"] - detail["target"]) <= 0.1
+
+    def test_report_forms_no_eigenvector_matrix(self, tmp_path, monkeypatch):
+        # the basis numbers come from the spectrum's columns; only simulate and
+        # dump_q read the 2N x 2N matrix Q
+        def forbidden(basis):
+            raise AssertionError("the eigenvector matrix was formed")
+
+        monkeypatch.setattr(modal.ModalBasis, "Q", property(forbidden))
+        doc = {"gamma": 1.0, "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 64},
+               "tasks": ["verify", "localize", "spectrum", "resolvent-scan", "envelope"]}
+        cfg = write_config(tmp_path / "beam64.json", doc)
+        assert main(["report", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["checks"]["basis_conditioning"]["pass"]
+        assert not report["checks"]["segment_bounds"].get("skipped")
+        for extra in ({"tasks": ["spectrum", "simulate"]},
+                      {"tasks": ["spectrum"], "tolerances": {"dump_q": True}}):
+            cfg = write_config(tmp_path / "q.json", {**doc, **extra})
+            with pytest.raises(AssertionError, match="eigenvector matrix was formed"):
+                main(["report", "--config", cfg, "--out", str(tmp_path / "q")])
+
+    def test_failed_basis_is_built_once(self, tmp_path, monkeypatch):
+        # a report reads the basis for the scan's cond(Q), for its own "basis" entry and
+        # for simulate; a basis that fails is built once and its error re-raised
+        calls = []
+        build = modal.build_basis
+
+        def failing(*args):
+            calls.append(args)
+            build(*args)
+            raise modal.BasisError("refused on purpose")
+
+        monkeypatch.setattr(modal, "build_basis", failing)
+        cfg = write_config(tmp_path / "beam23.json", {
+            "gamma": 1.0,
+            "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 23},
+            "tasks": ["spectrum", "resolvent-scan", "simulate"],
+        })
+        out = tmp_path / "out"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
+        doc = json.loads((out / "report.json").read_text())
+        assert len(calls) == 1
+        assert doc["basis"] == {"error": "refused on purpose"}
+        assert doc["trajectory"] == {"error": "refused on purpose"}
+        assert doc["checks"]["segment_bounds"]["skipped"]
 
     def test_report_forms_the_linearization_once(self, beam23_config, tmp_path, monkeypatch):
         # localization and the Newton seeds both read the system's cached F and F'
@@ -627,10 +678,11 @@ class TestDegradedPipelines:
         (12, "resolvent-scan", "axis_scan_ran", "the axis scan needs at least one eigenvalue"),
     ], ids=["envelope", "resolvent-scan"])
     def test_empty_spectrum_is_a_stage_failure(self, n, task, check, error, tmp_path, capsys):
-        # at gamma = 1e-6 no root of these beams is found; the stage that needs
-        # one fails, the report records it and both runs exit 1
+        # at gamma = 1e-12 every root of these beams lies within the 1e-12 pole guard
+        # of its pole, so none is found; the stage that needs one fails, the report
+        # records it and both runs exit 1
         cfg = write_config(tmp_path / "cold.json", {
-            "gamma": 1e-6,
+            "gamma": 1e-12,
             "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": n},
             "tasks": ["verify", "spectrum", task],
         })

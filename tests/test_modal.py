@@ -8,7 +8,7 @@ from conftest import (SINGLE_MODE_ROOTS, SPECTRUM_COLUMNS, load_bench_workloads,
                       perturbed_beam_family)
 from oracles import dense_oracle_spectrum
 from obsdecay.charfn import PoleError
-from obsdecay import modal
+from obsdecay import modal, spectrum
 from obsdecay.cli import EXIT_CHECK_FAILED, Pipeline, load_config
 from obsdecay.dynamics import apply_generator, dense_generator, simulate_error
 from obsdecay.modal import (
@@ -21,6 +21,16 @@ from obsdecay.modal import (
 from obsdecay.model import SystemSpec, beam_example
 from obsdecay.spectrum import full_spectrum
 from obsdecay.state import StateVector
+
+
+def moved_root(sys, rep, j, mu):
+    """The report with row j's root moved to ``i omega_k + mu``, its |f| and f' taken there."""
+    cols = {name: getattr(rep, name).copy() for name in ("mu", "lam", "residual", "deriv")}
+    k = int(rep.k[j])
+    fval, deriv, _ = spectrum.eval_f(sys, np.array([mu]), np.array([k]))
+    cols["mu"][j], cols["deriv"][j], cols["residual"][j] = mu, deriv[0], abs(fval[0])
+    cols["lam"][j] = complex(mu.real, float(sys.omegas[k - 1]) + mu.imag)
+    return dataclasses.replace(rep, **cols)
 
 
 def random_state(n, rng):
@@ -59,11 +69,21 @@ def conjugate_swap(vec):
     return StateVector(q=np.conjugate(vec.p), p=np.conjugate(vec.q))
 
 
-def direct_lower_eigenvector(sys, lam, n):
-    """The lower-root eigenvector from its own closed form, scaled to q_n = 1."""
-    scale = -(1j * sys.omegas[n - 1] + lam) / sys.cs[n - 1]
-    return StateVector(q=-sys.cs / (1j * sys.omegas + lam) * scale,
-                       p=sys.cs / (1j * sys.omegas - lam) * scale)
+def direct_lower_eigenvector(sys, mu, n):
+    """The eigenvector of the lower root ``-i omega_n + mu`` from its own closed form.
+
+    ``v_a = s c_a/(lam - a)`` with ``s = mu/c_n``, so that q_n = 1, and
+    ``lam - a = mu - i (omega_n -/+ omega_j)`` for ``a = -/+ i omega_j``.
+    """
+    w = float(sys.omegas[n - 1])
+    s = np.array([mu]) / sys.cs[n - 1]  # numpy's array division, as the upper vectors take it
+    return StateVector(q=s * sys.cs / (mu.real + 1j * (mu.imag - (w - sys.omegas))),
+                       p=s * sys.cs / (mu.real + 1j * (mu.imag - (w + sys.omegas))))
+
+
+def upper_eigenvector(sys, mu, n):
+    """The eigenvector of the upper root ``i omega_n + mu`` built for that root alone."""
+    return modal._upper_eigenvectors(sys, np.array([n]), np.array([mu]))[0][0]
 
 
 class TestEigenvector:
@@ -126,17 +146,16 @@ class TestEigenvector:
         pytest.param(perturbed_beam_family(1, 4), id="perturbed"),
     ])
     def test_conjugate_swap_is_the_direct_lower_eigenvector(self, systems):
-        # bitwise: J(upper) equals the lower vector built from its own formula,
-        # and the generator commutes with J
+        # bitwise: J(upper) equals the lower vector built from its own formula
+        # about -i omega_k, and the generator commutes with J
         rng = np.random.default_rng(5)
         for sys in systems:
             rep = full_spectrum(sys)
-            lowers = rep.eigenvalues()[1::2]
-            for k, lam, lower in zip(rep.k.tolist(), rep.lam.tolist(), lowers.tolist()):
+            for k, mu, lam in zip(rep.k.tolist(), rep.mu.tolist(), rep.lam.tolist()):
+                swapped = conjugate_swap(StateVector.from_array(upper_eigenvector(sys, mu, k)))
+                direct = direct_lower_eigenvector(sys, mu.conjugate(), k).to_array()
+                np.testing.assert_array_equal(swapped.to_array(), direct)
                 up = eigenvector(sys, lam, k)
-                swapped = conjugate_swap(up).to_array()
-                direct = direct_lower_eigenvector(sys, lower, k).to_array()
-                np.testing.assert_array_equal(swapped, direct)
                 for vec in (up, random_state(sys.N, rng)):
                     np.testing.assert_array_equal(
                         apply_generator(sys, conjugate_swap(vec)).to_array(),
@@ -206,9 +225,9 @@ class TestBuildBasis:
     def test_parallel_columns_are_numerically_singular(self, beam23, beam23_spectrum):
         # mode 3 given both of mode 4's roots: every column passes its residual
         # check, but two columns of Q are parallel
-        lam = beam23_spectrum.lam.copy()
-        lam[2] = lam[3]
-        doubled = dataclasses.replace(beam23_spectrum, lam=lam)
+        root = beam23_spectrum.lam[3]
+        doubled = moved_root(beam23, beam23_spectrum, 2, root - 1j * beam23.omegas[2])
+        assert doubled.lam[2] == root
         with pytest.raises(BasisError, match="numerically singular: the root disks"):
             build_basis(beam23, doubled)
 
@@ -266,6 +285,36 @@ class TestBuildBasis:
                     far += basis.closeness[-1] >= 1.0
         assert count >= 386 and far >= 16
 
+    def test_closed_forms_match_the_dense_eigenvectors(self):
+        # nu, the closeness increments and the column residuals come from the
+        # spectrum's columns; the eigenvector matrix, formed on demand, is their
+        # oracle.  Its column residuals under the dense generator are rounding,
+        # bounded by 4 * 2N u (||A||_F + |lam|) ||v||, and the closed forms agree
+        # within that bound
+        count = 0
+        for seed in (1, 2, 3, 61):
+            for case in load_bench_workloads().random_family(seed):
+                sys = SystemSpec.from_json_dict(case.doc)
+                rep = full_spectrum(sys)
+                if not rep.complete:
+                    continue
+                count += 1
+                basis = build_basis(sys, rep)
+                nu, increments, resid, norms = modal._basis_numbers(sys, rep)
+                n, q_mat, a = sys.N, basis.Q, dense_generator(sys)
+                np.testing.assert_allclose(np.sum(q_mat * q_mat, axis=0), basis.nu,
+                                           rtol=1e-11, atol=0.0)
+                upper = q_mat[:, n:]
+                np.testing.assert_allclose(np.linalg.norm(upper, axis=0), norms,
+                                           rtol=1e-13, atol=0.0)
+                gaps = upper - np.eye(2 * n, n, -n)  # the comparison vectors e_{p_k}
+                np.testing.assert_allclose(2.0 * np.sum(np.abs(gaps) ** 2, axis=0), increments,
+                                           rtol=1e-13, atol=0.0)
+                dense = np.linalg.norm(a @ upper - upper * rep.lam, axis=0)
+                bound = 8.0 * n * 2.0**-53 * (np.linalg.norm(a) + np.abs(rep.lam)) * norms
+                assert np.all(np.abs(dense - resid) <= bound) and np.all(resid <= bound)
+        assert count == 441
+
     # beam N in {1, 2, 5, 23, 64, 70} at gamma in {0.5, 1} where the spectrum is complete;
     # N = 64 and 70 lose modes at gamma = 0.5
     @pytest.mark.parametrize("n, gamma", [(n, 0.5) for n in (1, 2, 5, 23)]
@@ -301,27 +350,26 @@ class TestBuildBasis:
         pytest.param(perturbed_beam_family(1, 4), id="perturbed"),
     ])
     def test_columns_are_the_one_root_eigenvectors(self, systems):
-        # the one-pass build gives each column bitwise as eigenvector() builds
-        # it for its root alone, and the lower column is J of the upper one
+        # the one-pass build gives each column bitwise as it is built for its
+        # root alone, and the lower column is J of the upper one
         for sys in systems:
             rep = full_spectrum(sys)
             if not rep.complete:
                 continue
             basis = build_basis(sys, rep)
             n = sys.N
-            for k, lam in zip(rep.k.tolist(), rep.lam.tolist()):
-                up = eigenvector(sys, lam, k).to_array()
+            for k, mu in zip(rep.k.tolist(), rep.mu.tolist()):
+                up = upper_eigenvector(sys, mu, k)
                 np.testing.assert_array_equal(basis.Q[:, n + k - 1], up)
                 np.testing.assert_array_equal(
                     basis.Q[:, k - 1],
                     conjugate_swap(StateVector.from_array(up)).to_array())
 
     def test_failed_upper_residual_is_a_basis_error(self, beam23, beam23_spectrum, tmp_path):
-        # a complete report whose mode-5 upper root is off by 1e-6: the basis
-        # is refused with BasisError, and a report records the failed stage
-        lam = beam23_spectrum.lam.copy()
-        lam[4] += 1e-6
-        nudged = dataclasses.replace(beam23_spectrum, lam=lam)
+        # a complete report whose mode-5 upper root is off by 1e-6, with its
+        # residual and f' taken there: the basis is refused with BasisError,
+        # and a report records the failed stage
+        nudged = moved_root(beam23, beam23_spectrum, 4, beam23_spectrum.mu[4] + 1e-6)
         with pytest.raises(BasisError, match=r"^mode 5: upper eigenvector residual"):
             build_basis(beam23, nudged)
         config = tmp_path / "beam23.json"

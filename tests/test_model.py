@@ -3,6 +3,7 @@ import json
 import math
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from conftest import load_bench_workloads, perturbed_beam_family
 from obsdecay import reports
 from obsdecay.model import (
     ALPHA_MAX,
+    AssumptionCertificate,
     SystemSpec,
     _linearizations,
     beam_example,
@@ -118,8 +120,9 @@ def per_mode_linearization(sys):
 
 
 class TestImmutability:
-    CONSTANTS = ("iw", "c2_over_w", "poles", "pole_residues", "poles_by_imag",
-                 "resolvent_offsets", "resolvent_couplings", "linearization")
+    CONSTANTS = ("iw", "c2_over_w", "pole_residues", "pole_gaps",
+                 "mode_pole_residues", "resolvent_offsets", "resolvent_couplings",
+                 "linearization")
 
     def test_source_arrays_are_copied(self):
         w, c = np.array([1.0, 4.0, 9.0]), np.array([1.0, 0.5, 0.25])
@@ -158,13 +161,13 @@ class TestImmutability:
         """Each per-system constant is bitwise the expression the readers used to build per call."""
         iw = 1j * sys.omegas
         c2_over_w = sys.cs**2 / sys.omegas
-        poles = np.concatenate([[0.0 + 0.0j], iw, -iw])
         expected = {
             "iw": iw,
             "c2_over_w": c2_over_w,
-            "poles": poles,
             "pole_residues": np.concatenate([[2.0 / sys.gamma], c2_over_w, c2_over_w]),
-            "poles_by_imag": poles[np.argsort(poles.imag)],
+            "pole_gaps": np.concatenate([sys.omegas[:, None] - sys.omegas,
+                                         sys.omegas[:, None] + sys.omegas], axis=1),
+            "mode_pole_residues": np.concatenate([c2_over_w, -c2_over_w]),
             "resolvent_offsets": np.concatenate([-iw, iw]),
             "resolvent_couplings": np.concatenate([sys.cs, sys.cs]),
             "linearization": per_mode_linearization(sys),
@@ -293,6 +296,16 @@ class TestCertifyAssumptions:
         path = tmp_path / "assumptions.json"
         reports.write_json(str(path), cert.to_json_dict())
         assert json.loads(path.read_text())["alpha"] == cert.alpha
+
+    def test_underflowing_coupling_ratio_warns_nothing(self):
+        # beta/|c_1| = 1e-600 underflows to 0; its log is taken from ln beta - ln|c_1|
+        # instead, so nothing warns and the certificate is the one the log of 0 gave
+        sys = build_system(1, [2, 3], [1e300, 1])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cert = certify_assumptions(sys, beta=1e-300, k0=1)
+        assert cert == AssumptionCertificate(kappa=1.0, alpha=0.1, beta=1e-300, k0=1,
+                                             holds_A2=True, holds_A3=True)
 
     def test_single_mode_gap_is_vacuous(self):
         cert = certify_assumptions(build_system(1.0, [2.0], [1.0]), beta=0.5, k0=1)

@@ -148,9 +148,13 @@ def spectrum_with_edge_values():
     """A report whose columns hold what full_spectrum seldom gives: NaN, inf, -0.0, tiny values."""
     return SpectrumReport(
         k=[1, 2, 3, 4, 5, 6],
+        mu=[complex(-1.0, -1.0), complex(-2.0, -2.0), complex(-1e-300, 1e-7 - 3.0),
+            complex(-3.0, math.inf), complex(math.nan, math.nan), complex(-0.5, -6.0)],
         lam=[complex(-1.0, 0.0), complex(-2.0, -0.0), complex(-1e-300, 1e-7),
              complex(-3.0, math.inf), complex(math.nan, math.nan), complex(-0.5, -5e-324)],
         residual=[math.nan, 0.0, 1e-15, math.inf, 2.5, 1e300],
+        deriv=[complex(math.nan, 0.0), 1j, complex(1e300, -0.0), complex(math.inf, 1.0),
+               0.0, complex(5e-324, 2.0)],
         radius=[math.nan, 0.1, math.nan, 0.0, math.nan, 1e-12],
         certified=[False, True, False, True, False, True],
         newton_iters=[0, 1, 2, 3, 4, 100],
@@ -437,8 +441,8 @@ class TestArtifactBytesMatchOracles:
             axis_scan_doc(scan, rotated)
 
     def test_empty_spectrum(self, tmp_path):
-        rep = SpectrumReport(k=[], lam=[], residual=[], radius=[], certified=[],
-                             newton_iters=[], fallback=[], enclosure_defect=0.0,
+        rep = SpectrumReport(k=[], mu=[], lam=[], residual=[], deriv=[], radius=[],
+                             certified=[], newton_iters=[], fallback=[], enclosure_defect=0.0,
                              complete=False)
         self.check_spectrum(rep, tmp_path)
 

@@ -11,7 +11,7 @@ from conftest import (
     perturbed_beam_family,
 )
 from oracles import dense_oracle_spectrum, matching_distance
-from obsdecay import charfn, spectrum
+from obsdecay import build_basis, charfn, spectrum
 from obsdecay.charfn import (
     CharContext,
     PoleError,
@@ -20,6 +20,7 @@ from obsdecay.charfn import (
     lambda_star,
     localize,
     newton_seed,
+    newton_seed_offsets,
 )
 from obsdecay.dynamics import dense_generator
 from obsdecay.model import SystemSpec, beam_example, build_system
@@ -27,8 +28,8 @@ from obsdecay.spectrum import (
     CERT_FLOOR,
     NEWTON_MAX_HALVINGS,
     NEWTON_MAX_ITERS,
-    NEWTON_TOL,
     POLE_GUARD,
+    UNIT_ROUNDOFF,
     NewtonError,
     enclosure_radius,
     escape_radius,
@@ -39,113 +40,156 @@ from obsdecay.spectrum import (
 )
 
 
-def scalar_newton_root(sys, seed, tol=NEWTON_TOL, max_iters=NEWTON_MAX_ITERS):
+def anchored(sys, seed):
+    """``(k, mu)`` of a seed ``lam``: the pole ``+/- i omega_|k|`` nearest it on its side of
+    the real axis, and ``mu = lam - (+/- i omega_|k|)``."""
+    seed = complex(seed)
+    k = int(np.argmin(np.abs(sys.omegas - abs(seed.imag)))) + 1
+    w = float(sys.omegas[k - 1])
+    if seed.imag < 0.0:
+        k, w = -k, -w
+    return k, complex(seed.real, seed.imag - w)
+
+
+def local_terms(sys, k, mu):
+    """Signed pole frequency, and ``lam - a`` over the mode poles, of the root ``(k, mu)``.
+
+    Row |k| of the gap table holds ``omega_|k| - omega_j`` then ``omega_|k| + omega_j``;
+    about a lower pole every gap and residue changes sign.
+    """
+    sign = 1.0 if k > 0 else -1.0
+    w = sign * float(sys.omegas[abs(k) - 1])
+    gaps = sign * np.concatenate([w * sign - sys.omegas, w * sign + sys.omegas])
+    return w, mu.real + 1j * (gaps + mu.imag)
+
+
+def scalar_newton_root(sys, k, mu, max_iters=NEWTON_MAX_ITERS):
     """Reference copy of the one-seed damped Newton loop that ``newton_roots`` batches.
 
-    Steps are halved (up to 20 times) until |f| decreases; seeds and
-    candidates within 1e-12 of a pole are rejected, and so are a seed and an
-    accepted iterate at or past the escape radius.  Returns ``(root,
-    |f(root)|, iterations)`` or raises PoleError / NewtonError.
+    The iterate is ``mu`` about the pole of anchor k.  An element stops once
+    ``|f| <= (2N + 4) u S`` (S the sum of the moduli of f's terms); else steps
+    are halved (up to 20 times) until |f| decreases.  Seeds and candidates
+    within 1e-12 of a pole are rejected, and so are a seed and an accepted
+    iterate at or past the escape radius; a candidate that rounds to the
+    iterate fails at once.  f, f' and S come from ``spectrum.eval_f`` on a
+    batch of one.  Returns ``(mu, |f|, f', iterations)`` or raises PoleError /
+    NewtonError.
     """
-    poles = np.concatenate([[0.0 + 0.0j], 1j * sys.omegas, -1j * sys.omegas])
     rho = max(2.0 * sys.omegas[-1], 8.0 * sys.gamma * np.sum(sys.cs**2))
+    rounding = (2 * sys.N + 4) * UNIT_ROUNDOFF
+    w = local_terms(sys, k, 0j)[0]
 
-    def check_escape(lam):
-        if abs(lam) >= rho:
-            raise NewtonError(f"iterate {lam} is past the escape radius {rho:.6g}: no root "
+    def lam(m):
+        return complex(m.real, w + m.imag)
+
+    def at_pole(m):
+        gaps = local_terms(sys, k, m)[1]
+        return min(np.min(np.hypot(gaps.real, gaps.imag)), abs(lam(m))) <= POLE_GUARD
+
+    def check_escape(m):
+        if abs(lam(m)) >= rho:
+            raise NewtonError(f"iterate {lam(m)} is past the escape radius {rho:.6g}: no root "
                               "lies there and Newton only moves outward")
 
-    lam = complex(seed)
-    if np.min(np.abs(lam - poles)) <= POLE_GUARD:
-        raise PoleError(f"seed {lam} is (numerically) a pole of the characteristic function")
-    check_escape(lam)
+    def evaluate(m):
+        fv, dv, scale = spectrum.eval_f(sys, np.array([m]), np.array([k]))
+        return fv, dv, float(np.hypot(fv.real, fv.imag)[0]), rounding * float(scale[0])
 
-    fval = eval_f(sys, lam)
+    mu = complex(mu)
+    if at_pole(mu):
+        raise PoleError(f"seed {lam(mu)} is (numerically) a pole of the characteristic function")
+    check_escape(mu)
+
+    fval, deriv, resid, bound = evaluate(mu)
     for iters in range(max_iters):
-        resid = abs(fval)
-        if resid <= tol:
-            return lam, resid, iters
-        deriv = eval_f_prime(sys, lam)
-        if deriv == 0:
-            raise NewtonError(f"vanishing derivative at {lam}")
+        if resid <= bound:
+            return mu, resid, complex(deriv[0]), iters
+        if deriv[0] == 0:
+            raise NewtonError(f"vanishing derivative at {lam(mu)}")
         step = -fval / deriv
         accepted = False
         near_pole_only = True
         for _ in range(NEWTON_MAX_HALVINGS + 1):
-            cand = lam + step
-            if np.min(np.abs(cand - poles)) <= POLE_GUARD:
-                step *= 0.5
+            cand = complex((mu + step)[0])
+            if cand == mu:
+                near_pole_only = False
+                break
+            if at_pole(cand):
+                step = step * 0.5
                 continue
             near_pole_only = False
-            cand_f = eval_f(sys, cand)
-            if abs(cand_f) < resid:
-                lam, fval = cand, cand_f
+            cand_f, cand_d, cand_r, cand_b = evaluate(cand)
+            if cand_r < resid:
+                mu, fval, deriv, resid, bound = cand, cand_f, cand_d, cand_r, cand_b
                 accepted = True
                 break
-            step *= 0.5
+            step = step * 0.5
         if not accepted:
             if near_pole_only:
-                raise PoleError(f"iteration stalled within {POLE_GUARD} of a pole near {lam}")
-            raise NewtonError(f"damping failed to reduce |f| below {resid:.3e} at {lam}")
-        check_escape(lam)
-    raise NewtonError(f"no convergence after {max_iters} iterations (|f| = {abs(fval):.3e})")
+                raise PoleError(f"iteration stalled within {POLE_GUARD} of a pole near "
+                                f"{lam(mu)}")
+            raise NewtonError(f"damping failed to reduce |f| below {resid:.3e} (rounding bound "
+                              f"{bound:.3e}) at {lam(mu)}")
+        check_escape(mu)
+    raise NewtonError(f"no convergence after {max_iters} iterations (|f| = {resid:.3e})")
 
 
 def assert_matches_scalar(sys, seeds, **kwargs):
-    """``newton_roots`` on ``seeds`` equals the reference loop on each seed.
+    """``newton_roots`` on the anchored ``seeds`` equals the reference loop on each seed.
 
-    Roots, residuals and iteration counts must be equal, failures of the same
-    type with the same message.  Returns the reference outcomes, each a
-    result tuple or an exception.
+    ``seeds`` are ``(k, mu)`` pairs.  Offsets, residuals, derivatives and
+    iteration counts must be equal, failures of the same type with the same
+    message.  Returns the reference outcomes, each a result tuple or an
+    exception.
     """
-    roots, resids, iters, errors = newton_roots(sys, seeds, **kwargs)
-    assert len(roots) == len(resids) == len(iters) == len(errors) == len(seeds)
+    ks = [k for k, _ in seeds]
+    roots, resids, derivs, iters, errors = newton_roots(sys, ks, [m for _, m in seeds], **kwargs)
+    assert len(roots) == len(resids) == len(derivs) == len(iters) == len(errors) == len(seeds)
     outcomes = []
-    for i, seed in enumerate(seeds):
+    for i, (k, mu) in enumerate(seeds):
         try:
-            expected = scalar_newton_root(sys, seed, **kwargs)
+            expected = scalar_newton_root(sys, k, mu, **kwargs)
         except (NewtonError, PoleError) as exc:
-            assert (type(errors[i]), str(errors[i])) == (type(exc), str(exc)), (i, seed)
+            assert (type(errors[i]), str(errors[i])) == (type(exc), str(exc)), (i, k, mu)
             outcomes.append(exc)
         else:
-            assert errors[i] is None, (i, seed, errors[i])
-            assert (complex(roots[i]), float(resids[i]), int(iters[i])) == expected, (i, seed)
+            assert errors[i] is None, (i, k, mu, errors[i])
+            got = (complex(roots[i]), float(resids[i]), complex(derivs[i]), int(iters[i]))
+            assert got == expected, (i, k, mu)
             outcomes.append(expected)
     return outcomes
 
 
 def primary_seeds(sys):
-    return [lambda_star(CharContext(sys, k)) for k in range(1, sys.N + 1)]
+    """The first-order predictions ``lambda_star`` of every mode, anchored at their poles."""
+    return [anchored(sys, lambda_star(CharContext(sys, k))) for k in range(1, sys.N + 1)]
 
 
 def fallback_seed(sys, k):
-    wk = float(sys.omegas[k - 1])
-    return -0.5 * enclosure_radius(sys, 1j * wk) + 1j * wk
+    return k, complex(-0.5 * enclosure_radius(sys, 1j * float(sys.omegas[abs(k) - 1])))
 
 
-def band_exit(sys, k, root):
+def band_exit(sys, k, mu):
     band = 0.5 * (sys.min_gap() if sys.N > 1 else float(sys.omegas[0]))
-    return abs(root.imag - float(sys.omegas[k - 1])) > band
+    return abs(mu.imag) > band
 
 
-def reference_radius(sys, z, fz):
-    """Reference copy of the a-posteriori Rouche test at one root ``z`` with |f(z)| = fz.
+def reference_radius(sys, k, mu, fz, deriv):
+    """Reference copy of the a-posteriori Rouche test at the root ``(k, mu)`` with
+    |f| = fz and f' = deriv, in plain numpy.
 
     With ``reach = min(distance to the nearest pole, -Re z)`` and
     ``K0 = sum_a |res_a| / d_a^3``, the radius ``r = min(reach/2, |f'(z)|/(4 K0))``
     if ``reach > 0``, ``r >= CERT_FLOOR reach`` and ``|f'(z)| r - fz > 2 K0 r^2``;
-    NaN otherwise.  ``K0`` adds each ``+/- i omega_j`` pair first.
+    NaN otherwise.  The own distance is ``|mu|``.
     """
-    poles = np.concatenate([[0.0], 1j * sys.omegas, -1j * sys.omegas])
+    w, gaps = local_terms(sys, k, mu)
     weights = sys.cs**2 / sys.omegas
-    res = np.concatenate([[2.0 / sys.gamma], weights, weights])
-    gaps = z - poles
-    d = np.hypot(gaps.real, gaps.imag)
-    reach = min(float(np.min(d)), -z.real)
-    terms = res / (d * d * d)
-    k0 = terms[0] + np.sum(terms[1:sys.N + 1] + terms[sys.N + 1:])
-    deriv = eval_f_prime(sys, z)
-    slope = np.hypot(deriv.real, deriv.imag)
+    d = np.append(np.abs(gaps), abs(complex(mu.real, w + mu.imag)))
+    res = np.concatenate([weights, weights, [2.0 / sys.gamma]])
+    reach = min(float(np.min(d)), -mu.real)
+    k0 = float(np.sum(res / d**3))
+    slope = abs(deriv)
     r = min(0.5 * reach, slope / (4.0 * k0))
     if reach > 0.0 and r >= CERT_FLOOR * reach and slope * r - fz > 2.0 * k0 * r * r:
         return r
@@ -153,42 +197,44 @@ def reference_radius(sys, z, fz):
 
 
 def solve_lower_root(sys, k):
-    """The lower root of mode k solved on its own, with its certificate disk.
+    """The lower root of mode k solved on its own, about the pole -i omega_k.
 
-    Newton from the conjugated second-order seed (or from the conjugated
-    left-shifted backup seed), then the Rouche test at that root.  Returns
-    ``(lam, residual, newton_iters, fallback, disk_radius)``, the disk
-    centred at ``lam``, or None when no root of mode k is found.
+    Newton from the conjugated second-order seed offset (or from the
+    left-shifted backup seed).  Returns ``(lam, residual, newton_iters,
+    fallback, mu, deriv)``, or None when no root of mode k is found.
     """
     wk = float(sys.omegas[k - 1])
     band = 0.5 * (sys.min_gap() if sys.N > 1 else wk)
-    fallback = False
-    try:
-        lam, resid, iters = newton_root(sys, newton_seed(CharContext(sys, k)).conjugate())
-        if abs(lam.imag + wk) > band:
-            raise NewtonError("left the mode band")
-    except (NewtonError, PoleError):
-        fallback = True
-        try:
-            lam, resid, iters = newton_root(sys, -0.5 * enclosure_radius(sys, 1j * wk) - 1j * wk)
-        except (NewtonError, PoleError):
+    seeds = [(-k, newton_seed_offsets(sys)[k - 1].conjugate()), fallback_seed(sys, -k)]
+    for fallback, (anchor, seed) in enumerate(seeds):
+        mu, resid, deriv, iters, errors = newton_roots(sys, [anchor], [seed])
+        if errors[0] is None and abs(mu[0].imag) <= band:
+            break
+        if fallback:
             return None
-        if abs(lam.imag + wk) > band:
-            return None
+    lam = complex(mu[0].real, -wk + mu[0].imag)
     if np.argmin(np.abs(sys.omegas - abs(lam.imag))) + 1 != k:
         return None
-    return lam, resid, iters, fallback, reference_radius(sys, lam, resid)
+    return lam, float(resid[0]), int(iters[0]), bool(fallback), complex(mu[0]), complex(deriv[0])
 
 
 def exact_rouche_terms(sys, z, r):
-    """``(d, reach, |f'(z)|, K(r))`` of the Rouche test at ``z``, ``d`` over ``sys.poles``."""
-    d = np.abs(z - sys.poles)
+    """``(d, reach, |f'(z)|, K(r))`` of the Rouche test at ``z``, ``d`` over the poles
+    0, ``i omega_j`` and ``-i omega_j``.
+
+    Taken in ``lam`` coordinates by the independent ``charfn`` evaluators.
+    """
+    d = np.abs(z - np.concatenate([[0.0], 1j * sys.omegas, -1j * sys.omegas]))
     exact_k = np.sum(sys.pole_residues / (d * d * (d - r)))
     return d, min(float(np.min(d)), -z.real), abs(eval_f_prime(sys, z)), exact_k
 
 
 def same_float(a, b):
     return a == b or (np.isnan(a) and np.isnan(b))
+
+
+def close_float(a, b):
+    return a == pytest.approx(b, rel=1e-12, abs=0.0) or (np.isnan(a) and np.isnan(b))
 
 
 def disks_meet(c, r):
@@ -221,9 +267,13 @@ class TestNewtonRoot:
         with pytest.raises(PoleError):
             newton_root(single_mode, 0.0)
 
-    def test_tolerance_validation(self, single_mode):
-        with pytest.raises(ValueError):
-            newton_root(single_mode, 0.5 + 0.5j, tol=0.0)
+    def test_root_is_refined_to_the_rounding_bound(self, beam23):
+        # the stop rule is relative: |f| within (2N + 4) u of the sum of |terms|
+        seed = lambda_star(CharContext(beam23, 20))
+        root, resid, iters = newton_root(beam23, seed)
+        k, mu = anchored(beam23, root)
+        _, _, scale = spectrum.eval_f(beam23, np.array([mu]), np.array([k]))
+        assert iters > 0 and resid <= (2 * 23 + 4) * UNIT_ROUNDOFF * scale[0]
 
     def test_divergence_reported(self, single_mode):
         # one iteration cannot reach the root from a distant seed
@@ -262,7 +312,7 @@ class TestEscapeRadius:
             raise AssertionError("f evaluated past the escape radius")
 
         monkeypatch.setattr(spectrum, "eval_f", forbidden)
-        _, _, _, errors = newton_roots(single_mode, [8.0, -6.0 + 6.0j])
+        _, _, _, _, errors = newton_roots(single_mode, [1, 1], [8.0 - 1j, -6.0 + 5.0j])
         assert all(isinstance(e, NewtonError) and "escape radius 8:" in str(e) for e in errors)
 
 
@@ -275,21 +325,22 @@ class TestNewtonRootsParity:
 
     @pytest.mark.parametrize("n", [128, 256])
     def test_beam_primary_and_fallback_seeds(self, n):
-        # from mode 65 on the primary seeds stall where lam + step rounds to
-        # lam (147 of them at N = 256); the reference loop still tries all
-        # 21 halvings there
+        # in lam coordinates the primary seeds stalled from mode 65 on, where the
+        # float nearest the root had |f| above 1e-12; about the pole every seed
+        # converges.  The backup seeds of modes 2 on start far left of their
+        # roots, run away and stop at the escape radius
         sys = beam_example(1.0, 1.0, n)
         primary = assert_matches_scalar(sys, primary_seeds(sys))
-        failed = [k for k, o in enumerate(primary, start=1)
-                  if isinstance(o, Exception) or band_exit(sys, k, o[0])]
-        assert failed and failed[0] == 65
-        assert all("damping failed" in str(primary[k - 1]) for k in failed)
-        fallback = assert_matches_scalar(sys, [fallback_seed(sys, k) for k in failed])
-        # the backup seeds of the stalled modes run away and stop at the escape radius
-        assert any(isinstance(o, NewtonError) and "escape radius" in str(o) for o in fallback)
+        assert all(isinstance(o, tuple) and not band_exit(sys, k, o[0])
+                   for k, o in enumerate(primary, start=1))
+        fallback = assert_matches_scalar(sys, [fallback_seed(sys, k) for k in range(1, n + 1)])
+        assert isinstance(fallback[0], tuple)
+        assert all(isinstance(o, NewtonError) and "escape radius" in str(o)
+                   for o in fallback[1:])
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_perturbed_family_seeds(self, seed):
+        # the first-order seeds of the strongly damped low modes leave their band
         fallbacks = 0
         for sys in perturbed_beam_family(seed, 4):
             primary = assert_matches_scalar(sys, primary_seeds(sys))
@@ -299,19 +350,44 @@ class TestNewtonRootsParity:
             fallbacks += len(failed)
         assert fallbacks > 0
 
-    def test_weak_gain_every_root_fails(self):
+    def test_weak_gain_every_root_is_found(self):
+        # at gamma = 1e-6 every |mu| is below 5e-7, and the absolute stop rule
+        # |f| <= 1e-12 failed every seed; about the pole every seed converges
         sys = beam_example(1.0, 1.0, 5, gamma=1e-6)
         seeds = primary_seeds(sys) + [fallback_seed(sys, k) for k in range(1, 6)]
         outcomes = assert_matches_scalar(sys, seeds)
-        assert all(isinstance(o, NewtonError) and "damping failed" in str(o) for o in outcomes)
+        assert all(isinstance(o, tuple) for o in outcomes)
+
+    def test_roots_inside_the_pole_guard_are_not_found(self):
+        # at gamma = 1e-12 every root lies within 1e-12 of its pole: the primary
+        # seeds sit there already, and the backup seeds of modes 2 on stall
+        # beside the pole, whose guard rejects every step
+        sys = beam_example(1.0, 1.0, 5, gamma=1e-12)
+        seeds = primary_seeds(sys) + [fallback_seed(sys, k) for k in range(1, 6)]
+        outcomes = assert_matches_scalar(sys, seeds)
+        assert all(isinstance(o, PoleError) for o in outcomes[:6])
+        assert all(isinstance(o, NewtonError) and "damping failed" in str(o)
+                   for o in outcomes[6:])
+
+    def test_lower_anchor_mirrors_the_upper_one(self):
+        # about -i omega_k every value is the conjugate, exactly
+        for sys in [beam_example(1.0, 1.0, 23)] + perturbed_beam_family(1, 4):
+            seeds = newton_seed_offsets(sys)
+            ks = np.arange(1, sys.N + 1)
+            up = newton_roots(sys, ks, seeds)
+            down = newton_roots(sys, -ks, seeds.conj())
+            np.testing.assert_array_equal(down[0], up[0].conj())
+            np.testing.assert_array_equal(down[1], up[1])
+            np.testing.assert_array_equal(down[2], -up[2].conj())
+            np.testing.assert_array_equal(down[3], up[3])
 
     @pytest.mark.parametrize("max_iters", [NEWTON_MAX_ITERS, 1])
     def test_pole_seeds_and_iteration_cap(self, single_mode, max_iters):
         seeds = [1j, lambda_star(CharContext(single_mode, 1)), 0.0, 50.0 + 40.0j, -1j]
-        outcomes = assert_matches_scalar(single_mode, seeds, max_iters=max_iters)
+        outcomes = assert_matches_scalar(single_mode, [anchored(single_mode, z) for z in seeds],
+                                         max_iters=max_iters)
         assert [type(outcomes[i]) for i in (0, 2, 4)] == [PoleError] * 3
-        # 50+40j lies past the escape radius 8; Newton from it doubles lam
-        # until a false "root" near 1.7e12+1.4e12j has |f| < 1e-12
+        # 50+40j lies past the escape radius 8, where no root lies
         assert isinstance(outcomes[3], NewtonError)
         assert "past the escape radius 8:" in str(outcomes[3])
 
@@ -325,12 +401,12 @@ class TestNewtonRootsParity:
                 for step in (1.0, -1.0, 1j, -1j, (1 + 1j) / np.sqrt(2.0)):
                     seeds.append(complex(0.0, im) + off * POLE_GUARD * step)
         seeds += [complex(0.0, 1e3), complex(0.0, -1e3), complex(-1e-13, 1e-13)]
-        outcomes = assert_matches_scalar(beam4, seeds, max_iters=1)
+        outcomes = assert_matches_scalar(beam4, [anchored(beam4, z) for z in seeds], max_iters=1)
         assert sum(isinstance(o, PoleError) for o in outcomes) > len(outcomes) // 3
 
     def test_empty_batch(self, single_mode):
-        roots, resids, iters, errors = newton_roots(single_mode, [])
-        assert roots.size == resids.size == iters.size == len(errors) == 0
+        roots, resids, derivs, iters, errors = newton_roots(single_mode, [], [])
+        assert roots.size == resids.size == derivs.size == iters.size == len(errors) == 0
 
 
 class TestWindingNumber:
@@ -415,9 +491,10 @@ class TestFullSpectrum:
     ])
     def test_lower_half_matches_direct_solve(self, systems):
         # every lower certificate is the conjugated upper one; solving the
-        # lower root on its own and running the reference test there must
-        # give the same fields exactly.  A root is certified exactly when it
-        # has a disk and that disk meets no other one.
+        # lower root on its own, about -i omega_k, must give the same fields
+        # exactly, and the reference test there the same radius up to its
+        # summation order.  A root is certified exactly when it has a disk and
+        # that disk meets no other one.
         for sys in systems:
             rep = full_spectrum(sys)
             lower = {e.k: e for e in rep.eigs if e.half == "lower"}
@@ -428,29 +505,36 @@ class TestFullSpectrum:
                     continue
                 e = lower[k]
                 assert (e.lam, e.residual, e.newton_iters, e.fallback) == direct[:4], (sys.N, k)
-                assert same_float(e.disk_radius, direct[4]), (sys.N, k)
+                assert close_float(e.disk_radius,
+                                   reference_radius(sys, -k, direct[4], direct[1], direct[5])), (sys.N, k)
             assert rep.k.tolist() == list(lower)
+            for j, (k, mu, fz, deriv) in enumerate(zip(rep.k.tolist(), rep.mu.tolist(),
+                                                       rep.residual.tolist(),
+                                                       rep.deriv.tolist())):
+                assert close_float(rep.radius[j], reference_radius(sys, k, mu, fz, deriv))
             for e, meets in zip(rep.eigs, certificate_disks_meet(rep.eigs)):
-                assert same_float(e.disk_radius, reference_radius(sys, e.lam, e.residual))
                 assert e.certified == (not np.isnan(e.disk_radius) and not meets), (sys.N, e)
 
     def test_perturbed_oracle_systems_cover_fallback_and_failures(self):
         # the perturbed families no longer need the backup seed; mode 1 of
-        # system 88 of the first sweep family (an overdamped real pair) does
+        # system 88 of the first sweep family (an overdamped real pair) does,
+        # and in system 0 its backup root is the real one left of the band
         reps = [full_spectrum(s) for s in perturbed_beam_family(1, 4) + perturbed_beam_family(2, 4)]
-        backup = full_spectrum(SystemSpec.from_json_dict(
-            load_bench_workloads().random_family(1)[88].doc))
+        family = load_bench_workloads().random_family(1)
+        backup = full_spectrum(SystemSpec.from_json_dict(family[88].doc))
         assert backup.k[backup.fallback].tolist() == [1]
         assert any("meets another root's disk" in msg for rep in reps for msg in rep.failures)
-        assert any("fallback Newton failed" in msg and "past the escape radius" in msg
-                   for rep in reps for msg in rep.failures)
+        lost = full_spectrum(SystemSpec.from_json_dict(family[0].doc))
+        assert lost.failures[0].startswith("mode 1: fallback root (-7.03")
+        assert lost.failures[0].endswith("left the mode band")
 
     def test_backup_seed_root_matches_direct_solve(self):
         sys = SystemSpec.from_json_dict(load_bench_workloads().random_family(1)[88].doc)
         lower = next(e for e in full_spectrum(sys).eigs if e.k == 1 and e.half == "lower")
         direct = solve_lower_root(sys, 1)
         assert direct[3] and (lower.lam, lower.residual, lower.newton_iters) == direct[:3]
-        assert lower.fallback and same_float(lower.disk_radius, direct[4])
+        assert lower.fallback
+        assert close_float(lower.disk_radius, reference_radius(sys, -1, direct[4], direct[1], direct[5]))
 
     def test_one_newton_solve_and_no_localize_or_winding_count(self, beam23, monkeypatch):
         # one batched Newton for all modes, one more for the fallback seeds;
@@ -471,27 +555,33 @@ class TestFullSpectrum:
         assert calls == {"newton_roots": 1}
         calls.clear()
         full_spectrum(beam_example(1.0, 1.0, 128))
+        assert calls == {"newton_roots": 1}
+        calls.clear()
+        full_spectrum(SystemSpec.from_json_dict(load_bench_workloads().random_family(1)[88].doc))
         assert calls == {"newton_roots": 2}
 
     def test_eval_f_work_count(self, monkeypatch):
-        # the counts repeat exactly; at N = 256, running the backup seeds of the
-        # stalled modes on past the escape radius would take 4870 points, and
-        # trying all 21 halvings at every stalled iterate 4157
+        # the counts repeat exactly; each point gives f and f'.  At N = 256,
+        # 239 of the 256 seeds already meet the rounding bound, where the
+        # absolute stop |f| <= 1e-12 in lam coordinates took 1364 points and
+        # lost 147 modes
         points = []
+        eval_mu = spectrum.eval_f
 
-        def counted(sys, lam):
-            points.append(np.size(lam))
-            return eval_f(sys, lam)
+        def counted(sys, mu, ks):
+            points.append(np.size(mu))
+            return eval_mu(sys, mu, ks)
 
         monkeypatch.setattr(spectrum, "eval_f", counted)
         full_spectrum(beam_example(1.0, 1.0, 23))
-        assert sum(points) == 37
+        assert sum(points) == 52
         points.clear()
         full_spectrum(beam_example(1.0, 1.0, 128))
-        assert sum(points) == 292
+        assert sum(points) == 153
         points.clear()
-        full_spectrum(beam_example(1.0, 1.0, 256))
-        assert sum(points) == 1364
+        rep = full_spectrum(beam_example(1.0, 1.0, 256))
+        assert sum(points) == 278
+        assert np.count_nonzero(rep.newton_iters == 0) == 239
 
     def test_overdamped_pair_is_flagged(self):
         # at gamma = 2 the first mode pair collides on the real axis; the
@@ -521,39 +611,70 @@ class TestFullSpectrum:
 
 # roots found and certified (both halves) and complete reports of the beam
 # grid, per N over BEAM_GAMMAS ("x" marks a complete report); a change of
-# Newton seed must find and certify the same roots
+# Newton seed must find and certify the same roots.  From gamma = 2 on mode 1
+# is overdamped: its one real root is found and its two disks meet
 BEAM_GAMMAS = (1e-6, 1e-3, 1e-2, 0.1, 0.3, 0.5, 1.0, 2.0, 3.0, 10.0, 100.0)
 BEAM_COUNTS = {
-    1: ((0, 0, 0, 2, 2, 2, 2, 0, 0, 0, 0),
-        (0, 0, 0, 2, 2, 2, 2, 0, 0, 0, 0), "...xxxx...."),
-    2: ((0, 0, 2, 4, 4, 4, 4, 4, 4, 4, 4),
-        (0, 0, 2, 4, 4, 4, 4, 2, 2, 2, 2), "...xxxx...."),
-    3: ((0, 0, 2, 6, 6, 6, 6, 6, 6, 6, 6),
-        (0, 0, 2, 6, 6, 6, 6, 4, 4, 4, 4), "...xxxx...."),
-    5: ((0, 0, 2, 10, 10, 10, 10, 10, 10, 10, 10),
-        (0, 0, 2, 10, 10, 10, 10, 8, 8, 8, 8), "...xxxx...."),
-    8: ((0, 0, 0, 14, 16, 16, 16, 16, 16, 16, 16),
-        (0, 0, 0, 14, 16, 16, 16, 14, 14, 14, 14), "....xxx...."),
-    23: ((0, 0, 2, 18, 44, 46, 46, 46, 46, 46, 46),
-         (0, 0, 2, 18, 44, 46, 46, 44, 44, 44, 44), ".....xx...."),
-    40: ((0, 0, 2, 16, 52, 74, 80, 80, 80, 80, 80),
-         (0, 0, 2, 16, 52, 74, 80, 78, 78, 78, 78), "......x...."),
-    64: ((0, 0, 0, 20, 54, 88, 128, 128, 128, 128, 128),
-         (0, 0, 0, 20, 54, 88, 128, 126, 126, 126, 126), "......x...."),
-    100: ((0, 0, 0, 22, 62, 92, 160, 200, 200, 200, 200),
-          (0, 0, 0, 22, 62, 92, 160, 198, 198, 198, 198), "..........."),
-    128: ((0, 0, 0, 26, 56, 104, 192, 256, 256, 256, 256),
-          (0, 0, 0, 26, 56, 104, 192, 254, 254, 254, 254), "..........."),
-    256: ((0, 0, 2, 24, 60, 112, 218, 372, 452, 512, 512),
-          (0, 0, 2, 24, 60, 112, 218, 370, 450, 510, 510), "..........."),
+    1: ((2, 2, 2, 2, 2, 2, 2, 0, 0, 0, 0),
+        (2, 2, 2, 2, 2, 2, 2, 0, 0, 0, 0), "xxxxxxx...."),
+    2: ((4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4),
+        (4, 4, 4, 4, 4, 4, 4, 2, 2, 2, 2), "xxxxxxx...."),
+    3: ((6, 6, 6, 6, 6, 6, 6, 6, 6, 6, 6),
+        (6, 6, 6, 6, 6, 6, 6, 4, 4, 4, 4), "xxxxxxx...."),
+    5: ((10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10),
+        (10, 10, 10, 10, 10, 10, 10, 8, 8, 8, 8), "xxxxxxx...."),
+    8: ((16, 16, 16, 16, 16, 16, 16, 16, 16, 16, 16),
+        (16, 16, 16, 16, 16, 16, 16, 14, 14, 14, 14), "xxxxxxx...."),
+    23: ((46, 46, 46, 46, 46, 46, 46, 46, 46, 46, 46),
+         (46, 46, 46, 46, 46, 46, 46, 44, 44, 44, 44), "xxxxxxx...."),
+    40: ((80, 80, 80, 80, 80, 80, 80, 80, 80, 80, 80),
+         (80, 80, 80, 80, 80, 80, 80, 78, 78, 78, 78), "xxxxxxx...."),
+    64: ((128, 128, 128, 128, 128, 128, 128, 128, 128, 128, 128),
+         (128, 128, 128, 128, 128, 128, 128, 126, 126, 126, 126), "xxxxxxx...."),
+    100: ((200, 200, 200, 200, 200, 200, 200, 200, 200, 200, 200),
+          (200, 200, 200, 200, 200, 200, 200, 198, 198, 198, 198), "xxxxxxx...."),
+    128: ((256, 256, 256, 256, 256, 256, 256, 256, 256, 256, 256),
+          (256, 256, 256, 256, 256, 256, 256, 254, 254, 254, 254), "xxxxxxx...."),
+    256: ((512, 512, 512, 512, 512, 512, 512, 512, 512, 512, 512),
+          (512, 512, 512, 512, 512, 512, 512, 510, 510, 510, 510), "xxxxxxx...."),
 }
 # (modes found, modes certified, complete reports) over each sweep family
-SWEEP_COUNTS = {1: (3225, 3182, 93), 2: (3229, 3184, 95), 3: (3235, 3193, 97),
-                4: (3237, 3188, 96), 5: (3235, 3191, 96)}
+SWEEP_COUNTS = {1: (3272, 3229, 109), 2: (3272, 3227, 107), 3: (3273, 3231, 111),
+                4: (3274, 3225, 105), 5: (3275, 3231, 111)}
 
 
 def spectrum_counts(rep):
     return 2 * rep.k.size, 2 * int(np.count_nonzero(rep.certified)), rep.complete
+
+
+def power_family(q, p, n):
+    """``omega_j = j^q``, ``c_j = j^-p``: the rate family of ROADMAP item 7."""
+    j = np.arange(1, n + 1, dtype=float)
+    return build_system(1.0, j**q, j**-p)
+
+
+# the systems on which the absolute stop rule |f| <= 1e-12 lost modes: large N,
+# weak gain and the fast-decaying couplings of the power families
+SCALING_SYSTEMS = (
+    [pytest.param(beam_example(1.0, 1.0, n), id=f"beam{n}") for n in (128, 256, 512, 1024)]
+    + [pytest.param(beam_example(1.0, 1.0, 23, gamma=g), id=f"beam23-gamma{g}")
+       for g in (0.1, 0.3, 0.5, 1.0)]
+    + [pytest.param(beam_example(1.0, 1.0, 5, gamma=g), id=f"beam5-gamma{g}")
+       for g in (1e-2, 1e-6)]
+    + [pytest.param(power_family(q, p, n), id=f"power-q{q}-p{p}-N{n}")
+       for q, p in ((2, 1.5), (2, 2), (1, 2)) for n in (23, 64)]
+)
+
+
+class TestScaling:
+    @pytest.mark.parametrize("sys", SCALING_SYSTEMS)
+    def test_complete_certified_and_a_basis(self, sys):
+        rep = full_spectrum(sys)
+        assert rep.complete and rep.k.tolist() == list(range(1, sys.N + 1))
+        assert rep.certified.all() and not rep.fallback.any()
+        assert build_basis(sys, rep).cond_Q < 2.5
+        if sys.N <= 64:
+            assert matching_distance(rep.eigenvalues(), dense_oracle_spectrum(sys)) < 1e-8
 
 
 class TestSpectrumCounts:
@@ -591,7 +712,8 @@ class TestSpectrumColumns:
             assert vals[1::2].tobytes() == rep.lam.conj().tobytes()
             assert np.all(np.diff(rep.k) > 0) and set(rep.k.tolist()) <= set(range(1, sys.N + 1))
             rows = zip(*(getattr(rep, name).tolist() for name in SPECTRUM_COLUMNS))
-            for j, (k, lam, res, radius, cert, iters, fb) in enumerate(rows):
+            for j, (k, mu, lam, res, deriv, radius, cert, iters, fb) in enumerate(rows):
+                assert lam == complex(mu.real, float(sys.omegas[k - 1]) + mu.imag)
                 for h, (half, z) in enumerate((("upper", lam), ("lower", lam.conjugate()))):
                     e = rep.eigs[2 * j + h]
                     assert (e.k, e.half, e.lam, e.residual, e.certified, e.newton_iters,
@@ -679,11 +801,13 @@ class TestCertificateOracles:
         # also tried with 256 residuals up to |f'| reach / 2: any radius given
         # must pass the exact test with that residual
         for sys in systems:
-            for z in full_spectrum(sys).lam.tolist():
+            rep = full_spectrum(sys)
+            for k, mu, z, deriv in zip(rep.k.tolist(), rep.mu.tolist(), rep.lam.tolist(),
+                                       rep.deriv.tolist()):
                 d, reach, slope, _ = exact_rouche_terms(sys, z, 0.0)
                 fz = np.linspace(0.0, 0.5 * slope * reach, 257)[1:]
-                r = spectrum._certified_radii(sys, np.full(fz.size, z), fz,
-                                              np.tile(d, (fz.size, 1)))
+                r, _ = spectrum._certified_radii(sys, np.full(fz.size, k), np.full(fz.size, mu),
+                                                 fz, np.full(fz.size, deriv))
                 ok = ~np.isnan(r)
                 assert ok.any(), (sys.N, z)
                 r, fz = r[ok], fz[ok]
