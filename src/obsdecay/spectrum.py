@@ -549,7 +549,7 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
     failures: dict[int, str] = {}
     fb = np.flatnonzero(fallback)
     if fb.size:
-        fb_mu = -0.5 * enclosure_radius(sys, 1j * wk[fb]) + 0j
+        fb_mu = -0.5 * enclosure_radius(sys, 1j * wk[fb])
         mu[fb], resids[fb], deriv[fb], iters[fb], fb_errors = newton_roots(sys, ks[fb], fb_mu)
         left = np.abs(mu[fb].imag) > band
         roots = _lam(wk[fb], mu[fb])
