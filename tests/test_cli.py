@@ -295,8 +295,8 @@ class TestReportVerb:
                 assert [seg[0] for seg in scan["segments"]] == [3, 4, 5]
 
     def test_beam256_report_passes_every_check(self, tmp_path):
-        # at alpha = 1.1 the exponent -1.089 missed its target by 0.180; at alpha = 1 by 0.089.
-        # The spectrum is complete, so the slope fits alpha and the segment caps are checked
+        # the spectrum is complete, so the slope fits alpha, the segment caps are
+        # checked and the envelope exponent lies within 0.1 of -1/alpha
         cfg = write_config(tmp_path / "beam256.json", {
             "gamma": 1.0,
             "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 256},
