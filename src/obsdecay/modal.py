@@ -22,10 +22,10 @@ The upper root is read in the spectrum's pole-local coordinates,
 ``|mu|`` is far below the spacing of floats near ``omega_n``.  The generator
 is a rank-one update of a diagonal, so ``nu``, the squared distances of the
 scaled eigenvectors to their canonical comparisons ("closeness increments")
-and the column residuals have closed forms in the spectrum's own columns
-(``f`` and ``f'`` at the root) and the gap table: :func:`build_basis` takes
-them without forming Q, and the 2N x 2N matrix is built only when a caller
-reads :attr:`ModalBasis.Q` (simulation, ``dump_q``, :meth:`ModalBasis.solve`).
+and the column residuals have closed forms in ``f`` and ``f'`` at the root
+and the gap table: :func:`build_basis` takes them without forming Q, and
+the 2N x 2N matrix is built only when a caller reads :attr:`ModalBasis.Q`
+(simulation, ``dump_q``, :meth:`ModalBasis.solve`).
 The closeness increments quantify how far the eigenbasis is from
 orthonormal; their partial sums are the finite-truncation stand-in for the
 quadratic-closeness property that makes the infinite family a Riesz basis;
@@ -41,7 +41,7 @@ import numpy as np
 
 from .charfn import PoleError
 from .model import SystemSpec
-from .spectrum import SpectrumReport, _meets_another, _row_blocks
+from .spectrum import SpectrumReport, _meets_another, eval_f, other_pole_sums
 from .state import StateVector
 
 EIGENVECTOR_RESIDUAL_RTOL = 1e-9
@@ -108,25 +108,27 @@ def _basis_numbers(sys: SystemSpec, spectrum: SpectrumReport
       the own pole left out by index, and ``||v||^2`` is one plus its half;
     * ``(A - lam) v = -s u h(lam)``, of norm ``|s| sqrt(2) ||c|| |gamma lam f(lam)|/2``.
 
-    ``f'`` and ``|f|`` are the report's ``deriv`` and ``residual`` columns and
-    ``|lam - a|`` comes from the gap table, so no 2N x 2N array is formed.
+    f and f' are evaluated afresh at each ``mu`` by
+    :func:`~obsdecay.spectrum.eval_f` and the sum over the other poles is
+    :func:`~obsdecay.spectrum.other_pole_sums`, both over the spectrum's gap
+    table, so no 2N x 2N array is formed and no stored residual is trusted.
+    Raises BasisError naming the first mode whose ``lam`` column is not
+    ``i omega_k + mu``.
     """
-    ks, mu = spectrum.k, spectrum.mu
-    c2 = np.concatenate([sys.cs, sys.cs]) ** 2
-    others = np.empty(mu.shape)
-    for blk in _row_blocks(sys, mu.size):
-        sq = sys.pole_gaps[ks[blk] - 1] + mu.imag[blk, None]
-        sq *= sq
-        sq += (mu.real[blk] * mu.real[blk])[:, None]  # |lam - a|^2
-        np.divide(c2, sq, out=sq)
-        sq[np.arange(sq.shape[0]), ks[blk] - 1] = 0.0
-        others[blk] = sq.sum(axis=1)
+    ks, mu, lam = spectrum.k, spectrum.mu, spectrum.lam
+    local = mu + 1j * sys.omegas[ks - 1]
+    bad = np.flatnonzero(lam != local)
+    if bad.size:
+        j = int(bad[0])
+        raise BasisError(f"mode {int(ks[j])}: root lam = {complex(lam[j])} is not "
+                         f"i omega_k + mu = {complex(local[j])}; the report's columns disagree")
+    fval, deriv, _ = eval_f(sys, mu, ks)
     s = mu / sys.cs[ks - 1]
     s_sq = s.real * s.real + s.imag * s.imag
-    increments = 2.0 * s_sq * others
-    nu = 1j * s * s * spectrum.lam * spectrum.deriv
+    increments = 2.0 * s_sq * other_pole_sums(sys, ks, mu)
+    nu = 1j * s * s * lam * deriv
     resid = (np.sqrt(s_sq) * np.sqrt(2.0 * float(sys.cs @ sys.cs)) * 0.5 * sys.gamma
-             * np.abs(spectrum.lam) * spectrum.residual)
+             * np.abs(lam) * np.hypot(fval.real, fval.imag))
     return nu, increments, resid, np.sqrt(1.0 + 0.5 * increments)
 
 
@@ -242,20 +244,21 @@ def build_basis(sys: SystemSpec, spectrum: SpectrumReport) -> ModalBasis:
     Requires a complete report with one row for each mode ``k = 1..N``; its
     ``lam`` column gives the upper roots and ``lam.conj()`` the lower.  The
     eigenvectors' ``nu``, closeness increments and column residuals come
-    from the report's columns by :func:`_basis_numbers`, without forming
-    the eigenvector matrix.  The report's disjoint root disks prove the
-    eigenvalues distinct, so A = A^T gives ``Q^{-1} = diag(1/nu) Q^T``, and
-    the lower root of each mode has the conjugate ``nu``.  As the comparison
+    from the report's ``mu`` column by :func:`_basis_numbers`, without
+    forming the eigenvector matrix.  The report's disjoint root disks prove
+    the eigenvalues distinct, so A = A^T gives ``Q^{-1} = diag(1/nu) Q^T``,
+    and the lower root of each mode has the conjugate ``nu``.  As the comparison
     columns are I, ``||Q|| <= beta1 = 1 + sqrt(closeness tail)`` and
     ``||Q^{-1}|| <= beta2 = beta1 / min |nu|``.  Column k of A Q - Q G is
     (A - lam_k) v_k and J is an isometry commuting with A, so
     ||A Q - Q G||_F is sqrt(2) times the norm of the N upper column
     residuals.
     Raises BasisError when the report is incomplete or does not hold modes
-    1..N in order, when an upper eigenvector fails its 1e-9 residual check
-    (naming the mode), when two root disks meet or lack a radius or ``cond_Q``
-    exceeds 1e12 (both "numerically singular"), or when the factorization
-    residual ||A Q - Q G||_F exceeds 1e-8 ||A||_F.
+    1..N in order, when a ``lam`` is not ``i omega_k + mu`` or an upper
+    eigenvector fails its 1e-9 residual check (both naming the mode), when
+    two root disks meet or lack a radius or ``cond_Q`` exceeds 1e12 (both
+    "numerically singular"), or when the factorization residual
+    ||A Q - Q G||_F exceeds 1e-8 ||A||_F.
     """
     if not spectrum.complete:
         raise BasisError(f"spectrum report is incomplete: {spectrum.failures}")

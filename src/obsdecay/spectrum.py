@@ -29,18 +29,18 @@ when no damped step lowers ``|f|`` above the bound, or past
 Each root is then certified by one a-posteriori Rouche disk centred at it,
 whose closed-form radius keeps the remainder constant ``K(r) <= 2 K0``
 (:func:`_certified_radii`), with ``d_own = |mu|`` read in the same
-coordinates.  The report is ``complete`` when every mode is found and every
-root certified; f has exactly 2N zeros, so 2N disjoint one-zero disks prove
-the spectrum complete and simple (up to rounding in the computed ``|f|``,
-``|f'|`` and ``K0``).  The contour count :func:`winding_number` and a dense
-eigenvalue solve (in the tests) are independent oracles.
+coordinates; the test takes ``|f|`` as the computed value plus that rounding
+bound.  The report is ``complete`` when every mode is found and every root
+certified; f has exactly 2N zeros, so 2N disjoint one-zero disks prove the
+spectrum complete and simple (up to rounding in the computed ``|f'|`` and
+``K0``).  The contour count :func:`winding_number` and a dense eigenvalue
+solve (in the tests) are independent oracles.
 
 A :class:`SpectrumReport` stores one row per found mode, as read-only
-column arrays over the upper roots: ``mu``, ``lam = i omega_k + mu`` derived
-from it, and ``f'`` at the root, which the certificate takes and the basis
-numbers of :mod:`obsdecay.modal` reuse.  The lower half,
-:meth:`eigenvalues` and the per-root :class:`EigenCertificate` records are
-derived from the columns.
+column arrays over the upper roots: ``mu``, from which the basis numbers of
+:mod:`obsdecay.modal` are taken, and ``lam = i omega_k + mu`` derived from
+it.  The lower half, :meth:`eigenvalues` and the per-root
+:class:`EigenCertificate` records are derived from the columns.
 """
 
 from __future__ import annotations
@@ -101,24 +101,6 @@ def escape_radius(sys: SystemSpec) -> float:
     return max(2.0 * float(sys.omegas[-1]), 8.0 * sys.gamma * float(np.sum(sys.cs**2)))
 
 
-def _anchor_rows(sys: SystemSpec, ks: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The pole ``i w`` of each anchor ``k`` and its gaps ``g`` and residues over the mode poles.
-
-    ``k > 0`` is the upper pole ``i omega_k``, ``k < 0`` the lower pole
-    ``-i omega_|k|``.  A lower anchor takes row ``|k|`` of
-    :attr:`~obsdecay.model.SystemSpec.pole_gaps` negated: its column j is the
-    gap to ``-i omega_j`` and its column N + j the gap to ``+i omega_j``, so
-    it takes the negated residues, and its arithmetic mirrors the upper one's.
-    Returns the signed ``w``, the gap rows and the residues of their columns.
-    """
-    rows = np.abs(ks) - 1
-    w, gaps, res = sys.omegas[rows], sys.pole_gaps[rows], sys.mode_pole_residues
-    if ks.size and ks.min() < 0:
-        sign = np.sign(ks)
-        w, gaps, res = w * sign, gaps * sign[:, None], res * sign[:, None]
-    return w, gaps, res
-
-
 def _anchor_poles(sys: SystemSpec, ks: np.ndarray) -> np.ndarray:
     """The signed frequency ``w = +/- omega_|k|`` of each anchor's pole ``i w``."""
     return np.copysign(sys.omegas[np.abs(ks) - 1], ks)
@@ -129,58 +111,90 @@ def _lam(w: np.ndarray, mu: np.ndarray) -> np.ndarray:
     return mu + 1j * w
 
 
-def _row_blocks(sys: SystemSpec, n: int) -> list[slice]:
-    """Slices of ``n`` rows in blocks of about EVAL_BLOCK entries of a gap table row each.
+def _pole_rows(sys: SystemSpec, ks: np.ndarray, mu: np.ndarray):
+    """Yield ``(rows, y, d2)`` over blocks of the upper points ``lam = i omega_k + mu``.
 
-    A block's temporaries stay in cache; each row is computed on its own,
-    so the blocking changes no value.
+    For each point and mode pole ``a`` (the columns of row k of
+    :attr:`~obsdecay.model.SystemSpec.pole_gaps`), ``y = Im(lam - a) = Im mu
+    + g_a`` and ``d2 = |lam - a|^2 = (Re mu)^2 + y^2``; ``rows`` is the slice
+    of points in the block.  A block covers about EVAL_BLOCK table entries,
+    so its temporaries stay in cache; each row is computed on its own, so the
+    blocking changes no value.
     """
+    xx = mu.real * mu.real
     step = max(1, EVAL_BLOCK // (2 * sys.N))
-    return [slice(lo, lo + step) for lo in range(0, n, step)]
+    for lo in range(0, mu.size, step):
+        rows = slice(lo, lo + step)
+        y = sys.pole_gaps[ks[rows] - 1]
+        y += mu.imag[rows, None]
+        d2 = y * y
+        d2 += xx[rows, None]
+        yield rows, y, d2
+
+
+def _mirrored(ks: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The upper points ``(|k|, conj mu)`` that mirror the lower anchors ``k < 0``.
+
+    The lower point ``-i omega_|k| + mu`` is the conjugate of
+    ``i omega_|k| + conj mu``.  Returns ``|ks|``, the offsets with the lower
+    ones conjugated, and the mask of lower anchors.
+    """
+    lower = ks < 0
+    return np.abs(ks), np.where(lower, mu.conj(), mu), lower
 
 
 def eval_f(sys: SystemSpec, mu, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f, f' and ``sum_a |res_a/(lam - a)|`` at ``lam = +/- i omega_|k| + mu``, per (mu, k).
 
-    Each ``mu`` is an offset from the pole of its anchor in ``ks`` (see
-    :func:`_anchor_rows`).  For each mode pole ``a``, ``lam - a = x + i y_a``
-    with ``x = Re mu`` and ``y_a = Im mu + g_a``, and the term
-    ``res_a/(lam - a) = res_a (x - i y_a)/|lam - a|^2`` and its derivative
-    ``-res_a (x - i y_a)^2/|lam - a|^4`` are summed in real arithmetic.  The
-    own gap is exactly 0, so the own-pole term is ``(c_k^2/omega_k)/mu``, as
-    precise as ``mu`` itself.  The pole at 0 adds ``2i/(gamma lam)``.  The
-    last value, the sum of the moduli of f's terms, scales the rounding error
-    of the computed f.  Each row sums the same terms in the same order in any
-    batch, so a point gets the same values in every batch.
+    Each ``mu`` is an offset from the pole ``i omega_k`` of its anchor in
+    ``ks``, or from ``-i omega_|k|`` for ``k < 0``.  For each mode pole
+    ``a``, ``lam - a = x + i y_a`` with ``x = Re mu`` and ``y_a = Im mu +
+    g_a``, and the term ``res_a/(lam - a) = res_a (x - i y_a)/|lam - a|^2``
+    and its derivative ``-res_a (x - i y_a)^2/|lam - a|^4`` are summed in
+    real arithmetic.  The own gap is exactly 0, so the own-pole term is
+    ``(c_k^2/omega_k)/mu``, as precise as ``mu`` itself.  The pole at 0 adds
+    ``2i/(gamma lam)``.  The last value, the sum of the moduli of f's terms,
+    scales the rounding error of the computed f.  A lower point is evaluated
+    at its upper mirror (:func:`_mirrored`), as ``f(conj lam) = -conj
+    f(lam)`` and ``f'(conj lam) = -conj f'(lam)``, so a lower root's
+    arithmetic is exactly the conjugate of the upper one's.  Each row sums
+    the same terms in the same order in any batch, so a point gets the same
+    values in every batch.
     """
     mu = np.asarray(mu, dtype=complex)
-    w, gaps, res = _anchor_rows(sys, np.asarray(ks))
-    blocks = _row_blocks(sys, mu.size)
-    if len(blocks) == 1:
-        sums = _pole_sums(sys, mu, gaps, res)
-    else:
-        sums = np.concatenate([_pole_sums(sys, mu[blk], gaps[blk], res if res.ndim == 1
-                                          else res[blk]) for blk in blocks], axis=1)
+    ks = np.asarray(ks)
+    if ks.size and ks.min() < 0:
+        ks, mu, lower = _mirrored(ks, mu)
+        fval, deriv, scale = _eval_upper(sys, mu, ks)
+        return np.where(lower, -fval.conj(), fval), np.where(lower, -deriv.conj(), deriv), scale
+    return _eval_upper(sys, mu, ks)
+
+
+def _eval_upper(sys: SystemSpec, mu: np.ndarray, ks: np.ndarray
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`eval_f` at upper points ``lam = i omega_k + mu``, ``k > 0``."""
+    sums = np.empty((5, mu.size))
+    for rows, y, d2 in _pole_rows(sys, ks, mu):
+        sums[:, rows] = _pole_sums(sys, mu.real[rows], y, d2)
     fval = sums[0] + 1j * sums[1]
     deriv = sums[2] + 1j * sums[3]
-    lam = _lam(w, mu)
+    lam = _lam(sys.omegas[ks - 1], mu)
     origin = (2j / sys.gamma) / lam
     return fval + origin, deriv - origin / lam, sums[4] + (2.0 / sys.gamma) / np.abs(lam)
 
 
-def _pole_sums(sys: SystemSpec, mu: np.ndarray, gaps: np.ndarray,
-               res: np.ndarray) -> np.ndarray:
-    """Re f, Im f, Re f', Im f' and the sum of |terms| over the mode poles, as five rows."""
-    x = mu.real
+def _pole_sums(sys: SystemSpec, x: np.ndarray, y: np.ndarray, d2: np.ndarray) -> np.ndarray:
+    """Re f, Im f, Re f', Im f' and the sum of |terms| over the mode poles, as five rows.
+
+    ``x = Re mu``, and ``y`` and ``d2`` are the rows of :func:`_pole_rows`;
+    ``d2`` is overwritten.
+    """
     xx = x * x
-    y = gaps + mu.imag[:, None]
-    inv = y * y
-    inv += xx[:, None]
-    np.divide(1.0, inv, out=inv)  # 1/|lam - a|^2
-    q = res * inv
+    inv = np.divide(1.0, d2, out=d2)  # 1/|lam - a|^2
+    q = sys.mode_pole_residues * inv
     p = q * inv
     py = p * y
-    sums = np.empty((5, mu.size))
+    sums = np.empty((5, x.size))
     sums[0] = x * q.sum(axis=1)
     sums[1] = -np.einsum("ij,ij->i", q, y)
     sums[2] = np.einsum("ij,ij->i", py, y) - xx * p.sum(axis=1)
@@ -189,24 +203,40 @@ def _pole_sums(sys: SystemSpec, mu: np.ndarray, gaps: np.ndarray,
     return sums
 
 
+def other_pole_sums(sys: SystemSpec, ks: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """``sum_{a != i omega_k} c_a^2/|lam - a|^2`` over the mode poles, per upper root ``(k, mu)``.
+
+    ``lam = i omega_k + mu`` with ``k > 0``; the own pole is left out by its
+    column, so the sum keeps its precision however small ``|mu|`` is.
+    """
+    c2 = np.concatenate([sys.cs, sys.cs]) ** 2
+    sums = np.empty(mu.shape)
+    for rows, _, d2 in _pole_rows(sys, ks, mu):
+        np.divide(c2, d2, out=d2)
+        d2[np.arange(d2.shape[0]), ks[rows] - 1] = 0.0
+        sums[rows] = d2.sum(axis=1)
+    return sums
+
+
 def _near_pole(sys: SystemSpec, mu: np.ndarray, ks: np.ndarray) -> np.ndarray:
     """Whether ``lam = +/- i omega_|k| + mu`` lies within POLE_GUARD of a pole of f.
 
     Every pole lies on the imaginary axis, so only a point with
-    ``|Re mu| <= POLE_GUARD`` can; its distances are read from its gap row.
+    ``|Re mu| <= POLE_GUARD`` can; its distances are read from the gap row
+    of its upper mirror, at the same distances.
     """
     near = np.abs(mu.real) <= POLE_GUARD
     if near.any():
         idx = np.flatnonzero(near)
-        w, gaps, _ = _anchor_rows(sys, ks[idx])
-        x = mu.real[idx]
-        dist = np.hypot(x[:, None], gaps + mu.imag[idx, None]).min(axis=1)
-        near[idx] = np.minimum(dist, np.abs(_lam(w, mu[idx]))) <= POLE_GUARD
+        up_ks, up_mu, _ = _mirrored(ks[idx], mu[idx])
+        d2 = np.concatenate([d2.min(axis=1) for _, _, d2 in _pole_rows(sys, up_ks, up_mu)])
+        dist = np.minimum(np.sqrt(d2), np.abs(_lam(sys.omegas[up_ks - 1], up_mu)))
+        near[idx] = dist <= POLE_GUARD
     return near
 
 
 def newton_roots(sys: SystemSpec, ks, mu, max_iters: int = NEWTON_MAX_ITERS
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray,
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
                             list[Optional[Exception]]]:
     """Damped Newton iteration in pole-local coordinates, one root per seed ``(k, mu)``.
 
@@ -225,11 +255,12 @@ def newton_roots(sys: SystemSpec, ks, mu, max_iters: int = NEWTON_MAX_ITERS
     another evaluation: rounding is monotone, so every smaller step rounds to
     ``mu`` as well, where ``|f|`` is the current residual.
 
-    Returns ``(mu, residuals, derivatives, iterations, errors)``: the root's
-    offset, ``|f|`` (taken with ``hypot``) and ``f'`` there, and the accepted
-    steps.  ``errors[i]`` is the :class:`PoleError` or :class:`NewtonError`
-    that stopped element ``i``, or None; a failed element does not stop the
-    others, and its offset, residual and derivative are NaN.
+    Returns ``(mu, residuals, bounds, derivatives, iterations, errors)``: the
+    root's offset, ``|f|`` (taken with ``hypot``), its rounding bound ``(2N +
+    4) u S`` and ``f'`` there, and the accepted steps.  ``errors[i]`` is the
+    :class:`PoleError` or :class:`NewtonError` that stopped element ``i``, or
+    None; a failed element does not stop the others, and its offset,
+    residual, bound and derivative are NaN.
     """
     ks = np.asarray(ks, dtype=int).reshape(-1)
     mu = np.array(mu, dtype=complex).reshape(-1)
@@ -318,7 +349,7 @@ def newton_roots(sys: SystemSpec, ks, mu, max_iters: int = NEWTON_MAX_ITERS
                                 f"(|f| = {float(resid[i]):.3e})")
     nan = complex(np.nan, np.nan)
     return (np.where(converged, mu, nan), np.where(converged, resid, np.nan),
-            np.where(converged, deriv, nan), iters, errors)
+            np.where(converged, bound, np.nan), np.where(converged, deriv, nan), iters, errors)
 
 
 def newton_root(sys: SystemSpec, seed: complex,
@@ -335,8 +366,8 @@ def newton_root(sys: SystemSpec, seed: complex,
     if seed.imag < 0.0:
         k = -k
     w = float(_anchor_poles(sys, np.array([k]))[0])
-    mu, resids, _, iters, errors = newton_roots(sys, [k], [complex(seed.real, seed.imag - w)],
-                                                max_iters)
+    mu, resids, _, _, iters, errors = newton_roots(sys, [k],
+                                                   [complex(seed.real, seed.imag - w)], max_iters)
     if errors[0] is not None:
         raise errors[0]
     return complex(_lam(np.array([w]), mu)[0]), float(resids[0]), int(iters[0])
@@ -416,8 +447,8 @@ class EigenCertificate:
 
 
 # the per-root columns of a SpectrumReport and their dtypes
-_COLUMNS = {"k": int, "mu": complex, "lam": complex, "residual": float, "deriv": complex,
-            "radius": float, "certified": bool, "newton_iters": int, "fallback": bool}
+_COLUMNS = {"k": int, "mu": complex, "lam": complex, "residual": float, "radius": float,
+            "certified": bool, "newton_iters": int, "fallback": bool}
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,9 +458,9 @@ class SpectrumReport:
     Each column holds one read-only array over the found modes' upper roots
     (near +i omega_k), by ascending mode ``k``: the offset ``mu`` of the root
     from ``i omega_k``, the root ``lam = i omega_k + mu``, its residual
-    ``|f(lam)|``, ``deriv = f'(lam)``, the ``radius`` of its Rouche disk (NaN
-    when none exists), whether it is ``certified``, its ``newton_iters`` and
-    whether it came from the ``fallback`` seed.  The lower root of each mode
+    ``|f(lam)|``, the ``radius`` of its Rouche disk (NaN when none exists),
+    whether it is ``certified``, its ``newton_iters`` and whether it came
+    from the ``fallback`` seed.  The lower root of each mode
     is ``lam.conj()`` with the same certificate, so it is not stored.
     ``enclosure_defect`` is the largest violation of the global disk
     enclosure (0 when every root is inside).
@@ -439,7 +470,6 @@ class SpectrumReport:
     mu: np.ndarray
     lam: np.ndarray
     residual: np.ndarray
-    deriv: np.ndarray
     radius: np.ndarray
     certified: np.ndarray
     newton_iters: np.ndarray
@@ -475,7 +505,7 @@ class SpectrumReport:
         }
 
 
-def _certified_radii(sys: SystemSpec, ks: np.ndarray, mu: np.ndarray, resids: np.ndarray,
+def _certified_radii(sys: SystemSpec, ks: np.ndarray, mu: np.ndarray, f_bound: np.ndarray,
                      deriv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Closed-form radius of a one-zero Rouche disk about each upper root ``z = i omega_k + mu``.
 
@@ -486,29 +516,28 @@ def _certified_radii(sys: SystemSpec, ks: np.ndarray, mu: np.ndarray, resids: np
     min(min_a d_a, -Re z)``, has ``d_a - r >= d_a/2``, so ``K(r) <= 2 K0 =
     2 sum_a |res_a| / d_a^3``; the concave ``|f'(z)| r - 2 K0 r^2`` peaks on
     ``(0, reach/2]`` at ``r = min(reach/2, |f'(z)|/(4 K0))``, the radius if
-    there it exceeds ``|f(z)|`` (``resids``) and ``r >= CERT_FLOOR reach > 0``;
-    else no radius of that range passes and it is NaN.  ``deriv`` is f'(z);
-    the distance to a mode pole is ``|mu + i g|`` for its gap g in
-    :attr:`~obsdecay.model.SystemSpec.pole_gaps`, so ``d_own = |mu|``; the
-    pole at 0 is ``|z|`` away, and ``-Re z = -Re mu``.
+    there it exceeds ``f_bound`` and ``r >= CERT_FLOOR reach > 0``; else no
+    radius of that range passes and it is NaN.  ``f_bound`` bounds ``|f(z)|``
+    from above: the computed ``|f|`` plus its rounding bound, since Newton
+    stops where the computed ``|f|`` is rounding noise.  ``deriv`` is f'(z);
+    the distances to the mode poles come from :func:`_pole_rows`, so
+    ``d_own = |mu|``; the pole at 0 is ``|z|`` away, and ``-Re z = -Re mu``.
 
     Returns the radii and each root's distance to its nearest mode pole.
     """
     nearest, k0 = np.empty(mu.shape), np.empty(mu.shape)
-    for blk in _row_blocks(sys, mu.size):
-        d = sys.pole_gaps[ks[blk] - 1] + mu.imag[blk, None]
-        d *= d
-        d += (mu.real[blk] * mu.real[blk])[:, None]
-        np.sqrt(d, out=d)  # |z - a|
-        nearest[blk] = d.min(axis=1)
+    for rows, _, d2 in _pole_rows(sys, ks, mu):
+        d = np.sqrt(d2, out=d2)  # |z - a|
+        nearest[rows] = d.min(axis=1)
         d *= d * d
-        k0[blk] = np.einsum("ij,j->i", np.divide(1.0, d, out=d), sys.pole_residues[1:])
-    origin = np.abs(_lam(sys.omegas[ks - 1], mu))
+        k0[rows] = np.einsum("ij,j->i", np.divide(1.0, d, out=d), sys.pole_residues[1:])
+    z = _lam(sys.omegas[ks - 1], mu)
+    origin = np.hypot(z.real, z.imag)  # numpy's complex abs can differ from it in the last bit
     k0 += sys.pole_residues[0] / origin**3
     reach = np.minimum(np.minimum(nearest, origin), -mu.real)
     slope = np.hypot(deriv.real, deriv.imag)
     r = np.minimum(0.5 * reach, slope / (4.0 * k0))
-    ok = (reach > 0.0) & (r >= CERT_FLOOR * reach) & (slope * r - resids > 2.0 * k0 * r * r)
+    ok = (reach > 0.0) & (r >= CERT_FLOOR * reach) & (slope * r - f_bound > 2.0 * k0 * r * r)
     return np.where(ok, r, np.nan), nearest
 
 
@@ -544,13 +573,14 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
     wk = sys.omegas
     ks = np.arange(1, sys.N + 1)
     band = 0.5 * (sys.min_gap() if sys.N > 1 else float(wk[0]))
-    mu, resids, deriv, iters, errors = newton_roots(sys, ks, newton_seed_offsets(sys))
+    mu, resids, bounds, deriv, iters, errors = newton_roots(sys, ks, newton_seed_offsets(sys))
     fallback = np.array([err is not None for err in errors]) | (np.abs(mu.imag) > band)
     failures: dict[int, str] = {}
     fb = np.flatnonzero(fallback)
     if fb.size:
         fb_mu = -0.5 * enclosure_radius(sys, 1j * wk[fb])
-        mu[fb], resids[fb], deriv[fb], iters[fb], fb_errors = newton_roots(sys, ks[fb], fb_mu)
+        mu[fb], resids[fb], bounds[fb], deriv[fb], iters[fb], fb_errors = newton_roots(
+            sys, ks[fb], fb_mu)
         left = np.abs(mu[fb].imag) > band
         roots = _lam(wk[fb], mu[fb])
         for i, err, out, root in zip(fb.tolist(), fb_errors, left, roots.tolist()):
@@ -565,7 +595,8 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
         failures.setdefault(i, f"mode {i + 1}: root {complex(lam[i])} assigned to another mode")
 
     found = np.array([i for i in range(sys.N) if i not in failures], dtype=int)
-    radius, pole_dist = _certified_radii(sys, ks[found], mu[found], resids[found], deriv[found])
+    radius, pole_dist = _certified_radii(sys, ks[found], mu[found],
+                                         resids[found] + bounds[found], deriv[found])
     lam = lam[found]
     meets = _meets_another(np.concatenate([lam, lam.conj()]),
                            np.tile(radius, 2)).reshape(2, -1).any(axis=0)
@@ -574,7 +605,8 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
     for j in np.flatnonzero(~certified).tolist():
         root, k = complex(lam[j]), int(found[j]) + 1
         if np.isnan(radius[j]):
-            why = "no r <= min(|root - pole|, -Re root)/2 has |f'| r - |f| > 2 K0 r^2"
+            why = ("no r <= min(|root - pole|, -Re root)/2 has |f'| r - |f| - (rounding "
+                   "bound) > 2 K0 r^2")
         else:
             why = f"disk of radius {float(radius[j]):.3e} meets another root's disk"
         for half, z in (("upper", root), ("lower", root.conjugate())):
@@ -585,7 +617,7 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
 
     fail_msgs = [failures[i] for i in sorted(failures)] + uncertified
     return SpectrumReport(k=found + 1, mu=mu[found], lam=lam, residual=resids[found],
-                          deriv=deriv[found], radius=radius, certified=certified,
+                          radius=radius, certified=certified,
                           newton_iters=iters[found], fallback=fallback[found],
                           enclosure_defect=enc,
                           complete=found.size == sys.N and not fail_msgs,

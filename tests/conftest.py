@@ -14,8 +14,8 @@ from obsdecay.charfn import CharContext, LocalizationError, localize
 SINGLE_MODE_ROOTS = ((-1 + 1j * np.sqrt(3.0)) / 2, (-1 - 1j * np.sqrt(3.0)) / 2)
 
 # the per-mode columns of a SpectrumReport, one row per found mode
-SPECTRUM_COLUMNS = ("k", "mu", "lam", "residual", "deriv", "radius", "certified",
-                    "newton_iters", "fallback")
+SPECTRUM_COLUMNS = ("k", "mu", "lam", "residual", "radius", "certified", "newton_iters",
+                    "fallback")
 
 
 def perturbed_beam_family(seed, count):

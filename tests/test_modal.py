@@ -8,7 +8,7 @@ from conftest import (SINGLE_MODE_ROOTS, SPECTRUM_COLUMNS, load_bench_workloads,
                       perturbed_beam_family)
 from oracles import dense_oracle_spectrum
 from obsdecay.charfn import PoleError
-from obsdecay import modal, spectrum
+from obsdecay import modal
 from obsdecay.cli import EXIT_CHECK_FAILED, Pipeline, load_config
 from obsdecay.dynamics import apply_generator, dense_generator, simulate_error
 from obsdecay.modal import (
@@ -24,12 +24,10 @@ from obsdecay.state import StateVector
 
 
 def moved_root(sys, rep, j, mu):
-    """The report with row j's root moved to ``i omega_k + mu``, its |f| and f' taken there."""
-    cols = {name: getattr(rep, name).copy() for name in ("mu", "lam", "residual", "deriv")}
-    k = int(rep.k[j])
-    fval, deriv, _ = spectrum.eval_f(sys, np.array([mu]), np.array([k]))
-    cols["mu"][j], cols["deriv"][j], cols["residual"][j] = mu, deriv[0], abs(fval[0])
-    cols["lam"][j] = complex(mu.real, float(sys.omegas[k - 1]) + mu.imag)
+    """The report with row j's root moved to ``lam = i omega_k + mu``; its residual is stale."""
+    cols = {name: getattr(rep, name).copy() for name in ("mu", "lam")}
+    cols["mu"][j] = mu
+    cols["lam"][j] = mu + 1j * sys.omegas[rep.k[j] - 1]
     return dataclasses.replace(rep, **cols)
 
 
@@ -81,9 +79,21 @@ def direct_lower_eigenvector(sys, mu, n):
                        p=s * sys.cs / (mu.real + 1j * (mu.imag - (w + sys.omegas))))
 
 
-def upper_eigenvector(sys, mu, n):
-    """The eigenvector of the upper root ``i omega_n + mu`` built for that root alone."""
-    return modal._upper_eigenvectors(sys, np.array([n]), np.array([mu]))[0][0]
+def direct_upper_eigenvector(sys, mu, n):
+    """The eigenvector of the upper root ``i omega_n + mu`` from its own closed form.
+
+    ``v_a = s c_a/(lam - a)`` with ``s = mu/c_n``, so that p_n = 1, and
+    ``lam - a = mu + i (omega_n +/- omega_j)`` for ``a = -/+ i omega_j``.
+    """
+    w = float(sys.omegas[n - 1])
+    s = np.array([mu]) / sys.cs[n - 1]
+    return StateVector(q=s * sys.cs / (mu.real + 1j * (mu.imag + (w + sys.omegas))),
+                       p=s * sys.cs / (mu.real + 1j * (mu.imag + (w - sys.omegas))))
+
+
+def read_back_offset(sys, lam, n):
+    """The offset ``lam - i omega_n`` that :func:`eigenvector` reads from a float ``lam``."""
+    return complex(lam.real, lam.imag - float(sys.omegas[n - 1]))
 
 
 class TestEigenvector:
@@ -146,16 +156,19 @@ class TestEigenvector:
         pytest.param(perturbed_beam_family(1, 4), id="perturbed"),
     ])
     def test_conjugate_swap_is_the_direct_lower_eigenvector(self, systems):
-        # bitwise: J(upper) equals the lower vector built from its own formula
-        # about -i omega_k, and the generator commutes with J
+        # bitwise: eigenvector() is the upper vector's closed form at the offset
+        # it reads from lam, J of it is the lower vector built from its own
+        # formula about -i omega_k, and the generator commutes with J
         rng = np.random.default_rng(5)
         for sys in systems:
             rep = full_spectrum(sys)
-            for k, mu, lam in zip(rep.k.tolist(), rep.mu.tolist(), rep.lam.tolist()):
-                swapped = conjugate_swap(StateVector.from_array(upper_eigenvector(sys, mu, k)))
-                direct = direct_lower_eigenvector(sys, mu.conjugate(), k).to_array()
-                np.testing.assert_array_equal(swapped.to_array(), direct)
+            for k, lam in zip(rep.k.tolist(), rep.lam.tolist()):
+                mu = read_back_offset(sys, lam, k)
                 up = eigenvector(sys, lam, k)
+                np.testing.assert_array_equal(up.to_array(),
+                                              direct_upper_eigenvector(sys, mu, k).to_array())
+                direct = direct_lower_eigenvector(sys, mu.conjugate(), k).to_array()
+                np.testing.assert_array_equal(conjugate_swap(up).to_array(), direct)
                 for vec in (up, random_state(sys.N, rng)):
                     np.testing.assert_array_equal(
                         apply_generator(sys, conjugate_swap(vec)).to_array(),
@@ -350,25 +363,42 @@ class TestBuildBasis:
         pytest.param(perturbed_beam_family(1, 4), id="perturbed"),
     ])
     def test_columns_are_the_one_root_eigenvectors(self, systems):
-        # the one-pass build gives each column bitwise as it is built for its
-        # root alone, and the lower column is J of the upper one
+        # the one-pass build gives each column bitwise as the closed form builds
+        # it for its root's offset alone, and the lower column is J of the upper
+        # one.  eigenvector() reads the offset back from the float lam, which
+        # rounds it by up to |dmu| = ulp(omega_k), so it matches the column to
+        # first order within (|dmu|/|mu| + |dmu|/|lam - a|) |v_a|, plus rounding
         for sys in systems:
             rep = full_spectrum(sys)
             if not rep.complete:
                 continue
             basis = build_basis(sys, rep)
             n = sys.N
-            for k, mu in zip(rep.k.tolist(), rep.mu.tolist()):
-                up = upper_eigenvector(sys, mu, k)
+            for k, mu, lam in zip(rep.k.tolist(), rep.mu.tolist(), rep.lam.tolist()):
+                up = direct_upper_eigenvector(sys, mu, k).to_array()
                 np.testing.assert_array_equal(basis.Q[:, n + k - 1], up)
                 np.testing.assert_array_equal(
                     basis.Q[:, k - 1],
                     conjugate_swap(StateVector.from_array(up)).to_array())
+                dmu = abs(read_back_offset(sys, lam, k) - mu)
+                dist = np.abs(mu + 1j * (float(sys.omegas[k - 1])
+                                         + np.concatenate([sys.omegas, -sys.omegas])))
+                bound = (2.0 * dmu * (1.0 / abs(mu) + 1.0 / dist) + 2.0**-48) * np.abs(up)
+                assert np.all(np.abs(eigenvector(sys, lam, k).to_array() - up) <= bound), (n, k)
+
+    def test_lam_off_its_offset_is_a_basis_error(self, beam23, beam23_spectrum):
+        # the mode-5 root moved by 1e-6 in the lam column alone
+        lam = beam23_spectrum.lam.copy()
+        lam[4] += 1e-6
+        nudged = dataclasses.replace(beam23_spectrum, lam=lam)
+        with pytest.raises(BasisError, match=r"^mode 5: root lam = .* is not i omega_k \+ mu"):
+            build_basis(beam23, nudged)
 
     def test_failed_upper_residual_is_a_basis_error(self, beam23, beam23_spectrum, tmp_path):
-        # a complete report whose mode-5 upper root is off by 1e-6, with its
-        # residual and f' taken there: the basis is refused with BasisError,
-        # and a report records the failed stage
+        # a complete report whose mode-5 upper root is off by 1e-6 while its
+        # residual column still reads the old root's: the basis takes f there
+        # afresh and is refused with BasisError, and a report records the
+        # failed stage
         nudged = moved_root(beam23, beam23_spectrum, 4, beam23_spectrum.mu[4] + 1e-6)
         with pytest.raises(BasisError, match=r"^mode 5: upper eigenvector residual"):
             build_basis(beam23, nudged)

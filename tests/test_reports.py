@@ -153,8 +153,6 @@ def spectrum_with_edge_values():
         lam=[complex(-1.0, 0.0), complex(-2.0, -0.0), complex(-1e-300, 1e-7),
              complex(-3.0, math.inf), complex(math.nan, math.nan), complex(-0.5, -5e-324)],
         residual=[math.nan, 0.0, 1e-15, math.inf, 2.5, 1e300],
-        deriv=[complex(math.nan, 0.0), 1j, complex(1e300, -0.0), complex(math.inf, 1.0),
-               0.0, complex(5e-324, 2.0)],
         radius=[math.nan, 0.1, math.nan, 0.0, math.nan, 1e-12],
         certified=[False, True, False, True, False, True],
         newton_iters=[0, 1, 2, 3, 4, 100],
@@ -441,7 +439,7 @@ class TestArtifactBytesMatchOracles:
             axis_scan_doc(scan, rotated)
 
     def test_empty_spectrum(self, tmp_path):
-        rep = SpectrumReport(k=[], mu=[], lam=[], residual=[], deriv=[], radius=[],
+        rep = SpectrumReport(k=[], mu=[], lam=[], residual=[], radius=[],
                              certified=[], newton_iters=[], fallback=[], enclosure_defect=0.0,
                              complete=False)
         self.check_spectrum(rep, tmp_path)

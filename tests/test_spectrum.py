@@ -72,8 +72,8 @@ def scalar_newton_root(sys, k, mu, max_iters=NEWTON_MAX_ITERS):
     within 1e-12 of a pole are rejected, and so are a seed and an accepted
     iterate at or past the escape radius; a candidate that rounds to the
     iterate fails at once.  f, f' and S come from ``spectrum.eval_f`` on a
-    batch of one.  Returns ``(mu, |f|, f', iterations)`` or raises PoleError /
-    NewtonError.
+    batch of one.  Returns ``(mu, |f|, its rounding bound, f', iterations)``
+    or raises PoleError / NewtonError.
     """
     rho = max(2.0 * sys.omegas[-1], 8.0 * sys.gamma * np.sum(sys.cs**2))
     rounding = (2 * sys.N + 4) * UNIT_ROUNDOFF
@@ -84,7 +84,8 @@ def scalar_newton_root(sys, k, mu, max_iters=NEWTON_MAX_ITERS):
 
     def at_pole(m):
         gaps = local_terms(sys, k, m)[1]
-        return min(np.min(np.hypot(gaps.real, gaps.imag)), abs(lam(m))) <= POLE_GUARD
+        nearest = np.sqrt(np.min(gaps.imag * gaps.imag + m.real * m.real))
+        return min(nearest, abs(lam(m))) <= POLE_GUARD
 
     def check_escape(m):
         if abs(lam(m)) >= rho:
@@ -103,7 +104,7 @@ def scalar_newton_root(sys, k, mu, max_iters=NEWTON_MAX_ITERS):
     fval, deriv, resid, bound = evaluate(mu)
     for iters in range(max_iters):
         if resid <= bound:
-            return mu, resid, complex(deriv[0]), iters
+            return mu, resid, bound, complex(deriv[0]), iters
         if deriv[0] == 0:
             raise NewtonError(f"vanishing derivative at {lam(mu)}")
         step = -fval / deriv
@@ -143,8 +144,10 @@ def assert_matches_scalar(sys, seeds, **kwargs):
     exception.
     """
     ks = [k for k, _ in seeds]
-    roots, resids, derivs, iters, errors = newton_roots(sys, ks, [m for _, m in seeds], **kwargs)
-    assert len(roots) == len(resids) == len(derivs) == len(iters) == len(errors) == len(seeds)
+    roots, resids, bounds, derivs, iters, errors = newton_roots(sys, ks, [m for _, m in seeds],
+                                                                **kwargs)
+    assert (len(roots) == len(resids) == len(bounds) == len(derivs) == len(iters)
+            == len(errors) == len(seeds))
     outcomes = []
     for i, (k, mu) in enumerate(seeds):
         try:
@@ -154,7 +157,8 @@ def assert_matches_scalar(sys, seeds, **kwargs):
             outcomes.append(exc)
         else:
             assert errors[i] is None, (i, k, mu, errors[i])
-            got = (complex(roots[i]), float(resids[i]), complex(derivs[i]), int(iters[i]))
+            got = (complex(roots[i]), float(resids[i]), float(bounds[i]), complex(derivs[i]),
+                   int(iters[i]))
             assert got == expected, (i, k, mu)
             outcomes.append(expected)
     return outcomes
@@ -174,26 +178,35 @@ def band_exit(sys, k, mu):
     return abs(mu.imag) > band
 
 
-def reference_radius(sys, k, mu, fz, deriv):
+def reference_radius(sys, k, mu, f_bound, deriv):
     """Reference copy of the a-posteriori Rouche test at the root ``(k, mu)`` with
-    |f| = fz and f' = deriv, in plain numpy.
+    |f| <= f_bound and f' = deriv, in plain numpy.
 
     With ``reach = min(distance to the nearest pole, -Re z)`` and
     ``K0 = sum_a |res_a| / d_a^3``, the radius ``r = min(reach/2, |f'(z)|/(4 K0))``
-    if ``reach > 0``, ``r >= CERT_FLOOR reach`` and ``|f'(z)| r - fz > 2 K0 r^2``;
-    NaN otherwise.  The own distance is ``|mu|``.
+    if ``reach > 0``, ``r >= CERT_FLOOR reach`` and ``|f'(z)| r - f_bound > 2 K0 r^2``;
+    NaN otherwise.  The own distance is ``|mu|``.  ``K0`` sums the mode poles
+    by one einsum over the root's gap row, then adds the pole at 0.
     """
     w, gaps = local_terms(sys, k, mu)
     weights = sys.cs**2 / sys.omegas
-    d = np.append(np.abs(gaps), abs(complex(mu.real, w + mu.imag)))
-    res = np.concatenate([weights, weights, [2.0 / sys.gamma]])
-    reach = min(float(np.min(d)), -mu.real)
-    k0 = float(np.sum(res / d**3))
-    slope = abs(deriv)
+    d = np.sqrt(gaps.imag * gaps.imag + mu.real * mu.real)
+    origin = abs(complex(mu.real, w + mu.imag))
+    reach = min(float(np.min(d)), origin, -mu.real)
+    modes = np.einsum("ij,j->i", (1.0 / (d * d * d))[None, :], np.concatenate([weights, weights]))
+    k0 = float(modes[0] + (2.0 / sys.gamma) / origin**3)
+    slope = float(np.hypot(deriv.real, deriv.imag))
     r = min(0.5 * reach, slope / (4.0 * k0))
-    if reach > 0.0 and r >= CERT_FLOOR * reach and slope * r - fz > 2.0 * k0 * r * r:
+    if reach > 0.0 and r >= CERT_FLOOR * reach and slope * r - f_bound > 2.0 * k0 * r * r:
         return r
     return float("nan")
+
+
+def root_values(sys, k, mu):
+    """``(|f| plus its rounding bound, f')`` at the root ``(k, mu)``, by ``spectrum.eval_f``."""
+    fval, deriv, scale = spectrum.eval_f(sys, np.array([mu]), np.array([k]))
+    bound = (2 * sys.N + 4) * UNIT_ROUNDOFF * scale[0]
+    return float(np.hypot(fval.real, fval.imag)[0]) + bound, complex(deriv[0])
 
 
 def solve_lower_root(sys, k):
@@ -201,13 +214,14 @@ def solve_lower_root(sys, k):
 
     Newton from the conjugated second-order seed offset (or from the
     left-shifted backup seed).  Returns ``(lam, residual, newton_iters,
-    fallback, mu, deriv)``, or None when no root of mode k is found.
+    fallback, disk_radius)``, the radius by :func:`reference_radius`, or None
+    when no root of mode k is found.
     """
     wk = float(sys.omegas[k - 1])
     band = 0.5 * (sys.min_gap() if sys.N > 1 else wk)
     seeds = [(-k, newton_seed_offsets(sys)[k - 1].conjugate()), fallback_seed(sys, -k)]
     for fallback, (anchor, seed) in enumerate(seeds):
-        mu, resid, deriv, iters, errors = newton_roots(sys, [anchor], [seed])
+        mu, resid, bound, deriv, iters, errors = newton_roots(sys, [anchor], [seed])
         if errors[0] is None and abs(mu[0].imag) <= band:
             break
         if fallback:
@@ -215,7 +229,9 @@ def solve_lower_root(sys, k):
     lam = complex(mu[0].real, -wk + mu[0].imag)
     if np.argmin(np.abs(sys.omegas - abs(lam.imag))) + 1 != k:
         return None
-    return lam, float(resid[0]), int(iters[0]), bool(fallback), complex(mu[0]), complex(deriv[0])
+    radius = reference_radius(sys, -k, complex(mu[0]), float(resid[0] + bound[0]),
+                              complex(deriv[0]))
+    return lam, float(resid[0]), int(iters[0]), bool(fallback), radius
 
 
 def exact_rouche_terms(sys, z, r):
@@ -231,10 +247,6 @@ def exact_rouche_terms(sys, z, r):
 
 def same_float(a, b):
     return a == b or (np.isnan(a) and np.isnan(b))
-
-
-def close_float(a, b):
-    return a == pytest.approx(b, rel=1e-12, abs=0.0) or (np.isnan(a) and np.isnan(b))
 
 
 def disks_meet(c, r):
@@ -312,7 +324,7 @@ class TestEscapeRadius:
             raise AssertionError("f evaluated past the escape radius")
 
         monkeypatch.setattr(spectrum, "eval_f", forbidden)
-        _, _, _, _, errors = newton_roots(single_mode, [1, 1], [8.0 - 1j, -6.0 + 5.0j])
+        errors = newton_roots(single_mode, [1, 1], [8.0 - 1j, -6.0 + 5.0j])[-1]
         assert all(isinstance(e, NewtonError) and "escape radius 8:" in str(e) for e in errors)
 
 
@@ -378,8 +390,9 @@ class TestNewtonRootsParity:
             down = newton_roots(sys, -ks, seeds.conj())
             np.testing.assert_array_equal(down[0], up[0].conj())
             np.testing.assert_array_equal(down[1], up[1])
-            np.testing.assert_array_equal(down[2], -up[2].conj())
-            np.testing.assert_array_equal(down[3], up[3])
+            np.testing.assert_array_equal(down[2], up[2])
+            np.testing.assert_array_equal(down[3], -up[3].conj())
+            np.testing.assert_array_equal(down[4], up[4])
 
     @pytest.mark.parametrize("max_iters", [NEWTON_MAX_ITERS, 1])
     def test_pole_seeds_and_iteration_cap(self, single_mode, max_iters):
@@ -405,8 +418,9 @@ class TestNewtonRootsParity:
         assert sum(isinstance(o, PoleError) for o in outcomes) > len(outcomes) // 3
 
     def test_empty_batch(self, single_mode):
-        roots, resids, derivs, iters, errors = newton_roots(single_mode, [], [])
-        assert roots.size == resids.size == derivs.size == iters.size == len(errors) == 0
+        roots, resids, bounds, derivs, iters, errors = newton_roots(single_mode, [], [])
+        assert (roots.size == resids.size == bounds.size == derivs.size == iters.size
+                == len(errors) == 0)
 
 
 class TestWindingNumber:
@@ -491,10 +505,10 @@ class TestFullSpectrum:
     ])
     def test_lower_half_matches_direct_solve(self, systems):
         # every lower certificate is the conjugated upper one; solving the
-        # lower root on its own, about -i omega_k, must give the same fields
-        # exactly, and the reference test there the same radius up to its
-        # summation order.  A root is certified exactly when it has a disk and
-        # that disk meets no other one.
+        # lower root on its own, about -i omega_k, and running the reference
+        # test there must give the same fields and radius exactly, as must the
+        # reference test at each upper root.  A root is certified exactly when
+        # it has a disk and that disk meets no other one.
         for sys in systems:
             rep = full_spectrum(sys)
             lower = {e.k: e for e in rep.eigs if e.half == "lower"}
@@ -505,15 +519,30 @@ class TestFullSpectrum:
                     continue
                 e = lower[k]
                 assert (e.lam, e.residual, e.newton_iters, e.fallback) == direct[:4], (sys.N, k)
-                assert close_float(e.disk_radius,
-                                   reference_radius(sys, -k, direct[4], direct[1], direct[5])), (sys.N, k)
+                assert same_float(e.disk_radius, direct[4]), (sys.N, k)
             assert rep.k.tolist() == list(lower)
-            for j, (k, mu, fz, deriv) in enumerate(zip(rep.k.tolist(), rep.mu.tolist(),
-                                                       rep.residual.tolist(),
-                                                       rep.deriv.tolist())):
-                assert close_float(rep.radius[j], reference_radius(sys, k, mu, fz, deriv))
+            for j, (k, mu) in enumerate(zip(rep.k.tolist(), rep.mu.tolist())):
+                radius = reference_radius(sys, k, mu, *root_values(sys, k, mu))
+                assert same_float(rep.radius[j], radius), (sys.N, k)
             for e, meets in zip(rep.eigs, certificate_disks_meet(rep.eigs)):
                 assert e.certified == (not np.isnan(e.disk_radius) and not meets), (sys.N, e)
+
+    def test_certificate_takes_the_rounding_bound(self, beam23, monkeypatch):
+        # Newton stops where the computed |f| is rounding noise, so the Rouche
+        # test is given |f| plus its rounding bound (2N + 4) u sum|terms|
+        given = []
+
+        def spy(sys, ks, mu, f_bound, deriv):
+            given.append(f_bound)
+            return certified_radii(sys, ks, mu, f_bound, deriv)
+
+        certified_radii = spectrum._certified_radii
+        monkeypatch.setattr(spectrum, "_certified_radii", spy)
+        rep = full_spectrum(beam23)
+        expected = [root_values(beam23, k, mu)[0] for k, mu in zip(rep.k.tolist(),
+                                                                    rep.mu.tolist())]
+        assert given[0].tolist() == expected
+        assert np.all(given[0] > rep.residual)
 
     def test_perturbed_oracle_systems_cover_fallback_and_failures(self):
         # the perturbed families no longer need the backup seed; mode 1 of
@@ -534,7 +563,7 @@ class TestFullSpectrum:
         direct = solve_lower_root(sys, 1)
         assert direct[3] and (lower.lam, lower.residual, lower.newton_iters) == direct[:3]
         assert lower.fallback
-        assert close_float(lower.disk_radius, reference_radius(sys, -1, direct[4], direct[1], direct[5]))
+        assert same_float(lower.disk_radius, direct[4])
 
     def test_one_newton_solve_and_no_localize_or_winding_count(self, beam23, monkeypatch):
         # one batched Newton for all modes, one more for the fallback seeds;
@@ -712,7 +741,7 @@ class TestSpectrumColumns:
             assert vals[1::2].tobytes() == rep.lam.conj().tobytes()
             assert np.all(np.diff(rep.k) > 0) and set(rep.k.tolist()) <= set(range(1, sys.N + 1))
             rows = zip(*(getattr(rep, name).tolist() for name in SPECTRUM_COLUMNS))
-            for j, (k, mu, lam, res, deriv, radius, cert, iters, fb) in enumerate(rows):
+            for j, (k, mu, lam, res, radius, cert, iters, fb) in enumerate(rows):
                 assert lam == complex(mu.real, float(sys.omegas[k - 1]) + mu.imag)
                 for h, (half, z) in enumerate((("upper", lam), ("lower", lam.conjugate()))):
                     e = rep.eigs[2 * j + h]
@@ -802,8 +831,8 @@ class TestCertificateOracles:
         # must pass the exact test with that residual
         for sys in systems:
             rep = full_spectrum(sys)
-            for k, mu, z, deriv in zip(rep.k.tolist(), rep.mu.tolist(), rep.lam.tolist(),
-                                       rep.deriv.tolist()):
+            for k, mu, z in zip(rep.k.tolist(), rep.mu.tolist(), rep.lam.tolist()):
+                deriv = root_values(sys, k, mu)[1]
                 d, reach, slope, _ = exact_rouche_terms(sys, z, 0.0)
                 fz = np.linspace(0.0, 0.5 * slope * reach, 257)[1:]
                 r, _ = spectrum._certified_radii(sys, np.full(fz.size, k), np.full(fz.size, mu),
