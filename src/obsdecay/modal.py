@@ -18,12 +18,12 @@ the eigenvalues distinct, Q^{-1} = diag(1/nu) Q^T with nu_k = v_k^T v_k
 
 The upper root is read in the spectrum's pole-local coordinates,
 ``lam = i omega_n + mu``: the scale is ``mu/c_n`` and every ``lam - a`` is
-``mu + i g`` over the gap table, so a vector keeps its precision where
+``mu`` plus its pole shift, so a vector keeps its precision where
 ``|mu|`` is far below the spacing of floats near ``omega_n``.  The generator
 is a rank-one update of a diagonal, so ``nu``, the squared distances of the
 scaled eigenvectors to their canonical comparisons ("closeness increments")
 and the column residuals have closed forms in ``f`` and ``f'`` at the root
-and the gap table: :func:`build_basis` takes them without forming Q, and
+and the pole table: :func:`build_basis` takes them without forming Q, and
 the 2N x 2N matrix is built only when a caller reads :attr:`ModalBasis.Q`
 (simulation, ``dump_q``, :meth:`ModalBasis.solve`).
 The closeness increments quantify how far the eigenbasis is from
@@ -41,7 +41,7 @@ import numpy as np
 
 from .charfn import PoleError
 from .model import SystemSpec
-from .spectrum import SpectrumReport, _meets_another, eval_f, other_pole_sums
+from .spectrum import SpectrumReport, _meets_another, eval_f
 from .state import StateVector
 
 EIGENVECTOR_RESIDUAL_RTOL = 1e-9
@@ -73,17 +73,15 @@ def _upper_eigenvectors(sys: SystemSpec, ks: np.ndarray,
     Returns the rows ``(q, p)``, the residual ``||(A - lam I) v||`` of each
     and its norm ``||v||``.  The vector is ``v_a = s c_a/(lam - a)``
     over the poles ``a = -i omega_j`` (q) and ``+i omega_j`` (p), with
-    ``s = mu/c_k`` and ``lam - a = mu + i g`` from the gap table
-    :attr:`~obsdecay.model.SystemSpec.pole_gaps`, and ``(A - lam I) v`` is
+    ``s = mu/c_k`` and ``lam - a`` as ``mu`` plus its shift in
+    :attr:`~obsdecay.model.SystemSpec.pole_shifts`, and ``(A - lam I) v`` is
     ``-(lam - a) v_a - (gamma/2) c_a sum_b c_b v_b``: the diagonal of
     ``A - lam I`` is read in the same coordinates, so no float ``lam``
     enters.  Each row is bitwise the one built for its root alone.
     """
     n, c = sys.N, sys.cs
     s = mu / c[ks - 1]
-    gaps = sys.pole_gaps[ks - 1]
-    z = np.empty(gaps.shape, dtype=complex)
-    z.real, z.imag = mu.real[:, None], gaps + mu.imag[:, None]
+    z = sys.pole_shifts[ks - 1, 1:] + mu[:, None]
     z = np.concatenate([z[:, n:], z[:, :n]], axis=1)  # q over -i omega_j, then p over +i omega_j
     u = np.concatenate([c, c])
     vecs = s[:, None] * u / z
@@ -108,10 +106,10 @@ def _basis_numbers(sys: SystemSpec, spectrum: SpectrumReport
       the own pole left out by index, and ``||v||^2`` is one plus its half;
     * ``(A - lam) v = -s u h(lam)``, of norm ``|s| sqrt(2) ||c|| |gamma lam f(lam)|/2``.
 
-    f and f' are evaluated afresh at each ``mu`` by
-    :func:`~obsdecay.spectrum.eval_f` and the sum over the other poles is
-    :func:`~obsdecay.spectrum.other_pole_sums`, both over the spectrum's gap
-    table, so no 2N x 2N array is formed and no stored residual is trusted.
+    f, f' and the sum over the other poles are evaluated afresh at each
+    ``mu`` in one pass over the pole table, by
+    :func:`~obsdecay.spectrum.eval_f` with ``others``, the kernel Newton
+    uses, so no 2N x 2N array is formed and no stored residual is trusted.
     Raises BasisError naming the first mode whose ``lam`` column is not
     ``i omega_k + mu``.
     """
@@ -122,10 +120,10 @@ def _basis_numbers(sys: SystemSpec, spectrum: SpectrumReport
         j = int(bad[0])
         raise BasisError(f"mode {int(ks[j])}: root lam = {complex(lam[j])} is not "
                          f"i omega_k + mu = {complex(local[j])}; the report's columns disagree")
-    fval, deriv, _ = eval_f(sys, mu, ks)
+    fval, deriv, _, others = eval_f(sys, mu, ks, others=True)
     s = mu / sys.cs[ks - 1]
     s_sq = s.real * s.real + s.imag * s.imag
-    increments = 2.0 * s_sq * other_pole_sums(sys, ks, mu)
+    increments = 2.0 * s_sq * others
     nu = 1j * s * s * lam * deriv
     resid = (np.sqrt(s_sq) * np.sqrt(2.0 * float(sys.cs @ sys.cs)) * 0.5 * sys.gamma
              * np.abs(lam) * np.hypot(fval.real, fval.imag))

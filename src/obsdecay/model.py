@@ -113,21 +113,27 @@ class SystemSpec:
         return _read_only(np.concatenate([[2.0 / self.gamma], self.c2_over_w, self.c2_over_w]))
 
     @cached_property
-    def pole_gaps(self) -> np.ndarray:
-        """Gaps from each upper pole to the mode poles, over i: an ``N x 2N`` table.
+    def pole_shifts(self) -> np.ndarray:
+        """Every pole seen from each upper pole: an ``N x (2N+1)`` complex table.
 
-        Row k holds ``omega_k - omega_j`` (the gap ``i omega_k - i omega_j``) for
-        each j, then ``omega_k + omega_j`` (``i omega_k + i omega_j``).  A root
-        ``lam = i omega_k + mu`` has ``lam - a = mu + i g`` for the gap ``g``
-        to the pole ``a``; the own gap is exactly 0.
+        Row k holds ``i omega_k - a`` for the poles ``a`` = 0, then each
+        ``i omega_j``, then each ``-i omega_j``: ``i omega_k``, ``i (omega_k -
+        omega_j)`` and ``i (omega_k + omega_j)``, each with real part exactly
+        0.  A point ``lam = i omega_k + mu`` has ``lam - a = mu + shift``; the
+        own shift (column k) is exactly 0.
         """
-        w = self.omegas
-        return _read_only(np.concatenate([w[:, None] - w, w[:, None] + w], axis=1))
+        w = self.omegas[:, None]
+        shifts = np.zeros((self.N, 2 * self.N + 1), dtype=complex)
+        shifts.imag = np.concatenate([w, w - self.omegas, w + self.omegas], axis=1)
+        return _read_only(shifts)
 
     @cached_property
-    def mode_pole_residues(self) -> np.ndarray:
-        """Residues of f at the columns of :attr:`pole_gaps`: ``c_j^2/omega_j``, then their negatives."""
-        return _read_only(np.concatenate([self.c2_over_w, -self.c2_over_w]))
+    def residues(self) -> np.ndarray:
+        """Residues of f at the columns of :attr:`pole_shifts`: ``2i/gamma`` at 0, then
+        ``c_j^2/omega_j`` at each ``i omega_j`` and ``-c_j^2/omega_j`` at each ``-i omega_j``."""
+        res = np.concatenate([[0.0], self.c2_over_w, -self.c2_over_w]).astype(complex)
+        res[0] = complex(0.0, 2.0 / self.gamma)
+        return _read_only(res)
 
     @cached_property
     def resolvent_offsets(self) -> np.ndarray:

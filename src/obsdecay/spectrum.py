@@ -9,28 +9,32 @@ solved for.
 Every root is held in pole-local coordinates ``(k, mu)``, ``lam = i omega_k
 + mu``, as the secular-equation solvers of Bunch, Nielsen and Sorensen
 (*Numer. Math.* 31, 1978) and LAPACK ``dlaed4`` (R.-C. Li, LAWN 89, 1994)
-iterate relative to the nearest pole.  ``lam - a`` is ``mu + i g`` for the
-gap ``g`` of :attr:`~obsdecay.model.SystemSpec.pole_gaps`, so the own-pole
-term ``(c_k^2/omega_k)/mu`` keeps its relative precision however small
-``|mu|`` is; a float ``lam`` would carry an error of ``eps omega_k``, which
-at beam N = 1024 is 2.3e-10 against ``|mu|`` = 4.8e-7.  :func:`eval_f`
-forms f, f' and the sum of the moduli of f's terms in one pass over those
-gaps.
+iterate relative to the nearest pole.  ``lam - a`` is ``mu`` plus the shift
+of :attr:`~obsdecay.model.SystemSpec.pole_shifts`, so the own-pole term
+``(c_k^2/omega_k)/mu`` keeps its relative precision however small ``|mu|``
+is; a float ``lam`` would carry an error of ``eps omega_k``, which at beam
+N = 1024 is 2.3e-10 against ``|mu|`` = 4.8e-7.  :func:`eval_f` forms f, f'
+and the sum of the moduli of f's terms in one pass over those shifts.
 
 The upper roots of all modes are found together, by one array-valued damped
 Newton iteration in ``mu`` seeded at each pole's second-order prediction
 (:func:`~obsdecay.charfn.newton_seed_offsets`), and one more iteration from
 backup seeds for the modes that need them; each root gets the same
-arithmetic as an iteration from its seed alone.  An element stops when
-``|f| <= (2N + 4) u sum_a |res_a/(lam - a)|``, ``dlaed4``'s test: below that
-rounding bound of the evaluation the computed ``|f|`` is noise.  It fails
-when no damped step lowers ``|f|`` above the bound, or past
-:func:`escape_radius`, where no root lies and Newton only moves outward.
-Each root is then certified by one a-posteriori Rouche disk centred at it,
-whose closed-form radius keeps the remainder constant ``K(r) <= 2 K0``
-(:func:`_certified_radii`), with ``d_own = |mu|`` read in the same
-coordinates; the test takes ``|f|`` as the computed value plus that rounding
-bound.  The report is ``complete`` when every mode is found and every root
+arithmetic as an iteration from its seed alone.  The step is Newton's for
+``p f`` with ``p(lam) = lam (lam - i omega_k)(lam + i omega_k)``, which
+clears the origin, the root's own pole and its mirror, as the secular
+solvers treat the poles next to a root exactly; the halvings of a rejected
+step run in the passes that give the other elements their next step, so
+each pass costs one :func:`eval_f`.  An element stops when ``|f| <= (2N + 4)
+u sum_a |res_a/(lam - a)|``, ``dlaed4``'s test: below it the computed
+``|f|`` is noise.  It fails when no damped step lowers ``|f|``, at an exact
+pole, where f or f' overflows, or past :func:`escape_radius`, where no root
+lies and Newton only moves outward.  Each root is then certified by one
+a-posteriori Rouche disk centred at it, whose closed-form radius keeps the
+remainder constant ``K(r) <= 2 K0`` (:func:`_certified_radii`), with ``d_own
+= |mu|`` read in the same coordinates; the test takes ``|f|`` as the
+computed value plus the rounding bound of :func:`eval_f`.  The report is
+``complete`` when every mode is found and every root
 certified; f has exactly 2N zeros, so 2N disjoint one-zero disks prove the
 spectrum complete and simple (up to rounding in the computed ``|f'|`` and
 ``K0``).  The contour count :func:`winding_number` and a dense eigenvalue
@@ -45,6 +49,7 @@ it.  The lower half, :meth:`eigenvalues` and the per-root
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -56,17 +61,18 @@ from .charfn import PoleError, _freeze_columns, newton_seed_offsets
 from .model import SystemSpec
 
 NEWTON_MAX_ITERS = 100
-NEWTON_MAX_HALVINGS = 20
+NEWTON_MAX_HALVINGS = 3
 UNIT_ROUNDOFF = 0.5 * np.finfo(float).eps
-POLE_GUARD = 1e-12
 WINDING_SAMPLES_INIT = 128
 WINDING_SAMPLES_CAP = 8192
 WINDING_INT_TOL = 1e-6
 CONTOUR_MIN_ABS_F = 1e-9
-EVAL_BLOCK = 32768  # gap table entries per block of rows that the pole sums take at once
+EVAL_BLOCK = 16384  # pole table entries per block of rows that eval_f takes at once
 # smallest certificate radius, as a fraction of min(distance to the nearest
 # pole, -Re z); below it the test would read rounding noise in |f(z)| as proof
 CERT_FLOOR = 1e-12
+# the poles p(lam) clears, 0, i omega_k and -i omega_k, as shifts of mu in units of i omega_k
+_CLEARED = np.array([0.0, 1.0, 2.0])
 
 
 class NewtonError(RuntimeError):
@@ -101,35 +107,42 @@ def escape_radius(sys: SystemSpec) -> float:
     return max(2.0 * float(sys.omegas[-1]), 8.0 * sys.gamma * float(np.sum(sys.cs**2)))
 
 
-def _anchor_poles(sys: SystemSpec, ks: np.ndarray) -> np.ndarray:
-    """The signed frequency ``w = +/- omega_|k|`` of each anchor's pole ``i w``."""
-    return np.copysign(sys.omegas[np.abs(ks) - 1], ks)
+def rounding_bound(sys: SystemSpec, scale: np.ndarray) -> np.ndarray:
+    """``(2N + 10) u S``: a bound on the rounding error of f as :func:`eval_f` computes it.
 
-
-def _lam(w: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """``lam = i w + mu`` elementwise: the root an anchor and its offset stand for."""
-    return mu + 1j * w
-
-
-def _pole_rows(sys: SystemSpec, ks: np.ndarray, mu: np.ndarray):
-    """Yield ``(rows, y, d2)`` over blocks of the upper points ``lam = i omega_k + mu``.
-
-    For each point and mode pole ``a`` (the columns of row k of
-    :attr:`~obsdecay.model.SystemSpec.pole_gaps`), ``y = Im(lam - a) = Im mu
-    + g_a`` and ``d2 = |lam - a|^2 = (Re mu)^2 + y^2``; ``rows`` is the slice
-    of points in the block.  A block covers about EVAL_BLOCK table entries,
-    so its temporaries stay in cache; each row is computed on its own, so the
-    blocking changes no value.
+    ``S`` is :func:`eval_f`'s computed sum of the moduli of f's ``2N + 1``
+    terms ``res_a t_a``, ``t_a = 1/(lam - a)``.  Each term rounds once in
+    ``mu + shift`` (a relative ``u`` in ``lam - a``, so ``gamma_1`` in
+    ``t_a``), five times in numpy's complex reciprocal, which is Smith's
+    algorithm (``gamma_5`` in each component: the two products it adds have
+    one sign), and once in the product with ``res_a`` (``2i/gamma`` rounds
+    once more), so ``|fl(T_a) - T_a| <= gamma_8 |T_a|``.  Summing 2N + 1
+    terms in any order adds ``gamma_2N sum_a |fl(T_a)|`` per component, and
+    by Minkowski's inequality in modulus too.  With ``gamma_j + gamma_k +
+    gamma_j gamma_k <= gamma_(j+k)`` (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 3) and the rounding of ``S`` itself, the error
+    is below ``(2N + 10) u S`` for N below 10^6, in IEEE binary64 with
+    round-to-nearest.  The tables and residues are taken as given: their own
+    rounding from ``omega`` and ``c`` is not in the bound.
     """
-    xx = mu.real * mu.real
-    step = max(1, EVAL_BLOCK // (2 * sys.N))
-    for lo in range(0, mu.size, step):
+    return (2 * sys.N + 10) * UNIT_ROUNDOFF * scale
+
+
+def _pole_offsets(sys: SystemSpec, ks: np.ndarray, mu: np.ndarray):
+    """Yield ``(rows, z)`` over blocks of the upper points ``lam = i omega_k + mu``.
+
+    ``z = lam - a = mu + shift`` over the poles ``a`` of the columns of
+    :attr:`~obsdecay.model.SystemSpec.pole_shifts` (0, then ``+i omega_j``,
+    then ``-i omega_j``), and ``rows`` is the slice of points in the block.
+    A block covers about EVAL_BLOCK table entries, so its temporaries stay in
+    cache; each row is computed on its own, so the blocking changes no value.
+    """
+    step = max(1, EVAL_BLOCK // sys.pole_shifts.shape[1])
+    for lo in range(0, max(mu.size, 1), step):
         rows = slice(lo, lo + step)
-        y = sys.pole_gaps[ks[rows] - 1]
-        y += mu.imag[rows, None]
-        d2 = y * y
-        d2 += xx[rows, None]
-        yield rows, y, d2
+        z = sys.pole_shifts[ks[rows] - 1]
+        z += mu[rows, None]
+        yield rows, z
 
 
 def _mirrored(ks: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -143,96 +156,65 @@ def _mirrored(ks: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return np.abs(ks), np.where(lower, mu.conj(), mu), lower
 
 
-def eval_f(sys: SystemSpec, mu, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f, f' and ``sum_a |res_a/(lam - a)|`` at ``lam = +/- i omega_|k| + mu``, per (mu, k).
+def _block_sums(sys: SystemSpec, ks: np.ndarray, z: np.ndarray, others: bool) -> list:
+    """f, f', S (and the other-pole sum) of the rows ``z`` of :func:`_pole_offsets`;
+    ``z`` is overwritten."""
+    t = np.reciprocal(z, out=z)  # 1/(lam - a)
+    term = t * sys.residues
+    sums = [term.sum(axis=1), None, np.abs(term).sum(axis=1)]
+    if others:
+        t2 = np.abs(t[:, 1:])
+        t2 *= t2
+        t2[np.arange(ks.size), ks - 1] = 0.0  # the own pole, left out by its column
+        sums.append(np.einsum("ij,j->i", t2, sys.resolvent_couplings**2))
+    term *= t
+    sums[1] = -term.sum(axis=1)
+    return sums
+
+
+def eval_f(sys: SystemSpec, mu, ks, others: bool = False) -> tuple[np.ndarray, ...]:
+    """f, f' and ``S = sum_a |res_a/(lam - a)|`` at ``lam = +/- i omega_|k| + mu``, per (mu, k).
 
     Each ``mu`` is an offset from the pole ``i omega_k`` of its anchor in
-    ``ks``, or from ``-i omega_|k|`` for ``k < 0``.  For each mode pole
-    ``a``, ``lam - a = x + i y_a`` with ``x = Re mu`` and ``y_a = Im mu +
-    g_a``, and the term ``res_a/(lam - a) = res_a (x - i y_a)/|lam - a|^2``
-    and its derivative ``-res_a (x - i y_a)^2/|lam - a|^4`` are summed in
-    real arithmetic.  The own gap is exactly 0, so the own-pole term is
-    ``(c_k^2/omega_k)/mu``, as precise as ``mu`` itself.  The pole at 0 adds
-    ``2i/(gamma lam)``.  The last value, the sum of the moduli of f's terms,
-    scales the rounding error of the computed f.  A lower point is evaluated
-    at its upper mirror (:func:`_mirrored`), as ``f(conj lam) = -conj
-    f(lam)`` and ``f'(conj lam) = -conj f'(lam)``, so a lower root's
+    ``ks``, or from ``-i omega_|k|`` for ``k < 0``.  Over the ``2N + 1``
+    poles ``a`` (0 and ``+/- i omega_j``), ``t_a = 1/(lam - a)`` is numpy's
+    complex reciprocal of ``mu + shift`` (:func:`_pole_offsets`), f is
+    ``sum_a res_a t_a``, f' is ``-sum_a res_a t_a^2`` and S sums the moduli
+    of the terms; :func:`rounding_bound` bounds the rounding error of f by
+    S.  The own shift is exactly 0, so the own-pole term is
+    ``(c_k^2/omega_k)/mu``, as precise as ``mu`` itself.  A lower point is
+    evaluated at its upper mirror (:func:`_mirrored`), as ``f(conj lam) =
+    -conj f(lam)`` and ``f'(conj lam) = -conj f'(lam)``, so a lower root's
     arithmetic is exactly the conjugate of the upper one's.  Each row sums
     the same terms in the same order in any batch, so a point gets the same
-    values in every batch.
+    values in every batch.  With ``others`` a fourth value is returned:
+    ``sum_{a != own} c_a^2/|lam - a|^2`` over the mode poles, the own pole
+    left out by its column.
     """
-    mu = np.asarray(mu, dtype=complex)
-    ks = np.asarray(ks)
+    mu = np.asarray(mu, dtype=complex).reshape(-1)
+    ks = np.asarray(ks).reshape(-1)
+    lower = None
     if ks.size and ks.min() < 0:
         ks, mu, lower = _mirrored(ks, mu)
-        fval, deriv, scale = _eval_upper(sys, mu, ks)
-        return np.where(lower, -fval.conj(), fval), np.where(lower, -deriv.conj(), deriv), scale
-    return _eval_upper(sys, mu, ks)
+    parts = [_block_sums(sys, ks[rows], z, others) for rows, z in _pole_offsets(sys, ks, mu)]
+    out = parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
+    if lower is not None:
+        out[0] = np.where(lower, -out[0].conj(), out[0])
+        out[1] = np.where(lower, -out[1].conj(), out[1])
+    return tuple(out)
 
 
-def _eval_upper(sys: SystemSpec, mu: np.ndarray, ks: np.ndarray
-                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """:func:`eval_f` at upper points ``lam = i omega_k + mu``, ``k > 0``."""
-    sums = np.empty((5, mu.size))
-    for rows, y, d2 in _pole_rows(sys, ks, mu):
-        sums[:, rows] = _pole_sums(sys, mu.real[rows], y, d2)
-    fval = sums[0] + 1j * sums[1]
-    deriv = sums[2] + 1j * sums[3]
-    lam = _lam(sys.omegas[ks - 1], mu)
-    origin = (2j / sys.gamma) / lam
-    return fval + origin, deriv - origin / lam, sums[4] + (2.0 / sys.gamma) / np.abs(lam)
+def _at_pole(sys: SystemSpec, ks: np.ndarray, mu: np.ndarray) -> np.ndarray:
+    """Whether each upper point ``i omega_k + mu`` is exactly a pole of f.
 
-
-def _pole_sums(sys: SystemSpec, x: np.ndarray, y: np.ndarray, d2: np.ndarray) -> np.ndarray:
-    """Re f, Im f, Re f', Im f' and the sum of |terms| over the mode poles, as five rows.
-
-    ``x = Re mu``, and ``y`` and ``d2`` are the rows of :func:`_pole_rows`;
-    ``d2`` is overwritten.
+    A computed ``lam - a = mu + shift`` is 0 exactly when ``Re mu`` is 0
+    and ``Im mu`` is minus the shift: a float sum is 0 only when it is
+    exact.  Those are the points where :func:`eval_f` would divide by zero.
     """
-    xx = x * x
-    inv = np.divide(1.0, d2, out=d2)  # 1/|lam - a|^2
-    q = sys.mode_pole_residues * inv
-    p = q * inv
-    py = p * y
-    sums = np.empty((5, x.size))
-    sums[0] = x * q.sum(axis=1)
-    sums[1] = -np.einsum("ij,ij->i", q, y)
-    sums[2] = np.einsum("ij,ij->i", py, y) - xx * p.sum(axis=1)
-    sums[3] = 2.0 * x * py.sum(axis=1)
-    sums[4] = np.einsum("ij,j->i", np.sqrt(inv, out=inv), sys.pole_residues[1:])
-    return sums
-
-
-def other_pole_sums(sys: SystemSpec, ks: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """``sum_{a != i omega_k} c_a^2/|lam - a|^2`` over the mode poles, per upper root ``(k, mu)``.
-
-    ``lam = i omega_k + mu`` with ``k > 0``; the own pole is left out by its
-    column, so the sum keeps its precision however small ``|mu|`` is.
-    """
-    c2 = np.concatenate([sys.cs, sys.cs]) ** 2
-    sums = np.empty(mu.shape)
-    for rows, _, d2 in _pole_rows(sys, ks, mu):
-        np.divide(c2, d2, out=d2)
-        d2[np.arange(d2.shape[0]), ks[rows] - 1] = 0.0
-        sums[rows] = d2.sum(axis=1)
-    return sums
-
-
-def _near_pole(sys: SystemSpec, mu: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    """Whether ``lam = +/- i omega_|k| + mu`` lies within POLE_GUARD of a pole of f.
-
-    Every pole lies on the imaginary axis, so only a point with
-    ``|Re mu| <= POLE_GUARD`` can; its distances are read from the gap row
-    of its upper mirror, at the same distances.
-    """
-    near = np.abs(mu.real) <= POLE_GUARD
-    if near.any():
-        idx = np.flatnonzero(near)
-        up_ks, up_mu, _ = _mirrored(ks[idx], mu[idx])
-        d2 = np.concatenate([d2.min(axis=1) for _, _, d2 in _pole_rows(sys, up_ks, up_mu)])
-        dist = np.minimum(np.sqrt(d2), np.abs(_lam(sys.omegas[up_ks - 1], up_mu)))
-        near[idx] = dist <= POLE_GUARD
-    return near
+    at = mu.real == 0.0
+    for i in np.flatnonzero(at):
+        at[i] = bool(np.any(sys.pole_shifts[ks[i] - 1].imag == -mu.imag[i]))
+    return at
 
 
 def newton_roots(sys: SystemSpec, ks, mu, max_iters: int = NEWTON_MAX_ITERS
@@ -241,115 +223,148 @@ def newton_roots(sys: SystemSpec, ks, mu, max_iters: int = NEWTON_MAX_ITERS
     """Damped Newton iteration in pole-local coordinates, one root per seed ``(k, mu)``.
 
     Element i iterates the offset ``mu[i]`` of ``lam`` from the pole of its
-    anchor ``ks[i]`` (``+i omega_k`` for ``k > 0``, ``-i omega_|k|`` for
-    ``k < 0``).  All elements iterate together, so each iteration costs one
-    array-valued :func:`eval_f` per halving, which gives f and f' at once.
-    Each element follows the scalar rules: it stops once ``|f| <= (2N + 4) u
-    S``, where S is the sum of the moduli of f's terms at the iterate and u
-    the unit roundoff; otherwise the Newton step is halved (up to 20 times)
+    anchor ``ks[i]`` (``+i omega_k`` for ``k > 0``; ``-i omega_|k|`` for
+    ``k < 0``, iterated at its upper mirror and conjugated back).  The step
+    is Newton's for ``p f``, ``p(lam) = lam (lam - i omega_k)(lam + i
+    omega_k)``, which clears the origin, the own pole and its mirror:
+    ``-f / (f' + f (1/mu + 1/lam + 1/(mu + 2i omega_k)))``.  Each element
+    follows the scalar rules: it stops once ``|f| <= (2N + 4) u S``, where S
+    is the sum of the moduli of f's terms at the iterate and u the unit
+    roundoff; otherwise its step is halved (up to NEWTON_MAX_HALVINGS times)
     until |f| decreases, so the residual is non-increasing across accepted
-    steps.  Seeds and candidates within 1e-12 of a pole are rejected, and a
-    seed or accepted iterate at or past :func:`escape_radius` fails, since no
-    root is out there and Newton cannot come back.  An element whose
-    candidate ``mu + step`` rounds to ``mu`` fails at that trial without
-    another evaluation: rounding is monotone, so every smaller step rounds to
-    ``mu`` as well, where ``|f|`` is the current residual.
+    steps.  All elements iterate together and each pass costs one
+    array-valued :func:`eval_f`: an element whose candidate was rejected
+    tries half its step in the next pass, while the others take fresh steps.
+    A seed exactly at a pole is rejected (:func:`_at_pole`), and a candidate
+    there is a rejected trial.  A seed or accepted iterate fails at or past
+    :func:`escape_radius`, since no root is out there and Newton cannot come
+    back, and where f, f' or the step overflows, beside a pole.  An element
+    whose candidate ``mu + step`` rounds to ``mu`` fails at that trial
+    without another evaluation: rounding is monotone, so every smaller step
+    rounds to ``mu`` as well, where ``|f|`` is the current residual.
 
     Returns ``(mu, residuals, bounds, derivatives, iterations, errors)``: the
-    root's offset, ``|f|`` (taken with ``hypot``), its rounding bound ``(2N +
-    4) u S`` and ``f'`` there, and the accepted steps.  ``errors[i]`` is the
+    root's offset, ``|f|`` (taken with ``hypot``), its :func:`rounding_bound`
+    and ``f'`` there, and the accepted steps.  ``errors[i]`` is the
     :class:`PoleError` or :class:`NewtonError` that stopped element ``i``, or
     None; a failed element does not stop the others, and its offset,
     residual, bound and derivative are NaN.
     """
-    ks = np.asarray(ks, dtype=int).reshape(-1)
-    mu = np.array(mu, dtype=complex).reshape(-1)
+    ks, mu, lower = _mirrored(np.asarray(ks, dtype=int).reshape(-1),
+                              np.array(mu, dtype=complex).reshape(-1))
     n = mu.size
-    converged = np.zeros(n, dtype=bool)
+    root, deriv = np.full(n, complex(np.nan, np.nan)), np.full(n, complex(np.nan, np.nan))
+    resid, scale = np.full(n, np.nan), np.full(n, np.nan)
     iters = np.zeros(n, dtype=int)
     errors: list[Optional[Exception]] = [None] * n
-    w = _anchor_poles(sys, ks)
     rho = escape_radius(sys)
-    rounding = (2 * sys.N + 4) * UNIT_ROUNDOFF
+    stop = (2 * sys.N + 4) * UNIT_ROUNDOFF
 
-    def lam(i) -> complex:
-        return complex(_lam(w[i], mu[i]))
+    def fail(sel: np.ndarray, why) -> None:
+        """Give each selected element the error ``why(element, lam)``, lam on its side."""
+        for j in np.flatnonzero(sel):
+            lower_j = lower[idx[j]]
+            lam = m[j].conjugate() - iw[j] if lower_j else m[j] + iw[j]
+            errors[idx[j]] = why(j, complex(lam))
 
-    def inside(idx: np.ndarray) -> np.ndarray:
-        """The elements of ``idx`` inside the escape radius; the others fail."""
-        out = np.abs(_lam(w[idx], mu[idx])) >= rho
-        for i in idx[out]:
-            errors[i] = NewtonError(f"iterate {lam(i)} is past the escape radius "
-                                    f"{rho:.6g}: no root lies there and Newton only moves "
-                                    "outward")
-        return idx[~out]
+    def escaped(j, lam):
+        return NewtonError(f"iterate {lam} is past the escape radius {rho:.6g}: no root lies "
+                           "there and Newton only moves outward")
 
-    at_pole = _near_pole(sys, mu, ks)
-    for i in np.flatnonzero(at_pole):
-        errors[i] = PoleError(f"seed {lam(i)} is (numerically) a pole of the "
-                              "characteristic function")
-    active = inside(np.flatnonzero(~at_pole))
-    fval = np.zeros(n, dtype=complex)
-    deriv = np.zeros(n, dtype=complex)
-    bound = np.zeros(n)
-    if active.size:
-        fval[active], deriv[active], scale = eval_f(sys, mu[active], ks[active])
-        bound[active] = rounding * scale
-    resid = np.hypot(fval.real, fval.imag)
+    def overflow(j, lam):
+        return NewtonError(f"f, f' or the step overflows binary64 at {lam}, beside a pole")
 
-    for it in range(max_iters):
-        done = resid[active] <= bound[active]
-        converged[active[done]], iters[active[done]] = True, it
-        active = active[~done]
-        if not active.size:
-            break
-        zero = deriv[active] == 0
-        for i in active[zero]:
-            errors[i] = NewtonError(f"vanishing derivative at {lam(i)}")
-        active = active[~zero]
-        step = -fval[active] / deriv[active]
-
-        pending = active
-        near_only = np.ones(n, dtype=bool)
-        failed = np.zeros(n, dtype=bool)
-        for _ in range(NEWTON_MAX_HALVINGS + 1):
-            if not pending.size:
+    idx, m = np.arange(n), mu
+    iw = sys.pole_shifts[ks - 1, 0] if n else mu  # i omega_k, the shift of the pole at 0
+    pole = _at_pole(sys, ks, mu)
+    fail(pole, lambda j, lam: PoleError(f"seed {lam} is a pole of the characteristic function"))
+    out = ~pole & (np.abs(mu + iw) >= rho)
+    fail(out, escaped)
+    keep = ~(pole | out)
+    idx, m, iw = idx[keep], mu[keep], iw[keep]
+    kk = ks[idx]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught as non-finite
+        f, d, s = eval_f(sys, m, kk) if idx.size else (m, m, m.real)
+        r = np.hypot(f.real, f.imag)
+        step = np.zeros(idx.size, dtype=complex)
+        halvings, steps = np.zeros(idx.size, dtype=int), np.zeros(idx.size, dtype=int)
+        fresh = np.isfinite(r) & np.isfinite(d) & np.isfinite(s)  # a new iterate, to step from
+        end = ~fresh
+        fail(end, overflow)
+        for passes in itertools.count():
+            # only its own acceptance changes an element's r, s, f, d and steps,
+            # so the stop tests hold for the others as they did when they were fresh
+            done = fresh & (r <= stop * s)
+            if done.any():
+                at = idx[done]
+                root[at], resid[at], scale[at], deriv[at] = m[done], r[done], s[done], d[done]
+                iters[at] = steps[done]
+                end |= done
+                fresh &= ~done
+            if passes >= max_iters:  # no element has taken more steps than there were passes
+                capped = fresh & (steps >= max_iters)
+                fail(capped, lambda j, lam: NewtonError(
+                    f"no convergence after {max_iters} iterations (|f| = {float(r[j]):.3e})"))
+                end |= capped
+                fresh &= ~capped
+            # minus the Newton step of p f; the others keep their halved steps
+            clear = np.reciprocal(m[:, None] + iw[:, None] * _CLEARED).sum(axis=1)
+            denom = d + f * clear
+            flat = None
+            if not denom.all():
+                flat = denom == 0
+                denom[flat] = np.nan
+            np.divide(f, denom, out=step, where=fresh)
+            bad = ~np.isfinite(step)
+            if bad.any():
+                vanishing = bad if flat is None else bad & flat
+                fail(vanishing, lambda j, lam: NewtonError(
+                    f"vanishing derivative of the pole-cleared f at {lam}"))
+                fail(bad & ~vanishing, overflow)
+                end |= bad
+            if end.any():
+                keep = ~end
+                idx, kk, iw, m, f, d, s, r, step, halvings, steps = (
+                    a[keep] for a in (idx, kk, iw, m, f, d, s, r, step, halvings, steps))
+            if not idx.size:
                 break
-            cand = mu[pending] + step
-            # a candidate that rounds to mu itself is mu: |f| there is resid,
-            # and every smaller step rounds to mu too, so the element fails now
-            moved = cand != mu[pending]
-            far = ~_near_pole(sys, cand, ks[pending])
-            near_only[pending[far]] = False
-            ok = np.zeros(pending.size, dtype=bool)
-            trial = far & moved
-            if trial.any():
-                cand_f, cand_d, cand_s = eval_f(sys, cand[trial], ks[pending[trial]])
-                cand_r = np.hypot(cand_f.real, cand_f.imag)
-                better = cand_r < resid[pending[trial]]
-                ok[trial] = better
-                acc = pending[ok]
-                mu[acc], fval[acc], deriv[acc] = cand[ok], cand_f[better], cand_d[better]
-                resid[acc], bound[acc] = cand_r[better], rounding * cand_s[better]
-            failed[pending[~moved]] = True
-            keep = moved & ~ok
-            pending, step = pending[keep], step[keep] * 0.5
-        failed[pending] = True
-        for i in np.flatnonzero(failed):
-            if near_only[i]:
-                errors[i] = PoleError(f"iteration stalled within {POLE_GUARD} of a pole "
-                                      f"near {lam(i)}")
+            cand = m - step
+            trial = cand != m
+            if (cand.real == 0.0).any():  # a candidate at a pole is a rejected trial
+                pole = trial & (cand.real == 0.0)
+                trial[pole] = ~_at_pole(sys, kk[pole], cand[pole])
+            if trial.all():
+                cf, cd, cs = eval_f(sys, cand, kk)
             else:
-                errors[i] = NewtonError(f"damping failed to reduce |f| below "
-                                        f"{float(resid[i]):.3e} (rounding bound "
-                                        f"{float(bound[i]):.3e}) at {lam(i)}")
-        active = inside(active[~failed[active]])
-    for i in active:
-        errors[i] = NewtonError(f"no convergence after {max_iters} iterations "
-                                f"(|f| = {float(resid[i]):.3e})")
-    nan = complex(np.nan, np.nan)
-    return (np.where(converged, mu, nan), np.where(converged, resid, np.nan),
-            np.where(converged, bound, np.nan), np.where(converged, deriv, nan), iters, errors)
+                cf, cd, cs = f.copy(), d.copy(), s.copy()
+                sub = np.flatnonzero(trial)
+                if sub.size:
+                    cf[sub], cd[sub], cs[sub] = eval_f(sys, cand[sub], kk[sub])
+            cr = np.hypot(cf.real, cf.imag)
+            # a non-finite f' or S (their sum is non-finite with either) rejects the trial
+            fresh = trial & (cr < r) & np.isfinite(cd + cs)
+            if fresh.all():
+                m, f, d, s, r = cand, cf, cd, cs, cr
+            else:
+                m, f, d, s, r = (np.where(fresh, new, old) for new, old in
+                                 ((cand, m), (cf, f), (cd, d), (cs, s), (cr, r)))
+            step *= 0.5
+            halvings = np.where(fresh, 0, halvings + 1)
+            steps += fresh
+            # a candidate that rounds to mu is mu, where |f| is r, and every
+            # smaller step rounds to mu too, so the element fails at once
+            end = ~fresh & (cand == m) | (halvings > NEWTON_MAX_HALVINGS)
+            if end.any():
+                fail(end, lambda j, lam: NewtonError(
+                    f"damping failed to reduce |f| below {float(r[j]):.3e} (stop threshold "
+                    f"{float(stop * s[j]):.3e}) at {lam}"))
+            out = fresh & (np.abs(m + iw) >= rho)
+            if out.any():
+                fail(out, escaped)
+                end |= out
+                fresh &= ~out
+    return (np.where(lower, root.conj(), root), resid, rounding_bound(sys, scale),
+            np.where(lower, -deriv.conj(), deriv), iters, errors)
 
 
 def newton_root(sys: SystemSpec, seed: complex,
@@ -365,12 +380,12 @@ def newton_root(sys: SystemSpec, seed: complex,
     k = int(np.argmin(np.abs(sys.omegas - abs(seed.imag)))) + 1
     if seed.imag < 0.0:
         k = -k
-    w = float(_anchor_poles(sys, np.array([k]))[0])
+    w = float(np.copysign(sys.omegas[abs(k) - 1], k))
     mu, resids, _, _, iters, errors = newton_roots(sys, [k],
                                                    [complex(seed.real, seed.imag - w)], max_iters)
     if errors[0] is not None:
         raise errors[0]
-    return complex(_lam(np.array([w]), mu)[0]), float(resids[0]), int(iters[0])
+    return complex(mu[0] + 1j * w), float(resids[0]), int(iters[0])
 
 
 def winding_number(sys: SystemSpec, disk: tuple[complex, float],
@@ -520,24 +535,27 @@ def _certified_radii(sys: SystemSpec, ks: np.ndarray, mu: np.ndarray, f_bound: n
     radius of that range passes and it is NaN.  ``f_bound`` bounds ``|f(z)|``
     from above: the computed ``|f|`` plus its rounding bound, since Newton
     stops where the computed ``|f|`` is rounding noise.  ``deriv`` is f'(z);
-    the distances to the mode poles come from :func:`_pole_rows`, so
-    ``d_own = |mu|``; the pole at 0 is ``|z|`` away, and ``-Re z = -Re mu``.
+    the distances ``|z - a|`` over all poles come from :func:`_pole_offsets`
+    (as ``sqrt(x^2 + y^2)``), so ``d_own = |mu|``, and ``-Re z = -Re mu``.  A ``K0``
+    past binary64, at a root within about 1e-103 of its pole, leaves no
+    radius.
 
     Returns the radii and each root's distance to its nearest mode pole.
     """
-    nearest, k0 = np.empty(mu.shape), np.empty(mu.shape)
-    for rows, _, d2 in _pole_rows(sys, ks, mu):
-        d = np.sqrt(d2, out=d2)  # |z - a|
-        nearest[rows] = d.min(axis=1)
-        d *= d * d
-        k0[rows] = np.einsum("ij,j->i", np.divide(1.0, d, out=d), sys.pole_residues[1:])
-    z = _lam(sys.omegas[ks - 1], mu)
-    origin = np.hypot(z.real, z.imag)  # numpy's complex abs can differ from it in the last bit
-    k0 += sys.pole_residues[0] / origin**3
-    reach = np.minimum(np.minimum(nearest, origin), -mu.real)
-    slope = np.hypot(deriv.real, deriv.imag)
-    r = np.minimum(0.5 * reach, slope / (4.0 * k0))
-    ok = (reach > 0.0) & (r >= CERT_FLOOR * reach) & (slope * r - f_bound > 2.0 * k0 * r * r)
+    nearest, reach, k0 = np.empty(mu.shape), np.empty(mu.shape), np.empty(mu.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite K0 fails the test
+        for rows, z in _pole_offsets(sys, ks, mu):
+            d = z.real * z.real  # |z - a|^2, the pole at 0 first
+            d += z.imag * z.imag
+            d = np.sqrt(d, out=d)
+            reach[rows], nearest[rows] = d.min(axis=1), d[:, 1:].min(axis=1)
+            d = np.reciprocal(d, out=d)
+            d *= d * d
+            k0[rows] = np.einsum("ij,j->i", d, sys.pole_residues)
+        reach = np.minimum(reach, -mu.real)
+        slope = np.hypot(deriv.real, deriv.imag)
+        r = np.minimum(0.5 * reach, slope / (4.0 * k0))
+        ok = (reach > 0.0) & (r >= CERT_FLOOR * reach) & (slope * r - f_bound > 2.0 * k0 * r * r)
     return np.where(ok, r, np.nan), nearest
 
 
@@ -582,13 +600,13 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
         mu[fb], resids[fb], bounds[fb], deriv[fb], iters[fb], fb_errors = newton_roots(
             sys, ks[fb], fb_mu)
         left = np.abs(mu[fb].imag) > band
-        roots = _lam(wk[fb], mu[fb])
+        roots = mu[fb] + 1j * wk[fb]
         for i, err, out, root in zip(fb.tolist(), fb_errors, left, roots.tolist()):
             if err is not None:
                 failures[i] = f"mode {i + 1}: fallback Newton failed: {err}"
             elif out:
                 failures[i] = f"mode {i + 1}: fallback root {root} left the mode band"
-    lam = _lam(wk, mu)
+    lam = mu + 1j * wk
     # nearest mode frequency to |Im root|; ties go low
     nearest = np.argmin(np.abs(wk - np.abs(lam.imag)[:, None]), axis=1)
     for i in np.flatnonzero(nearest != np.arange(sys.N)).tolist():

@@ -58,7 +58,7 @@ def test_tracer_counts_and_restores(spans, beam23):
     assert spectrum.newton_root is newton_root
     assert spectrum.eval_f is eval_f
     assert rep.complete
-    assert counts["spectrum.eval_f.points"] == 52
+    assert counts["spectrum.eval_f.points"] == 50
     times = tracer.iteration_times(0)
     assert times["spectrum.full_spectrum"]["calls"] == 1
     assert times["spectrum.winding_number"]["calls"] == 0

@@ -40,13 +40,17 @@ def test_sweep_unit_gates_pass(workloads):
 
 
 def test_exact_zero_residual_roots_are_certified(workloads):
-    # twenty roots of the second sweep family (mode 1 of ten systems) have
-    # f(z) == 0.0 exactly; a radius taken from |f|/|f'| alone would be 0 there
+    # eight roots of the second sweep family (four conjugate pairs) have
+    # f(z) == 0.0 exactly; a radius taken from |f|/|f'| alone would be 0 there.
+    # Each gets a radius; the one real root, of an overdamped mode 1, is not
+    # certified because its disk is its conjugate's
     from obsdecay import SystemSpec, full_spectrum
 
     exact = []
     for case in workloads.random_family(2):
         rep = full_spectrum(SystemSpec.from_json_dict(case.doc))
         exact += [e for e in rep.eigs if e.residual == 0.0]
-    assert len(exact) == 20  # ten conjugate pairs
-    assert all(e.certified and e.disk_radius > 0.0 for e in exact)
+    assert len(exact) == 8
+    assert all(e.disk_radius > 0.0 for e in exact)
+    assert [e.certified for e in exact if e.lam.imag == 0.0] == [False, False]
+    assert all(e.certified for e in exact if e.lam.imag != 0.0)

@@ -678,11 +678,11 @@ class TestDegradedPipelines:
         (12, "resolvent-scan", "axis_scan_ran", "the axis scan needs at least one eigenvalue"),
     ], ids=["envelope", "resolvent-scan"])
     def test_empty_spectrum_is_a_stage_failure(self, n, task, check, error, tmp_path, capsys):
-        # at gamma = 1e-12 every root of these beams lies within the 1e-12 pole guard
-        # of its pole, so none is found; the stage that needs one fails, the report
-        # records it and both runs exit 1
+        # at gamma = 1e-200 every root of these beams lies about 1e-200 from its
+        # pole, where f' overflows binary64, so none is found; the stage that
+        # needs one fails, the report records it and both runs exit 1
         cfg = write_config(tmp_path / "cold.json", {
-            "gamma": 1e-12,
+            "gamma": 1e-200,
             "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": n},
             "tasks": ["verify", "spectrum", task],
         })

@@ -120,9 +120,8 @@ def per_mode_linearization(sys):
 
 
 class TestImmutability:
-    CONSTANTS = ("iw", "c2_over_w", "pole_residues", "pole_gaps",
-                 "mode_pole_residues", "resolvent_offsets", "resolvent_couplings",
-                 "linearization")
+    CONSTANTS = ("iw", "c2_over_w", "pole_residues", "pole_shifts", "residues",
+                 "resolvent_offsets", "resolvent_couplings", "linearization")
 
     def test_source_arrays_are_copied(self):
         w, c = np.array([1.0, 4.0, 9.0]), np.array([1.0, 0.5, 0.25])
@@ -165,9 +164,12 @@ class TestImmutability:
             "iw": iw,
             "c2_over_w": c2_over_w,
             "pole_residues": np.concatenate([[2.0 / sys.gamma], c2_over_w, c2_over_w]),
-            "pole_gaps": np.concatenate([sys.omegas[:, None] - sys.omegas,
-                                         sys.omegas[:, None] + sys.omegas], axis=1),
-            "mode_pole_residues": np.concatenate([c2_over_w, -c2_over_w]),
+            # real parts +0: 1j times a negative gap would give -0
+            "pole_shifts": 0.0 + 1j * np.concatenate([sys.omegas[:, None],
+                                                      sys.omegas[:, None] - sys.omegas,
+                                                      sys.omegas[:, None] + sys.omegas],
+                                                     axis=1),
+            "residues": np.concatenate([[2j / sys.gamma], c2_over_w, -c2_over_w]),
             "resolvent_offsets": np.concatenate([-iw, iw]),
             "resolvent_couplings": np.concatenate([sys.cs, sys.cs]),
             "linearization": per_mode_linearization(sys),

@@ -28,7 +28,6 @@ from obsdecay.spectrum import (
     CERT_FLOOR,
     NEWTON_MAX_HALVINGS,
     NEWTON_MAX_ITERS,
-    POLE_GUARD,
     UNIT_ROUNDOFF,
     NewtonError,
     enclosure_radius,
@@ -63,74 +62,83 @@ def local_terms(sys, k, mu):
     return w, mu.real + 1j * (gaps + mu.imag)
 
 
-def scalar_newton_root(sys, k, mu, max_iters=NEWTON_MAX_ITERS):
+def scalar_newton_root(sys, k, mu, max_iters=NEWTON_MAX_ITERS, trials=None):
     """Reference copy of the one-seed damped Newton loop that ``newton_roots`` batches.
 
-    The iterate is ``mu`` about the pole of anchor k.  An element stops once
-    ``|f| <= (2N + 4) u S`` (S the sum of the moduli of f's terms); else steps
-    are halved (up to 20 times) until |f| decreases.  Seeds and candidates
-    within 1e-12 of a pole are rejected, and so are a seed and an accepted
-    iterate at or past the escape radius; a candidate that rounds to the
-    iterate fails at once.  f, f' and S come from ``spectrum.eval_f`` on a
-    batch of one.  Returns ``(mu, |f|, its rounding bound, f', iterations)``
-    or raises PoleError / NewtonError.
+    The iterate is ``mu`` about the pole ``i w`` of anchor k (``w`` signed).
+    An element stops once ``|f| <= (2N + 4) u S`` (S the sum of the moduli of
+    f's terms); else it takes Newton's step for ``lam (lam - i w)(lam + i w)
+    f``, ``-f / (f' + f c)`` with ``c`` the reciprocals of ``mu + (0, i w, 2i
+    w)`` summed in one row, halved (up to NEWTON_MAX_HALVINGS times) until
+    |f| decreases.  Seeds exactly at a pole are rejected, and a candidate
+    there is a rejected trial; a seed or accepted iterate fails at or past the
+    escape radius, or where f, f' or the step overflows; a candidate that
+    rounds to the iterate fails at once.  f, f' and S come from
+    ``spectrum.eval_f`` on a batch of one.  Appends the trial index of each
+    accepted step to ``trials`` when given.  Returns ``(mu, |f|, its rounding
+    bound (2N + 10) u S, f', iterations)`` or raises PoleError / NewtonError.
     """
     rho = max(2.0 * sys.omegas[-1], 8.0 * sys.gamma * np.sum(sys.cs**2))
-    rounding = (2 * sys.N + 4) * UNIT_ROUNDOFF
+    stop = (2 * sys.N + 4) * UNIT_ROUNDOFF
     w = local_terms(sys, k, 0j)[0]
+    shifts = np.array([[0.0, 1j * w, 2j * w]])
 
     def lam(m):
         return complex(m.real, w + m.imag)
 
     def at_pole(m):
-        gaps = local_terms(sys, k, m)[1]
-        nearest = np.sqrt(np.min(gaps.imag * gaps.imag + m.real * m.real))
-        return min(nearest, abs(lam(m))) <= POLE_GUARD
+        return bool(np.any(local_terms(sys, k, m)[1] == 0)) or lam(m) == 0
 
     def check_escape(m):
         if abs(lam(m)) >= rho:
             raise NewtonError(f"iterate {lam(m)} is past the escape radius {rho:.6g}: no root "
                               "lies there and Newton only moves outward")
 
+    def overflow(m):
+        return NewtonError(f"f, f' or the step overflows binary64 at {lam(m)}, beside a pole")
+
     def evaluate(m):
-        fv, dv, scale = spectrum.eval_f(sys, np.array([m]), np.array([k]))
-        return fv, dv, float(np.hypot(fv.real, fv.imag)[0]), rounding * float(scale[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            fv, dv, scale = spectrum.eval_f(sys, np.array([m]), np.array([k]))
+        return fv, dv, float(np.hypot(fv.real, fv.imag)[0]), float(scale[0])
 
     mu = complex(mu)
     if at_pole(mu):
-        raise PoleError(f"seed {lam(mu)} is (numerically) a pole of the characteristic function")
+        raise PoleError(f"seed {lam(mu)} is a pole of the characteristic function")
     check_escape(mu)
-
-    fval, deriv, resid, bound = evaluate(mu)
+    fval, deriv, resid, scale = evaluate(mu)
+    if not np.isfinite([resid, scale, deriv[0].real, deriv[0].imag]).all():
+        raise overflow(mu)
     for iters in range(max_iters):
-        if resid <= bound:
-            return mu, resid, bound, complex(deriv[0]), iters
-        if deriv[0] == 0:
-            raise NewtonError(f"vanishing derivative at {lam(mu)}")
-        step = -fval / deriv
+        if resid <= stop * scale:
+            return mu, resid, (2 * sys.N + 10) * UNIT_ROUNDOFF * scale, complex(deriv[0]), iters
+        with np.errstate(over="ignore", invalid="ignore"):
+            clear = np.reciprocal(np.array([mu])[:, None] + shifts).sum(axis=1)
+            denom = deriv + fval * clear
+            if denom[0] == 0:
+                raise NewtonError(f"vanishing derivative of the pole-cleared f at {lam(mu)}")
+            step = fval / denom
+        if not np.isfinite(step[0]):
+            raise overflow(mu)
         accepted = False
-        near_pole_only = True
-        for _ in range(NEWTON_MAX_HALVINGS + 1):
-            cand = complex((mu + step)[0])
+        for trial in range(NEWTON_MAX_HALVINGS + 1):
+            cand = complex((mu - step)[0])
             if cand == mu:
-                near_pole_only = False
                 break
             if at_pole(cand):
                 step = step * 0.5
                 continue
-            near_pole_only = False
-            cand_f, cand_d, cand_r, cand_b = evaluate(cand)
-            if cand_r < resid:
-                mu, fval, deriv, resid, bound = cand, cand_f, cand_d, cand_r, cand_b
+            cand_f, cand_d, cand_r, cand_s = evaluate(cand)
+            if cand_r < resid and np.isfinite(cand_d[0] + cand_s):
+                mu, fval, deriv, resid, scale = cand, cand_f, cand_d, cand_r, cand_s
                 accepted = True
+                if trials is not None:
+                    trials.append(trial)
                 break
             step = step * 0.5
         if not accepted:
-            if near_pole_only:
-                raise PoleError(f"iteration stalled within {POLE_GUARD} of a pole near "
-                                f"{lam(mu)}")
-            raise NewtonError(f"damping failed to reduce |f| below {resid:.3e} (rounding bound "
-                              f"{bound:.3e}) at {lam(mu)}")
+            raise NewtonError(f"damping failed to reduce |f| below {resid:.3e} (stop threshold "
+                              f"{stop * scale:.3e}) at {lam(mu)}")
         check_escape(mu)
     raise NewtonError(f"no convergence after {max_iters} iterations (|f| = {resid:.3e})")
 
@@ -185,16 +193,16 @@ def reference_radius(sys, k, mu, f_bound, deriv):
     With ``reach = min(distance to the nearest pole, -Re z)`` and
     ``K0 = sum_a |res_a| / d_a^3``, the radius ``r = min(reach/2, |f'(z)|/(4 K0))``
     if ``reach > 0``, ``r >= CERT_FLOOR reach`` and ``|f'(z)| r - f_bound > 2 K0 r^2``;
-    NaN otherwise.  The own distance is ``|mu|``.  ``K0`` sums the mode poles
-    by one einsum over the root's gap row, then adds the pole at 0.
+    NaN otherwise.  The own distance is ``|mu|``.  The distances are taken as
+    ``sqrt(x^2 + y^2)`` over the pole at 0, then the mode poles, and ``K0``
+    sums them by one einsum over that row.
     """
     w, gaps = local_terms(sys, k, mu)
-    weights = sys.cs**2 / sys.omegas
-    d = np.sqrt(gaps.imag * gaps.imag + mu.real * mu.real)
-    origin = abs(complex(mu.real, w + mu.imag))
-    reach = min(float(np.min(d)), origin, -mu.real)
-    modes = np.einsum("ij,j->i", (1.0 / (d * d * d))[None, :], np.concatenate([weights, weights]))
-    k0 = float(modes[0] + (2.0 / sys.gamma) / origin**3)
+    z = np.concatenate([[complex(mu.real, w + mu.imag)], gaps])
+    d = np.sqrt(z.real * z.real + z.imag * z.imag)
+    reach = min(float(np.min(d)), -mu.real)
+    inv = 1.0 / d
+    k0 = float(np.einsum("ij,j->i", (inv * inv * inv)[None, :], sys.pole_residues)[0])
     slope = float(np.hypot(deriv.real, deriv.imag))
     r = min(0.5 * reach, slope / (4.0 * k0))
     if reach > 0.0 and r >= CERT_FLOOR * reach and slope * r - f_bound > 2.0 * k0 * r * r:
@@ -205,7 +213,7 @@ def reference_radius(sys, k, mu, f_bound, deriv):
 def root_values(sys, k, mu):
     """``(|f| plus its rounding bound, f')`` at the root ``(k, mu)``, by ``spectrum.eval_f``."""
     fval, deriv, scale = spectrum.eval_f(sys, np.array([mu]), np.array([k]))
-    bound = (2 * sys.N + 4) * UNIT_ROUNDOFF * scale[0]
+    bound = (2 * sys.N + 10) * UNIT_ROUNDOFF * scale[0]
     return float(np.hypot(fval.real, fval.imag)[0]) + bound, complex(deriv[0])
 
 
@@ -232,6 +240,13 @@ def solve_lower_root(sys, k):
     radius = reference_radius(sys, -k, complex(mu[0]), float(resid[0] + bound[0]),
                               complex(deriv[0]))
     return lam, float(resid[0]), int(iters[0]), bool(fallback), radius
+
+
+def pole_seed_for_mode_1(sys):
+    """The second-order seed offsets, with mode 1's put on its pole, so that it fails."""
+    offsets = newton_seed_offsets(sys)
+    offsets[0] = 0.0
+    return offsets
 
 
 def exact_rouche_terms(sys, z, r):
@@ -339,28 +354,25 @@ class TestNewtonRootsParity:
     def test_beam_primary_and_fallback_seeds(self, n):
         # in lam coordinates the primary seeds stalled from mode 65 on, where the
         # float nearest the root had |f| above 1e-12; about the pole every seed
-        # converges.  The backup seeds of modes 2 on start far left of their
-        # roots, run away and stop at the escape radius
+        # converges.  The backup seeds of modes 3 on start far left of their
+        # roots, where no halving of the pole-cleared step lowers |f| (the plain
+        # Newton step ran them out to the escape radius)
         sys = beam_example(1.0, 1.0, n)
         primary = assert_matches_scalar(sys, primary_seeds(sys))
         assert all(isinstance(o, tuple) and not band_exit(sys, k, o[0])
                    for k, o in enumerate(primary, start=1))
         fallback = assert_matches_scalar(sys, [fallback_seed(sys, k) for k in range(1, n + 1)])
-        assert isinstance(fallback[0], tuple)
-        assert all(isinstance(o, NewtonError) and "escape radius" in str(o)
-                   for o in fallback[1:])
+        assert all(isinstance(o, tuple) for o in fallback[:2])
+        assert all(isinstance(o, NewtonError) and "damping failed" in str(o)
+                   for o in fallback[2:])
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_perturbed_family_seeds(self, seed):
-        # the first-order seeds of the strongly damped low modes leave their band
-        fallbacks = 0
+        # strongly damped low modes, overdamped ones among them; the backup
+        # seeds of every mode are checked as well
         for sys in perturbed_beam_family(seed, 4):
-            primary = assert_matches_scalar(sys, primary_seeds(sys))
-            failed = [k for k, o in enumerate(primary, start=1)
-                      if isinstance(o, Exception) or band_exit(sys, k, o[0])]
-            assert_matches_scalar(sys, [fallback_seed(sys, k) for k in failed])
-            fallbacks += len(failed)
-        assert fallbacks > 0
+            assert_matches_scalar(sys, primary_seeds(sys))
+            assert_matches_scalar(sys, [fallback_seed(sys, k) for k in range(1, sys.N + 1)])
 
     def test_weak_gain_every_root_is_found(self):
         # at gamma = 1e-6 every |mu| is below 5e-7, and the absolute stop rule
@@ -370,16 +382,24 @@ class TestNewtonRootsParity:
         outcomes = assert_matches_scalar(sys, seeds)
         assert all(isinstance(o, tuple) for o in outcomes)
 
-    def test_roots_inside_the_pole_guard_are_not_found(self):
-        # at gamma = 1e-12 every root lies within 1e-12 of its pole: the primary
-        # seeds sit there already, and the backup seeds of modes 2 on stall
-        # beside the pole, whose guard rejects every step
+    def test_roots_within_1e_12_of_their_poles_are_found(self):
+        # at gamma = 1e-12 every root lies within 1e-12 of its pole, where the
+        # absolute guard POLE_GUARD = 1e-12 rejected every seed; only an exact
+        # pole is rejected now, and every primary and backup seed converges
         sys = beam_example(1.0, 1.0, 5, gamma=1e-12)
         seeds = primary_seeds(sys) + [fallback_seed(sys, k) for k in range(1, 6)]
         outcomes = assert_matches_scalar(sys, seeds)
-        assert all(isinstance(o, PoleError) for o in outcomes[:6])
-        assert all(isinstance(o, NewtonError) and "damping failed" in str(o)
-                   for o in outcomes[6:])
+        assert all(isinstance(o, tuple) and 0.0 < abs(o[0]) < 1e-12 for o in outcomes)
+
+    def test_overflow_beside_the_pole_is_named(self):
+        # at gamma = 1e-200 each |mu| is about 1e-200, and f' ~ res/mu^2 is past
+        # binary64: every seed fails with its own message, and no warning or
+        # NaN residual escapes
+        sys = beam_example(1.0, 1.0, 5, gamma=1e-200)
+        seeds = primary_seeds(sys) + [fallback_seed(sys, k) for k in range(1, 6)]
+        outcomes = assert_matches_scalar(sys, seeds)
+        assert all(isinstance(o, NewtonError) and "overflows binary64" in str(o)
+                   for o in outcomes)
 
     def test_lower_anchor_mirrors_the_upper_one(self):
         # about -i omega_k every value is the conjugate, exactly
@@ -404,18 +424,48 @@ class TestNewtonRootsParity:
         assert isinstance(outcomes[3], NewtonError)
         assert "past the escape radius 8:" in str(outcomes[3])
 
-    def test_seeds_at_the_pole_guard(self, beam4):
-        # the guard looks up only the two poles next to Im z; seeds straddle
-        # POLE_GUARD about every pole, beyond both ends and off the axis
-        offsets = [0.0, 0.5, 0.999, 1.001, 2.0]
-        seeds = []
-        for im in [0.0, *beam4.omegas, *-beam4.omegas]:
-            for off in offsets:
-                for step in (1.0, -1.0, 1j, -1j, (1 + 1j) / np.sqrt(2.0)):
-                    seeds.append(complex(0.0, im) + off * POLE_GUARD * step)
-        seeds += [complex(0.0, 1e3), complex(0.0, -1e3), complex(-1e-13, 1e-13)]
-        outcomes = assert_matches_scalar(beam4, [anchored(beam4, z) for z in seeds], max_iters=1)
-        assert sum(isinstance(o, PoleError) for o in outcomes) > len(outcomes) // 3
+    def test_seeds_at_and_beside_the_poles(self, beam4):
+        # only a seed exactly at a pole is rejected; one an ulp away along the
+        # axis, 1e-300 off it or 1e-9 away is evaluated (and may overflow there)
+        seeds, exact = [], []
+        for k in range(1, beam4.N + 1):
+            for anchor in (k, -k):
+                w = float(np.copysign(beam4.omegas[k - 1], anchor))
+                for im in [0.0, -w, *(np.copysign(beam4.omegas, anchor) - w),
+                           *(-np.copysign(beam4.omegas, anchor) - w)]:
+                    seeds.append((anchor, complex(0.0, im)))
+                    exact.append(True)
+                    for off in (1j * (np.nextafter(im, np.inf) - im), 1e-300, -1e-9 + 1e-9j):
+                        seeds.append((anchor, complex(0.0, im) + off))
+                        exact.append(False)
+        outcomes = assert_matches_scalar(beam4, seeds, max_iters=1)
+        assert all(isinstance(o, PoleError) == at for o, at in zip(outcomes, exact))
+        assert any(isinstance(o, NewtonError) and "overflows" in str(o) for o in outcomes)
+
+    def test_accepted_steps_need_at_most_one_halving(self):
+        # the trial index of every step the scalar loop accepts, from
+        # full_spectrum's seeds (and the backup seed where a mode needs it), on
+        # the gate systems, the perturbed families and random_family(1|2); no
+        # step is accepted after its second trial (one step of the second
+        # family after its first), so NEWTON_MAX_HALVINGS = 3 leaves a
+        # margin of two halvings and gives up on a stalled element in 4 passes
+        trials = []
+        systems = ([param.values[0] for param in SCALING_SYSTEMS]
+                   + perturbed_beam_family(1, 4) + perturbed_beam_family(2, 4)
+                   + [SystemSpec.from_json_dict(c.doc) for family in (1, 2)
+                      for c in load_bench_workloads().random_family(family)])
+        for sys in systems:
+            band = 0.5 * (sys.min_gap() if sys.N > 1 else float(sys.omegas[0]))
+            for k, mu in enumerate(newton_seed_offsets(sys), start=1):
+                for seed in (mu, fallback_seed(sys, k)[1]):
+                    try:
+                        root = scalar_newton_root(sys, k, seed, trials=trials)[0]
+                    except (NewtonError, PoleError):
+                        continue
+                    if abs(root.imag) <= band:
+                        break
+        assert collections.Counter(trials) == {0: 6877, 1: 1}
+        assert max(trials) < NEWTON_MAX_HALVINGS == 3
 
     def test_empty_batch(self, single_mode):
         roots, resids, bounds, derivs, iters, errors = newton_roots(single_mode, [], [])
@@ -545,25 +595,38 @@ class TestFullSpectrum:
         assert np.all(given[0] > rep.residual)
 
     def test_perturbed_oracle_systems_cover_fallback_and_failures(self):
-        # the perturbed families no longer need the backup seed; mode 1 of
-        # system 88 of the first sweep family (an overdamped real pair) does,
-        # and in system 0 its backup root is the real one left of the band
+        # under the pole-cleared step no pinned system finds a root from the
+        # backup seed: mode 1 of system 88 of the first sweep family, which
+        # needed it, converges from its primary seed.  An overdamped mode 1 still
+        # falls back: in system 0 the backup seed stalls, in system 70 its root
+        # is the real one left of the band
         reps = [full_spectrum(s) for s in perturbed_beam_family(1, 4) + perturbed_beam_family(2, 4)]
         family = load_bench_workloads().random_family(1)
-        backup = full_spectrum(SystemSpec.from_json_dict(family[88].doc))
-        assert backup.k[backup.fallback].tolist() == [1]
+        solved = full_spectrum(SystemSpec.from_json_dict(family[88].doc))
+        assert solved.k[0] == 1 and not solved.fallback.any()
         assert any("meets another root's disk" in msg for rep in reps for msg in rep.failures)
-        lost = full_spectrum(SystemSpec.from_json_dict(family[0].doc))
-        assert lost.failures[0].startswith("mode 1: fallback root (-7.03")
+        stalled = full_spectrum(SystemSpec.from_json_dict(family[0].doc))
+        assert stalled.failures[0].startswith("mode 1: fallback Newton failed: damping failed")
+        lost = full_spectrum(SystemSpec.from_json_dict(family[70].doc))
+        assert lost.failures[0].startswith("mode 1: fallback root (-0.64")
         assert lost.failures[0].endswith("left the mode band")
 
-    def test_backup_seed_root_matches_direct_solve(self):
-        sys = SystemSpec.from_json_dict(load_bench_workloads().random_family(1)[88].doc)
-        lower = next(e for e in full_spectrum(sys).eigs if e.k == 1 and e.half == "lower")
-        direct = solve_lower_root(sys, 1)
-        assert direct[3] and (lower.lam, lower.residual, lower.newton_iters) == direct[:3]
-        assert lower.fallback
-        assert same_float(lower.disk_radius, direct[4])
+    def test_backup_seed_root_matches_direct_solve(self, beam23, monkeypatch):
+        # a primary seed put on the pole fails, and the mode is solved again
+        # from the backup seed; its lower root, solved on its own about -i
+        # omega_1 from the conjugate backup seed, has the same fields
+        monkeypatch.setattr(spectrum, "newton_seed_offsets", pole_seed_for_mode_1)
+        rep = full_spectrum(beam23)
+        assert rep.complete and rep.k[rep.fallback].tolist() == [1]
+        lower = next(e for e in rep.eigs if e.k == 1 and e.half == "lower")
+        mu, resid, bound, deriv, iters, errors = newton_roots(beam23, [-1],
+                                                              [fallback_seed(beam23, -1)[1]])
+        lam = complex(mu[0].real, -float(beam23.omegas[0]) + mu[0].imag)
+        assert errors[0] is None
+        assert (lower.lam, lower.residual, lower.newton_iters) == (lam, resid[0], iters[0])
+        radius = reference_radius(beam23, -1, complex(mu[0]), float(resid[0] + bound[0]),
+                                  complex(deriv[0]))
+        assert same_float(lower.disk_radius, radius)
 
     def test_one_newton_solve_and_no_localize_or_winding_count(self, beam23, monkeypatch):
         # one batched Newton for all modes, one more for the fallback seeds;
@@ -586,31 +649,35 @@ class TestFullSpectrum:
         full_spectrum(beam_example(1.0, 1.0, 128))
         assert calls == {"newton_roots": 1}
         calls.clear()
-        full_spectrum(SystemSpec.from_json_dict(load_bench_workloads().random_family(1)[88].doc))
+        monkeypatch.setattr(spectrum, "newton_seed_offsets", pole_seed_for_mode_1)
+        full_spectrum(beam23)
         assert calls == {"newton_roots": 2}
 
-    def test_eval_f_work_count(self, monkeypatch):
-        # the counts repeat exactly; each point gives f and f'.  At N = 256,
-        # 239 of the 256 seeds already meet the rounding bound, where the
-        # absolute stop |f| <= 1e-12 in lam coordinates took 1364 points and
-        # lost 147 modes
-        points = []
+    @pytest.mark.parametrize("case, calls, points, zero_step", [
+        ("beam23", 4, 50, None), ("beam128", 4, 151, None), ("beam256", 4, 276, 239),
+        ("random_family(1)", 716, 6516, None)])
+    def test_eval_f_work_count(self, monkeypatch, case, calls, points, zero_step):
+        # the counts repeat exactly; each point gives f and f', and each batched
+        # call is one Newton pass.  At N = 256, 239 of the 256 seeds already meet
+        # the stop rule.  The pole-cleared step with its halvings folded into the
+        # passes took random_family(1) from 1076 calls and 7120 points to these
+        counted_calls = []
         eval_mu = spectrum.eval_f
 
         def counted(sys, mu, ks):
-            points.append(np.size(mu))
+            counted_calls.append(np.size(mu))
             return eval_mu(sys, mu, ks)
 
+        if case.startswith("beam"):
+            systems = [beam_example(1.0, 1.0, int(case[4:]))]
+        else:
+            systems = [SystemSpec.from_json_dict(c.doc)
+                       for c in load_bench_workloads().random_family(1)]
         monkeypatch.setattr(spectrum, "eval_f", counted)
-        full_spectrum(beam_example(1.0, 1.0, 23))
-        assert sum(points) == 52
-        points.clear()
-        full_spectrum(beam_example(1.0, 1.0, 128))
-        assert sum(points) == 153
-        points.clear()
-        rep = full_spectrum(beam_example(1.0, 1.0, 256))
-        assert sum(points) == 278
-        assert np.count_nonzero(rep.newton_iters == 0) == 239
+        reps = [full_spectrum(sys) for sys in systems]
+        assert (len(counted_calls), sum(counted_calls)) == (calls, points)
+        if zero_step is not None:
+            assert np.count_nonzero(reps[0].newton_iters == 0) == zero_step
 
     def test_overdamped_pair_is_flagged(self):
         # at gamma = 2 the first mode pair collides on the real axis; the
@@ -622,9 +689,9 @@ class TestFullSpectrum:
 
     def test_rounding_split_real_root_is_not_certified(self):
         # at gamma = 100 mode 1 is overdamped: two real roots, -155.522 and
-        # -0.00983.  Newton finds the first, split off the axis by rounding
-        # into -155.522 +/- 1.06e-7i, and misses the second.  The two disks
-        # of that one real root overlap, so the report is incomplete.
+        # -0.00983.  Newton finds the second (the plain Newton step found the
+        # first, split off the axis by rounding) and misses the other.  The two
+        # disks of that one real root overlap, so the report is incomplete.
         sys = beam_example(1.0, 1.0, 23, gamma=100.0)
         rep = full_spectrum(sys)
         assert not rep.complete
