@@ -22,7 +22,8 @@ axis.  With ``d(s)`` the distance from ``is`` to the spectrum, every operator
 has ``||R(is)|| >= 1/d(s)``, and a diagonalizable one ``||R(is)|| <=
 cond(Q)/d(s)``; so on a band with ``m_k = min d(s)`` the supremum of the
 norm lies in ``[1/m_k, cond(Q)/m_k]``.  ``m_k`` is exact in closed form: the
-distance from the segment to the nearest root.  The scan fits the growth
+distance from the segment to the nearest root, found by a sorted search that
+compares each band with the few roots near it.  The scan fits the growth
 exponent of ``1/m_k``, which governs the polynomial decay rate of the
 semigroup (Borichev and Tomilov, Math. Ann. 347, 2010).  The scan and its
 certified-cap checks are held as read-only columns.
@@ -39,7 +40,7 @@ import numpy as np
 from .charfn import LocalizationReport, PoleError, _freeze_columns
 from .fitting import LogLogFit, loglog_fit
 from .model import SystemSpec
-from .spectrum import SpectrumReport
+from .spectrum import UNIT_ROUNDOFF, SpectrumReport
 from .state import StateVector
 
 EIGEN_PROXIMITY_TOL = 1e-12
@@ -115,6 +116,31 @@ class AxisScan:
                 "alpha_expected": alpha_expected}
 
 
+def _band_windows(roots: np.ndarray, s_lo: np.ndarray, s_hi: np.ndarray):
+    """The (band, root) pairs that can attain each band's ``m_k``, flat and band by band.
+
+    The roots are sorted by ``Im``, and the distance ``b`` from band k to one
+    root, the first at or above ``s_lo`` (else the highest), bounds ``m_k``
+    from above.  The window ``[s_lo - b, s_hi + b]`` keeps every root that can
+    attain ``m_k``: a root below ``fl(s_lo - b)`` has an exact gap above ``b``,
+    so a computed gap of at least ``b``, and ``hypot(x, gap) >= gap`` holds in
+    binary64 (above ``fl(s_hi + b)`` alike).  The root that gives ``b`` can
+    lie just outside by rounding, so the window is padded by ``8 u (b +
+    s_hi)``, which covers it.  Returns each pair's band row, the real and
+    imaginary parts of its root, and the index of each band's first pair.
+    """
+    order = np.argsort(roots.imag)
+    im, re = roots.imag[order], roots.real[order]
+    j = np.minimum(np.searchsorted(im, s_lo), im.size - 1)
+    b = np.hypot(re[j], np.maximum(np.maximum(s_lo - im[j], im[j] - s_hi), 0.0))
+    reach = b + 8.0 * UNIT_ROUNDOFF * (b + s_hi)
+    start = np.searchsorted(im, s_lo - reach, "left")
+    count = np.searchsorted(im, s_hi + reach, "right") - start
+    first = np.cumsum(count) - count
+    idx = np.arange(count.sum()) + np.repeat(start - first, count)
+    return np.repeat(np.arange(s_lo.size), count), re[idx], im[idx], first
+
+
 def axis_scan(sys: SystemSpec, spectrum: SpectrumReport, k_range: tuple[int, int]) -> AxisScan:
     """Each band's supremum of ``1/d(s)`` in closed form, and the fit of its growth.
 
@@ -124,7 +150,10 @@ def axis_scan(sys: SystemSpec, spectrum: SpectrumReport, k_range: tuple[int, int
     ``1/d``: a lower bound of ``sup ||R(is)||`` that holds for every operator.
     With ``A = Q G Q^-1`` and ``G`` diagonal, ``||R(is)|| <= cond(Q)/d(s)``
     bounds it from above.  The suprema are fitted in log-log coordinates
-    against the band centers.  All bands take one O(N K) array pass.
+    against the band centers.
+
+    The minima take a sorted search, O((N + K) log N), over the windows of
+    :func:`_band_windows`, and are bitwise those of the whole band x root table.
     """
     k_min, k_max = k_range
     if not (2 <= k_min < k_max <= sys.N - 1):
@@ -133,14 +162,14 @@ def axis_scan(sys: SystemSpec, spectrum: SpectrumReport, k_range: tuple[int, int
         raise ValueError("degenerate fit: need at least 3 segments")
     if spectrum.lam.size == 0:
         raise ValueError("the axis scan needs at least one eigenvalue")
-    roots = np.concatenate([spectrum.lam, spectrum.lam.conj()])
     w = sys.omegas
     ks = np.arange(k_min, k_max + 1)
     s_lo = 0.5 * (w[ks - 2] + w[ks - 1])
     s_hi = 0.5 * (w[ks - 1] + w[ks])
-    # the distance in imaginary part from each root (columns) to each band (rows)
-    gap = np.maximum(np.maximum(s_lo[:, None] - roots.imag, roots.imag - s_hi[:, None]), 0.0)
-    m = np.hypot(roots.real, gap).min(axis=1)
+    band, re, im, first = _band_windows(np.concatenate([spectrum.lam, spectrum.lam.conj()]),
+                                        s_lo, s_hi)
+    gap = np.maximum(np.maximum(s_lo[band] - im, im - s_hi[band]), 0.0)
+    m = np.minimum.reduceat(np.hypot(re, gap), first)
     if np.any(m == 0.0):
         raise SpectrumProximityError(f"band {ks[m == 0.0][0]} holds an eigenvalue")
     sups = 1.0 / m

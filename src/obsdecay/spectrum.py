@@ -367,6 +367,19 @@ def newton_roots(sys: SystemSpec, ks, mu, max_iters: int = NEWTON_MAX_ITERS
             np.where(lower, -deriv.conj(), deriv), iters, errors)
 
 
+def nearest_mode(omegas: np.ndarray, x):
+    """Index of the frequency nearest each ``x >= 0``, the lower on a tie, by a sorted search.
+
+    Only the two frequencies around x can be nearest, and their computed
+    distances ``|omega - x|`` are compared.  So the index is the first minimum
+    of the dense ``|omegas - x|``, except where rounding makes two frequencies
+    on one side of x equally far, which needs x some gap/eps away from them.
+    """
+    hi = np.minimum(np.searchsorted(omegas, x), omegas.size - 1)
+    lo = np.maximum(hi - 1, 0)
+    return np.where(np.abs(omegas[lo] - x) <= np.abs(omegas[hi] - x), lo, hi)
+
+
 def newton_root(sys: SystemSpec, seed: complex,
                 max_iters: int = NEWTON_MAX_ITERS) -> tuple[complex, float, int]:
     """Damped Newton iteration from one seed: :func:`newton_roots` on a batch of one.
@@ -377,7 +390,7 @@ def newton_root(sys: SystemSpec, seed: complex,
     :class:`NewtonError` when it fails.
     """
     seed = complex(seed)
-    k = int(np.argmin(np.abs(sys.omegas - abs(seed.imag)))) + 1
+    k = int(nearest_mode(sys.omegas, abs(seed.imag))) + 1
     if seed.imag < 0.0:
         k = -k
     w = float(np.copysign(sys.omegas[abs(k) - 1], k))
@@ -607,9 +620,7 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
             elif out:
                 failures[i] = f"mode {i + 1}: fallback root {root} left the mode band"
     lam = mu + 1j * wk
-    # nearest mode frequency to |Im root|; ties go low
-    nearest = np.argmin(np.abs(wk - np.abs(lam.imag)[:, None]), axis=1)
-    for i in np.flatnonzero(nearest != np.arange(sys.N)).tolist():
+    for i in np.flatnonzero(nearest_mode(wk, np.abs(lam.imag)) != np.arange(sys.N)).tolist():
         failures.setdefault(i, f"mode {i + 1}: root {complex(lam[i])} assigned to another mode")
 
     found = np.array([i for i in range(sys.N) if i not in failures], dtype=int)

@@ -4,6 +4,9 @@ None of these is on a path the package runs: the dense eigenvalue solve and
 the rational form of ``f`` check the Newton/Rouche path and ``charfn.eval_f``
 from outside, ``resolvent_norm`` is the resolvent norm from a dense SVD, and
 ``matching_distance`` compares two eigenvalue multisets.
+``brute_force_scan`` is the axis scan over the whole band x root table, one
+band at a time, and ``dense_nearest_mode`` the first minimum of the whole
+``|omegas - x|`` table; the package finds both by sorted search.
 The artifact oracles give the bytes of ``reports``' CSV writers through
 ``csv.writer``, row by row, and the ``spectrum.json`` document through the
 per-root ``EigenCertificate`` records.  ``segment_bound_checks`` is the
@@ -23,7 +26,8 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 from obsdecay.dynamics import dense_generator
-from obsdecay.resolvent import SEGMENT_BOUND_FACTOR, SegmentBoundChecks
+from obsdecay.fitting import loglog_fit
+from obsdecay.resolvent import SEGMENT_BOUND_FACTOR, AxisScan, SegmentBoundChecks
 
 SCAN_COLUMNS = ("k", "s_lo", "s_hi", "center", "sup")
 CHECK_COLUMNS = ("k", "sup", "upper", "bound", "applicable", "ok")
@@ -68,6 +72,36 @@ def matching_distance(a, b):
     cost = np.abs(a[:, None] - b[None, :])
     rows, cols = linear_sum_assignment(cost)
     return float(np.max(cost[rows, cols]))
+
+
+def band_minima(sys, upper, k_range) -> list[float]:
+    """Each band's ``m_k``: its distance to every root of both halves, one band at a time."""
+    roots = np.concatenate([upper, np.conj(upper)])
+    w = sys.omegas
+    minima = []
+    for k in range(k_range[0], k_range[1] + 1):
+        s_lo = 0.5 * (w[k - 2] + w[k - 1])
+        s_hi = 0.5 * (w[k - 1] + w[k])
+        gap = np.maximum(np.maximum(s_lo - roots.imag, roots.imag - s_hi), 0.0)
+        minima.append(float(np.hypot(roots.real, gap).min()))
+    return minima
+
+
+def brute_force_scan(sys, upper, k_range):
+    """Reference axis scan: :func:`band_minima` over the whole band x root table."""
+    w = sys.omegas
+    k = list(range(k_range[0], k_range[1] + 1))
+    s_lo = [0.5 * (w[j - 2] + w[j - 1]) for j in k]
+    s_hi = [0.5 * (w[j - 1] + w[j]) for j in k]
+    center = [0.5 * (lo + hi) for lo, hi in zip(s_lo, s_hi)]
+    sup = [1.0 / m for m in band_minima(sys, upper, k_range)]
+    return AxisScan(k=k, s_lo=s_lo, s_hi=s_hi, center=center, sup=sup,
+                    alpha_fit=loglog_fit(center, sup))
+
+
+def dense_nearest_mode(omegas, x) -> np.ndarray:
+    """Index of the frequency nearest each ``x``: the first minimum of ``|omegas - x|``."""
+    return np.argmin(np.abs(omegas - np.asarray(x, dtype=float)[..., None]), axis=-1)
 
 
 def eval_f_rational(sys, lam):

@@ -4,19 +4,18 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
 from conftest import load_bench_workloads, perturbed_beam_family
 from obsdecay.charfn import PoleError, localize_modes
 from obsdecay.dynamics import dense_generator
-from obsdecay.fitting import loglog_fit
 from obsdecay.modal import build_basis
 from obsdecay.model import SystemSpec, beam_example, build_system
 from obsdecay.resolvent import (
-    AxisScan,
     SpectrumProximityError,
+    _band_windows,
     apply_resolvent,
     axis_scan,
     segment_bound_checks,
@@ -43,21 +42,6 @@ def round_trip_residual(sys, lam, eps, rhs):
 NEAR_POLE_SYSTEMS = [beam_example(1.0, 1.0, 23)] + perturbed_beam_family(3, 4)
 
 
-def brute_force_scan(sys, upper, k_range):
-    """Reference axis scan: one band at a time, its distance to every root of both halves."""
-    roots = np.concatenate([upper, upper.conj()]).tolist()
-    w = sys.omegas
-    bands = []
-    for k in range(k_range[0], k_range[1] + 1):
-        s_lo = 0.5 * (w[k - 2] + w[k - 1])
-        s_hi = 0.5 * (w[k - 1] + w[k])
-        m = min(np.hypot(lam.real, max(0.0, s_lo - lam.imag, lam.imag - s_hi)) for lam in roots)
-        bands.append((k, s_lo, s_hi, 0.5 * (s_lo + s_hi), 1.0 / m))
-    k, s_lo, s_hi, center, sup = map(list, zip(*bands))
-    return AxisScan(k=k, s_lo=s_lo, s_hi=s_hi, center=center, sup=sup,
-                    alpha_fit=loglog_fit(center, sup))
-
-
 SCAN_COLUMNS = oracles.SCAN_COLUMNS
 
 
@@ -71,6 +55,17 @@ def distance_to(roots, s):
     return float(np.min(np.abs(roots - 1j * s)))
 
 
+def assert_matches_band_by_band(sys, spectrum):
+    """The scan of every band, and of all but the outer two, bitwise against the whole table."""
+    for k_range in ((3, sys.N - 3), (2, sys.N - 1)):
+        if k_range[1] - k_range[0] < 2:
+            continue
+        scan = axis_scan(sys, spectrum, k_range)
+        expected = oracles.brute_force_scan(sys, spectrum.lam, k_range)
+        assert columns_text(scan) == columns_text(expected)
+        assert scan.alpha_fit == expected.alpha_fit
+
+
 class UpperRoots:
     """Stands in for a SpectrumReport: the axis scan reads only its ``lam`` column."""
 
@@ -80,6 +75,7 @@ class UpperRoots:
 
 SCAN_SYSTEMS = [beam_example(1.0, 1.0, n, gamma=g)
                 for n in (23, 64, 256) for g in (0.3, 1.0, 3.0)]
+SCAN_SYSTEMS += [beam_example(1.0, 1.0, 1024)]
 SCAN_SYSTEMS += [s for s in perturbed_beam_family(5, 8) if s.N >= 5]
 
 
@@ -92,6 +88,41 @@ def small_systems(draw):
     signs = draw(st.lists(st.sampled_from((-1.0, 1.0)), min_size=n, max_size=n))
     gamma = draw(st.floats(0.05, 5.0))
     return build_system(gamma, np.cumsum(gaps), np.multiply(sizes, signs))
+
+
+@st.composite
+def scan_cases(draw):
+    """A frequency ladder, a band range of it and upper roots that stress the scan's windows.
+
+    The roots: one at each mode frequency with a run of modes left out (so a band's
+    nearest root can lie several bands away), roots at band ends and one ulp beside
+    them, roots on the axis and on the real axis, roots anywhere, and twins that
+    share an earlier root's imaginary part.
+    """
+    n = draw(st.integers(5, 12))
+    sys = build_system(1.0, np.cumsum(draw(st.lists(st.floats(0.1, 10.0), min_size=n,
+                                                    max_size=n))), np.ones(n))
+    w = sys.omegas
+    ends = 0.5 * (w[:-1] + w[1:])  # band k spans [ends[k - 2], ends[k - 1]]
+    k_min = draw(st.integers(2, n - 3))
+    k_range = (k_min, draw(st.integers(k_min + 2, n - 1)))
+    rates = st.one_of(st.just(0.0), st.floats(1e-9, 1e3))
+    lo, hi = draw(st.integers(0, n)), draw(st.integers(0, n))
+    upper = [complex(-draw(rates), wk) for j, wk in enumerate(w.tolist())
+             if not min(lo, hi) <= j < max(lo, hi)]
+    for kind in draw(st.lists(st.sampled_from(("end", "axis", "real", "any")), max_size=6)):
+        if kind == "end":
+            im = float(draw(st.sampled_from(ends.tolist())))
+            im = float(np.nextafter(im, draw(st.sampled_from((-np.inf, im, np.inf)))))
+        elif kind == "axis":
+            im = draw(st.floats(0.0, 3.0 * w[-1]))
+        else:
+            im = 0.0 if kind == "real" else draw(st.floats(-1.5 * w[-1], 1.5 * w[-1]))
+        upper.append(complex(0.0 if kind == "axis" else -draw(rates), im))
+    assume(upper)
+    for i in draw(st.lists(st.integers(0, len(upper) - 1), max_size=3)):
+        upper.append(complex(-draw(rates), upper[i].imag))
+    return sys, k_range, np.array(upper, dtype=complex)
 
 
 @st.composite
@@ -436,14 +467,53 @@ class TestAxisScan:
     @pytest.mark.parametrize("sys", SCAN_SYSTEMS, ids=lambda s: f"N{s.N}-g{s.gamma:.3g}")
     def test_one_pass_matches_band_by_band(self, sys):
         # bitwise: every band column and the fit
-        spectrum = full_spectrum(sys)
-        for k_range in ((3, sys.N - 3), (2, sys.N - 1)):
-            if k_range[1] - k_range[0] < 2:
-                continue
-            scan = axis_scan(sys, spectrum, k_range)
-            expected = brute_force_scan(sys, spectrum.lam, k_range)
-            assert columns_text(scan) == columns_text(expected)
-            assert scan.alpha_fit == expected.alpha_fit
+        assert_matches_band_by_band(sys, full_spectrum(sys))
+
+    def test_one_pass_matches_band_by_band_on_incomplete_spectra(self):
+        # random family 1: on most incomplete spectra mode 1 is overdamped and its
+        # root real (or Im a rounding error off 0), so band 1 holds no root, and the
+        # root and its conjugate share, or all but share, an imaginary part
+        spectra = [(sys, full_spectrum(sys)) for sys in (
+            SystemSpec.from_json_dict(case.doc) for case in load_bench_workloads().random_family(1))
+            if sys.N >= 5]
+        incomplete = [(sys, spectrum) for sys, spectrum in spectra if not spectrum.complete]
+        for sys, spectrum in incomplete:
+            assert_matches_band_by_band(sys, spectrum)
+        real = [spectrum for _, spectrum in incomplete if abs(spectrum.lam[0].imag) < 1e-12]
+        assert len(incomplete) >= 40 and len(real) >= 20
+
+    @given(case=scan_cases())
+    @example(case=(build_system(1.0, np.arange(1.0, 13.0) ** 2, np.ones(12)), (2, 11),
+                   -0.1 + 1j * np.array([1.0, 4.0, 9.0, 16.0, 25.0, 121.0, 144.0])))
+    @example(case=(build_system(1.0, [1.1, 2.1, 3.1, 4.1, 5.1, 6.1, 7.1, 8.1, 9.1, 16.1, 18.1,
+                                      19.1], np.ones(12)), (2, 11), np.array([1.1j])))
+    @settings(deadline=None, derandomize=True, database=None, max_examples=300)
+    def test_windows_miss_no_minimum(self, case):
+        # bitwise against the whole table on root sets built to stress the windows.
+        # In the first example band 8's nearest roots lie three bands away, at modes
+        # 5 and 11.  In the second the lone root on the axis, below every band,
+        # rounds out of its own window at band 11 unless the window is padded
+        sys, k_range, upper = case
+        minima = oracles.band_minima(sys, upper, k_range)
+        if 0.0 in minima:
+            with pytest.raises(SpectrumProximityError,
+                               match=f"band {k_range[0] + minima.index(0.0)} holds"):
+                axis_scan(sys, UpperRoots(upper), k_range)
+            return
+        scan = axis_scan(sys, UpperRoots(upper), k_range)
+        expected = oracles.brute_force_scan(sys, upper, k_range)
+        assert columns_text(scan) == columns_text(expected)
+        assert scan.alpha_fit == expected.alpha_fit
+
+    def test_windows_hold_few_pairs(self):
+        # beam N=1024: at most 4 (band, root) pairs a band, where the whole table
+        # holds 1022 x 2048, about 2.1M
+        sys = beam_example(1.0, 1.0, 1024)
+        upper = full_spectrum(sys).lam
+        w, ks = sys.omegas, np.arange(2, sys.N)
+        band, _, _, first = _band_windows(np.concatenate([upper, upper.conj()]),
+                                          0.5 * (w[ks - 2] + w[ks - 1]), 0.5 * (w[ks - 1] + w[ks]))
+        assert first.size == ks.size and band.size <= 4 * ks.size
 
     def test_damped_cluster_matches_band_by_band(self, beam23, beam23_spectrum):
         # a cluster of strongly damped roots around Im = 100 lies in band 10,
@@ -452,7 +522,7 @@ class TestAxisScan:
         cluster = -200.0 + 1j * (100.0 + np.linspace(-2.0, 2.0, 5))
         upper = np.concatenate([beam23_spectrum.lam, cluster])
         scan = axis_scan(beam23, UpperRoots(upper), (3, 20))
-        expected = brute_force_scan(beam23, upper, (3, 20))
+        expected = oracles.brute_force_scan(beam23, upper, (3, 20))
         assert columns_text(scan) == columns_text(expected)
         assert scan.alpha_fit == expected.alpha_fit
         assert columns_text(scan) == columns_text(axis_scan(beam23, beam23_spectrum, (3, 20)))

@@ -10,7 +10,7 @@ from conftest import (
     load_bench_workloads,
     perturbed_beam_family,
 )
-from oracles import dense_oracle_spectrum, matching_distance
+from oracles import dense_nearest_mode, dense_oracle_spectrum, matching_distance
 from obsdecay import build_basis, charfn, spectrum
 from obsdecay.charfn import (
     CharContext,
@@ -33,6 +33,7 @@ from obsdecay.spectrum import (
     enclosure_radius,
     escape_radius,
     full_spectrum,
+    nearest_mode,
     newton_root,
     newton_roots,
     winding_number,
@@ -43,7 +44,7 @@ def anchored(sys, seed):
     """``(k, mu)`` of a seed ``lam``: the pole ``+/- i omega_|k|`` nearest it on its side of
     the real axis, and ``mu = lam - (+/- i omega_|k|)``."""
     seed = complex(seed)
-    k = int(np.argmin(np.abs(sys.omegas - abs(seed.imag)))) + 1
+    k = int(dense_nearest_mode(sys.omegas, abs(seed.imag))) + 1
     w = float(sys.omegas[k - 1])
     if seed.imag < 0.0:
         k, w = -k, -w
@@ -53,8 +54,9 @@ def anchored(sys, seed):
 def local_terms(sys, k, mu):
     """Signed pole frequency, and ``lam - a`` over the mode poles, of the root ``(k, mu)``.
 
-    Row |k| of the gap table holds ``omega_|k| - omega_j`` then ``omega_|k| + omega_j``;
-    about a lower pole every gap and residue changes sign.
+    Row |k| of ``SystemSpec.pole_shifts`` holds ``i (omega_|k| - omega_j)`` then ``i
+    (omega_|k| + omega_j)`` (after the pole at 0); about a lower pole every gap and
+    residue changes sign.
     """
     sign = 1.0 if k > 0 else -1.0
     w = sign * float(sys.omegas[abs(k) - 1])
@@ -306,6 +308,31 @@ class TestNewtonRoot:
         # one iteration cannot reach the root from a distant seed
         with pytest.raises(NewtonError):
             newton_root(single_mode, 50.0 + 40.0j, max_iters=1)
+
+
+class TestNearestMode:
+    @pytest.mark.parametrize("sys", [beam_example(1.0, 1.0, n) for n in (1, 2, 23, 1024)]
+                             + [build_system(1.0, [1.0, 3.0], [1.0, 1.0])]
+                             + perturbed_beam_family(2, 3), ids=lambda s: f"N{s.N}")
+    def test_matches_the_dense_argmin(self, sys):
+        # bitwise, at the roots (both halves), at and one ulp beside every frequency
+        # and midpoint, at 0, past the top frequency, and anywhere between
+        w = sys.omegas
+        mids = 0.5 * (w[:-1] + w[1:])
+        roots = full_spectrum(sys).lam
+        x = np.concatenate([np.abs(roots.imag), w, mids, [0.0, 2.0 * w[-1], 1e3 * w[-1]],
+                            np.random.default_rng(sys.N).uniform(0.0, 1.5 * w[-1], 500)])
+        x = np.concatenate([x, np.nextafter(x, -np.inf).clip(0.0), np.nextafter(x, np.inf)])
+        assert nearest_mode(w, x).tolist() == dense_nearest_mode(w, x).tolist()
+        assert [int(nearest_mode(w, v)) for v in x[:50].tolist()] \
+            == dense_nearest_mode(w, x[:50]).tolist()
+
+    def test_midpoint_tie_goes_low(self):
+        # |Im| = 2 lies as far from omega_1 = 1 as from omega_2 = 3: mode 1, as the
+        # dense argmin keeps its first minimum
+        w = np.array([1.0, 3.0])
+        assert int(nearest_mode(w, 2.0)) == 0 == int(dense_nearest_mode(w, 2.0))
+        assert nearest_mode(w, np.nextafter(2.0, 3.0)).tolist() == 1
 
 
 class TestEscapeRadius:
