@@ -23,9 +23,10 @@ The upper root is read in the spectrum's pole-local coordinates,
 is a rank-one update of a diagonal, so ``nu``, the squared distances of the
 scaled eigenvectors to their canonical comparisons ("closeness increments")
 and the column residuals have closed forms in ``f`` and ``f'`` at the root
-and the pole table: :func:`build_basis` takes them without forming Q, and
-the 2N x 2N matrix is built only when a caller reads :attr:`ModalBasis.Q`
-(simulation, ``dump_q``, :meth:`ModalBasis.solve`).
+and one sum over the poles, all of which the spectrum's root solve and
+certificates have already computed: :func:`build_basis` takes them without
+forming Q, and the 2N x 2N matrix is built only when a caller reads
+:attr:`ModalBasis.Q` (simulation, ``dump_q``, :meth:`ModalBasis.solve`).
 The closeness increments quantify how far the eigenbasis is from
 orthonormal; their partial sums are the finite-truncation stand-in for the
 quadratic-closeness property that makes the infinite family a Riesz basis;
@@ -41,7 +42,7 @@ import numpy as np
 
 from .charfn import PoleError
 from .model import SystemSpec
-from .spectrum import SpectrumReport, _meets_another, eval_f
+from .spectrum import SpectrumReport, _meets_another, basis_terms
 from .state import StateVector
 
 EIGENVECTOR_RESIDUAL_RTOL = 1e-9
@@ -106,10 +107,13 @@ def _basis_numbers(sys: SystemSpec, spectrum: SpectrumReport
       the own pole left out by index, and ``||v||^2`` is one plus its half;
     * ``(A - lam) v = -s u h(lam)``, of norm ``|s| sqrt(2) ||c|| |gamma lam f(lam)|/2``.
 
-    f, f' and the sum over the other poles are evaluated afresh at each
-    ``mu`` in one pass over the pole table, by
-    :func:`~obsdecay.spectrum.eval_f` with ``others``, the kernel Newton
-    uses, so no 2N x 2N array is formed and no stored residual is trusted.
+    ``|f|``, f' and the sum over the other poles come from
+    :func:`~obsdecay.spectrum.basis_terms`: for a report that
+    :func:`~obsdecay.spectrum.full_spectrum` made they are the values its
+    Newton solve and certificate walk took at each ``mu``, so no pole table
+    is walked again; any other report is evaluated afresh at its ``mu``
+    column by the same functions, to the same bits, and its stored residual
+    is not trusted.  No 2N x 2N array is formed.
     Raises BasisError naming the first mode whose ``lam`` column is not
     ``i omega_k + mu``.
     """
@@ -120,13 +124,13 @@ def _basis_numbers(sys: SystemSpec, spectrum: SpectrumReport
         j = int(bad[0])
         raise BasisError(f"mode {int(ks[j])}: root lam = {complex(lam[j])} is not "
                          f"i omega_k + mu = {complex(local[j])}; the report's columns disagree")
-    fval, deriv, _, others = eval_f(sys, mu, ks, others=True)
+    abs_f, deriv, others = basis_terms(sys, spectrum)
     s = mu / sys.cs[ks - 1]
     s_sq = s.real * s.real + s.imag * s.imag
     increments = 2.0 * s_sq * others
     nu = 1j * s * s * lam * deriv
     resid = (np.sqrt(s_sq) * np.sqrt(2.0 * float(sys.cs @ sys.cs)) * 0.5 * sys.gamma
-             * np.abs(lam) * np.hypot(fval.real, fval.imag))
+             * np.abs(lam) * abs_f)
     return nu, increments, resid, np.sqrt(1.0 + 0.5 * increments)
 
 
@@ -243,7 +247,10 @@ def build_basis(sys: SystemSpec, spectrum: SpectrumReport) -> ModalBasis:
     ``lam`` column gives the upper roots and ``lam.conj()`` the lower.  The
     eigenvectors' ``nu``, closeness increments and column residuals come
     from the report's ``mu`` column by :func:`_basis_numbers`, without
-    forming the eigenvector matrix.  The report's disjoint root disks prove
+    forming the eigenvector matrix; for a report of
+    :func:`~obsdecay.spectrum.full_spectrum` they reuse the values its root
+    solve and certificates computed, and any other report is evaluated
+    afresh.  The report's disjoint root disks prove
     the eigenvalues distinct, so A = A^T gives ``Q^{-1} = diag(1/nu) Q^T``,
     and the lower root of each mode has the conjugate ``nu``.  As the comparison
     columns are I, ``||Q|| <= beta1 = 1 + sqrt(closeness tail)`` and

@@ -120,11 +120,17 @@ class SystemSpec:
         ``i omega_j``, then each ``-i omega_j``: ``i omega_k``, ``i (omega_k -
         omega_j)`` and ``i (omega_k + omega_j)``, each with real part exactly
         0.  A point ``lam = i omega_k + mu`` has ``lam - a = mu + shift``; the
-        own shift (column k) is exactly 0.
+        own shift (column k) is exactly 0.  The table is written in place
+        through its real and imaginary views, so building it allocates
+        nothing beyond the table itself.
         """
-        w = self.omegas[:, None]
-        shifts = np.zeros((self.N, 2 * self.N + 1), dtype=complex)
-        shifts.imag = np.concatenate([w, w - self.omegas, w + self.omegas], axis=1)
+        n, w = self.N, self.omegas
+        shifts = np.empty((n, 2 * n + 1), dtype=complex)
+        shifts.real = 0.0
+        im = shifts.imag
+        im[:, 0] = w
+        np.subtract.outer(w, w, out=im[:, 1:n + 1])
+        np.add.outer(w, w, out=im[:, n + 1:])
         return _read_only(shifts)
 
     @cached_property

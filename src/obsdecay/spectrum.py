@@ -44,12 +44,17 @@ A :class:`SpectrumReport` stores one row per found mode, as read-only
 column arrays over the upper roots: ``mu``, from which the basis numbers of
 :mod:`obsdecay.modal` are taken, and ``lam = i omega_k + mu`` derived from
 it.  The lower half, :meth:`eigenvalues` and the per-root
-:class:`EigenCertificate` records are derived from the columns.
+:class:`EigenCertificate` records are derived from the columns.  The
+values the basis needs beyond ``mu`` (``|f|``, f' and a sum over the other
+poles) are kept beside each report that :func:`full_spectrum` makes and
+read back by :func:`basis_terms`, so the pole table is walked once per
+root set.
 """
 
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -58,7 +63,7 @@ import numpy as np
 
 from . import charfn
 from .charfn import PoleError, _freeze_columns, newton_seed_offsets
-from .model import SystemSpec
+from .model import SystemSpec, _read_only
 
 NEWTON_MAX_ITERS = 100
 NEWTON_MAX_HALVINGS = 3
@@ -156,23 +161,17 @@ def _mirrored(ks: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return np.abs(ks), np.where(lower, mu.conj(), mu), lower
 
 
-def _block_sums(sys: SystemSpec, ks: np.ndarray, z: np.ndarray, others: bool) -> list:
-    """f, f', S (and the other-pole sum) of the rows ``z`` of :func:`_pole_offsets`;
-    ``z`` is overwritten."""
+def _block_sums(sys: SystemSpec, z: np.ndarray) -> list:
+    """f, f' and S of the rows ``z`` of :func:`_pole_offsets`; ``z`` is overwritten."""
     t = np.reciprocal(z, out=z)  # 1/(lam - a)
     term = t * sys.residues
     sums = [term.sum(axis=1), None, np.abs(term).sum(axis=1)]
-    if others:
-        t2 = np.abs(t[:, 1:])
-        t2 *= t2
-        t2[np.arange(ks.size), ks - 1] = 0.0  # the own pole, left out by its column
-        sums.append(np.einsum("ij,j->i", t2, sys.resolvent_couplings**2))
     term *= t
     sums[1] = -term.sum(axis=1)
     return sums
 
 
-def eval_f(sys: SystemSpec, mu, ks, others: bool = False) -> tuple[np.ndarray, ...]:
+def eval_f(sys: SystemSpec, mu, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """f, f' and ``S = sum_a |res_a/(lam - a)|`` at ``lam = +/- i omega_|k| + mu``, per (mu, k).
 
     Each ``mu`` is an offset from the pole ``i omega_k`` of its anchor in
@@ -187,16 +186,14 @@ def eval_f(sys: SystemSpec, mu, ks, others: bool = False) -> tuple[np.ndarray, .
     -conj f(lam)`` and ``f'(conj lam) = -conj f'(lam)``, so a lower root's
     arithmetic is exactly the conjugate of the upper one's.  Each row sums
     the same terms in the same order in any batch, so a point gets the same
-    values in every batch.  With ``others`` a fourth value is returned:
-    ``sum_{a != own} c_a^2/|lam - a|^2`` over the mode poles, the own pole
-    left out by its column.
+    values in every batch.
     """
     mu = np.asarray(mu, dtype=complex).reshape(-1)
     ks = np.asarray(ks).reshape(-1)
     lower = None
     if ks.size and ks.min() < 0:
         ks, mu, lower = _mirrored(ks, mu)
-    parts = [_block_sums(sys, ks[rows], z, others) for rows, z in _pole_offsets(sys, ks, mu)]
+    parts = [_block_sums(sys, z) for _, z in _pole_offsets(sys, ks, mu)]
     out = parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
     if lower is not None:
         out[0] = np.where(lower, -out[0].conj(), out[0])
@@ -534,7 +531,7 @@ class SpectrumReport:
 
 
 def _certified_radii(sys: SystemSpec, ks: np.ndarray, mu: np.ndarray, f_bound: np.ndarray,
-                     deriv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+                     deriv: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Closed-form radius of a one-zero Rouche disk about each upper root ``z = i omega_k + mu``.
 
     Every term of f is a simple pole, so on ``|lam - z| = r < d_a = |z - a|``
@@ -553,13 +550,21 @@ def _certified_radii(sys: SystemSpec, ks: np.ndarray, mu: np.ndarray, f_bound: n
     past binary64, at a root within about 1e-103 of its pole, leaves no
     radius.
 
-    Returns the radii and each root's distance to its nearest mode pole.
+    Returns the radii, each root's distance to its nearest mode pole and,
+    from the same squared distances, the closeness sum ``sum_{a != own}
+    c_a^2/|z - a|^2`` over the mode poles, the own pole left out by its
+    column, which :func:`basis_terms` hands to the eigenbasis.
     """
     nearest, reach, k0 = np.empty(mu.shape), np.empty(mu.shape), np.empty(mu.shape)
+    closeness = np.empty(mu.shape)
+    c2 = sys.resolvent_couplings**2
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite K0 fails the test
         for rows, z in _pole_offsets(sys, ks, mu):
             d = z.real * z.real  # |z - a|^2, the pole at 0 first
             d += z.imag * z.imag
+            inv = np.reciprocal(d[:, 1:])
+            inv[np.arange(inv.shape[0]), ks[rows] - 1] = 0.0  # the own pole
+            closeness[rows] = np.einsum("ij,j->i", inv, c2)
             d = np.sqrt(d, out=d)
             reach[rows], nearest[rows] = d.min(axis=1), d[:, 1:].min(axis=1)
             d = np.reciprocal(d, out=d)
@@ -569,7 +574,7 @@ def _certified_radii(sys: SystemSpec, ks: np.ndarray, mu: np.ndarray, f_bound: n
         slope = np.hypot(deriv.real, deriv.imag)
         r = np.minimum(0.5 * reach, slope / (4.0 * k0))
         ok = (reach > 0.0) & (r >= CERT_FLOOR * reach) & (slope * r - f_bound > 2.0 * k0 * r * r)
-    return np.where(ok, r, np.nan), nearest
+    return np.where(ok, r, np.nan), nearest, closeness
 
 
 def _meets_another(c: np.ndarray, r: np.ndarray) -> np.ndarray:
@@ -585,6 +590,11 @@ def _meets_another(c: np.ndarray, r: np.ndarray) -> np.ndarray:
         hit[off:] |= meet
         hit[:-off] |= meet
     return hit[np.argsort(order)]
+
+
+# what full_spectrum computed at the roots of each live report it made, keyed by
+# the report itself, so a dataclasses.replace copy finds nothing here
+_ROOT_TERMS: weakref.WeakKeyDictionary[SpectrumReport, tuple] = weakref.WeakKeyDictionary()
 
 
 def full_spectrum(sys: SystemSpec) -> SpectrumReport:
@@ -624,8 +634,8 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
         failures.setdefault(i, f"mode {i + 1}: root {complex(lam[i])} assigned to another mode")
 
     found = np.array([i for i in range(sys.N) if i not in failures], dtype=int)
-    radius, pole_dist = _certified_radii(sys, ks[found], mu[found],
-                                         resids[found] + bounds[found], deriv[found])
+    radius, pole_dist, closeness = _certified_radii(sys, ks[found], mu[found],
+                                                    resids[found] + bounds[found], deriv[found])
     lam = lam[found]
     meets = _meets_another(np.concatenate([lam, lam.conj()]),
                            np.tile(radius, 2)).reshape(2, -1).any(axis=0)
@@ -645,9 +655,30 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
     enc = float(np.max(pole_dist - enclosure_radius(sys, lam), initial=0.0))
 
     fail_msgs = [failures[i] for i in sorted(failures)] + uncertified
-    return SpectrumReport(k=found + 1, mu=mu[found], lam=lam, residual=resids[found],
-                          radius=radius, certified=certified,
-                          newton_iters=iters[found], fallback=fallback[found],
-                          enclosure_defect=enc,
-                          complete=found.size == sys.N and not fail_msgs,
-                          failures=tuple(fail_msgs))
+    report = SpectrumReport(k=found + 1, mu=mu[found], lam=lam, residual=resids[found],
+                            radius=radius, certified=certified,
+                            newton_iters=iters[found], fallback=fallback[found],
+                            enclosure_defect=enc,
+                            complete=found.size == sys.N and not fail_msgs,
+                            failures=tuple(fail_msgs))
+    _ROOT_TERMS[report] = (sys, report.residual, _read_only(deriv[found]), _read_only(closeness))
+    return report
+
+
+def basis_terms(sys: SystemSpec, report: SpectrumReport
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``|f|``, f' and the closeness sum of :func:`_certified_radii` at each root of ``report``.
+
+    For a report that :func:`full_spectrum` made for ``sys`` they are the
+    values its Newton solve and certificate walk computed at the ``mu``
+    column.  Any other report, hand-built or a ``dataclasses.replace``
+    copy, is evaluated afresh at its ``mu`` column by the same two
+    functions, :func:`eval_f` and :func:`_certified_radii`, so both paths
+    give the same bits and no stored column of such a report is trusted.
+    """
+    kept = _ROOT_TERMS.get(report)
+    if kept is not None and kept[0] is sys:
+        return kept[1:]
+    fval, deriv, _ = eval_f(sys, report.mu, report.k)
+    resid = np.hypot(fval.real, fval.imag)
+    return resid, deriv, _certified_radii(sys, report.k, report.mu, resid, deriv)[2]

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 
@@ -8,7 +9,7 @@ from conftest import (SINGLE_MODE_ROOTS, SPECTRUM_COLUMNS, load_bench_workloads,
                       perturbed_beam_family)
 from oracles import dense_oracle_spectrum
 from obsdecay.charfn import PoleError
-from obsdecay import modal
+from obsdecay import modal, spectrum
 from obsdecay.cli import EXIT_CHECK_FAILED, Pipeline, load_config
 from obsdecay.dynamics import apply_generator, dense_generator, simulate_error
 from obsdecay.modal import (
@@ -436,6 +437,54 @@ class TestBuildBasis:
         assert set(doc) == {"beta1", "beta2", "cond_Q", "closeness_tail",
                             "factorization_residual"}
         assert doc["cond_Q"] == pytest.approx(doc["beta1"] * doc["beta2"])
+
+
+class TestBasisTerms:
+    """A report of full_spectrum lends the basis its Newton and certificate values;
+    a copy or a hand-built report is evaluated afresh, to the same bits."""
+
+    BASIS_NUMBERS = ("nu", "closeness_increments", "beta1", "beta2", "cond_Q",
+                     "factorization_residual", "Q")
+
+    def test_kept_and_fresh_values_give_the_same_basis(self):
+        family = [SystemSpec.from_json_dict(case.doc)
+                  for case in load_bench_workloads().random_family(1)]
+        count = 0
+        for sys in PARITY_SYSTEMS + family + [beam_example(1.0, 1.0, 256)]:
+            rep = full_spectrum(sys)
+            if not rep.complete:
+                continue
+            kept, fresh = build_basis(sys, rep), build_basis(sys, dataclasses.replace(rep))
+            for name in self.BASIS_NUMBERS:
+                want = np.asarray(getattr(fresh, name)).tobytes()
+                assert np.asarray(getattr(kept, name)).tobytes() == want, (sys.N, name)
+            count += 1
+        assert count >= 125
+
+    def test_only_a_report_of_full_spectrum_for_this_system_skips_the_walk(self, monkeypatch):
+        sys = beam_example(1.0, 1.0, 23)
+        rep = full_spectrum(sys)
+        calls = []
+        eval_f, walk = spectrum.eval_f, spectrum._pole_offsets
+
+        def counted_eval_f(sys, mu, ks):
+            calls.append(("eval_f", np.size(mu)))
+            return eval_f(sys, mu, ks)
+
+        def counted_walk(sys, ks, mu):
+            calls.append(("walk", np.size(mu)))
+            return walk(sys, ks, mu)
+
+        monkeypatch.setattr(spectrum, "eval_f", counted_eval_f)
+        monkeypatch.setattr(spectrum, "_pole_offsets", counted_walk)
+        build_basis(sys, rep)
+        assert calls == []
+        fresh = [("eval_f", 23), ("walk", 23), ("walk", 23)]  # f and f', then the sum
+        build_basis(sys, dataclasses.replace(rep))
+        assert calls == fresh
+        calls.clear()
+        build_basis(copy.copy(sys), rep)  # an equal system, but not the one the report is of
+        assert calls == fresh
 
 
 class TestDiagonalCoords:

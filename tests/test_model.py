@@ -197,6 +197,22 @@ class TestLinearizationMemory:
         assert peak < 3.5 * n * n * 8
 
 
+class TestPoleShiftsMemory:
+    def test_build_holds_no_table_sized_temporary(self):
+        # the table is written in place through its real and imaginary views,
+        # so no float table of the imaginary parts or N x N gap block is held
+        # beside it, which would double the peak
+        sys = beam_example(1.0, 1.0, 1024)
+        assert sys.omegas.size == 1024 and "pole_shifts" not in vars(sys)
+        tracemalloc.start()
+        try:
+            table = sys.pole_shifts
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * table.nbytes
+
+
 class TestBeamExample:
     def test_fig3_configuration(self):
         sys = beam_example(1.0, 1.0, 23)

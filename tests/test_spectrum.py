@@ -655,6 +655,26 @@ class TestFullSpectrum:
                                   complex(deriv[0]))
         assert same_float(lower.disk_radius, radius)
 
+    def test_root_midway_to_a_lower_pole_is_assigned_to_another_mode(self, beam23, monkeypatch):
+        # mode 2's root moved to Im mu = -band stays in its band, so it takes
+        # no backup seed, but |Im lam| = 2.5 lies midway between omega_1 = 1
+        # and omega_2 = 4, and the nearest mode is the lower one on a tie
+        band = 0.5 * beam23.min_gap()
+        assert band == 1.5
+
+        def moved(sys, ks, mu, *args):
+            out = newton_roots(sys, ks, mu, *args)
+            out[0][1] = complex(out[0][1].real, -band)
+            return out
+
+        monkeypatch.setattr(spectrum, "newton_roots", moved)
+        rep = full_spectrum(beam23)
+        assert len(rep.failures) == 1
+        msg = rep.failures[0]
+        assert msg.startswith("mode 2: root (") and msg.endswith("+2.5j) assigned to another mode")
+        assert rep.k.tolist() == [1] + list(range(3, 24))
+        assert not rep.complete and not rep.fallback.any()
+
     def test_one_newton_solve_and_no_localize_or_winding_count(self, beam23, monkeypatch):
         # one batched Newton for all modes, one more for the fallback seeds;
         # the a-priori disks and the contour integral are not consulted
@@ -929,8 +949,8 @@ class TestCertificateOracles:
                 deriv = root_values(sys, k, mu)[1]
                 d, reach, slope, _ = exact_rouche_terms(sys, z, 0.0)
                 fz = np.linspace(0.0, 0.5 * slope * reach, 257)[1:]
-                r, _ = spectrum._certified_radii(sys, np.full(fz.size, k), np.full(fz.size, mu),
-                                                 fz, np.full(fz.size, deriv))
+                r = spectrum._certified_radii(sys, np.full(fz.size, k), np.full(fz.size, mu),
+                                              fz, np.full(fz.size, deriv))[0]
                 ok = ~np.isnan(r)
                 assert ok.any(), (sys.N, z)
                 r, fz = r[ok], fz[ok]
