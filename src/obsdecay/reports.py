@@ -303,8 +303,7 @@ def _root_rows(report: SpectrumReport) -> dict:
     lam = _lam_columns(report, "json")
     return {"k": twice("k"), "half": ['"upper"', '"lower"'] * report.k.size, "lambda": lam,
             "residual": twice("residual"), "disk_center": lam, "disk_radius": twice("radius"),
-            "certified": twice("certified"), "newton_iters": twice("newton_iters"),
-            "fallback": twice("fallback")}
+            "certified": twice("certified"), "newton_iters": twice("newton_iters")}
 
 
 def spectrum_doc(report: SpectrumReport) -> dict:

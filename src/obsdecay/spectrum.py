@@ -18,8 +18,7 @@ and the sum of the moduli of f's terms in one pass over those shifts.
 
 The upper roots of all modes are found together, by one array-valued damped
 Newton iteration in ``mu`` seeded at each pole's second-order prediction
-(:func:`~obsdecay.charfn.newton_seed_offsets`), and one more iteration from
-backup seeds for the modes that need them; each root gets the same
+(:func:`~obsdecay.charfn.newton_seed_offsets`); each root gets the same
 arithmetic as an iteration from its seed alone.  The step is Newton's for
 ``p f`` with ``p(lam) = lam (lam - i omega_k)(lam + i omega_k)``, which
 clears the origin, the root's own pole and its mirror, as the secular
@@ -445,7 +444,9 @@ class EigenCertificate:
     ``disk_radius`` is the radius of the root's Rouche disk, centred at
     ``lam`` (NaN when none exists).  ``certified`` means the disk exists,
     lies in the open left half-plane and meets no other root's disk.
-    ``fallback`` marks roots found from the backup seed.
+    ``fallback`` is always False and is not written to JSON: it stays only
+    for the benchmark tracer's ``spectrum.fallback_roots`` counter, which
+    sums it, and goes when that counter does.
     """
 
     k: int
@@ -467,13 +468,12 @@ class EigenCertificate:
             "disk_radius": self.disk_radius,
             "certified": self.certified,
             "newton_iters": self.newton_iters,
-            "fallback": self.fallback,
         }
 
 
 # the per-root columns of a SpectrumReport and their dtypes
 _COLUMNS = {"k": int, "mu": complex, "lam": complex, "residual": float, "radius": float,
-            "certified": bool, "newton_iters": int, "fallback": bool}
+            "certified": bool, "newton_iters": int}
 
 
 @dataclass(frozen=True, eq=False)
@@ -484,9 +484,8 @@ class SpectrumReport:
     (near +i omega_k), by ascending mode ``k``: the offset ``mu`` of the root
     from ``i omega_k``, the root ``lam = i omega_k + mu``, its residual
     ``|f(lam)|``, the ``radius`` of its Rouche disk (NaN when none exists),
-    whether it is ``certified``, its ``newton_iters`` and whether it came
-    from the ``fallback`` seed.  The lower root of each mode
-    is ``lam.conj()`` with the same certificate, so it is not stored.
+    whether it is ``certified`` and its ``newton_iters``.  The lower root of
+    each mode is ``lam.conj()`` with the same certificate, so it is not stored.
     ``enclosure_defect`` is the largest violation of the global disk
     enclosure (0 when every root is inside).
     """
@@ -498,7 +497,6 @@ class SpectrumReport:
     radius: np.ndarray
     certified: np.ndarray
     newton_iters: np.ndarray
-    fallback: np.ndarray
     enclosure_defect: float
     complete: bool
     failures: tuple[str, ...] = ()
@@ -515,9 +513,9 @@ class SpectrumReport:
         """One certificate per root, in the order of :meth:`eigenvalues`."""
         rows = zip(self.k.tolist(), self.lam.tolist(), self.residual.tolist(),
                    self.radius.tolist(), self.certified.tolist(),
-                   self.newton_iters.tolist(), self.fallback.tolist())
-        return tuple(EigenCertificate(k, half, z, res, r, cert, iters, fb)
-                     for k, lam, res, r, cert, iters, fb in rows
+                   self.newton_iters.tolist())
+        return tuple(EigenCertificate(k, half, z, res, r, cert, iters)
+                     for k, lam, res, r, cert, iters in rows
                      for half, z in (("upper", lam), ("lower", lam.conjugate())))
 
     def to_json_dict(self) -> dict:
@@ -600,36 +598,30 @@ _ROOT_TERMS: weakref.WeakKeyDictionary[SpectrumReport, tuple] = weakref.WeakKeyD
 def full_spectrum(sys: SystemSpec) -> SpectrumReport:
     """Locate and certify all 2N roots of the characteristic function.
 
-    The upper roots of all modes are refined together by
-    :func:`newton_roots`, in pole-local coordinates, from the second-order
-    seeds of :func:`~obsdecay.charfn.newton_seed_offsets`; the modes whose
-    root fails or leaves its band (``|Im mu| > band``) are solved again,
-    together, from a left-shifted backup seed.  Each found root is certified
-    by its Rouche disk, which must miss every other root's disk, its
-    conjugate's included.  The lower root is the exact conjugate of the
-    upper one, certificate included, because ``f(conj lam) = -conj f(lam)``,
-    so the report stores the upper roots alone.  Failures are collected
-    instead of raised: one per missing mode and one per uncertified root.
+    The upper roots of all modes are refined together by one
+    :func:`newton_roots` solve, in pole-local coordinates, from the
+    second-order seeds of :func:`~obsdecay.charfn.newton_seed_offsets`.
+    Each found root is certified by its Rouche disk, which must miss every
+    other root's disk, its conjugate's included.  The lower root is the
+    exact conjugate of the upper one, certificate included, because
+    ``f(conj lam) = -conj f(lam)``, so the report stores the upper roots
+    alone.  Failures are collected instead of raised: one per missing mode,
+    whose Newton solve failed (``mode k: Newton failed: ...``), whose root
+    left the band ``|Im mu| <= band`` (``mode k: root ... left the mode
+    band``) or lies nearer another mode's pole (``... assigned to another
+    mode``), and one per uncertified root (``mode k (half): root ... not
+    certified: ...``, with no disk or a disk that meets another).
     """
     wk = sys.omegas
     ks = np.arange(1, sys.N + 1)
     band = 0.5 * (sys.min_gap() if sys.N > 1 else float(wk[0]))
     mu, resids, bounds, deriv, iters, errors = newton_roots(sys, ks, newton_seed_offsets(sys))
-    fallback = np.array([err is not None for err in errors]) | (np.abs(mu.imag) > band)
-    failures: dict[int, str] = {}
-    fb = np.flatnonzero(fallback)
-    if fb.size:
-        fb_mu = -0.5 * enclosure_radius(sys, 1j * wk[fb])
-        mu[fb], resids[fb], bounds[fb], deriv[fb], iters[fb], fb_errors = newton_roots(
-            sys, ks[fb], fb_mu)
-        left = np.abs(mu[fb].imag) > band
-        roots = mu[fb] + 1j * wk[fb]
-        for i, err, out, root in zip(fb.tolist(), fb_errors, left, roots.tolist()):
-            if err is not None:
-                failures[i] = f"mode {i + 1}: fallback Newton failed: {err}"
-            elif out:
-                failures[i] = f"mode {i + 1}: fallback root {root} left the mode band"
     lam = mu + 1j * wk
+    failures = {i: f"mode {i + 1}: Newton failed: {err}"
+                for i, err in enumerate(errors) if err is not None}
+    # a failed element's mu is NaN: never out of band, and setdefault keeps its message
+    for i in np.flatnonzero(np.abs(mu.imag) > band).tolist():
+        failures[i] = f"mode {i + 1}: root {complex(lam[i])} left the mode band"
     for i in np.flatnonzero(nearest_mode(wk, np.abs(lam.imag)) != np.arange(sys.N)).tolist():
         failures.setdefault(i, f"mode {i + 1}: root {complex(lam[i])} assigned to another mode")
 
@@ -657,8 +649,7 @@ def full_spectrum(sys: SystemSpec) -> SpectrumReport:
     fail_msgs = [failures[i] for i in sorted(failures)] + uncertified
     report = SpectrumReport(k=found + 1, mu=mu[found], lam=lam, residual=resids[found],
                             radius=radius, certified=certified,
-                            newton_iters=iters[found], fallback=fallback[found],
-                            enclosure_defect=enc,
+                            newton_iters=iters[found], enclosure_defect=enc,
                             complete=found.size == sys.N and not fail_msgs,
                             failures=tuple(fail_msgs))
     _ROOT_TERMS[report] = (sys, report.residual, _read_only(deriv[found]), _read_only(closeness))

@@ -14,8 +14,7 @@ from obsdecay.charfn import CharContext, LocalizationError, localize
 SINGLE_MODE_ROOTS = ((-1 + 1j * np.sqrt(3.0)) / 2, (-1 - 1j * np.sqrt(3.0)) / 2)
 
 # the per-mode columns of a SpectrumReport, one row per found mode
-SPECTRUM_COLUMNS = ("k", "mu", "lam", "residual", "radius", "certified", "newton_iters",
-                    "fallback")
+SPECTRUM_COLUMNS = ("k", "mu", "lam", "residual", "radius", "certified", "newton_iters")
 
 
 def perturbed_beam_family(seed, count):

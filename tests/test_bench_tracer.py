@@ -59,6 +59,8 @@ def test_tracer_counts_and_restores(spans, beam23):
     assert spectrum.eval_f is eval_f
     assert rep.complete
     assert counts["spectrum.eval_f.points"] == 50
+    # EigenCertificate.fallback stays, always False, only for this counter
+    assert counts["spectrum.fallback_roots"] == 0
     times = tracer.iteration_times(0)
     assert times["spectrum.full_spectrum"]["calls"] == 1
     assert times["spectrum.winding_number"]["calls"] == 0

@@ -1,10 +1,11 @@
 """Smoke test of the benchmark's correctness gates (bench/workloads.py).
 
 The gates read the program through names a refactor could rename away
-(``rep.eigs``, ``.certified``, ``.fallback``, ``basis.Q``/``G``/``to_json_dict``,
-``spectrum.json["eigs"]``).  The module is loaded read-only (no bytecode is
-written next to it, see ``conftest.load_bench_workloads``) and run on small
-inputs; every gate must pass.
+(``rep.eigs``, ``.certified``, ``basis.Q``/``G``/``to_json_dict``,
+``spectrum.json["eigs"]``); of the root records' fields only the tracer of
+bench/spans.py reads ``.fallback``.  The module is loaded read-only (no
+bytecode is written next to it, see ``conftest.load_bench_workloads``) and
+run on small inputs; every gate must pass.
 """
 
 import pytest

@@ -414,8 +414,7 @@ class TestReportVerb:
         loc = ["k", "M", "R0", "R1", "b", "c_const", "Rk", "cond_Mneq1", "cond_Mneq2",
                "interval_ok", "contained", "separated", "omega_gt_1", "rouche_ok"]
         loc += [f"{name}.{part}" for name in ("lambda_star", "F0", "F1") for part in ("real", "imag")]
-        spec = ["k", "lam.real", "lam.imag", "residual", "radius", "certified", "newton_iters",
-                "fallback"]
+        spec = ["k", "lam.real", "lam.imag", "residual", "radius", "certified", "newton_iters"]
         scan = ["k", "s_lo", "s_hi", "center", "sup"]
         checks = ["upper", "bound", "applicable", "ok"]
         assert calls == collections.Counter({("LocalizationReport", c): 1 for c in loc}

@@ -156,7 +156,6 @@ def spectrum_with_edge_values():
         radius=[math.nan, 0.1, math.nan, 0.0, math.nan, 1e-12],
         certified=[False, True, False, True, False, True],
         newton_iters=[0, 1, 2, 3, 4, 100],
-        fallback=[False, True, False, False, True, False],
         enclosure_defect=math.nan, complete=False, failures=("mode 1: %s\n\"x\"",))
 
 
@@ -440,7 +439,7 @@ class TestArtifactBytesMatchOracles:
 
     def test_empty_spectrum(self, tmp_path):
         rep = SpectrumReport(k=[], mu=[], lam=[], residual=[], radius=[],
-                             certified=[], newton_iters=[], fallback=[], enclosure_defect=0.0,
+                             certified=[], newton_iters=[], enclosure_defect=0.0,
                              complete=False)
         self.check_spectrum(rep, tmp_path)
 

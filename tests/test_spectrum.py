@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import re
 
 import numpy as np
 import pytest
@@ -179,7 +180,8 @@ def primary_seeds(sys):
     return [anchored(sys, lambda_star(CharContext(sys, k))) for k in range(1, sys.N + 1)]
 
 
-def fallback_seed(sys, k):
+def left_seed(sys, k):
+    """A hard seed for mode k: ``-r/2`` about its pole, ``r`` the enclosure radius there."""
     return k, complex(-0.5 * enclosure_radius(sys, 1j * float(sys.omegas[abs(k) - 1])))
 
 
@@ -222,26 +224,22 @@ def root_values(sys, k, mu):
 def solve_lower_root(sys, k):
     """The lower root of mode k solved on its own, about the pole -i omega_k.
 
-    Newton from the conjugated second-order seed offset (or from the
-    left-shifted backup seed).  Returns ``(lam, residual, newton_iters,
-    fallback, disk_radius)``, the radius by :func:`reference_radius`, or None
-    when no root of mode k is found.
+    Newton from the conjugated second-order seed offset.  Returns ``(lam,
+    residual, newton_iters, disk_radius)``, the radius by
+    :func:`reference_radius`, or None when no root of mode k is found.
     """
     wk = float(sys.omegas[k - 1])
     band = 0.5 * (sys.min_gap() if sys.N > 1 else wk)
-    seeds = [(-k, newton_seed_offsets(sys)[k - 1].conjugate()), fallback_seed(sys, -k)]
-    for fallback, (anchor, seed) in enumerate(seeds):
-        mu, resid, bound, deriv, iters, errors = newton_roots(sys, [anchor], [seed])
-        if errors[0] is None and abs(mu[0].imag) <= band:
-            break
-        if fallback:
-            return None
+    mu, resid, bound, deriv, iters, errors = newton_roots(
+        sys, [-k], [newton_seed_offsets(sys)[k - 1].conjugate()])
+    if errors[0] is not None or abs(mu[0].imag) > band:
+        return None
     lam = complex(mu[0].real, -wk + mu[0].imag)
     if np.argmin(np.abs(sys.omegas - abs(lam.imag))) + 1 != k:
         return None
     radius = reference_radius(sys, -k, complex(mu[0]), float(resid[0] + bound[0]),
                               complex(deriv[0]))
-    return lam, float(resid[0]), int(iters[0]), bool(fallback), radius
+    return lam, float(resid[0]), int(iters[0]), radius
 
 
 def pole_seed_for_mode_1(sys):
@@ -378,43 +376,43 @@ class TestNewtonRootsParity:
         assert all(isinstance(o, tuple) for o in outcomes)
 
     @pytest.mark.parametrize("n", [128, 256])
-    def test_beam_primary_and_fallback_seeds(self, n):
+    def test_beam_primary_and_left_seeds(self, n):
         # in lam coordinates the primary seeds stalled from mode 65 on, where the
         # float nearest the root had |f| above 1e-12; about the pole every seed
-        # converges.  The backup seeds of modes 3 on start far left of their
+        # converges.  The left seeds of modes 3 on start far left of their
         # roots, where no halving of the pole-cleared step lowers |f| (the plain
         # Newton step ran them out to the escape radius)
         sys = beam_example(1.0, 1.0, n)
         primary = assert_matches_scalar(sys, primary_seeds(sys))
         assert all(isinstance(o, tuple) and not band_exit(sys, k, o[0])
                    for k, o in enumerate(primary, start=1))
-        fallback = assert_matches_scalar(sys, [fallback_seed(sys, k) for k in range(1, n + 1)])
-        assert all(isinstance(o, tuple) for o in fallback[:2])
+        left = assert_matches_scalar(sys, [left_seed(sys, k) for k in range(1, n + 1)])
+        assert all(isinstance(o, tuple) for o in left[:2])
         assert all(isinstance(o, NewtonError) and "damping failed" in str(o)
-                   for o in fallback[2:])
+                   for o in left[2:])
 
     @pytest.mark.parametrize("seed", [1, 2])
     def test_perturbed_family_seeds(self, seed):
-        # strongly damped low modes, overdamped ones among them; the backup
+        # strongly damped low modes, overdamped ones among them; the left
         # seeds of every mode are checked as well
         for sys in perturbed_beam_family(seed, 4):
             assert_matches_scalar(sys, primary_seeds(sys))
-            assert_matches_scalar(sys, [fallback_seed(sys, k) for k in range(1, sys.N + 1)])
+            assert_matches_scalar(sys, [left_seed(sys, k) for k in range(1, sys.N + 1)])
 
     def test_weak_gain_every_root_is_found(self):
         # at gamma = 1e-6 every |mu| is below 5e-7, and the absolute stop rule
         # |f| <= 1e-12 failed every seed; about the pole every seed converges
         sys = beam_example(1.0, 1.0, 5, gamma=1e-6)
-        seeds = primary_seeds(sys) + [fallback_seed(sys, k) for k in range(1, 6)]
+        seeds = primary_seeds(sys) + [left_seed(sys, k) for k in range(1, 6)]
         outcomes = assert_matches_scalar(sys, seeds)
         assert all(isinstance(o, tuple) for o in outcomes)
 
     def test_roots_within_1e_12_of_their_poles_are_found(self):
         # at gamma = 1e-12 every root lies within 1e-12 of its pole, where the
         # absolute guard POLE_GUARD = 1e-12 rejected every seed; only an exact
-        # pole is rejected now, and every primary and backup seed converges
+        # pole is rejected now, and every primary and left seed converges
         sys = beam_example(1.0, 1.0, 5, gamma=1e-12)
-        seeds = primary_seeds(sys) + [fallback_seed(sys, k) for k in range(1, 6)]
+        seeds = primary_seeds(sys) + [left_seed(sys, k) for k in range(1, 6)]
         outcomes = assert_matches_scalar(sys, seeds)
         assert all(isinstance(o, tuple) and 0.0 < abs(o[0]) < 1e-12 for o in outcomes)
 
@@ -423,7 +421,7 @@ class TestNewtonRootsParity:
         # binary64: every seed fails with its own message, and no warning or
         # NaN residual escapes
         sys = beam_example(1.0, 1.0, 5, gamma=1e-200)
-        seeds = primary_seeds(sys) + [fallback_seed(sys, k) for k in range(1, 6)]
+        seeds = primary_seeds(sys) + [left_seed(sys, k) for k in range(1, 6)]
         outcomes = assert_matches_scalar(sys, seeds)
         assert all(isinstance(o, NewtonError) and "overflows binary64" in str(o)
                    for o in outcomes)
@@ -471,27 +469,22 @@ class TestNewtonRootsParity:
 
     def test_accepted_steps_need_at_most_one_halving(self):
         # the trial index of every step the scalar loop accepts, from
-        # full_spectrum's seeds (and the backup seed where a mode needs it), on
-        # the gate systems, the perturbed families and random_family(1|2); no
-        # step is accepted after its second trial (one step of the second
-        # family after its first), so NEWTON_MAX_HALVINGS = 3 leaves a
-        # margin of two halvings and gives up on a stalled element in 4 passes
+        # full_spectrum's seeds, on the gate systems, the perturbed families
+        # and random_family(1|2); every accepted step is a first trial, so
+        # NEWTON_MAX_HALVINGS = 3 leaves a margin of three halvings and gives
+        # up on a stalled element in 4 passes
         trials = []
         systems = ([param.values[0] for param in SCALING_SYSTEMS]
                    + perturbed_beam_family(1, 4) + perturbed_beam_family(2, 4)
                    + [SystemSpec.from_json_dict(c.doc) for family in (1, 2)
                       for c in load_bench_workloads().random_family(family)])
         for sys in systems:
-            band = 0.5 * (sys.min_gap() if sys.N > 1 else float(sys.omegas[0]))
             for k, mu in enumerate(newton_seed_offsets(sys), start=1):
-                for seed in (mu, fallback_seed(sys, k)[1]):
-                    try:
-                        root = scalar_newton_root(sys, k, seed, trials=trials)[0]
-                    except (NewtonError, PoleError):
-                        continue
-                    if abs(root.imag) <= band:
-                        break
-        assert collections.Counter(trials) == {0: 6877, 1: 1}
+                try:
+                    scalar_newton_root(sys, k, mu, trials=trials)
+                except (NewtonError, PoleError):
+                    continue
+        assert collections.Counter(trials) == {0: 6838}
         assert max(trials) < NEWTON_MAX_HALVINGS == 3
 
     def test_empty_batch(self, single_mode):
@@ -521,6 +514,19 @@ class TestWindingNumber:
     def test_radius_validation(self, single_mode):
         with pytest.raises(ValueError):
             winding_number(single_mode, (1.0 + 1.0j, 0.0))
+
+
+# each failure text of full_spectrum: a missing mode k, or the upper or lower
+# half of an uncertified root, the root written as a complex
+_MISSING = r"mode (?P<k>\d+): "
+_ROOT = r"mode (?P<k>\d+) \((?P<half>upper|lower)\): root \(\S+\) "
+FAILURE_FORMS = {name: re.compile(form) for name, form in {
+    "Newton failed": _MISSING + r"Newton failed: \S.*",
+    "left the mode band": _MISSING + r"root \(\S+\) left the mode band",
+    "assigned to another mode": _MISSING + r"root \(\S+\) assigned to another mode",
+    "no disk": _ROOT + r"not certified: no r <= min\(\|root - pole\|, -Re root\)/2 has .+",
+    "disks meet": _ROOT + r"not certified: disk of radius \S+ meets another root's disk",
+}.items()}
 
 
 class TestFullSpectrum:
@@ -576,8 +582,7 @@ class TestFullSpectrum:
         pytest.param([beam_example(1.0, 1.0, 23)], id="beam23"),
         pytest.param([beam_example(1.0, 1.0, 64)], id="beam64"),
         pytest.param([beam_example(1.0, 1.0, 23, gamma=2.0)], id="overdamped"),
-        # overdamped first modes and modes lost to the band check (seed 2);
-        # a fallback root is checked in test_backup_seed_root_matches_direct_solve
+        # overdamped first modes and modes lost to the band check (seed 2)
         pytest.param(perturbed_beam_family(1, 4) + perturbed_beam_family(2, 4), id="perturbed"),
     ])
     def test_lower_half_matches_direct_solve(self, systems):
@@ -595,8 +600,8 @@ class TestFullSpectrum:
                     assert k not in lower, (sys.N, k)
                     continue
                 e = lower[k]
-                assert (e.lam, e.residual, e.newton_iters, e.fallback) == direct[:4], (sys.N, k)
-                assert same_float(e.disk_radius, direct[4]), (sys.N, k)
+                assert (e.lam, e.residual, e.newton_iters) == direct[:3], (sys.N, k)
+                assert same_float(e.disk_radius, direct[3]), (sys.N, k)
             assert rep.k.tolist() == list(lower)
             for j, (k, mu) in enumerate(zip(rep.k.tolist(), rep.mu.tolist())):
                 radius = reference_radius(sys, k, mu, *root_values(sys, k, mu))
@@ -621,44 +626,26 @@ class TestFullSpectrum:
         assert given[0].tolist() == expected
         assert np.all(given[0] > rep.residual)
 
-    def test_perturbed_oracle_systems_cover_fallback_and_failures(self):
-        # under the pole-cleared step no pinned system finds a root from the
-        # backup seed: mode 1 of system 88 of the first sweep family, which
-        # needed it, converges from its primary seed.  An overdamped mode 1 still
-        # falls back: in system 0 the backup seed stalls, in system 70 its root
-        # is the real one left of the band
+    def test_perturbed_oracle_systems_cover_the_failures(self):
+        # mode 1 of system 88 of the first sweep family converges from its
+        # primary seed.  An overdamped mode 1 is lost to the band check: in
+        # systems 0 and 70 its one Newton solve finds a root on (or, split off
+        # by rounding, beside) the real axis, below the band
         reps = [full_spectrum(s) for s in perturbed_beam_family(1, 4) + perturbed_beam_family(2, 4)]
         family = load_bench_workloads().random_family(1)
         solved = full_spectrum(SystemSpec.from_json_dict(family[88].doc))
-        assert solved.k[0] == 1 and not solved.fallback.any()
+        assert solved.k[0] == 1
         assert any("meets another root's disk" in msg for rep in reps for msg in rep.failures)
-        stalled = full_spectrum(SystemSpec.from_json_dict(family[0].doc))
-        assert stalled.failures[0].startswith("mode 1: fallback Newton failed: damping failed")
-        lost = full_spectrum(SystemSpec.from_json_dict(family[70].doc))
-        assert lost.failures[0].startswith("mode 1: fallback root (-0.64")
-        assert lost.failures[0].endswith("left the mode band")
-
-    def test_backup_seed_root_matches_direct_solve(self, beam23, monkeypatch):
-        # a primary seed put on the pole fails, and the mode is solved again
-        # from the backup seed; its lower root, solved on its own about -i
-        # omega_1 from the conjugate backup seed, has the same fields
-        monkeypatch.setattr(spectrum, "newton_seed_offsets", pole_seed_for_mode_1)
-        rep = full_spectrum(beam23)
-        assert rep.complete and rep.k[rep.fallback].tolist() == [1]
-        lower = next(e for e in rep.eigs if e.k == 1 and e.half == "lower")
-        mu, resid, bound, deriv, iters, errors = newton_roots(beam23, [-1],
-                                                              [fallback_seed(beam23, -1)[1]])
-        lam = complex(mu[0].real, -float(beam23.omegas[0]) + mu[0].imag)
-        assert errors[0] is None
-        assert (lower.lam, lower.residual, lower.newton_iters) == (lam, resid[0], iters[0])
-        radius = reference_radius(beam23, -1, complex(mu[0]), float(resid[0] + bound[0]),
-                                  complex(deriv[0]))
-        assert same_float(lower.disk_radius, radius)
+        for i, root in ((0, "(-0.0686"), (70, "(-0.6469")):
+            lost = full_spectrum(SystemSpec.from_json_dict(family[i].doc))
+            assert lost.failures[0].startswith(f"mode 1: root {root}"), i
+            assert lost.failures[0].endswith(") left the mode band"), i
+            assert lost.k[0] != 1, i
 
     def test_root_midway_to_a_lower_pole_is_assigned_to_another_mode(self, beam23, monkeypatch):
-        # mode 2's root moved to Im mu = -band stays in its band, so it takes
-        # no backup seed, but |Im lam| = 2.5 lies midway between omega_1 = 1
-        # and omega_2 = 4, and the nearest mode is the lower one on a tie
+        # mode 2's root moved to Im mu = -band stays in its band, but |Im lam|
+        # = 2.5 lies midway between omega_1 = 1 and omega_2 = 4, and the
+        # nearest mode is the lower one on a tie
         band = 0.5 * beam23.min_gap()
         assert band == 1.5
 
@@ -673,11 +660,11 @@ class TestFullSpectrum:
         msg = rep.failures[0]
         assert msg.startswith("mode 2: root (") and msg.endswith("+2.5j) assigned to another mode")
         assert rep.k.tolist() == [1] + list(range(3, 24))
-        assert not rep.complete and not rep.fallback.any()
+        assert not rep.complete
 
     def test_one_newton_solve_and_no_localize_or_winding_count(self, beam23, monkeypatch):
-        # one batched Newton for all modes, one more for the fallback seeds;
-        # the a-priori disks and the contour integral are not consulted
+        # one batched Newton for all modes, also when a seed fails; the
+        # a-priori disks and the contour integral are not consulted
         calls = collections.Counter()
 
         def counted(*args, **kwargs):
@@ -697,17 +684,19 @@ class TestFullSpectrum:
         assert calls == {"newton_roots": 1}
         calls.clear()
         monkeypatch.setattr(spectrum, "newton_seed_offsets", pole_seed_for_mode_1)
-        full_spectrum(beam23)
-        assert calls == {"newton_roots": 2}
+        rep = full_spectrum(beam23)
+        assert calls == {"newton_roots": 1}
+        assert rep.failures[0].startswith("mode 1: Newton failed: seed ")
+        assert rep.failures[0].endswith(" is a pole of the characteristic function")
+        assert rep.k.tolist() == list(range(2, 24)) and not rep.complete
 
     @pytest.mark.parametrize("case, calls, points, zero_step", [
         ("beam23", 4, 50, None), ("beam128", 4, 151, None), ("beam256", 4, 276, 239),
-        ("random_family(1)", 716, 6516, None)])
+        ("random_family(1)", 686, 6486, None)])
     def test_eval_f_work_count(self, monkeypatch, case, calls, points, zero_step):
         # the counts repeat exactly; each point gives f and f', and each batched
-        # call is one Newton pass.  At N = 256, 239 of the 256 seeds already meet
-        # the stop rule.  The pole-cleared step with its halvings folded into the
-        # passes took random_family(1) from 1076 calls and 7120 points to these
+        # call is one pass of full_spectrum's one Newton solve.  At N = 256, 239
+        # of the 256 seeds already meet the stop rule
         counted_calls = []
         eval_mu = spectrum.eval_f
 
@@ -750,6 +739,33 @@ class TestFullSpectrum:
                    for msg in rep.failures)
         assert all(e.certified for e in rep.eigs if e.k > 1)
         assert matching_distance(rep.eigenvalues(), dense_oracle_spectrum(sys)) > 100.0
+
+    def test_each_failure_has_one_of_five_forms(self):
+        # a missing mode is named by the one way its single Newton solve went
+        # wrong, and an uncertified root by the way its test failed.  Beam N=5
+        # at gamma = 1e-120 has roots too near their poles for a disk (K0
+        # overflows), and at 1e-200 Newton overflows beside every pole; the
+        # midway root above is the one assigned to another mode
+        systems = ([SystemSpec.from_json_dict(c.doc) for family in (1, 2)
+                    for c in load_bench_workloads().random_family(family)]
+                   + [beam_example(1.0, 1.0, 23, gamma=g) for g in (2.0, 3.0, 10.0, 100.0)]
+                   + [beam_example(1.0, 1.0, 5, gamma=g) for g in (1e-120, 1e-200)]
+                   + [s for seed in range(1, 12) for s in perturbed_beam_family(seed, 4)])
+        forms = collections.Counter()
+        for sys in systems:
+            rep = full_spectrum(sys)
+            missing, uncertified = [], []
+            for msg in rep.failures:
+                hits = [(name, m) for name, form in FAILURE_FORMS.items()
+                        if (m := form.fullmatch(msg))]
+                assert len(hits) == 1 and "fallback" not in msg, msg
+                name, m = hits[0]
+                forms[name] += 1
+                (uncertified if "half" in m.groupdict() else missing).append(int(m["k"]))
+            assert missing == sorted(set(range(1, sys.N + 1)) - set(rep.k.tolist()))
+            assert uncertified == [k for k in rep.k[~rep.certified].tolist() for _ in "ul"]
+        assert forms == {"Newton failed": 5, "left the mode band": 8, "no disk": 10,
+                         "disks meet": 216}
 
 
 # roots found and certified (both halves) and complete reports of the beam
@@ -814,7 +830,7 @@ class TestScaling:
     def test_complete_certified_and_a_basis(self, sys):
         rep = full_spectrum(sys)
         assert rep.complete and rep.k.tolist() == list(range(1, sys.N + 1))
-        assert rep.certified.all() and not rep.fallback.any()
+        assert rep.certified.all()
         assert build_basis(sys, rep).cond_Q < 2.5
         if sys.N <= 64:
             assert matching_distance(rep.eigenvalues(), dense_oracle_spectrum(sys)) < 1e-8
@@ -842,7 +858,7 @@ class TestSpectrumColumns:
 
     @pytest.mark.parametrize("systems", [
         pytest.param([beam_example(1.0, 1.0, 23)], id="beam23"),
-        # an uncertified overdamped pair, and fallback roots and lost modes
+        # an uncertified overdamped pair, and lost modes
         pytest.param([beam_example(1.0, 1.0, 23, gamma=100.0)] + perturbed_beam_family(2, 4),
                      id="incomplete"),
     ])
@@ -855,17 +871,17 @@ class TestSpectrumColumns:
             assert vals[1::2].tobytes() == rep.lam.conj().tobytes()
             assert np.all(np.diff(rep.k) > 0) and set(rep.k.tolist()) <= set(range(1, sys.N + 1))
             rows = zip(*(getattr(rep, name).tolist() for name in SPECTRUM_COLUMNS))
-            for j, (k, mu, lam, res, radius, cert, iters, fb) in enumerate(rows):
+            for j, (k, mu, lam, res, radius, cert, iters) in enumerate(rows):
                 assert lam == complex(mu.real, float(sys.omegas[k - 1]) + mu.imag)
                 for h, (half, z) in enumerate((("upper", lam), ("lower", lam.conjugate()))):
                     e = rep.eigs[2 * j + h]
-                    assert (e.k, e.half, e.lam, e.residual, e.certified, e.newton_iters,
-                            e.fallback) == (k, half, z, res, cert, iters, fb)
+                    assert (e.k, e.half, e.lam, e.residual, e.certified,
+                            e.newton_iters) == (k, half, z, res, cert, iters)
                     assert e.lam == vals[2 * j + h] and same_float(e.disk_radius, radius)
                     np.testing.assert_equal(doc["eigs"][2 * j + h], {
                         "k": k, "half": half, "lambda": [z.real, z.imag], "residual": res,
                         "disk_center": [z.real, z.imag], "disk_radius": radius,
-                        "certified": cert, "newton_iters": iters, "fallback": fb})
+                        "certified": cert, "newton_iters": iters})
 
     def test_columns_are_read_only(self, beam4_spectrum):
         for name in SPECTRUM_COLUMNS:
