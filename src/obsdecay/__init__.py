@@ -17,9 +17,7 @@ from .charfn import (
     eval_F,
     eval_f,
     eval_f_prime,
-    lambda_star,
     localize,
-    newton_seed,
     rouche_margin,
 )
 from .dynamics import (
@@ -114,10 +112,8 @@ __all__ = [
     "eval_f",
     "eval_f_prime",
     "full_spectrum",
-    "lambda_star",
     "localize",
     "newton_root",
-    "newton_seed",
     "rouche_margin",
     "segment_bound_checks",
     "simulate_error",

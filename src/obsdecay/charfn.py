@@ -25,8 +25,8 @@ records whether the disk stays a fixed fraction away from the imaginary axis.
 formed once per system (:attr:`~obsdecay.model.SystemSpec.linearization`),
 and the disks of a batch of modes come back as the columns of a
 :class:`LocalizationReport`.  The localization keeps the paper's first-order
-``lam_k_star``; Newton starts from the second-order :func:`newton_seed`, taken
-as its offset from ``i omega_k`` (:func:`newton_seed_offsets`).
+``lam_k_star``; Newton starts from the second-order prediction, taken as its
+offset from ``i omega_k`` (:func:`newton_seed_offsets`).
 """
 
 from __future__ import annotations
@@ -239,32 +239,6 @@ def eval_F(ctx: CharContext, lam):
     return complex(val) if scalar else val
 
 
-def char_linearization(ctx: CharContext) -> tuple[complex, complex]:
-    """Closed-form value and derivative of F at the center i*omega_k.
-
-    F(i omega_k)  = c_k^2 / omega_k
-    F'(i omega_k) = 2i sum_{j != k} c_j^2/(omega_j^2 - omega_k^2)
-                    + i c_k^2 / (2 omega_k^2) + 2/(gamma omega_k)
-
-    Read from the system's :attr:`~obsdecay.model.SystemSpec.linearization`,
-    which forms both for every mode once.
-    """
-    f0, f1 = ctx.sys.linearization[:2, ctx.k - 1].tolist()
-    return f0, f1
-
-
-def lambda_star(ctx: CharContext) -> complex:
-    """First-order eigenvalue prediction near mode k.
-
-    Root of the linear part of F at the center:
-    ``lam_k_star = i omega_k - F(i omega_k) / F'(i omega_k)``.  Its real part
-    is strictly negative for admissible systems (the real part of F' is
-    2/(gamma omega_k) > 0 while F(i omega_k) > 0).
-    """
-    f0, f1 = char_linearization(ctx)
-    return 1j * ctx.omega_k - f0 / f1
-
-
 def _quotients(f0: np.ndarray, f1: np.ndarray) -> np.ndarray:
     """``f0 / f1`` elementwise, by Python's complex division (numpy's can differ in the last bit)."""
     return np.array([a / b for a, b in zip(f0.tolist(), f1.tolist())], dtype=complex)
@@ -290,39 +264,25 @@ def _quadratic_offset(w: float, f0: complex, f1: complex, f2: complex) -> comple
     return -2.0 * g0 / max(g1 + root, g1 - root, key=abs)
 
 
-def newton_seed(ctx: CharContext) -> complex:
-    """Second-order eigenvalue prediction near mode k: the Newton seed of that mode.
-
-    The root nearest the center of the quadratic Taylor model of
-    ``G(lam) = lam F(lam)`` at ``i omega_k``, from F, F' and F'' there.  The
-    factor ``lam`` clears the pole of f at 0 as well, so the model's disk of
-    convergence reaches the nearest other mode pole instead of stopping at 0.
-    """
-    f0, f1, f2 = ctx.sys.linearization[:, ctx.k - 1].tolist()
-    return ctx.center + _quadratic_offset(ctx.omega_k, f0, f1, f2)
-
-
 def newton_seed_offsets(sys: SystemSpec) -> np.ndarray:
-    """The offset ``mu = newton_seed - i omega_k`` of every mode's seed, before the addition."""
+    """Every mode's Newton seed, the second-order prediction, as its offset from ``i omega_k``.
+
+    Each is :func:`_quadratic_offset` of F, F' and F'' at ``i omega_k``, read
+    from :attr:`~obsdecay.model.SystemSpec.linearization`.  The factor ``lam``
+    of ``G = lam F`` clears the pole of f at 0, so the model holds out to the
+    nearest other mode pole.
+    """
     rows = zip(sys.omegas.tolist(), *sys.linearization.tolist())
     return np.array([_quadratic_offset(*row) for row in rows], dtype=complex)
 
 
 def _convergence_radii(sys: SystemSpec, ks: np.ndarray) -> np.ndarray:
-    """:func:`convergence_radius` of each mode in ``ks``."""
+    """Distance from each center ``i omega_k``, k in ``ks``, to its nearest other pole of f:
+    a neighbouring upper pole or 0 (the lower poles are farther)."""
     gaps = np.diff(sys.omegas)
     below = np.concatenate([[np.inf], gaps])[ks - 1]
     above = np.concatenate([gaps, [np.inf]])[ks - 1]
     return np.minimum(sys.omegas[ks - 1], np.minimum(below, above))
-
-
-def convergence_radius(ctx: CharContext) -> float:
-    """Distance from the center i*omega_k to the nearest other singularity.
-
-    Singularities of f are 0 and +/- i*omega_j.  The nearest ones are the
-    neighbouring upper poles and the origin; lower poles are farther away.
-    """
-    return float(_convergence_radii(ctx.sys, np.array([ctx.k]))[0])
 
 
 def _remainder_bounds(sys: SystemSpec, ks: np.ndarray, R1: np.ndarray) -> np.ndarray:
@@ -361,7 +321,7 @@ def estimate_M(ctx: CharContext, R1: float) -> float:
     (j != k) and ``-i omega_j`` with ``|res| = c_j^2/omega_j``, and 0 with
     ``|res| = 2/gamma``.
     """
-    R0 = convergence_radius(ctx)
+    R0 = float(_convergence_radii(ctx.sys, np.array([ctx.k]))[0])
     if not 0.0 < R1 < R0:
         raise ValueError(f"R1 must lie in (0, {R0}), got {R1}")
     return float(_remainder_bounds(ctx.sys, np.array([ctx.k]), np.array([R1]))[0])

@@ -149,17 +149,6 @@ def _pole_offsets(sys: SystemSpec, ks: np.ndarray, mu: np.ndarray):
         yield rows, z
 
 
-def _mirrored(ks: np.ndarray, mu: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The upper points ``(|k|, conj mu)`` that mirror the lower anchors ``k < 0``.
-
-    The lower point ``-i omega_|k| + mu`` is the conjugate of
-    ``i omega_|k| + conj mu``.  Returns ``|ks|``, the offsets with the lower
-    ones conjugated, and the mask of lower anchors.
-    """
-    lower = ks < 0
-    return np.abs(ks), np.where(lower, mu.conj(), mu), lower
-
-
 def _block_sums(sys: SystemSpec, z: np.ndarray) -> list:
     """f, f' and S of the rows ``z`` of :func:`_pole_offsets`; ``z`` is overwritten."""
     t = np.reciprocal(z, out=z)  # 1/(lam - a)
@@ -170,34 +159,30 @@ def _block_sums(sys: SystemSpec, z: np.ndarray) -> list:
     return sums
 
 
+def _anchors(sys: SystemSpec, ks) -> np.ndarray:
+    """``ks`` as a flat int array; raises ValueError unless each is a mode in ``1..N``."""
+    ks = np.asarray(ks, dtype=int).reshape(-1)
+    if ks.size and (ks.min() < 1 or ks.max() > sys.N):
+        raise ValueError(f"anchors must be modes in [1, {sys.N}], got {ks.min()} to {ks.max()}")
+    return ks
+
+
 def eval_f(sys: SystemSpec, mu, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f, f' and ``S = sum_a |res_a/(lam - a)|`` at ``lam = +/- i omega_|k| + mu``, per (mu, k).
+    """f, f' and ``S = sum_a |res_a/(lam - a)|`` at ``lam = i omega_k + mu``, per (mu, k).
 
     Each ``mu`` is an offset from the pole ``i omega_k`` of its anchor in
-    ``ks``, or from ``-i omega_|k|`` for ``k < 0``.  Over the ``2N + 1``
-    poles ``a`` (0 and ``+/- i omega_j``), ``t_a = 1/(lam - a)`` is numpy's
-    complex reciprocal of ``mu + shift`` (:func:`_pole_offsets`), f is
-    ``sum_a res_a t_a``, f' is ``-sum_a res_a t_a^2`` and S sums the moduli
-    of the terms; :func:`rounding_bound` bounds the rounding error of f by
-    S.  The own shift is exactly 0, so the own-pole term is
-    ``(c_k^2/omega_k)/mu``, as precise as ``mu`` itself.  A lower point is
-    evaluated at its upper mirror (:func:`_mirrored`), as ``f(conj lam) =
-    -conj f(lam)`` and ``f'(conj lam) = -conj f'(lam)``, so a lower root's
-    arithmetic is exactly the conjugate of the upper one's.  Each row sums
-    the same terms in the same order in any batch, so a point gets the same
-    values in every batch.
+    ``ks``, a mode in ``1..N`` (else ValueError).  Over the ``2N + 1`` poles
+    ``a`` (0 and ``+/- i omega_j``), ``t_a = 1/(lam - a)`` is numpy's complex
+    reciprocal of ``mu + shift`` (:func:`_pole_offsets`), f is ``sum_a res_a
+    t_a``, f' is ``-sum_a res_a t_a^2`` and S sums the moduli of the terms;
+    :func:`rounding_bound` bounds the rounding error of f by S.  The own
+    shift is exactly 0, so the own-pole term is ``(c_k^2/omega_k)/mu``, as
+    precise as ``mu`` itself.  Each row sums the same terms in the same order
+    in any batch, so a point gets the same values in every batch.
     """
     mu = np.asarray(mu, dtype=complex).reshape(-1)
-    ks = np.asarray(ks).reshape(-1)
-    lower = None
-    if ks.size and ks.min() < 0:
-        ks, mu, lower = _mirrored(ks, mu)
-    parts = [_block_sums(sys, z) for _, z in _pole_offsets(sys, ks, mu)]
-    out = parts[0] if len(parts) == 1 else [np.concatenate(p) for p in zip(*parts)]
-    if lower is not None:
-        out[0] = np.where(lower, -out[0].conj(), out[0])
-        out[1] = np.where(lower, -out[1].conj(), out[1])
-    return tuple(out)
+    parts = [_block_sums(sys, z) for _, z in _pole_offsets(sys, _anchors(sys, ks), mu)]
+    return tuple(parts[0] if len(parts) == 1 else (np.concatenate(p) for p in zip(*parts)))
 
 
 def _at_pole(sys: SystemSpec, ks: np.ndarray, mu: np.ndarray) -> np.ndarray:
@@ -218,12 +203,11 @@ def newton_roots(sys: SystemSpec, ks, mu, max_iters: int = NEWTON_MAX_ITERS
                             list[Optional[Exception]]]:
     """Damped Newton iteration in pole-local coordinates, one root per seed ``(k, mu)``.
 
-    Element i iterates the offset ``mu[i]`` of ``lam`` from the pole of its
-    anchor ``ks[i]`` (``+i omega_k`` for ``k > 0``; ``-i omega_|k|`` for
-    ``k < 0``, iterated at its upper mirror and conjugated back).  The step
-    is Newton's for ``p f``, ``p(lam) = lam (lam - i omega_k)(lam + i
-    omega_k)``, which clears the origin, the own pole and its mirror:
-    ``-f / (f' + f (1/mu + 1/lam + 1/(mu + 2i omega_k)))``.  Each element
+    Element i iterates the offset ``mu[i]`` of ``lam`` from the pole ``i
+    omega_k`` of its anchor ``k = ks[i]``, a mode in ``1..N`` (else
+    ValueError).  The step is Newton's for ``p f``, ``p(lam) = lam (lam - i
+    omega_k)(lam + i omega_k)``, which clears the origin, the own pole and
+    its mirror: ``-f / (f' + f (1/mu + 1/lam + 1/(mu + 2i omega_k)))``.  Each element
     follows the scalar rules: it stops once ``|f| <= (2N + 4) u S``, where S
     is the sum of the moduli of f's terms at the iterate and u the unit
     roundoff; otherwise its step is halved (up to NEWTON_MAX_HALVINGS times)
@@ -246,8 +230,8 @@ def newton_roots(sys: SystemSpec, ks, mu, max_iters: int = NEWTON_MAX_ITERS
     None; a failed element does not stop the others, and its offset,
     residual, bound and derivative are NaN.
     """
-    ks, mu, lower = _mirrored(np.asarray(ks, dtype=int).reshape(-1),
-                              np.array(mu, dtype=complex).reshape(-1))
+    ks = _anchors(sys, ks)
+    mu = np.array(mu, dtype=complex).reshape(-1)
     n = mu.size
     root, deriv = np.full(n, complex(np.nan, np.nan)), np.full(n, complex(np.nan, np.nan))
     resid, scale = np.full(n, np.nan), np.full(n, np.nan)
@@ -257,11 +241,9 @@ def newton_roots(sys: SystemSpec, ks, mu, max_iters: int = NEWTON_MAX_ITERS
     stop = (2 * sys.N + 4) * UNIT_ROUNDOFF
 
     def fail(sel: np.ndarray, why) -> None:
-        """Give each selected element the error ``why(element, lam)``, lam on its side."""
+        """Give each selected element the error ``why(element, lam)``."""
         for j in np.flatnonzero(sel):
-            lower_j = lower[idx[j]]
-            lam = m[j].conjugate() - iw[j] if lower_j else m[j] + iw[j]
-            errors[idx[j]] = why(j, complex(lam))
+            errors[idx[j]] = why(j, complex(m[j] + iw[j]))
 
     def escaped(j, lam):
         return NewtonError(f"iterate {lam} is past the escape radius {rho:.6g}: no root lies "
@@ -359,8 +341,7 @@ def newton_roots(sys: SystemSpec, ks, mu, max_iters: int = NEWTON_MAX_ITERS
                 fail(out, escaped)
                 end |= out
                 fresh &= ~out
-    return (np.where(lower, root.conj(), root), resid, rounding_bound(sys, scale),
-            np.where(lower, -deriv.conj(), deriv), iters, errors)
+    return root, resid, rounding_bound(sys, scale), deriv, iters, errors
 
 
 def nearest_mode(omegas: np.ndarray, x):
@@ -380,38 +361,39 @@ def newton_root(sys: SystemSpec, seed: complex,
                 max_iters: int = NEWTON_MAX_ITERS) -> tuple[complex, float, int]:
     """Damped Newton iteration from one seed: :func:`newton_roots` on a batch of one.
 
-    The seed is anchored at the pole ``+/- i omega_k`` nearest it on its side
-    of the real axis (the upper side for a real seed).  Returns ``(root,
-    |f(root)|, iterations)``; raises the element's :class:`PoleError` or
-    :class:`NewtonError` when it fails.
+    The seed is anchored at the pole ``i omega_k`` nearest it.  A seed below
+    the real axis is solved at its mirror ``conj(seed)`` and the root
+    conjugated back, as ``f(conj lam) = -conj f(lam)``; an error then names
+    the mirrored point.  Returns ``(root, |f(root)|, iterations)``; raises the
+    element's :class:`PoleError` or :class:`NewtonError` when it fails.
     """
     seed = complex(seed)
-    k = int(nearest_mode(sys.omegas, abs(seed.imag))) + 1
-    if seed.imag < 0.0:
-        k = -k
-    w = float(np.copysign(sys.omegas[abs(k) - 1], k))
-    mu, resids, _, _, iters, errors = newton_roots(sys, [k],
-                                                   [complex(seed.real, seed.imag - w)], max_iters)
+    lower = seed.imag < 0.0
+    if lower:
+        seed = seed.conjugate()
+    k = int(nearest_mode(sys.omegas, seed.imag)) + 1
+    w = float(sys.omegas[k - 1])
+    mu, resids, _, _, iters, errors = newton_roots(sys, [k], [complex(seed.real, seed.imag - w)],
+                                                   max_iters)
     if errors[0] is not None:
         raise errors[0]
-    return complex(mu[0] + 1j * w), float(resids[0]), int(iters[0])
+    root = complex(mu[0] + 1j * w)
+    return root.conjugate() if lower else root, float(resids[0]), int(iters[0])
 
 
-def winding_number(sys: SystemSpec, disk: tuple[complex, float],
-                   samples: int = WINDING_SAMPLES_INIT) -> int:
+def winding_number(sys: SystemSpec, disk: tuple[complex, float]) -> int:
     """Argument-principle count (zeros minus poles) of f inside a disk.
 
     Trapezoidal contour integration of f'/f over the circle, with the sample
-    count doubled until the value sits within 1e-6 of an integer.  The disk
+    count doubled from WINDING_SAMPLES_INIT until the value sits within 1e-6
+    of an integer.  The disk
     boundary must stay away from zeros and poles of f (guarded by the sampled
     minimum of |f|).
     """
     center, radius = complex(disk[0]), float(disk[1])
     if radius <= 0.0:
         raise ValueError("disk radius must be positive")
-    m = int(samples)
-    if m < 16:
-        raise ValueError("need at least 16 contour samples")
+    m = WINDING_SAMPLES_INIT
     while True:
         t = 2.0 * np.pi * np.arange(m) / m
         unit = np.exp(1j * t)

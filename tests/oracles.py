@@ -7,6 +7,8 @@ from outside, ``resolvent_norm`` is the resolvent norm from a dense SVD, and
 ``brute_force_scan`` is the axis scan over the whole band x root table, one
 band at a time, and ``dense_nearest_mode`` the first minimum of the whole
 ``|omegas - x|`` table; the package finds both by sorted search.
+``first_order_predictions`` is the paper's ``lambda_star`` of every mode,
+which ``localize_modes`` keeps only for the modes that localize.
 The artifact oracles give the bytes of ``reports``' CSV writers through
 ``csv.writer``, row by row, and the ``spectrum.json`` document through the
 per-root ``EigenCertificate`` records.  ``segment_bound_checks`` is the
@@ -102,6 +104,15 @@ def brute_force_scan(sys, upper, k_range):
 def dense_nearest_mode(omegas, x) -> np.ndarray:
     """Index of the frequency nearest each ``x``: the first minimum of ``|omegas - x|``."""
     return np.argmin(np.abs(omegas - np.asarray(x, dtype=float)[..., None]), axis=-1)
+
+
+def first_order_predictions(sys) -> np.ndarray:
+    """``lambda_star = i omega_k - F0/F1`` of every mode, F0 and F1 from ``sys.linearization``.
+
+    The quotient is Python's complex division, as in ``localize_modes``.
+    """
+    f0, f1 = sys.linearization[:2].tolist()
+    return np.array([complex(0.0, w) - a / b for w, a, b in zip(sys.omegas.tolist(), f0, f1)])
 
 
 def eval_f_rational(sys, lam):

@@ -7,7 +7,7 @@ import pytest
 
 import oracles
 from conftest import load_bench_workloads, perturbed_beam_family
-from oracles import dense_oracle_spectrum, eval_f_rational
+from oracles import dense_oracle_spectrum, eval_f_rational, first_order_predictions
 from obsdecay import cli, reports
 from obsdecay.charfn import (
     R1_FRACTION,
@@ -15,16 +15,13 @@ from obsdecay.charfn import (
     LocalizationCertificate,
     LocalizationError,
     PoleError,
-    char_linearization,
-    convergence_radius,
+    _convergence_radii,
     estimate_M,
     eval_F,
     eval_f,
     eval_f_prime,
-    lambda_star,
     localize,
     localize_modes,
-    newton_seed,
     newton_seed_offsets,
     rouche_margin,
 )
@@ -275,17 +272,17 @@ class TestEvalFCentered:
 class TestLambdaStar:
     def test_single_mode_hand_value(self, single_mode):
         # -1/(2 + i/2) + i = -8/17 + 19i/17
-        val = lambda_star(CharContext(single_mode, 1))
+        val = complex(first_order_predictions(single_mode)[0])
         assert val == pytest.approx(complex(-8.0 / 17.0, 19.0 / 17.0), abs=1e-15)
 
     def test_closed_form_components(self, beam23):
         # real/imag parts through the explicit S-sum representation
+        predictions = first_order_predictions(beam23)
         for k in (1, 4, 9, 17, 23):
             ctx = CharContext(beam23, k)
-            f0, f1 = char_linearization(ctx)
-            s = f1.imag
+            s = beam23.linearization[1, k - 1].imag
             wk, ck, g = ctx.omega_k, ctx.c_k, beam23.gamma
-            val = lambda_star(ctx)
+            val = predictions[k - 1]
             re_abs = 2.0 * g * ck**2 / (4.0 + g**2 * wk**2 * s**2)
             im = wk + (ck**2 / wk) * s / (4.0 / (g**2 * wk**2) + s**2)
             assert abs(val.real) == pytest.approx(re_abs, rel=1e-12)
@@ -293,14 +290,14 @@ class TestLambdaStar:
 
     def test_strictly_stable_side_and_off_axis(self, beam23, single_mode):
         for sys in (single_mode, beam23):
-            for k in range(1, sys.N + 1):
-                val = lambda_star(CharContext(sys, k))
+            for val in first_order_predictions(sys):
                 assert val.real < 0.0
                 assert val.imag != 0.0
 
     def test_each_mode_matches_the_reference(self, single_mode):
         # bitwise, on systems where numpy's c_j**2 differs from the Python
-        # float's in the last bit (random family, seed 1)
+        # float's in the last bit (random family, seed 1); localize_modes keeps
+        # the prediction of the modes that localize
         systems = [single_mode] + [beam_example(1.0, 1.0, n) for n in (2, 9, 23, 256)]
         systems += perturbed_beam_family(1, 4)
         systems += [SystemSpec.from_json_dict(case.doc)
@@ -310,14 +307,14 @@ class TestLambdaStar:
             for k in range(1, sys.N + 1):
                 f0, f1 = reference_linearization(sys, k)
                 expected.append(1j * float(sys.omegas[k - 1]) - f0 / f1)
-            assert [lambda_star(CharContext(sys, k)) for k in range(1, sys.N + 1)] == expected
+            assert first_order_predictions(sys).tolist() == expected
+            rep = localize_modes(sys, range(1, sys.N + 1))
+            assert rep.lambda_star.tolist() == [expected[k - 1] for k in rep.k.tolist()]
 
     def test_quadratic_approach_rate(self, beam23):
         # |lambda_star - i omega_k| * k^2 stays bounded for the beam family
-        scaled = [
-            abs(lambda_star(CharContext(beam23, k)) - 1j * beam23.omegas[k - 1]) * k**2
-            for k in range(1, 24)
-        ]
+        scaled = [abs(val - 1j * beam23.omegas[k - 1]) * k**2
+                  for k, val in enumerate(first_order_predictions(beam23), start=1)]
         assert max(scaled) < 1.0
         # and settles near gamma/2 for high modes
         assert scaled[-1] == pytest.approx(0.5, rel=0.05)
@@ -347,42 +344,28 @@ class TestNewtonSeed:
                 got = complex(sys.linearization[2, k - 1])
                 assert abs(got - want) <= 1e-12 * abs(want), (sys.N, k)
 
-    def test_all_modes_in_one_pass_match_each_mode(self, single_mode):
-        systems = [single_mode] + [beam_example(1.0, 1.0, n, gamma=g) for n in (2, 9, 23, 256)
-                                   for g in (0.1, 1.0, 3.0)]
-        systems += perturbed_beam_family(1, 4)
-        systems += [SystemSpec.from_json_dict(case.doc)
-                    for case in load_bench_workloads().random_family(1)]
-        for sys in systems:
-            seeds = [newton_seed(CharContext(sys, k)) for k in range(1, sys.N + 1)]
-            # each seed is its pole plus the offset, added last
-            offsets = newton_seed_offsets(sys).tolist()
-            assert [complex(0.0, w) + m for w, m in zip(sys.omegas.tolist(), offsets)] == seeds
-
     @pytest.mark.parametrize("sys", [beam_example(1.0, 1.0, 23), beam_example(1.0, 1.0, 23, 3.0)]
                              + perturbed_beam_family(2, 3), ids=lambda s: f"N{s.N}-{s.gamma:.3g}")
     def test_nearest_root_of_the_cleared_quadratic_model(self, sys):
         # G(lam) = lam F(lam): G(c + s) ~ G0 + G1 s + G2 s^2 / 2 at c = i omega_k
-        for k in range(1, sys.N + 1):
-            ctx = CharContext(sys, k)
+        for k, s in enumerate(newton_seed_offsets(sys), start=1):
             f0, f1, f2 = sys.linearization[:, k - 1].tolist()
-            c = ctx.center
+            c = CharContext(sys, k).center
             g = [c * f0, f0 + c * f1, 2.0 * f1 + c * f2]
             roots = np.roots([g[2] / 2.0, g[1], g[0]])
-            s = newton_seed(ctx) - c
             assert np.min(np.abs(roots - s)) <= 1e-9 * abs(s), (sys.N, k)
             assert abs(s) <= np.max(np.abs(roots)), (sys.N, k)
 
     def test_second_order_seed_is_closer_on_the_beam(self, beam23):
         roots = full_spectrum(beam23).lam
-        for k in range(1, 24):
-            ctx = CharContext(beam23, k)
-            assert abs(newton_seed(ctx) - roots[k - 1]) < abs(lambda_star(ctx) - roots[k - 1])
+        seeds = 1j * beam23.omegas + newton_seed_offsets(beam23)
+        first = first_order_predictions(beam23)
+        assert np.all(np.abs(seeds - roots) < np.abs(first - roots))
 
 
 def sampled_remainder_peak(ctx, R1):
     """Reference oracle: max of |F - F0 - s F1| / |s|^2 at 4096 points of |s| = R1."""
-    f0, f1 = char_linearization(ctx)
+    f0, f1 = ctx.sys.linearization[:2, ctx.k - 1].tolist()
     shift = R1 * np.exp(2j * np.pi * np.arange(4096) / 4096)
     resid = eval_F(ctx, ctx.center + shift) - f0 - shift * f1
     return float(np.max(np.abs(resid) / np.abs(shift) ** 2))
@@ -399,12 +382,12 @@ class TestEstimateM:
         for sys in systems:
             for k in range(1, sys.N + 1):
                 ctx = CharContext(sys, k)
-                r1 = R1_FRACTION * convergence_radius(ctx)
+                r1 = R1_FRACTION * _convergence_radii(sys, np.array([k]))[0]
                 assert estimate_M(ctx, r1) >= sampled_remainder_peak(ctx, r1), (sys.N, k)
 
     def test_r1_range_validation(self, beam23):
         ctx = CharContext(beam23, 10)
-        r0 = convergence_radius(ctx)
+        r0 = _convergence_radii(beam23, np.array([10]))[0]
         with pytest.raises(ValueError):
             estimate_M(ctx, r0 * 1.01)
         with pytest.raises(ValueError):
@@ -414,14 +397,14 @@ class TestEstimateM:
 class TestConvergenceRadius:
     def test_interior_mode_uses_nearest_gap(self, beam23):
         # omega_10 = 100: gaps are 19 (down) and 21 (up); distance to 0 is 100
-        assert convergence_radius(CharContext(beam23, 10)) == 19.0
+        assert _convergence_radii(beam23, np.array([10])).tolist() == [19.0]
 
     def test_first_mode_sees_origin(self, beam23):
         # omega_1 = 1: the origin is closer than omega_2 - omega_1 = 3
-        assert convergence_radius(CharContext(beam23, 1)) == 1.0
+        assert _convergence_radii(beam23, np.array([1])).tolist() == [1.0]
 
     def test_last_mode_one_sided(self, beam23):
-        assert convergence_radius(CharContext(beam23, 23)) == 529.0 - 484.0
+        assert _convergence_radii(beam23, np.array([23])).tolist() == [529.0 - 484.0]
 
 
 class TestLocalize:
@@ -462,7 +445,7 @@ class TestLocalize:
     def test_gain_frequency_product_exceeds_one(self, beam23, single_mode):
         for sys in (single_mode, beam23):
             for k in range(1, sys.N + 1):
-                _, f1 = char_linearization(CharContext(sys, k))
+                f1 = sys.linearization[1, k - 1]
                 assert sys.gamma * sys.omegas[k - 1] * abs(f1) > 1.0
 
     def test_dominance_margin_positive_on_contour(self, beam23):
@@ -554,10 +537,10 @@ class TestLocalizeModes:
 
     def test_each_helper_matches_its_reference(self):
         for sys in PARITY_SYSTEMS:
-            for k in range(1, sys.N + 1):
+            radii = _convergence_radii(sys, np.arange(1, sys.N + 1)).tolist()
+            for k, f0, f1, r0 in zip(range(1, sys.N + 1), *sys.linearization[:2].tolist(), radii):
                 ctx = CharContext(sys, k)
-                assert char_linearization(ctx) == reference_linearization(sys, k)
-                r0 = convergence_radius(ctx)
+                assert (f0, f1) == reference_linearization(sys, k)
                 assert r0 == reference_convergence_radius(sys, k)
                 for r1 in (R1_FRACTION * r0, 0.5 * r0):
                     assert estimate_M(ctx, r1) == reference_M(sys, k, r1)

@@ -11,16 +11,19 @@ from conftest import (
     load_bench_workloads,
     perturbed_beam_family,
 )
-from oracles import dense_nearest_mode, dense_oracle_spectrum, matching_distance
+from oracles import (
+    dense_nearest_mode,
+    dense_oracle_spectrum,
+    first_order_predictions,
+    matching_distance,
+)
 from obsdecay import build_basis, charfn, spectrum
 from obsdecay.charfn import (
     CharContext,
     PoleError,
     eval_f,
     eval_f_prime,
-    lambda_star,
     localize,
-    newton_seed,
     newton_seed_offsets,
 )
 from obsdecay.dynamics import dense_generator
@@ -42,33 +45,29 @@ from obsdecay.spectrum import (
 
 
 def anchored(sys, seed):
-    """``(k, mu)`` of a seed ``lam``: the pole ``+/- i omega_|k|`` nearest it on its side of
-    the real axis, and ``mu = lam - (+/- i omega_|k|)``."""
+    """``(k, mu)`` of a seed ``lam``, or of its mirror ``conj(lam)`` below the real axis:
+    the pole ``i omega_k`` nearest it, and ``mu = lam - i omega_k``."""
     seed = complex(seed)
-    k = int(dense_nearest_mode(sys.omegas, abs(seed.imag))) + 1
-    w = float(sys.omegas[k - 1])
     if seed.imag < 0.0:
-        k, w = -k, -w
-    return k, complex(seed.real, seed.imag - w)
+        seed = seed.conjugate()
+    k = int(dense_nearest_mode(sys.omegas, seed.imag)) + 1
+    return k, complex(seed.real, seed.imag - float(sys.omegas[k - 1]))
 
 
 def local_terms(sys, k, mu):
-    """Signed pole frequency, and ``lam - a`` over the mode poles, of the root ``(k, mu)``.
+    """``lam - a`` over the mode poles of the root ``(k, mu)``.
 
-    Row |k| of ``SystemSpec.pole_shifts`` holds ``i (omega_|k| - omega_j)`` then ``i
-    (omega_|k| + omega_j)`` (after the pole at 0); about a lower pole every gap and
-    residue changes sign.
+    Row k of ``SystemSpec.pole_shifts`` holds ``i (omega_k - omega_j)`` then ``i
+    (omega_k + omega_j)`` (after the pole at 0).
     """
-    sign = 1.0 if k > 0 else -1.0
-    w = sign * float(sys.omegas[abs(k) - 1])
-    gaps = sign * np.concatenate([w * sign - sys.omegas, w * sign + sys.omegas])
-    return w, mu.real + 1j * (gaps + mu.imag)
+    w = float(sys.omegas[k - 1])
+    return mu.real + 1j * (np.concatenate([w - sys.omegas, w + sys.omegas]) + mu.imag)
 
 
 def scalar_newton_root(sys, k, mu, max_iters=NEWTON_MAX_ITERS, trials=None):
     """Reference copy of the one-seed damped Newton loop that ``newton_roots`` batches.
 
-    The iterate is ``mu`` about the pole ``i w`` of anchor k (``w`` signed).
+    The iterate is ``mu`` about the pole ``i w`` of anchor k.
     An element stops once ``|f| <= (2N + 4) u S`` (S the sum of the moduli of
     f's terms); else it takes Newton's step for ``lam (lam - i w)(lam + i w)
     f``, ``-f / (f' + f c)`` with ``c`` the reciprocals of ``mu + (0, i w, 2i
@@ -83,14 +82,14 @@ def scalar_newton_root(sys, k, mu, max_iters=NEWTON_MAX_ITERS, trials=None):
     """
     rho = max(2.0 * sys.omegas[-1], 8.0 * sys.gamma * np.sum(sys.cs**2))
     stop = (2 * sys.N + 4) * UNIT_ROUNDOFF
-    w = local_terms(sys, k, 0j)[0]
+    w = float(sys.omegas[k - 1])
     shifts = np.array([[0.0, 1j * w, 2j * w]])
 
     def lam(m):
-        return complex(m.real, w + m.imag)
+        return m + complex(0.0, w)
 
     def at_pole(m):
-        return bool(np.any(local_terms(sys, k, m)[1] == 0)) or lam(m) == 0
+        return bool(np.any(local_terms(sys, k, m) == 0)) or lam(m) == 0
 
     def check_escape(m):
         if abs(lam(m)) >= rho:
@@ -177,12 +176,12 @@ def assert_matches_scalar(sys, seeds, **kwargs):
 
 def primary_seeds(sys):
     """The first-order predictions ``lambda_star`` of every mode, anchored at their poles."""
-    return [anchored(sys, lambda_star(CharContext(sys, k))) for k in range(1, sys.N + 1)]
+    return [anchored(sys, z) for z in first_order_predictions(sys).tolist()]
 
 
 def left_seed(sys, k):
     """A hard seed for mode k: ``-r/2`` about its pole, ``r`` the enclosure radius there."""
-    return k, complex(-0.5 * enclosure_radius(sys, 1j * float(sys.omegas[abs(k) - 1])))
+    return k, complex(-0.5 * enclosure_radius(sys, 1j * float(sys.omegas[k - 1])))
 
 
 def band_exit(sys, k, mu):
@@ -201,8 +200,8 @@ def reference_radius(sys, k, mu, f_bound, deriv):
     ``sqrt(x^2 + y^2)`` over the pole at 0, then the mode poles, and ``K0``
     sums them by one einsum over that row.
     """
-    w, gaps = local_terms(sys, k, mu)
-    z = np.concatenate([[complex(mu.real, w + mu.imag)], gaps])
+    z = np.concatenate([[complex(mu.real, float(sys.omegas[k - 1]) + mu.imag)],
+                        local_terms(sys, k, mu)])
     d = np.sqrt(z.real * z.real + z.imag * z.imag)
     reach = min(float(np.min(d)), -mu.real)
     inv = 1.0 / d
@@ -222,24 +221,20 @@ def root_values(sys, k, mu):
 
 
 def solve_lower_root(sys, k):
-    """The lower root of mode k solved on its own, about the pole -i omega_k.
+    """The lower root of mode k solved on its own: the conjugate of its upper root.
 
-    Newton from the conjugated second-order seed offset.  Returns ``(lam,
-    residual, newton_iters, disk_radius)``, the radius by
-    :func:`reference_radius`, or None when no root of mode k is found.
+    Newton from the second-order seed offset of mode k alone.  Returns ``(lam,
+    residual, newton_iters)``, or None when no root of mode k is found.
     """
     wk = float(sys.omegas[k - 1])
     band = 0.5 * (sys.min_gap() if sys.N > 1 else wk)
-    mu, resid, bound, deriv, iters, errors = newton_roots(
-        sys, [-k], [newton_seed_offsets(sys)[k - 1].conjugate()])
+    mu, resid, _, _, iters, errors = newton_roots(sys, [k], [newton_seed_offsets(sys)[k - 1]])
     if errors[0] is not None or abs(mu[0].imag) > band:
         return None
-    lam = complex(mu[0].real, -wk + mu[0].imag)
+    lam = complex(mu[0].real, wk + mu[0].imag).conjugate()
     if np.argmin(np.abs(sys.omegas - abs(lam.imag))) + 1 != k:
         return None
-    radius = reference_radius(sys, -k, complex(mu[0]), float(resid[0] + bound[0]),
-                              complex(deriv[0]))
-    return lam, float(resid[0]), int(iters[0]), radius
+    return lam, float(resid[0]), int(iters[0])
 
 
 def pole_seed_for_mode_1(sys):
@@ -277,14 +272,14 @@ def certificate_disks_meet(eigs):
 
 class TestNewtonRoot:
     def test_single_mode_quadratic_root(self, single_mode):
-        seed = lambda_star(CharContext(single_mode, 1))
+        seed = complex(first_order_predictions(single_mode)[0])
         root, resid, iters = newton_root(single_mode, seed)
         assert abs(root - SINGLE_MODE_ROOTS[0]) < 1e-12
         assert resid <= 1e-12
         assert iters > 0
 
     def test_conjugate_seed_gives_conjugate_root(self, single_mode):
-        seed = lambda_star(CharContext(single_mode, 1)).conjugate()
+        seed = complex(first_order_predictions(single_mode)[0]).conjugate()
         root, _, _ = newton_root(single_mode, seed)
         assert abs(root - SINGLE_MODE_ROOTS[1]) < 1e-12
 
@@ -296,7 +291,7 @@ class TestNewtonRoot:
 
     def test_root_is_refined_to_the_rounding_bound(self, beam23):
         # the stop rule is relative: |f| within (2N + 4) u of the sum of |terms|
-        seed = lambda_star(CharContext(beam23, 20))
+        seed = complex(first_order_predictions(beam23)[19])
         root, resid, iters = newton_root(beam23, seed)
         k, mu = anchored(beam23, root)
         _, _, scale = spectrum.eval_f(beam23, np.array([mu]), np.array([k]))
@@ -306,6 +301,30 @@ class TestNewtonRoot:
         # one iteration cannot reach the root from a distant seed
         with pytest.raises(NewtonError):
             newton_root(single_mode, 50.0 + 40.0j, max_iters=1)
+
+    def test_lower_seed_is_solved_at_its_mirror(self, single_mode, beam23):
+        # a seed below the axis gives the conjugate of the upper solve, with the
+        # same residual and iterations, or fails with the same error type: from
+        # each mode's seed, from its pole, past the escape radius and when the
+        # iteration cap stops it
+        outcomes = []
+        for sys in [single_mode, beam23] + perturbed_beam_family(1, 4):
+            seeds = [complex(0.0, w) + m for w, m in zip(sys.omegas.tolist(),
+                                                         newton_seed_offsets(sys).tolist())]
+            seeds += [1j * float(sys.omegas[-1]), 50.0 + 40.0j, 0.3 + 1e-300j]
+            for seed in seeds:
+                for max_iters in (NEWTON_MAX_ITERS, 1):
+                    try:
+                        root, resid, iters = newton_root(sys, seed, max_iters)
+                    except (NewtonError, PoleError) as exc:
+                        with pytest.raises(type(exc)):
+                            newton_root(sys, seed.conjugate(), max_iters)
+                        outcomes.append(type(exc))
+                        continue
+                    assert newton_root(sys, seed.conjugate(), max_iters) == (
+                        root.conjugate(), resid, iters), (sys.N, seed, max_iters)
+                    outcomes.append("root")
+        assert {PoleError, NewtonError, "root"} <= set(outcomes)
 
 
 class TestNearestMode:
@@ -426,22 +445,9 @@ class TestNewtonRootsParity:
         assert all(isinstance(o, NewtonError) and "overflows binary64" in str(o)
                    for o in outcomes)
 
-    def test_lower_anchor_mirrors_the_upper_one(self):
-        # about -i omega_k every value is the conjugate, exactly
-        for sys in [beam_example(1.0, 1.0, 23)] + perturbed_beam_family(1, 4):
-            seeds = newton_seed_offsets(sys)
-            ks = np.arange(1, sys.N + 1)
-            up = newton_roots(sys, ks, seeds)
-            down = newton_roots(sys, -ks, seeds.conj())
-            np.testing.assert_array_equal(down[0], up[0].conj())
-            np.testing.assert_array_equal(down[1], up[1])
-            np.testing.assert_array_equal(down[2], up[2])
-            np.testing.assert_array_equal(down[3], -up[3].conj())
-            np.testing.assert_array_equal(down[4], up[4])
-
     @pytest.mark.parametrize("max_iters", [NEWTON_MAX_ITERS, 1])
     def test_pole_seeds_and_iteration_cap(self, single_mode, max_iters):
-        seeds = [1j, lambda_star(CharContext(single_mode, 1)), 0.0, 50.0 + 40.0j, -1j]
+        seeds = [1j, complex(first_order_predictions(single_mode)[0]), 0.0, 50.0 + 40.0j, -1j]
         outcomes = assert_matches_scalar(single_mode, [anchored(single_mode, z) for z in seeds],
                                          max_iters=max_iters)
         assert [type(outcomes[i]) for i in (0, 2, 4)] == [PoleError] * 3
@@ -454,15 +460,13 @@ class TestNewtonRootsParity:
         # axis, 1e-300 off it or 1e-9 away is evaluated (and may overflow there)
         seeds, exact = [], []
         for k in range(1, beam4.N + 1):
-            for anchor in (k, -k):
-                w = float(np.copysign(beam4.omegas[k - 1], anchor))
-                for im in [0.0, -w, *(np.copysign(beam4.omegas, anchor) - w),
-                           *(-np.copysign(beam4.omegas, anchor) - w)]:
-                    seeds.append((anchor, complex(0.0, im)))
-                    exact.append(True)
-                    for off in (1j * (np.nextafter(im, np.inf) - im), 1e-300, -1e-9 + 1e-9j):
-                        seeds.append((anchor, complex(0.0, im) + off))
-                        exact.append(False)
+            w = float(beam4.omegas[k - 1])
+            for im in [0.0, -w, *(beam4.omegas - w), *(-beam4.omegas - w)]:
+                seeds.append((k, complex(0.0, im)))
+                exact.append(True)
+                for off in (1j * (np.nextafter(im, np.inf) - im), 1e-300, -1e-9 + 1e-9j):
+                    seeds.append((k, complex(0.0, im) + off))
+                    exact.append(False)
         outcomes = assert_matches_scalar(beam4, seeds, max_iters=1)
         assert all(isinstance(o, PoleError) == at for o, at in zip(outcomes, exact))
         assert any(isinstance(o, NewtonError) and "overflows" in str(o) for o in outcomes)
@@ -491,6 +495,17 @@ class TestNewtonRootsParity:
         roots, resids, bounds, derivs, iters, errors = newton_roots(single_mode, [], [])
         assert (roots.size == resids.size == bounds.size == derivs.size == iters.size
                 == len(errors) == 0)
+
+    @pytest.mark.parametrize("bad", [0, -1, 6])
+    def test_anchor_outside_the_modes_rejected(self, bad):
+        # unchecked, an anchor of 0 would read row -1 of the pole table, which
+        # is mode N, and one past N would raise a bare IndexError
+        sys = beam_example(1.0, 1.0, 5)
+        message = r"anchors must be modes in \[1, 5\]"
+        with pytest.raises(ValueError, match=message):
+            spectrum.eval_f(sys, [0.1, 0.1], [1, bad])
+        with pytest.raises(ValueError, match=message):
+            newton_roots(sys, [1, bad], [0.1, 0.1])
 
 
 class TestWindingNumber:
@@ -586,22 +601,30 @@ class TestFullSpectrum:
         pytest.param(perturbed_beam_family(1, 4) + perturbed_beam_family(2, 4), id="perturbed"),
     ])
     def test_lower_half_matches_direct_solve(self, systems):
-        # every lower certificate is the conjugated upper one; solving the
-        # lower root on its own, about -i omega_k, and running the reference
-        # test there must give the same fields and radius exactly, as must the
-        # reference test at each upper root.  A root is certified exactly when
-        # it has a disk and that disk meets no other one.
+        # every lower certificate is the conjugated upper one, as solving its
+        # mode on its own gives it, and the reference test at each upper root
+        # gives its radius exactly.  Apart from the mirror, each lower disk is
+        # checked in lam coordinates: the exact Rouche test holds there with
+        # charfn's f and f', and a certified one holds one dense eigenvalue.
+        # A root is certified exactly when it has a disk and that disk meets
+        # no other one.
         for sys in systems:
             rep = full_spectrum(sys)
+            dense = dense_oracle_spectrum(sys)
             lower = {e.k: e for e in rep.eigs if e.half == "lower"}
             for k in range(1, sys.N + 1):
                 direct = solve_lower_root(sys, k)
                 if direct is None:
                     assert k not in lower, (sys.N, k)
                     continue
-                e = lower[k]
-                assert (e.lam, e.residual, e.newton_iters) == direct[:3], (sys.N, k)
-                assert same_float(e.disk_radius, direct[3]), (sys.N, k)
+                e, r = lower[k], lower[k].disk_radius
+                assert (e.lam, e.residual, e.newton_iters) == direct, (sys.N, k)
+                if not np.isnan(r):
+                    _, reach, slope, exact_k = exact_rouche_terms(sys, e.lam, r)
+                    assert r <= 0.5 * reach, (sys.N, k)
+                    assert slope * r - abs(eval_f(sys, e.lam)) > r * r * exact_k, (sys.N, k)
+                if e.certified:
+                    assert np.count_nonzero(np.abs(dense - e.lam) < r) == 1, (sys.N, k)
             assert rep.k.tolist() == list(lower)
             for j, (k, mu) in enumerate(zip(rep.k.tolist(), rep.mu.tolist())):
                 radius = reference_radius(sys, k, mu, *root_values(sys, k, mu))
