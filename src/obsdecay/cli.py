@@ -168,10 +168,10 @@ class Pipeline:
     """Lazy pipeline state: stages are computed once, on first use.
 
     ``run(task)`` computes a stage, writes its artifacts, and returns
-    (exit code, result document, the text ``write_json`` wrote for that
-    document, or None when it is not written as it is).  A document's
-    tables are :class:`reports.Table` values, which only ``write_json``
-    encodes.  Prerequisite stages pulled in along the way do not emit files.
+    (exit code, report entry).  A task that writes a table names its file
+    in the entry beside its scalar results; a table-free document is the
+    entry itself.  Prerequisite stages pulled in along the way do not emit
+    files.
     """
 
     def __init__(self, config: RunConfig):
@@ -217,7 +217,7 @@ class Pipeline:
 
     # ---- task runners -----------------------------------------------------
 
-    def run(self, task: str) -> tuple[int, dict, Optional[str]]:
+    def run(self, task: str) -> tuple[int, dict]:
         runner = {
             "verify": self._task_verify,
             "localize": self._task_localize,
@@ -228,34 +228,35 @@ class Pipeline:
         }[task]
         return runner()
 
-    def _task_verify(self) -> tuple[int, dict, Optional[str]]:
+    def _task_verify(self) -> tuple[int, dict]:
         cert = self.assumptions
         doc = {
             "assumptions": cert.to_json_dict(),
             "coupling_sum": self.config.system.coupling_sum(),
             "coupling_sum_tail_bound": self.config.system.coupling_sum_tail_bound(),
         }
-        text = reports.write_json(self._out("assumptions.json"), doc)
-        return (EXIT_OK if cert.holds else EXIT_CHECK_FAILED), doc, text
+        reports.write_json(self._out("assumptions.json"), doc)
+        return (EXIT_OK if cert.holds else EXIT_CHECK_FAILED), doc
 
-    def _task_localize(self) -> tuple[int, dict, Optional[str]]:
+    def _task_localize(self) -> tuple[int, dict]:
         loc = self.localizations
         reports.write_localization_csv(loc, self._out("localization.csv"))
         doc = reports.localization_doc(loc)
-        text = reports.write_json(self._out("localization.json"), doc)
+        reports.write_json(self._out("localization.json"), doc)
         code = EXIT_OK
         if self.config.strict and loc.failures:
             code = EXIT_CHECK_FAILED
-        return code, doc, text
+        return code, {"file": "localization.json", "failed_modes": doc["failed_modes"]}
 
-    def _task_spectrum(self) -> tuple[int, dict, Optional[str]]:
+    def _task_spectrum(self) -> tuple[int, dict]:
         rep = self.spectrum
         reports.write_spectrum_csv(rep, self._out("spectrum.csv"))
         reports.write_spectrum_plot_csv(rep, self._out("spectrum_plot.csv"))
         reports.write_json(self._out("spectrum.json"), reports.spectrum_doc(rep))
         # each row is a conjugate pair with one certificate and one real part
         lams = rep.lam
-        doc = {
+        entry = {
+            "file": "spectrum.json",
             "count": 2 * lams.size,
             "certified": 2 * int(np.count_nonzero(rep.certified)),
             "complete": rep.complete,
@@ -264,7 +265,7 @@ class Pipeline:
             "max_re": float(np.max(lams.real)) if lams.size else None,
             "min_abs_re": float(np.min(np.abs(lams.real))) if lams.size else None,
         }
-        return (EXIT_OK if rep.complete else EXIT_CHECK_FAILED), doc, None
+        return (EXIT_OK if rep.complete else EXIT_CHECK_FAILED), entry
 
     def scan_bands(self) -> tuple[int, int]:
         """The axis scan's band range (k_min, k_max); ConfigError if it holds fewer than 3."""
@@ -277,7 +278,7 @@ class Pipeline:
                               f"3 bands the slope fit needs (N = {n})")
         return k_min, k_max
 
-    def _task_scan(self) -> tuple[int, dict, Optional[str]]:
+    def _task_scan(self) -> tuple[int, dict]:
         bands = self.scan_bands()  # a range too narrow is rejected before any stage runs
         scan = resolvent.axis_scan(self.config.system, self.spectrum, bands)
         cond = None
@@ -289,18 +290,19 @@ class Pipeline:
         checks = resolvent.segment_bound_checks(scan, self.localizations, cond)
         reports.write_axis_scan_csv(scan, self._out("axis_scan.csv"))
         doc = reports.axis_scan_doc(scan, checks, alpha_expected=self.alpha)
-        text = reports.write_json(self._out("axis_scan.json"), doc)
-        return EXIT_OK, doc, text
+        reports.write_json(self._out("axis_scan.json"), doc)
+        summary = ("slope", "intercept", "r2", "alpha_expected", "segment_bounds_ok")
+        return EXIT_OK, {"file": "axis_scan.json", **{key: doc[key] for key in summary}}
 
-    def _task_envelope(self) -> tuple[int, dict, Optional[str]]:
+    def _task_envelope(self) -> tuple[int, dict]:
         tol = self.config.tolerances
         t_grid = np.geomspace(tol.envelope_t_lo, tol.envelope_t_hi, tol.envelope_points)
         fit = dynamics.decay_envelope(self.config.system, self.spectrum, t_grid)
         doc = fit.to_json_dict()
-        text = reports.write_json(self._out("envelope.json"), doc)
-        return EXIT_OK, doc, text
+        reports.write_json(self._out("envelope.json"), doc)
+        return EXIT_OK, doc
 
-    def _task_simulate(self) -> tuple[int, dict, Optional[str]]:
+    def _task_simulate(self) -> tuple[int, dict]:
         tol = self.config.tolerances
         config = self.config
         eps0 = dynamics.domain_initial_state(config.system, config.seed)
@@ -314,8 +316,8 @@ class Pipeline:
         )
         doc = fit.to_json_dict()
         doc["monotone_decay"] = bool(np.all(np.diff(traj.norm) <= 1e-9 * traj.norm[0]))
-        text = reports.write_json(self._out("trajectory_fit.json"), doc)
-        return EXIT_OK, doc, text
+        reports.write_json(self._out("trajectory_fit.json"), doc)
+        return EXIT_OK, doc
 
     # ---- consolidated report ----------------------------------------------
 
@@ -331,20 +333,17 @@ class Pipeline:
             "tolerances": self.config.tolerances.to_json_dict(),
             "tasks": tasks,
         }
-        written: dict = {}  # task documents already encoded into their own files
         worst = EXIT_OK
         key_map = {"verify": "assumptions", "localize": "localization",
                    "spectrum": "spectrum", "resolvent-scan": "axis_scan",
                    "envelope": "envelope", "simulate": "trajectory"}
         for task in (t for t in ALL_TASKS if t in tasks):
             try:
-                code, doc, text = self.run(task)
+                code, entry = self.run(task)
             except STAGE_ERRORS as exc:  # ConfigErrors come before any stage runs
-                code, doc, text = EXIT_CHECK_FAILED, {"error": str(exc)}, None
+                code, entry = EXIT_CHECK_FAILED, {"error": str(exc)}
             worst = max(worst, code)
-            results[key_map[task]] = doc
-            if text is not None:
-                written[key_map[task]] = text
+            results[key_map[task]] = entry
 
         dump_q = self.config.tolerances.dump_q
         if "simulate" in tasks or dump_q or ("spectrum" in tasks and self.spectrum.complete):
@@ -360,7 +359,7 @@ class Pipeline:
         results["pass"] = all(c["pass"] for c in checks.values() if not c.get("skipped"))
         if not results["pass"]:
             worst = max(worst, EXIT_CHECK_FAILED)
-        reports.write_json(self._out("report.json"), {**results, **written})
+        reports.write_json(self._out("report.json"), results)
         self._print_summary(results)
         return worst, results
 

@@ -5,8 +5,11 @@ timestamps.  JSON artifacts are strict JSON, with the layout of
 ``json.dumps(indent=2, sort_keys=True)``: keys are sorted as strings, tuples
 and arrays become lists, numpy scalars their Python values, a complex number
 ``[re, im]``, finite floats their repr and every non-finite float ``null``.
-``report.json`` embeds each task document verbatim, with the text of that
-task's own file re-indented.
+``report.json`` follows one rule for every task: a task that writes a table
+(localization, spectrum, axis scan) has an entry of its scalar results and
+the name of its file, and a table-free document (assumptions, envelope,
+trajectory fit) is embedded as data.  A stage that failed has the entry
+``{"error": ...}``.
 
 The tables of the pipeline's reports -- the certificates of
 ``localization.json``, the roots of ``spectrum.json``, and the bands, suprema
@@ -91,18 +94,13 @@ def atomic_write(path: str, data: bytes) -> None:
         raise
 
 
-class _Encoded(str):
-    """JSON text that :func:`write_json` wrote, trailing newline included.
-
-    As a value inside a later document it is embedded verbatim (re-indented
-    to its depth) instead of being encoded again as a JSON string.
-    """
+class _Slot:
+    """One slot of a row layout (see :func:`_table_rows`): it encodes to ``%s``."""
 
     __slots__ = ()
 
 
-# encodes to ``%s``: one slot of a row layout (see _table_rows)
-_SLOT = _Encoded("%s\n")
+_SLOT = _Slot()
 
 
 class Table:
@@ -131,6 +129,7 @@ _SCALARS = {
     bool: {True: "true", False: "false"}.__getitem__,
     str: encode_basestring_ascii,
     type(None): lambda _: "null",
+    _Slot: lambda _: "%s",
 }
 
 
@@ -156,9 +155,6 @@ def _encode(obj, nl: str) -> str:
         if not parts:
             return "[]"
         return "[" + inner + ("," + inner).join(parts) + nl + "]"
-    if isinstance(obj, _Encoded):
-        # an encoded string holds no raw newline, so every one is layout
-        return obj[:-1].replace("\n", nl)
     if isinstance(obj, str):
         return encode_basestring_ascii(obj)
     if isinstance(obj, (float, np.floating)):
@@ -194,15 +190,9 @@ def _table_rows(table: Table, nl: str) -> list[str]:
     return list(map(template.__mod__, zip(*columns)))
 
 
-def write_json(path: str, doc: dict) -> str:
-    """Write ``doc`` as strict JSON (see the module docstring); return the text.
-
-    The returned text, placed as a value in a later document, is embedded
-    there verbatim instead of being encoded again.
-    """
-    text = _Encoded(_encode(doc, "\n") + "\n")
-    atomic_write(path, text.encode())
-    return text
+def write_json(path: str, doc: dict) -> None:
+    """Write ``doc`` as strict JSON (see the module docstring)."""
+    atomic_write(path, (_encode(doc, "\n") + "\n").encode())
 
 
 # ---- formatted report columns ------------------------------------------------

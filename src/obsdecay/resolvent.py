@@ -31,6 +31,7 @@ certified-cap checks are held as read-only columns.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -56,10 +57,12 @@ def apply_resolvent(sys: SystemSpec, lam: complex, rhs: StateVector) -> StateVec
 
     Valid for any lam in the resolvent set, the mode frequencies
     ``lam = +/- i omega_k`` included: one formula in local coordinates at
-    the nearest pole covers every point.  Raises for lam = 0 and for lam
-    numerically at an eigenvalue.
+    the nearest pole covers every point.  Raises for lam = 0 or not finite
+    and for lam numerically at an eigenvalue.
     """
     lam = complex(lam)
+    if not cmath.isfinite(lam):
+        raise ValueError(f"lam = {lam} is not finite")
     if lam == 0:
         raise PoleError("the resolvent is not evaluated at lam = 0")
     if rhs.n_modes != sys.N:

@@ -159,9 +159,12 @@ def _block_sums(sys: SystemSpec, z: np.ndarray) -> list:
     return sums
 
 
-def _anchors(sys: SystemSpec, ks) -> np.ndarray:
-    """``ks`` as a flat int array; raises ValueError unless each is a mode in ``1..N``."""
+def _anchors(sys: SystemSpec, ks, mu: np.ndarray) -> np.ndarray:
+    """``ks`` as a flat int array; raises ValueError unless each is a mode in ``1..N``
+    and there is one per offset in ``mu``."""
     ks = np.asarray(ks, dtype=int).reshape(-1)
+    if ks.size != mu.size:
+        raise ValueError(f"{mu.size} offsets for {ks.size} anchors: each offset needs one anchor")
     if ks.size and (ks.min() < 1 or ks.max() > sys.N):
         raise ValueError(f"anchors must be modes in [1, {sys.N}], got {ks.min()} to {ks.max()}")
     return ks
@@ -171,17 +174,18 @@ def eval_f(sys: SystemSpec, mu, ks) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """f, f' and ``S = sum_a |res_a/(lam - a)|`` at ``lam = i omega_k + mu``, per (mu, k).
 
     Each ``mu`` is an offset from the pole ``i omega_k`` of its anchor in
-    ``ks``, a mode in ``1..N`` (else ValueError).  Over the ``2N + 1`` poles
-    ``a`` (0 and ``+/- i omega_j``), ``t_a = 1/(lam - a)`` is numpy's complex
-    reciprocal of ``mu + shift`` (:func:`_pole_offsets`), f is ``sum_a res_a
-    t_a``, f' is ``-sum_a res_a t_a^2`` and S sums the moduli of the terms;
+    ``ks``, a mode in ``1..N`` (else ValueError, as for unequal lengths).
+    Over the ``2N + 1`` poles ``a`` (0 and ``+/- i omega_j``),
+    ``t_a = 1/(lam - a)`` is numpy's complex reciprocal of ``mu + shift``
+    (:func:`_pole_offsets`), f is ``sum_a res_a t_a``, f' is
+    ``-sum_a res_a t_a^2`` and S sums the moduli of the terms;
     :func:`rounding_bound` bounds the rounding error of f by S.  The own
     shift is exactly 0, so the own-pole term is ``(c_k^2/omega_k)/mu``, as
     precise as ``mu`` itself.  Each row sums the same terms in the same order
     in any batch, so a point gets the same values in every batch.
     """
     mu = np.asarray(mu, dtype=complex).reshape(-1)
-    parts = [_block_sums(sys, z) for _, z in _pole_offsets(sys, _anchors(sys, ks), mu)]
+    parts = [_block_sums(sys, z) for _, z in _pole_offsets(sys, _anchors(sys, ks, mu), mu)]
     return tuple(parts[0] if len(parts) == 1 else (np.concatenate(p) for p in zip(*parts)))
 
 
@@ -205,9 +209,10 @@ def newton_roots(sys: SystemSpec, ks, mu, max_iters: int = NEWTON_MAX_ITERS
 
     Element i iterates the offset ``mu[i]`` of ``lam`` from the pole ``i
     omega_k`` of its anchor ``k = ks[i]``, a mode in ``1..N`` (else
-    ValueError).  The step is Newton's for ``p f``, ``p(lam) = lam (lam - i
-    omega_k)(lam + i omega_k)``, which clears the origin, the own pole and
-    its mirror: ``-f / (f' + f (1/mu + 1/lam + 1/(mu + 2i omega_k)))``.  Each element
+    ValueError, as for unequal lengths).  The step is Newton's for ``p f``,
+    ``p(lam) = lam (lam - i omega_k)(lam + i omega_k)``, which clears the
+    origin, the own pole and its mirror:
+    ``-f / (f' + f (1/mu + 1/lam + 1/(mu + 2i omega_k)))``.  Each element
     follows the scalar rules: it stops once ``|f| <= (2N + 4) u S``, where S
     is the sum of the moduli of f's terms at the iterate and u the unit
     roundoff; otherwise its step is halved (up to NEWTON_MAX_HALVINGS times)
@@ -230,8 +235,8 @@ def newton_roots(sys: SystemSpec, ks, mu, max_iters: int = NEWTON_MAX_ITERS
     None; a failed element does not stop the others, and its offset,
     residual, bound and derivative are NaN.
     """
-    ks = _anchors(sys, ks)
     mu = np.array(mu, dtype=complex).reshape(-1)
+    ks = _anchors(sys, ks, mu)
     n = mu.size
     root, deriv = np.full(n, complex(np.nan, np.nan)), np.full(n, complex(np.nan, np.nan))
     resid, scale = np.full(n, np.nan), np.full(n, np.nan)

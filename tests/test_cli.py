@@ -433,38 +433,58 @@ class TestReportVerb:
                      "trajectory.csv", "trajectory_fit.json", "envelope.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
-    def test_task_documents_embedded_as_written(self, tmp_path, monkeypatch):
-        cfg = write_config(tmp_path / "all.json", {
-            "gamma": 1.0,
-            "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 8},
-            "seed": 4,
-            "tolerances": {"sim_t_final": 4.0, "sim_points": 30},
-        })
-        calls = {}
-        write_json = reports.write_json
+    def test_report_entries_name_their_files(self, tmp_path, monkeypatch):
+        # each task's entry holds its scalar results and the name of the file it
+        # wrote, or is its table-free document; no entry copies a table
+        embedded = {"assumptions": "assumptions.json", "envelope": "envelope.json",
+                    "trajectory": "trajectory_fit.json"}
+        beam8 = {"gamma": 1.0, "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 8},
+                 "seed": 4, "tolerances": {"sim_t_final": 4.0, "sim_points": 30}}
+        beam64 = {"gamma": 1.0, "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 64},
+                  "seed": 11,
+                  "tasks": ["verify", "localize", "spectrum", "resolvent-scan", "envelope"]}
 
-        def recording(path, doc):
-            text = write_json(path, doc)
-            calls[os.path.basename(path)] = (doc, text)
-            return text
+        def report(name, doc, code):
+            out = tmp_path / name
+            assert main(["report", "--config", write_config(tmp_path / f"{name}.json", doc),
+                         "--out", str(out)]) == code
+            return out, json.loads((out / "report.json").read_text())
 
-        monkeypatch.setattr(reports, "write_json", recording)
-        out = tmp_path / "out"
-        assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        report = (out / "report.json").read_text()
-        files = {"assumptions": "assumptions.json", "localization": "localization.json",
-                 "axis_scan": "axis_scan.json", "envelope": "envelope.json",
-                 "trajectory": "trajectory_fit.json"}
-        for key, name in files.items():
-            text = (out / name).read_text()
-            entry = f'\n  "{key}": ' + text[:-1].replace("\n", "\n  ")
-            assert entry + ",\n" in report or report.endswith(entry + "\n}\n"), key
-            # handed over as the written text, not encoded a second time
-            assert calls["report.json"][0][key] is calls[name][1]
-        # spectrum.json holds every root; report.json only its summary
-        assert set(json.loads(report)["spectrum"]) == {
-            "count", "certified", "complete", "failures", "enclosure_defect", "max_re",
-            "min_abs_re"}
+        def lists(obj):
+            if isinstance(obj, dict):
+                return [x for v in obj.values() for x in lists(v)]
+            return [obj, *(x for v in obj for x in lists(v))] if isinstance(obj, list) else []
+
+        def check_rule(out, doc, n, refused=()):
+            keys = {"verify": "assumptions", "localize": "localization", "spectrum": "spectrum",
+                    "resolvent-scan": "axis_scan", "envelope": "envelope",
+                    "simulate": "trajectory"}
+            for key in refused:
+                assert doc[key] == {"error": "refused on purpose"}, key
+            for key in (keys[task] for task in doc["tasks"] if keys[task] not in refused):
+                entry = doc[key]
+                if "file" in entry:
+                    written = json.loads((out / entry["file"]).read_text())
+                    shared = set(entry) & set(written)
+                    assert shared, key
+                    assert {k: entry[k] for k in shared} == {k: written[k] for k in shared}, key
+                else:
+                    assert entry == json.loads((out / embedded[key]).read_text()), key
+            assert max(map(len, lists(doc))) < n
+
+        out, doc = report("beam8", beam8, EXIT_OK)
+        assert doc["tasks"] == [t for t in ALL_TASKS if t != "report"]
+        assert {doc[key]["file"] for key in ("localization", "spectrum", "axis_scan")} == {
+            "localization.json", "spectrum.json", "axis_scan.json"}
+        check_rule(out, doc, 8)
+        check_rule(*report("beam64", beam64, EXIT_OK), 64)
+
+        def refused(*args, **kwargs):
+            raise modal.BasisError("refused on purpose")
+
+        monkeypatch.setattr(modal, "build_basis", refused)
+        check_rule(*report("refused", beam8, EXIT_CHECK_FAILED), 8,
+                   refused=("basis", "trajectory"))
 
     def test_seed_flag_changes_trajectory(self, beam8_config, tmp_path):
         out1, out2 = tmp_path / "s1", tmp_path / "s2"

@@ -72,13 +72,12 @@ def reference_json(doc) -> str:
 
 
 def written(doc) -> str:
-    """Text of ``write_json``'s file for ``doc``, checked against its return value."""
+    """Text of ``write_json``'s file for ``doc``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "doc.json")
-        text = write_json(path, doc)
+        write_json(path, doc)
         with open(path, encoding="ascii") as handle:
-            assert handle.read() == text
-    return text
+            return handle.read()
 
 
 def reject_constant(name):
@@ -231,12 +230,6 @@ class TestJsonable:
         plain = [{"a": [1, np.float64(2.0)], "b": (True, None)}, {"b": (False, None), "a": [3, 4.0]}]
         doc = {"rows": rows, "plain": plain, "swapped": [rows[1], rows[0]], "one": rows[:1]}
         assert written(doc) == reference_json(doc)
-
-    def test_written_text_is_embedded_reindented(self):
-        inner = written({"b": [1.0, {"c": "x\ny"}], "a": {}})
-        outer = written({"doc": inner, "k": [inner]})
-        plain = {"b": [1.0, {"c": "x\ny"}], "a": {}}
-        assert outer == reference_json({"doc": plain, "k": [plain]})
 
     def test_unknown_type_rejected(self):
         with pytest.raises(TypeError):

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import math
 import pickle
 
 import numpy as np
@@ -310,6 +311,16 @@ class TestApplyResolvent:
     def test_origin_rejected(self, beam4):
         with pytest.raises(PoleError):
             apply_resolvent(beam4, 0.0, StateVector.zero(4))
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("lam", [complex(math.nan, 0.0), complex(math.inf, 1.0),
+                                     1j * math.inf], ids=["nan", "inf+1j", "1j*inf"])
+    def test_non_finite_lam_rejected(self, lam):
+        # unchecked, the pole sums warn three times and StateVector then blames
+        # the state for the non-finite entries
+        rhs = random_state(5, np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"^lam = .* is not finite$"):
+            apply_resolvent(beam_example(1.0, 1.0, 5), lam, rhs)
 
     def test_dimension_mismatch(self, beam4):
         with pytest.raises(ValueError):

@@ -507,6 +507,17 @@ class TestNewtonRootsParity:
         with pytest.raises(ValueError, match=message):
             newton_roots(sys, [1, bad], [0.1, 0.1])
 
+    def test_offsets_and_anchors_of_different_lengths_rejected(self):
+        # unchecked, eval_f would broadcast one offset over two anchors and
+        # newton_roots would raise a bare IndexError from a boolean mask
+        sys = beam_example(1.0, 1.0, 5)
+        with pytest.raises(ValueError, match="1 offsets for 2 anchors"):
+            spectrum.eval_f(sys, [0.1], [1, 2])
+        with pytest.raises(ValueError, match="2 offsets for 1 anchors"):
+            spectrum.eval_f(sys, [0.1, 0.2], [1])
+        with pytest.raises(ValueError, match="1 offsets for 2 anchors"):
+            newton_roots(sys, [1, 2], [0.1])
+
 
 class TestWindingNumber:
     def test_certified_disk_encloses_one_root(self, beam23):
