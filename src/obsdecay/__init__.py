@@ -15,24 +15,18 @@ from .charfn import (
     PoleError,
     estimate_M,
     eval_F,
-    eval_f,
-    eval_f_prime,
     localize,
-    rouche_margin,
 )
 from .dynamics import (
     DecayFit,
     ErrorTrajectory,
     IntegrationError,
-    ObserverSetup,
-    ObserverTrajectory,
     apply_generator,
     decay_envelope,
     decay_fit_trajectory,
     dense_generator,
     domain_initial_state,
     simulate_error,
-    simulate_observer,
 )
 from .modal import (
     BasisError,
@@ -66,7 +60,7 @@ from .spectrum import (
     newton_root,
     winding_number,
 )
-from .state import RealState, StateVector
+from .state import StateVector
 
 __version__ = "0.1.0"
 
@@ -83,10 +77,7 @@ __all__ = [
     "LocalizationError",
     "ModalBasis",
     "NewtonError",
-    "ObserverSetup",
-    "ObserverTrajectory",
     "PoleError",
-    "RealState",
     "ResidualError",
     "SpectrumProximityError",
     "SpectrumReport",
@@ -109,14 +100,10 @@ __all__ = [
     "enclosure_radius",
     "estimate_M",
     "eval_F",
-    "eval_f",
-    "eval_f_prime",
     "full_spectrum",
     "localize",
     "newton_root",
-    "rouche_margin",
     "segment_bound_checks",
     "simulate_error",
-    "simulate_observer",
     "winding_number",
 ]

@@ -21,6 +21,8 @@ the poles ``a != i omega_k`` of f, ``d_a = |i omega_k - a|``, because every
 term of f is a simple pole (see :func:`estimate_M`).  The certificate also
 records whether the disk stays a fixed fraction away from the imaginary axis.
 
+f itself is evaluated in one place, :func:`obsdecay.spectrum.eval_f`, in
+pole-local coordinates; this module works with its expansion at each pole.
 ``F(i omega_k)``, ``F'(i omega_k)`` and ``F''(i omega_k)`` of every mode are
 formed once per system (:attr:`~obsdecay.model.SystemSpec.linearization`),
 and the disks of a batch of modes come back as the columns of a
@@ -43,7 +45,6 @@ from .model import SystemSpec, _without_own
 
 R1_FRACTION = 0.9
 THETA_FRACTION_DEFAULT = 0.5
-ROUCHE_MARGIN_SAMPLES = 64
 
 
 class PoleError(ValueError):
@@ -173,58 +174,14 @@ def _check_poles(sys: SystemSpec, lam: np.ndarray, exclude_center: int | None = 
         raise PoleError("characteristic function has a pole at +/- i*omega_j")
 
 
-def eval_f(sys: SystemSpec, lam):
-    """Characteristic function f(lam); scalar or vectorized over lam.
-
-    Summation order is fixed (ascending mode index), so results are
-    bitwise reproducible.
-    """
-    arr, scalar = _as_complex_array(lam)
-    _check_poles(sys, arr)
-    iw = sys.iw
-    L = arr[..., None]
-    # c2_over_w * (1/(L - iw) - 1/(L + iw)), in two reused temporaries
-    terms = np.subtract(L, iw)
-    np.divide(1.0, terms, out=terms)
-    lower = np.add(L, iw)
-    np.divide(1.0, lower, out=lower)
-    np.subtract(terms, lower, out=terms)
-    np.multiply(sys.c2_over_w, terms, out=terms)
-    val = terms.sum(axis=-1) + 2j / (sys.gamma * arr)
-    return complex(val) if scalar else val
-
-
-def _square(x: np.ndarray) -> np.ndarray:
-    """``x ** 2``, in place when ``x`` has two or more elements.
-
-    numpy squares a lone complex element in place by another loop than
-    ``x ** 2`` uses, and the two can round differently.
-    """
-    return np.square(x, out=x if x.size > 1 else None)
-
-
-def eval_f_prime(sys: SystemSpec, lam):
-    """Derivative f'(lam); scalar or vectorized over lam."""
-    arr, scalar = _as_complex_array(lam)
-    _check_poles(sys, arr)
-    iw = sys.iw
-    L = arr[..., None]
-    # c2_over_w * (-1/(L - iw)**2 + 1/(L + iw)**2), in two reused temporaries
-    terms = _square(np.subtract(L, iw))
-    np.divide(-1.0, terms, out=terms)
-    lower = _square(np.add(L, iw))
-    np.divide(1.0, lower, out=lower)
-    np.add(terms, lower, out=terms)
-    np.multiply(sys.c2_over_w, terms, out=terms)
-    val = terms.sum(axis=-1) - 2j / (sys.gamma * arr**2)
-    return complex(val) if scalar else val
-
-
 def eval_F(ctx: CharContext, lam):
     """Pole-cleared product F(lam) = (lam - i omega_k) f(lam).
 
     Evaluated in the regrouped form whose k-th term is
-    ``2i c_k^2 / (lam + i omega_k)``, finite at the center i*omega_k.
+    ``2i c_k^2 / (lam + i omega_k)``, finite at the center i*omega_k.  Only
+    the test oracles call it; it stays here because ``bench/spans.py``
+    patches it by name for its ``charfn.eval_F.points`` counter, until that
+    counter goes (ROADMAP item 1).
     """
     sys = ctx.sys
     arr, scalar = _as_complex_array(lam)
@@ -490,18 +447,3 @@ def localize(ctx: CharContext,
     if rep.failures:
         raise LocalizationError(rep.failures[ctx.k])
     return rep.certificates[ctx.k]
-
-
-def rouche_margin(ctx: CharContext, cert: LocalizationCertificate) -> float:
-    """Smallest value of |g| - |r| on the enclosure circle.
-
-    ``g`` is the linear part of F at the center, ``r = F - g`` the remainder.
-    A positive margin is the dominance hypothesis behind the one-zero
-    enclosure, checked directly at the sampled contour points.
-    """
-    t = 2.0 * np.pi * np.arange(ROUCHE_MARGIN_SAMPLES) / ROUCHE_MARGIN_SAMPLES
-    lam = cert.lambda_star + cert.Rk * np.exp(1j * t)
-    shift = lam - ctx.center
-    g = cert.F0 + shift * cert.F1
-    r = eval_F(ctx, lam) - g
-    return float(np.min(np.abs(g) - np.abs(r)))

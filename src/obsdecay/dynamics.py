@@ -1,4 +1,4 @@
-"""Error dynamics: exact modal propagation, observer co-simulation, decay fits.
+"""Error dynamics: exact modal propagation and decay fits.
 
 The complex error state evolves by ``d(eps)/dt = A eps`` where A couples a
 skew diagonal (the mode oscillations) with a rank-one damping term fed by
@@ -6,25 +6,24 @@ the scalar output mismatch.  A is diagonalized by the explicit eigenbasis,
 ``A = Q G Q^{-1}``, so the error trajectory is evaluated in closed form as
 ``Q exp(G t) Q^{-1} eps0`` and cross-checked against a matrix exponential
 that does not use the eigenbasis: the scaling-and-squaring degree-13 Padé
-approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), in numpy alone,
-so neither importing this module nor simulating the error loads scipy.
-Only the plant/observer co-simulation, whose control ``u(t)`` is
-arbitrary, is integrated numerically (``scipy.integrate``, on first use).
-Norms contract along every trajectory (the damping is negative
-semidefinite), and for well-spread mode families the decay of smooth
-initial data is polynomial, not exponential, over the window where the
-finite truncation is faithful.
+approximant (Higham, SIAM J. Matrix Anal. Appl. 26, 2005), in numpy alone.
+The plant/observer co-simulation, whose control ``u(t)`` is arbitrary and
+which is integrated numerically, is a test oracle (``tests/oracles.py``):
+it checks that this error equation is the observer's error.  Norms
+contract along every trajectory (the damping is negative semidefinite),
+and for well-spread mode families the decay of smooth initial data is
+polynomial, not exponential, over the window where the finite truncation
+is faithful.
 
 Norm convention: the complex norm equals sqrt(2) times the real-form norm
-(see state.py); all real/complex comparisons in this module honor that
-factor.
+(see state.py).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -32,11 +31,8 @@ from .fitting import loglog_fit
 from .modal import build_basis
 from .model import SystemSpec
 from .spectrum import full_spectrum
-from .state import RealState, StateVector
+from .state import StateVector
 
-RTOL_DEFAULT = 1e-9
-ATOL_DEFAULT = 1e-12
-MAX_STEP_OMEGA_FRACTION = 0.5
 MODAL_CROSSCHECK_RTOL = 1e-6
 TRUNCATION_WINDOW_FRACTION = 0.1
 FIT_MIN_DECADES = 1.5
@@ -53,8 +49,8 @@ PADE13_THETA = 5.371920351148152
 
 
 class IntegrationError(RuntimeError):
-    """A simulation failed: the observer co-simulation stalled, or the modal
-    solution disagrees with the independent matrix exponential."""
+    """A simulation failed: the modal solution disagrees with the independent
+    matrix exponential (or the test oracles' co-simulation stalled)."""
 
 
 class FitError(ValueError):
@@ -183,100 +179,18 @@ def simulate_error(sys: SystemSpec, eps0: StateVector, t_grid,
     return ErrorTrajectory(t=t, norm=norms, states=states)
 
 
-@dataclass(frozen=True)
-class ObserverSetup:
-    """Plant/observer pair configuration.
-
-    The output-injection gains are fully determined by the system
-    (f_j = gamma c_j on the displacement block, zero on the velocity block).
-    ``B1`` maps the control vector into the velocity equations; ``u`` is a
-    callable t -> control vector, or None for the unforced plant.
-    """
-
-    sys: SystemSpec
-    B1: Optional[np.ndarray] = None
-    u: Optional[Callable[[float], np.ndarray]] = None
-
-    def __post_init__(self):
-        if self.B1 is not None:
-            b1 = np.atleast_2d(np.asarray(self.B1, dtype=float))
-            if b1.shape[0] != self.sys.N:
-                raise ValueError(f"B1 must have {self.sys.N} rows, got {b1.shape[0]}")
-            object.__setattr__(self, "B1", b1)
-        if self.u is not None and self.B1 is None:
-            raise ValueError("a control signal requires an actuator matrix B1")
-
-
-@dataclass(frozen=True)
-class ObserverTrajectory:
-    """Co-simulation record: error, plant and observer norms over time."""
-
-    t: np.ndarray
-    error_norm: np.ndarray
-    plant_norm: np.ndarray
-    observer_norm: np.ndarray
-
-
 def solve_ivp(*args, **kwargs):
     """``scipy.integrate.solve_ivp``, imported on first call.
 
-    Only the observer co-simulation integrates, so ``import obsdecay`` does
-    not pay for loading ``scipy.integrate``.
+    Only the test oracles call it, for the observer co-simulation; it stays
+    here because ``bench/spans.py`` patches it by name for its
+    ``dynamics.rhs_evals`` counter, until that counter goes (ROADMAP item 1).
+    scipy is not a runtime dependency, and nothing else in the package
+    imports it.
     """
     from scipy.integrate import solve_ivp as scipy_solve_ivp
 
     return scipy_solve_ivp(*args, **kwargs)
-
-
-def simulate_observer(setup: ObserverSetup, z0: RealState, ztilde0: RealState,
-                      t_grid, rtol: float = RTOL_DEFAULT,
-                      atol: float = ATOL_DEFAULT) -> ObserverTrajectory:
-    """Co-integrate the plant and its observer in real coordinates.
-
-    The reported error norm is the real-form l2 norm of z - ztilde; it equals
-    the complex-form norm of the same error divided by sqrt(2).  The control
-    enters plant and observer identically, so the error trace is independent
-    of u.
-    """
-    sys = setup.sys
-    n = sys.N
-    if z0.n_modes != n or ztilde0.n_modes != n:
-        raise ValueError("initial states must match the system size")
-    t = _check_t_grid(t_grid)
-    w = sys.omegas
-    c = sys.cs
-    gamma_c = sys.gamma * c
-    b1 = setup.B1
-    u = setup.u
-
-    def rhs(tt, y):
-        xi, eta, xi_o, eta_o = np.split(y, 4)
-        force = b1 @ np.atleast_1d(u(tt)) if u is not None else 0.0
-        y_meas = np.dot(c, xi)
-        d_xi = w * eta
-        d_eta = -w * xi + force
-        d_xi_o = w * eta_o + gamma_c * (y_meas - np.dot(c, xi_o))
-        d_eta_o = -w * xi_o + force
-        return np.concatenate([d_xi, d_eta, d_xi_o, d_eta_o])
-
-    y0 = np.concatenate([z0.Delta, z0.delta, ztilde0.Delta, ztilde0.delta])
-    sol = solve_ivp(
-        rhs, (0.0, float(t[-1])), y0, method="RK45", t_eval=t,
-        rtol=rtol, atol=atol, max_step=MAX_STEP_OMEGA_FRACTION / float(w[-1]),
-    )
-    if not sol.success:
-        reached = sol.t[-1] if sol.t.size else 0.0
-        raise IntegrationError(f"co-simulation stalled at t = {reached}: {sol.message}")
-    blocks = np.split(sol.y, 4, axis=0)
-    plant = np.vstack([blocks[0], blocks[1]])
-    obs = np.vstack([blocks[2], blocks[3]])
-    err = plant - obs
-    return ObserverTrajectory(
-        t=t,
-        error_norm=np.linalg.norm(err, axis=0),
-        plant_norm=np.linalg.norm(plant, axis=0),
-        observer_norm=np.linalg.norm(obs, axis=0),
-    )
 
 
 @dataclass(frozen=True)

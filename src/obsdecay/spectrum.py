@@ -36,8 +36,9 @@ computed value plus the rounding bound of :func:`eval_f`.  The report is
 ``complete`` when every mode is found and every root
 certified; f has exactly 2N zeros, so 2N disjoint one-zero disks prove the
 spectrum complete and simple (up to rounding in the computed ``|f'|`` and
-``K0``).  The contour count :func:`winding_number` and a dense eigenvalue
-solve (in the tests) are independent oracles.
+``K0``).  The contour count :func:`winding_number`, an argument-principle
+integral of the same :func:`eval_f`, and a dense eigenvalue solve (in the
+tests) are independent checks of the disks.
 
 A :class:`SpectrumReport` stores one row per found mode, as read-only
 column arrays over the upper roots: ``mu``, from which the basis numbers of
@@ -60,7 +61,6 @@ from typing import Optional
 
 import numpy as np
 
-from . import charfn
 from .charfn import PoleError, _freeze_columns, newton_seed_offsets
 from .model import SystemSpec, _read_only
 
@@ -391,9 +391,12 @@ def winding_number(sys: SystemSpec, disk: tuple[complex, float]) -> int:
 
     Trapezoidal contour integration of f'/f over the circle, with the sample
     count doubled from WINDING_SAMPLES_INIT until the value sits within 1e-6
-    of an integer.  The disk
-    boundary must stay away from zeros and poles of f (guarded by the sampled
-    minimum of |f|).
+    of an integer.  f and f' come from :func:`eval_f`, each sample anchored
+    at the upper pole ``i omega_k`` nearest it; a sample below the real axis
+    is taken at its mirror, with ``f(lam) = -conj f(conj lam)`` and ``f'(lam)
+    = -conj f'(conj lam)``.  The disk boundary must stay away from zeros and
+    poles of f: a sample where f or f' is not finite (at a pole or beside
+    one), or a sampled ``|f| <= CONTOUR_MIN_ABS_F``, raises :class:`PoleError`.
     """
     center, radius = complex(disk[0]), float(disk[1])
     if radius <= 0.0:
@@ -403,13 +406,21 @@ def winding_number(sys: SystemSpec, disk: tuple[complex, float]) -> int:
         t = 2.0 * np.pi * np.arange(m) / m
         unit = np.exp(1j * t)
         lam = center + radius * unit
-        fv = charfn.eval_f(sys, lam)
+        lower = lam.imag < 0.0
+        z = np.where(lower, lam.conj(), lam)
+        ks = nearest_mode(sys.omegas, z.imag) + 1
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # caught below
+            fv, dv, _ = eval_f(sys, z - 1j * sys.omegas[ks - 1], ks)
+        bad = ~(np.isfinite(fv) & np.isfinite(dv))
+        if bad.any():
+            raise PoleError(f"contour passes through a pole of f at {complex(lam[bad][0])}")
+        fv, dv = np.where(lower, -fv.conj(), fv), np.where(lower, -dv.conj(), dv)
         min_abs = float(np.min(np.abs(fv)))
         if min_abs <= CONTOUR_MIN_ABS_F:
             raise PoleError(
                 f"contour touches a zero or pole of f (min sampled |f| = {min_abs:.3e})"
             )
-        val = np.sum(charfn.eval_f_prime(sys, lam) / fv * unit) * radius / m
+        val = np.sum(dv / fv * unit) * radius / m
         nearest = round(val.real)
         if abs(val - nearest) < WINDING_INT_TOL:
             return int(nearest)

@@ -1,14 +1,16 @@
-"""Complex and real state vectors for the modal error dynamics.
+"""The complex state vector of the modal error dynamics.
 
 The error state lives in two equivalent coordinate systems:
 
 * complex form ``(q, p)`` with ``q_j = Delta_j + i delta_j`` and
-  ``p_j = Delta_j - i delta_j``;
-* real form ``(Delta, delta)`` (displacement / velocity error pairs).
+  ``p_j = Delta_j - i delta_j``, the package's :class:`StateVector`;
+* real form ``(Delta, delta)`` (displacement / velocity error pairs), in
+  which the tests' plant/observer co-simulation runs (``RealState`` in
+  ``tests/oracles.py``).
 
 Norms are plain l2 x l2.  Under the identification above the complex norm
 picks up a fixed factor: ``|q_j|^2 + |p_j|^2 = 2 (Delta_j^2 + delta_j^2)``,
-so ``norm(StateVector) = sqrt(2) * norm(RealState)``.  Every consumer that
+so the complex norm is ``sqrt(2)`` times the real one.  Every consumer that
 compares the two forms must account for that sqrt(2).
 """
 
@@ -79,32 +81,3 @@ class StateVector:
     @staticmethod
     def zero(n: int) -> "StateVector":
         return StateVector(q=np.zeros(n, dtype=complex), p=np.zeros(n, dtype=complex))
-
-
-@dataclass(frozen=True)
-class RealState:
-    """Real modal error state: displacement errors Delta, velocity errors delta."""
-
-    Delta: np.ndarray
-    delta: np.ndarray
-
-    def __post_init__(self):
-        D = np.asarray(self.Delta, dtype=float)
-        d = np.asarray(self.delta, dtype=float)
-        if D.ndim != 1 or d.ndim != 1 or D.shape != d.shape:
-            raise ValueError("Delta and delta must be 1-d arrays of equal length")
-        if not (np.all(np.isfinite(D)) and np.all(np.isfinite(d))):
-            raise ValueError("state entries must be finite")
-        object.__setattr__(self, "Delta", D)
-        object.__setattr__(self, "delta", d)
-
-    @property
-    def n_modes(self) -> int:
-        return self.Delta.size
-
-    def norm(self) -> float:
-        return float(np.sqrt(np.sum(self.Delta**2) + np.sum(self.delta**2)))
-
-    def to_complex(self) -> StateVector:
-        """Map (Delta, delta) -> (q, p) = (Delta + i delta, Delta - i delta)."""
-        return StateVector(q=self.Delta + 1j * self.delta, p=self.Delta - 1j * self.delta)

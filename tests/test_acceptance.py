@@ -11,8 +11,15 @@ import time
 import numpy as np
 
 from conftest import localizations
-from oracles import dense_oracle_spectrum, matching_distance
-from obsdecay.charfn import CharContext, localize_modes, rouche_margin
+from oracles import (
+    ObserverSetup,
+    RealState,
+    dense_oracle_spectrum,
+    matching_distance,
+    rouche_margin,
+    simulate_observer,
+)
+from obsdecay.charfn import CharContext, localize_modes
 from obsdecay.dynamics import (
     apply_generator,
     decay_envelope,
@@ -20,8 +27,6 @@ from obsdecay.dynamics import (
     dense_generator,
     domain_initial_state,
     simulate_error,
-    simulate_observer,
-    ObserverSetup,
 )
 from obsdecay.model import beam_example
 from obsdecay.modal import build_basis
@@ -31,7 +36,7 @@ from obsdecay.resolvent import (
     segment_bound_checks,
 )
 from obsdecay.spectrum import full_spectrum, winding_number
-from obsdecay.state import RealState, StateVector
+from obsdecay.state import StateVector
 from obsdecay import cli
 
 

@@ -17,9 +17,8 @@ import numpy as np
 import pytest
 
 from conftest import load_bench_workloads
+from oracles import ObserverSetup, RealState, simulate_observer
 from obsdecay import cli, dynamics, reports, spectrum
-from obsdecay.dynamics import ObserverSetup, simulate_observer
-from obsdecay.state import RealState
 
 SPANS_PATH = pathlib.Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 

@@ -7,7 +7,14 @@ import pytest
 
 import oracles
 from conftest import load_bench_workloads, perturbed_beam_family
-from oracles import dense_oracle_spectrum, eval_f_rational, first_order_predictions
+from oracles import (
+    dense_oracle_spectrum,
+    eval_f,
+    eval_f_prime,
+    eval_f_rational,
+    first_order_predictions,
+    rouche_margin,
+)
 from obsdecay import cli, reports
 from obsdecay.charfn import (
     R1_FRACTION,
@@ -18,12 +25,9 @@ from obsdecay.charfn import (
     _convergence_radii,
     estimate_M,
     eval_F,
-    eval_f,
-    eval_f_prime,
     localize,
     localize_modes,
     newton_seed_offsets,
-    rouche_margin,
 )
 from obsdecay.model import SystemSpec, beam_example, build_system
 from obsdecay.spectrum import full_spectrum

@@ -671,6 +671,24 @@ class TestDegradedPipelines:
         assert "error" in doc["trajectory"]
         assert not doc["checks"]["spectrum_complete"]["pass"]
 
+    def test_failure_texts_appear_once_in_the_report(self, tmp_path):
+        # at gamma = 1e-200 all 64 modes are lost; report.json lists each failure
+        # text once, in the spectrum entry, and the check counts them
+        cfg = write_config(tmp_path / "cold64.json", {
+            "gamma": 1e-200,
+            "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 64},
+            "tasks": ["verify", "spectrum"],
+        })
+        out = tmp_path / "out"
+        assert main(["report", "--config", cfg, "--out", str(out)]) == EXIT_CHECK_FAILED
+        text = (out / "report.json").read_text()
+        failures = json.loads((out / "spectrum.json").read_text())["failures"]
+        assert len(failures) == 64
+        assert all(text.count(json.dumps(f)) == 1 for f in failures)
+        doc = json.loads(text)
+        assert doc["spectrum"]["failures"] == failures
+        assert doc["checks"]["spectrum_complete"] == {"pass": False, "detail": 64}
+
     def test_incomplete_spectrum_skips_the_segment_bounds(self, tmp_path, monkeypatch):
         # without a complete spectrum there is no basis and no cond(Q), so no
         # cap is proven: the check is skipped and the basis is never built

@@ -10,22 +10,21 @@ import pytest
 import scipy.linalg
 
 from conftest import perturbed_beam_family
+from oracles import ObserverSetup, RealState, simulate_observer
 from obsdecay import dynamics
 from obsdecay.dynamics import (
     FitError,
     IntegrationError,
-    ObserverSetup,
     apply_generator,
     decay_envelope,
     decay_fit_trajectory,
     dense_generator,
     domain_initial_state,
     simulate_error,
-    simulate_observer,
 )
 from obsdecay.model import beam_example
 from obsdecay.spectrum import full_spectrum
-from obsdecay.state import RealState, StateVector
+from obsdecay.state import StateVector
 
 
 class EigenvaluesOnly:
@@ -251,38 +250,37 @@ class TestObserverCoSimulation:
             complex_run.norm, np.sqrt(2.0) * real_run.error_norm, atol=1e-9)
 
     def test_import_leaves_optional_scipy_unloaded(self, tmp_path):
-        # import obsdecay and the default report (simulate included) load only
-        # numpy; scipy.integrate serves only simulate_observer, loaded on
-        # first use, and no scipy.optimize is reachable from the package
+        # scipy is a test dependency only: with it blocked, import obsdecay and
+        # every verb run on beam N=8 (report with all six tasks, simulate
+        # included); only the oracles' co-simulation reaches dynamics.solve_ivp
         src = pathlib.Path(dynamics.__file__).resolve().parents[1]
-        config = tmp_path / "reference.json"
+        config = tmp_path / "beam8.json"
         config.write_text(json.dumps({
             "gamma": 1.0, "seed": 11,
-            "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 23},
+            "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 8},
         }))
         code = (
             "import json, sys\n"
-            "def scipy_modules():\n"
-            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "sys.modules['scipy'] = None\n"
             "import obsdecay\n"
-            "after_import = scipy_modules()\n"
             "from obsdecay import cli\n"
-            "code = cli.main(['report', '--config', sys.argv[1], '--out', sys.argv[2]])\n"
-            "print(json.dumps({'import': after_import, 'report': scipy_modules(),"
-            " 'exit': code}))\n"
+            "codes = {verb: cli.main([verb, '--config', sys.argv[1], '--out',"
+            " sys.argv[2] + '/' + verb]) for verb in cli.ALL_TASKS}\n"
+            "loaded = sorted(m for m, mod in sys.modules.items()"
+            " if mod is not None and m.split('.')[0] == 'scipy')\n"
+            "print(json.dumps({'codes': codes, 'scipy': loaded}))\n"
         )
         done = subprocess.run(
-            [sys.executable, "-c", code, str(config), str(tmp_path / "out")],
+            [sys.executable, "-c", code, str(config), str(tmp_path)],
             capture_output=True, text=True, check=True, timeout=120, cwd=src,
             env={"PYTHONPATH": str(src)})
-        loaded = json.loads(done.stdout.strip().splitlines()[-1])
-        assert loaded["exit"] == 0
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        assert "error" not in report["trajectory"]
-        for stage in ("import", "report"):
-            assert "scipy.integrate" not in loaded[stage]
-            assert "scipy.optimize" not in loaded[stage]
-            assert loaded[stage] == []
+        result = json.loads(done.stdout.strip().splitlines()[-1])
+        assert result["codes"] == {verb: 0 for verb in (
+            "verify", "localize", "spectrum", "resolvent-scan", "simulate", "envelope",
+            "report")}
+        assert result["scipy"] == []
+        report = json.loads((tmp_path / "report" / "report.json").read_text())
+        assert report["pass"] and "error" not in report["trajectory"]
 
     def test_control_without_actuators_rejected(self, beam4):
         with pytest.raises(ValueError):

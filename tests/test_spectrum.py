@@ -14,6 +14,8 @@ from conftest import (
 from oracles import (
     dense_nearest_mode,
     dense_oracle_spectrum,
+    eval_f,
+    eval_f_prime,
     first_order_predictions,
     matching_distance,
 )
@@ -21,8 +23,6 @@ from obsdecay import build_basis, charfn, spectrum
 from obsdecay.charfn import (
     CharContext,
     PoleError,
-    eval_f,
-    eval_f_prime,
     localize,
     newton_seed_offsets,
 )
@@ -248,7 +248,7 @@ def exact_rouche_terms(sys, z, r):
     """``(d, reach, |f'(z)|, K(r))`` of the Rouche test at ``z``, ``d`` over the poles
     0, ``i omega_j`` and ``-i omega_j``.
 
-    Taken in ``lam`` coordinates by the independent ``charfn`` evaluators.
+    Taken in ``lam`` coordinates by the independent ``oracles`` evaluators.
     """
     d = np.abs(z - np.concatenate([[0.0], 1j * sys.omegas, -1j * sys.omegas]))
     exact_k = np.sum(sys.pole_residues / (d * d * (d - r)))
@@ -541,6 +541,36 @@ class TestWindingNumber:
         with pytest.raises(ValueError):
             winding_number(single_mode, (1.0 + 1.0j, 0.0))
 
+    def test_disk_in_the_lower_half_plane(self, beam23):
+        # f below the axis is read at the mirror: f(lam) = -conj f(conj lam)
+        rep = full_spectrum(beam23)
+        for lam, r in zip(rep.lam.tolist(), rep.radius.tolist()):
+            assert winding_number(beam23, (lam.conjugate(), r)) == 1
+
+    def test_disk_centred_on_the_real_axis(self):
+        # at gamma = 100 mode 1 is overdamped: one real root near -0.0098, whose
+        # upper and lower disks are one disk, and the dense oracle's other real
+        # eigenvalue near -155.5.  Half of each contour is taken at its mirror
+        sys = beam_example(1.0, 1.0, 23, gamma=100.0)
+        dense = dense_oracle_spectrum(sys)
+        rep = full_spectrum(sys)
+        assert rep.k[0] == 1 and rep.lam[0].imag == 0.0
+        counts = []
+        for center, radius in ((rep.lam[0].real, rep.radius[0]), (-155.0, 10.0), (-0.5, 0.45)):
+            counts.append(winding_number(sys, (center, radius)))
+            assert counts[-1] == np.count_nonzero(np.abs(dense - center) < radius), center
+        assert counts == [1, 1, 0]
+
+    @pytest.mark.parametrize("k", [1, 5, 23])
+    def test_contour_through_a_lower_pole_rejected(self, beam23, k):
+        # the t = 0 sample sits exactly on -i omega_k, whose mirror is the pole i omega_k
+        with pytest.raises(PoleError, match="passes through a pole"):
+            winding_number(beam23, (complex(-0.25, -beam23.omegas[k - 1]), 0.25))
+
+    def test_contour_through_zero_rejected(self, beam23):
+        with pytest.raises(PoleError, match="passes through a pole"):
+            winding_number(beam23, (-0.25 + 0.0j, 0.25))
+
 
 # each failure text of full_spectrum: a missing mode k, or the upper or lower
 # half of an uncertified root, the root written as a complex
@@ -616,7 +646,7 @@ class TestFullSpectrum:
         # mode on its own gives it, and the reference test at each upper root
         # gives its radius exactly.  Apart from the mirror, each lower disk is
         # checked in lam coordinates: the exact Rouche test holds there with
-        # charfn's f and f', and a certified one holds one dense eigenvalue.
+        # the oracles' f and f', and a certified one holds one dense eigenvalue.
         # A root is certified exactly when it has a disk and that disk meets
         # no other one.
         for sys in systems:
