@@ -157,8 +157,8 @@ def load_config(path: str, out_override: Optional[str] = None,
     tolerances = Tolerances.from_dict(tol_doc)
 
     seed = seed_override if seed_override is not None else doc.get("seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise ConfigError(f"'seed' must be an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError(f"'seed' must be a non-negative integer, got {seed!r}")
     out = out_override if out_override is not None else str(doc.get("output_dir", "."))
     return RunConfig(system=system, tasks=tuple(tasks), seed=seed,
                      output_dir=out, tolerances=tolerances, strict=strict)

@@ -107,12 +107,6 @@ class SystemSpec:
         return _read_only(self.cs**2 / self.omegas)
 
     @cached_property
-    def pole_residues(self) -> np.ndarray:
-        """``|res|`` of f at each pole: ``2/gamma`` at 0, then ``c_j^2/omega_j`` at each
-        ``i omega_j`` and again at each ``-i omega_j``."""
-        return _read_only(np.concatenate([[2.0 / self.gamma], self.c2_over_w, self.c2_over_w]))
-
-    @cached_property
     def pole_shifts(self) -> np.ndarray:
         """Every pole seen from each upper pole: an ``N x (2N+1)`` complex table.
 
@@ -209,16 +203,17 @@ class SystemSpec:
     def from_json_dict(doc: dict) -> "SystemSpec":
         if "gamma" not in doc:
             raise ValueError("system document must carry 'gamma'")
-        gamma = doc["gamma"]
+        gamma = _number(doc, "gamma")
         if "generator" in doc:
             gen = doc["generator"]
             if gen.get("type") != "beam":
                 raise ValueError(f"unknown generator type: {gen.get('type')!r}")
-            return beam_example(gen["theta"], gen["sigma"], gen["N"], gamma=gamma)
+            return beam_example(_number(gen, "theta"), _number(gen, "sigma"), gen["N"],
+                                gamma=gamma)
         if "modes" in doc:
             modes = doc["modes"]
-            omegas = [m["omega"] for m in modes]
-            cs = [m["c"] for m in modes]
+            omegas = [_number(m, "omega") for m in modes]
+            cs = [_number(m, "c") for m in modes]
             return build_system(gamma, omegas, cs)
         raise ValueError("system document must carry 'modes' or 'generator'")
 
@@ -263,6 +258,14 @@ class AssumptionCertificate:
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def _number(doc: dict, key: str):
+    """``doc[key]``, a ValueError if it is a boolean: Python counts True as the number 1."""
+    value = doc[key]
+    if isinstance(value, bool):
+        raise ValueError(f"{key!r} must be a number, got {value!r}")
+    return value
 
 
 def _without_own(terms: np.ndarray, ks: np.ndarray) -> np.ndarray:

@@ -24,7 +24,8 @@ arithmetic as an iteration from its seed alone.  The step is Newton's for
 clears the origin, the root's own pole and its mirror, as the secular
 solvers treat the poles next to a root exactly; the halvings of a rejected
 step run in the passes that give the other elements their next step, so
-each pass costs one :func:`eval_f`.  An element stops when ``|f| <= (2N + 4)
+each pass costs one :func:`eval_f`, and every element keeps its place in
+the batch until the solve ends.  An element stops when ``|f| <= (2N + 4)
 u sum_a |res_a/(lam - a)|``, ``dlaed4``'s test: below it the computed
 ``|f|`` is noise.  It fails when no damped step lowers ``|f|``, at an exact
 pole, where f or f' overflows, or past :func:`escape_radius`, where no root
@@ -220,6 +221,12 @@ def newton_roots(sys: SystemSpec, ks, mu, max_iters: int = NEWTON_MAX_ITERS
     steps.  All elements iterate together and each pass costs one
     array-valued :func:`eval_f`: an element whose candidate was rejected
     tries half its step in the next pass, while the others take fresh steps.
+    Every element keeps its place in the batch for the whole solve: the
+    iterates, f, f', S, the steps and their halvings are arrays of the batch
+    length, an accepted trial is written back at its index, and masks mark
+    the elements still iterating (``live``), those at a new iterate
+    (``fresh``) and those stopped at a root (``done``); only the live trials
+    are passed to :func:`eval_f`.
     A seed exactly at a pole is rejected (:func:`_at_pole`), and a candidate
     there is a rejected trial.  A seed or accepted iterate fails at or past
     :func:`escape_radius`, since no root is out there and Newton cannot come
@@ -235,20 +242,20 @@ def newton_roots(sys: SystemSpec, ks, mu, max_iters: int = NEWTON_MAX_ITERS
     None; a failed element does not stop the others, and its offset,
     residual, bound and derivative are NaN.
     """
-    mu = np.array(mu, dtype=complex).reshape(-1)
-    ks = _anchors(sys, ks, mu)
-    n = mu.size
-    root, deriv = np.full(n, complex(np.nan, np.nan)), np.full(n, complex(np.nan, np.nan))
-    resid, scale = np.full(n, np.nan), np.full(n, np.nan)
-    iters = np.zeros(n, dtype=int)
+    m = np.array(mu, dtype=complex).reshape(-1)  # the iterates, written in place
+    ks = _anchors(sys, ks, m)
+    n, iw = m.size, sys.pole_shifts[ks - 1, 0]  # i omega_k, the shift of the pole at 0
     errors: list[Optional[Exception]] = [None] * n
     rho = escape_radius(sys)
     stop = (2 * sys.N + 4) * UNIT_ROUNDOFF
+    live, done = np.ones(n, dtype=bool), np.zeros(n, dtype=bool)
 
     def fail(sel: np.ndarray, why) -> None:
-        """Give each selected element the error ``why(element, lam)``."""
-        for j in np.flatnonzero(sel):
-            errors[idx[j]] = why(j, complex(m[j] + iw[j]))
+        """Give each selected element the error ``why(element, lam)`` and stop it."""
+        if sel.any():
+            for j in np.flatnonzero(sel):
+                errors[j] = why(j, complex(m[j] + iw[j]))
+            live[sel] = False
 
     def escaped(j, lam):
         return NewtonError(f"iterate {lam} is past the escape radius {rho:.6g}: no root lies "
@@ -257,96 +264,68 @@ def newton_roots(sys: SystemSpec, ks, mu, max_iters: int = NEWTON_MAX_ITERS
     def overflow(j, lam):
         return NewtonError(f"f, f' or the step overflows binary64 at {lam}, beside a pole")
 
-    idx, m = np.arange(n), mu
-    iw = sys.pole_shifts[ks - 1, 0] if n else mu  # i omega_k, the shift of the pole at 0
-    pole = _at_pole(sys, ks, mu)
-    fail(pole, lambda j, lam: PoleError(f"seed {lam} is a pole of the characteristic function"))
-    out = ~pole & (np.abs(mu + iw) >= rho)
-    fail(out, escaped)
-    keep = ~(pole | out)
-    idx, m, iw = idx[keep], mu[keep], iw[keep]
-    kk = ks[idx]
+    fail(_at_pole(sys, ks, m), lambda j, lam: PoleError(
+        f"seed {lam} is a pole of the characteristic function"))
+    fail(live & (np.abs(m + iw) >= rho), escaped)
+    f, d, step = np.zeros((3, n), dtype=complex)
+    s, (halvings, steps) = np.zeros(n), np.zeros((2, n), dtype=int)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is caught as non-finite
-        f, d, s = eval_f(sys, m, kk) if idx.size else (m, m, m.real)
+        at = np.flatnonzero(live)
+        if at.size:
+            f[at], d[at], s[at] = eval_f(sys, m[at], ks[at])
         r = np.hypot(f.real, f.imag)
-        step = np.zeros(idx.size, dtype=complex)
-        halvings, steps = np.zeros(idx.size, dtype=int), np.zeros(idx.size, dtype=int)
-        fresh = np.isfinite(r) & np.isfinite(d) & np.isfinite(s)  # a new iterate, to step from
-        end = ~fresh
-        fail(end, overflow)
+        fresh = live & np.isfinite(r) & np.isfinite(d) & np.isfinite(s)  # a new iterate
+        fail(live & ~fresh, overflow)
         for passes in itertools.count():
             # only its own acceptance changes an element's r, s, f, d and steps,
             # so the stop tests hold for the others as they did when they were fresh
-            done = fresh & (r <= stop * s)
-            if done.any():
-                at = idx[done]
-                root[at], resid[at], scale[at], deriv[at] = m[done], r[done], s[done], d[done]
-                iters[at] = steps[done]
-                end |= done
-                fresh &= ~done
+            done |= fresh & (r <= stop * s)
+            live &= ~done
             if passes >= max_iters:  # no element has taken more steps than there were passes
-                capped = fresh & (steps >= max_iters)
-                fail(capped, lambda j, lam: NewtonError(
+                fail(live & fresh & (steps >= max_iters), lambda j, lam: NewtonError(
                     f"no convergence after {max_iters} iterations (|f| = {float(r[j]):.3e})"))
-                end |= capped
-                fresh &= ~capped
-            # minus the Newton step of p f; the others keep their halved steps
-            clear = np.reciprocal(m[:, None] + iw[:, None] * _CLEARED).sum(axis=1)
-            denom = d + f * clear
-            flat = None
-            if not denom.all():
-                flat = denom == 0
-                denom[flat] = np.nan
-            np.divide(f, denom, out=step, where=fresh)
-            bad = ~np.isfinite(step)
-            if bad.any():
-                vanishing = bad if flat is None else bad & flat
-                fail(vanishing, lambda j, lam: NewtonError(
-                    f"vanishing derivative of the pole-cleared f at {lam}"))
-                fail(bad & ~vanishing, overflow)
-                end |= bad
-            if end.any():
-                keep = ~end
-                idx, kk, iw, m, f, d, s, r, step, halvings, steps = (
-                    a[keep] for a in (idx, kk, iw, m, f, d, s, r, step, halvings, steps))
-            if not idx.size:
+            fresh &= live
+            # minus the Newton step of p f; the others keep their halved steps.  A
+            # seed rejected at a pole divides by zero here, and takes no step
+            with np.errstate(divide="ignore"):
+                denom = d + f * np.reciprocal(m[:, None] + iw[:, None] * _CLEARED).sum(axis=1)
+                np.divide(f, denom, out=step, where=fresh)
+            bad = fresh & ~np.isfinite(step)
+            fail(bad & (denom == 0), lambda j, lam: NewtonError(
+                f"vanishing derivative of the pole-cleared f at {lam}"))
+            fail(bad & live, overflow)
+            if not live.any():
                 break
             cand = m - step
-            trial = cand != m
+            trial = live & (cand != m)
             if (cand.real == 0.0).any():  # a candidate at a pole is a rejected trial
                 pole = trial & (cand.real == 0.0)
-                trial[pole] = ~_at_pole(sys, kk[pole], cand[pole])
-            if trial.all():
-                cf, cd, cs = eval_f(sys, cand, kk)
-            else:
-                cf, cd, cs = f.copy(), d.copy(), s.copy()
-                sub = np.flatnonzero(trial)
-                if sub.size:
-                    cf[sub], cd[sub], cs[sub] = eval_f(sys, cand[sub], kk[sub])
-            cr = np.hypot(cf.real, cf.imag)
-            # a non-finite f' or S (their sum is non-finite with either) rejects the trial
-            fresh = trial & (cr < r) & np.isfinite(cd + cs)
-            if fresh.all():
-                m, f, d, s, r = cand, cf, cd, cs, cr
-            else:
-                m, f, d, s, r = (np.where(fresh, new, old) for new, old in
-                                 ((cand, m), (cf, f), (cd, d), (cs, s), (cr, r)))
+                trial[pole] = ~_at_pole(sys, ks[pole], cand[pole])
+            fresh = np.zeros(n, dtype=bool)
+            at = np.flatnonzero(trial)
+            if at.size:
+                cf, cd, cs = eval_f(sys, cand[at], ks[at])
+                cr = np.hypot(cf.real, cf.imag)
+                # a non-finite f' or S (their sum is non-finite with either) rejects the trial
+                ok = (cr < r[at]) & np.isfinite(cd + cs)
+                at = at[ok]
+                m[at], f[at], d[at], s[at], r[at] = cand[at], cf[ok], cd[ok], cs[ok], cr[ok]
+                fresh[at] = True
             step *= 0.5
             halvings = np.where(fresh, 0, halvings + 1)
             steps += fresh
             # a candidate that rounds to mu is mu, where |f| is r, and every
             # smaller step rounds to mu too, so the element fails at once
-            end = ~fresh & (cand == m) | (halvings > NEWTON_MAX_HALVINGS)
-            if end.any():
-                fail(end, lambda j, lam: NewtonError(
-                    f"damping failed to reduce |f| below {float(r[j]):.3e} (stop threshold "
-                    f"{float(stop * s[j]):.3e}) at {lam}"))
-            out = fresh & (np.abs(m + iw) >= rho)
-            if out.any():
-                fail(out, escaped)
-                end |= out
-                fresh &= ~out
-    return root, resid, rounding_bound(sys, scale), deriv, iters, errors
+            fail(live & (~fresh & (cand == m) | (halvings > NEWTON_MAX_HALVINGS)),
+                 lambda j, lam: NewtonError(
+                     f"damping failed to reduce |f| below {float(r[j]):.3e} (stop threshold "
+                     f"{float(stop * s[j]):.3e}) at {lam}"))
+            fail(fresh & (np.abs(m + iw) >= rho), escaped)
+            fresh &= live
+    nan = complex(np.nan, np.nan)
+    return (np.where(done, m, nan), np.where(done, r, np.nan),
+            rounding_bound(sys, np.where(done, s, np.nan)), np.where(done, d, nan),
+            np.where(done, steps, 0), errors)
 
 
 def nearest_mode(omegas: np.ndarray, x):
@@ -553,7 +532,7 @@ def _certified_radii(sys: SystemSpec, ks: np.ndarray, mu: np.ndarray, f_bound: n
     """
     nearest, reach, k0 = np.empty(mu.shape), np.empty(mu.shape), np.empty(mu.shape)
     closeness = np.empty(mu.shape)
-    c2 = sys.resolvent_couplings**2
+    c2, weights = sys.resolvent_couplings**2, np.abs(sys.residues)
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite K0 fails the test
         for rows, z in _pole_offsets(sys, ks, mu):
             d = z.real * z.real  # |z - a|^2, the pole at 0 first
@@ -565,7 +544,7 @@ def _certified_radii(sys: SystemSpec, ks: np.ndarray, mu: np.ndarray, f_bound: n
             reach[rows], nearest[rows] = d.min(axis=1), d[:, 1:].min(axis=1)
             d = np.reciprocal(d, out=d)
             d *= d * d
-            k0[rows] = np.einsum("ij,j->i", d, sys.pole_residues)
+            k0[rows] = np.einsum("ij,j->i", d, weights)
         reach = np.minimum(reach, -mu.real)
         slope = np.hypot(deriv.real, deriv.imag)
         r = np.minimum(0.5 * reach, slope / (4.0 * k0))

@@ -537,6 +537,32 @@ class TestReportVerb:
         assert main(["report", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("verb", ["verify", "simulate", "report"])
+    def test_negative_seed_is_config_error(self, verb, tmp_path, capsys):
+        # the initial state draws from default_rng(seed), which takes no negative
+        # seed: from the config and from --seed alike, no stage runs
+        system = {"gamma": 1.0, "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 8}}
+        cfg = write_config(tmp_path / "seeded.json", {**system, "seed": -3})
+        plain = write_config(tmp_path / "plain.json", system)
+        for args in (["--config", cfg], ["--config", plain, "--seed", "-3"]):
+            out = tmp_path / "out"
+            assert main([verb, *args, "--out", str(out)]) == EXIT_CONFIG
+            assert "'seed' must be a non-negative integer, got -3" in capsys.readouterr().err
+            assert not out.exists()
+
+    @pytest.mark.parametrize("system", [
+        {"gamma": True, "generator": {"type": "beam", "theta": 1.0, "sigma": 1.0, "N": 8}},
+        {"gamma": 1.0, "generator": {"type": "beam", "theta": True, "sigma": 1.0, "N": 8}},
+        {"gamma": 1.0, "generator": {"type": "beam", "theta": 1.0, "sigma": True, "N": 8}},
+        {"gamma": 1.0, "modes": [{"omega": 1.0, "c": 1.0}, {"omega": True, "c": 1.0}]},
+        {"gamma": 1.0, "modes": [{"omega": 1.0, "c": 1.0}, {"omega": 4.0, "c": True}]},
+    ], ids=["gamma", "theta", "sigma", "omega", "c"])
+    def test_boolean_system_number_is_config_error(self, system, tmp_path, capsys):
+        # Python counts True as 1, so each of these would load as a valid system
+        cfg = write_config(tmp_path / "bool.json", system)
+        assert main(["verify", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "must be a number, got True" in capsys.readouterr().err
+
 
     @pytest.mark.parametrize("tolerances", [
         {"theta_frac": 1.5},

@@ -148,29 +148,32 @@ def scalar_newton_root(sys, k, mu, max_iters=NEWTON_MAX_ITERS, trials=None):
 def assert_matches_scalar(sys, seeds, **kwargs):
     """``newton_roots`` on the anchored ``seeds`` equals the reference loop on each seed.
 
-    ``seeds`` are ``(k, mu)`` pairs.  Offsets, residuals, derivatives and
-    iteration counts must be equal, failures of the same type with the same
-    message.  Returns the reference outcomes, each a result tuple or an
-    exception.
+    ``seeds`` are ``(k, mu)`` pairs, solved as one batch in their order and
+    again in reversed order, so an element that leaked into another would
+    show.  In both batches offsets, residuals, derivatives and iteration
+    counts must be equal, failures of the same type with the same message.
+    Returns the reference outcomes, each a result tuple or an exception.
     """
-    ks = [k for k, _ in seeds]
-    roots, resids, bounds, derivs, iters, errors = newton_roots(sys, ks, [m for _, m in seeds],
-                                                                **kwargs)
-    assert (len(roots) == len(resids) == len(bounds) == len(derivs) == len(iters)
-            == len(errors) == len(seeds))
+    ks, mus = [k for k, _ in seeds], [m for _, m in seeds]
+    forward = newton_roots(sys, ks, mus, **kwargs)
+    backward = [out[::-1] for out in newton_roots(sys, ks[::-1], mus[::-1], **kwargs)]
+    assert all(len(out) == len(seeds) for out in forward + tuple(backward))
     outcomes = []
     for i, (k, mu) in enumerate(seeds):
         try:
             expected = scalar_newton_root(sys, k, mu, **kwargs)
         except (NewtonError, PoleError) as exc:
-            assert (type(errors[i]), str(errors[i])) == (type(exc), str(exc)), (i, k, mu)
-            outcomes.append(exc)
-        else:
+            expected = exc
+        for roots, resids, bounds, derivs, iters, errors in (forward, backward):
+            if isinstance(expected, Exception):
+                assert (type(errors[i]), str(errors[i])) == (type(expected), str(expected)), (
+                    i, k, mu)
+                continue
             assert errors[i] is None, (i, k, mu, errors[i])
             got = (complex(roots[i]), float(resids[i]), float(bounds[i]), complex(derivs[i]),
                    int(iters[i]))
             assert got == expected, (i, k, mu)
-            outcomes.append(expected)
+        outcomes.append(expected)
     return outcomes
 
 
@@ -189,6 +192,12 @@ def band_exit(sys, k, mu):
     return abs(mu.imag) > band
 
 
+def pole_weights(sys):
+    """``|res|`` of f at each pole: ``2/gamma`` at 0, then ``c_j^2/omega_j`` at each
+    ``i omega_j`` and again at each ``-i omega_j``."""
+    return np.concatenate([[2.0 / sys.gamma], sys.c2_over_w, sys.c2_over_w])
+
+
 def reference_radius(sys, k, mu, f_bound, deriv):
     """Reference copy of the a-posteriori Rouche test at the root ``(k, mu)`` with
     |f| <= f_bound and f' = deriv, in plain numpy.
@@ -205,7 +214,7 @@ def reference_radius(sys, k, mu, f_bound, deriv):
     d = np.sqrt(z.real * z.real + z.imag * z.imag)
     reach = min(float(np.min(d)), -mu.real)
     inv = 1.0 / d
-    k0 = float(np.einsum("ij,j->i", (inv * inv * inv)[None, :], sys.pole_residues)[0])
+    k0 = float(np.einsum("ij,j->i", (inv * inv * inv)[None, :], pole_weights(sys))[0])
     slope = float(np.hypot(deriv.real, deriv.imag))
     r = min(0.5 * reach, slope / (4.0 * k0))
     if reach > 0.0 and r >= CERT_FLOOR * reach and slope * r - f_bound > 2.0 * k0 * r * r:
@@ -251,7 +260,7 @@ def exact_rouche_terms(sys, z, r):
     Taken in ``lam`` coordinates by the independent ``oracles`` evaluators.
     """
     d = np.abs(z - np.concatenate([[0.0], 1j * sys.omegas, -1j * sys.omegas]))
-    exact_k = np.sum(sys.pole_residues / (d * d * (d - r)))
+    exact_k = np.sum(pole_weights(sys) / (d * d * (d - r)))
     return d, min(float(np.min(d)), -z.real), abs(eval_f_prime(sys, z)), exact_k
 
 
@@ -444,6 +453,26 @@ class TestNewtonRootsParity:
         outcomes = assert_matches_scalar(sys, seeds)
         assert all(isinstance(o, NewtonError) and "overflows binary64" in str(o)
                    for o in outcomes)
+
+    def test_vanishing_pole_cleared_derivative_is_named(self, beam23, monkeypatch):
+        # with f' = -f (1/mu + 1/lam + 1/(mu + 2i omega_k)) at every point anchored
+        # at mode 3, the pole-cleared derivative f' + f (...) is exactly 0 there:
+        # that element fails with its own message, and the others of the batch
+        # still equal the reference, which reads the same patched f'
+        eval_mu = spectrum.eval_f
+        flat_k = 3
+
+        def flattened(sys, mu, ks):
+            fval, deriv, scale = eval_mu(sys, mu, ks)
+            iw = sys.pole_shifts[ks - 1, 0]
+            clear = np.reciprocal(mu[:, None] + iw[:, None] * np.array([0.0, 1.0, 2.0]))
+            return fval, np.where(ks == flat_k, -(fval * clear.sum(axis=1)), deriv), scale
+
+        monkeypatch.setattr(spectrum, "eval_f", flattened)
+        outcomes = assert_matches_scalar(beam23, primary_seeds(beam23))
+        failed = {k: str(o) for k, o in enumerate(outcomes, start=1) if isinstance(o, Exception)}
+        assert list(failed) == [flat_k]
+        assert failed[flat_k].startswith("vanishing derivative of the pole-cleared f at ")
 
     @pytest.mark.parametrize("max_iters", [NEWTON_MAX_ITERS, 1])
     def test_pole_seeds_and_iteration_cap(self, single_mode, max_iters):
@@ -1034,7 +1063,7 @@ class TestCertificateOracles:
                 ok = ~np.isnan(r)
                 assert ok.any(), (sys.N, z)
                 r, fz = r[ok], fz[ok]
-                exact_k = np.sum(sys.pole_residues / (d * d * (d - r[:, None])), axis=1)
+                exact_k = np.sum(pole_weights(sys) / (d * d * (d - r[:, None])), axis=1)
                 assert np.all(r <= 0.5 * reach), (sys.N, z)
                 assert np.all(slope * r - fz > r * r * exact_k), (sys.N, z)
 
